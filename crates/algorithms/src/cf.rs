@@ -9,10 +9,12 @@
 
 use serde::{Deserialize, Serialize};
 
-use diststream_core::{Sketch, WeightedPoint};
+use std::collections::BTreeMap;
+
+use diststream_core::{MicroClusterId, Sketch, WeightedPoint};
 use diststream_types::{
-    lane_squared_distance, lane_squared_distance_bounded, lane_squared_norm, Point, Record,
-    Timestamp,
+    lane_squared_distance, lane_squared_distance_bounded, lane_squared_distance_scaled,
+    lane_squared_norm, DistStreamError, Point, Record, Result, Timestamp,
 };
 
 /// An additive, decayable clustering-feature vector.
@@ -109,11 +111,33 @@ impl CfVector {
 
     /// The centroid `CF1x / w`.
     pub fn centroid(&self) -> Point {
+        self.cf1x.scaled(self.centroid_scale())
+    }
+
+    /// The factor that turns `CF1x` into the centroid: `1/w`, or 1 for an
+    /// emptied sketch, whose centroid is `CF1x` itself (`x · 1.0` is `x`
+    /// bit for bit, so there is no second code path).
+    fn centroid_scale(&self) -> f64 {
         if self.weight > 0.0 {
-            self.cf1x.scaled(1.0 / self.weight)
+            1.0 / self.weight
         } else {
-            self.cf1x.clone()
+            1.0
         }
+    }
+
+    /// Euclidean distance between the two sketches' centroids, straight from
+    /// the linear sums: bit-identical to
+    /// `self.centroid().distance(&other.centroid())` without materializing
+    /// either `Point` (the pre-merge asks this for every candidate pair).
+    pub fn centroid_distance(&self, other: &CfVector) -> f64 {
+        debug_assert_eq!(self.dims(), other.dims(), "point dimension mismatch");
+        lane_squared_distance_scaled(
+            self.cf1x.as_slice(),
+            self.centroid_scale(),
+            other.cf1x.as_slice(),
+            other.centroid_scale(),
+        )
+        .sqrt()
     }
 
     /// RMS deviation of absorbed points from the centroid — the
@@ -344,12 +368,45 @@ impl CentroidKernel {
     /// one multiply per coordinate) so the flattened row is bit-identical to
     /// the `Point` the naive loop would have materialized.
     pub fn push_cf(&mut self, id: u64, cf: &CfVector) {
-        if cf.weight > 0.0 {
-            let inv = 1.0 / cf.weight;
-            self.push_center(id, cf.cf1x.iter().map(|&v| v * inv));
-        } else {
-            self.push_center(id, cf.cf1x.iter().copied());
+        let scale = cf.centroid_scale();
+        self.push_center(id, cf.cf1x.iter().map(|&v| v * scale));
+    }
+
+    /// Inserts the centroid of `cf` as row `idx`, shifting later rows up.
+    fn insert_cf(&mut self, idx: usize, id: u64, cf: &CfVector) {
+        if self.ids.is_empty() {
+            return self.push_cf(id, cf);
         }
+        let scale = cf.centroid_scale();
+        let at = idx * self.dims;
+        self.centers
+            .splice(at..at, cf.cf1x.iter().map(|&v| v * scale));
+        self.norms
+            .insert(idx, lane_squared_norm(self.center(idx)).sqrt());
+        self.ids.insert(idx, id);
+    }
+
+    /// Overwrites row `idx` with the centroid of `cf`.
+    fn replace_cf(&mut self, idx: usize, cf: &CfVector) {
+        let scale = cf.centroid_scale();
+        let at = idx * self.dims;
+        if let Some(row) = self.centers.get_mut(at..at + self.dims) {
+            for (slot, &v) in row.iter_mut().zip(cf.cf1x.iter()) {
+                *slot = v * scale;
+            }
+        }
+        let norm = lane_squared_norm(self.center(idx)).sqrt();
+        if let Some(slot) = self.norms.get_mut(idx) {
+            *slot = norm;
+        }
+    }
+
+    /// Removes row `idx`, shifting later rows down.
+    fn remove(&mut self, idx: usize) {
+        let at = idx * self.dims;
+        self.centers.drain(at..at + self.dims);
+        self.norms.remove(idx);
+        self.ids.remove(idx);
     }
 
     /// Appends a plain point as a centroid row.
@@ -478,6 +535,233 @@ impl CentroidKernel {
             }
         }
         best_d
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Closest-pair index for capacity merges
+// ---------------------------------------------------------------------------
+
+/// The two closest centroids of a micro-cluster set, kept current across
+/// insertions, updates and removals — the capacity-merge search of CluStream
+/// and ClusTree.
+///
+/// Centroids sit in a [`CentroidKernel`] in ascending id order (rows are
+/// bit-identical to [`CfVector::centroid`]); beside them an upper-triangular
+/// table caches every pairwise squared distance. The table is filled by the
+/// first [`ClosestPairIndex::closest`] call (`O(n²·d)`, once) and from then
+/// on each mutation recomputes one row (`O(n·d)`), so a capacity merge costs
+/// `O(n·d)` distance work plus an `O(n²)` scan over cached `f64`s instead of
+/// a full `O(n²·d)` rescan. Until the table exists mutations touch the
+/// centroid row only, so callers that never exceed their budget pay for the
+/// flat rows alone.
+///
+/// The pair returned is the lexicographically first `(d², i, j)` with
+/// `i < j` in id order under strict `<` — exactly what a fresh double loop
+/// over the id-ordered centroids selects, duplicate centroids (`d² = 0`
+/// ties) included — so swapping the rescan for the index leaves every model
+/// bit-identical.
+///
+/// An index lives for one `apply_global` call; it is never part of a model.
+#[derive(Debug)]
+pub(crate) struct ClosestPairIndex {
+    rows: CentroidKernel,
+    /// `pairs[i][j - i - 1]` is the squared distance between rows `i < j`;
+    /// `None` until the first `closest()`.
+    pairs: Option<Vec<Vec<f64>>>,
+}
+
+/// The table and the rows it caches disagree on shape — unreachable while
+/// every mutation goes through the methods below.
+fn out_of_step() -> DistStreamError {
+    DistStreamError::Invariant("closest-pair table is out of step with its centroid rows".into())
+}
+
+impl ClosestPairIndex {
+    /// Flattens the centroids of `entries` (a `BTreeMap`, hence ascending
+    /// unique ids).
+    pub(crate) fn build(entries: &BTreeMap<MicroClusterId, CfVector>) -> Self {
+        let dims = entries.values().next().map_or(0, CfVector::dims);
+        let mut rows = CentroidKernel::with_capacity(entries.len() + 1, dims);
+        for (id, cf) in entries {
+            rows.push_cf(*id, cf);
+        }
+        ClosestPairIndex { rows, pairs: None }
+    }
+
+    /// The id-ordered centroid rows, for nearest-centroid queries.
+    pub(crate) fn rows(&self) -> &CentroidKernel {
+        &self.rows
+    }
+
+    fn position(&self, id: MicroClusterId) -> Result<usize> {
+        self.rows
+            .ids
+            .binary_search(&id)
+            .map_err(|_| DistStreamError::UnknownMicroCluster { id })
+    }
+
+    /// Squared distances from row `pos` to rows `from..`, in row order.
+    fn distances(rows: &CentroidKernel, pos: usize, from: usize) -> impl Iterator<Item = f64> + '_ {
+        let target = rows.center(pos);
+        (from..rows.len()).map(move |j| lane_squared_distance(rows.center(j), target))
+    }
+
+    /// Adds micro-cluster `id` at its place in id order.
+    ///
+    /// # Errors
+    ///
+    /// [`DistStreamError::Invariant`] if `id` is already indexed.
+    pub(crate) fn insert(&mut self, id: MicroClusterId, cf: &CfVector) -> Result<()> {
+        let pos = match self.rows.ids.binary_search(&id) {
+            Ok(_) => {
+                return Err(DistStreamError::Invariant(format!(
+                    "micro-cluster {id} is already in the closest-pair index"
+                )))
+            }
+            Err(pos) => pos,
+        };
+        self.rows.insert_cf(pos, id, cf);
+        if let Some(pairs) = &mut self.pairs {
+            let rows = &self.rows;
+            for ((i, row), d2) in pairs
+                .iter_mut()
+                .enumerate()
+                .take(pos)
+                .zip(Self::distances(rows, pos, 0))
+            {
+                if pos - i - 1 > row.len() {
+                    return Err(out_of_step());
+                }
+                row.insert(pos - i - 1, d2);
+            }
+            if pos > pairs.len() {
+                return Err(out_of_step());
+            }
+            pairs.insert(pos, Self::distances(rows, pos, pos + 1).collect());
+        }
+        Ok(())
+    }
+
+    /// Re-reads the centroid of micro-cluster `id` after its sketch changed.
+    ///
+    /// # Errors
+    ///
+    /// [`DistStreamError::UnknownMicroCluster`] if `id` is not indexed.
+    pub(crate) fn update(&mut self, id: MicroClusterId, cf: &CfVector) -> Result<()> {
+        let pos = self.position(id)?;
+        self.rows.replace_cf(pos, cf);
+        if let Some(pairs) = &mut self.pairs {
+            let rows = &self.rows;
+            for ((i, row), d2) in pairs
+                .iter_mut()
+                .enumerate()
+                .take(pos)
+                .zip(Self::distances(rows, pos, 0))
+            {
+                *row.get_mut(pos - i - 1).ok_or_else(out_of_step)? = d2;
+            }
+            let own = pairs.get_mut(pos).ok_or_else(out_of_step)?;
+            for (slot, d2) in own.iter_mut().zip(Self::distances(rows, pos, pos + 1)) {
+                *slot = d2;
+            }
+        }
+        Ok(())
+    }
+
+    /// Drops micro-cluster `id`.
+    ///
+    /// # Errors
+    ///
+    /// [`DistStreamError::UnknownMicroCluster`] if `id` is not indexed.
+    pub(crate) fn remove(&mut self, id: MicroClusterId) -> Result<()> {
+        let pos = self.position(id)?;
+        self.rows.remove(pos);
+        if let Some(pairs) = &mut self.pairs {
+            if pos >= pairs.len() {
+                return Err(out_of_step());
+            }
+            pairs.remove(pos);
+            for (i, row) in pairs.iter_mut().enumerate().take(pos) {
+                if pos - i > row.len() {
+                    return Err(out_of_step());
+                }
+                row.remove(pos - i - 1);
+            }
+        }
+        Ok(())
+    }
+
+    /// The closest pair as `(lower id, higher id, d²)`, or `None` with fewer
+    /// than two micro-clusters. Pairs at non-finite distance never win; if
+    /// no pair is finite the first two ids are returned.
+    pub(crate) fn closest(&mut self) -> Option<(MicroClusterId, MicroClusterId, f64)> {
+        let rows = &self.rows;
+        let pairs = self.pairs.get_or_insert_with(|| {
+            (0..rows.len())
+                .map(|i| Self::distances(rows, i, i + 1).collect())
+                .collect()
+        });
+        if rows.len() < 2 {
+            return None;
+        }
+        // Two passes over the cached table: the minimum value through four
+        // independent lanes (a branch-free loop LLVM vectorizes — `min` of
+        // non-NaN values does not depend on evaluation order), then the
+        // first position holding it, which is the pair a strict-`<` scan in
+        // row order would have kept.
+        let mut lanes = [f64::INFINITY; 4];
+        for row in pairs.iter() {
+            let mut chunks = row.chunks_exact(4);
+            for chunk in chunks.by_ref() {
+                for (lane, &d2) in lanes.iter_mut().zip(chunk) {
+                    *lane = if d2 < *lane { d2 } else { *lane };
+                }
+            }
+            for (lane, &d2) in lanes.iter_mut().zip(chunks.remainder()) {
+                *lane = if d2 < *lane { d2 } else { *lane };
+            }
+        }
+        let min = lanes
+            .iter()
+            .fold(f64::INFINITY, |m, &l| if l < m { l } else { m });
+        let (i, j) = pairs
+            .iter()
+            .enumerate()
+            .find_map(|(i, row)| {
+                let k = row.iter().position(|&d2| d2 == min)?;
+                Some((i, i + 1 + k))
+            })
+            .filter(|_| min < f64::INFINITY)
+            .unwrap_or((0, 1));
+        Some((rows.id(i), rows.id(j), min))
+    }
+
+    /// One capacity merge on `entries`, the map this index mirrors: folds
+    /// the higher id of the closest pair into the lower and keeps the index
+    /// in step. Returns `false` when fewer than two micro-clusters remain.
+    ///
+    /// # Errors
+    ///
+    /// [`DistStreamError::UnknownMicroCluster`] if `entries` and the index
+    /// disagree on which ids exist.
+    pub(crate) fn merge_closest(
+        &mut self,
+        entries: &mut BTreeMap<MicroClusterId, CfVector>,
+    ) -> Result<bool> {
+        let Some((keep, fold, _)) = self.closest() else {
+            return Ok(false);
+        };
+        let folded = entries
+            .remove(&fold)
+            .ok_or(DistStreamError::UnknownMicroCluster { id: fold })?;
+        self.remove(fold)?;
+        let kept = entries
+            .get_mut(&keep)
+            .ok_or(DistStreamError::UnknownMicroCluster { id: keep })?;
+        kept.add(&folded);
+        self.update(keep, kept)?;
+        Ok(true)
     }
 }
 
@@ -748,6 +1032,181 @@ mod tests {
                     .fold(f64::INFINITY, f64::min);
                 let got = kernel.nearest_other_distance(i);
                 prop_assert_eq!(got.to_bits(), naive.to_bits());
+            }
+        }
+    }
+
+    /// The double loop the index replaces, kept as the reference: centroids
+    /// materialized in id order, strict `<` from infinity, first pair as the
+    /// fallback.
+    fn naive_closest(entries: &BTreeMap<u64, CfVector>) -> Option<(u64, u64, f64)> {
+        let items: Vec<(u64, Point)> = entries
+            .iter()
+            .map(|(id, cf)| (*id, cf.centroid()))
+            .collect();
+        if items.len() < 2 {
+            return None;
+        }
+        let mut best = (0, 1, f64::INFINITY);
+        for i in 0..items.len() {
+            for j in (i + 1)..items.len() {
+                let d = items[i].1.squared_distance(&items[j].1);
+                if d < best.2 {
+                    best = (i, j, d);
+                }
+            }
+        }
+        Some((items[best.0].0, items[best.1].0, best.2))
+    }
+
+    fn assert_closest_matches(index: &mut ClosestPairIndex, entries: &BTreeMap<u64, CfVector>) {
+        let got = index.closest().map(|(i, j, d)| (i, j, d.to_bits()));
+        let want = naive_closest(entries).map(|(i, j, d)| (i, j, d.to_bits()));
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn closest_pair_breaks_duplicate_ties_by_id_order() {
+        // Three coincident centroids and a farther one: every coincident
+        // pair is at d² = 0, and the first in id order wins.
+        let mut entries = BTreeMap::new();
+        entries.insert(9, CfVector::from_record(&rec(0, vec![1.0, 1.0], 0.0)));
+        entries.insert(3, CfVector::from_record(&rec(1, vec![1.0, 1.0], 0.0)));
+        entries.insert(5, CfVector::from_record(&rec(2, vec![1.0, 1.0], 0.0)));
+        entries.insert(1, CfVector::from_record(&rec(3, vec![4.0, 1.0], 0.0)));
+        let mut index = ClosestPairIndex::build(&entries);
+        assert_eq!(index.closest(), Some((3, 5, 0.0)));
+        // Folding 5 into 3 leaves (3, 9) as the first zero pair.
+        assert!(index.merge_closest(&mut entries).unwrap());
+        assert_eq!(entries.keys().copied().collect::<Vec<_>>(), [1, 3, 9]);
+        assert_eq!(entries[&3].weight(), 2.0);
+        assert_eq!(index.closest(), Some((3, 9, 0.0)));
+        assert_closest_matches(&mut index, &entries);
+    }
+
+    #[test]
+    fn closest_pair_index_reports_misuse_as_typed_errors() {
+        let mut entries = BTreeMap::new();
+        entries.insert(2, CfVector::from_record(&rec(0, vec![0.0], 0.0)));
+        let mut index = ClosestPairIndex::build(&entries);
+        assert_eq!(index.closest(), None);
+        let cf = CfVector::from_record(&rec(1, vec![1.0], 0.0));
+        assert!(matches!(
+            index.insert(2, &cf),
+            Err(DistStreamError::Invariant(_))
+        ));
+        assert!(matches!(
+            index.update(7, &cf),
+            Err(DistStreamError::UnknownMicroCluster { id: 7 })
+        ));
+        assert!(matches!(
+            index.remove(7),
+            Err(DistStreamError::UnknownMicroCluster { id: 7 })
+        ));
+        // An empty index accepts its first row.
+        index.remove(2).unwrap();
+        index.insert(4, &cf).unwrap();
+        assert_eq!(index.rows().len(), 1);
+        assert_eq!(index.rows().id(0), 4);
+    }
+
+    #[test]
+    fn centroid_distance_of_an_emptied_sketch_uses_the_raw_sums() {
+        let mut empty = CfVector::from_record(&rec(0, vec![3.0, -4.0], 0.0));
+        empty.decay(0.0, Timestamp::from_secs(1.0));
+        assert_eq!(empty.weight(), 0.0);
+        let other = CfVector::from_record(&rec(1, vec![1.5, 2.5], 0.0));
+        let naive = empty.centroid().distance(&other.centroid());
+        assert_eq!(empty.centroid_distance(&other).to_bits(), naive.to_bits());
+        assert_eq!(other.centroid_distance(&empty).to_bits(), naive.to_bits());
+    }
+
+    proptest! {
+        /// `centroid_distance` is the materialized path, bit for bit, for
+        /// every pair of a random CF set (both argument orders).
+        #[test]
+        fn prop_centroid_distance_matches_materialized_bits(
+            (cfs, _query) in cf_set_and_query(),
+        ) {
+            for a in &cfs {
+                for b in &cfs {
+                    let naive = a.centroid().distance(&b.centroid());
+                    prop_assert_eq!(a.centroid_distance(b).to_bits(), naive.to_bits());
+                }
+            }
+        }
+
+        /// After any interleaving of insert / update / remove / merge the
+        /// index's `closest()` equals the naive double loop in both ids and
+        /// d² bits. Centroids come from a 5 × 5 integer grid, so duplicate
+        /// and collinear centroids — exact ties — are the common case, and
+        /// ids are drawn from a small range so insertions land in the middle
+        /// of the id order, not only at its end.
+        #[test]
+        fn prop_closest_pair_index_matches_naive_scan(
+            initial in prop::collection::vec((0u64..40, 0usize..25), 0..12),
+            ops in prop::collection::vec((0u8..4, 0u64..40, 0usize..25), 1..40),
+            first_check in 0usize..8,
+        ) {
+            let grid = |cell: usize, id: u64| {
+                let (x, y) = ((cell % 5) as f64 - 2.0, (cell / 5) as f64 - 2.0);
+                CfVector::from_record(&rec(id, vec![x, y], 0.0))
+            };
+            let mut entries: BTreeMap<u64, CfVector> = BTreeMap::new();
+            for &(id, cell) in &initial {
+                entries.insert(id, grid(cell, id));
+            }
+            let mut index = ClosestPairIndex::build(&entries);
+            for (step, &(kind, id, cell)) in ops.iter().enumerate() {
+                // The `id`-th live entry, for ops that need an existing one.
+                let live = entries.keys().nth(id as usize % entries.len().max(1)).copied();
+                match (kind, live) {
+                    (0, _) if !entries.contains_key(&id) => {
+                        let cf = grid(cell, id);
+                        index.insert(id, &cf).unwrap();
+                        entries.insert(id, cf);
+                    }
+                    (1, Some(target)) => {
+                        let cf = entries.get_mut(&target).unwrap();
+                        cf.add(&grid(cell, id));
+                        index.update(target, cf).unwrap();
+                    }
+                    (2, Some(target)) => {
+                        entries.remove(&target);
+                        index.remove(target).unwrap();
+                    }
+                    (3, _) => {
+                        // A capacity merge, as `enforce_capacity` runs it:
+                        // the pair it folds must be the naive scan's.
+                        let want = naive_closest(&entries);
+                        let merged = index.merge_closest(&mut entries).unwrap();
+                        prop_assert_eq!(merged, want.is_some());
+                        if let Some((keep, fold, _)) = want {
+                            prop_assert!(entries.contains_key(&keep));
+                            prop_assert!(!entries.contains_key(&fold));
+                        }
+                    }
+                    _ => {}
+                }
+                // Mutations before the first query run against rows only;
+                // later ones maintain the cached table.
+                if step >= first_check {
+                    let got = index.closest().map(|(i, j, d)| (i, j, d.to_bits()));
+                    let want = naive_closest(&entries).map(|(i, j, d)| (i, j, d.to_bits()));
+                    prop_assert_eq!(got, want);
+                }
+            }
+            let got = index.closest().map(|(i, j, d)| (i, j, d.to_bits()));
+            let want = naive_closest(&entries).map(|(i, j, d)| (i, j, d.to_bits()));
+            prop_assert_eq!(got, want);
+            // The flat rows stay the id-ordered centroids, bit for bit.
+            prop_assert_eq!(index.rows().len(), entries.len());
+            for (row, (id, cf)) in entries.iter().enumerate() {
+                prop_assert_eq!(index.rows().id(row), *id);
+                let centroid = cf.centroid();
+                for (a, b) in index.rows().center(row).iter().zip(centroid.iter()) {
+                    prop_assert_eq!(a.to_bits(), b.to_bits());
+                }
             }
         }
     }

@@ -32,7 +32,7 @@ impl Summary {
         let mut sum = Point::zeros(entries.first().map_or(0, |e| e.centroid.dims()));
         let mut weight = 0.0;
         for e in entries {
-            sum.add_in_place(&e.centroid.scaled(e.weight));
+            sum.add_scaled_in_place(&e.centroid, e.weight);
             weight += e.weight;
         }
         Summary { sum, weight }

@@ -18,7 +18,7 @@ use diststream_core::{
 };
 use diststream_types::{DistStreamError, Point, Record, Result, Timestamp};
 
-use crate::cf::{CentroidKernel, CfVector};
+use crate::cf::{CentroidKernel, CfVector, ClosestPairIndex};
 use crate::offline::{kmeans, KmeansParams};
 
 /// Tuning parameters for [`CluStream`].
@@ -78,11 +78,10 @@ impl CluStreamModel {
         self.mcs.iter()
     }
 
-    fn insert_new(&mut self, cf: CfVector) -> MicroClusterId {
+    fn insert_new(&mut self, cf: CfVector) -> (MicroClusterId, &CfVector) {
         let id = self.next_id;
         self.next_id += 1;
-        self.mcs.insert(id, cf);
-        id
+        (id, self.mcs.entry(id).or_insert(cf))
     }
 
     /// Distance from `point` to the nearest micro-cluster other than
@@ -94,6 +93,14 @@ impl CluStreamModel {
             .map(|(_, cf)| cf.centroid().distance(point))
             .fold(f64::INFINITY, f64::min)
     }
+}
+
+/// `t ×` RMS radius — the maximum boundary of a multi-record micro-cluster.
+/// `None` for a singleton (or a cluster of coincident records), whose
+/// boundary is the distance to its nearest other micro-cluster instead.
+fn rms_boundary(cf: &CfVector, boundary_factor: f64) -> Option<f64> {
+    let rms = cf.rms_radius();
+    (cf.weight() > 1.0 && rms > 0.0).then_some(boundary_factor * rms)
 }
 
 /// Per-task search structure for [`CluStream::assign_many`]: the model's
@@ -117,12 +124,7 @@ impl CluStreamSearcher {
         let mut boundaries = Vec::with_capacity(model.len());
         for (id, cf) in model.mcs.iter() {
             kernel.push_cf(*id, cf);
-            let rms = cf.rms_radius();
-            if cf.weight() > 1.0 && rms > 0.0 {
-                boundaries.push(boundary_factor * rms);
-            } else {
-                boundaries.push(f64::NAN);
-            }
+            boundaries.push(rms_boundary(cf, boundary_factor).unwrap_or(f64::NAN));
         }
         for (idx, boundary) in boundaries.iter_mut().enumerate() {
             if boundary.is_nan() {
@@ -192,22 +194,42 @@ impl CluStream {
     /// multi-record cluster, or the distance to the closest other
     /// micro-cluster for a singleton (the original CluStream heuristic).
     fn max_boundary(&self, model: &CluStreamModel, id: MicroClusterId, cf: &CfVector) -> f64 {
-        let rms = cf.rms_radius();
-        if cf.weight() > 1.0 && rms > 0.0 {
-            self.params.boundary_factor * rms
-        } else {
-            model.nearest_other_distance(&cf.centroid(), id)
-        }
+        rms_boundary(cf, self.params.boundary_factor)
+            .unwrap_or_else(|| model.nearest_other_distance(&cf.centroid(), id))
+    }
+
+    /// [`CluStream::max_boundary`] of the micro-cluster at row `row` of
+    /// `index`, with the singleton case answered from the flat centroid rows
+    /// (bit-identical to the naive fold, see
+    /// [`CentroidKernel::nearest_other_distance`]).
+    fn boundary_at(
+        &self,
+        model: &CluStreamModel,
+        index: &ClosestPairIndex,
+        row: usize,
+    ) -> Result<f64> {
+        let id = index.rows().id(row);
+        let cf = model
+            .mcs
+            .get(&id)
+            .ok_or(DistStreamError::UnknownMicroCluster { id })?;
+        Ok(rms_boundary(cf, self.params.boundary_factor)
+            .unwrap_or_else(|| index.rows().nearest_other_distance(row)))
     }
 
     /// Restores the capacity budget after inserting new micro-clusters.
     ///
     /// Deletion of below-horizon micro-clusters is handled first (cheap);
-    /// remaining overage is resolved by repeatedly merging the closest pair.
-    /// Centroids are cached across merge iterations so a burst of new
-    /// micro-clusters costs `O(overage · n · d)` rather than
-    /// `O(overage · n² · d)`.
-    fn enforce_capacity(&self, model: &mut CluStreamModel, now: Timestamp) -> Result<()> {
+    /// remaining overage is resolved by repeatedly merging the closest pair
+    /// (earliest ids on ties) through the call's closest-pair `index`, kept
+    /// in step with every deletion and merge: `O(overage · n · d)` distance
+    /// evaluations once the index's table exists.
+    fn enforce_capacity(
+        &self,
+        model: &mut CluStreamModel,
+        index: &mut ClosestPairIndex,
+        now: Timestamp,
+    ) -> Result<()> {
         let recency_threshold = now.secs() - self.params.horizon_secs;
         // Phase 1: delete least-recent micro-clusters past the horizon.
         while model.len() > self.params.max_micro_clusters {
@@ -219,44 +241,16 @@ impl CluStream {
             match oldest {
                 Some((id, stamp)) if stamp < recency_threshold => {
                     model.mcs.remove(&id);
+                    index.remove(id)?;
                 }
                 _ => break,
             }
         }
-        if model.len() <= self.params.max_micro_clusters {
-            return Ok(());
-        }
-        // Phase 2: merge closest pairs over cached centroids, so each merge
-        // costs one O(n²·d) pair scan without recomputing CF centroids.
-        let mut items: Vec<(MicroClusterId, Point, f64)> = model
-            .mcs
-            .iter()
-            .map(|(id, cf)| (*id, cf.centroid(), cf.weight()))
-            .collect();
-        while items.len() > self.params.max_micro_clusters {
-            let mut best = (0usize, 1usize, f64::INFINITY);
-            for i in 0..items.len() {
-                for j in (i + 1)..items.len() {
-                    let d = items[i].1.squared_distance(&items[j].1);
-                    if d < best.2 {
-                        best = (i, j, d);
-                    }
-                }
+        // Phase 2: merge closest pairs.
+        while model.len() > self.params.max_micro_clusters {
+            if !index.merge_closest(&mut model.mcs)? {
+                break;
             }
-            let (i, j, _) = best;
-            let (fold_id, _, _) = items.swap_remove(j);
-            let folded = model
-                .mcs
-                .remove(&fold_id)
-                .ok_or(DistStreamError::UnknownMicroCluster { id: fold_id })?;
-            let keep_id = items[i].0;
-            let keep = model
-                .mcs
-                .get_mut(&keep_id)
-                .ok_or(DistStreamError::UnknownMicroCluster { id: keep_id })?;
-            keep.add(&folded);
-            items[i].1 = keep.centroid();
-            items[i].2 = keep.weight();
         }
         Ok(())
     }
@@ -344,7 +338,7 @@ impl StreamClustering for CluStream {
     }
 
     fn can_premerge(&self, a: &CfVector, b: &CfVector) -> bool {
-        a.centroid().distance(&b.centroid()) <= self.params.premerge_distance
+        a.centroid_distance(b) <= self.params.premerge_distance
     }
 
     fn apply_global(
@@ -359,8 +353,8 @@ impl StreamClustering for CluStream {
         // global update stale, and the intervening capacity enforcement may
         // have merged the cluster away. Re-inserting the dead id would
         // resurrect it alongside the survivor that already carries its mass
-        // and push the model over budget, costing one extra O(n²·d)
-        // closest-pair merge per orphan. Instead, orphaned updates take the
+        // and push the model over budget, costing one extra closest-pair
+        // merge per orphan. Instead, orphaned updates take the
         // same absorb-or-insert placement as created micro-clusters below
         // (ahead of them, preserving the update-then-create order).
         let mut orphaned: Vec<CfVector> = Vec::new();
@@ -381,27 +375,42 @@ impl StreamClustering for CluStream {
         // under the asynchronous protocol), so a "new" micro-cluster may by
         // now sit inside an existing cluster's maximum boundary — absorbing
         // it is CluStream's own rule for such points and costs one O(n·d)
-        // scan instead of an O(n²·d) capacity merge.
+        // scan instead of a capacity merge.
+        //
+        // One closest-pair index serves the whole call — the placement
+        // scans, the singleton boundaries and every capacity merge — and is
+        // dropped on return.
+        if orphaned.is_empty()
+            && created.is_empty()
+            && model.len() <= self.params.max_micro_clusters
+        {
+            return Ok(());
+        }
+        let mut index = ClosestPairIndex::build(&model.mcs);
         for cf in orphaned.into_iter().chain(created) {
-            let centroid = cf.centroid();
-            let closest = model
-                .mcs
-                .iter()
-                .map(|(id, mc)| (*id, mc.centroid().distance(&centroid)))
-                .min_by(|a, b| a.1.total_cmp(&b.1));
-            match closest {
-                Some((id, dist)) if dist <= self.max_boundary(model, id, &model.mcs[&id]) => {
-                    if let Some(mc) = model.mcs.get_mut(&id) {
-                        mc.merge(&cf);
-                    }
+            let absorber = match index.rows().nearest(&cf.centroid()) {
+                Some((row, dist)) if dist <= self.boundary_at(model, &index, row)? => {
+                    Some(index.rows().id(row))
                 }
-                _ => {
-                    model.insert_new(cf);
-                    self.enforce_capacity(model, now)?;
+                _ => None,
+            };
+            match absorber {
+                Some(id) => {
+                    let mc = model
+                        .mcs
+                        .get_mut(&id)
+                        .ok_or(DistStreamError::UnknownMicroCluster { id })?;
+                    mc.merge(&cf);
+                    index.update(id, mc)?;
+                }
+                None => {
+                    let (id, stored) = model.insert_new(cf);
+                    index.insert(id, stored)?;
+                    self.enforce_capacity(model, &mut index, now)?;
                 }
             }
         }
-        self.enforce_capacity(model, now)
+        self.enforce_capacity(model, &mut index, now)
     }
 
     fn snapshot(&self, model: &CluStreamModel) -> Vec<WeightedPoint> {
@@ -504,6 +513,58 @@ mod tests {
         let centroids: Vec<f64> = model.iter().map(|(_, cf)| cf.centroid()[0]).collect();
         assert!(centroids.contains(&100.0));
         assert!(centroids.contains(&200.0));
+    }
+
+    #[test]
+    fn absorb_or_insert_ties_go_to_the_earliest_id() {
+        let algo = algo(10);
+        // Two clusters mirrored around the origin, each with RMS radius 3
+        // (boundary 6): a new micro-cluster at the origin is 5 from both.
+        let mut model = CluStreamModel::default();
+        for (id, xs) in [(0, [-8.0, -2.0]), (1, [8.0, 2.0])] {
+            let mut cf = CfVector::from_record(&rec(id * 2, xs[0], 0.0));
+            cf.insert(&rec(id * 2 + 1, xs[1], 0.0), 1.0);
+            model.insert_new(cf);
+        }
+        let created = vec![CfVector::from_record(&rec(10, 0.0, 1.0))];
+        algo.apply_global(&mut model, vec![], created, Timestamp::from_secs(1.0))
+            .unwrap();
+        let weights: Vec<(MicroClusterId, f64)> =
+            model.iter().map(|(id, cf)| (*id, cf.weight())).collect();
+        assert_eq!(weights, vec![(0, 3.0), (1, 2.0)]);
+        // An orphaned update takes the same placement, ahead of `created`.
+        let orphan = CfVector::from_record(&rec(11, 1.0, 2.0));
+        algo.apply_global(
+            &mut model,
+            vec![(77, orphan)],
+            vec![],
+            Timestamp::from_secs(2.0),
+        )
+        .unwrap();
+        let weights: Vec<(MicroClusterId, f64)> =
+            model.iter().map(|(id, cf)| (*id, cf.weight())).collect();
+        assert_eq!(weights, vec![(0, 3.0), (1, 3.0)]);
+    }
+
+    #[test]
+    fn capacity_merge_ties_go_to_the_earliest_pair() {
+        let algo = algo(3);
+        // Singletons at 0, 10, 20, all recent, and a new one at 31 — outside
+        // the 10-wide singleton boundary of its nearest, so it is inserted.
+        // Nothing is past the horizon; (0, 1) and (1, 2) tie at 10 apart and
+        // the first pair in id order merges.
+        let mut model = CluStreamModel::default();
+        for (id, x) in [0.0, 10.0, 20.0].into_iter().enumerate() {
+            model.insert_new(CfVector::from_record(&rec(id as u64, x, 1.0)));
+        }
+        let created = vec![CfVector::from_record(&rec(3, 31.0, 1.0))];
+        algo.apply_global(&mut model, vec![], created, Timestamp::from_secs(1.0))
+            .unwrap();
+        let state: Vec<(MicroClusterId, f64)> = model
+            .iter()
+            .map(|(id, cf)| (*id, cf.centroid()[0]))
+            .collect();
+        assert_eq!(state, vec![(0, 5.0), (2, 20.0), (3, 31.0)]);
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //! "hitchhiker" buffers through interior nodes for anytime insertion. Under
 //! DistStream's mini-batch model, inserts happen in bulk at the global
 //! update, so this implementation maintains the authoritative micro-cluster
-//! set in a map, rebuilds the CF-tree index at every global update, and
-//! uses the tree for all assignment searches — the same search structure
-//! and cost profile without per-record anytime buffering.
+//! set in a map, inserts new entries into the CF-tree index incrementally at
+//! each global update, rebuilds the index at every maintenance pass
+//! (`maintenance_secs`), and uses the tree for all assignment searches — the
+//! same search structure and cost profile without per-record anytime
+//! buffering.
 
 use std::collections::BTreeMap;
 
@@ -21,7 +23,7 @@ use serde::{Deserialize, Serialize};
 use diststream_core::{Assignment, MicroClusterId, StreamClustering, WeightedPoint};
 use diststream_types::{DistStreamError, Record, Result, Timestamp};
 
-use crate::cf::CfVector;
+use crate::cf::{CfVector, ClosestPairIndex};
 use crate::cftree::CfTree;
 
 /// Tuning parameters for [`ClusTree`].
@@ -65,7 +67,7 @@ impl Default for ClusTreeParams {
 }
 
 /// The ClusTree model: authoritative micro-cluster map plus the CF-tree
-/// search index (rebuilt at each global update).
+/// search index (extended at each global update, rebuilt at maintenance).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ClusTreeModel {
     entries: BTreeMap<MicroClusterId, CfVector>,
@@ -163,33 +165,21 @@ impl ClusTree {
         );
     }
 
-    fn enforce_capacity(&self, model: &mut ClusTreeModel) -> Result<()> {
+    /// Restores the budget by merging the closest pair of leaf
+    /// micro-clusters until the model fits. `index` is the call's shared
+    /// closest-pair index, built here on first need and kept in step with
+    /// every merge, so one over-budget insertion costs `O(n·d)` distance
+    /// evaluations plus an `O(n²)` scan of cached distances.
+    fn enforce_capacity(
+        &self,
+        model: &mut ClusTreeModel,
+        index: &mut Option<ClosestPairIndex>,
+    ) -> Result<()> {
         while model.entries.len() > self.params.max_micro_clusters {
-            // Merge the closest pair of leaf micro-clusters.
-            let items: Vec<(MicroClusterId, diststream_types::Point)> = model
-                .entries
-                .iter()
-                .map(|(id, cf)| (*id, cf.centroid()))
-                .collect();
-            let mut best: Option<(MicroClusterId, MicroClusterId, f64)> = None;
-            for i in 0..items.len() {
-                for j in (i + 1)..items.len() {
-                    let d = items[i].1.squared_distance(&items[j].1);
-                    if best.is_none_or(|(_, _, bd)| d < bd) {
-                        best = Some((items[i].0, items[j].0, d));
-                    }
-                }
+            let index = index.get_or_insert_with(|| ClosestPairIndex::build(&model.entries));
+            if !index.merge_closest(&mut model.entries)? {
+                break;
             }
-            let Some((keep, fold, _)) = best else { break };
-            let folded = model
-                .entries
-                .remove(&fold)
-                .ok_or(DistStreamError::UnknownMicroCluster { id: fold })?;
-            model
-                .entries
-                .get_mut(&keep)
-                .ok_or(DistStreamError::UnknownMicroCluster { id: keep })?
-                .add(&folded);
         }
         Ok(())
     }
@@ -233,7 +223,7 @@ impl StreamClustering for ClusTree {
                 }
             }
         }
-        self.enforce_capacity(&mut model)?;
+        self.enforce_capacity(&mut model, &mut None)?;
         self.rebuild_tree(&mut model);
         Ok(model)
     }
@@ -266,7 +256,7 @@ impl StreamClustering for ClusTree {
     }
 
     fn can_premerge(&self, a: &CfVector, b: &CfVector) -> bool {
-        a.centroid().distance(&b.centroid()) <= self.params.premerge_distance
+        a.centroid_distance(b) <= self.params.premerge_distance
     }
 
     fn apply_global(
@@ -276,32 +266,42 @@ impl StreamClustering for ClusTree {
         created: Vec<CfVector>,
         now: Timestamp,
     ) -> Result<()> {
+        // One closest-pair index serves the whole call: the orphan fold's
+        // nearest-centroid scans and every capacity merge below. It is built
+        // at the first orphan or over-budget insertion and dropped on return.
+        let mut index: Option<ClosestPairIndex> = None;
         // An update's target may have been capacity-merged or pruned away
         // since the (possibly one-update-stale) assignment snapshot.
         // Re-inserting the dead id would resurrect an entry the tree index
         // no longer knows about and push the model over budget, forcing an
-        // extra O(n²·d) closest-pair merge per orphan; folding the orphan
-        // into its nearest surviving entry sends the mass where the
-        // capacity merge sent it, at one O(n·d) scan.
+        // extra closest-pair merge per orphan; folding the orphan into its
+        // nearest surviving entry (earliest id on ties) sends the mass where
+        // the capacity merge sent it, at one O(n·d) scan.
         for (id, cf) in updated {
-            match model.entries.get_mut(&id) {
-                Some(slot) => *slot = cf,
-                None => {
-                    let centroid = cf.centroid();
-                    let nearest = model
-                        .entries
-                        .iter()
-                        .map(|(eid, e)| (*eid, e.centroid().squared_distance(&centroid)))
-                        .min_by(|a, b| a.1.total_cmp(&b.1))
-                        .map(|(eid, _)| eid);
-                    if let Some(eid) = nearest {
-                        model
-                            .entries
-                            .get_mut(&eid)
-                            .ok_or(DistStreamError::UnknownMicroCluster { id: eid })?
-                            .add(&cf);
-                    }
+            let target = match model.entries.get_mut(&id) {
+                Some(slot) => {
+                    *slot = cf;
+                    id
                 }
+                None => {
+                    let rows = index
+                        .get_or_insert_with(|| ClosestPairIndex::build(&model.entries))
+                        .rows();
+                    let Some((row, _)) = rows.nearest_squared(&cf.centroid()) else {
+                        continue;
+                    };
+                    let nearest = rows.id(row);
+                    model
+                        .entries
+                        .get_mut(&nearest)
+                        .ok_or(DistStreamError::UnknownMicroCluster { id: nearest })?
+                        .add(&cf);
+                    nearest
+                }
+            };
+            // Later orphans must see this update's centroid.
+            if let (Some(index), Some(cf)) = (&mut index, model.entries.get(&target)) {
+                index.update(target, cf)?;
             }
         }
         // Insert one at a time, restoring the budget after each insertion:
@@ -312,8 +312,11 @@ impl StreamClustering for ClusTree {
             let id = model.next_id;
             model.next_id += 1;
             model.tree.insert(id, cf.centroid(), cf.weight());
+            if let Some(index) = &mut index {
+                index.insert(id, &cf)?;
+            }
             model.entries.insert(id, cf);
-            self.enforce_capacity(model)?;
+            self.enforce_capacity(model, &mut index)?;
         }
         // Periodic maintenance: decay sweep, pruning, and a fresh index.
         // Doing this on every call would charge the one-record-at-a-time
@@ -327,7 +330,9 @@ impl StreamClustering for ClusTree {
             }
             let min_weight = self.params.min_weight;
             model.entries.retain(|_, cf| cf.weight() >= min_weight);
-            self.enforce_capacity(model)?;
+            // Pruning left the call's index stale; the model is at or under
+            // budget here unless it was restored under a smaller one.
+            self.enforce_capacity(model, &mut None)?;
             self.rebuild_tree(model);
             model.last_maintenance_secs = now.secs();
         }
@@ -402,6 +407,60 @@ mod tests {
         // The far-apart 0.0 cluster survives; the 100-ish ones merged.
         let centroids: Vec<f64> = model.iter().map(|(_, cf)| cf.centroid()[0]).collect();
         assert!(centroids.iter().any(|&c| c < 1.0));
+    }
+
+    #[test]
+    fn orphan_fold_ties_go_to_the_earliest_id() {
+        let a = algo();
+        let mut model = a.init(&[rec(0, 0.0, 0.0), rec(1, 10.0, 0.0)]).unwrap();
+        assert_eq!(model.len(), 2);
+        // An update for an id that no longer exists, exactly halfway between
+        // the two survivors: the scan keeps the first minimum in id order.
+        let orphan = CfVector::from_record(&rec(2, 5.0, 0.1));
+        a.apply_global(
+            &mut model,
+            vec![(99, orphan)],
+            vec![],
+            Timestamp::from_secs(0.1),
+        )
+        .unwrap();
+        let weights: Vec<(MicroClusterId, f64)> =
+            model.iter().map(|(id, cf)| (*id, cf.weight())).collect();
+        assert_eq!(weights, vec![(0, 2.0), (1, 1.0)]);
+        // A second orphan sees the first fold: entry 0 now sits at 2.5, so
+        // 6.0 is closer to entry 1.
+        let orphan = CfVector::from_record(&rec(3, 6.4, 0.2));
+        a.apply_global(
+            &mut model,
+            vec![(98, orphan.clone()), (97, orphan)],
+            vec![],
+            Timestamp::from_secs(0.2),
+        )
+        .unwrap();
+        let weights: Vec<(MicroClusterId, f64)> =
+            model.iter().map(|(id, cf)| (*id, cf.weight())).collect();
+        assert_eq!(weights, vec![(0, 2.0), (1, 3.0)]);
+    }
+
+    #[test]
+    fn capacity_merge_ties_go_to_the_earliest_pair() {
+        let a = ClusTree::new(ClusTreeParams {
+            max_micro_clusters: 3,
+            ..Default::default()
+        });
+        // Entries at 0, 10, 20: inserting 30 makes every neighbouring pair
+        // equidistant; the first pair in id order, (0, 1), merges.
+        let mut model = a
+            .init(&[rec(0, 0.0, 0.0), rec(1, 10.0, 0.0), rec(2, 20.0, 0.0)])
+            .unwrap();
+        let created = vec![CfVector::from_record(&rec(3, 30.0, 0.1))];
+        a.apply_global(&mut model, vec![], created, Timestamp::from_secs(0.1))
+            .unwrap();
+        let state: Vec<(MicroClusterId, f64)> = model
+            .iter()
+            .map(|(id, cf)| (*id, cf.centroid()[0]))
+            .collect();
+        assert_eq!(state, vec![(0, 5.0), (2, 20.0), (3, 30.0)]);
     }
 
     #[test]

@@ -295,7 +295,7 @@ impl StreamClustering for DenStream {
     }
 
     fn can_premerge(&self, a: &CfVector, b: &CfVector) -> bool {
-        a.centroid().distance(&b.centroid()) <= self.params.eps
+        a.centroid_distance(b) <= self.params.eps
     }
 
     fn apply_global(

@@ -220,7 +220,7 @@ impl StreamClustering for StreamKMeans {
     }
 
     fn can_premerge(&self, a: &CfVector, b: &CfVector) -> bool {
-        a.centroid().distance(&b.centroid()) <= self.params.radius
+        a.centroid_distance(b) <= self.params.radius
     }
 
     fn apply_global(

@@ -1,14 +1,20 @@
 //! Criterion micro-benchmarks of the three mini-batch steps: assignment
 //! (record-based parallel), local update (model-based parallel), and the
-//! driver-side global update with and without pre-merge.
+//! driver-side global update with and without pre-merge — plus the
+//! `global_update` group, which prices one over-budget insertion (the
+//! capacity merge) for ClusTree and CluStream.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use diststream_bench::{Bundle, DatasetKind};
 use diststream_core::{
-    assign_records, global_update, local_update, StreamClustering, UpdateOrdering,
+    assign_records, global_update, local_update, CreatedSketch, LocalOutcome, StreamClustering,
+    UpdateOrdering,
 };
-use diststream_engine::{Broadcast, ExecutionMode, MiniBatcher, StreamingContext, VecSource};
+use diststream_engine::{
+    Broadcast, ExecutionMode, MiniBatcher, StepMetrics, StreamingContext, VecSource,
+};
+use diststream_types::{Point, Record, Timestamp};
 
 fn bench_steps(c: &mut Criterion) {
     let bundle = Bundle::new(DatasetKind::Kdd99, 12_000, 42);
@@ -100,5 +106,104 @@ fn bench_steps(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_steps);
+/// Over-budget creations per measured `global_update` call — about what one
+/// `clustree-kdd99` batch hands `apply_global` after pre-merge.
+const CREATIONS_PER_CALL: usize = 60;
+
+/// A record far from every dataset cluster and from every other `k`. The
+/// spacing grows with `k`, so record `k` lies outside the boundary of
+/// singleton `k - 1` (CluStream: the distance to *its* nearest neighbour)
+/// and is inserted rather than absorbed.
+fn far_record(template: &Record, k: usize, now: Timestamp) -> Record {
+    let mut coords = template.point.as_slice().to_vec();
+    if let Some(first) = coords.first_mut() {
+        *first += 1_000.0 * ((k + 1) * (k + 1)) as f64;
+    }
+    Record::new(template.id + k as u64, Point::from(coords), now)
+}
+
+/// Fills `model` to the algorithm's budget with far-apart singletons, then
+/// measures `global_update` placing [`CREATIONS_PER_CALL`] more: every one
+/// lands over budget and costs a closest-pair merge.
+fn bench_capacity<A: StreamClustering>(
+    c: &mut Criterion,
+    label: &str,
+    algo: &A,
+    mut model: A::Model,
+    budget: usize,
+    len: impl Fn(&A::Model) -> usize,
+    template: &Record,
+) {
+    let now = template.timestamp;
+    let mut next = 0usize;
+    while len(&model) < budget {
+        let filler = vec![algo.create(&far_record(template, next, now))];
+        algo.apply_global(&mut model, vec![], filler, now)
+            .expect("fill to budget");
+        next += 1;
+    }
+    let created: Vec<CreatedSketch<A::Sketch>> = (0..CREATIONS_PER_CALL)
+        .map(|k| {
+            let record = far_record(template, next + k, now);
+            CreatedSketch {
+                sketch: algo.create(&record),
+                first_arrival: (now, record.id),
+                absorbed: 1,
+            }
+        })
+        .collect();
+
+    let mut group = c.benchmark_group("global_update");
+    group.sample_size(20);
+    group.bench_function(label, |b| {
+        b.iter_batched(
+            || {
+                let local = LocalOutcome {
+                    updated: Vec::new(),
+                    created: created.clone(),
+                    metrics: StepMetrics::empty(),
+                    shuffle_bytes: 0,
+                };
+                (model.clone(), local)
+            },
+            |(mut m, local)| {
+                global_update(
+                    algo,
+                    &mut m,
+                    local,
+                    now,
+                    UpdateOrdering::OrderAware,
+                    false,
+                    7,
+                )
+                .expect("global update");
+                assert_eq!(len(&m), budget, "every creation must force a merge");
+                m
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    group.finish();
+}
+
+fn bench_global_update(c: &mut Criterion) {
+    let bundle = Bundle::new(DatasetKind::Kdd99, 12_000, 42);
+    let records = bundle.quality_records();
+    let init = &records[..bundle.init_records()];
+    let template = &records[bundle.init_records()];
+
+    let clustree = bundle.clustree();
+    let budget = clustree.params().max_micro_clusters;
+    let label = format!("clustree at budget {budget}, {CREATIONS_PER_CALL} creations");
+    let model = clustree.init(init).expect("init");
+    bench_capacity(c, &label, &clustree, model, budget, |m| m.len(), template);
+
+    let clustream = bundle.clustream();
+    let budget = clustream.params().max_micro_clusters;
+    let label = format!("clustream at budget {budget}, {CREATIONS_PER_CALL} creations");
+    let model = clustream.init(init).expect("init");
+    bench_capacity(c, &label, &clustream, model, budget, |m| m.len(), template);
+}
+
+criterion_group!(benches, bench_steps, bench_global_update);
 criterion_main!(benches);

@@ -1,5 +1,5 @@
 //! The committed performance baseline: records/sec and per-phase times for
-//! all four algorithms at p ∈ {1, 4}.
+//! all four algorithms at p ∈ {1, 4, 8, 16} ([`PARALLELISMS`]).
 //!
 //! The `bench_baseline` binary runs this and writes `BENCH_BASELINE.json`;
 //! `cargo run -p xtask -- bench-check` re-runs it and compares the fresh

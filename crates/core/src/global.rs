@@ -8,6 +8,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use diststream_engine::serialized_size;
+use diststream_telemetry as telemetry;
 use diststream_types::{Result, Timestamp};
 
 use crate::api::{Sketch, StreamClustering, UpdateOrdering};
@@ -63,28 +64,40 @@ pub fn global_update<A: StreamClustering>(
     let collect_bytes = collect_size(&updated, &created);
     let start = Instant::now();
 
-    match ordering {
-        UpdateOrdering::OrderAware => {
-            updated.sort_by_key(|u| (u.last_arrival, u.id));
-            created.sort_by_key(|c| c.first_arrival);
-        }
-        UpdateOrdering::Unordered => {
-            let mut rng = StdRng::seed_from_u64(shuffle_seed);
-            updated.shuffle(&mut rng);
-            created.shuffle(&mut rng);
+    // The three sub-spans tile the driver phase so a journal shows where
+    // inside `global_update` the time went; with no telemetry session each
+    // guard is one atomic load.
+    {
+        let _span = telemetry::span!(telemetry::names::SPAN_GLOBAL_ORDER);
+        match ordering {
+            UpdateOrdering::OrderAware => {
+                updated.sort_by_key(|u| (u.last_arrival, u.id));
+                created.sort_by_key(|c| c.first_arrival);
+            }
+            UpdateOrdering::Unordered => {
+                let mut rng = StdRng::seed_from_u64(shuffle_seed);
+                updated.shuffle(&mut rng);
+                created.shuffle(&mut rng);
+            }
         }
     }
 
     let created_before_premerge = created.len();
-    let created_sketches: Vec<A::Sketch> = if premerge {
-        premerge_created(algo, created)
-    } else {
-        created.into_iter().map(|c| c.sketch).collect()
+    let created_sketches: Vec<A::Sketch> = {
+        let _span = telemetry::span!(telemetry::names::SPAN_GLOBAL_PREMERGE);
+        if premerge {
+            premerge_created(algo, created)
+        } else {
+            created.into_iter().map(|c| c.sketch).collect()
+        }
     };
     let created_after_premerge = created_sketches.len();
 
-    let updated_pairs: Vec<_> = updated.into_iter().map(|u| (u.id, u.sketch)).collect();
-    algo.apply_global(model, updated_pairs, created_sketches, now)?;
+    {
+        let _span = telemetry::span!(telemetry::names::SPAN_GLOBAL_APPLY);
+        let updated_pairs: Vec<_> = updated.into_iter().map(|u| (u.id, u.sketch)).collect();
+        algo.apply_global(model, updated_pairs, created_sketches, now)?;
+    }
 
     Ok(GlobalOutcome {
         global_secs: start.elapsed().as_secs_f64(),

@@ -28,6 +28,13 @@ pub const SPAN_ASSIGNMENT: &str = "assignment";
 pub const SPAN_LOCAL_UPDATE: &str = "local_update";
 /// Step 3: global update on the driver.
 pub const SPAN_GLOBAL_UPDATE: &str = "global_update";
+/// Step 3a, inside `global_update`: order-aware sort (or seeded shuffle) of
+/// the batch's updated and created sketches.
+pub const SPAN_GLOBAL_ORDER: &str = "global_order";
+/// Step 3b, inside `global_update`: pre-merge of created sketches (§V-C).
+pub const SPAN_GLOBAL_PREMERGE: &str = "global_premerge";
+/// Step 3c, inside `global_update`: the algorithm's `apply_global`.
+pub const SPAN_GLOBAL_APPLY: &str = "global_apply";
 /// One parallel task step inside the engine (TaskPool or thread mode).
 pub const SPAN_STEP_TASKS: &str = "step_tasks";
 /// Background ingest/reorder of the next batch (overlapped pipeline).
@@ -51,6 +58,9 @@ pub const ALL_SPANS: &[&str] = &[
     SPAN_ASSIGNMENT,
     SPAN_LOCAL_UPDATE,
     SPAN_GLOBAL_UPDATE,
+    SPAN_GLOBAL_ORDER,
+    SPAN_GLOBAL_PREMERGE,
+    SPAN_GLOBAL_APPLY,
     SPAN_STEP_TASKS,
     SPAN_PREFETCH,
     SPAN_COMBINE,

@@ -19,6 +19,10 @@
 //! the batcher drains the source between batch spans (or a prefetch worker
 //! hides it entirely) — so it is reported as a wall-side row computed from
 //! the journal's span layout, not from `batch_summary`.
+//!
+//! One level below phase, the driver-side global update is tiled by three
+//! sub-spans (ordering, pre-merge, `apply_global`); their journaled span
+//! time is summed per run and rendered beneath the `global_update` row.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -30,6 +34,14 @@ use crate::parse::{EventKind, Journal};
 /// small absolute floor for near-empty batches). Matches the `xtask
 /// check-trace` gate.
 pub const RECONCILE_REL_TOL: f64 = 0.05;
+
+/// The sub-spans that tile a `global_update` span, in execution order, as
+/// `(journal span name, blame-table label)`.
+pub const GLOBAL_SUBSPANS: [(&str, &str); 3] = [
+    ("global_order", "ordering"),
+    ("global_premerge", "pre-merge"),
+    ("global_apply", "apply_global"),
+];
 
 /// A critical-path phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -184,6 +196,9 @@ pub struct RunProfile {
     /// Events the journal lost (from the `drops` trailer). A non-zero
     /// value means every number here is a lower bound.
     pub drops: u64,
+    /// Span seconds inside the driver-side global update, one entry per
+    /// [`GLOBAL_SUBSPANS`] row (all zero for journals that predate them).
+    pub global_sub_secs: [f64; 3],
 }
 
 impl RunProfile {
@@ -219,6 +234,7 @@ impl RunProfile {
             rows,
             critical_secs: self.total_secs(),
             batches: self.batches.len(),
+            global_sub_secs: self.global_sub_secs,
         }
     }
 }
@@ -244,6 +260,9 @@ pub struct BlameTable {
     pub critical_secs: f64,
     /// Batches in the run.
     pub batches: usize,
+    /// Span seconds of each [`GLOBAL_SUBSPANS`] row, rendered beneath the
+    /// `global_update` phase.
+    pub global_sub_secs: [f64; 3],
 }
 
 impl BlameTable {
@@ -291,11 +310,34 @@ impl BlameTable {
                 share,
                 on_path
             );
+            if row.phase == Phase::GlobalUpdate {
+                self.render_global_breakdown(&mut out);
+            }
         }
         if let Some(dominant) = self.dominant() {
             let _ = writeln!(out, "dominant phase: {}", dominant.name());
         }
         out
+    }
+
+    /// One indented row per global-update sub-span: its span seconds and
+    /// its share of the three together. Span time, not critical-path time —
+    /// under the asynchronous protocol the phase may be off the path.
+    fn render_global_breakdown(&self, out: &mut String) {
+        let phase_secs: f64 = self.global_sub_secs.iter().sum();
+        if phase_secs <= 0.0 {
+            return;
+        }
+        for ((_, label), secs) in GLOBAL_SUBSPANS.iter().zip(self.global_sub_secs) {
+            let _ = writeln!(
+                out,
+                "  {:<12} {:>12.6} {:>8} {:>10}",
+                label,
+                secs,
+                format!("{:.1}%", 100.0 * secs / phase_secs),
+                "of phase"
+            );
+        }
     }
 }
 
@@ -369,6 +411,15 @@ pub fn analyze(journal: &Journal) -> RunProfile {
                 }
             }
             _ => {}
+        }
+    }
+
+    for close in journal.events.iter().filter(|e| e.kind == EventKind::Close) {
+        let row = GLOBAL_SUBSPANS
+            .iter()
+            .position(|(span, _)| *span == close.name);
+        if let Some(slot) = row.and_then(|row| profile.global_sub_secs.get_mut(row)) {
+            *slot += close.dur_us as f64 / 1e6;
         }
     }
 
@@ -554,6 +605,40 @@ mod tests {
             "{rendered}"
         );
         assert!(rendered.contains("71.4%"), "{rendered}");
+    }
+
+    #[test]
+    fn global_sub_spans_render_beneath_their_phase() {
+        let close = |name: &str, seq: u64, dur: u64| {
+            format!(
+                "{{\"ev\":\"close\",\"span\":\"{name}\",\"thread\":0,\"seq\":{seq},\
+                 \"t_us\":{seq},\"depth\":1,\"dur_us\":{dur}}}"
+            )
+        };
+        let run = build(&[
+            summary(0, 1.0, 0.5, 0.25, 0.25, false),
+            close("global_order", 100, 10_000),
+            close("global_premerge", 101, 40_000),
+            close("global_apply", 102, 200_000),
+        ]);
+        assert_eq!(run.global_sub_secs, [0.01, 0.04, 0.2]);
+        let rendered = run.blame().render();
+        let lines: Vec<&str> = rendered.lines().collect();
+        let phase = lines
+            .iter()
+            .position(|l| l.starts_with("global_update"))
+            .expect("phase row");
+        assert!(lines[phase + 1].starts_with("  ordering"), "{rendered}");
+        assert!(lines[phase + 2].starts_with("  pre-merge"), "{rendered}");
+        assert!(lines[phase + 3].starts_with("  apply_global"), "{rendered}");
+        assert!(lines[phase + 3].contains("80.0%"), "{rendered}");
+        assert!(lines[phase + 4].starts_with("overhead"), "{rendered}");
+
+        // Journals without the sub-spans render the table as before.
+        let plain = build(&[summary(0, 1.0, 0.5, 0.25, 0.25, false)])
+            .blame()
+            .render();
+        assert!(!plain.contains("of phase"), "{plain}");
     }
 
     #[test]

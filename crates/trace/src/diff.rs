@@ -121,6 +121,7 @@ mod tests {
                 .collect(),
             critical_secs: assignment + local + global + overhead,
             batches: 1,
+            global_sub_secs: [0.0; 3],
         }
     }
 

@@ -254,8 +254,7 @@ mod tests {
         let b = batch(vec![1.0; 4], 4.0, vec![], 0.0, 0.5, 0.5, 1, false);
         let run = RunProfile {
             batches: vec![b],
-            ingest_secs: 0.0,
-            drops: 0,
+            ..RunProfile::default()
         };
         let predictions = predict(&run, &[2, 4, 8]);
         // p=2: makespan 2 + global 0.5 + overhead 0.5 = 3.
@@ -276,8 +275,7 @@ mod tests {
         let b = batch(vec![1.0, 1.0], 1.5, vec![], 0.0, 0.0, 0.0, 2, false);
         let run = RunProfile {
             batches: vec![b],
-            ingest_secs: 0.0,
-            drops: 0,
+            ..RunProfile::default()
         };
         let predictions = predict(&run, &[2]);
         // Re-predicting the recorded degree reproduces the recorded wall.
@@ -295,8 +293,7 @@ mod tests {
         let b = batch(vec![1.0, 1.0], 2.0, vec![], 0.0, 3.0, 0.0, 1, true);
         let run = RunProfile {
             batches: vec![b],
-            ingest_secs: 0.0,
-            drops: 0,
+            ..RunProfile::default()
         };
         let predictions = predict(&run, &[2]);
         assert!((predictions[0].predicted_total_secs - 3.0).abs() < 1e-12);
@@ -308,8 +305,7 @@ mod tests {
         let b = batch(vec![], 4.0, vec![], 0.0, 0.5, 0.5, 0, false);
         let run = RunProfile {
             batches: vec![b],
-            ingest_secs: 0.0,
-            drops: 0,
+            ..RunProfile::default()
         };
         let predictions = predict(&run, &[8]);
         // Nothing to reschedule: prediction equals the recorded wall.

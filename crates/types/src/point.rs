@@ -49,6 +49,31 @@ pub fn lane_squared_distance(a: &[f64], b: &[f64]) -> f64 {
     lane_combine(acc)
 }
 
+/// [`lane_squared_distance`] between `a·sa` and `b·sb` without materializing
+/// either scaled vector: each lane term is `(x·sa − y·sb)²`, the very
+/// expression the allocating form `scaled(sa)` → `scaled(sb)` →
+/// [`lane_squared_distance`] evaluates (one rounded multiply per side, then
+/// subtract, square, accumulate), so the result is bit-identical to it.
+/// CF centroids are `CF1x · (1/w)`; this is their distance straight from the
+/// linear sums.
+#[inline]
+pub fn lane_squared_distance_scaled(a: &[f64], sa: f64, b: &[f64], sb: f64) -> f64 {
+    let mut acc = [0.0f64; REDUCE_LANES];
+    let mut ca = a.chunks_exact(REDUCE_LANES);
+    let mut cb = b.chunks_exact(REDUCE_LANES);
+    for (xs, ys) in ca.by_ref().zip(cb.by_ref()) {
+        for ((lane, &x), &y) in acc.iter_mut().zip(xs).zip(ys) {
+            let d = x * sa - y * sb;
+            *lane += d * d;
+        }
+    }
+    for ((lane, &x), &y) in acc.iter_mut().zip(ca.remainder()).zip(cb.remainder()) {
+        let d = x * sa - y * sb;
+        *lane += d * d;
+    }
+    lane_combine(acc)
+}
+
 /// [`lane_squared_distance`] with early exit: returns `None` as soon as the
 /// combined partial sum reaches `bound`, checked every eighth chunk and at
 /// the end.

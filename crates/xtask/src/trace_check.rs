@@ -18,7 +18,11 @@
 //!    `prefetch` span never nests inside a `batch` span (ingest runs on its
 //!    own worker thread, off the driver's batch loop), and a `combine` span
 //!    always nests inside a `local_update` span (the map-side combine is
-//!    part of step 2).
+//!    part of step 2);
+//! 6. the driver phase is tiled by its sub-spans: `global_order`,
+//!    `global_premerge` and `global_apply` open only directly inside a
+//!    `global_update` span, and their durations sum to that span's duration
+//!    within 5%.
 //!
 //! The parser handles exactly the flat scalar objects the journal encoder
 //! emits (string / number / null values, no nesting) — a deliberate subset
@@ -33,8 +37,27 @@ use std::path::Path;
 /// parser so a telemetry bug cannot hide from its own validator).
 const SUPPORTED_VERSION: f64 = 1.0;
 
-/// Relative tolerance for the `batch_summary` critical-path reconciliation.
+/// Relative tolerance for the `batch_summary` critical-path reconciliation
+/// and the `global_update` sub-span tiling.
 const RECONCILE_REL_TOL: f64 = 0.05;
+
+/// Absolute floor of the sub-span tiling check, microseconds: journal
+/// durations are truncated to whole microseconds, one truncation per span.
+const SUBSPAN_FLOOR_US: f64 = 20.0;
+
+/// The spans that tile a `global_update` span.
+const GLOBAL_SUBSPANS: [&str; 3] = ["global_order", "global_premerge", "global_apply"];
+
+/// One open span on a thread's stack.
+struct OpenSpan {
+    name: String,
+    depth: f64,
+    line: usize,
+    /// Summed duration of the `GLOBAL_SUBSPANS` closed directly inside this
+    /// span, and how many there were.
+    sub_us: f64,
+    subs: usize,
+}
 
 /// Summary of a successful check, for the one-line report.
 #[derive(Debug, Default, PartialEq)]
@@ -82,10 +105,8 @@ pub fn check_trace_file(path: &Path) -> Result<TraceStats, Vec<String>> {
 pub fn check_trace(contents: &str) -> Result<TraceStats, Vec<String>> {
     let mut errors = Vec::new();
     let mut stats = TraceStats::default();
-    // Per-thread checker state: (last seq, last t_us, stack of open spans
-    // as (name, depth, line number)).
-    type SpanStack = Vec<(String, f64, usize)>;
-    let mut threads: BTreeMap<u64, (f64, f64, SpanStack)> = BTreeMap::new();
+    // Per-thread checker state: (last seq, last t_us, stack of open spans).
+    let mut threads: BTreeMap<u64, (f64, f64, Vec<OpenSpan>)> = BTreeMap::new();
     let mut saw_meta = false;
 
     for (idx, line) in contents.lines().enumerate() {
@@ -158,33 +179,70 @@ pub fn check_trace(contents: &str) -> Result<TraceStats, Vec<String>> {
                             stack.len()
                         ));
                     }
-                    if name == "prefetch" && stack.iter().any(|(n, _, _)| n == "batch") {
+                    if name == "prefetch" && stack.iter().any(|s| s.name == "batch") {
                         errors.push(format!(
                             "line {lineno}: `prefetch` span opened inside a `batch` span — \
                              ingest prefetch must run off the driver's batch loop"
                         ));
                     }
-                    if name == "combine" && !stack.iter().any(|(n, _, _)| n == "local_update") {
+                    if name == "combine" && !stack.iter().any(|s| s.name == "local_update") {
                         errors.push(format!(
                             "line {lineno}: `combine` span opened outside a `local_update` \
                              span — the map-side combine belongs to step 2"
                         ));
                     }
-                    stack.push((name, depth, lineno));
+                    if GLOBAL_SUBSPANS.contains(&name.as_str())
+                        && stack.last().is_none_or(|s| s.name != "global_update")
+                    {
+                        errors.push(format!(
+                            "line {lineno}: `{name}` span opened outside a `global_update` \
+                             span — it is a sub-span of step 3"
+                        ));
+                    }
+                    stack.push(OpenSpan {
+                        name,
+                        depth,
+                        line: lineno,
+                        sub_us: 0.0,
+                        subs: 0,
+                    });
                 } else {
-                    if get("dur_us").and_then(Value::as_num).is_none() {
+                    let dur_us = get("dur_us").and_then(Value::as_num);
+                    if dur_us.is_none() {
                         errors.push(format!("line {lineno}: close `{name}` lacks `dur_us`"));
                     }
                     match stack.pop() {
-                        Some((open_name, open_depth, open_line)) => {
-                            if open_name != name || open_depth != depth {
+                        Some(open) => {
+                            if open.name != name || open.depth != depth {
                                 errors.push(format!(
                                     "line {lineno}: close `{name}` (depth {depth}) does not \
-                                     match innermost open `{open_name}` (depth {open_depth}, \
-                                     line {open_line}) — spans must nest LIFO"
+                                     match innermost open `{}` (depth {}, line {}) — spans \
+                                     must nest LIFO",
+                                    open.name, open.depth, open.line
                                 ));
                             } else {
                                 stats.spans_closed += 1;
+                                let dur_us = dur_us.unwrap_or(0.0);
+                                if GLOBAL_SUBSPANS.contains(&name.as_str()) {
+                                    if let Some(parent) = stack.last_mut() {
+                                        parent.sub_us += dur_us;
+                                        parent.subs += 1;
+                                    }
+                                }
+                                // Journals that predate the sub-spans have
+                                // none to reconcile.
+                                let tolerance = (dur_us * RECONCILE_REL_TOL).max(SUBSPAN_FLOOR_US);
+                                if name == "global_update"
+                                    && open.subs > 0
+                                    && (dur_us - open.sub_us).abs() > tolerance
+                                {
+                                    errors.push(format!(
+                                        "line {lineno}: `global_update` lasted {dur_us}us but \
+                                         its {} sub-span(s) sum to {}us (tolerance \
+                                         {tolerance:.0}us) — the sub-spans must tile the phase",
+                                        open.subs, open.sub_us
+                                    ));
+                                }
                             }
                         }
                         None => errors.push(format!(
@@ -240,9 +298,10 @@ pub fn check_trace(contents: &str) -> Result<TraceStats, Vec<String>> {
         errors.push("journal is empty (no meta line)".to_string());
     }
     for (thread, (_, _, stack)) in &threads {
-        for (name, _, open_line) in stack {
+        for open in stack {
             errors.push(format!(
-                "line {open_line}: span `{name}` on thread {thread} is never closed"
+                "line {}: span `{}` on thread {thread} is never closed",
+                open.line, open.name
             ));
         }
     }
@@ -257,7 +316,7 @@ pub fn check_trace(contents: &str) -> Result<TraceStats, Vec<String>> {
 /// Per-thread ordering: `seq` strictly increases and the monotonic
 /// timestamp never goes backwards.
 fn check_thread_order(
-    state: &mut (f64, f64, Vec<(String, f64, usize)>),
+    state: &mut (f64, f64, Vec<OpenSpan>),
     seq: f64,
     t_us: f64,
     lineno: usize,
@@ -574,6 +633,56 @@ mod tests {
         ]);
         let errors = check_trace(&bad).expect_err("combine outside local_update");
         assert!(errors.iter().any(|e| e.contains("combine")), "{errors:?}");
+    }
+
+    #[test]
+    fn global_sub_spans_must_nest_in_and_tile_global_update() {
+        let span = |ev: &str, name: &str, seq: u32, t: u32, depth: u32, dur: Option<u32>| {
+            let dur = dur.map_or(String::new(), |d| format!(",\"dur_us\":{d}"));
+            format!(
+                "{{\"ev\":\"{ev}\",\"span\":\"{name}\",\"thread\":0,\"seq\":{seq},\
+                 \"t_us\":{t},\"depth\":{depth}{dur}}}"
+            )
+        };
+        // order 100us + premerge 300us + apply 1500us inside a 1950us phase.
+        let tiled = |apply_dur: u32| {
+            [
+                span("open", "global_update", 0, 0, 0, None),
+                span("open", "global_order", 1, 10, 1, None),
+                span("close", "global_order", 2, 110, 1, Some(100)),
+                span("open", "global_premerge", 3, 120, 1, None),
+                span("close", "global_premerge", 4, 420, 1, Some(300)),
+                span("open", "global_apply", 5, 430, 1, None),
+                span("close", "global_apply", 6, 1940, 1, Some(apply_dur)),
+                span("close", "global_update", 7, 1950, 0, Some(1950)),
+            ]
+        };
+        let lines = tiled(1500);
+        let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
+        assert!(check_trace(&journal(&refs)).is_ok());
+
+        // A phase the sub-spans do not account for fails the tiling check.
+        let lines = tiled(500);
+        let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
+        let errors = check_trace(&journal(&refs)).expect_err("untiled phase");
+        assert!(errors.iter().any(|e| e.contains("tile")), "{errors:?}");
+
+        // A sub-span outside step 3 is misplaced.
+        let lines = [
+            span("open", "global_apply", 0, 0, 0, None),
+            span("close", "global_apply", 1, 5, 0, Some(5)),
+        ];
+        let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
+        let errors = check_trace(&journal(&refs)).expect_err("stray sub-span");
+        assert!(errors.iter().any(|e| e.contains("outside")), "{errors:?}");
+
+        // A journal without sub-spans (written before they existed) passes.
+        let lines = [
+            span("open", "global_update", 0, 0, 0, None),
+            span("close", "global_update", 1, 900, 0, Some(900)),
+        ];
+        let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
+        assert!(check_trace(&journal(&refs)).is_ok());
     }
 
     #[test]

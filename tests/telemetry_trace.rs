@@ -104,6 +104,9 @@ fn every_open_span_closes_and_nests_lifo_per_thread() {
         "assignment",
         "local_update",
         "global_update",
+        "global_order",
+        "global_premerge",
+        "global_apply",
         "step_tasks",
     ] {
         assert!(
