@@ -8,8 +8,8 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use diststream_bench::{Bundle, DatasetKind};
 use diststream_core::{
-    assign_records, global_update, local_update, CreatedSketch, LocalOutcome, StreamClustering,
-    UpdateOrdering,
+    assign_records_distributed, global_update, local_update_distributed, strategy_for,
+    CreatedSketch, LocalOutcome, LocalScratch, StrategyKind, StreamClustering, UpdateOrdering,
 };
 use diststream_engine::{
     Broadcast, ExecutionMode, MiniBatcher, StepMetrics, StreamingContext, VecSource,
@@ -29,36 +29,36 @@ fn bench_steps(c: &mut Criterion) {
         .next()
         .expect("at least one batch");
     let bcast = Broadcast::new(model.clone());
+    let strategy = strategy_for(StrategyKind::RoundRobin);
+    let assign = |records| {
+        assign_records_distributed(&ctx, &algo, &bcast, records, false, strategy).expect("assign")
+    };
+    let local = |pairs| {
+        local_update_distributed(
+            &ctx,
+            &algo,
+            &bcast,
+            pairs,
+            UpdateOrdering::OrderAware,
+            batch.window_start,
+            7,
+            &mut LocalScratch::default(),
+            false,
+            strategy,
+        )
+        .expect("local")
+    };
 
     let mut group = c.benchmark_group("steps");
     group.sample_size(20);
 
     group.bench_function("assignment (record-based)", |b| {
-        b.iter_batched(
-            || batch.records.clone(),
-            |records| assign_records(&ctx, &algo, &bcast, records).expect("assign"),
-            BatchSize::LargeInput,
-        )
+        b.iter_batched(|| batch.records.clone(), assign, BatchSize::LargeInput)
     });
 
-    let assignment = assign_records(&ctx, &algo, &bcast, batch.records.clone()).expect("assign");
+    let assignment = assign(batch.records.clone());
     group.bench_function("local update (model-based, ordered)", |b| {
-        b.iter_batched(
-            || assignment.pairs.clone(),
-            |pairs| {
-                local_update(
-                    &ctx,
-                    &algo,
-                    &bcast,
-                    pairs,
-                    UpdateOrdering::OrderAware,
-                    batch.window_start,
-                    7,
-                )
-                .expect("local")
-            },
-            BatchSize::LargeInput,
-        )
+        b.iter_batched(|| assignment.pairs.clone(), local, BatchSize::LargeInput)
     });
 
     for premerge in [true, false] {
@@ -69,19 +69,7 @@ fn bench_steps(c: &mut Criterion) {
         };
         group.bench_function(label, |b| {
             b.iter_batched(
-                || {
-                    let local = local_update(
-                        &ctx,
-                        &algo,
-                        &bcast,
-                        assignment.pairs.clone(),
-                        UpdateOrdering::OrderAware,
-                        batch.window_start,
-                        7,
-                    )
-                    .expect("local");
-                    (model.clone(), local)
-                },
+                || (model.clone(), local(assignment.pairs.clone())),
                 |(mut m, local)| {
                     global_update(
                         &algo,

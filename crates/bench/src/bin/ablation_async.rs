@@ -2,71 +2,79 @@
 //! overlap the single-node global update with the next batch's parallel
 //! steps, attacking the paper's first scalability bottleneck ("performing
 //! the global update step in a single machine"). Compares throughput and
-//! quality of the synchronous executor vs [`PipelinedExecutor`] at p = 32.
-//!
-//! [`PipelinedExecutor`]: diststream_core::PipelinedExecutor
+//! quality of the synchronous protocol vs `PipelineOptions::overlap` at
+//! p = 32.
 
 use diststream_algorithms::offline::{kmeans, KmeansParams};
 use diststream_bench::{
     fmt_f64, print_table, run_throughput, throughput_context, Bundle, Cli, DatasetKind,
     ExecutorKind, Table,
 };
-use diststream_core::{take_records, PipelinedExecutor, StreamClustering};
+use diststream_core::{DistStreamJob, PipelineOptions, StreamClustering};
 use diststream_engine::{
-    ExecutionMode, MiniBatcher, RepeatSource, StreamingContext, ThroughputMeter, VecSource,
+    ExecutionMode, RepeatSource, StreamingContext, ThroughputMeter, VecSource,
 };
 use diststream_quality::{cmm, nearest_assignment_bounded, CmmParams};
+use diststream_types::ClusteringConfig;
 
 const PARALLELISM: usize = 32;
 const ROUNDS: usize = 10;
 const BATCH_SECS: f64 = 10.0;
 
-/// Runs the pipelined executor over `rounds` replays at the stress rate.
+/// A job on the asynchronous update protocol, everything else at the paper
+/// defaults.
+fn async_job<'a, A: StreamClustering>(
+    algo: &'a A,
+    bundle: &Bundle,
+    ctx: &'a StreamingContext,
+) -> DistStreamJob<'a, A> {
+    let config = ClusteringConfig::builder()
+        .batch_secs(BATCH_SECS)
+        .build()
+        .expect("config");
+    let mut job = DistStreamJob::new(algo, ctx, config);
+    job.init_records(bundle.init_records())
+        .pipeline(PipelineOptions {
+            overlap: true,
+            ..PipelineOptions::sync()
+        });
+    job
+}
+
+/// Runs the asynchronous protocol over `ROUNDS` replays at the stress rate.
 fn run_async_throughput<A: StreamClustering>(
     algo: &A,
     bundle: &Bundle,
     ctx: &StreamingContext,
 ) -> ThroughputMeter {
-    let base = bundle.stress_records();
-    let mut source = RepeatSource::new(base, ROUNDS);
-    let init = take_records(&mut source, bundle.init_records());
-    let mut model = algo.init(&init).expect("init");
-    let mut exec = PipelinedExecutor::new(algo, ctx);
-    let mut meter = ThroughputMeter::new();
-    for batch in MiniBatcher::new(&mut source, BATCH_SECS) {
-        let outcome = exec.process_batch(&mut model, batch).expect("batch");
-        meter.observe(&outcome.metrics);
-    }
-    exec.flush(&mut model).expect("flush");
-    meter
+    let source = RepeatSource::new(bundle.stress_records(), ROUNDS);
+    async_job(algo, bundle, ctx)
+        .run_to_end(source)
+        .expect("async run")
+        .meter
 }
 
 /// Average CMM of an async quality run at p = 1 (same methodology as Fig 6).
 fn run_async_quality<A: StreamClustering>(algo: &A, bundle: &Bundle) -> f64 {
     let ctx = StreamingContext::new(1, ExecutionMode::Simulated).expect("p=1");
     let records = bundle.quality_records();
-    let mut source = VecSource::new(records.clone());
-    let init = take_records(&mut source, bundle.init_records());
-    let mut model = algo.init(&init).expect("init");
-    let mut exec = PipelinedExecutor::new(algo, &ctx);
     let mut processed = bundle.init_records();
     let mut cmms = Vec::new();
     let params = CmmParams::default();
-    for batch in MiniBatcher::new(&mut source, BATCH_SECS) {
-        let window_end = batch.window_end;
-        let outcome = exec.process_batch(&mut model, batch).expect("batch");
-        processed += outcome.metrics.records;
-        let macros = kmeans(
-            &algo.snapshot(&model),
-            KmeansParams::new(bundle.kind.clusters()),
-        );
-        let upto = processed.min(records.len());
-        let window = &records[upto.saturating_sub(params.horizon)..upto];
-        let assignment =
-            nearest_assignment_bounded(window, &macros.centroids, bundle.coverage_bound());
-        cmms.push(cmm(window, &assignment, window_end, &params).cmm);
-    }
-    exec.flush(&mut model).expect("flush");
+    async_job(algo, bundle, &ctx)
+        .run(VecSource::new(records.clone()), |report| {
+            processed += report.outcome.metrics.records;
+            let macros = kmeans(
+                &algo.snapshot(report.model),
+                KmeansParams::new(bundle.kind.clusters()),
+            );
+            let upto = processed.min(records.len());
+            let window = &records[upto.saturating_sub(params.horizon)..upto];
+            let assignment =
+                nearest_assignment_bounded(window, &macros.centroids, bundle.coverage_bound());
+            cmms.push(cmm(window, &assignment, report.window_end, &params).cmm);
+        })
+        .expect("async run");
     cmms.iter().sum::<f64>() / cmms.len().max(1) as f64
 }
 

@@ -5,7 +5,7 @@ use diststream_engine::{chunk_size, split_chunks, Broadcast, StepMetrics, Stream
 use diststream_types::{Record, Result};
 
 use crate::api::{Assignment, StreamClustering};
-use crate::distribution::{DistributionStrategy, RoundRobinStrategy};
+use crate::distribution::DistributionStrategy;
 
 /// Output of the assignment step: every record of the batch paired with its
 /// step-1 decision, in arrival order, plus the step's timing and the bytes
@@ -21,63 +21,24 @@ pub struct AssignmentOutcome {
 }
 
 /// Runs step 1: broadcasts the stale model `Q_t` to every task, splits the
-/// batch's records round-robin across `p` tasks, and computes each record's
-/// closest micro-cluster (or outlier decision) in parallel.
+/// batch's records across `p` tasks, and computes each record's closest
+/// micro-cluster (or outlier decision) in parallel.
 ///
-/// Round-robin partitioning preserves relative record order inside every
-/// task, and the outputs are interleaved back so `pairs` is in arrival
-/// order — the property the order-aware local update depends on.
+/// The task layout is the `strategy`'s
+/// [`DistributionStrategy::split_records`] (`chunking == false`; the default
+/// round-robin split preserves relative record order inside every task, and
+/// [`DistributionStrategy::merge_assigned`] interleaves the outputs back),
+/// or deterministic size-aware chunk scheduling (`chunking == true`):
+/// records are cut into contiguous fixed-size chunks ([`chunk_size`])
+/// claimed by workers from the pool's shared deterministic queue, so a slow
+/// slot sheds load at chunk granularity instead of holding the step barrier
+/// on the largest static partition, and chunk outputs are concatenated in
+/// chunk order. Chunking is the scheduler's lever, orthogonal to placement.
 ///
-/// # Errors
-///
-/// Propagates engine failures (task panics) as
-/// [`DistStreamError::Engine`](diststream_types::DistStreamError::Engine).
-pub fn assign_records<A: StreamClustering>(
-    ctx: &StreamingContext,
-    algo: &A,
-    model: &Broadcast<A::Model>,
-    records: Vec<Record>,
-) -> Result<AssignmentOutcome> {
-    assign_records_scheduled(ctx, algo, model, records, false)
-}
-
-/// [`assign_records`] with selectable task layout: the static round-robin
-/// split (`chunking == false`), or deterministic size-aware chunk
-/// scheduling (`chunking == true`).
-///
-/// Under chunk scheduling, records are cut into contiguous fixed-size
-/// chunks ([`chunk_size`]) claimed by workers from the pool's shared
-/// deterministic queue, so a slow slot sheds load at chunk granularity
-/// instead of holding the step barrier on the largest static partition.
-/// Chunk outputs land in chunk-indexed result slots and are concatenated in
-/// chunk order, which restores arrival order exactly — per-record
-/// assignment is a pure function of `(model, record)`, so `pairs` is
-/// byte-identical to the round-robin layout at every parallelism degree no
-/// matter which worker claimed which chunk.
-///
-/// # Errors
-///
-/// Propagates engine failures (task panics) as
-/// [`DistStreamError::Engine`](diststream_types::DistStreamError::Engine).
-pub fn assign_records_scheduled<A: StreamClustering>(
-    ctx: &StreamingContext,
-    algo: &A,
-    model: &Broadcast<A::Model>,
-    records: Vec<Record>,
-    chunking: bool,
-) -> Result<AssignmentOutcome> {
-    assign_records_distributed(ctx, algo, model, records, chunking, &RoundRobinStrategy)
-}
-
-/// [`assign_records_scheduled`] with an explicit [`DistributionStrategy`]
-/// owning the record partitioning.
-///
-/// With `chunking` enabled the size-aware chunk scheduler keeps the task
-/// layout (chunking is the scheduler's lever, orthogonal to placement);
-/// otherwise the strategy's [`DistributionStrategy::split_records`] cuts the
-/// batch and its [`DistributionStrategy::merge_assigned`] restores arrival
-/// order. Per-record assignment is a pure function of `(model, record)`, so
-/// `pairs` is byte-identical under every strategy and task layout.
+/// Either way `pairs` comes back in arrival order — the property the
+/// order-aware local update depends on — and, per-record assignment being a
+/// pure function of `(model, record)`, byte-identical under every strategy,
+/// task layout and parallelism degree.
 ///
 /// # Errors
 ///
@@ -135,9 +96,21 @@ pub fn assign_records_distributed<A: StreamClustering>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distribution::RoundRobinStrategy;
     use crate::reference::NaiveClustering;
     use diststream_engine::ExecutionMode;
     use diststream_types::{Point, Timestamp};
+
+    fn assign<A: StreamClustering>(
+        ctx: &StreamingContext,
+        algo: &A,
+        model: &Broadcast<A::Model>,
+        records: Vec<Record>,
+        chunking: bool,
+    ) -> AssignmentOutcome {
+        assign_records_distributed(ctx, algo, model, records, chunking, &RoundRobinStrategy)
+            .unwrap()
+    }
 
     fn rec(id: u64, x: f64) -> Record {
         Record::new(id, Point::from(vec![x]), Timestamp::from_secs(id as f64))
@@ -162,7 +135,7 @@ mod tests {
         for p in [1, 3, 8] {
             let ctx = StreamingContext::new(p, ExecutionMode::Simulated).unwrap();
             let bcast = Broadcast::new(model.clone());
-            let out = assign_records(&ctx, &algo, &bcast, records.clone()).unwrap();
+            let out = assign(&ctx, &algo, &bcast, records.clone(), false);
             let got: Vec<Assignment> = out.pairs.iter().map(|(_, a)| *a).collect();
             assert_eq!(got, expected, "parallelism {p} changed assignments");
         }
@@ -174,7 +147,7 @@ mod tests {
         let records: Vec<Record> = (2..30).map(|i| rec(i, 0.1)).collect();
         let ctx = StreamingContext::new(4, ExecutionMode::Simulated).unwrap();
         let bcast = Broadcast::new(model.clone());
-        let out = assign_records(&ctx, &algo, &bcast, records).unwrap();
+        let out = assign(&ctx, &algo, &bcast, records, false);
         let ids: Vec<u64> = out.pairs.iter().map(|(r, _)| r.id).collect();
         assert_eq!(ids, (2..30).collect::<Vec<u64>>());
     }
@@ -189,14 +162,12 @@ mod tests {
         let reference = {
             let ctx = StreamingContext::new(1, ExecutionMode::Simulated).unwrap();
             let bcast = Broadcast::new(model.clone());
-            assign_records(&ctx, &algo, &bcast, records.clone())
-                .unwrap()
-                .pairs
+            assign(&ctx, &algo, &bcast, records.clone(), false).pairs
         };
         for p in [1, 3, 4, 8] {
             let ctx = StreamingContext::new(p, ExecutionMode::Simulated).unwrap();
             let bcast = Broadcast::new(model.clone());
-            let out = assign_records_scheduled(&ctx, &algo, &bcast, records.clone(), true).unwrap();
+            let out = assign(&ctx, &algo, &bcast, records.clone(), true);
             assert_eq!(out.pairs, reference, "parallelism {p}");
             // With 298 records and MIN_CHUNK_SIZE = 32, chunking produces
             // more tasks than slots at low p — the balance lever.
@@ -209,7 +180,7 @@ mod tests {
         let (algo, model) = setup();
         let ctx = StreamingContext::new(4, ExecutionMode::Simulated).unwrap();
         let bcast = Broadcast::new(model.clone());
-        let out = assign_records(&ctx, &algo, &bcast, Vec::new()).unwrap();
+        let out = assign(&ctx, &algo, &bcast, Vec::new(), false);
         assert!(out.pairs.is_empty());
         assert!(out.model_bytes > 0);
     }
@@ -220,7 +191,7 @@ mod tests {
         let ctx = StreamingContext::new(2, ExecutionMode::Simulated).unwrap();
         let bcast = Broadcast::new(model.clone());
         let records = vec![rec(2, 0.5), rec(3, 5.0), rec(4, 9.8)];
-        let out = assign_records(&ctx, &algo, &bcast, records).unwrap();
+        let out = assign(&ctx, &algo, &bcast, records, false);
         assert!(matches!(out.pairs[0].1, Assignment::Existing(_)));
         assert!(matches!(out.pairs[1].1, Assignment::New(_)));
         assert!(matches!(out.pairs[2].1, Assignment::Existing(_)));

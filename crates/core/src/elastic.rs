@@ -1,6 +1,6 @@
 //! Elastic mid-stream scale-out: workers join or leave at batch boundaries.
 //!
-//! The synchronous and asynchronous executors are parallelism-invariant by
+//! The executor is parallelism-invariant under both update protocols by
 //! construction (the order-aware update sorts by arrival keys, so neither
 //! task layout nor key placement can reach the model). Elasticity exploits
 //! exactly that: a [`ResizeSchedule`] changes the parallelism degree between
@@ -37,9 +37,8 @@ use diststream_types::{DistStreamError, Result};
 
 use crate::api::{StreamClustering, UpdateOrdering};
 use crate::distribution::StrategyKind;
-use crate::parallel::DistStreamExecutor;
-use crate::pipeline::PipelineOptions;
-use crate::pipelined::{PipelineCarry, PipelinedExecutor};
+use crate::parallel::PipelineCarry;
+use crate::pipeline::{executor_for, PipelineOptions};
 use crate::recovery::Checkpoint;
 use crate::store::CheckpointStore;
 
@@ -257,7 +256,7 @@ where
         store: &mut dyn CheckpointStore,
     ) -> Result<(A::Model, ElasticReport)> {
         let mut report = ElasticReport::default();
-        let mut carry: Option<PipelineCarry<A>> = None;
+        let mut carry = PipelineCarry::empty();
         // Working copy of the schedule: a rolled-back step is removed so the
         // run stays on the pre-resize assignment instead of retrying the
         // vetoed resize on every following batch.
@@ -324,7 +323,14 @@ where
             }
         }
 
-        self.flush_carry(&mut model, carry.take(), current_p)?;
+        // Stream end: apply the last pending async update, if any.
+        if carry.is_pending() {
+            let ctx = StreamingContext::with_cost_model(current_p, self.mode, self.cost)?;
+            let mut exec =
+                executor_for(self.algo, &ctx, self.ordering, self.premerge, &self.options);
+            exec.attach(carry)?;
+            exec.flush(&mut model)?;
+        }
         Ok((model, report))
     }
 
@@ -378,11 +384,12 @@ where
     }
 
     /// Processes a run of batches on one freshly built context at degree
-    /// `p`, attaching and re-detaching the async carry around it.
+    /// `p`, attaching and re-detaching the carry around it (empty both ways
+    /// under the synchronous protocol).
     fn process_batches(
         &self,
         model: &mut A::Model,
-        carry: &mut Option<PipelineCarry<A>>,
+        carry: &mut PipelineCarry<A>,
         p: usize,
         batches: impl Iterator<Item = MiniBatch>,
     ) -> Result<()> {
@@ -393,50 +400,12 @@ where
         if let Some(plan) = &self.fault_plan {
             ctx.install_fault_plan(plan.clone());
         }
-        if self.options.overlap {
-            let mut exec = PipelinedExecutor::new(self.algo, &ctx);
-            exec.ordering(self.ordering)
-                .premerge(self.premerge)
-                .combine(self.options.combine)
-                .chunking(self.options.chunking)
-                .strategy(self.options.strategy);
-            if let Some(c) = carry.take() {
-                exec.attach(c);
-            }
-            for batch in batches {
-                exec.process_batch(model, batch)?;
-            }
-            *carry = Some(exec.detach());
-        } else {
-            let mut exec = DistStreamExecutor::new(self.algo, &ctx);
-            exec.ordering(self.ordering)
-                .premerge(self.premerge)
-                .combine(self.options.combine)
-                .chunking(self.options.chunking)
-                .strategy(self.options.strategy);
-            for batch in batches {
-                exec.process_batch(model, batch)?;
-            }
+        let mut exec = executor_for(self.algo, &ctx, self.ordering, self.premerge, &self.options);
+        exec.attach(std::mem::replace(carry, PipelineCarry::empty()))?;
+        for batch in batches {
+            exec.process_batch(model, batch)?;
         }
-        Ok(())
-    }
-
-    /// Applies the final pending async update, if any (stream end).
-    fn flush_carry(
-        &self,
-        model: &mut A::Model,
-        carry: Option<PipelineCarry<A>>,
-        p: usize,
-    ) -> Result<()> {
-        let Some(carry) = carry else { return Ok(()) };
-        if !carry.is_pending() {
-            return Ok(());
-        }
-        let ctx = StreamingContext::with_cost_model(p, self.mode, self.cost)?;
-        let mut exec = PipelinedExecutor::new(self.algo, &ctx);
-        exec.ordering(self.ordering).premerge(self.premerge);
-        exec.attach(carry);
-        exec.flush(model)?;
+        *carry = exec.detach();
         Ok(())
     }
 }

@@ -7,17 +7,32 @@
 //! - [`StreamClustering`] — the four developer APIs (micro-cluster
 //!   representation, distance computation, local update, global update) that
 //!   any online-offline algorithm implements to get parallelized.
-//! - [`DistStreamExecutor`] — the order-aware mini-batch executor: per batch
-//!   it broadcasts the stale model, assigns records with record-based
+//! - [`DistStreamExecutor`] — the one mini-batch executor: per batch it
+//!   broadcasts the stale model, assigns records with record-based
 //!   parallelism (§V-A), locally updates chosen micro-clusters with
 //!   model-based parallelism and per-group arrival-order folds (§V-B), and
-//!   runs the ordered, pre-merged global update on the driver (§V-C).
+//!   runs the ordered, pre-merged global update on the driver (§V-C) — at
+//!   the bottom of the same call, or with [`DistStreamExecutor::overlap`]
+//!   (the §VII-D2 asynchronous protocol) at the top of the next one.
 //! - [`UpdateOrdering::Unordered`] — the unordered mini-batch baseline the
 //!   paper compares against.
 //! - [`SequentialExecutor`] — the one-record-at-a-time baseline (MOA
 //!   analog) with the strict sequential feedback loop.
 //! - [`DistStreamJob`] — end-to-end wiring from a record source through
-//!   initialization, mini-batching, and per-batch reporting.
+//!   initialization, mini-batching, and per-batch reporting: one drive loop
+//!   under `run` (optionally prefetched, or sampled in overload mode) and
+//!   `run_adaptive`, which differ only in the batch feed and in an
+//!   after-batch controller that may pick the next window width.
+//!   [`ElasticDriver`] and [`CheckpointingDriver`] drive the same executor
+//!   over pre-formed batches.
+//!
+//! Every batch crosses its boundaries in one fixed order:
+//!
+//! ```text
+//! begin_batch → broadcast Q_t → [overlap: apply pending update B−1]
+//!   → assign → local → [sync: apply own update B] → publish snapshot
+//!   → meter → controller → report → journal drain
+//! ```
 //!
 //! # Examples
 //!
@@ -53,7 +68,6 @@ mod global;
 mod local;
 mod parallel;
 mod pipeline;
-mod pipelined;
 mod recovery;
 pub mod reference;
 mod sequential;
@@ -64,9 +78,7 @@ pub use adaptive::AdaptiveBatchSizer;
 pub use api::{
     Assignment, MicroClusterId, Searcher, Sketch, StreamClustering, UpdateOrdering, WeightedPoint,
 };
-pub use assignment::{
-    assign_records, assign_records_distributed, assign_records_scheduled, AssignmentOutcome,
-};
+pub use assignment::{assign_records_distributed, AssignmentOutcome};
 pub use distribution::{
     modeled_map_partition, strategy_for, DistributionStrategy, HybridStrategy, KeyRangeStrategy,
     LocalityStrategy, RoundRobinStrategy, ShufflePlacement, StrategyKind,
@@ -74,15 +86,14 @@ pub use distribution::{
 pub use elastic::{ElasticDriver, ElasticReport, ResizeOutcome, ResizeSchedule};
 pub use global::{global_update, GlobalOutcome};
 pub use local::{
-    local_update, local_update_combined, local_update_distributed, local_update_with,
-    CreatedSketch, LocalOutcome, LocalScratch, UpdatedSketch, SHUFFLE_KEY_BYTES,
+    local_update_distributed, CreatedSketch, LocalOutcome, LocalScratch, UpdatedSketch,
+    SHUFFLE_KEY_BYTES,
 };
-pub use parallel::{BatchOutcome, DistStreamExecutor};
+pub use parallel::{BatchOutcome, DistStreamExecutor, PipelineCarry};
 pub use pipeline::{
     take_records, BatchReport, DistStreamJob, OverloadOptions, OverloadStats, PipelineOptions,
     RunResult,
 };
-pub use pipelined::{PipelineCarry, PipelinedExecutor};
 pub use recovery::{BatchDisposition, Checkpoint, CheckpointingDriver};
 pub use sequential::{SequentialExecutor, SequentialSummary};
 pub use serving::{serving_handle, serving_reader, ServingHandle, ServingSnapshot};

@@ -21,7 +21,7 @@ use diststream_telemetry as telemetry;
 use diststream_types::{Record, RecordId, Result, Timestamp};
 
 use crate::api::{Assignment, MicroClusterId, StreamClustering, UpdateOrdering};
-use crate::distribution::{modeled_map_partition, DistributionStrategy, RoundRobinStrategy};
+use crate::distribution::{modeled_map_partition, DistributionStrategy};
 
 /// Bytes a shuffle message's key envelope occupies on the wire: the
 /// `(kind, key)` group key, two `u64`s. Charged once per shuffle message —
@@ -78,7 +78,7 @@ fn group_key(assignment: Assignment) -> (u64, u64) {
     }
 }
 
-/// Reusable scratch for [`local_update_with`].
+/// Reusable scratch for [`local_update_distributed`].
 ///
 /// Holds the keyed-pair buffer built per batch before `groupByKey`; reusing
 /// it across batches means the grouping step's per-batch `Vec` is allocated
@@ -99,156 +99,37 @@ pub struct LocalScratch {
 /// drives the shuffles (combined with each group's key, so results are
 /// deterministic for a given seed, independent of parallelism).
 ///
-/// # Errors
-///
-/// Propagates engine failures (task panics) as
-/// [`DistStreamError::Engine`](diststream_types::DistStreamError::Engine).
-pub fn local_update<A: StreamClustering>(
-    ctx: &StreamingContext,
-    algo: &A,
-    model: &Broadcast<A::Model>,
-    pairs: Vec<(Record, Assignment)>,
-    ordering: UpdateOrdering,
-    window_start: Timestamp,
-    shuffle_seed: u64,
-) -> Result<LocalOutcome<A::Sketch>> {
-    let mut scratch = LocalScratch::default();
-    local_update_with(
-        ctx,
-        algo,
-        model,
-        pairs,
-        ordering,
-        window_start,
-        shuffle_seed,
-        &mut scratch,
-    )
-}
-
-/// [`local_update_with`] with the map-side combine enabled when `combine`
-/// is true.
-///
-/// The combine stage groups each map task's `(key, record)` pairs locally
-/// before they cross the hash shuffle, so records destined for the same
-/// micro-cluster travel as one keyed entry per map task instead of one per
-/// record. Map tasks are modeled as the same contiguous chunks the
-/// size-aware scheduler uses ([`chunk_size`]), and chunk partials merge in
-/// ascending chunk order — which makes the combined grouping *exactly*
-/// equal to the uncombined `groupByKey` (keys in first-occurrence order,
-/// values in arrival order; see [`combine_by_key`]). Both update orderings
-/// therefore produce bit-identical sketches with the combine on or off;
-/// only the charged shuffle bytes change. The savings are counted in
+/// With `combine` set, a map-side combine groups each map task's
+/// `(key, record)` pairs locally before they cross the hash shuffle, so
+/// records destined for the same micro-cluster travel as one keyed entry per
+/// map task instead of one per record. Map tasks are modeled as the same
+/// contiguous chunks the size-aware scheduler uses ([`chunk_size`]), and
+/// chunk partials merge in ascending chunk order — which makes the combined
+/// grouping *exactly* equal to the uncombined `groupByKey` (keys in
+/// first-occurrence order, values in arrival order; see
+/// [`combine_by_key_with`]). Both update orderings therefore produce
+/// bit-identical sketches with the combine on or off; only the charged
+/// shuffle bytes change. The savings are counted in
 /// `diststream_shuffle_bytes_saved_total`.
 ///
-/// # Errors
-///
-/// Propagates engine failures (task panics) as
-/// [`DistStreamError::Engine`](diststream_types::DistStreamError::Engine).
-#[allow(clippy::too_many_arguments)] // local_update's signature plus scratch and the combine flag
-pub fn local_update_combined<A: StreamClustering>(
-    ctx: &StreamingContext,
-    algo: &A,
-    model: &Broadcast<A::Model>,
-    pairs: Vec<(Record, Assignment)>,
-    ordering: UpdateOrdering,
-    window_start: Timestamp,
-    shuffle_seed: u64,
-    scratch: &mut LocalScratch,
-    combine: bool,
-) -> Result<LocalOutcome<A::Sketch>> {
-    local_update_impl(
-        ctx,
-        algo,
-        model,
-        pairs,
-        ordering,
-        window_start,
-        shuffle_seed,
-        scratch,
-        combine,
-        &RoundRobinStrategy,
-    )
-}
-
-/// [`local_update_combined`] with an explicit [`DistributionStrategy`]
-/// owning the key placement and the shuffle-byte accounting policy.
-///
-/// For any strategy the grouped values equal the default hash shuffle's —
-/// [`group_by_key_with`] only moves whole groups between reduce partitions —
-/// so under [`UpdateOrdering::OrderAware`] the sketches are bit-identical
-/// across strategies. What changes is the task layout and, for strategies
-/// with [`DistributionStrategy::accounts_locality`], the charged shuffle
-/// bytes: payloads whose modeled map partition equals their key's reduce
-/// partition stay node-local and are not billed. The locality discount is
-/// journaled per strategy via `diststream_shuffle_bytes_saved_total` and
+/// The `strategy` owns the key placement and the shuffle-byte accounting
+/// policy. For any strategy the grouped values equal the default hash
+/// shuffle's — [`group_by_key_with`] only moves whole groups between reduce
+/// partitions — so under [`UpdateOrdering::OrderAware`] the sketches are
+/// bit-identical across strategies. What changes is the task layout and, for
+/// strategies with [`DistributionStrategy::accounts_locality`], the charged
+/// shuffle bytes: payloads whose modeled map partition equals their key's
+/// reduce partition stay node-local and are not billed. The locality
+/// discount is journaled per strategy via
+/// `diststream_shuffle_bytes_saved_total` and
 /// `diststream_strategy_shuffle_bytes_total`.
 ///
 /// # Errors
 ///
 /// Propagates engine failures (task panics) as
 /// [`DistStreamError::Engine`](diststream_types::DistStreamError::Engine).
-#[allow(clippy::too_many_arguments)] // local_update_combined's signature plus the strategy
+#[allow(clippy::too_many_arguments)] // the step's inputs plus scratch, the combine flag and the strategy
 pub fn local_update_distributed<A: StreamClustering>(
-    ctx: &StreamingContext,
-    algo: &A,
-    model: &Broadcast<A::Model>,
-    pairs: Vec<(Record, Assignment)>,
-    ordering: UpdateOrdering,
-    window_start: Timestamp,
-    shuffle_seed: u64,
-    scratch: &mut LocalScratch,
-    combine: bool,
-    strategy: &dyn DistributionStrategy,
-) -> Result<LocalOutcome<A::Sketch>> {
-    local_update_impl(
-        ctx,
-        algo,
-        model,
-        pairs,
-        ordering,
-        window_start,
-        shuffle_seed,
-        scratch,
-        combine,
-        strategy,
-    )
-}
-
-/// [`local_update`] with a caller-owned [`LocalScratch`], for drivers that
-/// run many batches and want the keyed buffer reused across them. Produces
-/// exactly the same outcome as [`local_update`].
-///
-/// # Errors
-///
-/// Propagates engine failures (task panics) as
-/// [`DistStreamError::Engine`](diststream_types::DistStreamError::Engine).
-#[allow(clippy::too_many_arguments)] // local_update's signature plus the scratch handle
-pub fn local_update_with<A: StreamClustering>(
-    ctx: &StreamingContext,
-    algo: &A,
-    model: &Broadcast<A::Model>,
-    pairs: Vec<(Record, Assignment)>,
-    ordering: UpdateOrdering,
-    window_start: Timestamp,
-    shuffle_seed: u64,
-    scratch: &mut LocalScratch,
-) -> Result<LocalOutcome<A::Sketch>> {
-    local_update_impl(
-        ctx,
-        algo,
-        model,
-        pairs,
-        ordering,
-        window_start,
-        shuffle_seed,
-        scratch,
-        false,
-        &RoundRobinStrategy,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn local_update_impl<A: StreamClustering>(
     ctx: &StreamingContext,
     algo: &A,
     model: &Broadcast<A::Model>,
@@ -431,6 +312,7 @@ fn local_update_impl<A: StreamClustering>(
 mod tests {
     use super::*;
     use crate::api::Sketch;
+    use crate::distribution::RoundRobinStrategy;
     use crate::reference::NaiveClustering;
     use diststream_engine::ExecutionMode;
     use diststream_types::{ClassId, Point};
@@ -439,16 +321,45 @@ mod tests {
         Record::new(id, Point::from(vec![x]), Timestamp::from_secs(t))
     }
 
-    fn run_local(
+    fn run(
         p: usize,
         ordering: UpdateOrdering,
         pairs: Vec<(Record, Assignment)>,
+        combine: bool,
     ) -> LocalOutcome<crate::reference::NaiveSketch> {
         let algo = NaiveClustering::new(1.0);
         let model = algo.init(&[rec(0, 0.0, 0.0), rec(1, 10.0, 0.0)]).unwrap();
         let ctx = StreamingContext::new(p, ExecutionMode::Simulated).unwrap();
         let bcast = Broadcast::new(model);
-        local_update(&ctx, &algo, &bcast, pairs, ordering, Timestamp::ZERO, 7).unwrap()
+        local_update_distributed(
+            &ctx,
+            &algo,
+            &bcast,
+            pairs,
+            ordering,
+            Timestamp::ZERO,
+            7,
+            &mut LocalScratch::default(),
+            combine,
+            &RoundRobinStrategy,
+        )
+        .unwrap()
+    }
+
+    fn run_local(
+        p: usize,
+        ordering: UpdateOrdering,
+        pairs: Vec<(Record, Assignment)>,
+    ) -> LocalOutcome<crate::reference::NaiveSketch> {
+        run(p, ordering, pairs, false)
+    }
+
+    fn run_local_combined(
+        p: usize,
+        ordering: UpdateOrdering,
+        pairs: Vec<(Record, Assignment)>,
+    ) -> LocalOutcome<crate::reference::NaiveSketch> {
+        run(p, ordering, pairs, true)
     }
 
     #[test]
@@ -564,30 +475,6 @@ mod tests {
         let out = run_local(1, UpdateOrdering::OrderAware, pairs);
         assert!(out.shuffle_bytes > 0);
         assert_eq!(out.shuffle_bytes % 10, 0);
-    }
-
-    fn run_local_combined(
-        p: usize,
-        ordering: UpdateOrdering,
-        pairs: Vec<(Record, Assignment)>,
-    ) -> LocalOutcome<crate::reference::NaiveSketch> {
-        let algo = NaiveClustering::new(1.0);
-        let model = algo.init(&[rec(0, 0.0, 0.0), rec(1, 10.0, 0.0)]).unwrap();
-        let ctx = StreamingContext::new(p, ExecutionMode::Simulated).unwrap();
-        let bcast = Broadcast::new(model);
-        let mut scratch = LocalScratch::default();
-        local_update_combined(
-            &ctx,
-            &algo,
-            &bcast,
-            pairs,
-            ordering,
-            Timestamp::ZERO,
-            7,
-            &mut scratch,
-            true,
-        )
-        .unwrap()
     }
 
     /// Satellite regression: the shuffle must charge each record's

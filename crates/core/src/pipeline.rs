@@ -2,16 +2,16 @@
 //! executor → per-batch reports.
 
 use diststream_engine::{
-    prefetch_batches, LoadShedPolicy, MiniBatch, MiniBatcher, RecordLatency, RecordSource,
-    SamplerControl, StratifiedSampler, StreamingContext, ThroughputMeter,
+    prefetch_batches, LoadShedPolicy, MiniBatch, MiniBatcher, RecordSource, SamplerControl,
+    StratifiedSampler, StreamingContext, ThroughputMeter,
 };
 use diststream_telemetry as telemetry;
 use diststream_types::{ClusteringConfig, DistStreamError, Record, Result, Timestamp};
 
+use crate::adaptive::AdaptiveBatchSizer;
 use crate::api::{StreamClustering, UpdateOrdering};
 use crate::distribution::StrategyKind;
 use crate::parallel::{BatchOutcome, DistStreamExecutor};
-use crate::pipelined::PipelinedExecutor;
 use crate::serving::ServingHandle;
 
 /// Toggles for the overlapped batch pipeline — the three ingest-to-update
@@ -21,8 +21,9 @@ use crate::serving::ServingHandle;
 /// None of the first three change the model: prefetch only moves the
 /// source drain off the critical path, combining only changes the charged
 /// shuffle bytes, and chunk scheduling only changes the task layout.
-/// `overlap` switches to the [`PipelinedExecutor`] protocol, which trades
-/// one batch of model staleness for throughput — a *different* (but still
+/// `overlap` switches the executor to the asynchronous update protocol
+/// ([`DistStreamExecutor::overlap`]), which trades one batch of model
+/// staleness for throughput — a *different* (but still
 /// parallelism-invariant) model than the synchronous protocol.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PipelineOptions {
@@ -33,7 +34,7 @@ pub struct PipelineOptions {
     pub combine: bool,
     /// Deterministic size-aware chunk scheduling for the assignment step.
     pub chunking: bool,
-    /// Asynchronous update protocol ([`PipelinedExecutor`]).
+    /// Asynchronous update protocol ([`DistStreamExecutor::overlap`]).
     pub overlap: bool,
     /// Distribution strategy owning record partitioning, key placement, and
     /// shuffle routing (default: the paper's round-robin + hash shuffle).
@@ -103,8 +104,6 @@ pub struct OverloadOptions {
     pub overhead_permille: u32,
     /// Close the loop with [`AdaptiveBatchSizer`]: retune the window from
     /// the *virtual* (service-model) batch time after every batch.
-    ///
-    /// [`AdaptiveBatchSizer`]: crate::adaptive::AdaptiveBatchSizer
     pub adapt_window: bool,
 }
 
@@ -141,34 +140,6 @@ pub struct OverloadStats {
     pub max_virtual_latency_secs: f64,
     /// Batch window in force when the stream ended, seconds.
     pub final_batch_secs: f64,
-}
-
-/// Either executor behind one per-batch interface, so the job's drive loop
-/// is written once.
-enum AnyExec<'a, A: StreamClustering> {
-    Sync(DistStreamExecutor<'a, A>),
-    Overlap(Box<PipelinedExecutor<'a, A>>),
-}
-
-impl<'a, A: StreamClustering> AnyExec<'a, A> {
-    fn process_batch(&mut self, model: &mut A::Model, batch: MiniBatch) -> Result<BatchOutcome> {
-        match self {
-            AnyExec::Sync(exec) => exec.process_batch(model, batch),
-            AnyExec::Overlap(exec) => exec.process_batch(model, batch),
-        }
-    }
-
-    /// Applies any pending global update and returns its driver seconds
-    /// plus the integrated records' latency digest (the synchronous
-    /// executor never has one pending).
-    fn flush_secs(&mut self, model: &mut A::Model) -> Result<Option<(f64, Option<RecordLatency>)>> {
-        match self {
-            AnyExec::Sync(_) => Ok(None),
-            AnyExec::Overlap(exec) => Ok(exec
-                .flush(model)?
-                .map(|g| (g.global_secs, exec.take_flushed_latency()))),
-        }
-    }
 }
 
 /// Everything a per-batch observer gets to see: the batch outcome plus the
@@ -287,30 +258,75 @@ impl<'a, A: StreamClustering> DistStreamJob<'a, A> {
         self
     }
 
-    fn make_exec(&self) -> AnyExec<'a, A> {
-        if self.pipeline.overlap {
-            let mut exec = PipelinedExecutor::new(self.algo, self.ctx);
-            exec.ordering(self.ordering)
-                .premerge(self.premerge)
-                .combine(self.pipeline.combine)
-                .chunking(self.pipeline.chunking)
-                .strategy(self.pipeline.strategy);
-            if let Some(handle) = &self.serving {
-                exec.serving(handle.clone());
-            }
-            AnyExec::Overlap(Box::new(exec))
-        } else {
-            let mut exec = DistStreamExecutor::new(self.algo, self.ctx);
-            exec.ordering(self.ordering)
-                .premerge(self.premerge)
-                .combine(self.pipeline.combine)
-                .chunking(self.pipeline.chunking)
-                .strategy(self.pipeline.strategy);
-            if let Some(handle) = &self.serving {
-                exec.serving(handle.clone());
-            }
-            AnyExec::Sync(exec)
+    /// Drains the initialization records off `source` and builds the
+    /// initial model. Every run path starts here, so initialization is
+    /// never prefetched, sampled or shed.
+    fn init_model<S: RecordSource>(&self, source: &mut S) -> Result<A::Model> {
+        let init = take_records(source, self.init_records.max(1));
+        if init.is_empty() {
+            return Err(DistStreamError::EmptyStream);
         }
+        self.algo.init(&init)
+    }
+
+    /// The one per-batch drive loop — process, meter, controller, report,
+    /// journal drain (the fixed boundary order is in the crate docs) — and,
+    /// at stream end, the flush of any pending overlapped update. Callers
+    /// differ only in `next_batch` (prefetch iterator or [`batcher_feed`])
+    /// and in `controller`, which sees each outcome and may return the next
+    /// window width, handed to `next_batch` on the following pull.
+    fn drive<F>(
+        &self,
+        model: &mut A::Model,
+        mut next_batch: impl FnMut(Option<f64>) -> Option<MiniBatch>,
+        mut controller: impl FnMut(&BatchOutcome) -> Option<f64>,
+        on_batch: &mut F,
+    ) -> Result<ThroughputMeter>
+    where
+        F: FnMut(BatchReport<'_, A::Model>),
+    {
+        let mut exec = executor_for(
+            self.algo,
+            self.ctx,
+            self.ordering,
+            self.premerge,
+            &self.pipeline,
+        );
+        if let Some(handle) = &self.serving {
+            exec.serving(handle.clone());
+        }
+        let mut meter = ThroughputMeter::new();
+        let mut next_window = None;
+        while let Some(batch) = next_batch(next_window) {
+            let batch_index = batch.index;
+            let window_end = batch.window_end;
+            let outcome = exec.process_batch(model, batch)?;
+            meter.observe(&outcome.metrics);
+            if let Some(latency) = &outcome.latency {
+                meter.observe_latency(latency);
+            }
+            next_window = controller(&outcome);
+            on_batch(BatchReport {
+                batch_index,
+                window_end,
+                model,
+                outcome: &outcome,
+            });
+            // Batch barrier: all worker threads of the batch have exited
+            // (their span buffers auto-flushed), so the journal drain here
+            // sees the complete batch.
+            if telemetry::enabled() {
+                telemetry::barrier_drain();
+            }
+        }
+        if let Some((global, latency)) = exec.flush(model)? {
+            meter.observe_flush(global.global_secs);
+            meter.observe_latency(&latency);
+            if telemetry::enabled() {
+                telemetry::barrier_drain();
+            }
+        }
+        Ok(meter)
     }
 
     /// Runs the job to stream exhaustion, invoking `on_batch` after every
@@ -334,30 +350,18 @@ impl<'a, A: StreamClustering> DistStreamJob<'a, A> {
         if let Some(overload) = self.pipeline.overload {
             return self.run_overload(source, overload, on_batch);
         }
-        let mut init = Vec::with_capacity(self.init_records.max(1));
-        while init.len() < self.init_records.max(1) {
-            match source.next_record() {
-                Some(r) => init.push(r),
-                None => break,
-            }
-        }
-        if init.is_empty() {
-            return Err(DistStreamError::EmptyStream);
-        }
-        let mut model = self.algo.init(&init)?;
-
-        let mut exec = self.make_exec();
-        let mut meter = ThroughputMeter::new();
-        if self.pipeline.prefetch {
+        let mut model = self.init_model(&mut source)?;
+        let window = self.config.batch_secs();
+        let meter = if self.pipeline.prefetch {
             // Initialization records were already drained synchronously
             // above, so the worker stages exactly the post-init batches.
-            prefetch_batches(source, self.config.batch_secs(), |batches| {
-                drive_batches(&mut exec, &mut model, batches, &mut meter, &mut on_batch)
-            })?;
+            prefetch_batches(source, window, |mut batches| {
+                self.drive(&mut model, |_| batches.next(), |_| None, &mut on_batch)
+            })?
         } else {
-            let batcher = MiniBatcher::new(&mut source, self.config.batch_secs());
-            drive_batches(&mut exec, &mut model, batcher, &mut meter, &mut on_batch)?;
-        }
+            let feed = batcher_feed(MiniBatcher::new(&mut source, window));
+            self.drive(&mut model, feed, |_| None, &mut on_batch)?
+        };
         Ok(RunResult {
             model,
             meter,
@@ -365,17 +369,16 @@ impl<'a, A: StreamClustering> DistStreamJob<'a, A> {
         })
     }
 
-    /// The overload drive loop: sampler between the source and the batcher,
-    /// backpressure policy closing the control loop at every batch barrier.
+    /// [`DistStreamJob::run`] in overload mode: a stratified sampler between
+    /// the source and the batcher, with the backpressure policy closing the
+    /// control loop as the after-batch controller.
     ///
     /// Like [`DistStreamJob::run_adaptive`], prefetch is ignored — the next
     /// batch's keep-rates (and, with `adapt_window`, its window width) are
     /// only known after the current batch finishes, which a prefetch worker
-    /// staging ahead of the feedback loop cannot honor. The executor choice
-    /// (`overlap`) and the other options apply as in [`DistStreamJob::run`].
-    ///
-    /// Initialization records are drained before the sampler attaches:
-    /// model initialization is never shed.
+    /// staging ahead of the feedback loop cannot honor. Initialization
+    /// records are drained before the sampler attaches: model initialization
+    /// is never shed.
     fn run_overload<S, F>(
         &self,
         mut source: S,
@@ -386,17 +389,7 @@ impl<'a, A: StreamClustering> DistStreamJob<'a, A> {
         S: RecordSource,
         F: FnMut(BatchReport<'_, A::Model>),
     {
-        let mut init = Vec::with_capacity(self.init_records.max(1));
-        while init.len() < self.init_records.max(1) {
-            match source.next_record() {
-                Some(r) => init.push(r),
-                None => break,
-            }
-        }
-        if init.is_empty() {
-            return Err(DistStreamError::EmptyStream);
-        }
-        let mut model = self.algo.init(&init)?;
+        let mut model = self.init_model(&mut source)?;
 
         let control = SamplerControl::new(opts.strata.max(1) as usize);
         let mut sampler = StratifiedSampler::new(&mut source, opts.seed, control.clone());
@@ -409,7 +402,7 @@ impl<'a, A: StreamClustering> DistStreamJob<'a, A> {
         );
         let mut sizer = opts
             .adapt_window
-            .then(|| crate::adaptive::AdaptiveBatchSizer::new(&self.config, window0));
+            .then(|| AdaptiveBatchSizer::new(&self.config, window0));
 
         // Cached handles, registered once (the reorder buffer's pattern).
         let rate_gauge = telemetry::gauge(telemetry::names::METRIC_SAMPLER_RATE_PPM);
@@ -418,21 +411,10 @@ impl<'a, A: StreamClustering> DistStreamJob<'a, A> {
         let latency_gauge =
             telemetry::gauge(telemetry::names::METRIC_BACKPRESSURE_VIRTUAL_LATENCY_SECS);
 
-        let mut exec = self.make_exec();
-        let mut meter = ThroughputMeter::new();
-        let mut batcher = MiniBatcher::new(&mut sampler, window0);
         let mut prev_counts = vec![(0u64, 0u64); opts.strata.max(1) as usize];
         let mut max_virtual_latency = 0.0_f64;
         let mut window = window0;
-        while let Some(batch) = batcher.next() {
-            let batch_index = batch.index;
-            let window_end = batch.window_end;
-            let outcome = exec.process_batch(&mut model, batch)?;
-            meter.observe(&outcome.metrics);
-            if let Some(latency) = &outcome.latency {
-                meter.observe_latency(latency);
-            }
-
+        let controller = |outcome: &BatchOutcome| {
             // Control step, on deterministic counts only: per-stratum
             // arrivals over this window drive the next window's rates.
             let counts = control.stratum_counts();
@@ -462,7 +444,7 @@ impl<'a, A: StreamClustering> DistStreamJob<'a, A> {
                 latency_gauge.set(virtual_latency);
                 telemetry::emit_point(
                     telemetry::names::POINT_OVERLOAD_SUMMARY,
-                    Some(batch_index as u64),
+                    Some(outcome.metrics.batch_index as u64),
                     &[
                         ("seen", arrived as f64),
                         ("kept", kept as f64),
@@ -474,37 +456,17 @@ impl<'a, A: StreamClustering> DistStreamJob<'a, A> {
                 );
             }
 
-            if let Some(sizer) = sizer.as_mut() {
-                // Co-adaptation on the *virtual* batch time — the service
-                // model's cost for what was kept — never measured wall
-                // time, which would break bit-identical replay.
-                let virtual_secs = policy.virtual_batch_secs(outcome.metrics.records as u64);
-                let next_window = sizer.observe(outcome.metrics.records, virtual_secs);
-                batcher.set_batch_secs(next_window);
-                policy.set_window(next_window);
-                window = next_window;
-            }
-
-            on_batch(BatchReport {
-                batch_index,
-                window_end,
-                model: &model,
-                outcome: &outcome,
-            });
-            // Same per-batch journal drain as `run` (see `drive_batches`).
-            if telemetry::enabled() {
-                telemetry::barrier_drain();
-            }
-        }
-        if let Some((flush_secs, latency)) = exec.flush_secs(&mut model)? {
-            meter.observe_flush(flush_secs);
-            if let Some(latency) = &latency {
-                meter.observe_latency(latency);
-            }
-            if telemetry::enabled() {
-                telemetry::barrier_drain();
-            }
-        }
+            // Co-adaptation on the *virtual* batch time — the service
+            // model's cost for what was kept — never measured wall time,
+            // which would break bit-identical replay.
+            let sizer = sizer.as_mut()?;
+            let virtual_secs = policy.virtual_batch_secs(outcome.metrics.records as u64);
+            window = sizer.observe(outcome.metrics.records, virtual_secs);
+            policy.set_window(window);
+            Some(window)
+        };
+        let feed = batcher_feed(MiniBatcher::new(&mut sampler, window0));
+        let meter = self.drive(&mut model, feed, controller, &mut on_batch)?;
         let stats = OverloadStats {
             seen: control.seen_total(),
             kept: control.kept_total(),
@@ -539,7 +501,8 @@ impl<'a, A: StreamClustering> DistStreamJob<'a, A> {
     /// [`PipelineOptions::prefetch`] is ignored here: retuning must feed
     /// the next window width back into the batcher *between* pulls, which
     /// a prefetch worker staging ahead of the feedback loop cannot honor.
-    /// The other pipeline options apply as in [`DistStreamJob::run`].
+    /// [`PipelineOptions::overload`] is ignored too (it brings its own
+    /// sizer); the other options apply as in [`DistStreamJob::run`].
     ///
     /// # Errors
     ///
@@ -547,58 +510,19 @@ impl<'a, A: StreamClustering> DistStreamJob<'a, A> {
     pub fn run_adaptive<S, F>(
         &self,
         mut source: S,
-        sizer: &mut crate::adaptive::AdaptiveBatchSizer,
+        sizer: &mut AdaptiveBatchSizer,
         mut on_batch: F,
     ) -> Result<RunResult<A::Model>>
     where
         S: RecordSource,
         F: FnMut(BatchReport<'_, A::Model>),
     {
-        let mut init = Vec::with_capacity(self.init_records.max(1));
-        while init.len() < self.init_records.max(1) {
-            match source.next_record() {
-                Some(r) => init.push(r),
-                None => break,
-            }
-        }
-        if init.is_empty() {
-            return Err(DistStreamError::EmptyStream);
-        }
-        let mut model = self.algo.init(&init)?;
-
-        let mut exec = self.make_exec();
-        let mut meter = ThroughputMeter::new();
-        let mut batcher = MiniBatcher::new(&mut source, sizer.batch_secs());
-        while let Some(batch) = batcher.next() {
-            let batch_index = batch.index;
-            let window_end = batch.window_end;
-            let outcome = exec.process_batch(&mut model, batch)?;
-            meter.observe(&outcome.metrics);
-            if let Some(latency) = &outcome.latency {
-                meter.observe_latency(latency);
-            }
-            let next = sizer.observe(outcome.metrics.records, outcome.metrics.total_secs());
-            batcher.set_batch_secs(next);
-            on_batch(BatchReport {
-                batch_index,
-                window_end,
-                model: &model,
-                outcome: &outcome,
-            });
-            // Same per-batch journal drain as `run` (see above).
-            if telemetry::enabled() {
-                telemetry::barrier_drain();
-            }
-        }
-        if let Some((flush_secs, latency)) = exec.flush_secs(&mut model)? {
-            meter.observe_flush(flush_secs);
-            if let Some(latency) = &latency {
-                meter.observe_latency(latency);
-            }
-            if telemetry::enabled() {
-                telemetry::barrier_drain();
-            }
-        }
+        let mut model = self.init_model(&mut source)?;
+        let feed = batcher_feed(MiniBatcher::new(&mut source, sizer.batch_secs()));
+        let controller = |outcome: &BatchOutcome| {
+            Some(sizer.observe(outcome.metrics.records, outcome.metrics.total_secs()))
+        };
+        let meter = self.drive(&mut model, feed, controller, &mut on_batch)?;
         Ok(RunResult {
             model,
             meter,
@@ -607,52 +531,38 @@ impl<'a, A: StreamClustering> DistStreamJob<'a, A> {
     }
 }
 
-/// The shared per-batch drive loop: process, meter, report, drain the span
-/// journal at the batch barrier, and flush any pending overlapped update at
-/// stream end.
-fn drive_batches<A, I, F>(
-    exec: &mut AnyExec<'_, A>,
-    model: &mut A::Model,
-    batches: I,
-    meter: &mut ThroughputMeter,
-    on_batch: &mut F,
-) -> Result<()>
-where
-    A: StreamClustering,
-    I: Iterator<Item = MiniBatch>,
-    F: FnMut(BatchReport<'_, A::Model>),
-{
-    for batch in batches {
-        let batch_index = batch.index;
-        let window_end = batch.window_end;
-        let outcome = exec.process_batch(model, batch)?;
-        meter.observe(&outcome.metrics);
-        if let Some(latency) = &outcome.latency {
-            meter.observe_latency(latency);
+/// Builds the executor a [`PipelineOptions`] selects — the one place the
+/// options map onto executor settings (the job and the elastic driver both
+/// come through here).
+pub(crate) fn executor_for<'a, A: StreamClustering>(
+    algo: &'a A,
+    ctx: &'a StreamingContext,
+    ordering: UpdateOrdering,
+    premerge: bool,
+    options: &PipelineOptions,
+) -> DistStreamExecutor<'a, A> {
+    let mut exec = DistStreamExecutor::new(algo, ctx);
+    exec.ordering(ordering)
+        .premerge(premerge)
+        .combine(options.combine)
+        .chunking(options.chunking)
+        .overlap(options.overlap)
+        .strategy(options.strategy);
+    exec
+}
+
+/// A [`DistStreamJob::drive`] batch feed over a [`MiniBatcher`]: applies the
+/// window width the after-batch controller chose (if any) before pulling the
+/// next batch.
+fn batcher_feed<S: RecordSource>(
+    mut batcher: MiniBatcher<S>,
+) -> impl FnMut(Option<f64>) -> Option<MiniBatch> {
+    move |next_window| {
+        if let Some(secs) = next_window {
+            batcher.set_batch_secs(secs);
         }
-        on_batch(BatchReport {
-            batch_index,
-            window_end,
-            model,
-            outcome: &outcome,
-        });
-        // Batch barrier: all worker threads of the batch have exited
-        // (their span buffers auto-flushed), so the journal drain here
-        // sees the complete batch.
-        if telemetry::enabled() {
-            telemetry::barrier_drain();
-        }
+        batcher.next()
     }
-    if let Some((flush_secs, latency)) = exec.flush_secs(model)? {
-        meter.observe_flush(flush_secs);
-        if let Some(latency) = &latency {
-            meter.observe_latency(latency);
-        }
-        if telemetry::enabled() {
-            telemetry::barrier_drain();
-        }
-    }
-    Ok(())
 }
 
 /// Consumes `count` records from a source into a vector (initialization
@@ -752,6 +662,31 @@ mod tests {
         assert!(windows.len() >= 2);
         assert!(sizer.batch_secs() <= max + 1e-9);
         assert!(sizer.batch_secs() >= 1.0 - 1e-9);
+    }
+
+    /// The adaptive loop on the fully overlapped executor, byte for byte at
+    /// p=1 and p=4. The sizer steers by measured batch time, so it is pinned
+    /// (start = floor = the §IV-D bound): the controller still runs and
+    /// re-anchors the window after every batch, on a fixed width.
+    #[test]
+    fn adaptive_overlapped_run_is_parallelism_invariant() {
+        let run = |p: usize| {
+            let algo = NaiveClustering::new(1.5);
+            let ctx = StreamingContext::new(p, ExecutionMode::Simulated).unwrap();
+            let config = ClusteringConfig::default();
+            let config = config.with_batch_secs(config.max_batch_secs()).unwrap();
+            let mut sizer = crate::adaptive::AdaptiveBatchSizer::new(&config, config.batch_secs());
+            let mut reports = 0;
+            let result = DistStreamJob::new(&algo, &ctx, config)
+                .init_records(8)
+                .pipeline(PipelineOptions::all())
+                .run_adaptive(VecSource::new(recs(300)), &mut sizer, |_| reports += 1)
+                .unwrap();
+            assert_eq!(result.meter.records(), 292, "p={p}");
+            assert!(reports >= 3, "p={p}: {reports} batches");
+            diststream_engine::encode(&result.model)
+        };
+        assert_eq!(run(4), run(1));
     }
 
     #[test]

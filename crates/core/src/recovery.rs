@@ -88,7 +88,7 @@ impl Checkpoint {
 /// let algo = NaiveClustering::new(1.0);
 /// let ctx = StreamingContext::new(2, ExecutionMode::Simulated)?;
 /// let model = algo.init(&[Record::new(0, Point::from(vec![0.0]), Timestamp::ZERO)])?;
-/// let mut driver = CheckpointingDriver::new(&algo, &ctx, model, 2);
+/// let mut driver = CheckpointingDriver::new(&algo, &ctx, model, 2)?;
 /// let batch = MiniBatch {
 ///     index: 0,
 ///     window_start: Timestamp::ZERO,
@@ -142,24 +142,28 @@ where
     A: StreamClustering,
     A::Model: Serialize + DeserializeOwned + PartialEq,
 {
-    /// Creates a driver checkpointing every `interval` batches (≥ 1). The
-    /// initial model is checkpointed immediately.
+    /// Creates a driver checkpointing every `interval` batches. The initial
+    /// model is checkpointed immediately.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `interval` is zero.
+    /// Returns [`DistStreamError::InvalidConfig`] if `interval` is zero.
     pub fn new(
         algo: &'a A,
         ctx: &'a diststream_engine::StreamingContext,
         model: A::Model,
         interval: usize,
-    ) -> Self {
-        assert!(interval > 0, "checkpoint interval must be at least 1");
+    ) -> Result<Self> {
+        if interval == 0 {
+            return Err(DistStreamError::InvalidConfig(
+                "checkpoint interval must be at least 1".into(),
+            ));
+        }
         let checkpoint = Checkpoint {
             batch_index: 0,
             bytes: encode(&model),
         };
-        CheckpointingDriver {
+        Ok(CheckpointingDriver {
             exec: DistStreamExecutor::new(algo, ctx),
             algo,
             ctx,
@@ -170,7 +174,7 @@ where
             cursor: 0,
             replay_log: Vec::new(),
             store: None,
-        }
+        })
     }
 
     /// Attaches a stable-storage [`CheckpointStore`] and persists the
@@ -411,7 +415,7 @@ mod tests {
         interval: usize,
     ) -> CheckpointingDriver<'a, NaiveClustering> {
         let model = algo.init(&[rec(0, 0.0, 0.0)]).unwrap();
-        CheckpointingDriver::new(algo, ctx, model, interval)
+        CheckpointingDriver::new(algo, ctx, model, interval).unwrap()
     }
 
     #[test]
@@ -495,6 +499,20 @@ mod tests {
         };
         assert!(hollow.is_empty());
         assert_eq!(hollow.len(), 8);
+    }
+
+    /// Regression: a zero interval used to `assert!` — a panic on a value
+    /// that arrives from configuration.
+    #[test]
+    fn zero_interval_is_a_typed_error() {
+        let algo = NaiveClustering::new(1.0);
+        let ctx = StreamingContext::new(1, ExecutionMode::Simulated).unwrap();
+        let model = algo.init(&[rec(0, 0.0, 0.0)]).unwrap();
+        let err = CheckpointingDriver::new(&algo, &ctx, model, 0).unwrap_err();
+        assert!(
+            matches!(err, DistStreamError::InvalidConfig(_)),
+            "got {err}"
+        );
     }
 
     #[test]

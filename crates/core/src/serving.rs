@@ -14,7 +14,7 @@
 //! Determinism carries over: the snapshot for epoch `N` is a pure function
 //! of the model after batch `N`'s global update, so its bytes are identical
 //! across parallelism degrees and across the synchronous and overlapped
-//! pipelines (the overlapped executor publishes under the *applied* batch's
+//! pipelines (the executor always publishes under the *applied* batch's
 //! index, preserving the async lag in the epoch numbering).
 
 use std::sync::Arc;
@@ -56,7 +56,7 @@ pub fn serving_reader(handle: &ServingHandle) -> SnapshotReader<ServingSnapshot>
 }
 
 /// Builds and publishes the serving snapshot for `batch_index`. Called by
-/// both executors immediately after a global update installs the new model;
+/// the executor immediately after a global update installs the new model;
 /// the encode + export cost is driver-side and traced as its own span so
 /// the overhead is visible in batch critical paths.
 pub(crate) fn publish_snapshot<A: StreamClustering>(

@@ -47,7 +47,7 @@ pub const REGRESSION_TOLERANCE: f64 = 0.15;
 pub const SCALING_LOSS_FACTOR: f64 = 2.0;
 
 /// Parallelism degrees whose speedup over p = 1 the scaling-loss report
-/// covers (every degree of the schema-6 matrix above the singleton).
+/// covers (every degree of the matrix above the singleton).
 pub const SCALING_DEGREES: [u64; 3] = [4, 8, 16];
 
 /// Fresh-measurement attempts before declaring a regression real.
@@ -63,36 +63,20 @@ pub const OVERLAP_WIN_PARALLELISM: u64 = 4;
 /// Algorithm the overlap-win gate checks.
 pub const OVERLAP_WIN_ALGO: &str = "clustream";
 
-/// Baseline schema version this checker understands (mirrors
+/// The one baseline schema version this checker reads (mirrors
 /// `diststream_bench::BASELINE_SCHEMA`; the checker keeps its own JSON
-/// parser rather than depending on the bench crate it is gating).
-/// v3 adds `overhead_secs` and the event-time latency percentile columns.
-/// v4 adds the per-entry `strategy` column and the `shuffle_skew` section.
-/// v5 adds the `overload` section (shed fraction, error bound, achieved vs
-/// target latency, quality delta, p=1/p=4 model digests).
-/// v6 extends the throughput matrix to p ∈ {1, 4, 8, 16} and adds the
-/// `serving` section whose `predict_qps` column this checker gates.
+/// parser rather than depending on the bench crate it is gating): the
+/// p ∈ {1, 4, 8, 16} throughput matrix with per-phase seconds and a
+/// `strategy` column, plus the `shuffle_skew`, `overload` and `serving`
+/// sections. Both committed baselines are this version; anything else is
+/// rejected.
 const SUPPORTED_SCHEMA: f64 = 6.0;
-
-/// Previous schema versions, still accepted read-only. A v5 file predates
-/// the `serving` section and the p ∈ {8, 16} matrix columns; a v4 file
-/// additionally lacks the `overload` section; a v3 file additionally lacks
-/// the `strategy` column and the `shuffle_skew` section. Gates whose
-/// columns are missing are *explicitly skipped with a printed note* —
-/// never silently defaulted.
-const LEGACY_SCHEMA_V5: f64 = 5.0;
-
-/// See [`LEGACY_SCHEMA_V5`].
-const LEGACY_SCHEMA_V4: f64 = 4.0;
-
-/// See [`LEGACY_SCHEMA_V4`].
-const LEGACY_SCHEMA_V3: f64 = 3.0;
 
 /// Required round-robin/key-range charged-shuffle-byte ratio (mirrors
 /// `diststream_bench::SHUFFLE_SKEW_FACTOR`).
 pub const SHUFFLE_SKEW_FACTOR: f64 = 1.2;
 
-/// The overload section of a schema-5 baseline: everything in it is
+/// The overload section of a baseline: everything in it is
 /// virtual-time deterministic, so its gates are absolute (within-file),
 /// never calibration-normalized.
 #[derive(Debug, Clone, PartialEq)]
@@ -153,7 +137,7 @@ pub fn overload_failures(gate: &OverloadGate) -> Vec<String> {
     failures
 }
 
-/// The serving section of a schema-6 baseline: the concurrent-predict
+/// The serving section of a baseline: the concurrent-predict
 /// workload measured alongside the throughput matrix. `predict_qps` is a
 /// wall-clock rate, so its gate is calibration-normalized like the
 /// throughput cells; the remaining columns are context for the printout.
@@ -170,21 +154,17 @@ pub struct ServingGate {
 }
 
 /// The predict-throughput failure for the serving gate, if any.
-/// `best_qps` is the calibration-normalized best across attempts; `None`
-/// means the fresh measurement never carried a serving section.
-pub fn serving_failure(committed: Option<&ServingGate>, best_qps: Option<f64>) -> Option<String> {
-    let committed = committed?;
-    match best_qps {
-        Some(qps) if qps < committed.predict_qps * (1.0 - REGRESSION_TOLERANCE) => Some(format!(
-            "serving: {qps:.0} predict/s is {:.1}% below the committed {:.0} predict/s \
+/// `best_qps` is the calibration-normalized best across attempts.
+pub fn serving_failure(committed: &ServingGate, best_qps: f64) -> Option<String> {
+    (best_qps < committed.predict_qps * (1.0 - REGRESSION_TOLERANCE)).then(|| {
+        format!(
+            "serving: {best_qps:.0} predict/s is {:.1}% below the committed {:.0} predict/s \
              (tolerance {:.0}%)",
-            (1.0 - qps / committed.predict_qps) * 100.0,
+            (1.0 - best_qps / committed.predict_qps) * 100.0,
             committed.predict_qps,
             REGRESSION_TOLERANCE * 100.0
-        )),
-        Some(_) => None,
-        None => Some("serving: section missing from the fresh measurement".to_string()),
-    }
+        )
+    })
 }
 
 /// A throughput cell key: `(algorithm, pipeline, parallelism)`.
@@ -199,19 +179,15 @@ pub type PhaseSecs = [f64; 4];
 pub struct Baseline {
     /// `"quick"` or `"default"`.
     pub mode: String,
-    /// Schema version the file declared ([`SUPPORTED_SCHEMA`] or
-    /// [`LEGACY_SCHEMA`]).
-    pub schema: f64,
-    /// Distribution-strategy label every entry ran under, `None` on a
-    /// legacy (v3) file that predates the column.
-    pub strategy: Option<String>,
+    /// Distribution-strategy label every entry ran under.
+    pub strategy: String,
     /// `(roundrobin_bytes, keyrange_bytes)` from the `shuffle_skew`
-    /// section, `None` on a legacy (v3) file.
-    pub shuffle_skew: Option<(f64, f64)>,
-    /// The `overload` section, `None` on a legacy (v3/v4) file.
-    pub overload: Option<OverloadGate>,
-    /// The `serving` section, `None` on a legacy (v3/v4/v5) file.
-    pub serving: Option<ServingGate>,
+    /// section, both positive.
+    pub shuffle_skew: (f64, f64),
+    /// The `overload` section.
+    pub overload: OverloadGate,
+    /// The `serving` section.
+    pub serving: ServingGate,
     /// Machine-speed score recorded alongside the measurements.
     pub calibration: f64,
     /// `(algo, pipeline, parallelism) -> records_per_sec`.
@@ -222,38 +198,10 @@ pub struct Baseline {
 }
 
 impl Baseline {
-    /// The round-robin/key-range charged-byte ratio, if the file carries a
-    /// `shuffle_skew` section.
-    pub fn shuffle_skew_ratio(&self) -> Option<f64> {
-        let (roundrobin, keyrange) = self.shuffle_skew?;
-        (keyrange > 0.0).then(|| roundrobin / keyrange)
-    }
-
-    /// The printed skip-note for a legacy file: gates whose columns are
-    /// missing cannot run, and the skip must be visible — never silent.
-    pub fn legacy_note(&self) -> Option<String> {
-        if self.schema == LEGACY_SCHEMA_V3 {
-            Some(format!(
-                "schema {LEGACY_SCHEMA_V3} baseline predates the `strategy` column, the \
-                 `shuffle_skew` section, the `overload` section, and the `serving` section — \
-                 skipping the key-range shuffle gate, the overload gates, and the serving \
-                 gate (re-bless to schema {SUPPORTED_SCHEMA} to enable them)"
-            ))
-        } else if self.schema == LEGACY_SCHEMA_V4 {
-            Some(format!(
-                "schema {LEGACY_SCHEMA_V4} baseline predates the `overload` and `serving` \
-                 sections — skipping the overload gates and the serving gate (re-bless to \
-                 schema {SUPPORTED_SCHEMA} to enable them)"
-            ))
-        } else if self.schema == LEGACY_SCHEMA_V5 {
-            Some(format!(
-                "schema {LEGACY_SCHEMA_V5} baseline predates the `serving` section and the \
-                 p ∈ {{8, 16}} matrix columns — skipping the serving gate (re-bless to \
-                 schema {SUPPORTED_SCHEMA} to enable it)"
-            ))
-        } else {
-            None
-        }
+    /// The round-robin/key-range charged-byte ratio.
+    pub fn shuffle_skew_ratio(&self) -> f64 {
+        let (roundrobin, keyrange) = self.shuffle_skew;
+        roundrobin / keyrange
     }
 }
 
@@ -271,23 +219,15 @@ pub struct Comparison {
 /// Parses a baseline report file's JSON into the comparison shape.
 pub fn parse_baseline(contents: &str) -> Result<Baseline, String> {
     let doc = json::parse(contents)?;
-    let schema = match doc.get("schema").and_then(Json::as_num) {
-        Some(v)
-            if v == SUPPORTED_SCHEMA
-                || v == LEGACY_SCHEMA_V5
-                || v == LEGACY_SCHEMA_V4
-                || v == LEGACY_SCHEMA_V3 =>
-        {
-            v
-        }
+    match doc.get("schema").and_then(Json::as_num) {
+        Some(v) if v == SUPPORTED_SCHEMA => {}
         Some(v) => {
             return Err(format!(
-                "unsupported schema {v} (expected {SUPPORTED_SCHEMA}, or legacy \
-                 {LEGACY_SCHEMA_V5}/{LEGACY_SCHEMA_V4}/{LEGACY_SCHEMA_V3})"
+                "unsupported schema {v} (expected {SUPPORTED_SCHEMA})"
             ))
         }
         None => return Err("missing numeric `schema`".to_string()),
-    };
+    }
     let mode = doc
         .get("mode")
         .and_then(Json::as_str)
@@ -301,12 +241,10 @@ pub fn parse_baseline(contents: &str) -> Result<Baseline, String> {
     if calibration.is_nan() || calibration <= 0.0 {
         return Err(format!("calibration_score {calibration} must be positive"));
     }
-    // v4+ files must carry the shuffle_skew section and a strategy column on
-    // every entry; v3 files carry neither (the gate is skipped with a note).
-    let shuffle_skew = if schema >= LEGACY_SCHEMA_V4 {
+    let shuffle_skew = {
         let section = doc
             .get("shuffle_skew")
-            .ok_or("schema 4+ requires a `shuffle_skew` section")?;
+            .ok_or("missing `shuffle_skew` section")?;
         let field = |name: &str| {
             section
                 .get(name)
@@ -321,16 +259,10 @@ pub fn parse_baseline(contents: &str) -> Result<Baseline, String> {
                  keyrange {keyrange})"
             ));
         }
-        Some((roundrobin, keyrange))
-    } else {
-        None
+        (roundrobin, keyrange)
     };
-    // v5+ files must carry the overload section (a v4/v3 file skips its
-    // gates with a note).
-    let overload = if schema >= LEGACY_SCHEMA_V5 {
-        let section = doc
-            .get("overload")
-            .ok_or("schema 5+ requires an `overload` section")?;
+    let overload = {
+        let section = doc.get("overload").ok_or("missing `overload` section")?;
         let num = |name: &str| {
             section
                 .get(name)
@@ -344,7 +276,7 @@ pub fn parse_baseline(contents: &str) -> Result<Baseline, String> {
                 .map(str::to_string)
                 .ok_or(format!("overload: missing string `{name}`"))
         };
-        Some(OverloadGate {
+        OverloadGate {
             target_latency_secs: num("target_latency_secs")?,
             exact_latency_secs: num("exact_latency_secs")?,
             approx_latency_secs: num("approx_latency_secs")?,
@@ -353,16 +285,10 @@ pub fn parse_baseline(contents: &str) -> Result<Baseline, String> {
             purity_delta: num("purity_delta")?,
             model_digest_p1: digest("model_digest_p1")?,
             model_digest_p4: digest("model_digest_p4")?,
-        })
-    } else {
-        None
+        }
     };
-    // v6 files must carry the serving section (a v5-or-older file skips
-    // its gate with a note).
-    let serving = if schema == SUPPORTED_SCHEMA {
-        let section = doc
-            .get("serving")
-            .ok_or("schema 6 requires a `serving` section")?;
+    let serving = {
+        let section = doc.get("serving").ok_or("missing `serving` section")?;
         let num = |name: &str| {
             section
                 .get(name)
@@ -387,9 +313,7 @@ pub fn parse_baseline(contents: &str) -> Result<Baseline, String> {
                     .to_string(),
             );
         }
-        Some(gate)
-    } else {
-        None
+        gate
     };
     let entries = doc
         .get("entries")
@@ -399,20 +323,19 @@ pub fn parse_baseline(contents: &str) -> Result<Baseline, String> {
     let mut phases = BTreeMap::new();
     let mut strategy: Option<String> = None;
     for (i, entry) in entries.iter().enumerate() {
-        if schema >= LEGACY_SCHEMA_V4 {
-            let label = entry.get("strategy").and_then(Json::as_str).ok_or(format!(
-                "entry {i}: missing string `strategy` (required by schema 4+)"
-            ))?;
-            match &strategy {
-                None => strategy = Some(label.to_string()),
-                Some(first) if first != label => {
-                    return Err(format!(
-                        "entry {i}: strategy `{label}` differs from `{first}` — a baseline \
-                         file measures exactly one strategy"
-                    ))
-                }
-                Some(_) => {}
+        let label = entry
+            .get("strategy")
+            .and_then(Json::as_str)
+            .ok_or(format!("entry {i}: missing string `strategy`"))?;
+        match &strategy {
+            None => strategy = Some(label.to_string()),
+            Some(first) if first != label => {
+                return Err(format!(
+                    "entry {i}: strategy `{label}` differs from `{first}` — a baseline \
+                     file measures exactly one strategy"
+                ))
             }
+            Some(_) => {}
         }
         let algo = entry
             .get("algo")
@@ -448,12 +371,11 @@ pub fn parse_baseline(contents: &str) -> Result<Baseline, String> {
         }
         cells.insert(key, rate);
     }
-    if cells.is_empty() {
+    let Some(strategy) = strategy else {
         return Err("baseline has no entries".to_string());
-    }
+    };
     Ok(Baseline {
         mode,
-        schema,
         strategy,
         shuffle_skew,
         overload,
@@ -661,46 +583,26 @@ pub fn run_gate(root: &Path, quick: bool) -> Result<bool, String> {
             committed.mode
         ));
     }
-    // Gates whose columns a legacy file lacks are skipped with a printed
-    // note, never silently. Where the columns exist, the blessed values
-    // must meet the bar — skew bytes and the overload section are both
-    // deterministic, so failing here is a hard error (stale bless), not a
-    // flaky measurement.
-    if let Some(note) = committed.legacy_note() {
-        println!(
-            "xtask bench-check: note: {}: {note}",
+    // The blessed values must themselves meet the bar — skew bytes and the
+    // overload section are both deterministic, so failing here is a hard
+    // error (stale bless), not a flaky measurement.
+    let ratio = committed.shuffle_skew_ratio();
+    if ratio < SHUFFLE_SKEW_FACTOR {
+        return Err(format!(
+            "{}: committed roundrobin/keyrange shuffle-byte ratio is {ratio:.2}x, \
+             below the required {SHUFFLE_SKEW_FACTOR}x — re-bless from a run that \
+             meets the bar",
             committed_file.display()
-        );
+        ));
     }
-    if committed.shuffle_skew.is_some() {
-        match committed.shuffle_skew_ratio() {
-            Some(ratio) if ratio < SHUFFLE_SKEW_FACTOR => {
-                return Err(format!(
-                    "{}: committed roundrobin/keyrange shuffle-byte ratio is {ratio:.2}x, \
-                     below the required {SHUFFLE_SKEW_FACTOR}x — re-bless from a run that \
-                     meets the bar",
-                    committed_file.display()
-                ))
-            }
-            Some(_) => {}
-            None => {
-                return Err(format!(
-                    "{}: `shuffle_skew` section has a zero keyrange byte count",
-                    committed_file.display()
-                ))
-            }
-        }
-    }
-    if let Some(gate) = &committed.overload {
-        let failures = overload_failures(gate);
-        if !failures.is_empty() {
-            return Err(format!(
-                "{}: committed overload section fails its gates — re-bless from a run that \
-                 meets the bar:\n  {}",
-                committed_file.display(),
-                failures.join("\n  ")
-            ));
-        }
+    let failures = overload_failures(&committed.overload);
+    if !failures.is_empty() {
+        return Err(format!(
+            "{}: committed overload section fails its gates — re-bless from a run that \
+             meets the bar:\n  {}",
+            committed_file.display(),
+            failures.join("\n  ")
+        ));
     }
     // A blessed baseline must itself demonstrate the overlap win; failing
     // here is a hard error, not a flaky measurement.
@@ -727,9 +629,8 @@ pub fn run_gate(root: &Path, quick: bool) -> Result<bool, String> {
     let mut best: BTreeMap<CellKey, f64> = BTreeMap::new();
     let mut best_phases: BTreeMap<CellKey, PhaseSecs> = BTreeMap::new();
     let mut comparison = Comparison::default();
-    let mut fresh_skew = None;
-    let mut fresh_overload: Option<OverloadGate> = None;
-    let mut best_serving_qps: Option<f64> = None;
+    let mut last_fresh = None;
+    let mut best_serving_qps = 0.0_f64;
     for attempt in 1..=MAX_ATTEMPTS {
         let fresh = measure_fresh(root, quick, &fresh_file)?;
         if fresh.mode != expected_mode {
@@ -740,55 +641,38 @@ pub fn run_gate(root: &Path, quick: bool) -> Result<bool, String> {
                 fresh.mode
             ));
         }
-        if let (Some(want), Some(got)) = (&committed.strategy, &fresh.strategy) {
-            if want != got {
-                return Err(format!(
-                    "{}: fresh measurement ran strategy `{got}` but the committed baseline \
-                     is `{want}` — refusing the mismatched configuration",
-                    fresh_file.display()
-                ));
-            }
+        if committed.strategy != fresh.strategy {
+            return Err(format!(
+                "{}: fresh measurement ran strategy `{}` but the committed baseline \
+                 is `{}` — refusing the mismatched configuration",
+                fresh_file.display(),
+                fresh.strategy,
+                committed.strategy
+            ));
         }
         fold_best(&committed, &fresh, &mut best, &mut best_phases);
         // predict_qps is wall-clock like the throughput cells, so the same
         // calibration normalization and best-of-attempts retry policy apply.
-        if let Some(gate) = &fresh.serving {
-            let normalized = gate.predict_qps * (committed.calibration / fresh.calibration);
-            if best_serving_qps.is_none_or(|current| normalized > current) {
-                best_serving_qps = Some(normalized);
-            }
-        }
-        fresh_skew = fresh.shuffle_skew_ratio();
+        best_serving_qps = best_serving_qps
+            .max(fresh.serving.predict_qps * (committed.calibration / fresh.calibration));
         comparison = compare(&committed, &best, &best_phases);
-        if let Some(failure) = serving_failure(committed.serving.as_ref(), best_serving_qps) {
-            comparison.failures.push(failure);
-        }
-        // Fresh shuffle skew: deterministic, but checked per attempt so a
-        // regression shows up alongside the throughput failures. Skipped
-        // (with the note above) when the committed file predates the gate.
-        match (committed.shuffle_skew.is_some(), fresh.shuffle_skew_ratio()) {
-            (false, _) => {}
-            (true, Some(ratio)) if ratio < SHUFFLE_SKEW_FACTOR => {
-                comparison.failures.push(format!(
-                    "shuffle skew: fresh roundrobin/keyrange ratio is only {ratio:.2}x \
+        comparison
+            .failures
+            .extend(serving_failure(&committed.serving, best_serving_qps));
+        // Fresh shuffle skew and overload gates: deterministic, but checked
+        // per attempt so a regression shows up alongside the throughput
+        // failures.
+        let ratio = fresh.shuffle_skew_ratio();
+        if ratio < SHUFFLE_SKEW_FACTOR {
+            comparison.failures.push(format!(
+                "shuffle skew: fresh roundrobin/keyrange ratio is only {ratio:.2}x \
                  (gate requires {SHUFFLE_SKEW_FACTOR}x)"
-                ))
-            }
-            (true, Some(_)) => {}
-            (true, None) => comparison
-                .failures
-                .push("shuffle skew: section missing from the fresh measurement".to_string()),
+            ));
         }
-        // Fresh overload gates: deterministic within-file checks, skipped
-        // only when the committed file predates the section.
-        match (&committed.overload, &fresh.overload) {
-            (None, _) => {}
-            (Some(_), Some(gate)) => comparison.failures.extend(overload_failures(gate)),
-            (Some(_), None) => comparison
-                .failures
-                .push("overload: section missing from the fresh measurement".to_string()),
-        }
-        fresh_overload = fresh.overload.clone();
+        comparison
+            .failures
+            .extend(overload_failures(&fresh.overload));
+        last_fresh = Some(fresh);
         if comparison.failures.is_empty() {
             break;
         }
@@ -818,13 +702,13 @@ pub fn run_gate(root: &Path, quick: bool) -> Result<bool, String> {
              {ratio:.2}x (required {OVERLAP_WIN_FACTOR}x)"
         );
     }
-    if let Some(ratio) = fresh_skew {
+    if let Some(fresh) = &last_fresh {
         println!(
-            "  shuffle skew: roundrobin/keyrange charged bytes = {ratio:.2}x \
-             (required {SHUFFLE_SKEW_FACTOR}x)"
+            "  shuffle skew: roundrobin/keyrange charged bytes = {:.2}x \
+             (required {SHUFFLE_SKEW_FACTOR}x)",
+            fresh.shuffle_skew_ratio()
         );
-    }
-    if let Some(gate) = &fresh_overload {
+        let gate = &fresh.overload;
         println!(
             "  overload: shed {:.1}% — latency approx {:.2}s vs exact {:.2}s (target {:.2}s), \
              purity delta {:.4} within bound {:.4}, digest p1 {} p4 {}",
@@ -838,13 +722,12 @@ pub fn run_gate(root: &Path, quick: bool) -> Result<bool, String> {
             gate.model_digest_p4,
         );
     }
-    if let (Some(gate), Some(qps)) = (&committed.serving, best_serving_qps) {
-        println!(
-            "  serving: {qps:.0} predict/s (normalized) vs committed {:.0} predict/s \
-             (p={}, {} readers, {} epochs blessed)",
-            gate.predict_qps, gate.parallelism, gate.reader_threads, gate.epochs_published
-        );
-    }
+    let gate = &committed.serving;
+    println!(
+        "  serving: {best_serving_qps:.0} predict/s (normalized) vs committed {:.0} predict/s \
+         (p={}, {} readers, {} epochs blessed)",
+        gate.predict_qps, gate.parallelism, gate.reader_threads, gate.epochs_published
+    );
     for warning in &comparison.scaling_warnings {
         println!("  warning: {warning}");
     }
@@ -946,11 +829,10 @@ mod tests {
     fn baseline(mode: &str, calibration: f64, cells: &[(&str, &str, u64, f64)]) -> Baseline {
         Baseline {
             mode: mode.to_string(),
-            schema: SUPPORTED_SCHEMA,
-            strategy: Some("roundrobin".to_string()),
-            shuffle_skew: Some((1_300_000.0, 1_000_000.0)),
-            overload: Some(passing_gate()),
-            serving: Some(passing_serving()),
+            strategy: "roundrobin".to_string(),
+            shuffle_skew: (1_300_000.0, 1_000_000.0),
+            overload: passing_gate(),
+            serving: passing_serving(),
             calibration,
             cells: cells
                 .iter()
@@ -999,16 +881,14 @@ mod tests {
         let parsed = parse_baseline(contents).expect("valid baseline");
         assert_eq!(parsed.mode, "default");
         assert_eq!(parsed.calibration, 1_500_000_000.5);
-        assert_eq!(parsed.strategy.as_deref(), Some("roundrobin"));
-        assert_eq!(parsed.shuffle_skew, Some((4_000_000.0, 3_000_000.0)));
-        let ratio = parsed.shuffle_skew_ratio().expect("skew ratio");
-        assert!((ratio - 4.0 / 3.0).abs() < 1e-12);
-        assert!(parsed.legacy_note().is_none());
-        let gate = parsed.overload.as_ref().expect("overload gate");
+        assert_eq!(parsed.strategy, "roundrobin");
+        assert_eq!(parsed.shuffle_skew, (4_000_000.0, 3_000_000.0));
+        assert!((parsed.shuffle_skew_ratio() - 4.0 / 3.0).abs() < 1e-12);
+        let gate = &parsed.overload;
         assert_eq!(gate.model_digest_p1, "00000000deadbeef");
         assert_eq!(gate.purity_delta, 0.01);
         assert!(overload_failures(gate).is_empty(), "{gate:?}");
-        let serving = parsed.serving.as_ref().expect("serving gate");
+        let serving = &parsed.serving;
         assert_eq!(serving.predict_qps, 150_000.0);
         assert_eq!(serving.reader_threads, 2.0);
         assert_eq!(serving.epochs_published, 12.0);
@@ -1019,119 +899,88 @@ mod tests {
         assert_eq!(parsed.cells.get(&key16), Some(&406_935.4));
     }
 
-    #[test]
-    fn legacy_schema_parses_with_explicit_skip_note() {
-        // A v3 file has no strategy column and no shuffle_skew section. It
-        // still parses (throughput gates run), but the strategy gate skip
-        // surfaces as a note rather than a silent default.
-        let contents = r#"{"schema": 3, "mode": "default", "calibration_score": 1,
-            "entries": [{"algo": "clustream", "pipeline": "sync", "parallelism": 1,
-                         "records_per_sec": 10.0}]}"#;
-        let parsed = parse_baseline(contents).expect("legacy baseline parses");
-        assert_eq!(parsed.strategy, None);
-        assert_eq!(parsed.shuffle_skew, None);
-        assert_eq!(parsed.shuffle_skew_ratio(), None);
-        assert_eq!(parsed.overload, None);
-        let note = parsed.legacy_note().expect("legacy note");
-        assert!(note.contains("skipping"), "{note}");
-        assert!(note.contains("shuffle_skew"), "{note}");
-        assert!(note.contains("overload"), "{note}");
+    const SKEW: &str =
+        r#""shuffle_skew": {"parallelism": 4, "roundrobin_bytes": 4, "keyrange_bytes": 3}"#;
+    const OVERLOAD: &str = r#""overload": {"target_latency_secs": 1, "exact_latency_secs": 7,
+        "approx_latency_secs": 0.4, "shed_fraction": 0.5, "error_bound": 0.02,
+        "purity_delta": 0.01, "model_digest_p1": "00000000deadbeef",
+        "model_digest_p4": "00000000deadbeef"}"#;
+    const SERVING: &str = r#""serving": {"parallelism": 4, "reader_threads": 2,
+        "predict_qps_while_streaming": 1000, "epochs_published": 12}"#;
+    const ENTRIES: &str = r#""entries": [{"algo": "clustream", "pipeline": "sync",
+        "strategy": "roundrobin", "parallelism": 1, "records_per_sec": 10.0}]"#;
+
+    /// A schema-`schema` document made of the given top-level members.
+    fn doc(schema: u32, members: &[&str]) -> String {
+        format!(
+            r#"{{"schema": {schema}, "mode": "default", "calibration_score": 1, {}}}"#,
+            members.join(", ")
+        )
+    }
+
+    fn parse_err(members: &[&str]) -> String {
+        parse_baseline(&doc(6, members)).unwrap_err()
     }
 
     #[test]
-    fn legacy_v4_keeps_skew_but_skips_overload_with_note() {
-        // A v4 file carries the strategy column and the skew section (their
-        // gates still run) but predates the overload section.
-        let contents = r#"{"schema": 4, "mode": "default", "calibration_score": 1,
-            "shuffle_skew": {"parallelism": 4, "roundrobin_bytes": 4, "keyrange_bytes": 3},
-            "entries": [{"algo": "clustream", "pipeline": "sync", "strategy": "roundrobin",
-                         "parallelism": 1, "records_per_sec": 10.0}]}"#;
-        let parsed = parse_baseline(contents).expect("v4 baseline parses");
-        assert_eq!(parsed.strategy.as_deref(), Some("roundrobin"));
-        assert!(parsed.shuffle_skew_ratio().is_some());
-        assert_eq!(parsed.overload, None);
-        let note = parsed.legacy_note().expect("legacy note");
-        assert!(note.contains("overload"), "{note}");
-        assert!(
-            !note.contains("shuffle"),
-            "v4 keeps the shuffle gate: {note}"
-        );
+    fn every_section_is_required_and_validated() {
+        parse_baseline(&doc(6, &[SKEW, OVERLOAD, SERVING, ENTRIES])).expect("complete file");
+
+        assert!(parse_err(&[OVERLOAD, SERVING, ENTRIES]).contains("shuffle_skew"));
+        let zero_bytes =
+            r#""shuffle_skew": {"parallelism": 4, "roundrobin_bytes": 4, "keyrange_bytes": 0}"#;
+        assert!(parse_err(&[zero_bytes, OVERLOAD, SERVING, ENTRIES]).contains("positive"));
+
+        assert!(parse_err(&[SKEW, SERVING, ENTRIES]).contains("overload"));
+        // Digests must be strings — a numeric digest would lose precision
+        // in the f64-only parser, so it is rejected as missing.
+        let numeric_digest = OVERLOAD.replace(r#""00000000deadbeef""#, "123");
+        assert!(parse_err(&[SKEW, &numeric_digest, SERVING, ENTRIES]).contains("model_digest_p1"));
+
+        assert!(parse_err(&[SKEW, OVERLOAD, ENTRIES]).contains("serving"));
+        let zero_qps = SERVING.replace("1000", "0");
+        assert!(parse_err(&[SKEW, OVERLOAD, &zero_qps, ENTRIES]).contains("predict_qps"));
+        let no_epochs = SERVING.replace("12", "0");
+        assert!(parse_err(&[SKEW, OVERLOAD, &no_epochs, ENTRIES]).contains("never published"));
     }
 
     #[test]
-    fn legacy_v5_keeps_overload_but_skips_serving_with_note() {
-        // A v5 file carries the skew and overload sections (their gates
-        // still run) but predates the serving section and the p ∈ {8, 16}
-        // matrix columns.
-        let contents = r#"{"schema": 5, "mode": "default", "calibration_score": 1,
-            "shuffle_skew": {"parallelism": 4, "roundrobin_bytes": 4, "keyrange_bytes": 3},
-            "overload": {"target_latency_secs": 1, "exact_latency_secs": 7,
-                         "approx_latency_secs": 0.4, "shed_fraction": 0.5,
-                         "error_bound": 0.02, "purity_delta": 0.01,
-                         "model_digest_p1": "00000000deadbeef",
-                         "model_digest_p4": "00000000deadbeef"},
-            "entries": [{"algo": "clustream", "pipeline": "sync", "strategy": "roundrobin",
-                         "parallelism": 1, "records_per_sec": 10.0}]}"#;
-        let parsed = parse_baseline(contents).expect("v5 baseline parses");
-        assert!(parsed.overload.is_some());
-        assert_eq!(parsed.serving, None);
-        let note = parsed.legacy_note().expect("legacy note");
-        assert!(note.contains("serving"), "{note}");
-        assert!(
-            !note.contains("skipping the overload"),
-            "v5 keeps the overload gates: {note}"
-        );
+    fn entries_need_one_strategy_a_pipeline_and_at_least_one_cell() {
+        let with_entries = |entries: &str| parse_err(&[SKEW, OVERLOAD, SERVING, entries]);
+        assert!(with_entries(r#""entries": []"#).contains("no entries"));
+        let no_strategy = r#""entries": [{"algo": "clustream", "pipeline": "sync",
+            "parallelism": 1, "records_per_sec": 10.0}]"#;
+        assert!(with_entries(no_strategy).contains("strategy"));
+        let no_pipeline = r#""entries": [{"algo": "clustream", "strategy": "roundrobin",
+            "parallelism": 1, "records_per_sec": 10.0}]"#;
+        assert!(with_entries(no_pipeline).contains("pipeline"));
+        let mixed = r#""entries": [
+            {"algo": "clustream", "pipeline": "sync", "strategy": "roundrobin",
+             "parallelism": 1, "records_per_sec": 10.0},
+            {"algo": "clustream", "pipeline": "sync", "strategy": "keyrange",
+             "parallelism": 4, "records_per_sec": 10.0}]"#;
+        assert!(with_entries(mixed).contains("exactly one strategy"));
     }
 
+    /// Both committed baselines are schema 6; every other version — the
+    /// retired v3/v4/v5 included — is one "unsupported schema" error.
     #[test]
-    fn schema_6_requires_serving_section_with_positive_qps() {
-        let skew =
-            r#""shuffle_skew": {"parallelism": 4, "roundrobin_bytes": 4, "keyrange_bytes": 3}"#;
-        let overload = r#""overload": {"target_latency_secs": 1, "exact_latency_secs": 7,
-            "approx_latency_secs": 0.4, "shed_fraction": 0.5, "error_bound": 0.02,
-            "purity_delta": 0.01, "model_digest_p1": "00000000deadbeef",
-            "model_digest_p4": "00000000deadbeef"}"#;
-        let entries = r#""entries": [{"algo": "clustream", "pipeline": "sync",
-            "strategy": "roundrobin", "parallelism": 1, "records_per_sec": 10.0}]"#;
-        let no_serving = format!(
-            r#"{{"schema": 6, "mode": "default", "calibration_score": 1, {skew},
-            {overload}, {entries}}}"#
-        );
-        assert!(parse_baseline(&no_serving).unwrap_err().contains("serving"));
-        let zero_qps = format!(
-            r#"{{"schema": 6, "mode": "default", "calibration_score": 1, {skew},
-            {overload},
-            "serving": {{"parallelism": 4, "reader_threads": 2, "predict_qps_while_streaming": 0,
-                        "epochs_published": 12}}, {entries}}}"#
-        );
-        assert!(parse_baseline(&zero_qps)
-            .unwrap_err()
-            .contains("predict_qps"));
-        let no_epochs = format!(
-            r#"{{"schema": 6, "mode": "default", "calibration_score": 1, {skew},
-            {overload},
-            "serving": {{"parallelism": 4, "reader_threads": 2, "predict_qps_while_streaming": 1000,
-                        "epochs_published": 0}}, {entries}}}"#
-        );
-        assert!(parse_baseline(&no_epochs)
-            .unwrap_err()
-            .contains("never published"));
+    fn any_other_schema_is_unsupported() {
+        for schema in [2, 3, 4, 5, 7] {
+            let err =
+                parse_baseline(&doc(schema, &[SKEW, OVERLOAD, SERVING, ENTRIES])).unwrap_err();
+            assert!(err.contains("unsupported schema"), "schema {schema}: {err}");
+        }
     }
 
     #[test]
     fn serving_gate_fails_only_beyond_tolerance() {
         let gate = passing_serving();
         // 10% down: within the 15% tolerance.
-        assert_eq!(serving_failure(Some(&gate), Some(135_000.0)), None);
+        assert_eq!(serving_failure(&gate, 135_000.0), None);
         // 20% down: regression.
-        let failure = serving_failure(Some(&gate), Some(120_000.0)).expect("regression");
+        let failure = serving_failure(&gate, 120_000.0).expect("regression");
         assert!(failure.contains("predict/s"), "{failure}");
-        // Missing fresh section while the committed file carries one.
-        let failure = serving_failure(Some(&gate), None).expect("missing section");
-        assert!(failure.contains("missing"), "{failure}");
-        // Legacy committed file: no gate at all.
-        assert_eq!(serving_failure(None, None), None);
-        assert_eq!(serving_failure(None, Some(1.0)), None);
     }
 
     #[test]
@@ -1164,34 +1013,6 @@ mod tests {
     }
 
     #[test]
-    fn schema_5_requires_overload_section_with_hex_digests() {
-        let skew =
-            r#""shuffle_skew": {"parallelism": 4, "roundrobin_bytes": 4, "keyrange_bytes": 3}"#;
-        let no_overload = format!(
-            r#"{{"schema": 5, "mode": "default", "calibration_score": 1, {skew},
-            "entries": [{{"algo": "clustream", "pipeline": "sync", "strategy": "roundrobin",
-                         "parallelism": 1, "records_per_sec": 10.0}}]}}"#
-        );
-        assert!(parse_baseline(&no_overload)
-            .unwrap_err()
-            .contains("overload"));
-        // Digests must be strings — a numeric digest would lose precision
-        // in the f64-only parser, so it is rejected as missing.
-        let numeric_digest = format!(
-            r#"{{"schema": 5, "mode": "default", "calibration_score": 1, {skew},
-            "overload": {{"target_latency_secs": 1, "exact_latency_secs": 7,
-                          "approx_latency_secs": 0.4, "shed_fraction": 0.5,
-                          "error_bound": 0.02, "purity_delta": 0.01,
-                          "model_digest_p1": 123, "model_digest_p4": 123}},
-            "entries": [{{"algo": "clustream", "pipeline": "sync", "strategy": "roundrobin",
-                         "parallelism": 1, "records_per_sec": 10.0}}]}}"#
-        );
-        assert!(parse_baseline(&numeric_digest)
-            .unwrap_err()
-            .contains("model_digest_p1"));
-    }
-
-    #[test]
     fn overload_gates_catch_each_failure_mode() {
         assert!(overload_failures(&passing_gate()).is_empty());
         let fail = |mutate: fn(&mut OverloadGate), needle: &str| {
@@ -1211,57 +1032,6 @@ mod tests {
             |g| g.model_digest_p4 = "0badc0de0badc0de".to_string(),
             "replay",
         );
-    }
-
-    #[test]
-    fn rejects_bad_schema_missing_pipeline_and_empty_entries() {
-        let bad_schema =
-            r#"{"schema": 2, "mode": "default", "calibration_score": 1, "entries": []}"#;
-        assert!(parse_baseline(bad_schema).unwrap_err().contains("schema"));
-        let empty = r#"{"schema": 3, "mode": "default", "calibration_score": 1, "entries": []}"#;
-        assert!(parse_baseline(empty).unwrap_err().contains("no entries"));
-        let no_pipeline = r#"{"schema": 3, "mode": "default", "calibration_score": 1,
-            "entries": [{"algo": "clustream", "parallelism": 1, "records_per_sec": 10.0}]}"#;
-        assert!(parse_baseline(no_pipeline)
-            .unwrap_err()
-            .contains("pipeline"));
-    }
-
-    #[test]
-    fn schema_4_requires_strategy_column_and_skew_section() {
-        let skew =
-            r#""shuffle_skew": {"parallelism": 4, "roundrobin_bytes": 4, "keyrange_bytes": 3}"#;
-        let no_skew = r#"{"schema": 4, "mode": "default", "calibration_score": 1,
-            "entries": [{"algo": "clustream", "pipeline": "sync", "strategy": "roundrobin",
-                         "parallelism": 1, "records_per_sec": 10.0}]}"#;
-        assert!(parse_baseline(no_skew)
-            .unwrap_err()
-            .contains("shuffle_skew"));
-        let no_strategy = format!(
-            r#"{{"schema": 4, "mode": "default", "calibration_score": 1, {skew},
-            "entries": [{{"algo": "clustream", "pipeline": "sync",
-                         "parallelism": 1, "records_per_sec": 10.0}}]}}"#
-        );
-        assert!(parse_baseline(&no_strategy)
-            .unwrap_err()
-            .contains("strategy"));
-        let mixed = format!(
-            r#"{{"schema": 4, "mode": "default", "calibration_score": 1, {skew},
-            "entries": [
-              {{"algo": "clustream", "pipeline": "sync", "strategy": "roundrobin",
-               "parallelism": 1, "records_per_sec": 10.0}},
-              {{"algo": "clustream", "pipeline": "sync", "strategy": "keyrange",
-               "parallelism": 4, "records_per_sec": 10.0}}
-            ]}}"#
-        );
-        assert!(parse_baseline(&mixed)
-            .unwrap_err()
-            .contains("exactly one strategy"));
-        let zero_bytes = r#"{"schema": 4, "mode": "default", "calibration_score": 1,
-            "shuffle_skew": {"parallelism": 4, "roundrobin_bytes": 4, "keyrange_bytes": 0},
-            "entries": [{"algo": "clustream", "pipeline": "sync", "strategy": "roundrobin",
-                         "parallelism": 1, "records_per_sec": 10.0}]}"#;
-        assert!(parse_baseline(zero_bytes).unwrap_err().contains("positive"));
     }
 
     #[test]

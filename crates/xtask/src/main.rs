@@ -35,6 +35,10 @@
 //! performance baseline and fails on a >15% calibration-normalized
 //! throughput regression against the committed `BENCH_BASELINE.json`
 //! (`BENCH_BASELINE_QUICK.json` with `--quick`). See DESIGN.md §9.
+//!
+//! `cargo run -p xtask -- loc [--check]` prints the per-crate size report
+//! (source files, non-test lines, `pub` items) committed as `LOC.txt`;
+//! `--check` fails when the committed file is stale.
 
 #![forbid(unsafe_code)]
 
@@ -44,6 +48,7 @@ mod bench_check;
 mod fixture_tests;
 mod json;
 mod lexer;
+mod loc;
 mod parser;
 mod rules;
 mod sarif;
@@ -135,11 +140,26 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         },
+        Some("loc") => {
+            let (check, rest) = match args.get(1).map(String::as_str) {
+                Some("--check") => (true, &args[2..]),
+                _ => (false, &args[1..]),
+            };
+            match parse_root(rest).and_then(|root| loc::run(&root, check)) {
+                Ok(true) => ExitCode::SUCCESS,
+                Ok(false) => ExitCode::FAILURE,
+                Err(msg) => {
+                    eprintln!("xtask loc: {msg}");
+                    eprintln!("usage: cargo run -p xtask -- loc [--check] [--root <path>]");
+                    ExitCode::FAILURE
+                }
+            }
+        }
         _ => {
             eprintln!(
                 "usage: cargo run -p xtask -- \
-                 <lint|analyze|rules|check-trace|trace-analyze|bench-check> \
-                 [--root <path>] [--sarif <out.sarif>] [--update-baseline] [--quick] \
+                 <lint|analyze|rules|check-trace|trace-analyze|bench-check|loc> \
+                 [--root <path>] [--sarif <out.sarif>] [--update-baseline] [--quick] [--check] \
                  [--baseline <journal>] [--what-if p=8,16] [--chrome-out <f>] \
                  [--blame-out <f>] [<journal.jsonl>]"
             );

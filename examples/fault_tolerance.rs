@@ -28,7 +28,7 @@ fn main() -> Result<(), DistStreamError> {
     let ctx = StreamingContext::new(4, ExecutionMode::Simulated)?;
 
     let model = algo.init(&records[..300])?;
-    let mut driver = CheckpointingDriver::new(&algo, &ctx, model, 3); // checkpoint every 3 batches
+    let mut driver = CheckpointingDriver::new(&algo, &ctx, model, 3)?; // checkpoint every 3 batches
 
     let mut crashed_at = None;
     for (i, batch) in MiniBatcher::new(VecSource::new(records[300..].to_vec()), 10.0).enumerate() {

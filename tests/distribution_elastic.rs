@@ -132,9 +132,12 @@ fn clustree_elastic_replay_is_bit_identical() {
     assert_elastic_replay_invariant(&algo, "ClusTree");
 }
 
-/// Resize-under-faults on a real algorithm: retry exhaustion during the
-/// rebalancing batch rolls the resize back, a transient fault completes it,
-/// and either way the model matches the no-fault run byte for byte.
+/// Resize-under-faults on a real algorithm, under both update protocols:
+/// retry exhaustion during the rebalancing batch rolls the resize back, a
+/// transient fault completes it, and either way the model matches the
+/// no-fault run byte for byte. With `overlap` the failed batch has already
+/// applied the carried update before its parallel steps fail, so the
+/// rollback must restore the `(model, carry)` pair, not just the model.
 #[test]
 fn clustream_resize_under_faults_completes_or_rolls_back() {
     let algo = CluStream::new(CluStreamParams {
@@ -146,33 +149,51 @@ fn clustream_resize_under_faults_completes_or_rolls_back() {
     let batches = to_batches(rest, 200);
     let schedule = ResizeSchedule::with_steps(2, vec![(2, 4)]).expect("schedule");
 
-    let run = |plan: Option<FaultPlan>| {
-        let model = algo.init(init).expect("init");
-        let mut driver = ElasticDriver::new(&algo, ExecutionMode::Simulated, schedule.clone());
-        if let Some(plan) = plan {
-            driver.fault_plan(plan);
-        }
-        let mut store = MemoryCheckpointStore::new(4);
-        let (model, report) = driver
-            .run(model, batches.clone(), &mut store)
-            .expect("elastic run");
-        (encode(&model), report)
-    };
+    for overlap in [false, true] {
+        let run = |plan: Option<FaultPlan>| {
+            let model = algo.init(init).expect("init");
+            let mut driver = ElasticDriver::new(&algo, ExecutionMode::Simulated, schedule.clone());
+            driver.options(PipelineOptions {
+                overlap,
+                ..PipelineOptions::sync()
+            });
+            if let Some(plan) = plan {
+                driver.fault_plan(plan);
+            }
+            let mut store = MemoryCheckpointStore::new(4);
+            let (model, report) = driver
+                .run(model, batches.clone(), &mut store)
+                .expect("elastic run");
+            (encode(&model), report)
+        };
 
-    let (clean, clean_report) = run(None);
-    assert!(!clean_report.resizes[0].rolled_back);
+        let (clean, clean_report) = run(None);
+        assert!(!clean_report.resizes[0].rolled_back, "overlap={overlap}");
 
-    // Task 3 only exists post-resize; exhausting its retry budget on the
-    // rebalancing batch forces the rollback path.
-    let exhausted = (0..4).fold(FaultPlan::new(), |p, attempt| p.panic_on(2, 3, attempt));
-    let (rolled_back, report) = run(Some(exhausted));
-    assert!(report.resizes[0].rolled_back, "resize must roll back");
-    assert_eq!(rolled_back, clean, "rollback perturbed the model");
+        // Task 3 only exists post-resize; exhausting its retry budget on the
+        // rebalancing batch forces the rollback path.
+        let exhausted = (0..4).fold(FaultPlan::new(), |p, attempt| p.panic_on(2, 3, attempt));
+        let (rolled_back, report) = run(Some(exhausted));
+        assert!(
+            report.resizes[0].rolled_back,
+            "overlap={overlap}: resize must roll back"
+        );
+        assert_eq!(
+            rolled_back, clean,
+            "overlap={overlap}: rollback perturbed the model"
+        );
 
-    // A single panic stays inside the retry budget: the resize completes.
-    let (completed, report) = run(Some(FaultPlan::new().panic_on(2, 3, 0)));
-    assert!(!report.resizes[0].rolled_back, "resize must complete");
-    assert_eq!(completed, clean, "retried resize perturbed the model");
+        // A single panic stays inside the retry budget: the resize completes.
+        let (completed, report) = run(Some(FaultPlan::new().panic_on(2, 3, 0)));
+        assert!(
+            !report.resizes[0].rolled_back,
+            "overlap={overlap}: resize must complete"
+        );
+        assert_eq!(
+            completed, clean,
+            "overlap={overlap}: retried resize perturbed the model"
+        );
+    }
 }
 
 /// Runs a CluStream job under `cost` with the given strategy and returns

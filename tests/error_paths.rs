@@ -1,12 +1,12 @@
 //! Regression tests for the typed-error refactor: `apply_global` returns
-//! `Result<()>` and every execution layer — sequential, synchronous
-//! parallel, asynchronous pipelined, and the job facade — must surface the
-//! algorithm's error instead of panicking.
+//! `Result<()>` and every execution layer — sequential, the mini-batch
+//! executor under both update protocols, and the job facade — must surface
+//! the algorithm's error instead of panicking.
 
 use diststream_core::reference::{NaiveClustering, NaiveModel, NaiveSketch};
 use diststream_core::{
-    Assignment, DistStreamExecutor, DistStreamJob, PipelinedExecutor, Searcher, SequentialExecutor,
-    StreamClustering, WeightedPoint,
+    Assignment, DistStreamExecutor, DistStreamJob, Searcher, SequentialExecutor, StreamClustering,
+    WeightedPoint,
 };
 use diststream_engine::{ExecutionMode, MiniBatch, StreamingContext, VecSource};
 use diststream_types::{ClusteringConfig, DistStreamError, Point, Record, Result, Timestamp};
@@ -126,13 +126,14 @@ fn sync_executor_surfaces_apply_global_error() {
 }
 
 #[test]
-fn pipelined_executor_surfaces_error_one_batch_late() {
+fn overlapped_executor_surfaces_error_one_batch_late() {
     // The asynchronous protocol queues batch 0's global update and applies
     // it during batch 1 — so the error surfaces there, not on batch 0.
     let algo = FailingGlobal::new();
     let ctx = StreamingContext::new(2, ExecutionMode::Simulated).unwrap();
     let mut model = algo.init(&[rec(0, 0.0, 0.0)]).unwrap();
-    let mut exec = PipelinedExecutor::new(&algo, &ctx);
+    let mut exec = DistStreamExecutor::new(&algo, &ctx);
+    exec.overlap(true);
     exec.process_batch(&mut model, batch(0, vec![rec(1, 0.2, 1.0)]))
         .expect("batch 0 only queues the update");
     let err = exec
@@ -142,11 +143,12 @@ fn pipelined_executor_surfaces_error_one_batch_late() {
 }
 
 #[test]
-fn pipelined_flush_surfaces_pending_error() {
+fn overlapped_flush_surfaces_pending_error() {
     let algo = FailingGlobal::new();
     let ctx = StreamingContext::new(2, ExecutionMode::Simulated).unwrap();
     let mut model = algo.init(&[rec(0, 0.0, 0.0)]).unwrap();
-    let mut exec = PipelinedExecutor::new(&algo, &ctx);
+    let mut exec = DistStreamExecutor::new(&algo, &ctx);
+    exec.overlap(true);
     exec.process_batch(&mut model, batch(0, vec![rec(1, 0.2, 1.0)]))
         .expect("batch 0 only queues the update");
     let err = exec.flush(&mut model).unwrap_err();

@@ -214,7 +214,7 @@ fn corrupted_newest_checkpoint_recovers_from_previous_manifest_entry() {
     let store = FileCheckpointStore::open(&dir, 3).unwrap();
     let model = algo.init(&[rec(0, 0.0, 0.0)]).unwrap();
     let mut driver = CheckpointingDriver::new(&algo, &ctx, model, 2)
-        .with_store(Box::new(store))
+        .and_then(|d| d.with_store(Box::new(store)))
         .unwrap();
     for b in batches(6, 10) {
         driver.process_batch(b).unwrap();
@@ -249,7 +249,7 @@ fn scripted_checkpoint_corruption_triggers_fallback() {
     ctx.install_fault_plan(FaultPlan::new().corrupt_checkpoint_after(3));
     let model = algo.init(&[rec(0, 0.0, 0.0)]).unwrap();
     let mut driver = CheckpointingDriver::new(&algo, &ctx, model, 2)
-        .with_store(Box::new(MemoryCheckpointStore::new(3)))
+        .and_then(|d| d.with_store(Box::new(MemoryCheckpointStore::new(3))))
         .unwrap();
     for b in batches(6, 10) {
         driver.process_batch(b).unwrap();
@@ -273,7 +273,7 @@ fn all_checkpoints_corrupt_is_a_typed_error() {
     let ctx = StreamingContext::new(1, ExecutionMode::Simulated).unwrap();
     let model = algo.init(&[rec(0, 0.0, 0.0)]).unwrap();
     let mut driver = CheckpointingDriver::new(&algo, &ctx, model, 1)
-        .with_store(Box::new(MemoryCheckpointStore::new(2)))
+        .and_then(|d| d.with_store(Box::new(MemoryCheckpointStore::new(2))))
         .unwrap();
     for b in batches(3, 5) {
         driver.process_batch(b).unwrap();
@@ -314,7 +314,7 @@ fn exhausted_retries_skip_the_batch_and_the_stream_continues() {
     diststream::telemetry::set_enabled(true);
     let skipped_before = diststream::telemetry::counter("diststream_batches_skipped_total").get();
     let model = algo.init(&[rec(0, 0.0, 0.0)]).unwrap();
-    let mut driver = CheckpointingDriver::new(&algo, &ctx, model, 100);
+    let mut driver = CheckpointingDriver::new(&algo, &ctx, model, 100).unwrap();
     let mut skipped = Vec::new();
     for b in batches(6, 20) {
         match driver.process_batch_or_skip(b).unwrap() {
@@ -367,7 +367,7 @@ fn prefetched_poisoned_batch_skips_and_replays_like_sync_ingest() {
     sync_ctx.install_fault_plan(plan.clone());
     let model = algo.init(&[rec(0, 0.0, 0.0)]).unwrap();
     let mut sync_driver = CheckpointingDriver::new(&algo, &sync_ctx, model, 2)
-        .with_store(Box::new(MemoryCheckpointStore::new(8)))
+        .and_then(|d| d.with_store(Box::new(MemoryCheckpointStore::new(8))))
         .unwrap();
     let mut sync_skipped = Vec::new();
     let mut source = VecSource::new(stream_records());
@@ -387,7 +387,7 @@ fn prefetched_poisoned_batch_skips_and_replays_like_sync_ingest() {
     pre_ctx.install_fault_plan(plan);
     let model = algo.init(&[rec(0, 0.0, 0.0)]).unwrap();
     let mut pre_driver = CheckpointingDriver::new(&algo, &pre_ctx, model, 2)
-        .with_store(Box::new(MemoryCheckpointStore::new(8)))
+        .and_then(|d| d.with_store(Box::new(MemoryCheckpointStore::new(8))))
         .unwrap();
     let pre_skipped = prefetch_batches(VecSource::new(stream_records()), 1.0, |staged| {
         let mut skipped = Vec::new();
