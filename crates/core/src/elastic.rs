@@ -3,44 +3,23 @@
 //! The executor is parallelism-invariant under both update protocols by
 //! construction (the order-aware update sorts by arrival keys, so neither
 //! task layout nor key placement can reach the model). Elasticity exploits
-//! exactly that: a [`ResizeSchedule`] changes the parallelism degree between
-//! batches, and [`ElasticDriver`] rebuilds the execution context at each
-//! boundary — after a deterministic rebalance that checkpoints the model to
-//! a [`CheckpointStore`], replays the checkpoint back, and verifies the
-//! replayed model byte-for-byte before the first batch of the new epoch
-//! runs. The model is therefore bit-identical across *any* resize schedule,
-//! which the tests pin against fixed-parallelism runs.
-//!
-//! For the asynchronous protocol the in-flight pending global update is
-//! moved across the boundary as an opaque [`PipelineCarry`] rather than
-//! flushed: flushing would let the next batch assign against a fresher model
-//! than a fixed-parallelism run would have seen, breaking bit-identity. A
-//! production deployment would persist the carry durably next to the model
-//! checkpoint; here the carry lives in driver memory and the checkpoint
-//! covers the authoritative model (see DESIGN.md §13).
-//!
-//! A resize is transactional at the granularity of its first (rebalancing)
-//! batch: if that batch fails with retry exhaustion
-//! ([`DistStreamError::TaskFailed`]), the driver rolls back to the
-//! pre-resize assignment — model and carry restored from the boundary
-//! snapshot, the vetoed schedule step removed — and reprocesses the batch at
-//! the old parallelism. Either way (resize completed or rolled back) the
-//! model matches the no-fault run, again by parallelism invariance.
+//! exactly that: a [`ResizeSchedule`] on the job changes the parallelism
+//! degree between batches — `StreamingContext::resize` on the caller's
+//! context; the executor, and with it an overlapped job's pending update,
+//! lives on untouched — after a deterministic rebalance: an ordinary
+//! checkpoint at the boundary's replay cursor, loaded back from the store
+//! and verified byte for byte. If the first batch at the new degree then
+//! exhausts its task retries, [`JobSession::step`] restores the boundary
+//! snapshot and reprocesses it at the old degree: a resize completes or
+//! never happened. Either way the model is bit-identical to a
+//! fixed-parallelism run, which the tests pin (protocol: DESIGN.md §13.3).
 
-use serde::de::DeserializeOwned;
-
-use diststream_engine::{
-    decode, encode, ExecutionMode, FaultPlan, MiniBatch, SimCostModel, StreamingContext,
-};
 use diststream_telemetry as telemetry;
 use diststream_types::{DistStreamError, Result};
 
-use crate::api::{StreamClustering, UpdateOrdering};
+use crate::api::StreamClustering;
 use crate::distribution::StrategyKind;
-use crate::parallel::PipelineCarry;
-use crate::pipeline::{executor_for, PipelineOptions};
-use crate::recovery::Checkpoint;
-use crate::store::CheckpointStore;
+use crate::session::JobSession;
 
 /// Size of the modeled key-slot universe used to size a rebalance plan.
 ///
@@ -154,259 +133,49 @@ pub struct ResizeOutcome {
     pub rolled_back: bool,
 }
 
-/// Summary of an elastic run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ElasticReport {
-    /// One entry per schedule boundary reached, in batch order.
-    pub resizes: Vec<ResizeOutcome>,
-    /// Mini-batches processed (a rolled-back batch counts once).
-    pub batches: usize,
-    /// Records folded into the model.
-    pub records: u64,
-}
-
-/// Drives a stream of mini-batches through executors whose parallelism
-/// degree follows a [`ResizeSchedule`], rebalancing deterministically at
-/// every boundary. See the module docs for the protocol.
-#[derive(Debug)]
-pub struct ElasticDriver<'a, A: StreamClustering> {
-    algo: &'a A,
-    mode: ExecutionMode,
-    cost: SimCostModel,
-    schedule: ResizeSchedule,
-    options: PipelineOptions,
-    ordering: UpdateOrdering,
-    premerge: bool,
-    fault_plan: Option<FaultPlan>,
-    max_task_failures: Option<usize>,
-}
-
-impl<'a, A> ElasticDriver<'a, A>
-where
-    A: StreamClustering,
-    A::Model: DeserializeOwned + PartialEq,
-{
-    /// Creates an elastic driver with the paper defaults (order-aware,
-    /// pre-merge on, synchronous pipeline, zero-cost network model).
-    pub fn new(algo: &'a A, mode: ExecutionMode, schedule: ResizeSchedule) -> Self {
-        ElasticDriver {
-            algo,
-            mode,
-            cost: SimCostModel::zero(),
-            schedule,
-            options: PipelineOptions::sync(),
-            ordering: UpdateOrdering::OrderAware,
-            premerge: true,
-            fault_plan: None,
-            max_task_failures: None,
-        }
-    }
-
-    /// Sets the simulated network cost model for every epoch's context.
-    pub fn cost_model(&mut self, cost: SimCostModel) -> &mut Self {
-        self.cost = cost;
-        self
-    }
-
-    /// Selects the pipeline feature set (including the distribution
-    /// strategy and the asynchronous protocol; `prefetch` is ignored —
-    /// batches are handed to the driver already formed).
-    pub fn options(&mut self, options: PipelineOptions) -> &mut Self {
-        self.options = options;
-        self
-    }
-
-    /// Selects order-aware or unordered-baseline execution.
-    pub fn ordering(&mut self, ordering: UpdateOrdering) -> &mut Self {
-        self.ordering = ordering;
-        self
-    }
-
-    /// Enables or disables the pre-merge optimization.
-    pub fn premerge(&mut self, premerge: bool) -> &mut Self {
-        self.premerge = premerge;
-        self
-    }
-
-    /// Installs a deterministic [`FaultPlan`] into every epoch's context.
-    pub fn fault_plan(&mut self, plan: FaultPlan) -> &mut Self {
-        self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Sets the per-task retry budget for every epoch's context.
-    pub fn max_task_failures(&mut self, max: usize) -> &mut Self {
-        self.max_task_failures = Some(max);
-        self
-    }
-
-    /// Runs `batches` through the schedule, rebalancing through `store` at
-    /// every boundary, and returns the final model (pending async update
-    /// flushed) plus the run's [`ElasticReport`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine and storage failures. A
-    /// [`DistStreamError::TaskFailed`] on a *rebalancing* batch is absorbed
-    /// by the rollback protocol; the same error elsewhere propagates.
-    pub fn run(
-        &self,
-        mut model: A::Model,
-        batches: Vec<MiniBatch>,
-        store: &mut dyn CheckpointStore,
-    ) -> Result<(A::Model, ElasticReport)> {
-        let mut report = ElasticReport::default();
-        let mut carry = PipelineCarry::empty();
-        // Working copy of the schedule: a rolled-back step is removed so the
-        // run stays on the pre-resize assignment instead of retrying the
-        // vetoed resize on every following batch.
-        let mut schedule = self.schedule.clone();
-        let mut queue: std::collections::VecDeque<MiniBatch> = batches.into();
-        let mut current_p = queue
-            .front()
-            .map_or(schedule.initial, |b| schedule.parallelism_for(b.index));
-
-        while let Some(batch) = queue.pop_front() {
-            let target_p = schedule.parallelism_for(batch.index);
-            if target_p != current_p {
-                // Boundary snapshot: what a rollback restores.
-                let pre_model = model.clone();
-                let pre_carry = carry.clone();
-                let mut outcome =
-                    self.rebalance(&model, batch.index, current_p, target_p, store)?;
-                report.records += batch.len() as u64;
-                report.batches += 1;
-                match self.process_batches(
-                    &mut model,
-                    &mut carry,
-                    target_p,
-                    std::iter::once(batch.clone()),
-                ) {
-                    Ok(()) => {
-                        current_p = target_p;
-                    }
-                    Err(DistStreamError::TaskFailed { .. }) => {
-                        model = pre_model;
-                        carry = pre_carry;
-                        outcome.rolled_back = true;
-                        if telemetry::enabled() {
-                            telemetry::counter(telemetry::names::METRIC_REBALANCE_ROLLBACKS_TOTAL)
-                                .inc();
-                        }
-                        // Abandon the vetoed step and reprocess the batch on
-                        // the pre-resize assignment.
-                        schedule.steps.retain(|(first, _)| *first > batch.index);
-                        self.process_batches(
-                            &mut model,
-                            &mut carry,
-                            current_p,
-                            std::iter::once(batch),
-                        )?;
-                    }
-                    Err(other) => return Err(other),
-                }
-                report.resizes.push(outcome);
-            } else {
-                // Contiguous same-degree run: one context, one executor.
-                let mut run = vec![batch];
-                while let Some(next) = queue.pop_front() {
-                    if schedule.parallelism_for(next.index) == current_p {
-                        run.push(next);
-                    } else {
-                        queue.push_front(next);
-                        break;
-                    }
-                }
-                report.batches += run.len();
-                report.records += run.iter().map(|b| b.len() as u64).sum::<u64>();
-                self.process_batches(&mut model, &mut carry, current_p, run.into_iter())?;
-            }
-        }
-
-        // Stream end: apply the last pending async update, if any.
-        if carry.is_pending() {
-            let ctx = StreamingContext::with_cost_model(current_p, self.mode, self.cost)?;
-            let mut exec =
-                executor_for(self.algo, &ctx, self.ordering, self.premerge, &self.options);
-            exec.attach(carry)?;
-            exec.flush(&mut model)?;
-        }
-        Ok((model, report))
-    }
-
-    /// The deterministic rebalance at a boundary: checkpoint the model to
-    /// the store under the new epoch's first batch index, replay (load,
-    /// validate, decode) it back, verify the replayed model byte-for-byte,
-    /// and size the key movement at slot granularity.
-    fn rebalance(
-        &self,
-        model: &A::Model,
-        batch_index: usize,
-        from: usize,
-        to: usize,
-        store: &mut dyn CheckpointStore,
-    ) -> Result<ResizeOutcome> {
+impl<A: StreamClustering> JobSession<'_, A> {
+    /// The deterministic rebalance at a resize boundary: an ordinary
+    /// checkpoint under the new epoch's first batch index (its replay
+    /// cursor), loaded back (CRC-validated) and compared byte for byte, with
+    /// the key movement sized at slot granularity. Records the boundary's
+    /// [`ResizeOutcome`].
+    pub(crate) fn rebalance(&mut self, batch_index: usize, from: usize, to: usize) -> Result<()> {
         let _span = telemetry::span!(telemetry::names::SPAN_REBALANCE, batch = batch_index);
-        let checkpoint = Checkpoint {
-            batch_index,
-            bytes: encode(model),
-        };
-        store.persist(&checkpoint)?;
-        let restored = store.load(batch_index)?;
-        restored.validate()?;
-        let replayed: A::Model =
-            decode(&restored.bytes).map_err(|e| DistStreamError::CorruptCheckpoint {
-                batch_index,
-                reason: e.to_string(),
-            })?;
-        if &replayed != model {
+        self.take_checkpoint(batch_index)?;
+        let restored = self.job.store.lock().load(batch_index)?;
+        if restored.bytes != self.checkpoint.bytes {
             return Err(DistStreamError::CorruptCheckpoint {
                 batch_index,
                 reason: "replayed rebalance checkpoint diverged from the live model".into(),
             });
         }
         let replayed_bytes = restored.len() as u64;
-        let moved_keys = moved_key_slots(self.options.strategy, from, to);
+        let moved_keys = moved_key_slots(self.job.pipeline.strategy, from, to);
         if telemetry::enabled() {
             telemetry::counter(telemetry::names::METRIC_REBALANCE_TOTAL).inc();
             telemetry::counter(telemetry::names::METRIC_REBALANCE_MOVED_KEYS_TOTAL).add(moved_keys);
             telemetry::counter(telemetry::names::METRIC_REBALANCE_REPLAYED_BYTES_TOTAL)
                 .add(replayed_bytes);
         }
-        Ok(ResizeOutcome {
+        self.resizes.push(ResizeOutcome {
             batch_index,
             from,
             to,
             moved_keys,
             replayed_bytes,
             rolled_back: false,
-        })
+        });
+        Ok(())
     }
 
-    /// Processes a run of batches on one freshly built context at degree
-    /// `p`, attaching and re-detaching the carry around it (empty both ways
-    /// under the synchronous protocol).
-    fn process_batches(
-        &self,
-        model: &mut A::Model,
-        carry: &mut PipelineCarry<A>,
-        p: usize,
-        batches: impl Iterator<Item = MiniBatch>,
-    ) -> Result<()> {
-        let mut ctx = StreamingContext::with_cost_model(p, self.mode, self.cost)?;
-        if let Some(max) = self.max_task_failures {
-            ctx.set_max_task_failures(max);
+    /// Marks the boundary just crossed as rolled back.
+    pub(crate) fn mark_rolled_back(&mut self) {
+        if let Some(resize) = self.resizes.last_mut() {
+            resize.rolled_back = true;
         }
-        if let Some(plan) = &self.fault_plan {
-            ctx.install_fault_plan(plan.clone());
+        if telemetry::enabled() {
+            telemetry::counter(telemetry::names::METRIC_REBALANCE_ROLLBACKS_TOTAL).inc();
         }
-        let mut exec = executor_for(self.algo, &ctx, self.ordering, self.premerge, &self.options);
-        exec.attach(std::mem::replace(carry, PipelineCarry::empty()))?;
-        for batch in batches {
-            exec.process_batch(model, batch)?;
-        }
-        *carry = exec.detach();
-        Ok(())
     }
 }
 
@@ -434,9 +203,11 @@ fn slot_partition(kind: StrategyKind, slot: usize, p: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reference::NaiveClustering;
+    use crate::pipeline::{DistStreamJob, PipelineOptions, RunResult};
+    use crate::reference::{NaiveClustering, NaiveModel};
     use crate::store::MemoryCheckpointStore;
-    use diststream_types::{Point, Record, Timestamp};
+    use diststream_engine::{ExecutionMode, FaultPlan, MiniBatch, StreamingContext};
+    use diststream_types::{ClusteringConfig, Point, Record, Timestamp};
 
     fn rec(id: u64, x: f64, t: f64) -> Record {
         Record::new(id, Point::from(vec![x]), Timestamp::from_secs(t))
@@ -463,16 +234,31 @@ mod tests {
             .collect()
     }
 
-    fn run_schedule(
+    /// Steps `batches(6, 40)` through a job resizing along `schedule` on a
+    /// simulated context carrying `plan`.
+    fn run_faulted(
         schedule: ResizeSchedule,
         options: PipelineOptions,
-    ) -> (<NaiveClustering as StreamClustering>::Model, ElasticReport) {
+        plan: Option<FaultPlan>,
+    ) -> RunResult<NaiveModel> {
         let algo = NaiveClustering::new(1.0);
-        let init = algo.init(&[rec(0, 0.0, 0.0)]).unwrap();
-        let mut driver = ElasticDriver::new(&algo, ExecutionMode::Simulated, schedule);
-        driver.options(options);
-        let mut store = MemoryCheckpointStore::new(4);
-        driver.run(init, batches(6, 40), &mut store).unwrap()
+        let ctx = StreamingContext::new(1, ExecutionMode::Simulated).unwrap();
+        if let Some(plan) = plan {
+            ctx.install_fault_plan(plan);
+        }
+        let mut job = DistStreamJob::new(&algo, &ctx, ClusteringConfig::default());
+        job.pipeline(options)
+            .checkpoint_store(Box::new(MemoryCheckpointStore::new(4)))
+            .resize(schedule);
+        let mut session = job.start(algo.init(&[rec(0, 0.0, 0.0)]).unwrap()).unwrap();
+        for batch in batches(6, 40) {
+            session.step(batch).unwrap();
+        }
+        session.finish().unwrap()
+    }
+
+    fn run_schedule(schedule: ResizeSchedule, options: PipelineOptions) -> RunResult<NaiveModel> {
+        run_faulted(schedule, options, None)
     }
 
     #[test]
@@ -494,13 +280,13 @@ mod tests {
     fn elastic_model_matches_fixed_parallelism_sync_and_overlapped() {
         let elastic = ResizeSchedule::with_steps(2, vec![(2, 4), (4, 3)]).unwrap();
         for options in [PipelineOptions::sync(), PipelineOptions::all()] {
-            let (fixed_model, fixed_report) = run_schedule(ResizeSchedule::fixed(2), options);
-            let (model, report) = run_schedule(elastic.clone(), options);
-            assert_eq!(model, fixed_model, "overlap={}", options.overlap);
-            assert!(fixed_report.resizes.is_empty());
+            let fixed = run_schedule(ResizeSchedule::fixed(2), options);
+            let report = run_schedule(elastic.clone(), options);
+            assert_eq!(report.model, fixed.model, "overlap={}", options.overlap);
+            assert!(fixed.resizes.is_empty());
             assert_eq!(report.resizes.len(), 2);
-            assert_eq!(report.batches, 6);
-            assert_eq!(report.records, 240);
+            assert_eq!(report.meter.batches(), 6);
+            assert_eq!(report.meter.records(), 240);
             let r = &report.resizes[0];
             assert_eq!((r.batch_index, r.from, r.to), (2, 2, 4));
             assert!(!r.rolled_back);
@@ -516,11 +302,11 @@ mod tests {
             ResizeSchedule::with_steps(1, vec![(1, 5), (3, 2)]).unwrap(),
             ResizeSchedule::with_steps(3, vec![(5, 1)]).unwrap(),
         ];
-        let reference = run_schedule(ResizeSchedule::fixed(1), PipelineOptions::sync()).0;
+        let reference = run_schedule(ResizeSchedule::fixed(1), PipelineOptions::sync()).model;
         for kind in StrategyKind::ALL {
             for schedule in &schedules {
                 let options = PipelineOptions::sync().with_strategy(kind);
-                let (model, _) = run_schedule(schedule.clone(), options);
+                let model = run_schedule(schedule.clone(), options).model;
                 assert_eq!(model, reference, "kind={kind:?} schedule={schedule:?}");
             }
         }
@@ -528,41 +314,39 @@ mod tests {
 
     #[test]
     fn rebalancing_batch_fault_rolls_back_to_pre_resize_assignment() {
-        let algo = NaiveClustering::new(1.0);
-        let init = algo.init(&[rec(0, 0.0, 0.0)]).unwrap();
         let schedule = ResizeSchedule::with_steps(2, vec![(2, 4)]).unwrap();
-        let (clean_model, _) = run_schedule(schedule.clone(), PipelineOptions::sync());
+        let clean_model = run_schedule(schedule.clone(), PipelineOptions::sync()).model;
 
         // Exhaust the retry budget for task 3 of the rebalancing batch —
         // a slot that only exists post-resize, so the rolled-back epoch at
         // p=2 never trips it.
         let plan = (0..4).fold(FaultPlan::new(), |p, attempt| p.panic_on(2, 3, attempt));
-        let mut driver = ElasticDriver::new(&algo, ExecutionMode::Simulated, schedule);
-        driver.fault_plan(plan);
-        let mut store = MemoryCheckpointStore::new(4);
-        let (model, report) = driver.run(init, batches(6, 40), &mut store).unwrap();
+        let report = run_faulted(schedule, PipelineOptions::sync(), Some(plan));
 
-        assert_eq!(model, clean_model, "rollback must not perturb the model");
+        assert_eq!(
+            report.model, clean_model,
+            "rollback must not perturb the model"
+        );
         assert_eq!(report.resizes.len(), 1);
         assert!(report.resizes[0].rolled_back);
-        assert_eq!(report.batches, 6, "the failed batch is reprocessed once");
+        assert_eq!(
+            report.meter.batches(),
+            6,
+            "the failed batch is reprocessed once"
+        );
     }
 
     #[test]
     fn transient_fault_on_rebalancing_batch_completes_the_resize() {
-        let algo = NaiveClustering::new(1.0);
-        let init = algo.init(&[rec(0, 0.0, 0.0)]).unwrap();
         let schedule = ResizeSchedule::with_steps(2, vec![(2, 4)]).unwrap();
-        let (clean_model, _) = run_schedule(schedule.clone(), PipelineOptions::sync());
+        let clean_model = run_schedule(schedule.clone(), PipelineOptions::sync()).model;
 
         // One panic, three retries in the budget: the retry layer absorbs
         // it and the resize completes.
-        let mut driver = ElasticDriver::new(&algo, ExecutionMode::Simulated, schedule);
-        driver.fault_plan(FaultPlan::new().panic_on(2, 3, 0));
-        let mut store = MemoryCheckpointStore::new(4);
-        let (model, report) = driver.run(init, batches(6, 40), &mut store).unwrap();
+        let plan = FaultPlan::new().panic_on(2, 3, 0);
+        let report = run_faulted(schedule, PipelineOptions::sync(), Some(plan));
 
-        assert_eq!(model, clean_model);
+        assert_eq!(report.model, clean_model);
         assert_eq!(report.resizes.len(), 1);
         assert!(!report.resizes[0].rolled_back);
     }
@@ -570,11 +354,15 @@ mod tests {
     #[test]
     fn rebalance_writes_a_loadable_checkpoint_at_the_boundary() {
         let algo = NaiveClustering::new(1.0);
-        let init = algo.init(&[rec(0, 0.0, 0.0)]).unwrap();
-        let schedule = ResizeSchedule::with_steps(2, vec![(3, 4)]).unwrap();
-        let driver = ElasticDriver::new(&algo, ExecutionMode::Simulated, schedule);
-        let mut store = MemoryCheckpointStore::new(4);
-        driver.run(init, batches(6, 40), &mut store).unwrap();
+        let ctx = StreamingContext::new(1, ExecutionMode::Simulated).unwrap();
+        let mut job = DistStreamJob::new(&algo, &ctx, ClusteringConfig::default());
+        job.checkpoint_store(Box::new(MemoryCheckpointStore::new(4)))
+            .resize(ResizeSchedule::with_steps(2, vec![(3, 4)]).unwrap());
+        let mut session = job.start(algo.init(&[rec(0, 0.0, 0.0)]).unwrap()).unwrap();
+        for batch in batches(6, 40) {
+            session.step(batch).unwrap();
+        }
+        let store = job.store();
         assert_eq!(store.manifest(), vec![3], "boundary cursor is batch 3");
         assert!(store.load(3).unwrap().validate().is_ok());
     }

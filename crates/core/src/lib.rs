@@ -18,21 +18,21 @@
 //!   paper compares against.
 //! - [`SequentialExecutor`] — the one-record-at-a-time baseline (MOA
 //!   analog) with the strict sequential feedback loop.
-//! - [`DistStreamJob`] — end-to-end wiring from a record source through
-//!   initialization, mini-batching, and per-batch reporting: one drive loop
-//!   under `run` (optionally prefetched, or sampled in overload mode) and
-//!   `run_adaptive`, which differ only in the batch feed and in an
-//!   after-batch controller that may pick the next window width.
-//!   [`ElasticDriver`] and [`CheckpointingDriver`] drive the same executor
-//!   over pre-formed batches.
+//! - [`DistStreamJob`] — the one driver: end-to-end wiring from a record
+//!   source through initialization, mini-batching, and per-batch reporting.
+//!   `run` (optionally prefetched, or sampled in overload mode) and
+//!   `run_adaptive` differ only in the batch feed and in an after-batch
+//!   controller that may pick the next window width; each is `init_model →
+//!   start → for batch in feed { step; controller; report; drain } → finish`
+//!   over a [`JobSession`], which fault and elastic harnesses step directly.
+//!   Checkpointing ([`DistStreamJob::checkpoint_every`]) and elastic resizing
+//!   ([`DistStreamJob::resize`]) are boundary steps of [`JobSession::step`],
+//!   so they combine with every pipeline option and with each other.
 //!
-//! Every batch crosses its boundaries in one fixed order:
-//!
-//! ```text
-//! begin_batch → broadcast Q_t → [overlap: apply pending update B−1]
-//!   → assign → local → [sync: apply own update B] → publish snapshot
-//!   → meter → controller → report → journal drain
-//! ```
+//! Every batch crosses its boundaries — resize, write-ahead log, the
+//! executor's three steps and snapshot publication, rollback, meter,
+//! checkpoint, controller, report, journal drain — in one fixed order,
+//! stated once in DESIGN.md §11.1a.
 //!
 //! # Examples
 //!
@@ -72,6 +72,7 @@ mod recovery;
 pub mod reference;
 mod sequential;
 mod serving;
+mod session;
 mod store;
 
 pub use adaptive::AdaptiveBatchSizer;
@@ -83,18 +84,19 @@ pub use distribution::{
     modeled_map_partition, strategy_for, DistributionStrategy, HybridStrategy, KeyRangeStrategy,
     LocalityStrategy, RoundRobinStrategy, ShufflePlacement, StrategyKind,
 };
-pub use elastic::{ElasticDriver, ElasticReport, ResizeOutcome, ResizeSchedule};
+pub use elastic::{ResizeOutcome, ResizeSchedule};
 pub use global::{global_update, GlobalOutcome};
 pub use local::{
     local_update_distributed, CreatedSketch, LocalOutcome, LocalScratch, UpdatedSketch,
     SHUFFLE_KEY_BYTES,
 };
-pub use parallel::{BatchOutcome, DistStreamExecutor, PipelineCarry};
+pub use parallel::{BatchOutcome, DistStreamExecutor};
 pub use pipeline::{
     take_records, BatchReport, DistStreamJob, OverloadOptions, OverloadStats, PipelineOptions,
     RunResult,
 };
-pub use recovery::{BatchDisposition, Checkpoint, CheckpointingDriver};
+pub use recovery::{BatchDisposition, Checkpoint};
 pub use sequential::{SequentialExecutor, SequentialSummary};
 pub use serving::{serving_handle, serving_reader, ServingHandle, ServingSnapshot};
+pub use session::JobSession;
 pub use store::{CheckpointStore, FileCheckpointStore, MemoryCheckpointStore};

@@ -16,7 +16,7 @@ use diststream_engine::{
     BatchMetrics, Broadcast, LatencyProbe, MiniBatch, RecordLatency, StreamingContext,
 };
 use diststream_telemetry as telemetry;
-use diststream_types::{DistStreamError, Result, Timestamp};
+use diststream_types::{Result, Timestamp};
 
 use crate::api::{Assignment, StreamClustering, UpdateOrdering};
 use crate::assignment::assign_records_distributed;
@@ -48,9 +48,11 @@ pub struct BatchOutcome {
     pub latency: Option<RecordLatency>,
 }
 
-/// A batch's local outcome waiting for its global update.
-#[derive(Clone)]
-struct PendingGlobal<S> {
+/// A batch's local outcome waiting for its global update. Crate-private:
+/// only the one driver may copy it — beside a checkpoint or a resize
+/// snapshot — and put it back ([`DistStreamExecutor::restore_pending`]).
+#[derive(Clone, Debug)]
+pub(crate) struct PendingGlobal<S> {
     batch_index: usize,
     local: LocalOutcome<S>,
     window_end: Timestamp,
@@ -58,46 +60,6 @@ struct PendingGlobal<S> {
     /// Event times of the batch's records, resolved into a latency digest
     /// when the global update applies.
     probe: LatencyProbe,
-}
-
-/// In-flight state detached from a [`DistStreamExecutor`] at an elastic
-/// epoch boundary — the pending (not yet applied) global update of the
-/// asynchronous protocol; always empty for a synchronous executor.
-///
-/// Opaque by design: the resize protocol may move it between executors of
-/// different parallelism degrees, but nothing else can observe or mutate the
-/// pending update, so the staleness pattern of the asynchronous protocol is
-/// preserved across any resize schedule.
-pub struct PipelineCarry<A: StreamClustering> {
-    pending: Option<PendingGlobal<A::Sketch>>,
-}
-
-impl<A: StreamClustering> PipelineCarry<A> {
-    /// A carry with no in-flight state — what a fresh executor detaches.
-    pub fn empty() -> Self {
-        PipelineCarry { pending: None }
-    }
-
-    /// Whether a global update is still in flight.
-    pub fn is_pending(&self) -> bool {
-        self.pending.is_some()
-    }
-}
-
-impl<A: StreamClustering> Clone for PipelineCarry<A> {
-    fn clone(&self) -> Self {
-        PipelineCarry {
-            pending: self.pending.clone(),
-        }
-    }
-}
-
-impl<A: StreamClustering> std::fmt::Debug for PipelineCarry<A> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PipelineCarry")
-            .field("pending", &self.pending.is_some())
-            .finish()
-    }
 }
 
 /// Executes the order-aware (or unordered-baseline) mini-batch update model
@@ -250,42 +212,18 @@ impl<'a, A: StreamClustering> DistStreamExecutor<'a, A> {
         self
     }
 
-    /// Detaches the executor's in-flight state — the pending global update
-    /// the asynchronous protocol has not applied yet — as an opaque
-    /// [`PipelineCarry`] (empty for a synchronous executor).
-    ///
-    /// The elastic resize protocol uses this to move the pipeline across an
-    /// epoch boundary: the old executor (old parallelism) is torn down, a
-    /// new one is built on the resized context, and the carry is reattached
-    /// with [`DistStreamExecutor::attach`]. Flushing at the boundary instead
-    /// would change the staleness pattern — the next batch's assignment
-    /// would see a fresher model than in a fixed-p run — so carrying the
-    /// pending update across, unapplied, is what keeps elastic runs
-    /// bit-identical.
-    pub fn detach(self) -> PipelineCarry<A> {
-        PipelineCarry {
-            pending: self.pending,
-        }
+    /// A copy of the pending (queued, not yet applied) global update —
+    /// `None` between the calls of a synchronous executor.
+    pub(crate) fn pending(&self) -> Option<PendingGlobal<A::Sketch>> {
+        self.pending.clone()
     }
 
-    /// Reattaches in-flight state detached from a previous epoch's
-    /// executor, before the first [`DistStreamExecutor::process_batch`] of
-    /// the new epoch.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DistStreamError::Invariant`] when attaching would lose a
-    /// global update: this executor already holds a pending one, or `carry`
-    /// holds one and this executor is synchronous (its next batch would
-    /// overwrite it).
-    pub fn attach(&mut self, carry: PipelineCarry<A>) -> Result<()> {
-        if self.pending.is_some() || (carry.is_pending() && !self.overlap) {
-            return Err(DistStreamError::Invariant(
-                "attach would drop a pending global update".into(),
-            ));
-        }
-        self.pending = carry.pending;
-        Ok(())
+    /// Puts a copied pending update back: a rollback to a boundary snapshot,
+    /// or a replay starting from a checkpoint taken mid-overlap. Never
+    /// applied early — flushing instead would let the next batch assign
+    /// against a fresher model than the uninterrupted run saw.
+    pub(crate) fn restore_pending(&mut self, pending: Option<PendingGlobal<A::Sketch>>) {
+        self.pending = pending;
     }
 
     /// Processes one mini-batch, advancing `model` by one global update:
@@ -295,8 +233,8 @@ impl<'a, A: StreamClustering> DistStreamExecutor<'a, A> {
     /// # Errors
     ///
     /// Propagates engine failures (task panics) as
-    /// [`DistStreamError::TaskFailed`] and the algorithm's
-    /// [`StreamClustering::apply_global`] error.
+    /// [`TaskFailed`](diststream_types::DistStreamError::TaskFailed) and the
+    /// algorithm's [`StreamClustering::apply_global`] error.
     pub fn process_batch(
         &mut self,
         model: &mut A::Model,
@@ -776,38 +714,5 @@ mod tests {
             model
         };
         assert_eq!(one_batch(true), one_batch(false));
-    }
-
-    /// Regression: `attach` used to `debug_assert!` only, so a release build
-    /// silently dropped the update already pending on the executor.
-    #[test]
-    fn attach_refuses_to_drop_a_pending_update() {
-        let algo = NaiveClustering::new(1.0);
-        let ctx = StreamingContext::new(2, ExecutionMode::Simulated).unwrap();
-        let pending_carry = || {
-            let mut exec = DistStreamExecutor::new(&algo, &ctx);
-            exec.overlap(true);
-            let mut model = algo.init(&[rec(0, 0.0, 0.0)]).unwrap();
-            exec.process_batch(&mut model, batch(0, vec![rec(1, 0.2, 1.0)]))
-                .unwrap();
-            exec.detach()
-        };
-        assert!(pending_carry().is_pending());
-
-        let mut busy = DistStreamExecutor::new(&algo, &ctx);
-        busy.overlap(true);
-        busy.attach(pending_carry()).expect("first attach is fine");
-        let err = busy.attach(pending_carry()).unwrap_err();
-        assert!(matches!(err, DistStreamError::Invariant(_)), "got {err}");
-        let err = busy.attach(PipelineCarry::empty()).unwrap_err();
-        assert!(matches!(err, DistStreamError::Invariant(_)), "got {err}");
-
-        // A synchronous executor would overwrite the carried update.
-        let mut sync = DistStreamExecutor::new(&algo, &ctx);
-        let err = sync.attach(pending_carry()).unwrap_err();
-        assert!(matches!(err, DistStreamError::Invariant(_)), "got {err}");
-        sync.attach(PipelineCarry::empty())
-            .expect("an empty carry attaches anywhere");
-        assert!(!sync.detach().is_pending());
     }
 }

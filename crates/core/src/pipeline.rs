@@ -1,5 +1,7 @@
 //! High-level job wiring: source → initialization → mini-batcher →
-//! executor → per-batch reports.
+//! [`JobSession`](crate::JobSession) → per-batch reports. The job is the
+//! only driver: every run path here is `init_model → start → for batch in
+//! feed { step; controller; report; drain } → finish`.
 
 use diststream_engine::{
     prefetch_batches, LoadShedPolicy, MiniBatch, MiniBatcher, RecordSource, SamplerControl,
@@ -7,12 +9,15 @@ use diststream_engine::{
 };
 use diststream_telemetry as telemetry;
 use diststream_types::{ClusteringConfig, DistStreamError, Record, Result, Timestamp};
+use parking_lot::Mutex;
 
 use crate::adaptive::AdaptiveBatchSizer;
 use crate::api::{StreamClustering, UpdateOrdering};
 use crate::distribution::StrategyKind;
-use crate::parallel::{BatchOutcome, DistStreamExecutor};
+use crate::elastic::{ResizeOutcome, ResizeSchedule};
+use crate::parallel::BatchOutcome;
 use crate::serving::ServingHandle;
+use crate::store::{CheckpointStore, MemoryCheckpointStore};
 
 /// Toggles for the overlapped batch pipeline — the three ingest-to-update
 /// optimizations plus the asynchronous update protocol, all off by default
@@ -25,6 +30,8 @@ use crate::serving::ServingHandle;
 /// ([`DistStreamExecutor::overlap`]), which trades one batch of model
 /// staleness for throughput — a *different* (but still
 /// parallelism-invariant) model than the synchronous protocol.
+///
+/// [`DistStreamExecutor::overlap`]: crate::DistStreamExecutor::overlap
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PipelineOptions {
     /// Double-buffered ingest: a worker drains the source for batch `N+1`
@@ -167,14 +174,21 @@ pub struct RunResult<M> {
     /// Overload accounting — `Some` exactly when
     /// [`PipelineOptions::overload`] was set.
     pub overload: Option<OverloadStats>,
+    /// One entry per resize boundary crossed, in batch order (empty without
+    /// a [`DistStreamJob::resize`] schedule).
+    pub resizes: Vec<ResizeOutcome>,
 }
 
 /// Builder-style wiring of a full DistStream job.
 ///
 /// A job owns the paper's end-to-end flow: take `init_records` records off
 /// the stream and initialize the model with batch clustering, then process
-/// the remainder in `config.batch_secs()`-wide mini-batches through a
-/// [`DistStreamExecutor`].
+/// the remainder in `config.batch_secs()`-wide mini-batches through the one
+/// [`DistStreamExecutor`](crate::DistStreamExecutor). Checkpointing
+/// ([`DistStreamJob::checkpoint_every`]) and elastic resizing
+/// ([`DistStreamJob::resize`]) are boundary steps of that batch loop, so
+/// they combine with every [`PipelineOptions`] field and with each other;
+/// [`DistStreamJob::start`] steps it over caller-made batches.
 ///
 /// # Examples
 ///
@@ -197,14 +211,19 @@ pub struct RunResult<M> {
 /// ```
 #[derive(Debug)]
 pub struct DistStreamJob<'a, A: StreamClustering> {
-    algo: &'a A,
-    ctx: &'a StreamingContext,
+    pub(crate) algo: &'a A,
+    pub(crate) ctx: &'a StreamingContext,
     config: ClusteringConfig,
     init_records: usize,
-    ordering: UpdateOrdering,
-    premerge: bool,
-    pipeline: PipelineOptions,
-    serving: Option<ServingHandle>,
+    pub(crate) ordering: UpdateOrdering,
+    pub(crate) premerge: bool,
+    pub(crate) pipeline: PipelineOptions,
+    pub(crate) serving: Option<ServingHandle>,
+    pub(crate) checkpoint_every: Option<usize>,
+    // Shared state like `serving`: a session persists through it while the
+    // caller may still inspect it, hence the lock behind `&self`.
+    pub(crate) store: Mutex<Box<dyn CheckpointStore>>,
+    pub(crate) schedule: Option<ResizeSchedule>,
 }
 
 impl<'a, A: StreamClustering> DistStreamJob<'a, A> {
@@ -220,6 +239,9 @@ impl<'a, A: StreamClustering> DistStreamJob<'a, A> {
             premerge: true,
             pipeline: PipelineOptions::sync(),
             serving: None,
+            checkpoint_every: None,
+            store: Mutex::new(Box::new(MemoryCheckpointStore::new(1))),
+            schedule: None,
         }
     }
 
@@ -258,6 +280,39 @@ impl<'a, A: StreamClustering> DistStreamJob<'a, A> {
         self
     }
 
+    /// Replaces the stable storage that [`DistStreamJob::checkpoint_every`]
+    /// and [`DistStreamJob::resize`] persist checkpoints to (default: a
+    /// [`MemoryCheckpointStore`] retaining the newest one).
+    pub fn checkpoint_store(&mut self, store: Box<dyn CheckpointStore>) -> &mut Self {
+        self.store = Mutex::new(store);
+        self
+    }
+
+    /// The checkpoint store, locked for the guard's lifetime (inspection, or
+    /// test surgery such as [`CheckpointStore::inject_corruption`]). Drop
+    /// the guard before stepping a session of this job.
+    pub fn store(&self) -> impl std::ops::DerefMut<Target = Box<dyn CheckpointStore>> + '_ {
+        self.store.lock()
+    }
+
+    /// Turns on write-ahead logging and a model checkpoint every `batches`
+    /// batches (plus one of the initial model) — what
+    /// [`JobSession::recover`](crate::JobSession::recover) rebuilds from.
+    /// Zero is rejected by [`DistStreamJob::start`].
+    pub fn checkpoint_every(&mut self, batches: usize) -> &mut Self {
+        self.checkpoint_every = Some(batches);
+        self
+    }
+
+    /// Follows `schedule`: the context is resized to its initial degree at
+    /// start, and each step takes effect — checkpoint-verified, rolled back
+    /// if the first batch at the new degree fails — at the boundary before
+    /// its batch (DESIGN.md §13.3).
+    pub fn resize(&mut self, schedule: ResizeSchedule) -> &mut Self {
+        self.schedule = Some(schedule);
+        self
+    }
+
     /// Drains the initialization records off `source` and builds the
     /// initial model. Every run path starts here, so initialization is
     /// never prefetched, sampled or shed.
@@ -269,47 +324,33 @@ impl<'a, A: StreamClustering> DistStreamJob<'a, A> {
         self.algo.init(&init)
     }
 
-    /// The one per-batch drive loop — process, meter, controller, report,
-    /// journal drain (the fixed boundary order is in the crate docs) — and,
-    /// at stream end, the flush of any pending overlapped update. Callers
-    /// differ only in `next_batch` (prefetch iterator or [`batcher_feed`])
-    /// and in `controller`, which sees each outcome and may return the next
-    /// window width, handed to `next_batch` on the following pull.
+    /// The one per-batch drive loop — step, controller, report, journal
+    /// drain (boundary order: DESIGN.md §11.1a) — between `start` and
+    /// `finish`. Callers differ only in `next_batch` (prefetch iterator or
+    /// [`batcher_feed`]) and in `controller`, which sees each outcome and
+    /// may return the next window width, handed to `next_batch` on the
+    /// following pull.
     fn drive<F>(
         &self,
-        model: &mut A::Model,
+        model: A::Model,
         mut next_batch: impl FnMut(Option<f64>) -> Option<MiniBatch>,
         mut controller: impl FnMut(&BatchOutcome) -> Option<f64>,
         on_batch: &mut F,
-    ) -> Result<ThroughputMeter>
+    ) -> Result<RunResult<A::Model>>
     where
         F: FnMut(BatchReport<'_, A::Model>),
     {
-        let mut exec = executor_for(
-            self.algo,
-            self.ctx,
-            self.ordering,
-            self.premerge,
-            &self.pipeline,
-        );
-        if let Some(handle) = &self.serving {
-            exec.serving(handle.clone());
-        }
-        let mut meter = ThroughputMeter::new();
+        let mut session = self.start(model)?;
         let mut next_window = None;
         while let Some(batch) = next_batch(next_window) {
             let batch_index = batch.index;
             let window_end = batch.window_end;
-            let outcome = exec.process_batch(model, batch)?;
-            meter.observe(&outcome.metrics);
-            if let Some(latency) = &outcome.latency {
-                meter.observe_latency(latency);
-            }
+            let outcome = session.step(batch)?;
             next_window = controller(&outcome);
             on_batch(BatchReport {
                 batch_index,
                 window_end,
-                model,
+                model: session.model(),
                 outcome: &outcome,
             });
             // Batch barrier: all worker threads of the batch have exited
@@ -319,14 +360,7 @@ impl<'a, A: StreamClustering> DistStreamJob<'a, A> {
                 telemetry::barrier_drain();
             }
         }
-        if let Some((global, latency)) = exec.flush(model)? {
-            meter.observe_flush(global.global_secs);
-            meter.observe_latency(&latency);
-            if telemetry::enabled() {
-                telemetry::barrier_drain();
-            }
-        }
-        Ok(meter)
+        session.finish()
     }
 
     /// Runs the job to stream exhaustion, invoking `on_batch` after every
@@ -350,23 +384,18 @@ impl<'a, A: StreamClustering> DistStreamJob<'a, A> {
         if let Some(overload) = self.pipeline.overload {
             return self.run_overload(source, overload, on_batch);
         }
-        let mut model = self.init_model(&mut source)?;
+        let model = self.init_model(&mut source)?;
         let window = self.config.batch_secs();
-        let meter = if self.pipeline.prefetch {
+        if self.pipeline.prefetch {
             // Initialization records were already drained synchronously
             // above, so the worker stages exactly the post-init batches.
             prefetch_batches(source, window, |mut batches| {
-                self.drive(&mut model, |_| batches.next(), |_| None, &mut on_batch)
-            })?
+                self.drive(model, |_| batches.next(), |_| None, &mut on_batch)
+            })
         } else {
             let feed = batcher_feed(MiniBatcher::new(&mut source, window));
-            self.drive(&mut model, feed, |_| None, &mut on_batch)?
-        };
-        Ok(RunResult {
-            model,
-            meter,
-            overload: None,
-        })
+            self.drive(model, feed, |_| None, &mut on_batch)
+        }
     }
 
     /// [`DistStreamJob::run`] in overload mode: a stratified sampler between
@@ -389,7 +418,7 @@ impl<'a, A: StreamClustering> DistStreamJob<'a, A> {
         S: RecordSource,
         F: FnMut(BatchReport<'_, A::Model>),
     {
-        let mut model = self.init_model(&mut source)?;
+        let model = self.init_model(&mut source)?;
 
         let control = SamplerControl::new(opts.strata.max(1) as usize);
         let mut sampler = StratifiedSampler::new(&mut source, opts.seed, control.clone());
@@ -466,8 +495,8 @@ impl<'a, A: StreamClustering> DistStreamJob<'a, A> {
             Some(window)
         };
         let feed = batcher_feed(MiniBatcher::new(&mut sampler, window0));
-        let meter = self.drive(&mut model, feed, controller, &mut on_batch)?;
-        let stats = OverloadStats {
+        let mut result = self.drive(model, feed, controller, &mut on_batch)?;
+        result.overload = Some(OverloadStats {
             seen: control.seen_total(),
             kept: control.kept_total(),
             shed: control.shed_total(),
@@ -476,12 +505,8 @@ impl<'a, A: StreamClustering> DistStreamJob<'a, A> {
             final_backlog: policy.backlog_records(),
             max_virtual_latency_secs: max_virtual_latency,
             final_batch_secs: window,
-        };
-        Ok(RunResult {
-            model,
-            meter,
-            overload: Some(stats),
-        })
+        });
+        Ok(result)
     }
 
     /// Convenience: runs the job ignoring per-batch reports.
@@ -517,38 +542,13 @@ impl<'a, A: StreamClustering> DistStreamJob<'a, A> {
         S: RecordSource,
         F: FnMut(BatchReport<'_, A::Model>),
     {
-        let mut model = self.init_model(&mut source)?;
+        let model = self.init_model(&mut source)?;
         let feed = batcher_feed(MiniBatcher::new(&mut source, sizer.batch_secs()));
         let controller = |outcome: &BatchOutcome| {
             Some(sizer.observe(outcome.metrics.records, outcome.metrics.total_secs()))
         };
-        let meter = self.drive(&mut model, feed, controller, &mut on_batch)?;
-        Ok(RunResult {
-            model,
-            meter,
-            overload: None,
-        })
+        self.drive(model, feed, controller, &mut on_batch)
     }
-}
-
-/// Builds the executor a [`PipelineOptions`] selects — the one place the
-/// options map onto executor settings (the job and the elastic driver both
-/// come through here).
-pub(crate) fn executor_for<'a, A: StreamClustering>(
-    algo: &'a A,
-    ctx: &'a StreamingContext,
-    ordering: UpdateOrdering,
-    premerge: bool,
-    options: &PipelineOptions,
-) -> DistStreamExecutor<'a, A> {
-    let mut exec = DistStreamExecutor::new(algo, ctx);
-    exec.ordering(ordering)
-        .premerge(premerge)
-        .combine(options.combine)
-        .chunking(options.chunking)
-        .overlap(options.overlap)
-        .strategy(options.strategy);
-    exec
 }
 
 /// A [`DistStreamJob::drive`] batch feed over a [`MiniBatcher`]: applies the

@@ -1,8 +1,9 @@
 //! Stable-storage checkpoint persistence with validation and fallback.
 //!
-//! [`CheckpointingDriver`](crate::CheckpointingDriver) keeps its newest
-//! checkpoint in driver memory; a [`CheckpointStore`] adds the stable-storage
-//! leg Spark Streaming gets from HDFS. Checkpoints are persisted as
+//! A [`CheckpointStore`] is where a checkpointing or resizing
+//! [`DistStreamJob`](crate::DistStreamJob) puts its checkpoints — the
+//! stable-storage leg Spark Streaming gets from HDFS. Checkpoints are
+//! persisted as
 //! self-describing frames — magic, format version, replay cursor, payload
 //! length, CRC32 — and the store retains the last *k* of them in a manifest,
 //! so recovery can fall back to an older checkpoint when the newest one is

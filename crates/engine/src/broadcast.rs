@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use serde::Serialize;
 
-use crate::sizeof::serialized_size;
+use crate::codec::serialized_size;
 
 /// A read-only value shared with every task of a step, like Spark's
 /// broadcast variables.

@@ -1,18 +1,19 @@
-//! A compact self-contained binary codec for checkpoints.
+//! A compact self-contained binary codec for checkpoints, and the
+//! serialized-size accounting of the network-cost model.
 //!
 //! Fault tolerance needs model snapshots that survive the process (§VI:
 //! DistStream inherits Spark Streaming's recovery; here the recovery
 //! substrate is ours). This module provides `encode`/`decode` for any
 //! `Serialize`/`Deserialize` type using a fixed-width little-endian wire
-//! format — the same layout [`serialized_size`] counts, so
-//! `encode(v).len() == serialized_size(v)`.
+//! format. The simulated cluster charges network time for broadcasting the
+//! model and shuffling record groups by that same layout:
+//! [`serialized_size`] runs the one encoder over a byte *counter* instead of
+//! a buffer, so `encode(v).len() == serialized_size(v)` by construction.
 //!
 //! Format: fixed-width little-endian numbers; `bool` = 1 byte; `Option` =
 //! 1-byte tag + payload; sequences/maps/strings = u64 length prefix +
 //! elements; enum variants = u32 index + payload; structs/tuples = fields in
 //! order with no framing.
-//!
-//! [`serialized_size`]: crate::serialized_size
 
 use serde::de::{self, DeserializeOwned, IntoDeserializer, Visitor};
 use serde::ser::{self, Serialize};
@@ -34,9 +35,7 @@ use diststream_types::{DistStreamError, Result};
 /// assert_eq!(back, value);
 /// ```
 pub fn encode<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    encode_into(value, &mut bytes);
-    bytes
+    encode_to(value, Vec::new())
 }
 
 /// Encodes `value` into `buf`, clearing it first but keeping its capacity.
@@ -60,14 +59,34 @@ pub fn encode<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
 /// ```
 pub fn encode_into<T: Serialize + ?Sized>(value: &T, buf: &mut Vec<u8>) {
     buf.clear();
-    let mut out = Encoder {
-        bytes: std::mem::take(buf),
-    };
+    *buf = encode_to(value, std::mem::take(buf));
+}
+
+/// Returns the number of bytes [`encode`] would produce for `value`,
+/// without allocating: the same encoder, writing into a length counter.
+///
+/// # Examples
+///
+/// ```
+/// use diststream_engine::serialized_size;
+///
+/// assert_eq!(serialized_size(&0u64), 8);
+/// assert_eq!(serialized_size(&1.0f64), 8);
+/// // Vec = 8-byte length prefix + elements.
+/// assert_eq!(serialized_size(&vec![1.0f64, 2.0]), 8 + 16);
+/// ```
+pub fn serialized_size<T: Serialize + ?Sized>(value: &T) -> u64 {
+    encode_to(value, ByteCount(0)).0
+}
+
+/// Runs the encoder over `value` into `sink` and hands the sink back.
+fn encode_to<T: Serialize + ?Sized, S: Sink>(value: &T, sink: S) -> S {
+    let mut out = Encoder { sink };
     value
         .serialize(&mut out)
-        // lint:allow(no-panic) Encoder writes to an in-memory Vec and never errors
+        // lint:allow(no-panic) both sinks are in-memory and never error
         .expect("in-memory encoding cannot fail");
-    *buf = out.bytes;
+    out.sink
 }
 
 /// Decodes a value previously produced by [`encode`].
@@ -93,8 +112,33 @@ pub fn decode<T: DeserializeOwned>(bytes: &[u8]) -> Result<T> {
 // Encoder
 // --------------------------------------------------------------------------
 
-struct Encoder {
-    bytes: Vec<u8>,
+/// Where the encoder's bytes go: a buffer ([`encode`]) or a length counter
+/// ([`serialized_size`]). Both are monomorphised through the same
+/// serializer, so the two can never disagree on the layout.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl Sink for Vec<u8> {
+    // Inlined (the serializer is monomorphised in the caller's crate) so a
+    // fixed-width `put` stays a fixed-width store.
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+struct ByteCount(u64);
+
+impl Sink for ByteCount {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len() as u64;
+    }
+}
+
+struct Encoder<S> {
+    sink: S,
 }
 
 #[derive(Debug)]
@@ -120,7 +164,7 @@ impl de::Error for CodecError {
     }
 }
 
-impl ser::Serializer for &mut Encoder {
+impl<S: Sink> ser::Serializer for &mut Encoder<S> {
     type Ok = ();
     type Error = CodecError;
     type SerializeSeq = Self;
@@ -132,47 +176,47 @@ impl ser::Serializer for &mut Encoder {
     type SerializeStructVariant = Self;
 
     fn serialize_bool(self, v: bool) -> std::result::Result<(), CodecError> {
-        self.bytes.push(v as u8);
+        self.sink.put(&[v as u8]);
         Ok(())
     }
     fn serialize_i8(self, v: i8) -> std::result::Result<(), CodecError> {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
+        self.sink.put(&v.to_le_bytes());
         Ok(())
     }
     fn serialize_i16(self, v: i16) -> std::result::Result<(), CodecError> {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
+        self.sink.put(&v.to_le_bytes());
         Ok(())
     }
     fn serialize_i32(self, v: i32) -> std::result::Result<(), CodecError> {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
+        self.sink.put(&v.to_le_bytes());
         Ok(())
     }
     fn serialize_i64(self, v: i64) -> std::result::Result<(), CodecError> {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
+        self.sink.put(&v.to_le_bytes());
         Ok(())
     }
     fn serialize_u8(self, v: u8) -> std::result::Result<(), CodecError> {
-        self.bytes.push(v);
+        self.sink.put(&[v]);
         Ok(())
     }
     fn serialize_u16(self, v: u16) -> std::result::Result<(), CodecError> {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
+        self.sink.put(&v.to_le_bytes());
         Ok(())
     }
     fn serialize_u32(self, v: u32) -> std::result::Result<(), CodecError> {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
+        self.sink.put(&v.to_le_bytes());
         Ok(())
     }
     fn serialize_u64(self, v: u64) -> std::result::Result<(), CodecError> {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
+        self.sink.put(&v.to_le_bytes());
         Ok(())
     }
     fn serialize_f32(self, v: f32) -> std::result::Result<(), CodecError> {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
+        self.sink.put(&v.to_le_bytes());
         Ok(())
     }
     fn serialize_f64(self, v: f64) -> std::result::Result<(), CodecError> {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
+        self.sink.put(&v.to_le_bytes());
         Ok(())
     }
     fn serialize_char(self, v: char) -> std::result::Result<(), CodecError> {
@@ -180,23 +224,23 @@ impl ser::Serializer for &mut Encoder {
     }
     fn serialize_str(self, v: &str) -> std::result::Result<(), CodecError> {
         self.serialize_u64(v.len() as u64)?;
-        self.bytes.extend_from_slice(v.as_bytes());
+        self.sink.put(v.as_bytes());
         Ok(())
     }
     fn serialize_bytes(self, v: &[u8]) -> std::result::Result<(), CodecError> {
         self.serialize_u64(v.len() as u64)?;
-        self.bytes.extend_from_slice(v);
+        self.sink.put(v);
         Ok(())
     }
     fn serialize_none(self) -> std::result::Result<(), CodecError> {
-        self.bytes.push(0);
+        self.sink.put(&[0]);
         Ok(())
     }
     fn serialize_some<T: Serialize + ?Sized>(
         self,
         value: &T,
     ) -> std::result::Result<(), CodecError> {
-        self.bytes.push(1);
+        self.sink.put(&[1]);
         value.serialize(self)
     }
     fn serialize_unit(self) -> std::result::Result<(), CodecError> {
@@ -277,7 +321,7 @@ impl ser::Serializer for &mut Encoder {
 
 macro_rules! impl_encode_compound {
     ($trait:path, $method:ident $(, $key:ident)?) => {
-        impl $trait for &mut Encoder {
+        impl<S: Sink> $trait for &mut Encoder<S> {
             type Ok = ();
             type Error = CodecError;
 
@@ -310,7 +354,7 @@ impl_encode_compound!(ser::SerializeTupleStruct, serialize_field);
 impl_encode_compound!(ser::SerializeTupleVariant, serialize_field);
 impl_encode_compound!(ser::SerializeMap, serialize_value, serialize_key);
 
-impl ser::SerializeStruct for &mut Encoder {
+impl<S: Sink> ser::SerializeStruct for &mut Encoder<S> {
     type Ok = ();
     type Error = CodecError;
 
@@ -327,7 +371,7 @@ impl ser::SerializeStruct for &mut Encoder {
     }
 }
 
-impl ser::SerializeStructVariant for &mut Encoder {
+impl<S: Sink> ser::SerializeStructVariant for &mut Encoder<S> {
     type Ok = ();
     type Error = CodecError;
 
@@ -683,7 +727,6 @@ impl<'de> de::VariantAccess<'de> for EnumAccess<'_, 'de> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sizeof::serialized_size;
     use diststream_types::{Point, Record, Timestamp};
     use proptest::prelude::*;
     use serde::{Deserialize, Serialize};
@@ -691,11 +734,6 @@ mod tests {
 
     fn roundtrip<T: Serialize + DeserializeOwned + PartialEq + fmt::Debug>(value: &T) {
         let bytes = encode(value);
-        assert_eq!(
-            bytes.len() as u64,
-            serialized_size(value),
-            "encoded size disagrees with serialized_size"
-        );
         let back: T = decode(&bytes).expect("decode");
         assert_eq!(&back, value);
     }
@@ -768,6 +806,52 @@ mod tests {
     #[test]
     fn invalid_bool_errors() {
         assert!(decode::<bool>(&[2]).is_err());
+    }
+
+    #[test]
+    fn size_of_primitives_options_and_tuples() {
+        assert_eq!(serialized_size(&true), 1);
+        assert_eq!(serialized_size(&1u8), 1);
+        assert_eq!(serialized_size(&1u32), 4);
+        assert_eq!(serialized_size(&1i64), 8);
+        assert_eq!(serialized_size(&1.5f64), 8);
+        assert_eq!(serialized_size("abc"), 11);
+        assert_eq!(serialized_size(&Option::<u64>::None), 1);
+        assert_eq!(serialized_size(&Some(1u64)), 9);
+        assert_eq!(serialized_size(&(1u32, 2.0f64)), 12);
+    }
+
+    #[test]
+    fn size_of_sequences_has_length_prefix() {
+        assert_eq!(serialized_size(&Vec::<f64>::new()), 8);
+        assert_eq!(serialized_size(&vec![0.0f64; 10]), 8 + 80);
+        let nested = vec![vec![1u8], vec![2u8, 3u8]];
+        assert_eq!(serialized_size(&nested), 8 + (8 + 1) + (8 + 2));
+    }
+
+    #[test]
+    fn size_of_structs_sums_fields_and_enums_carry_tag() {
+        #[derive(Serialize)]
+        struct S {
+            a: u32,
+            b: f64,
+        }
+        assert_eq!(serialized_size(&S { a: 1, b: 2.0 }), 12);
+        #[derive(Serialize)]
+        enum E {
+            A,
+            B(u64),
+        }
+        assert_eq!(serialized_size(&E::A), 4);
+        assert_eq!(serialized_size(&E::B(0)), 12);
+    }
+
+    #[test]
+    fn record_size_scales_with_dims() {
+        let small = Record::new(0, Point::zeros(2), Timestamp::ZERO);
+        let big = Record::new(0, Point::zeros(54), Timestamp::ZERO);
+        let delta = serialized_size(&big) - serialized_size(&small);
+        assert_eq!(delta, 52 * 8);
     }
 
     proptest! {

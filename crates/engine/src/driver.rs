@@ -4,14 +4,15 @@ use diststream_telemetry as telemetry;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use diststream_types::Result;
+use diststream_types::{DistStreamError, Result};
 
 use crate::faults::{FaultPlan, FaultState};
 use crate::metrics::StepMetrics;
 use crate::netcost::SimCostModel;
-use crate::pool::{execute_with_retry, TaskPool};
+use crate::pool::{execute_with_retry, TaskPool, DEFAULT_MAX_TASK_FAILURES};
 
 /// How a step's tasks are executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,7 +34,9 @@ pub enum ExecutionMode {
 /// A `StreamingContext` owns the parallelism degree, the execution mode, and
 /// (in simulated mode) the cost model and its seeded RNG. The framework
 /// calls [`StreamingContext::run_tasks`] once per parallel step and charges
-/// data movement through [`StreamingContext::network_secs`].
+/// data movement through [`StreamingContext::network_secs`]. Worker threads
+/// are scoped to a step, so the degree is just a number:
+/// [`StreamingContext::resize`] changes it between batches.
 ///
 /// # Examples
 ///
@@ -48,9 +51,9 @@ pub enum ExecutionMode {
 /// ```
 #[derive(Debug)]
 pub struct StreamingContext {
-    parallelism: usize,
+    parallelism: AtomicUsize,
+    max_task_failures: usize,
     mode: ExecutionMode,
-    pool: TaskPool,
     cost: SimCostModel,
     rng: Mutex<StdRng>,
     faults: Mutex<Option<FaultState>>,
@@ -66,33 +69,31 @@ impl StreamingContext {
     /// # Errors
     ///
     /// Returns [`DistStreamError::InvalidConfig`] if `parallelism` is zero.
-    ///
-    /// [`DistStreamError::InvalidConfig`]: diststream_types::DistStreamError::InvalidConfig
     pub fn new(parallelism: usize, mode: ExecutionMode) -> Result<Self> {
         Self::with_cost_model(parallelism, mode, SimCostModel::default())
     }
 
-    /// Creates a context with an explicit cost model.
+    /// Creates a context with an explicit cost model. A
+    /// [`ExecutionMode::Threads`] context stores [`SimCostModel::zero`]
+    /// instead: real data movement (memory traffic) is already part of its
+    /// measured wall time, so every simulated charge is 0.0.
     ///
     /// # Errors
     ///
     /// Returns [`DistStreamError::InvalidConfig`] if `parallelism` is zero.
-    ///
-    /// [`DistStreamError::InvalidConfig`]: diststream_types::DistStreamError::InvalidConfig
     pub fn with_cost_model(
         parallelism: usize,
         mode: ExecutionMode,
         cost: SimCostModel,
     ) -> Result<Self> {
-        if parallelism == 0 {
-            return Err(diststream_types::DistStreamError::InvalidConfig(
-                "parallelism degree must be at least 1".into(),
-            ));
-        }
+        let cost = match mode {
+            ExecutionMode::Threads => SimCostModel::zero(),
+            ExecutionMode::Simulated => cost,
+        };
         Ok(StreamingContext {
-            parallelism,
+            parallelism: AtomicUsize::new(positive(parallelism, "parallelism degree")?),
+            max_task_failures: DEFAULT_MAX_TASK_FAILURES,
             mode,
-            pool: TaskPool::new(parallelism),
             cost,
             rng: Mutex::new(StdRng::seed_from_u64(Self::DEFAULT_SEED)),
             faults: Mutex::new(None),
@@ -106,7 +107,22 @@ impl StreamingContext {
 
     /// The parallelism degree (number of task slots).
     pub fn parallelism(&self) -> usize {
-        self.parallelism
+        self.parallelism.load(Ordering::SeqCst)
+    }
+
+    /// Changes the parallelism degree. Call between batches only (the
+    /// elastic resize boundary): a step already running keeps the degree it
+    /// started with.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DistStreamError::InvalidConfig`] if `parallelism` is zero.
+    pub fn resize(&self, parallelism: usize) -> Result<()> {
+        self.parallelism.store(
+            positive(parallelism, "parallelism degree")?,
+            Ordering::SeqCst,
+        );
+        Ok(())
     }
 
     /// The execution mode.
@@ -114,7 +130,7 @@ impl StreamingContext {
         self.mode
     }
 
-    /// The active cost model.
+    /// The active cost model ([`SimCostModel::zero`] in thread mode).
     pub fn cost_model(&self) -> &SimCostModel {
         &self.cost
     }
@@ -124,18 +140,18 @@ impl StreamingContext {
     /// included, before the step fails with
     /// [`DistStreamError::TaskFailed`]. Default is 4.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `max` is zero.
-    ///
-    /// [`DistStreamError::TaskFailed`]: diststream_types::DistStreamError::TaskFailed
-    pub fn set_max_task_failures(&mut self, max: usize) {
-        self.pool = self.pool.with_max_task_failures(max);
+    /// Returns [`DistStreamError::InvalidConfig`] if `max` is zero (every
+    /// task needs at least one attempt).
+    pub fn set_max_task_failures(&mut self, max: usize) -> Result<()> {
+        self.max_task_failures = positive(max, "max task failures")?;
+        Ok(())
     }
 
     /// The per-task retry budget currently in force.
     pub fn max_task_failures(&self) -> usize {
-        self.pool.max_task_failures()
+        self.max_task_failures
     }
 
     /// Installs a deterministic [`FaultPlan`]; it replaces any plan already
@@ -188,8 +204,6 @@ impl StreamingContext {
     ///
     /// Returns [`DistStreamError::TaskFailed`] if a task panics on all of
     /// its permitted attempts.
-    ///
-    /// [`DistStreamError::TaskFailed`]: diststream_types::DistStreamError::TaskFailed
     pub fn run_tasks<I, O, F>(&self, inputs: Vec<I>, f: F) -> Result<(Vec<O>, StepMetrics)>
     where
         I: Send + Clone,
@@ -212,15 +226,18 @@ impl StreamingContext {
         };
         let hook: Option<&(dyn Fn(usize, usize) -> f64 + Sync)> =
             if faulting { Some(&hook) } else { None };
+        let parallelism = self.parallelism();
         match self.mode {
             ExecutionMode::Threads => {
+                let pool =
+                    TaskPool::new(parallelism)?.with_max_task_failures(self.max_task_failures)?;
                 let start = Instant::now();
-                let (outputs, task_secs) = self.pool.run_hooked(inputs, &f, hook)?;
+                let (outputs, task_secs) = pool.run_hooked(inputs, &f, hook)?;
                 let wall = start.elapsed().as_secs_f64();
                 Ok((outputs, StepMetrics::new(task_secs, wall)))
             }
             ExecutionMode::Simulated => {
-                let max_attempts = self.pool.max_task_failures();
+                let max_attempts = self.max_task_failures;
                 let mut outputs = Vec::with_capacity(inputs.len());
                 let mut measured = Vec::with_capacity(inputs.len());
                 let mut retried = 0usize;
@@ -243,8 +260,7 @@ impl StreamingContext {
                 }
                 let mut rng = self.rng.lock();
                 let (effective, makespan) =
-                    self.cost
-                        .step_wall_secs(&measured, self.parallelism, &mut rng);
+                    self.cost.step_wall_secs(&measured, parallelism, &mut rng);
                 Ok((outputs, StepMetrics::new(effective, makespan)))
             }
         }
@@ -252,26 +268,21 @@ impl StreamingContext {
 
     /// Simulated network seconds for moving `bytes` in `messages` messages.
     ///
-    /// Returns 0.0 in thread mode, where real data movement (memory traffic)
-    /// is already part of the measured wall time.
+    /// This and the four charges below are 0.0 in thread mode, whose stored
+    /// cost model is [`SimCostModel::zero`].
     pub fn network_secs(&self, bytes: u64, messages: u64) -> f64 {
-        let secs = match self.mode {
-            ExecutionMode::Threads => 0.0,
-            ExecutionMode::Simulated => self.cost.network.transfer_secs(bytes, messages),
-        };
+        let secs = self.cost.network.transfer_secs(bytes, messages);
         charge_net_telemetry("transfer", bytes, secs);
         secs
     }
 
     /// Simulated cost of broadcasting `payload_bytes` to every task slot.
     pub fn broadcast_secs(&self, payload_bytes: u64) -> f64 {
-        let secs = match self.mode {
-            ExecutionMode::Threads => 0.0,
-            ExecutionMode::Simulated => self.cost.broadcast_secs(payload_bytes, self.parallelism),
-        };
+        let parallelism = self.parallelism();
+        let secs = self.cost.broadcast_secs(payload_bytes, parallelism);
         charge_net_telemetry(
             "broadcast",
-            payload_bytes.saturating_mul(self.parallelism as u64),
+            payload_bytes.saturating_mul(parallelism as u64),
             secs,
         );
         secs
@@ -280,34 +291,33 @@ impl StreamingContext {
     /// Simulated cost of the shuffle between the assignment and local-update
     /// steps.
     pub fn shuffle_secs(&self, bytes: u64) -> f64 {
-        let secs = match self.mode {
-            ExecutionMode::Threads => 0.0,
-            ExecutionMode::Simulated => self.cost.shuffle_secs(bytes, self.parallelism),
-        };
+        let secs = self.cost.shuffle_secs(bytes, self.parallelism());
         charge_net_telemetry("shuffle", bytes, secs);
         secs
     }
 
     /// Simulated cost of collecting `bytes` of step output onto the driver.
     pub fn collect_secs(&self, bytes: u64) -> f64 {
-        let secs = match self.mode {
-            ExecutionMode::Threads => 0.0,
-            ExecutionMode::Simulated => self.cost.collect_secs(bytes, self.parallelism),
-        };
+        let secs = self.cost.collect_secs(bytes, self.parallelism());
         charge_net_telemetry("collect", bytes, secs);
         secs
     }
 
-    /// The fixed per-batch scheduling overhead (simulated mode; 0.0 in
-    /// thread mode).
+    /// The fixed per-batch scheduling overhead.
     pub fn batch_overhead_secs(&self) -> f64 {
-        match self.mode {
-            ExecutionMode::Threads => 0.0,
-            ExecutionMode::Simulated => {
-                self.cost.per_batch_overhead_secs * self.cost.workload_scale
-            }
-        }
+        self.cost.per_batch_overhead_secs * self.cost.workload_scale
     }
+}
+
+/// `value` if it is at least 1, else the typed error for a zero `what` —
+/// these values arrive from configuration, so they never panic.
+pub(crate) fn positive(value: usize, what: &str) -> Result<usize> {
+    if value == 0 {
+        return Err(DistStreamError::InvalidConfig(format!(
+            "{what} must be at least 1"
+        )));
+    }
+    Ok(value)
 }
 
 /// Netcost byte/seconds accounting into the telemetry registry, split by
@@ -366,10 +376,46 @@ mod tests {
 
     #[test]
     fn network_charges_zero_in_thread_mode() {
-        let ctx = StreamingContext::new(2, ExecutionMode::Threads).unwrap();
-        assert_eq!(ctx.network_secs(1 << 30, 100), 0.0);
-        assert_eq!(ctx.broadcast_secs(1 << 30), 0.0);
-        assert_eq!(ctx.batch_overhead_secs(), 0.0);
+        // Even when handed a non-zero model: thread mode stores zero().
+        for ctx in [
+            StreamingContext::new(2, ExecutionMode::Threads).unwrap(),
+            StreamingContext::with_cost_model(2, ExecutionMode::Threads, SimCostModel::default())
+                .unwrap(),
+        ] {
+            assert_eq!(ctx.network_secs(1 << 30, 100), 0.0);
+            assert_eq!(ctx.broadcast_secs(1 << 30), 0.0);
+            assert_eq!(ctx.shuffle_secs(1 << 30), 0.0);
+            assert_eq!(ctx.collect_secs(1 << 30), 0.0);
+            assert_eq!(ctx.batch_overhead_secs(), 0.0);
+        }
+    }
+
+    /// Regression: a zero retry budget used to panic inside the pool — on a
+    /// value that arrives from configuration.
+    #[test]
+    fn zero_retry_budget_is_a_typed_error() {
+        let mut ctx = StreamingContext::new(2, ExecutionMode::Simulated).unwrap();
+        let err = ctx.set_max_task_failures(0).unwrap_err();
+        assert!(matches!(err, DistStreamError::InvalidConfig(_)), "{err}");
+        assert_eq!(ctx.max_task_failures(), DEFAULT_MAX_TASK_FAILURES);
+        ctx.set_max_task_failures(1).unwrap();
+        assert_eq!(ctx.max_task_failures(), 1);
+    }
+
+    #[test]
+    fn resize_changes_the_degree_between_steps_and_rejects_zero() {
+        for mode in [ExecutionMode::Threads, ExecutionMode::Simulated] {
+            let ctx = StreamingContext::new(2, mode).unwrap();
+            ctx.resize(5).unwrap();
+            assert_eq!(ctx.parallelism(), 5);
+            let (outs, _) = ctx
+                .run_tasks((0..9).collect::<Vec<u64>>(), |_, x| x)
+                .unwrap();
+            assert_eq!(outs, (0..9).collect::<Vec<u64>>());
+            let err = ctx.resize(0).unwrap_err();
+            assert!(matches!(err, DistStreamError::InvalidConfig(_)), "{err}");
+            assert_eq!(ctx.parallelism(), 5, "a rejected resize changes nothing");
+        }
     }
 
     #[test]

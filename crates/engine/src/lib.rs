@@ -63,13 +63,12 @@ mod prefetch;
 mod reorder;
 mod sampler;
 mod serving;
-mod sizeof;
 mod source;
 
 pub use backpressure::LoadShedPolicy;
 pub use batcher::{MiniBatch, MiniBatcher};
 pub use broadcast::Broadcast;
-pub use codec::{decode, encode, encode_into};
+pub use codec::{decode, encode, encode_into, serialized_size};
 pub use driver::{ExecutionMode, StreamingContext};
 pub use faults::FaultPlan;
 pub use latency::{LatencyProbe, RecordLatency, LATENCY_BUCKET_BOUNDS};
@@ -88,5 +87,4 @@ pub use prefetch::{prefetch_batches, PrefetchedBatches, PREFETCH_DEPTH};
 pub use reorder::ReorderBuffer;
 pub use sampler::{error_bound, SamplerControl, StratifiedSampler, RATE_ONE_PPM};
 pub use serving::{SnapshotReader, SnapshotSlot};
-pub use sizeof::serialized_size;
 pub use source::{RateStampedSource, RecordSource, RepeatSource, VecSource};

@@ -9,6 +9,8 @@ use diststream_telemetry as telemetry;
 use diststream_types::{DistStreamError, Result};
 use parking_lot::Mutex;
 
+use crate::driver::positive;
+
 /// Spark's `spark.task.maxFailures` default: a task may execute up to four
 /// times (one initial attempt plus three retries) before the step fails.
 pub const DEFAULT_MAX_TASK_FAILURES: usize = 4;
@@ -32,7 +34,7 @@ pub const DEFAULT_MAX_TASK_FAILURES: usize = 4;
 /// ```
 /// use diststream_engine::TaskPool;
 ///
-/// let pool = TaskPool::new(2);
+/// let pool = TaskPool::new(2)?;
 /// let (outs, secs) = pool.run(vec![1, 2, 3], &|_idx, x: i32| x * 10)?;
 /// assert_eq!(outs, vec![10, 20, 30]);
 /// assert_eq!(secs.len(), 3);
@@ -48,27 +50,26 @@ impl TaskPool {
     /// Creates a pool with `threads` worker threads and the default retry
     /// budget ([`DEFAULT_MAX_TASK_FAILURES`]).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `threads` is zero.
-    pub fn new(threads: usize) -> Self {
-        assert!(threads > 0, "thread count must be at least 1");
-        TaskPool {
-            threads,
+    /// Returns [`DistStreamError::InvalidConfig`] if `threads` is zero.
+    pub fn new(threads: usize) -> Result<Self> {
+        Ok(TaskPool {
+            threads: positive(threads, "thread count")?,
             max_task_failures: DEFAULT_MAX_TASK_FAILURES,
-        }
+        })
     }
 
     /// Sets the retry budget: the maximum number of times a single task may
     /// execute (initial attempt included) before the step fails.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `max` is zero (every task needs at least one attempt).
-    pub fn with_max_task_failures(mut self, max: usize) -> Self {
-        assert!(max > 0, "max task failures must be at least 1");
-        self.max_task_failures = max;
-        self
+    /// Returns [`DistStreamError::InvalidConfig`] if `max` is zero (every
+    /// task needs at least one attempt).
+    pub fn with_max_task_failures(mut self, max: usize) -> Result<Self> {
+        self.max_task_failures = positive(max, "max task failures")?;
+        Ok(self)
     }
 
     /// Number of worker threads.
@@ -408,7 +409,7 @@ mod tests {
 
     #[test]
     fn outputs_preserve_task_order() {
-        let pool = TaskPool::new(4);
+        let pool = TaskPool::new(4).unwrap();
         let inputs: Vec<usize> = (0..100).collect();
         let (outs, secs) = pool
             .run(inputs, &|idx, x| {
@@ -423,14 +424,14 @@ mod tests {
 
     #[test]
     fn empty_input_is_empty_output() {
-        let pool = TaskPool::new(2);
+        let pool = TaskPool::new(2).unwrap();
         let (outs, secs) = pool.run(Vec::<u8>::new(), &|_, x| x).unwrap();
         assert!(outs.is_empty() && secs.is_empty());
     }
 
     #[test]
     fn every_task_runs_exactly_once() {
-        let pool = TaskPool::new(8);
+        let pool = TaskPool::new(8).unwrap();
         let counter = AtomicU64::new(0);
         let (outs, _) = pool
             .run((0..500).collect::<Vec<u64>>(), &|_, x| {
@@ -444,7 +445,7 @@ mod tests {
 
     #[test]
     fn task_panic_exhausts_retries_then_surfaces_typed_error() {
-        let pool = TaskPool::new(2);
+        let pool = TaskPool::new(2).unwrap();
         let attempts_seen = AtomicU64::new(0);
         let result = pool.run(vec![0, 1, 2], &|_, x: i32| {
             if x == 1 {
@@ -474,7 +475,7 @@ mod tests {
 
     #[test]
     fn flaky_task_succeeds_via_retry() {
-        let pool = TaskPool::new(2);
+        let pool = TaskPool::new(2).unwrap();
         let failures_left = AtomicU64::new(2);
         let (outs, secs) = pool
             .run(vec![10, 20, 30], &|_, x: i32| {
@@ -492,7 +493,9 @@ mod tests {
 
     #[test]
     fn retry_budget_of_one_fails_on_first_panic() {
-        let pool = TaskPool::new(2).with_max_task_failures(1);
+        let pool = TaskPool::new(2)
+            .and_then(|p| p.with_max_task_failures(1))
+            .unwrap();
         let result = pool.run(vec![0, 1], &|_, x: i32| {
             if x == 1 {
                 panic!("no second chances");
@@ -509,7 +512,9 @@ mod tests {
     fn lowest_failing_task_is_reported() {
         // Several tasks poisoned: whichever worker finishes last, the error
         // must name the lowest failing index for schedule independence.
-        let pool = TaskPool::new(4).with_max_task_failures(1);
+        let pool = TaskPool::new(4)
+            .and_then(|p| p.with_max_task_failures(1))
+            .unwrap();
         let result = pool.run((0..16).collect::<Vec<i32>>(), &|_, x| {
             if x >= 5 {
                 panic!("poisoned");
@@ -524,21 +529,23 @@ mod tests {
 
     #[test]
     fn more_threads_than_tasks_is_fine() {
-        let pool = TaskPool::new(16);
+        let pool = TaskPool::new(16).unwrap();
         let (outs, _) = pool.run(vec![7], &|_, x: i32| x + 1).unwrap();
         assert_eq!(outs, vec![8]);
     }
 
+    /// Regression: both used to `assert!` — panics on values that arrive
+    /// from configuration.
     #[test]
-    #[should_panic(expected = "thread count")]
-    fn zero_threads_panics() {
-        let _ = TaskPool::new(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "max task failures")]
-    fn zero_retry_budget_panics() {
-        let _ = TaskPool::new(1).with_max_task_failures(0);
+    fn zero_threads_and_zero_retry_budget_are_typed_errors() {
+        let err = TaskPool::new(0).unwrap_err();
+        assert!(matches!(&err, DistStreamError::InvalidConfig(m) if m.contains("thread count")));
+        let err = TaskPool::new(1)
+            .and_then(|p| p.with_max_task_failures(0))
+            .unwrap_err();
+        assert!(
+            matches!(&err, DistStreamError::InvalidConfig(m) if m.contains("max task failures"))
+        );
     }
 
     #[test]

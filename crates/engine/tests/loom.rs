@@ -83,7 +83,7 @@ fn claim_protocol_assigns_each_task_to_exactly_one_worker() {
 fn task_pool_outputs_complete_and_identical_across_schedules() {
     let expected: Vec<u64> = (0..16u64).map(|x| x * x + 1).collect();
     loom::model(|| {
-        let pool = TaskPool::new(4);
+        let pool = TaskPool::new(4).unwrap();
         let inputs: Vec<u64> = (0..16).collect();
         let (outs, secs) = pool
             .run(inputs, &|idx, x: u64| {

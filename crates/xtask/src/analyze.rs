@@ -82,8 +82,8 @@ pub fn run(root: &Path, opts: &Options) -> Result<Report, String> {
 
     let mut findings: Vec<Finding> = Vec::new();
 
-    // Legacy lint catalog, same allow semantics as `xtask lint`, sharing
-    // this pass's walk and lex.
+    // The lint catalog (inline `lint:allow` + per-rule allowlist files),
+    // sharing this pass's walk and lex.
     let lint_catalog = rules::catalog();
     for rule in &lint_catalog {
         let allowlist = workspace::load_allowlist(root, rule.name);

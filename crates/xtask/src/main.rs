@@ -1,25 +1,21 @@
 //! Workspace automation tasks.
 //!
-//! `cargo run -p xtask -- lint` walks every shipping `.rs` file under
-//! `crates/*/src` and enforces the determinism invariant catalog in
-//! `rules.rs`, printing `file:line: [rule] message` diagnostics and
-//! exiting nonzero on any finding. Escape hatches, in order of
-//! preference:
+//! `cargo run -p xtask -- analyze` walks every shipping `.rs` file under
+//! `crates/*/src` once and runs the determinism lint catalog in `rules.rs`
+//! *plus* the seven flow-aware rule families (determinism-dataflow,
+//! panic-path, index-in-hot-path, telemetry-names, guard-across-boundary,
+//! ignored-result, unsafe-without-safety-comment), printing
+//! `file:line: [rule] message` diagnostics and exiting nonzero on any
+//! finding. Escape hatches for the catalog, in order of preference:
 //!
 //! 1. fix the code;
 //! 2. `// lint:allow(<rule>) <why>` on the offending or preceding line;
 //! 3. a repo-relative path in `crates/xtask/allow/<rule>.txt`.
 //!
-//! See DESIGN.md § "Determinism invariants and the lint catalog".
-//!
-//! `cargo run -p xtask -- analyze` runs the flow-aware analysis pass:
-//! the full legacy lint catalog *plus* the seven analyze rule families
-//! (determinism-dataflow, panic-path, index-in-hot-path, telemetry-names,
-//! guard-across-boundary, ignored-result, unsafe-without-safety-comment)
-//! over one shared walk/lex of the workspace. `--sarif <path>` writes a
-//! SARIF 2.1 log of the active findings; `--update-baseline` regenerates
-//! `crates/xtask/analyze-baseline.txt` for the baseline-gated audits.
-//! See DESIGN.md §7.
+//! `--sarif <path>` writes a SARIF 2.1 log of the active findings;
+//! `--update-baseline` regenerates `crates/xtask/analyze-baseline.txt` for
+//! the baseline-gated audits. `cargo run -p xtask -- rules` prints the
+//! catalog. See DESIGN.md §7.
 //!
 //! `cargo run -p xtask -- check-trace <journal.jsonl>` validates a
 //! telemetry span journal produced with `--trace-out`: schema version,
@@ -63,13 +59,6 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("lint") => match parse_root(&args[1..]) {
-            Ok(root) => lint(root),
-            Err(msg) => {
-                eprintln!("xtask lint: {msg}");
-                ExitCode::FAILURE
-            }
-        },
         Some("analyze") => match parse_analyze_args(&args[1..]) {
             Ok((root, opts)) => run_analyze(&root, &opts),
             Err(msg) => {
@@ -158,7 +147,7 @@ fn main() -> ExitCode {
         _ => {
             eprintln!(
                 "usage: cargo run -p xtask -- \
-                 <lint|analyze|rules|check-trace|trace-analyze|bench-check|loc> \
+                 <analyze|rules|check-trace|trace-analyze|bench-check|loc> \
                  [--root <path>] [--sarif <out.sarif>] [--update-baseline] [--quick] [--check] \
                  [--baseline <journal>] [--what-if p=8,16] [--chrome-out <f>] \
                  [--blame-out <f>] [<journal.jsonl>]"
@@ -292,65 +281,6 @@ fn run_analyze(root: &Path, opts: &analyze::Options) -> ExitCode {
                 .collect::<BTreeSet<_>>()
                 .len(),
             suppressed
-        );
-        ExitCode::FAILURE
-    }
-}
-
-fn lint(root: PathBuf) -> ExitCode {
-    let files = match workspace::load(&root) {
-        Ok(files) => files,
-        Err(msg) => {
-            eprintln!("xtask lint: {msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let catalog = rules::catalog();
-    let allowlists: Vec<BTreeSet<String>> = catalog
-        .iter()
-        .map(|rule| workspace::load_allowlist(&root, rule.name))
-        .collect();
-
-    let mut findings: Vec<(String, rules::Violation)> = Vec::new();
-    for file in &files {
-        for (rule, allowlist) in catalog.iter().zip(&allowlists) {
-            if !(rule.applies)(&file.rel) || allowlist.contains(&file.rel) {
-                continue;
-            }
-            for violation in (rule.check)(&file.tokens) {
-                if !file.allows(rule.name, violation.line) {
-                    findings.push((file.rel.clone(), violation));
-                }
-            }
-        }
-    }
-
-    findings.sort_by(|a, b| (&a.0, a.1.line, a.1.rule).cmp(&(&b.0, b.1.line, b.1.rule)));
-    for (path, violation) in &findings {
-        println!(
-            "{path}:{line}: [{rule}] {message}",
-            line = violation.line,
-            rule = violation.rule,
-            message = violation.message
-        );
-    }
-    if findings.is_empty() {
-        println!(
-            "xtask lint: {} files clean across {} rules",
-            files.len(),
-            catalog.len()
-        );
-        ExitCode::SUCCESS
-    } else {
-        println!(
-            "xtask lint: {} violation(s) in {} file(s)",
-            findings.len(),
-            findings
-                .iter()
-                .map(|(path, _)| path)
-                .collect::<BTreeSet<_>>()
-                .len()
         );
         ExitCode::FAILURE
     }

@@ -22,7 +22,7 @@ pub struct Violation {
 
 pub struct Rule {
     pub name: &'static str,
-    /// Human-readable invariant, used in `xtask lint --explain`-style output.
+    /// Human-readable invariant, printed by `xtask rules`.
     pub rationale: &'static str,
     /// Whether the rule inspects the file at this repo-relative path.
     pub applies: fn(&str) -> bool,

@@ -2,20 +2,21 @@
 //!
 //! The paper inherits fault tolerance from Spark Streaming (§VI); this
 //! repository's substrate provides the same guarantee through periodic
-//! binary-codec checkpoints plus a write-ahead replay log. This example
-//! processes a stream, "crashes" the driver mid-stream, recovers from the
-//! last checkpoint + log, and shows the recovered model is identical to the
-//! lost one.
+//! binary-codec checkpoints plus a write-ahead replay log — boundary steps
+//! of the one `DistStreamJob` driver, so they work on any pipeline (here the
+//! fully overlapped one). This example steps a stream through a job session,
+//! "crashes" the driver mid-stream, recovers from the last checkpoint + log,
+//! and shows the recovered model is identical to the lost one.
 //!
 //! ```sh
 //! cargo run --example fault_tolerance --release
 //! ```
 
 use diststream::algorithms::{CluStream, CluStreamParams};
-use diststream::core::{CheckpointingDriver, StreamClustering};
+use diststream::core::{DistStreamJob, MemoryCheckpointStore, PipelineOptions, StreamClustering};
 use diststream::datasets::covertype_like;
 use diststream::engine::{ExecutionMode, MiniBatcher, StreamingContext, VecSource};
-use diststream::types::DistStreamError;
+use diststream::types::{ClusteringConfig, DistStreamError};
 
 fn main() -> Result<(), DistStreamError> {
     let dataset = covertype_like(8000, 21);
@@ -27,18 +28,21 @@ fn main() -> Result<(), DistStreamError> {
     });
     let ctx = StreamingContext::new(4, ExecutionMode::Simulated)?;
 
-    let model = algo.init(&records[..300])?;
-    let mut driver = CheckpointingDriver::new(&algo, &ctx, model, 3)?; // checkpoint every 3 batches
+    let mut job = DistStreamJob::new(&algo, &ctx, ClusteringConfig::default());
+    job.pipeline(PipelineOptions::all())
+        .checkpoint_store(Box::new(MemoryCheckpointStore::new(2)))
+        .checkpoint_every(3);
+    let mut driver = job.start(algo.init(&records[..300])?)?;
 
     let mut crashed_at = None;
     for (i, batch) in MiniBatcher::new(VecSource::new(records[300..].to_vec()), 10.0).enumerate() {
-        driver.process_batch(batch)?;
+        driver.step(batch)?;
+        let newest = job.store().manifest().first().copied();
         println!(
-            "batch {:>2}: {:>3} micro-clusters | checkpoint @ batch {:>2} ({} bytes) | replay log {} batches",
+            "batch {:>2}: {:>3} micro-clusters | newest checkpoint cursor {:>2} | replay log {} batches",
             i,
             driver.model().len(),
-            driver.checkpoint().batch_index,
-            driver.checkpoint().len(),
+            newest.unwrap_or(0),
             driver.replay_log_len(),
         );
         if i == 7 {

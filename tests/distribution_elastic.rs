@@ -21,8 +21,8 @@ use diststream::algorithms::{
     DenStreamParams,
 };
 use diststream::core::{
-    DistStreamJob, ElasticDriver, MemoryCheckpointStore, PipelineOptions, ResizeSchedule,
-    StrategyKind, StreamClustering,
+    serving_handle, DistStreamJob, MemoryCheckpointStore, PipelineOptions, ResizeOutcome,
+    ResizeSchedule, StrategyKind, StreamClustering,
 };
 use diststream::datasets::covertype_like;
 use diststream::engine::{
@@ -31,8 +31,6 @@ use diststream::engine::{
 };
 use diststream::telemetry;
 use diststream::types::{ClusteringConfig, Record, Timestamp};
-
-use serde::de::DeserializeOwned;
 
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 
@@ -54,33 +52,60 @@ fn to_batches(records: &[Record], per_batch: usize) -> Vec<MiniBatch> {
         .collect()
 }
 
-/// Runs `algo` through an [`ElasticDriver`] over `schedule` and returns the
-/// final model's exact serialized bytes.
-fn elastic_bytes<A>(algo: &A, schedule: ResizeSchedule, options: PipelineOptions) -> Vec<u8>
-where
-    A: StreamClustering,
-    A::Model: DeserializeOwned + PartialEq,
-{
+/// Steps `batches` through a job of `algo` resizing along `schedule` on
+/// `ctx`, from the model initialized on `init`; returns the final model's
+/// exact serialized bytes and the boundaries crossed.
+fn elastic_run<A: StreamClustering>(
+    algo: &A,
+    ctx: &StreamingContext,
+    schedule: ResizeSchedule,
+    options: PipelineOptions,
+    init: &[Record],
+    batches: Vec<MiniBatch>,
+) -> (Vec<u8>, Vec<ResizeOutcome>) {
+    let records: usize = batches.iter().map(MiniBatch::len).sum();
+    let mut job = DistStreamJob::new(algo, ctx, ClusteringConfig::default());
+    job.pipeline(options)
+        .checkpoint_store(Box::new(MemoryCheckpointStore::new(4)))
+        .resize(schedule);
+    let mut session = job.start(algo.init(init).expect("init")).expect("start");
+    for batch in batches {
+        session.step(batch).expect("elastic step");
+    }
+    let result = session.finish().expect("finish");
+    assert_eq!(result.meter.records(), records);
+    (encode(&result.model), result.resizes)
+}
+
+/// [`elastic_run`] over the shared stream on a zero-cost simulated context.
+fn elastic_bytes<A: StreamClustering>(
+    algo: &A,
+    schedule: ResizeSchedule,
+    options: PipelineOptions,
+) -> Vec<u8> {
     let all = records();
     let (init, rest) = all.split_at(100);
-    let model = algo.init(init).expect("init");
-    let mut driver = ElasticDriver::new(algo, ExecutionMode::Simulated, schedule);
-    driver.options(options);
-    let mut store = MemoryCheckpointStore::new(4);
-    let (model, report) = driver
-        .run(model, to_batches(rest, 200), &mut store)
-        .expect("elastic run");
-    assert_eq!(report.records, rest.len() as u64);
-    encode(&model)
+    elastic_run(
+        algo,
+        &zero_cost_ctx(),
+        schedule,
+        options,
+        init,
+        to_batches(rest, 200),
+    )
+    .0
+}
+
+/// A simulated context with the zero-cost network model; jobs with a resize
+/// schedule set its degree themselves.
+fn zero_cost_ctx() -> StreamingContext {
+    StreamingContext::with_cost_model(1, ExecutionMode::Simulated, SimCostModel::zero())
+        .expect("context")
 }
 
 /// The elastic replay gate: p = 2 → 4 → 3 mid-stream must be bit-identical
 /// to the fixed-parallelism run, per algorithm, under both protocols.
-fn assert_elastic_replay_invariant<A>(algo: &A, name: &str)
-where
-    A: StreamClustering,
-    A::Model: DeserializeOwned + PartialEq,
-{
+fn assert_elastic_replay_invariant<A: StreamClustering>(algo: &A, name: &str) {
     let resized = ResizeSchedule::with_steps(2, vec![(2, 4), (4, 3)]).expect("schedule");
     for options in [PipelineOptions::sync(), PipelineOptions::all()] {
         let fixed = elastic_bytes(algo, ResizeSchedule::fixed(2), options);
@@ -151,31 +176,33 @@ fn clustream_resize_under_faults_completes_or_rolls_back() {
 
     for overlap in [false, true] {
         let run = |plan: Option<FaultPlan>| {
-            let model = algo.init(init).expect("init");
-            let mut driver = ElasticDriver::new(&algo, ExecutionMode::Simulated, schedule.clone());
-            driver.options(PipelineOptions {
+            let ctx = zero_cost_ctx();
+            if let Some(plan) = plan {
+                ctx.install_fault_plan(plan);
+            }
+            let options = PipelineOptions {
                 overlap,
                 ..PipelineOptions::sync()
-            });
-            if let Some(plan) = plan {
-                driver.fault_plan(plan);
-            }
-            let mut store = MemoryCheckpointStore::new(4);
-            let (model, report) = driver
-                .run(model, batches.clone(), &mut store)
-                .expect("elastic run");
-            (encode(&model), report)
+            };
+            elastic_run(
+                &algo,
+                &ctx,
+                schedule.clone(),
+                options,
+                init,
+                batches.clone(),
+            )
         };
 
-        let (clean, clean_report) = run(None);
-        assert!(!clean_report.resizes[0].rolled_back, "overlap={overlap}");
+        let (clean, clean_resizes) = run(None);
+        assert!(!clean_resizes[0].rolled_back, "overlap={overlap}");
 
         // Task 3 only exists post-resize; exhausting its retry budget on the
         // rebalancing batch forces the rollback path.
         let exhausted = (0..4).fold(FaultPlan::new(), |p, attempt| p.panic_on(2, 3, attempt));
-        let (rolled_back, report) = run(Some(exhausted));
+        let (rolled_back, resizes) = run(Some(exhausted));
         assert!(
-            report.resizes[0].rolled_back,
+            resizes[0].rolled_back,
             "overlap={overlap}: resize must roll back"
         );
         assert_eq!(
@@ -184,9 +211,9 @@ fn clustream_resize_under_faults_completes_or_rolls_back() {
         );
 
         // A single panic stays inside the retry budget: the resize completes.
-        let (completed, report) = run(Some(FaultPlan::new().panic_on(2, 3, 0)));
+        let (completed, resizes) = run(Some(FaultPlan::new().panic_on(2, 3, 0)));
         assert!(
-            !report.resizes[0].rolled_back,
+            !resizes[0].rolled_back,
             "overlap={overlap}: resize must complete"
         );
         assert_eq!(
@@ -194,6 +221,81 @@ fn clustream_resize_under_faults_completes_or_rolls_back() {
             "overlap={overlap}: retried resize perturbed the model"
         );
     }
+}
+
+/// Everything the single driver lets one job combine (ROADMAP item 4d): the
+/// fully overlapped pipeline on key-range placement, a resize schedule, a
+/// checkpoint cadence and a serving handle, with faults on both resizing
+/// batches. Returns the final model bytes and the boundaries crossed.
+fn combination_run(
+    schedule: ResizeSchedule,
+    plan: Option<FaultPlan>,
+) -> (Vec<u8>, Vec<ResizeOutcome>) {
+    let algo = CluStream::new(CluStreamParams {
+        max_micro_clusters: 70,
+        ..Default::default()
+    });
+    let all = records();
+    let (init, rest) = all.split_at(100);
+    let ctx = zero_cost_ctx();
+    if let Some(plan) = plan {
+        ctx.install_fault_plan(plan);
+    }
+    let handle = serving_handle();
+    let mut job = DistStreamJob::new(&algo, &ctx, ClusteringConfig::default());
+    job.pipeline(PipelineOptions::all().with_strategy(StrategyKind::KeyRange))
+        .serving(handle.clone())
+        .checkpoint_store(Box::new(MemoryCheckpointStore::new(3)))
+        .checkpoint_every(2)
+        .resize(schedule);
+    let mut session = job.start(algo.init(init).expect("init")).expect("start");
+    let mut epochs = Vec::new();
+    for batch in to_batches(rest, 200) {
+        let index = batch.index;
+        session.step(batch).expect("step");
+        assert_eq!(
+            &session.recover().expect("recover"),
+            session.model(),
+            "recovery diverged after batch {index}"
+        );
+        epochs.extend(handle.latest().map(|(epoch, _)| epoch));
+    }
+    let result = session.finish().expect("finish");
+    epochs.extend(handle.latest().map(|(epoch, _)| epoch));
+    assert!(
+        epochs.windows(2).all(|w| w[0] < w[1]),
+        "published epochs must strictly increase: {epochs:?}"
+    );
+    // Overlapped: batch 0 publishes nothing, then one epoch per step, and
+    // the flush publishes the last batch's.
+    assert_eq!(epochs, (0..7).collect::<Vec<u64>>());
+    let (_, last) = handle.latest().expect("published");
+    assert_eq!(last.model_bytes, encode(&result.model));
+    assert_eq!(result.meter.records(), rest.len());
+    (encode(&result.model), result.resizes)
+}
+
+#[test]
+fn overlapped_keyrange_resize_checkpoint_serving_and_faults_combine() {
+    // Key-range batches here would land in the per-strategy shuffle counter
+    // the byte-gate test reads deltas of.
+    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (plain, none) = combination_run(ResizeSchedule::fixed(2), None);
+    assert!(none.is_empty());
+
+    // Exhaust task 3's retry budget on the first resizing batch (2 → 4
+    // rolls back) and panic task 1 once on the second (2 → 3 completes).
+    let plan = (0..4)
+        .fold(FaultPlan::new(), |p, attempt| p.panic_on(2, 3, attempt))
+        .panic_on(4, 1, 0);
+    let schedule = ResizeSchedule::with_steps(2, vec![(2, 4), (4, 3)]).expect("schedule");
+    let (elastic, resizes) = combination_run(schedule, Some(plan));
+    assert_eq!(elastic, plain, "the combination perturbed the model");
+    let crossed: Vec<_> = resizes
+        .iter()
+        .map(|r| (r.batch_index, r.from, r.to, r.rolled_back))
+        .collect();
+    assert_eq!(crossed, vec![(2, 2, 4, true), (4, 2, 3, false)]);
 }
 
 /// Runs a CluStream job under `cost` with the given strategy and returns
@@ -313,19 +415,16 @@ fn topology_sweep_journals_netcost_straggler_and_rebalance_metrics() {
     });
     let all = records();
     let (init, rest) = all.split_at(100);
-    let model = algo.init(init).expect("init");
-    let mut driver = ElasticDriver::new(
+    let ctx = StreamingContext::with_cost_model(1, ExecutionMode::Simulated, topology.cost_model())
+        .expect("context");
+    elastic_run(
         &algo,
-        ExecutionMode::Simulated,
+        &ctx,
         ResizeSchedule::with_steps(2, vec![(3, 4)]).expect("schedule"),
+        PipelineOptions::sync().with_strategy(StrategyKind::KeyRange),
+        init,
+        to_batches(rest, 200),
     );
-    driver
-        .cost_model(topology.cost_model())
-        .options(PipelineOptions::sync().with_strategy(StrategyKind::KeyRange));
-    let mut store = MemoryCheckpointStore::new(4);
-    driver
-        .run(model, to_batches(rest, 200), &mut store)
-        .expect("elastic run");
 
     telemetry::set_enabled(false);
 

@@ -5,7 +5,7 @@
 
 use diststream::core::reference::NaiveClustering;
 use diststream::core::{
-    BatchDisposition, CheckpointingDriver, DistStreamExecutor, DistStreamJob, FileCheckpointStore,
+    BatchDisposition, CheckpointStore, DistStreamExecutor, DistStreamJob, FileCheckpointStore,
     MemoryCheckpointStore, PipelineOptions, StreamClustering,
 };
 use diststream::engine::{
@@ -68,7 +68,7 @@ fn run_model(ctx: &StreamingContext, plan: Option<FaultPlan>, skip: &[usize]) ->
 
 #[test]
 fn worker_panic_exhausts_retries_into_typed_error() {
-    let pool = TaskPool::new(4);
+    let pool = TaskPool::new(4).unwrap();
     let result = pool.run((0..64).collect::<Vec<u32>>(), &|_, x| {
         assert!(x != 13, "injected failure");
         x
@@ -196,6 +196,19 @@ fn scattered_fault_plan_still_replays_deterministically() {
 // Durable checkpoints
 // ---------------------------------------------------------------------------
 
+/// A job over `ctx` checkpointing every `interval` batches into `store`.
+fn checkpointing_job<'a>(
+    algo: &'a NaiveClustering,
+    ctx: &'a StreamingContext,
+    interval: usize,
+    store: impl CheckpointStore + 'static,
+) -> DistStreamJob<'a, NaiveClustering> {
+    let mut job = DistStreamJob::new(algo, ctx, ClusteringConfig::default());
+    job.checkpoint_store(Box::new(store))
+        .checkpoint_every(interval);
+    job
+}
+
 fn unique_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("diststream-failinj-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -213,14 +226,13 @@ fn corrupted_newest_checkpoint_recovers_from_previous_manifest_entry() {
     let dir = unique_dir("fallback");
     let store = FileCheckpointStore::open(&dir, 3).unwrap();
     let model = algo.init(&[rec(0, 0.0, 0.0)]).unwrap();
-    let mut driver = CheckpointingDriver::new(&algo, &ctx, model, 2)
-        .and_then(|d| d.with_store(Box::new(store)))
-        .unwrap();
+    let job = checkpointing_job(&algo, &ctx, 2, store);
+    let mut driver = job.start(model).unwrap();
     for b in batches(6, 10) {
-        driver.process_batch(b).unwrap();
+        driver.step(b).unwrap();
     }
     // Checkpoints at cursors 2, 4, 6 (+ initial 0, pruned to last 3).
-    let manifest = driver.store().unwrap().manifest();
+    let manifest = job.store().manifest();
     assert_eq!(manifest, vec![6, 4, 2]);
     assert_eq!(&driver.recover().unwrap(), driver.model());
 
@@ -248,18 +260,17 @@ fn scripted_checkpoint_corruption_triggers_fallback() {
     let ctx = StreamingContext::new(2, ExecutionMode::Simulated).unwrap();
     ctx.install_fault_plan(FaultPlan::new().corrupt_checkpoint_after(3));
     let model = algo.init(&[rec(0, 0.0, 0.0)]).unwrap();
-    let mut driver = CheckpointingDriver::new(&algo, &ctx, model, 2)
-        .and_then(|d| d.with_store(Box::new(MemoryCheckpointStore::new(3))))
-        .unwrap();
+    let job = checkpointing_job(&algo, &ctx, 2, MemoryCheckpointStore::new(3));
+    let mut driver = job.start(model).unwrap();
     for b in batches(6, 10) {
-        driver.process_batch(b).unwrap();
+        driver.step(b).unwrap();
     }
     // The checkpoint after batch 3 (cursor 4) was silently damaged at
     // persist time; a restore that walks the manifest newest-first will hit
     // the good cursor-6 entry first, so damage cursor 6's *file* too by
     // checking the direct load path: cursor 4 must fail validation.
     assert!(matches!(
-        driver.store().unwrap().load(4),
+        job.store().load(4),
         Err(DistStreamError::CorruptCheckpoint { .. })
     ));
     // Recovery still succeeds (newest checkpoint is intact).
@@ -272,22 +283,17 @@ fn all_checkpoints_corrupt_is_a_typed_error() {
     let algo = NaiveClustering::new(1.0);
     let ctx = StreamingContext::new(1, ExecutionMode::Simulated).unwrap();
     let model = algo.init(&[rec(0, 0.0, 0.0)]).unwrap();
-    let mut driver = CheckpointingDriver::new(&algo, &ctx, model, 1)
-        .and_then(|d| d.with_store(Box::new(MemoryCheckpointStore::new(2))))
-        .unwrap();
+    let job = checkpointing_job(&algo, &ctx, 1, MemoryCheckpointStore::new(2));
+    let mut driver = job.start(model).unwrap();
     for b in batches(3, 5) {
-        driver.process_batch(b).unwrap();
+        driver.step(b).unwrap();
     }
-    // recover() consults the store, not the in-memory checkpoint; with
-    // every retained frame damaged it must surface a typed error.
-    // (Reaching into the store mutably is test-only surgery.)
-    let manifest = driver.store().unwrap().manifest();
+    // recover() consults the store; with every retained frame damaged it
+    // must surface a typed error. (Reaching into the store mutably is
+    // test-only surgery.)
+    let manifest = job.store().manifest();
     for cursor in manifest {
-        driver
-            .store_mut()
-            .unwrap()
-            .inject_corruption(cursor)
-            .unwrap();
+        job.store().inject_corruption(cursor).unwrap();
     }
     assert!(matches!(
         driver.recover(),
@@ -314,10 +320,11 @@ fn exhausted_retries_skip_the_batch_and_the_stream_continues() {
     diststream::telemetry::set_enabled(true);
     let skipped_before = diststream::telemetry::counter("diststream_batches_skipped_total").get();
     let model = algo.init(&[rec(0, 0.0, 0.0)]).unwrap();
-    let mut driver = CheckpointingDriver::new(&algo, &ctx, model, 100).unwrap();
+    let job = checkpointing_job(&algo, &ctx, 100, MemoryCheckpointStore::new(1));
+    let mut driver = job.start(model).unwrap();
     let mut skipped = Vec::new();
     for b in batches(6, 20) {
-        match driver.process_batch_or_skip(b).unwrap() {
+        match driver.step_or_skip(b).unwrap() {
             BatchDisposition::Processed(_) => {}
             BatchDisposition::Skipped { batch_index, error } => {
                 assert!(matches!(error, DistStreamError::TaskFailed { .. }));
@@ -338,6 +345,41 @@ fn exhausted_retries_skip_the_batch_and_the_stream_continues() {
     // removed from the write-ahead log.
     assert_eq!(&driver.recover().unwrap(), driver.model());
     ctx.clear_fault_plan();
+}
+
+#[test]
+fn overlapped_skip_equals_a_run_that_never_saw_the_batch() {
+    // Under the asynchronous protocol the failed batch has already applied
+    // the previous batch's pending update by the time its tasks fail; the
+    // skip must put that pair back, or the next batch would assign against
+    // a fresher model than a run without the poisoned batch does.
+    let algo = NaiveClustering::new(1.0);
+    let run = |plan: Option<FaultPlan>, omit: Option<usize>| {
+        let ctx = StreamingContext::new(2, ExecutionMode::Simulated).unwrap();
+        if let Some(plan) = plan {
+            ctx.install_fault_plan(plan);
+        }
+        let mut job = checkpointing_job(&algo, &ctx, 2, MemoryCheckpointStore::new(2));
+        job.pipeline(PipelineOptions::all());
+        let mut session = job.start(algo.init(&[rec(0, 0.0, 0.0)]).unwrap()).unwrap();
+        let mut skipped = Vec::new();
+        for b in batches(6, 20) {
+            if omit == Some(b.index) {
+                continue;
+            }
+            if let BatchDisposition::Skipped { batch_index, .. } = session.step_or_skip(b).unwrap()
+            {
+                skipped.push(batch_index);
+            }
+            assert_eq!(&session.recover().unwrap(), session.model());
+        }
+        (encode(&session.finish().unwrap().model), skipped)
+    };
+    let plan = (0..DEFAULT_MAX_TASK_FAILURES)
+        .fold(FaultPlan::new(), |p, attempt| p.panic_on(2, 0, attempt));
+    let (survivor, skipped) = run(Some(plan), None);
+    assert_eq!(skipped, vec![2]);
+    assert_eq!(survivor, run(None, Some(2)).0);
 }
 
 // ---------------------------------------------------------------------------
@@ -366,13 +408,12 @@ fn prefetched_poisoned_batch_skips_and_replays_like_sync_ingest() {
     let sync_ctx = StreamingContext::new(2, ExecutionMode::Simulated).unwrap();
     sync_ctx.install_fault_plan(plan.clone());
     let model = algo.init(&[rec(0, 0.0, 0.0)]).unwrap();
-    let mut sync_driver = CheckpointingDriver::new(&algo, &sync_ctx, model, 2)
-        .and_then(|d| d.with_store(Box::new(MemoryCheckpointStore::new(8))))
-        .unwrap();
+    let sync_job = checkpointing_job(&algo, &sync_ctx, 2, MemoryCheckpointStore::new(8));
+    let mut sync_driver = sync_job.start(model).unwrap();
     let mut sync_skipped = Vec::new();
     let mut source = VecSource::new(stream_records());
     for b in MiniBatcher::new(&mut source, 1.0) {
-        match sync_driver.process_batch_or_skip(b).unwrap() {
+        match sync_driver.step_or_skip(b).unwrap() {
             BatchDisposition::Processed(_) => {}
             BatchDisposition::Skipped { batch_index, .. } => sync_skipped.push(batch_index),
         }
@@ -386,13 +427,12 @@ fn prefetched_poisoned_batch_skips_and_replays_like_sync_ingest() {
     let pre_ctx = StreamingContext::new(2, ExecutionMode::Simulated).unwrap();
     pre_ctx.install_fault_plan(plan);
     let model = algo.init(&[rec(0, 0.0, 0.0)]).unwrap();
-    let mut pre_driver = CheckpointingDriver::new(&algo, &pre_ctx, model, 2)
-        .and_then(|d| d.with_store(Box::new(MemoryCheckpointStore::new(8))))
-        .unwrap();
+    let pre_job = checkpointing_job(&algo, &pre_ctx, 2, MemoryCheckpointStore::new(8));
+    let mut pre_driver = pre_job.start(model).unwrap();
     let pre_skipped = prefetch_batches(VecSource::new(stream_records()), 1.0, |staged| {
         let mut skipped = Vec::new();
         for b in staged {
-            match pre_driver.process_batch_or_skip(b).unwrap() {
+            match pre_driver.step_or_skip(b).unwrap() {
                 BatchDisposition::Processed(_) => {}
                 BatchDisposition::Skipped { batch_index, .. } => skipped.push(batch_index),
             }
@@ -409,8 +449,8 @@ fn prefetched_poisoned_batch_skips_and_replays_like_sync_ingest() {
         "prefetch changed the surviving model"
     );
     assert_eq!(
-        pre_driver.store().unwrap().manifest(),
-        sync_driver.store().unwrap().manifest(),
+        pre_job.store().manifest(),
+        sync_job.store().manifest(),
         "prefetch moved the checkpoint cursor"
     );
     // Both write-ahead logs replay to their live models.

@@ -8,7 +8,7 @@
 //! init + kept + shed + dropped_late + dropped_duplicate == source total
 //! ```
 //!
-//! across the synchronous and overlapped executors at p ∈ {1, 4} — no
+//! across the synchronous and overlapped protocols at p ∈ {1, 4} — no
 //! record is ever double-counted or silently lost, no matter which stage
 //! disposed of it.
 
@@ -109,7 +109,7 @@ fn run_overloaded(records: Vec<Record>, parallelism: usize, overlap: bool) -> Ru
 }
 
 /// released + shed + dropped_late + dropped_duplicate == source total, for
-/// both executors at p ∈ {1, 4} — and the accounting itself is identical
+/// both protocols at p ∈ {1, 4} — and the accounting itself is identical
 /// across all four cells.
 #[test]
 fn every_record_is_accounted_for_exactly_once() {
@@ -169,7 +169,7 @@ fn every_record_is_accounted_for_exactly_once() {
 }
 
 /// For a fixed sampler seed the final model bytes are bit-identical across
-/// reruns and across p=1 vs p=4, for both executors — the replay gate
+/// reruns and across p=1 vs p=4, for both protocols — the replay gate
 /// extended to the approximate path.
 #[test]
 fn sampled_model_bytes_are_bit_identical_across_replays_and_parallelism() {
