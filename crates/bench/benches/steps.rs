@@ -151,6 +151,7 @@ fn bench_capacity<A: StreamClustering>(
                     created: created.clone(),
                     metrics: StepMetrics::empty(),
                     shuffle_bytes: 0,
+                    driver_secs: 0.0,
                 };
                 (model.clone(), local)
             },

@@ -49,6 +49,23 @@ pub enum Assignment {
     New(u64),
 }
 
+impl Assignment {
+    /// [`group_key`](Self::group_key) kind of an existing micro-cluster.
+    pub const KIND_EXISTING: u64 = 0;
+    /// [`group_key`](Self::group_key) kind of a coalescing outlier key.
+    pub const KIND_NEW: u64 = 1;
+
+    /// The `(kind, key)` pair the local update's shuffle groups by: the
+    /// micro-cluster id for absorbed records, the coalescing key for
+    /// outliers, kept apart by the kind so the two id spaces cannot collide.
+    pub fn group_key(self) -> (u64, u64) {
+        match self {
+            Assignment::Existing(id) => (Self::KIND_EXISTING, id),
+            Assignment::New(key) => (Self::KIND_NEW, key),
+        }
+    }
+}
+
 /// Whether the executors preserve arrival order (the paper's contribution)
 /// or process updates in arbitrary order (the unordered baseline [13]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -1,8 +1,12 @@
 //! Step 1 — finding the closest micro-cluster with record-based parallelism
 //! (paper §V-A).
 
-use diststream_engine::{chunk_size, split_chunks, Broadcast, StepMetrics, StreamingContext};
-use diststream_types::{Record, Result};
+use std::time::Instant;
+
+use diststream_engine::{
+    chunk_size, chunk_strides, BlockPartitioner, Broadcast, StepMetrics, StreamingContext, Stride,
+};
+use diststream_types::{DistStreamError, Record, Result};
 
 use crate::api::{Assignment, StreamClustering};
 use crate::distribution::DistributionStrategy;
@@ -18,18 +22,29 @@ pub struct AssignmentOutcome {
     pub metrics: StepMetrics,
     /// Serialized bytes of one copy of the broadcast model.
     pub model_bytes: u64,
+    /// Measured seconds the driver spent handling records around the
+    /// parallel tasks — laying out the split, merging the task outputs,
+    /// pairing them with the records: the call's elapsed time minus the
+    /// task pool's and the searcher build's. The framework's own per-record
+    /// cost, which no task metric shows.
+    pub driver_secs: f64,
 }
 
 /// Runs step 1: broadcasts the stale model `Q_t` to every task, splits the
 /// batch's records across `p` tasks, and computes each record's closest
 /// micro-cluster (or outlier decision) in parallel.
 ///
+/// The batch is never copied or re-partitioned: every task *borrows* it and
+/// reads the arrival positions of its [`Stride`], returning one
+/// [`Assignment`] (`Copy`, 16 bytes) per position. The merged assignment
+/// list is then zipped onto the untouched records by move.
+///
 /// The task layout is the `strategy`'s
 /// [`DistributionStrategy::split_records`] (`chunking == false`; the default
 /// round-robin split preserves relative record order inside every task, and
 /// [`DistributionStrategy::merge_assigned`] interleaves the outputs back),
 /// or deterministic size-aware chunk scheduling (`chunking == true`):
-/// records are cut into contiguous fixed-size chunks ([`chunk_size`])
+/// the batch is cut into contiguous fixed-size chunks ([`chunk_size`])
 /// claimed by workers from the pool's shared deterministic queue, so a slow
 /// slot sheds load at chunk granularity instead of holding the step barrier
 /// on the largest static partition, and chunk outputs are concatenated in
@@ -43,7 +58,9 @@ pub struct AssignmentOutcome {
 /// # Errors
 ///
 /// Propagates engine failures (task panics) as
-/// [`DistStreamError::Engine`](diststream_types::DistStreamError::Engine).
+/// [`DistStreamError::Engine`](diststream_types::DistStreamError::Engine), and
+/// reports a strategy whose merge does not return one assignment per record
+/// as [`DistStreamError::Invariant`].
 pub fn assign_records_distributed<A: StreamClustering>(
     ctx: &StreamingContext,
     algo: &A,
@@ -52,11 +69,12 @@ pub fn assign_records_distributed<A: StreamClustering>(
     chunking: bool,
     strategy: &dyn DistributionStrategy,
 ) -> Result<AssignmentOutcome> {
-    let partitions = if chunking {
+    let entered = Instant::now(); // lint:allow(wallclock-entropy) driver-side timing feeds step metrics only
+    let layout = if chunking {
         let chunk = chunk_size(records.len(), ctx.parallelism());
-        split_chunks(records, chunk)
+        chunk_strides(records.len(), chunk)
     } else {
-        strategy.split_records(records, ctx.parallelism())
+        strategy.split_records(records.len(), ctx.parallelism())
     };
     // Batched distance computation: the searcher (the algorithm's per-model
     // scan structure) is built once per batch and shared read-only by every
@@ -64,32 +82,39 @@ pub fn assign_records_distributed<A: StreamClustering>(
     // per claimed chunk — the property that keeps over-partitioned chunk
     // scheduling as cheap as the static split.
     let snapshot = model.handle();
-    let build_start = std::time::Instant::now(); // lint:allow(wallclock-entropy) searcher-build timing feeds step metrics only
+    let build_start = Instant::now(); // lint:allow(wallclock-entropy) searcher-build timing feeds step metrics only
     let searcher = algo.searcher(&snapshot);
     let build_secs = build_start.elapsed().as_secs_f64();
-    let (outputs, mut metrics) = ctx.run_tasks(partitions, |_task, recs: Vec<Record>| {
-        recs.into_iter()
-            .map(|rec| {
-                let assignment = searcher(&rec);
-                (rec, assignment)
-            })
-            .collect::<Vec<_>>()
+    let batch = records.as_slice();
+    let tasks_start = Instant::now(); // lint:allow(wallclock-entropy) driver-side timing feeds step metrics only
+    let (outputs, mut metrics) = ctx.run_tasks(layout, |_task, stride: Stride| {
+        stride.of(batch).map(&searcher).collect::<Vec<Assignment>>()
     })?;
+    let off_driver_secs = tasks_start.elapsed().as_secs_f64() + build_secs;
     drop(searcher);
     // Every slot builds the searcher once, concurrently, right after the
     // broadcast lands.
     metrics.charge_setup(build_secs);
-    let pairs = if chunking {
+    let assignments = if chunking {
         // Contiguous chunks: concatenation in chunk order is the inverse
         // of the split.
-        outputs.concat()
+        BlockPartitioner.concat(outputs)
     } else {
         strategy.merge_assigned(outputs)
     };
+    if assignments.len() != records.len() {
+        return Err(DistStreamError::Invariant(format!(
+            "assignment merge returned {} decisions for {} records",
+            assignments.len(),
+            records.len()
+        )));
+    }
+    let pairs = records.into_iter().zip(assignments).collect();
     Ok(AssignmentOutcome {
         pairs,
         metrics,
         model_bytes: model.payload_bytes(),
+        driver_secs: entered.elapsed().as_secs_f64() - off_driver_secs,
     })
 }
 

@@ -9,9 +9,11 @@
 //! [`DistributionStrategy`] exploits that freedom. It owns the three
 //! placement decisions of a batch:
 //!
-//! 1. **Record partitioning** (step 1): how the batch's records split across
-//!    `p` assignment tasks, and how the per-task `(record, assignment)`
-//!    outputs merge back into arrival order.
+//! 1. **Record partitioning** (step 1): which arrival positions of the
+//!    batch each of the `p` assignment tasks reads, and how the per-task
+//!    assignment lists merge back into arrival order. A strategy lays out
+//!    *positions* ([`Stride`]s) — the records themselves stay where the
+//!    source put them and every task borrows them.
 //! 2. **Key placement** (step 2): which reduce partition owns each distinct
 //!    `(kind, key)` group key of the batch.
 //! 3. **Shuffle routing**: the byte-accounting consequence of placement —
@@ -30,7 +32,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use diststream_engine::{BlockPartitioner, HashPartitioner, RoundRobinPartitioner};
+use diststream_engine::{BlockPartitioner, HashPartitioner, RoundRobinPartitioner, Stride};
 use diststream_types::Record;
 
 use crate::api::Assignment;
@@ -183,17 +185,21 @@ pub trait DistributionStrategy: fmt::Debug + Send + Sync {
         self.kind().label()
     }
 
-    /// Step-1 record partitioning: splits the batch across `partitions`
-    /// assignment tasks. Every partition must preserve arrival order.
-    fn split_records(&self, records: Vec<Record>, partitions: usize) -> Vec<Vec<Record>>;
+    /// Step-1 record partitioning: the arrival positions of a batch of
+    /// `len` records that each of the `partitions` assignment tasks reads.
+    /// Every position must appear in exactly one stride, and every stride
+    /// ascends, so each task preserves arrival order.
+    fn split_records(&self, len: usize, partitions: usize) -> Vec<Stride>;
 
-    /// Merges per-task assignment outputs back into arrival order — the
-    /// exact inverse of [`split_records`](Self::split_records).
-    fn merge_assigned(&self, parts: Vec<Vec<(Record, Assignment)>>) -> Vec<(Record, Assignment)>;
+    /// Merges the per-task assignment lists (task `i` produced one
+    /// [`Assignment`] per position of stride `i`) back into arrival order —
+    /// the exact inverse of [`split_records`](Self::split_records).
+    fn merge_assigned(&self, parts: Vec<Vec<Assignment>>) -> Vec<Assignment>;
 
-    /// Step-2 key placement: the reduce partition for every distinct group
-    /// key of this batch, given the map-side keyed pairs in arrival order.
-    fn place_keys(&self, keyed: &[((u64, u64), Record)], partitions: usize) -> ShufflePlacement;
+    /// Step-2 key placement: the reduce partition for every distinct
+    /// [group key](Assignment::group_key) of this batch, given the assigned
+    /// pairs in arrival order.
+    fn place_keys(&self, pairs: &[(Record, Assignment)], partitions: usize) -> ShufflePlacement;
 
     /// Whether shuffle-byte accounting discounts map-local messages
     /// (payloads whose modeled map partition equals the key's reduce
@@ -225,15 +231,15 @@ impl DistributionStrategy for RoundRobinStrategy {
         StrategyKind::RoundRobin
     }
 
-    fn split_records(&self, records: Vec<Record>, partitions: usize) -> Vec<Vec<Record>> {
-        RoundRobinPartitioner.split(records, partitions)
+    fn split_records(&self, len: usize, partitions: usize) -> Vec<Stride> {
+        RoundRobinPartitioner.strides(len, partitions)
     }
 
-    fn merge_assigned(&self, parts: Vec<Vec<(Record, Assignment)>>) -> Vec<(Record, Assignment)> {
+    fn merge_assigned(&self, parts: Vec<Vec<Assignment>>) -> Vec<Assignment> {
         RoundRobinPartitioner.interleave(parts)
     }
 
-    fn place_keys(&self, _keyed: &[((u64, u64), Record)], partitions: usize) -> ShufflePlacement {
+    fn place_keys(&self, _pairs: &[(Record, Assignment)], partitions: usize) -> ShufflePlacement {
         ShufflePlacement::hashed(partitions)
     }
 }
@@ -270,16 +276,16 @@ impl DistributionStrategy for KeyRangeStrategy {
         StrategyKind::KeyRange
     }
 
-    fn split_records(&self, records: Vec<Record>, partitions: usize) -> Vec<Vec<Record>> {
-        BlockPartitioner.split(records, partitions)
+    fn split_records(&self, len: usize, partitions: usize) -> Vec<Stride> {
+        BlockPartitioner.strides(len, partitions)
     }
 
-    fn merge_assigned(&self, parts: Vec<Vec<(Record, Assignment)>>) -> Vec<(Record, Assignment)> {
+    fn merge_assigned(&self, parts: Vec<Vec<Assignment>>) -> Vec<Assignment> {
         BlockPartitioner.concat(parts)
     }
 
-    fn place_keys(&self, keyed: &[((u64, u64), Record)], partitions: usize) -> ShufflePlacement {
-        let route = key_range_route(keyed.iter().map(|(k, _)| *k), partitions);
+    fn place_keys(&self, pairs: &[(Record, Assignment)], partitions: usize) -> ShufflePlacement {
+        let route = key_range_route(pairs.iter().map(|(_, a)| a.group_key()), partitions);
         ShufflePlacement::explicit(route, partitions)
     }
 }
@@ -287,15 +293,17 @@ impl DistributionStrategy for KeyRangeStrategy {
 /// Per-key byte totals per modeled map partition, the input to the
 /// locality-affine placement decision.
 fn bytes_by_map_partition(
-    keyed: &[((u64, u64), Record)],
+    pairs: &[(Record, Assignment)],
     partitions: usize,
 ) -> BTreeMap<(u64, u64), Vec<u64>> {
     let mut per_key: BTreeMap<(u64, u64), Vec<u64>> = BTreeMap::new();
-    for (index, (key, record)) in keyed.iter().enumerate() {
+    for (index, (record, assignment)) in pairs.iter().enumerate() {
         let map_p = modeled_map_partition(index, partitions);
-        let per_partition = per_key.entry(*key).or_insert_with(|| vec![0; partitions]);
+        let per_partition = per_key
+            .entry(assignment.group_key())
+            .or_insert_with(|| vec![0; partitions]);
         if let Some(slot) = per_partition.get_mut(map_p) {
-            *slot += diststream_engine::serialized_size(record);
+            *slot += record.wire_size();
         }
     }
     per_key
@@ -326,16 +334,16 @@ impl DistributionStrategy for LocalityStrategy {
         StrategyKind::Locality
     }
 
-    fn split_records(&self, records: Vec<Record>, partitions: usize) -> Vec<Vec<Record>> {
-        RoundRobinPartitioner.split(records, partitions)
+    fn split_records(&self, len: usize, partitions: usize) -> Vec<Stride> {
+        RoundRobinPartitioner.strides(len, partitions)
     }
 
-    fn merge_assigned(&self, parts: Vec<Vec<(Record, Assignment)>>) -> Vec<(Record, Assignment)> {
+    fn merge_assigned(&self, parts: Vec<Vec<Assignment>>) -> Vec<Assignment> {
         RoundRobinPartitioner.interleave(parts)
     }
 
-    fn place_keys(&self, keyed: &[((u64, u64), Record)], partitions: usize) -> ShufflePlacement {
-        let route = bytes_by_map_partition(keyed, partitions)
+    fn place_keys(&self, pairs: &[(Record, Assignment)], partitions: usize) -> ShufflePlacement {
+        let route = bytes_by_map_partition(pairs, partitions)
             .into_iter()
             .map(|(key, bytes)| (key, affine_partition(&bytes)))
             .collect();
@@ -355,25 +363,24 @@ impl DistributionStrategy for HybridStrategy {
         StrategyKind::Hybrid
     }
 
-    fn split_records(&self, records: Vec<Record>, partitions: usize) -> Vec<Vec<Record>> {
-        BlockPartitioner.split(records, partitions)
+    fn split_records(&self, len: usize, partitions: usize) -> Vec<Stride> {
+        BlockPartitioner.strides(len, partitions)
     }
 
-    fn merge_assigned(&self, parts: Vec<Vec<(Record, Assignment)>>) -> Vec<(Record, Assignment)> {
+    fn merge_assigned(&self, parts: Vec<Vec<Assignment>>) -> Vec<Assignment> {
         BlockPartitioner.concat(parts)
     }
 
-    fn place_keys(&self, keyed: &[((u64, u64), Record)], partitions: usize) -> ShufflePlacement {
-        const KIND_EXISTING: u64 = 0;
+    fn place_keys(&self, pairs: &[(Record, Assignment)], partitions: usize) -> ShufflePlacement {
         let mut route = key_range_route(
-            keyed
+            pairs
                 .iter()
-                .map(|(k, _)| *k)
-                .filter(|(kind, _)| *kind == KIND_EXISTING),
+                .map(|(_, a)| a.group_key())
+                .filter(|(kind, _)| *kind == Assignment::KIND_EXISTING),
             partitions,
         );
-        for (key, bytes) in bytes_by_map_partition(keyed, partitions) {
-            if key.0 != KIND_EXISTING {
+        for (key, bytes) in bytes_by_map_partition(pairs, partitions) {
+            if key.0 != Assignment::KIND_EXISTING {
                 route.insert(key, affine_partition(&bytes));
             }
         }
@@ -390,10 +397,18 @@ mod tests {
         Record::new(id, Point::from(vec![id as f64]), Timestamp::from_secs(t))
     }
 
-    fn keyed(keys: &[(u64, u64)]) -> Vec<((u64, u64), Record)> {
+    /// Assigned pairs whose group keys are `keys`, in that arrival order.
+    fn keyed(keys: &[(u64, u64)]) -> Vec<(Record, Assignment)> {
         keys.iter()
             .enumerate()
-            .map(|(i, &k)| (k, rec(i as u64, i as f64)))
+            .map(|(i, &(kind, key))| {
+                let assignment = if kind == Assignment::KIND_EXISTING {
+                    Assignment::Existing(key)
+                } else {
+                    Assignment::New(key)
+                };
+                (rec(i as u64, i as f64), assignment)
+            })
             .collect()
     }
 
@@ -411,20 +426,19 @@ mod tests {
         let records: Vec<Record> = (0..23).map(|i| rec(i, i as f64)).collect();
         for kind in StrategyKind::ALL {
             let strategy = strategy_for(kind);
-            for p in [1, 2, 3, 5] {
-                let parts = strategy.split_records(records.clone(), p);
-                assert_eq!(parts.len(), p, "{kind} p={p}");
-                let assigned: Vec<Vec<(Record, Assignment)>> = parts
-                    .into_iter()
-                    .map(|part| {
-                        part.into_iter()
-                            .map(|r| (r, Assignment::Existing(0)))
-                            .collect()
-                    })
+            // p = 29 > records: the trailing tasks read nothing.
+            for p in [1, 2, 3, 5, 29] {
+                let strides = strategy.split_records(records.len(), p);
+                assert_eq!(strides.len(), p, "{kind} p={p}");
+                // Tag every position with the id of the record a task read
+                // there; the merge must put the tags back in arrival order.
+                let assigned: Vec<Vec<Assignment>> = strides
+                    .iter()
+                    .map(|s| s.of(&records).map(|r| Assignment::New(r.id)).collect())
                     .collect();
                 let merged = strategy.merge_assigned(assigned);
-                let ids: Vec<u64> = merged.iter().map(|(r, _)| r.id).collect();
-                assert_eq!(ids, (0..23).collect::<Vec<_>>(), "{kind} p={p}");
+                let expected: Vec<Assignment> = (0..23).map(Assignment::New).collect();
+                assert_eq!(merged, expected, "{kind} p={p}");
             }
         }
     }
@@ -437,10 +451,10 @@ mod tests {
             for p in [1, 2, 4] {
                 let a = strategy.place_keys(&pairs, p);
                 let b = strategy.place_keys(&pairs, p);
-                for (key, _) in &pairs {
-                    let route = a.reduce_partition(key);
+                for key in pairs.iter().map(|(_, a)| a.group_key()) {
+                    let route = a.reduce_partition(&key);
                     assert!(route < p, "{kind} p={p} key={key:?}");
-                    assert_eq!(route, b.reduce_partition(key), "{kind} placement drifted");
+                    assert_eq!(route, b.reduce_partition(&key), "{kind} placement drifted");
                 }
             }
         }
@@ -450,7 +464,7 @@ mod tests {
     fn key_range_placement_is_contiguous_over_sorted_keys() {
         let pairs = keyed(&[(0, 50), (0, 10), (0, 30), (0, 20), (1, 5), (1, 6)]);
         let placement = KeyRangeStrategy.place_keys(&pairs, 2);
-        let mut sorted: Vec<(u64, u64)> = pairs.iter().map(|(k, _)| *k).collect();
+        let mut sorted: Vec<(u64, u64)> = pairs.iter().map(|(_, a)| a.group_key()).collect();
         sorted.sort_unstable();
         sorted.dedup();
         let routes: Vec<usize> = sorted

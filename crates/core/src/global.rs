@@ -166,6 +166,7 @@ mod tests {
             created,
             metrics: StepMetrics::empty(),
             shuffle_bytes: 0,
+            driver_secs: 0.0,
         }
     }
 

@@ -9,16 +9,18 @@
 //! a time. The unordered baseline shuffles each group with a seeded RNG
 //! instead.
 
+use std::time::Instant;
+
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use diststream_engine::{
-    chunk_size, combine_by_key_with, fnv1a_hash, group_by_key_with, serialized_size, split_chunks,
-    AppendCombiner, Broadcast, StepMetrics, StreamingContext,
+    chunk_size, combine_by_key_with, fnv1a_hash, group_by_key_with, AppendCombiner, Broadcast,
+    StepMetrics, StreamingContext,
 };
 use diststream_telemetry as telemetry;
-use diststream_types::{Record, RecordId, Result, Timestamp};
+use diststream_types::{DistStreamError, Record, RecordId, Result, Timestamp};
 
 use crate::api::{Assignment, MicroClusterId, StreamClustering, UpdateOrdering};
 use crate::distribution::{modeled_map_partition, DistributionStrategy};
@@ -65,42 +67,60 @@ pub struct LocalOutcome<S> {
     pub metrics: StepMetrics,
     /// Estimated bytes moved by the shuffle.
     pub shuffle_bytes: u64,
-}
-
-// Group keys: (0, micro-cluster id) for existing, (1, coalescing key) for new.
-const KIND_EXISTING: u64 = 0;
-const KIND_NEW: u64 = 1;
-
-fn group_key(assignment: Assignment) -> (u64, u64) {
-    match assignment {
-        Assignment::Existing(id) => (KIND_EXISTING, id),
-        Assignment::New(key) => (KIND_NEW, key),
-    }
+    /// Measured seconds the driver spent handling records around the
+    /// parallel tasks — accounting, keying, grouping, routing, and dropping
+    /// the batch: the call's elapsed time minus the task pool's. The
+    /// framework's own per-record cost, which no task metric shows.
+    pub driver_secs: f64,
 }
 
 /// Reusable scratch for [`local_update_distributed`].
 ///
-/// Holds the keyed-pair buffer built per batch before `groupByKey`; reusing
-/// it across batches means the grouping step's per-batch `Vec` is allocated
-/// once and then recycled at steady state.
+/// Holds the `(group key, arrival position)` buffer the shuffle groups:
+/// one 24-byte entry per record, rebuilt every batch, read by the grouping
+/// (combined or not) as borrowed chunks and never moved out — so its
+/// allocation is made once and recycled at steady state.
 #[derive(Debug, Default)]
 pub struct LocalScratch {
-    keyed: Vec<((u64, u64), Record)>,
+    keyed: Vec<((u64, u64), u32)>,
+}
+
+/// One reduce task's groups: each key with the arrival positions of its
+/// records, in arrival order.
+type IndexGroups = [((u64, u64), Vec<u32>)];
+
+/// The batch's arrival positions as the `u32` index space the shuffle works
+/// in. A batch too long for it is refused, never truncated.
+fn index_space(records: usize) -> Result<u32> {
+    u32::try_from(records).map_err(|_| {
+        DistStreamError::InvalidConfig(format!(
+            "a mini-batch of {records} records exceeds the {} the local update can index; \
+             shorten the batch window",
+            u32::MAX
+        ))
+    })
 }
 
 /// Runs step 2: groups records by their chosen micro-cluster, distributes
 /// the groups across tasks, and folds each group into a detached sketch in
 /// the configured [`UpdateOrdering`].
 ///
+/// The step owns the batch (`pairs`) and nothing in it copies a record:
+/// what is keyed, routed, map-side-combined, shipped to tasks and sorted
+/// there is each record's `u32` arrival position, and every task borrows
+/// the batch to fold `&pairs[position]` in the configured order. The batch
+/// is dropped here, on the driver, when the tasks are done.
+///
 /// In [`UpdateOrdering::Unordered`] the baseline "does not distinguish the
 /// data arrival orders" (paper §I): each group is folded in a seeded-shuffle
-/// order **and** every record's timestamp is collapsed to `window_start`, so
-/// no within-batch recency information reaches the sketches. `shuffle_seed`
+/// order **and** every record's timestamp is collapsed to `window_start`
+/// (on the driver, before the tasks borrow the batch), so no within-batch
+/// recency information reaches the sketches. `shuffle_seed`
 /// drives the shuffles (combined with each group's key, so results are
 /// deterministic for a given seed, independent of parallelism).
 ///
 /// With `combine` set, a map-side combine groups each map task's
-/// `(key, record)` pairs locally before they cross the hash shuffle, so
+/// `(key, position)` pairs locally before they cross the hash shuffle, so
 /// records destined for the same micro-cluster travel as one keyed entry per
 /// map task instead of one per record. Map tasks are modeled as the same
 /// contiguous chunks the size-aware scheduler uses ([`chunk_size`]), and
@@ -127,13 +147,15 @@ pub struct LocalScratch {
 /// # Errors
 ///
 /// Propagates engine failures (task panics) as
-/// [`DistStreamError::Engine`](diststream_types::DistStreamError::Engine).
+/// [`DistStreamError::Engine`](diststream_types::DistStreamError::Engine), and
+/// refuses a batch of more than `u32::MAX` records with
+/// [`DistStreamError::InvalidConfig`].
 #[allow(clippy::too_many_arguments)] // the step's inputs plus scratch, the combine flag and the strategy
 pub fn local_update_distributed<A: StreamClustering>(
     ctx: &StreamingContext,
     algo: &A,
     model: &Broadcast<A::Model>,
-    pairs: Vec<(Record, Assignment)>,
+    mut pairs: Vec<(Record, Assignment)>,
     ordering: UpdateOrdering,
     window_start: Timestamp,
     shuffle_seed: u64,
@@ -141,32 +163,37 @@ pub fn local_update_distributed<A: StreamClustering>(
     combine: bool,
     strategy: &dyn DistributionStrategy,
 ) -> Result<LocalOutcome<A::Sketch>> {
+    let entered = Instant::now(); // lint:allow(wallclock-entropy) driver-side timing feeds step metrics only
+    let record_count = u64::from(index_space(pairs.len())?);
     // Shuffle accounting: each record's serialized payload crosses the wire
     // exactly once (to its key's destination partition), plus one key
     // envelope per shuffle message. An earlier version charged the *first*
     // record's size for every record, misbilling mixed-size batches.
-    let record_count = pairs.len() as u64;
-    let payload_bytes: u64 = pairs.iter().map(|(r, _)| serialized_size(r)).sum();
+    let payload_bytes: u64 = pairs.iter().map(|(r, _)| r.wire_size()).sum();
     let uncombined_bytes = payload_bytes + SHUFFLE_KEY_BYTES * record_count;
     let p = ctx.parallelism();
 
     scratch.keyed.clear();
-    scratch
-        .keyed
-        .extend(pairs.into_iter().map(|(r, a)| (group_key(a), r)));
+    scratch.keyed.extend(
+        pairs
+            .iter()
+            .zip(0u32..)
+            .map(|((_, assignment), position)| (assignment.group_key(), position)),
+    );
 
     // Key placement is the strategy's call; the default strategy routes by
     // hash, reproducing the paper's shuffle exactly. Locality-accounting
     // strategies additionally measure which payloads stay on their modeled
     // map partition and discount them from the charged shuffle bytes.
-    let placement = strategy.place_keys(&scratch.keyed, p);
+    let placement = strategy.place_keys(&pairs, p);
     let accounts_locality = strategy.accounts_locality();
     let (local_payload_bytes, local_count) = if accounts_locality {
         let mut bytes = 0u64;
         let mut count = 0u64;
-        for (index, (key, record)) in scratch.keyed.iter().enumerate() {
-            if modeled_map_partition(index, p) == placement.reduce_partition(key) {
-                bytes += serialized_size(record);
+        for (index, (record, assignment)) in pairs.iter().enumerate() {
+            let reducer = placement.reduce_partition(&assignment.group_key());
+            if modeled_map_partition(index, p) == reducer {
+                bytes += record.wire_size();
                 count += 1;
             }
         }
@@ -177,9 +204,8 @@ pub fn local_update_distributed<A: StreamClustering>(
 
     let (partitions, shuffle_bytes) = if combine {
         let _span = telemetry::span!(telemetry::names::SPAN_COMBINE);
-        let keyed: Vec<((u64, u64), Record)> = scratch.keyed.drain(..).collect();
-        let chunk = chunk_size(keyed.len(), p);
-        let chunks = split_chunks(keyed, chunk);
+        let chunk = chunk_size(scratch.keyed.len(), p);
+        let chunks = scratch.keyed.chunks(chunk).map(|c| c.iter().copied());
         let (partitions, stats) = combine_by_key_with(chunks, p, &AppendCombiner, |key| {
             placement.reduce_partition(key)
         });
@@ -203,7 +229,7 @@ pub fn local_update_distributed<A: StreamClustering>(
         };
         (partitions, charged)
     } else {
-        let partitions = group_by_key_with(scratch.keyed.drain(..), p, |key| {
+        let partitions = group_by_key_with(scratch.keyed.iter().copied(), p, |key| {
             placement.reduce_partition(key)
         });
         let charged = if accounts_locality {
@@ -229,53 +255,67 @@ pub fn local_update_distributed<A: StreamClustering>(
         .add(shuffle_bytes);
     }
 
+    if ordering == UpdateOrdering::Unordered {
+        // Collapse arrival times: the unordered baseline treats the whole
+        // batch as one unordered bag.
+        for (record, _) in &mut pairs {
+            record.timestamp = window_start;
+        }
+    }
+
+    // Tasks get views — their partition's index groups by reference, the
+    // batch by borrow — so the pool's retain-for-retry clone is a pointer
+    // copy and a panicking attempt has nothing of the batch to lose.
+    let batch = pairs.as_slice();
+    let record_at = |position: &u32| batch.get(*position as usize).map(|(record, _)| record);
+    let views: Vec<&IndexGroups> = partitions.iter().map(Vec::as_slice).collect();
     type TaskOut<S> = (Vec<UpdatedSketch<S>>, Vec<CreatedSketch<S>>);
-    let (outputs, metrics) = ctx.run_tasks(
-        partitions,
-        |_task, groups: Vec<((u64, u64), Vec<Record>)>| -> TaskOut<A::Sketch> {
+    let tasks_start = Instant::now(); // lint:allow(wallclock-entropy) driver-side timing feeds step metrics only
+    let (outputs, metrics) =
+        ctx.run_tasks(views, |_task, groups: &IndexGroups| -> TaskOut<A::Sketch> {
             let model = model.handle();
             let mut updated = Vec::new();
             let mut created = Vec::new();
-            for ((kind, key), mut records) in groups {
+            // The group's positions in fold order; one buffer per task.
+            let mut order: Vec<u32> = Vec::new();
+            for ((kind, key), positions) in groups {
+                order.clear();
+                order.extend_from_slice(positions);
                 match ordering {
                     UpdateOrdering::OrderAware => {
-                        records.sort_by_key(Record::arrival_key);
+                        order.sort_by_key(|position| record_at(position).map(Record::arrival_key));
                     }
                     UpdateOrdering::Unordered => {
                         let seed = shuffle_seed
                             ^ fnv1a_hash(&kind.to_le_bytes())
                             ^ fnv1a_hash(&key.to_le_bytes());
-                        records.shuffle(&mut StdRng::seed_from_u64(seed));
-                        // Collapse arrival times: the unordered baseline
-                        // treats the whole batch as one unordered bag.
-                        for r in &mut records {
-                            r.timestamp = window_start;
-                        }
+                        order.shuffle(&mut StdRng::seed_from_u64(seed));
                     }
                 }
+                let records = || order.iter().filter_map(record_at);
                 // group_by_key never yields empty groups; an empty one
                 // carries no records and can be skipped outright instead
                 // of panicking.
-                let Some(first_arrival) = records.iter().map(Record::arrival_key).min() else {
+                let Some(first_arrival) = records().map(Record::arrival_key).min() else {
                     continue;
                 };
-                let Some(last_arrival) = records.iter().map(Record::arrival_key).max() else {
+                let Some(last_arrival) = records().map(Record::arrival_key).max() else {
                     continue;
                 };
-                let absorbed = records.len();
-                if kind == KIND_EXISTING {
-                    let mut sketch = algo.sketch_of(&model, key);
-                    for r in &records {
+                let absorbed = order.len();
+                if *kind == Assignment::KIND_EXISTING {
+                    let mut sketch = algo.sketch_of(&model, *key);
+                    for r in records() {
                         algo.update(&mut sketch, r);
                     }
                     updated.push(UpdatedSketch {
-                        id: key,
+                        id: *key,
                         sketch,
                         last_arrival,
                         absorbed,
                     });
                 } else {
-                    let mut iter = records.iter();
+                    let mut iter = records();
                     let Some(seed_record) = iter.next() else {
                         continue;
                     };
@@ -291,8 +331,8 @@ pub fn local_update_distributed<A: StreamClustering>(
                 }
             }
             (updated, created)
-        },
-    )?;
+        })?;
+    let tasks_secs = tasks_start.elapsed().as_secs_f64();
 
     let mut updated = Vec::new();
     let mut created = Vec::new();
@@ -300,11 +340,16 @@ pub fn local_update_distributed<A: StreamClustering>(
         updated.extend(u);
         created.extend(c);
     }
+    // The end of every record's life: allocated once by the source, moved
+    // into the batch, borrowed ever since.
+    drop(partitions);
+    drop(pairs);
     Ok(LocalOutcome {
         updated,
         created,
         metrics,
         shuffle_bytes,
+        driver_secs: entered.elapsed().as_secs_f64() - tasks_secs,
     })
 }
 
@@ -314,7 +359,7 @@ mod tests {
     use crate::api::Sketch;
     use crate::distribution::RoundRobinStrategy;
     use crate::reference::NaiveClustering;
-    use diststream_engine::ExecutionMode;
+    use diststream_engine::{serialized_size, ExecutionMode};
     use diststream_types::{ClassId, Point};
 
     fn rec(id: u64, x: f64, t: f64) -> Record {
@@ -563,6 +608,24 @@ mod tests {
                 assert_eq!(key(&plain), key(&combined), "{ordering:?} p={p}");
                 assert!(combined.shuffle_bytes <= plain.shuffle_bytes);
             }
+        }
+    }
+
+    /// A batch longer than the `u32` index space is refused with a typed
+    /// error — never indexed through a truncating cast. (Such a batch
+    /// cannot be allocated in a test; the guard is the one place the
+    /// length becomes a `u32`.)
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn batches_past_the_u32_index_space_are_refused() {
+        assert_eq!(index_space(0).unwrap(), 0);
+        assert_eq!(index_space(u32::MAX as usize).unwrap(), u32::MAX);
+        for too_long in [u32::MAX as usize + 1, usize::MAX] {
+            let err = index_space(too_long).unwrap_err();
+            assert!(
+                matches!(&err, DistStreamError::InvalidConfig(m) if m.contains("exceeds")),
+                "{err}"
+            );
         }
     }
 

@@ -307,6 +307,7 @@ impl<'a, A: StreamClustering> DistStreamExecutor<'a, A> {
         };
         let local_metrics = local.metrics.clone();
         let shuffle_bytes = local.shuffle_bytes;
+        let local_driver_secs = local.driver_secs;
         let mut overhead_secs = self.ctx.batch_overhead_secs()
             + self.ctx.broadcast_secs(model_bytes)
             + self.ctx.shuffle_secs(shuffle_bytes);
@@ -342,6 +343,8 @@ impl<'a, A: StreamClustering> DistStreamExecutor<'a, A> {
                 shuffle_bytes,
                 async_overlap: self.overlap,
                 parallelism: self.ctx.parallelism(),
+                assign_driver_secs: assignment.driver_secs,
+                local_driver_secs,
             },
             assigned_existing,
             outlier_records: records - assigned_existing,

@@ -74,6 +74,7 @@ impl Checkpoint {
 
 /// What happened to a batch handed to [`JobSession::step_or_skip`].
 #[derive(Debug)]
+#[allow(clippy::large_enum_variant)] // one value per batch, returned once and matched on the spot
 pub enum BatchDisposition {
     /// The batch folded into the model normally.
     Processed(BatchOutcome),

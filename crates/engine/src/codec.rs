@@ -870,5 +870,25 @@ mod tests {
         fn prop_strings_roundtrip(s in ".*") {
             roundtrip(&s);
         }
+
+        /// The shuffle accounting's O(1) closed form is what the encoder
+        /// actually writes, at the dimensionalities the workloads use.
+        #[test]
+        fn prop_record_wire_size_is_serialized_size(
+            id in any::<u64>(),
+            secs in -1e9f64..1e9,
+            coord in -1e9f64..1e9,
+            class in any::<u32>(),
+            dims_pick in 0usize..4,
+        ) {
+            let dims = [0usize, 1, 54, 315][dims_pick];
+            let point = Point::from(vec![coord; dims]);
+            let t = Timestamp::from_secs(secs);
+            let unlabeled = Record::new(id, point.clone(), t);
+            let labeled = Record::labeled(id, point, t, diststream_types::ClassId(class));
+            prop_assert_eq!(unlabeled.wire_size(), serialized_size(&unlabeled));
+            prop_assert_eq!(labeled.wire_size(), serialized_size(&labeled));
+            prop_assert_eq!(labeled.wire_size(), unlabeled.wire_size() + 4);
+        }
     }
 }

@@ -77,11 +77,11 @@ pub use netcost::{ClusterTopology, NetworkModel, SimCostModel, StragglerModel};
 pub use partition::{
     combine_by_key, combine_by_key_with, fnv1a_hash, group_by_key, group_by_key_with,
     AppendCombiner, BlockPartitioner, CombineStats, Combiner, Fnv1a, HashPartitioner, KeyBytes,
-    RoundRobinPartitioner,
+    RoundRobinPartitioner, Stride,
 };
 pub use pool::{
-    chunk_size, split_chunks, TaskPool, CHUNK_OVERPARTITION, DEFAULT_MAX_TASK_FAILURES,
-    MIN_CHUNK_SIZE,
+    chunk_size, chunk_strides, split_chunks, TaskPool, CHUNK_OVERPARTITION,
+    DEFAULT_MAX_TASK_FAILURES, MIN_CHUNK_SIZE,
 };
 pub use prefetch::{prefetch_batches, PrefetchedBatches, PREFETCH_DEPTH};
 pub use reorder::ReorderBuffer;

@@ -160,6 +160,14 @@ pub struct BatchMetrics {
     /// between a step's wall time and its task makespan at this degree is
     /// the part no re-schedule can shrink). 0 when unknown.
     pub parallelism: usize,
+    /// Measured seconds the driver spent handling step 1's records outside
+    /// its tasks (split layout, output merge, pairing). Real time in both
+    /// execution modes and not a critical-path component: `total_secs`
+    /// models the cluster, this is what the framework itself cost.
+    pub assign_driver_secs: f64,
+    /// The same for step 2: accounting, keying, grouping, routing, and
+    /// dropping the batch.
+    pub local_driver_secs: f64,
 }
 
 impl BatchMetrics {
@@ -225,6 +233,14 @@ impl BatchMetrics {
                 ("shuffle_bytes", self.shuffle_bytes as f64),
                 ("stragglers", self.straggler_count() as f64),
                 ("parallelism", self.parallelism as f64),
+                (
+                    telemetry::names::FIELD_ASSIGN_DRIVER_SECS,
+                    self.assign_driver_secs,
+                ),
+                (
+                    telemetry::names::FIELD_LOCAL_DRIVER_SECS,
+                    self.local_driver_secs,
+                ),
             ],
         );
         // Per-task durations, one point each, so trace analytics can replay
@@ -533,6 +549,7 @@ mod tests {
             shuffle_bytes: 200,
             async_overlap: false,
             parallelism: 1,
+            ..BatchMetrics::default()
         };
         assert_eq!(batch.total_secs(), 2.0);
         let breakdown_sum: f64 = batch.breakdown().iter().map(|(_, secs)| secs).sum();
@@ -552,6 +569,7 @@ mod tests {
             shuffle_bytes: 0,
             async_overlap: true,
             parallelism: 1,
+            ..BatchMetrics::default()
         };
         // Global (0.25) hides behind the 1.5s parallel part.
         assert!((batch.total_secs() - 1.6).abs() < 1e-12);
@@ -575,6 +593,7 @@ mod tests {
                 shuffle_bytes: 0,
                 async_overlap: false,
                 parallelism: 2,
+                ..BatchMetrics::default()
             };
             meter.observe(&batch);
         }

@@ -74,6 +74,53 @@ impl Default for Fnv1a {
     }
 }
 
+/// A task's share of a batch it only borrows: the arrival positions
+/// `start, start + step, …` — `len` of them. Record-parallel steps hand
+/// the pool one `Stride` per task (24 bytes, `Copy`) next to a shared
+/// `&[T]`, so nothing a task reads is moved or copied to schedule it, and
+/// the pool's retain-for-retry clone is free.
+///
+/// # Examples
+///
+/// ```
+/// use diststream_engine::Stride;
+///
+/// let batch = [10, 11, 12, 13, 14];
+/// let odd = Stride { start: 1, step: 2, len: 2 };
+/// assert_eq!(odd.of(&batch).copied().collect::<Vec<_>>(), vec![11, 13]);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Stride {
+    /// First position.
+    pub start: usize,
+    /// Distance between consecutive positions (1 = a contiguous block).
+    pub step: usize,
+    /// Number of positions.
+    pub len: usize,
+}
+
+impl Stride {
+    /// The contiguous block `start..start + len`.
+    pub fn block(start: usize, len: usize) -> Self {
+        Stride {
+            start,
+            step: 1,
+            len,
+        }
+    }
+
+    /// The items of `batch` at this stride's positions, in order. Positions
+    /// past the end of `batch` yield nothing.
+    pub fn of<'a, T>(&self, batch: &'a [T]) -> impl Iterator<Item = &'a T> {
+        batch
+            .get(self.start..)
+            .unwrap_or_default()
+            .iter()
+            .step_by(self.step.max(1))
+            .take(self.len)
+    }
+}
+
 /// Splits records across `p` tasks in round-robin order (§V-A).
 ///
 /// The paper assigns "incoming records with different timestamps into
@@ -120,6 +167,33 @@ impl RoundRobinPartitioner {
         out
     }
 
+    /// [`split`](Self::split) without moving anything: the positions each
+    /// of the `partitions` tasks would receive out of a batch of `len`
+    /// items, as one [`Stride`] per task.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `partitions` is zero.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use diststream_engine::{RoundRobinPartitioner, Stride};
+    /// let strides = RoundRobinPartitioner.strides(5, 2);
+    /// assert_eq!(strides[0], Stride { start: 0, step: 2, len: 3 });
+    /// assert_eq!(strides[1], Stride { start: 1, step: 2, len: 2 });
+    /// ```
+    pub fn strides(&self, len: usize, partitions: usize) -> Vec<Stride> {
+        assert!(partitions > 0, "partition count must be at least 1");
+        (0..partitions)
+            .map(|start| Stride {
+                start,
+                step: partitions,
+                len: (len + partitions - 1 - start) / partitions,
+            })
+            .collect()
+    }
+
     /// Reassembles round-robin partitions back into the original order —
     /// the inverse of [`RoundRobinPartitioner::split`].
     ///
@@ -151,7 +225,7 @@ impl RoundRobinPartitioner {
     }
 }
 
-/// Splits records into `p` contiguous blocks in arrival order — the
+/// Splits a batch into `p` contiguous blocks in arrival order — the
 /// range-sharded alternative to [`RoundRobinPartitioner`] for step-1 record
 /// parallelism. Each block preserves arrival order and the original order is
 /// recovered by plain concatenation, so block partitioning satisfies the
@@ -160,8 +234,9 @@ impl RoundRobinPartitioner {
 pub struct BlockPartitioner;
 
 impl BlockPartitioner {
-    /// Splits `items` into `partitions` contiguous blocks of near-equal
-    /// size (the first `len % partitions` blocks get one extra item).
+    /// Cuts `len` arrival positions into `partitions` contiguous blocks of
+    /// near-equal size (the first `len % partitions` blocks get one extra
+    /// position), one [`Stride`] per task.
     ///
     /// # Panics
     ///
@@ -170,32 +245,26 @@ impl BlockPartitioner {
     /// # Examples
     ///
     /// ```
-    /// use diststream_engine::BlockPartitioner;
-    /// let parts = BlockPartitioner.split(vec![1, 2, 3, 4, 5], 2);
-    /// assert_eq!(parts, vec![vec![1, 2, 3], vec![4, 5]]);
+    /// use diststream_engine::{BlockPartitioner, Stride};
+    /// let blocks = BlockPartitioner.strides(5, 2);
+    /// assert_eq!(blocks, vec![Stride::block(0, 3), Stride::block(3, 2)]);
     /// ```
-    pub fn split<T>(&self, items: Vec<T>, partitions: usize) -> Vec<Vec<T>> {
+    pub fn strides(&self, len: usize, partitions: usize) -> Vec<Stride> {
         assert!(partitions > 0, "partition count must be at least 1");
-        let len = items.len();
         let base = len / partitions;
         let extra = len % partitions;
-        let mut out: Vec<Vec<T>> = Vec::with_capacity(partitions);
-        let mut iter = items.into_iter();
-        for i in 0..partitions {
-            let take = base + usize::from(i < extra);
-            out.push(iter.by_ref().take(take).collect());
-        }
-        #[cfg(feature = "debug_invariants")]
-        assert_eq!(
-            out.iter().map(Vec::len).sum::<usize>(),
-            len,
-            "debug_invariants: block split lost or duplicated items",
-        );
-        out
+        let mut start = 0;
+        (0..partitions)
+            .map(|i| {
+                let block = Stride::block(start, base + usize::from(i < extra));
+                start += block.len;
+                block
+            })
+            .collect()
     }
 
-    /// Reassembles contiguous blocks back into the original order — the
-    /// inverse of [`BlockPartitioner::split`] is concatenation.
+    /// Reassembles per-block outputs back into the original order — the
+    /// inverse of [`BlockPartitioner::strides`] is concatenation.
     pub fn concat<T>(&self, partitions: Vec<Vec<T>>) -> Vec<T> {
         let total: usize = partitions.iter().map(Vec::len).sum();
         let mut out = Vec::with_capacity(total);
@@ -362,16 +431,24 @@ where
 /// A map-side combiner: merges shuffle values for the same key task-locally
 /// before they cross the hash shuffle (Spark's `combineByKey` role).
 ///
-/// `lift` turns a single shuffle value into a partial aggregate; `merge`
-/// folds one partial into another. [`combine_by_key`] merges partials for
-/// the same key in a fixed order — ascending map-partition index, with each
-/// map partition contributing at most one partial per key — so the result
-/// is deterministic regardless of which worker produced which partial.
+/// `lift` turns a single shuffle value into a partial aggregate; `push`
+/// folds one more value into a partial, map-side; `merge` folds one partial
+/// into another. [`combine_by_key`] merges partials for the same key in a
+/// fixed order — ascending map-partition index, with each map partition
+/// contributing at most one partial per key — so the result is
+/// deterministic regardless of which worker produced which partial.
 pub trait Combiner<V> {
     /// The per-key partial aggregate that crosses the shuffle.
     type Partial;
     /// Wraps one value into a fresh partial.
     fn lift(&self, value: V) -> Self::Partial;
+    /// Folds one more value of the same map partition into `acc`. Must
+    /// equal `merge(acc, lift(value))`, which is the default; override it
+    /// when that detour allocates.
+    fn push(&self, acc: &mut Self::Partial, value: V) {
+        let lifted = self.lift(value);
+        self.merge(acc, lifted);
+    }
     /// Folds `other` into `acc`. Called in ascending map-partition order.
     fn merge(&self, acc: &mut Self::Partial, other: Self::Partial);
 }
@@ -389,6 +466,9 @@ impl<V> Combiner<V> for AppendCombiner {
     type Partial = Vec<V>;
     fn lift(&self, value: V) -> Vec<V> {
         vec![value]
+    }
+    fn push(&self, acc: &mut Vec<V>, value: V) {
+        acc.push(value);
     }
     fn merge(&self, acc: &mut Vec<V>, mut other: Vec<V>) {
         acc.append(&mut other);
@@ -424,6 +504,10 @@ pub type CombinedShuffle<K, P> = (Vec<Vec<(K, P)>>, CombineStats);
 /// that are contiguous slices of an input list, the output equals
 /// `group_by_key(flattened input)` exactly.
 ///
+/// Map partitions are any iterator of `(key, value)` iterators — owned
+/// `Vec`s, or borrowed views such as `buf.chunks(n).map(|c| c.iter().copied())`
+/// that leave a recycled buffer in place.
+///
 /// Returns the grouped shuffle partitions plus [`CombineStats`] for
 /// post-combine byte accounting.
 ///
@@ -443,7 +527,7 @@ pub type CombinedShuffle<K, P> = (Vec<Vec<(K, P)>>, CombineStats);
 /// assert_eq!(stats.combined_entries, 3); // no intra-chunk duplicates here
 /// ```
 pub fn combine_by_key<K, V, C>(
-    map_partitions: Vec<Vec<(K, V)>>,
+    map_partitions: impl IntoIterator<Item = impl IntoIterator<Item = (K, V)>>,
     partitions: usize,
     combiner: &C,
 ) -> CombinedShuffle<K, C::Partial>
@@ -466,7 +550,7 @@ where
 ///
 /// Panics if `partitions` is zero or `route` returns an out-of-range index.
 pub fn combine_by_key_with<K, V, C, F>(
-    map_partitions: Vec<Vec<(K, V)>>,
+    map_partitions: impl IntoIterator<Item = impl IntoIterator<Item = (K, V)>>,
     partitions: usize,
     combiner: &C,
     route: F,
@@ -484,17 +568,14 @@ where
     // Scratch for one map partition's local combine; keyed by position so
     // the chunk's first-occurrence order is preserved into the merge.
     let mut local_slots: HashMap<K, usize> = HashMap::new();
+    let mut local: Vec<(K, C::Partial)> = Vec::new();
     for chunk in map_partitions {
         // Map side: combine within the chunk, first-occurrence order.
         local_slots.clear();
-        let mut local: Vec<(K, C::Partial)> = Vec::new();
         for (key, value) in chunk {
             stats.input_pairs += 1;
             match local_slots.get(&key) {
-                Some(&idx) => {
-                    let lifted = combiner.lift(value);
-                    combiner.merge(&mut local[idx].1, lifted);
-                }
+                Some(&idx) => combiner.push(&mut local[idx].1, value),
                 None => {
                     local_slots.insert(key.clone(), local.len());
                     local.push((key, combiner.lift(value)));
@@ -505,7 +586,7 @@ where
         // Reduce side: each chunk contributes at most one partial per key,
         // and chunks are consumed in ascending index — the fixed merge
         // order that makes the grouped result schedule-independent.
-        for (key, partial) in local {
+        for (key, partial) in local.drain(..) {
             match slots.get(&key) {
                 Some(&(p, idx)) => combiner.merge(&mut out[p][idx].1, partial),
                 None => {
@@ -650,27 +731,70 @@ mod tests {
         assert_eq!(stats.combined_entries, 4);
     }
 
+    /// The stride layouts are the owning splits, minus the move: reading a
+    /// batch through them yields exactly what `split` would have handed
+    /// each task, and interleave / concat restore arrival order.
     #[test]
-    fn block_split_is_contiguous_and_concat_inverts() {
-        let items: Vec<u32> = (0..17).collect();
-        for p in 1..6 {
-            let parts = BlockPartitioner.split(items.clone(), p);
-            assert_eq!(parts.len(), p);
-            assert_eq!(BlockPartitioner.concat(parts), items);
+    fn strides_read_what_split_would_move() {
+        for len in [0usize, 1, 2, 5, 17, 64] {
+            let items: Vec<u32> = (0..len as u32).collect();
+            for p in 1..7 {
+                let rr: Vec<Vec<u32>> = RoundRobinPartitioner
+                    .strides(len, p)
+                    .iter()
+                    .map(|s| s.of(&items).copied().collect())
+                    .collect();
+                assert_eq!(rr, RoundRobinPartitioner.split(items.clone(), p));
+                assert_eq!(RoundRobinPartitioner.interleave(rr), items);
+
+                let blocks = BlockPartitioner.strides(len, p);
+                assert_eq!(blocks.len(), p);
+                let lens: Vec<usize> = blocks.iter().map(|b| b.len).collect();
+                let (min, max) = (lens.iter().min().unwrap(), lens.iter().max().unwrap());
+                assert!(max - min <= 1, "len={len} p={p} {lens:?}");
+                let parts: Vec<Vec<u32>> = blocks
+                    .iter()
+                    .map(|s| s.of(&items).copied().collect())
+                    .collect();
+                assert_eq!(BlockPartitioner.concat(parts), items, "len={len} p={p}");
+            }
         }
     }
 
     #[test]
-    fn block_split_balances_within_one() {
-        let parts = BlockPartitioner.split((0..10).collect::<Vec<_>>(), 3);
-        let lens: Vec<usize> = parts.iter().map(Vec::len).collect();
+    fn block_strides_give_the_remainder_to_the_first_blocks() {
+        let lens: Vec<usize> = BlockPartitioner
+            .strides(10, 3)
+            .iter()
+            .map(|b| b.len)
+            .collect();
         assert_eq!(lens, vec![4, 3, 3]);
     }
 
     #[test]
+    fn a_stride_past_the_end_of_the_batch_is_empty() {
+        let items = [1, 2, 3];
+        assert_eq!(Stride::block(7, 2).of(&items).count(), 0);
+        assert_eq!(Stride::block(2, 5).of(&items).count(), 1);
+    }
+
+    #[test]
     #[should_panic(expected = "partition count")]
-    fn block_split_zero_partitions_panics() {
-        let _ = BlockPartitioner.split(vec![1], 0);
+    fn block_strides_zero_partitions_panics() {
+        let _ = BlockPartitioner.strides(1, 0);
+    }
+
+    /// Borrowed map partitions (chunks of a recycled buffer) combine to
+    /// exactly what owned chunk `Vec`s do.
+    #[test]
+    fn combine_by_key_accepts_borrowed_chunks() {
+        let pairs = [(7u64, 1u32), (3, 2), (7, 3), (3, 4), (9, 5)];
+        let owned: Vec<Vec<(u64, u32)>> = pairs.chunks(2).map(<[_]>::to_vec).collect();
+        let borrowed = pairs.chunks(2).map(|c| c.iter().copied());
+        assert_eq!(
+            combine_by_key(borrowed, 2, &AppendCombiner),
+            combine_by_key(owned, 2, &AppendCombiner),
+        );
     }
 
     #[test]

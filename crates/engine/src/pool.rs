@@ -10,6 +10,7 @@ use diststream_types::{DistStreamError, Result};
 use parking_lot::Mutex;
 
 use crate::driver::positive;
+use crate::partition::Stride;
 
 /// Spark's `spark.task.maxFailures` default: a task may execute up to four
 /// times (one initial attempt plus three retries) before the step fails.
@@ -28,6 +29,12 @@ pub const DEFAULT_MAX_TASK_FAILURES: usize = 4;
 /// [`DistStreamError::TaskFailed`]. Because a retry recomputes the same
 /// pure function over the same retained input, retries cannot change any
 /// task's output — replay stays byte-identical across parallelism degrees.
+///
+/// Retaining means cloning: every attempt but the last permitted one runs
+/// on a clone of the input (hence `I: Clone`), before the task clock
+/// starts. Hand the pool *views* — a [`Stride`], a `&[T]`, an index list —
+/// and let the task closure borrow the data they point into; an input that
+/// owns its records is deep-copied once per task on every fault-free step.
 ///
 /// # Examples
 ///
@@ -301,6 +308,36 @@ pub fn split_chunks<T>(items: Vec<T>, chunk: usize) -> Vec<Vec<T>> {
     out
 }
 
+/// [`split_chunks`] without moving anything: the contiguous blocks of
+/// `chunk` positions (the final one may be shorter) that cover a batch of
+/// `n` items, one [`Stride`] per chunk. Tasks read their block out of a
+/// shared `&[T]`; concatenating their outputs in chunk order restores
+/// arrival order exactly as it does for the owning split.
+///
+/// # Panics
+///
+/// Panics if `chunk` is zero.
+///
+/// # Examples
+///
+/// ```
+/// use diststream_engine::{chunk_strides, Stride};
+///
+/// let chunks = chunk_strides(5, 2);
+/// assert_eq!(
+///     chunks,
+///     vec![Stride::block(0, 2), Stride::block(2, 2), Stride::block(4, 1)],
+/// );
+/// assert!(chunk_strides(0, 8).is_empty());
+/// ```
+pub fn chunk_strides(n: usize, chunk: usize) -> Vec<Stride> {
+    assert!(chunk > 0, "chunk size must be at least 1");
+    (0..n)
+        .step_by(chunk)
+        .map(|start| Stride::block(start, chunk.min(n - start)))
+        .collect()
+}
+
 /// A task that exhausted its retry budget.
 #[derive(Debug)]
 pub(crate) struct TaskFailure {
@@ -321,7 +358,10 @@ impl TaskFailure {
 
 /// Executes one task with the retry protocol shared by both execution
 /// modes: the input is retained (cloned per attempt) until an attempt
-/// succeeds, and only the final permitted attempt consumes it.
+/// succeeds, and only the final permitted attempt consumes it. With the
+/// default budget of four attempts the first — usually only — attempt
+/// always runs on a clone, so the clone is part of every task's fixed cost,
+/// outside its measured seconds.
 ///
 /// `sleep_delays` selects how hook-injected straggler seconds are imposed:
 /// thread mode really holds the worker (`true`), simulated mode charges
@@ -345,8 +385,13 @@ where
     let mut master = Some(input);
     for attempt in 0..max_attempts {
         let last = attempt + 1 >= max_attempts;
-        // Clone while retries remain so a panicking attempt cannot take the
-        // input with it; the final permitted attempt moves the original.
+        // While retries remain the attempt runs on a clone, so a panic that
+        // unwinds through `f` drops the clone and leaves `master` for the
+        // next attempt; the final permitted attempt moves the original.
+        // The clone costs whatever `I::clone` costs: the core steps pass
+        // views (a `Stride`, a slice of index lists) whose clone is a
+        // pointer copy, and borrow the records from the closure instead —
+        // a panicking attempt cannot take with it what it never owned.
         let retained = if last { master.take() } else { master.clone() };
         let Some(attempt_input) = retained else {
             break;

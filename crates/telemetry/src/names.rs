@@ -84,6 +84,13 @@ pub const POINT_TASK_DURATION: &str = "task_duration";
 /// error bound, backlog, virtual latency) emitted when sampling is active.
 pub const POINT_OVERLOAD_SUMMARY: &str = "overload_summary";
 
+/// `batch_summary` field: measured driver seconds of the assignment step
+/// outside its tasks (step span minus the pool's step and the searcher
+/// build). Wall-side context, not a critical-path component.
+pub const FIELD_ASSIGN_DRIVER_SECS: &str = "assign_driver_secs";
+/// `batch_summary` field: the same for the local-update step.
+pub const FIELD_LOCAL_DRIVER_SECS: &str = "local_driver_secs";
+
 /// Every point-event name.
 pub const ALL_POINTS: &[&str] = &[
     POINT_BATCH_SUMMARY,

@@ -20,6 +20,11 @@
 //! hides it entirely) — so it is reported as a wall-side row computed from
 //! the journal's span layout, not from `batch_summary`.
 //!
+//! The same goes for the driver's own record handling around the two
+//! parallel steps (`assign_driver_secs`, `local_driver_secs`): measured, in
+//! both execution modes, but outside the modeled critical path — so it is
+//! a second wall-side row, `driver`.
+//!
 //! One level below phase, the driver-side global update is tiled by three
 //! sub-spans (ordering, pre-merge, `apply_global`); their journaled span
 //! time is summed per run and rendered beneath the `global_update` row.
@@ -199,6 +204,10 @@ pub struct RunProfile {
     /// Span seconds inside the driver-side global update, one entry per
     /// [`GLOBAL_SUBSPANS`] row (all zero for journals that predate them).
     pub global_sub_secs: [f64; 3],
+    /// Measured seconds the driver spent handling records around the two
+    /// parallel steps, summed over batches (`assign_driver_secs` +
+    /// `local_driver_secs`; zero for journals that predate the fields).
+    pub driver_secs: f64,
 }
 
 impl RunProfile {
@@ -235,6 +244,7 @@ impl RunProfile {
             critical_secs: self.total_secs(),
             batches: self.batches.len(),
             global_sub_secs: self.global_sub_secs,
+            driver_secs: self.driver_secs,
         }
     }
 }
@@ -263,6 +273,9 @@ pub struct BlameTable {
     /// Span seconds of each [`GLOBAL_SUBSPANS`] row, rendered beneath the
     /// `global_update` phase.
     pub global_sub_secs: [f64; 3],
+    /// Wall-side seconds of driver record handling around the parallel
+    /// steps, rendered as the `driver` row beneath `local_update`.
+    pub driver_secs: f64,
 }
 
 impl BlameTable {
@@ -310,6 +323,13 @@ impl BlameTable {
                 share,
                 on_path
             );
+            if row.phase == Phase::LocalUpdate && self.driver_secs > 0.0 {
+                let _ = writeln!(
+                    out,
+                    "{:<14} {:>12.6} {:>8} {:>10}",
+                    "driver", self.driver_secs, "-", "wall"
+                );
+            }
             if row.phase == Phase::GlobalUpdate {
                 self.render_global_breakdown(&mut out);
             }
@@ -369,6 +389,9 @@ pub fn analyze(journal: &Journal) -> RunProfile {
             "batch_summary" => {
                 let batch = point.batch.unwrap_or(0);
                 current.insert(batch, profile.batches.len());
+                // Literal twins of telemetry's FIELD_*_DRIVER_SECS: this
+                // crate has no dependencies.
+                profile.driver_secs += get("assign_driver_secs") + get("local_driver_secs");
                 profile.batches.push(BatchProfile {
                     batch,
                     records: get("records"),
@@ -605,6 +628,37 @@ mod tests {
             "{rendered}"
         );
         assert!(rendered.contains("71.4%"), "{rendered}");
+    }
+
+    /// The driver's record handling is wall-side context: summed from the
+    /// two `batch_summary` fields into one `driver` row beneath
+    /// `local_update`, never on a critical path, and absent for journals
+    /// that predate the fields.
+    #[test]
+    fn driver_seconds_render_as_a_wall_side_row() {
+        let with_driver = |batch, assign: f64, local: f64| {
+            let line = summary(batch, 1.0, 0.5, 0.25, 0.25, false);
+            let fields =
+                format!(",\"assign_driver_secs\":{assign},\"local_driver_secs\":{local}}}");
+            format!("{}{fields}", line.trim_end_matches('}'))
+        };
+        let run = build(&[with_driver(0, 0.25, 0.5), with_driver(1, 0.125, 0.125)]);
+        assert!((run.driver_secs - 1.0).abs() < 1e-12);
+        assert!(run.batches.iter().all(|b| b.reconcile().is_ok()));
+        let blame = run.blame();
+        assert!((blame.critical_secs - 4.0).abs() < 1e-12, "not on the path");
+        let rendered = blame.render();
+        let rows: Vec<&str> = rendered
+            .lines()
+            .map(|l| l.split(' ').next().unwrap())
+            .collect();
+        let local_at = rows.iter().position(|r| *r == "local_update").unwrap();
+        assert_eq!(rows[local_at + 1], "driver", "{rendered}");
+        assert!(rendered.contains("1.000000"), "{rendered}");
+
+        let old = build(&[summary(0, 1.0, 0.5, 0.25, 0.25, false)]);
+        assert_eq!(old.driver_secs, 0.0);
+        assert!(!old.blame().render().contains("driver"));
     }
 
     #[test]

@@ -122,6 +122,7 @@ mod tests {
             critical_secs: assignment + local + global + overhead,
             batches: 1,
             global_sub_secs: [0.0; 3],
+            driver_secs: 0.0,
         }
     }
 

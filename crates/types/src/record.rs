@@ -187,6 +187,16 @@ impl Record {
         self.point.dims()
     }
 
+    /// Bytes this record occupies in the engine's wire encoding, in O(1):
+    /// id (8) + coordinate-vector length prefix (8) + 8 per coordinate +
+    /// timestamp (8) + label tag (1) + the `u32` class when labeled. The
+    /// shuffle accounting charges this per record instead of running the
+    /// encoder over every coordinate; the engine's codec tests pin it to
+    /// `serialized_size(&record)`.
+    pub fn wire_size(&self) -> u64 {
+        25 + 8 * self.dims() as u64 + if self.label.is_some() { 4 } else { 0 }
+    }
+
     /// The `(timestamp, id)` key that defines the total arrival order.
     ///
     /// Sorting a batch by this key is exactly the order the one-record-at-a-

@@ -5,12 +5,14 @@
 
 use diststream::core::reference::NaiveClustering;
 use diststream::core::{
+    assign_records_distributed, global_update, local_update_distributed, strategy_for,
     BatchDisposition, CheckpointStore, DistStreamExecutor, DistStreamJob, FileCheckpointStore,
-    MemoryCheckpointStore, PipelineOptions, StreamClustering,
+    LocalScratch, MemoryCheckpointStore, PipelineOptions, StrategyKind, StreamClustering,
+    UpdateOrdering,
 };
 use diststream::engine::{
-    encode, prefetch_batches, ExecutionMode, FaultPlan, MiniBatch, MiniBatcher, StreamingContext,
-    TaskPool, VecSource, DEFAULT_MAX_TASK_FAILURES,
+    encode, prefetch_batches, Broadcast, ExecutionMode, FaultPlan, MiniBatch, MiniBatcher,
+    StreamingContext, TaskPool, VecSource, DEFAULT_MAX_TASK_FAILURES,
 };
 use diststream::types::{ClusteringConfig, DistStreamError, Point, Record, Timestamp};
 
@@ -190,6 +192,85 @@ fn scattered_fault_plan_still_replays_deterministically() {
     let clean = run_model(&ctx, None, &[]);
     let faulted = run_model(&ctx, Some(plan), &[]);
     assert_eq!(clean, faulted);
+}
+
+/// One 64-record batch through the three steps by hand, so a first-attempt
+/// panic can be aimed at task 0 of step 1 or of step 2 (through the
+/// executor, step 1 always consumes the `(batch, 0, 0)` coordinate first).
+/// Returns the model bytes and the charged shuffle bytes.
+fn stepwise(ctx: &StreamingContext, combine: bool, fault_step: Option<u8>) -> (Vec<u8>, u64) {
+    let algo = NaiveClustering::new(1.0);
+    let mut model = algo.init(&[rec(0, 0.0, 0.0)]).unwrap();
+    let batch = batches(1, 64).remove(0);
+    let bcast = Broadcast::new(model.clone());
+    let strategy = strategy_for(StrategyKind::RoundRobin);
+    let arm = |step: u8| {
+        if fault_step == Some(step) {
+            ctx.install_fault_plan(FaultPlan::new().panic_on(0, 0, 0));
+        } else {
+            ctx.clear_fault_plan();
+        }
+        ctx.begin_batch(0);
+    };
+    arm(1);
+    let assigned =
+        assign_records_distributed(ctx, &algo, &bcast, batch.records, combine, strategy).unwrap();
+    arm(2);
+    let local = local_update_distributed(
+        ctx,
+        &algo,
+        &bcast,
+        assigned.pairs,
+        UpdateOrdering::OrderAware,
+        batch.window_start,
+        7,
+        &mut LocalScratch::default(),
+        combine,
+        strategy,
+    )
+    .unwrap();
+    ctx.clear_fault_plan();
+    let shuffle_bytes = local.shuffle_bytes;
+    global_update(
+        &algo,
+        &mut model,
+        local,
+        batch.window_end,
+        UpdateOrdering::OrderAware,
+        true,
+        7,
+    )
+    .unwrap();
+    (encode(&model), shuffle_bytes)
+}
+
+#[test]
+fn retry_on_borrowed_input_changes_nothing_in_either_step() {
+    // Both parallel steps hand the pool views and lend the batch to the
+    // task closure, so an attempt that panics has nothing of the batch to
+    // lose: the retry reads the very same records, and the model and the
+    // shuffle accounting match the fault-free run — in real threads, with
+    // the grouping combined (chunked step 1) or not.
+    diststream::telemetry::set_enabled(true);
+    let retried = || diststream::telemetry::counter("diststream_tasks_retried_total").get();
+    let ctx = StreamingContext::new(2, ExecutionMode::Threads).unwrap();
+    for combine in [false, true] {
+        let clean = stepwise(&ctx, combine, None);
+        for step in [1, 2] {
+            let before = retried();
+            let faulted = stepwise(&ctx, combine, Some(step));
+            assert_eq!(
+                clean, faulted,
+                "a retry in step {step} changed the outcome (combine={combine})"
+            );
+            // Other tests of this binary may retry concurrently: at least
+            // this one was counted.
+            assert!(
+                retried() > before,
+                "retry in step {step} not counted (combine={combine})"
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

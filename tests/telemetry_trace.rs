@@ -180,5 +180,15 @@ fn each_batch_records_one_summary_point() {
             (expected - total).abs() <= (expected.abs() * 0.05).max(1e-6),
             "critical path {expected} does not reconcile with total {total}"
         );
+        // The driver's own record handling rides along as wall-side
+        // context: measured (so never negative), and outside the
+        // reconciled critical path above.
+        for key in [
+            diststream::telemetry::names::FIELD_ASSIGN_DRIVER_SECS,
+            diststream::telemetry::names::FIELD_LOCAL_DRIVER_SECS,
+        ] {
+            let secs = field(key);
+            assert!(secs.is_finite() && secs >= 0.0, "{key} = {secs}");
+        }
     }
 }
