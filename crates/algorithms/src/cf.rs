@@ -10,6 +10,8 @@
 use serde::{Deserialize, Serialize};
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use diststream_core::{MicroClusterId, Sketch, WeightedPoint};
 use diststream_types::{
@@ -188,8 +190,12 @@ impl CfVector {
     pub fn insert(&mut self, record: &Record, lambda: f64) {
         self.decay(lambda, record.timestamp.max(self.updated_at));
         let t = record.timestamp.secs();
-        self.cf2x.add_in_place(&record.point.squared());
         self.cf1x.add_in_place(&record.point);
+        // `x²` straight into CF2x: the same rounded square and the same add
+        // as `add_in_place(&point.squared())`, without the temporary.
+        for (s2, &x) in self.cf2x.as_mut_slice().iter_mut().zip(record.point.iter()) {
+            *s2 += x * x;
+        }
         self.cf2t += t * t;
         self.cf1t += t;
         self.weight += 1.0;
@@ -243,6 +249,19 @@ impl Sketch for CfVector {
 /// would have selected.
 const SCREEN_DEFLATE: f64 = 1.0 - 1e-9;
 
+/// Largest kernel that ever gets a [`SearchIndex`]: the index caches
+/// centre-to-centre distances, `rows² × 8` bytes once every row has been a
+/// best row, so this caps it at 2 MiB per kernel. Larger kernels keep the
+/// plain in-order scan.
+const MAX_INDEXED_ROWS: usize = 512;
+
+/// Coordinates per row in the first-candidate table of a [`SearchIndex`].
+const PROBE_DIMS: usize = 8;
+
+/// Rows per tile of that table: one tile's partial sums fill one 4-wide
+/// accumulator, like the lanes of the distance reductions.
+const PROBE_TILE: usize = 4;
+
 /// Structure-of-arrays nearest-centroid search kernel shared by the online
 /// assignment hot paths of CluStream, DenStream, ClusTree, and the offline
 /// k-means loop.
@@ -260,6 +279,18 @@ const SCREEN_DEFLATE: f64 = 1.0 - 1e-9;
 /// bit-identical to the naive per-cluster loop the kernel replaces
 /// (property-tested in this module and relied on by the `debug_invariants`
 /// p=1-vs-p=4 replay gate).
+///
+/// An in-order scan starts with its running best at row 0, usually far from
+/// the query, so on clustered centroids the screens above rule out few rows.
+/// A kernel that keeps answering queries against unchanged rows therefore
+/// buys a [`SearchIndex`] and searches in two stages — a cheap first
+/// candidate, then the same in-order scan seeded with it and screened by the
+/// cached centre-to-centre distances. The index only decides which rows are
+/// *skipped*; every row it skips provably loses, ties still go to the
+/// earliest row, so the answers stay bit-identical to the plain scan. It is
+/// derived state: bought by a rent-or-buy rule on the queries the kernel
+/// observes (see [`CentroidKernel::index`]), dropped by every row mutation,
+/// not carried over by `clone`, never serialized.
 ///
 /// # Examples
 ///
@@ -280,6 +311,178 @@ pub struct CentroidKernel {
     centers: Vec<f64>,
     norms: Vec<f64>,
     dims: usize,
+    search: SearchState,
+}
+
+/// What a [`CentroidKernel`] has learned about its current rows: the ledger
+/// of the rent-or-buy rule in [`CentroidKernel::index`] and the index bought
+/// under it. Reset to empty by every row mutation; a cloned kernel starts
+/// renting again. The counters are statistics: they decide how a query is
+/// searched, never what it answers, and publish no data (the `OnceLock`
+/// publishes the index); `SeqCst` only because the workspace uses no other
+/// ordering.
+#[derive(Debug, Default)]
+struct SearchState {
+    /// Queries answered since the rows last changed, counted until the
+    /// verdict.
+    queries: AtomicUsize,
+    /// Row distances evaluated by the plain scans before the index was
+    /// built...
+    rent_effort: AtomicUsize,
+    /// ...and by as many indexed searches after it, first-candidate work
+    /// included.
+    trial_effort: AtomicUsize,
+    /// [`UNDECIDED`], [`KEPT`] or [`RETURNED`].
+    verdict: AtomicU8,
+    /// `Some(None)` once the rows were found unfit for an index (a
+    /// non-finite centre).
+    index: OnceLock<Option<SearchIndex>>,
+}
+
+/// [`SearchState::verdict`]: still renting, or the index is on trial.
+const UNDECIDED: u8 = 0;
+/// [`SearchState::verdict`]: the index beat the plain scan; every query
+/// uses it.
+const KEPT: u8 = 1;
+/// [`SearchState::verdict`]: no index for these rows (too many, unfit, or
+/// it did not beat the plain scan); every query scans in order.
+const RETURNED: u8 = 2;
+
+impl Clone for SearchState {
+    fn clone(&self) -> Self {
+        SearchState::default()
+    }
+}
+
+impl SearchState {
+    /// Books the row distances one search evaluated on `account`
+    /// (`rent_effort` or `trial_effort`), while the ledger is open.
+    fn book(&self, account: &AtomicUsize, evaluated: usize) {
+        if self.verdict.load(Ordering::SeqCst) == UNDECIDED {
+            account.fetch_add(evaluated, Ordering::SeqCst);
+        }
+    }
+}
+
+/// Derived search structure over the rows of a [`CentroidKernel`], built by
+/// [`CentroidKernel::build_index`].
+#[derive(Debug)]
+struct SearchIndex {
+    rows: usize,
+    /// Entry `j` of row `i` is half the Euclidean distance between rows `i`
+    /// and `j`, deflated by [`SCREEN_DEFLATE`]. By the triangle inequality
+    /// `d(q, j) ≥ d(i, j) − d(q, i)`, so an entry above `d(q, i)` proves row
+    /// `j` is farther from the query `q` than row `i`. A row is filled the
+    /// first time it is the best row of a scan
+    /// ([`SearchIndex::half_pairs_of`]): the table's `rows² / 2`
+    /// distances are paid one scan's worth at a time, by the queries that
+    /// use them, and rows that never win are never computed.
+    half_pairs: Vec<OnceLock<Box<[f64]>>>,
+    /// The (up to [`PROBE_DIMS`]) coordinates with the largest variance
+    /// across rows.
+    probe_dims: Vec<usize>,
+    /// Those coordinates of every row, column-major within tiles of
+    /// [`PROBE_TILE`] rows: per tile, [`PROBE_TILE`] values per entry of
+    /// `probe_dims` (zeros past the last row).
+    probe: Vec<f64>,
+    /// What one [`SearchIndex::first_candidate`] costs, in row distances:
+    /// it reads `probe_dims.len()` of the `dims` coordinates of every row.
+    probe_cost: usize,
+}
+
+impl SearchIndex {
+    /// Row `idx` of the pair table, computed on first use from `kernel`'s
+    /// centres: one distance to every row (about one plain scan), less what
+    /// rows filled earlier already hold of it by symmetry. Finite centres
+    /// can still be so far apart that their distance overflows; such a pair
+    /// is stored as zero, which never screens.
+    fn half_pairs_of(&self, kernel: &CentroidKernel, idx: usize) -> &[f64] {
+        let Some(cell) = self.half_pairs.get(idx) else {
+            return &[];
+        };
+        cell.get_or_init(|| {
+            let target = kernel.center(idx);
+            let mirrored = |j: usize| self.half_pairs.get(j)?.get()?.get(idx).copied();
+            (0..self.rows)
+                .map(|j| {
+                    mirrored(j).unwrap_or_else(|| {
+                        let d = lane_squared_distance(kernel.center(j), target).sqrt();
+                        if d.is_finite() {
+                            d * 0.5 * SCREEN_DEFLATE
+                        } else {
+                            0.0
+                        }
+                    })
+                })
+                .collect()
+        })
+    }
+
+    /// The kept row nearest to `query` over the probe coordinates alone
+    /// (earliest on ties). A guess: it decides how much the seeded scan can
+    /// skip, never what it answers.
+    fn first_candidate(
+        &self,
+        query: &[f64],
+        keep: &mut impl FnMut(usize) -> bool,
+    ) -> Option<usize> {
+        let mut q = [0.0f64; PROBE_DIMS];
+        for (slot, &dim) in q.iter_mut().zip(&self.probe_dims) {
+            *slot = *query.get(dim)?;
+        }
+        let mut best: Option<(usize, f64)> = None;
+        let tiles = self.probe.chunks_exact(PROBE_TILE * self.probe_dims.len());
+        for (tile, coords) in tiles.enumerate() {
+            let mut partial = [0.0f64; PROBE_TILE];
+            for (column, &q) in coords.chunks_exact(PROBE_TILE).zip(&q) {
+                for (sum, &c) in partial.iter_mut().zip(column) {
+                    let d = c - q;
+                    *sum += d * d;
+                }
+            }
+            for (lane, &sum) in partial.iter().enumerate() {
+                let row = tile * PROBE_TILE + lane;
+                if row < self.rows && best.is_none_or(|(_, least)| sum < least) && keep(row) {
+                    best = Some((row, sum));
+                }
+            }
+        }
+        best.map(|(row, _)| row)
+    }
+}
+
+/// Running best of a seeded scan.
+struct Best {
+    row: usize,
+    /// The distance in the caller's comparison domain (`d` or `d²`).
+    key: f64,
+    d2: f64,
+    /// A row whose distance lower bound exceeds this is strictly farther
+    /// than the best row. The argument needs the 1e-9 deflation of the
+    /// bound to dominate the rounding of the distances it compares, which
+    /// holds for sums of squares in the normal range only; below it nothing
+    /// is screened.
+    radius: f64,
+    /// Early-exit bound for a row that wins a tie with the best row: above
+    /// every `d²` whose `key` can equal the best one (`sqrt` maps at most a
+    /// few neighbouring `d²` to one `d`).
+    tie_bound: f64,
+}
+
+impl Best {
+    fn new(row: usize, d2: f64, key: f64) -> Self {
+        Best {
+            row,
+            key,
+            d2,
+            radius: if d2 >= f64::MIN_POSITIVE {
+                d2.sqrt()
+            } else {
+                f64::INFINITY
+            },
+            tie_bound: d2 * (1.0 + 4.0 * f64::EPSILON) + f64::MIN_POSITIVE,
+        }
+    }
 }
 
 impl CentroidKernel {
@@ -296,6 +499,7 @@ impl CentroidKernel {
             centers: Vec::with_capacity(rows * dims),
             norms: Vec::with_capacity(rows),
             dims: 0,
+            search: SearchState::default(),
         }
     }
 
@@ -320,6 +524,12 @@ impl CentroidKernel {
         self.centers.clear();
         self.norms.clear();
         self.dims = 0;
+        self.rows_changed();
+    }
+
+    /// Forgets everything learned about the previous rows, index included.
+    fn rows_changed(&mut self) {
+        self.search = SearchState::default();
     }
 
     /// The caller-supplied id of row `idx`.
@@ -361,6 +571,7 @@ impl CentroidKernel {
         let row = self.centers.split_at(start).1;
         self.norms.push(lane_squared_norm(row).sqrt());
         self.ids.push(id);
+        self.rows_changed();
     }
 
     /// Appends the centroid of `cf`, computed exactly as
@@ -384,6 +595,7 @@ impl CentroidKernel {
         self.norms
             .insert(idx, lane_squared_norm(self.center(idx)).sqrt());
         self.ids.insert(idx, id);
+        self.rows_changed();
     }
 
     /// Overwrites row `idx` with the centroid of `cf`.
@@ -399,6 +611,7 @@ impl CentroidKernel {
         if let Some(slot) = self.norms.get_mut(idx) {
             *slot = norm;
         }
+        self.rows_changed();
     }
 
     /// Removes row `idx`, shifting later rows down.
@@ -407,11 +620,171 @@ impl CentroidKernel {
         self.centers.drain(at..at + self.dims);
         self.norms.remove(idx);
         self.ids.remove(idx);
+        self.rows_changed();
     }
 
     /// Appends a plain point as a centroid row.
     pub fn push_point(&mut self, id: u64, point: &Point) {
         self.push_center(id, point.iter().copied());
+    }
+
+    /// The search index queries against the current rows should use, if any.
+    ///
+    /// Rent or buy, on what the kernel observes. The index is paid for as it
+    /// is used — each row of its pair table costs about one plain scan the
+    /// first time that row is a scan's best row, `rows / 2` scans once all
+    /// have been — so a kernel rents (scans in order) until it has answered
+    /// `rows / 2` queries against unchanged rows, and buys then: if the rows
+    /// last as long again the index can have paid for itself, and a kernel
+    /// that is mutated between queries (a [`ClosestPairIndex`]'s rows) or
+    /// answers only a handful never pays. The next `rows / 2` queries are
+    /// the index's trial: it is kept if they evaluated fewer row distances,
+    /// first candidates included, than the rented ones did, and returned
+    /// otherwise — on rows without neighbourhoods (uniform coordinates in
+    /// many dimensions) no screen fires and the first candidate is pure
+    /// overhead. Kernels above [`MAX_INDEXED_ROWS`] never buy.
+    fn index(&self) -> Option<&SearchIndex> {
+        let state = &self.search;
+        let settle = |verdict: u8| state.verdict.store(verdict, Ordering::SeqCst);
+        match state.verdict.load(Ordering::SeqCst) {
+            KEPT => return state.index.get()?.as_ref(),
+            RETURNED => return None,
+            _ => {}
+        }
+        let rows = self.len();
+        if rows > MAX_INDEXED_ROWS {
+            settle(RETURNED);
+            return None;
+        }
+        let rent = rows / 2;
+        let asked = state.queries.fetch_add(1, Ordering::SeqCst);
+        if asked < rent {
+            return None;
+        }
+        let index = state.index.get_or_init(|| self.build_index()).as_ref();
+        if index.is_none() {
+            settle(RETURNED);
+        } else if asked >= 2 * rent {
+            let trial = state.trial_effort.load(Ordering::SeqCst);
+            let kept = trial < state.rent_effort.load(Ordering::SeqCst);
+            settle(if kept { KEPT } else { RETURNED });
+            return index.filter(|_| kept);
+        }
+        index
+    }
+
+    /// Whether queries currently go through a search index.
+    #[cfg(test)]
+    pub(crate) fn is_indexed(&self) -> bool {
+        matches!(self.search.index.get(), Some(Some(_)))
+            && self.search.verdict.load(Ordering::SeqCst) != RETURNED
+    }
+
+    /// Builds the index now and keeps it whatever a trial would say, so
+    /// tests can check its answers on rows it would not pay for. `false` if
+    /// the rows cannot carry one.
+    #[cfg(test)]
+    fn pin_index(&self) -> bool {
+        let built = self.search.index.get_or_init(|| self.build_index());
+        let verdict = if built.is_some() { KEPT } else { RETURNED };
+        self.search.verdict.store(verdict, Ordering::SeqCst);
+        built.is_some()
+    }
+
+    /// Builds the search index — the first-candidate table and an empty
+    /// pair table — or `None` if the rows cannot carry one: the screens
+    /// reason about finite distances, so every norm must be finite.
+    fn build_index(&self) -> Option<SearchIndex> {
+        let rows = self.len();
+        if rows == 0 || self.dims == 0 || !self.norms.iter().all(|norm| norm.is_finite()) {
+            return None;
+        }
+        // Probe coordinates: the largest variance across rows first (ties
+        // by coordinate order — the sort is stable).
+        let mut spread: Vec<(usize, f64)> = (0..self.dims)
+            .map(|dim| {
+                let column = || self.centers.iter().skip(dim).step_by(self.dims);
+                let mean = column().sum::<f64>() / rows as f64;
+                (dim, column().map(|&v| (v - mean) * (v - mean)).sum())
+            })
+            .collect();
+        spread.sort_by(|a, b| b.1.total_cmp(&a.1));
+        spread.truncate(PROBE_DIMS);
+        let probe_dims: Vec<usize> = spread.into_iter().map(|(dim, _)| dim).collect();
+        let mut probe = Vec::with_capacity(rows.next_multiple_of(PROBE_TILE) * probe_dims.len());
+        for tile in (0..rows).step_by(PROBE_TILE) {
+            for &dim in &probe_dims {
+                probe.extend((tile..tile + PROBE_TILE).map(|row| {
+                    let at = row * self.dims + dim;
+                    self.centers.get(at).copied().unwrap_or(0.0) // past the last row
+                }));
+            }
+        }
+        Some(SearchIndex {
+            rows,
+            half_pairs: (0..rows).map(|_| OnceLock::new()).collect(),
+            probe_cost: (rows * probe_dims.len()).div_ceil(self.dims),
+            probe_dims,
+            probe,
+        })
+    }
+
+    /// Two-stage exact search through the index: a first candidate from the
+    /// probe table, then the in-order scan seeded with it. `key` maps `d²`
+    /// into the caller's comparison domain (`sqrt` or identity). Returns
+    /// `(row, key, rows whose distance was evaluated)`, or `None` to hand
+    /// the query to the plain scan: no index, no kept row, or a query that
+    /// is not finite (NaN would freeze the seeded best — every comparison
+    /// with it is false — and the plain scan defines what such queries get).
+    ///
+    /// Exactness: the scan keeps the earliest row of minimal `key` among the
+    /// seed and the rows visited so far, and a row is skipped only when a
+    /// lower bound on its distance — half the cached distance to the best
+    /// row, or the gap between its norm and the query's — exceeds the best
+    /// distance (see [`Best::radius`]). The seed is the one best row that
+    /// can sit *after* the row being visited; such a row takes over on a
+    /// tie, every other on a strictly smaller `key` only.
+    fn seeded_search(
+        &self,
+        query: &[f64],
+        qnorm: f64,
+        keep: &mut impl FnMut(usize) -> bool,
+        key: impl Fn(f64) -> f64,
+    ) -> Option<(usize, f64, usize)> {
+        let index = self.index()?;
+        let seed = index.first_candidate(query, keep)?;
+        let seed_d2 = lane_squared_distance(self.center(seed), query);
+        if !(seed_d2.is_finite() && qnorm.is_finite()) {
+            return None;
+        }
+        let mut best = Best::new(seed, seed_d2, key(seed_d2));
+        let mut half_pairs = index.half_pairs_of(self, seed);
+        let mut evaluated = 1;
+        for (row, &rnorm) in self.norms.iter().enumerate() {
+            if best.d2 == 0.0 && row > best.row {
+                break; // zero cannot be beaten, and no earlier row is left to tie it
+            }
+            if row == seed
+                || half_pairs.get(row).is_some_and(|&half| half > best.radius)
+                || (rnorm - qnorm).abs() * SCREEN_DEFLATE > best.radius
+                || !keep(row)
+            {
+                continue;
+            }
+            let wins_ties = row < best.row;
+            let bound = if wins_ties { best.tie_bound } else { best.d2 };
+            evaluated += 1;
+            if let Some(d2) = lane_squared_distance_bounded(self.center(row), query, bound) {
+                let k = key(d2);
+                if k < best.key || (wins_ties && k == best.key) {
+                    best = Best::new(row, d2, k);
+                    half_pairs = index.half_pairs_of(self, row);
+                }
+            }
+        }
+        let ledger = &self.search;
+        ledger.book(&ledger.trial_effort, evaluated + index.probe_cost);
+        Some((best.row, best.key, evaluated))
     }
 
     /// Nearest row to `query` by Euclidean distance, as `(row index,
@@ -421,16 +794,36 @@ impl CentroidKernel {
         self.nearest_filtered(query, |_| true)
     }
 
+    /// [`CentroidKernel::nearest`] plus the number of rows whose distance
+    /// the search evaluated rather than screened out — what a query cost,
+    /// for benchmarks and diagnostics.
+    pub fn nearest_with_effort(&self, query: &Point) -> Option<(usize, f64, usize)> {
+        self.nearest_counted(query, |_| true)
+    }
+
     /// Like [`CentroidKernel::nearest`], restricted to rows where
     /// `keep(idx)` is true.
     pub fn nearest_filtered(
         &self,
         query: &Point,
-        mut keep: impl FnMut(usize) -> bool,
+        keep: impl FnMut(usize) -> bool,
     ) -> Option<(usize, f64)> {
+        self.nearest_counted(query, keep)
+            .map(|(idx, d, _)| (idx, d))
+    }
+
+    fn nearest_counted(
+        &self,
+        query: &Point,
+        mut keep: impl FnMut(usize) -> bool,
+    ) -> Option<(usize, f64, usize)> {
         let query = query.as_slice();
         let qnorm = lane_squared_norm(query).sqrt();
+        if let Some(found) = self.seeded_search(query, qnorm, &mut keep, f64::sqrt) {
+            return Some(found);
+        }
         let mut best: Option<(usize, f64, f64)> = None; // (idx, dist, dist²)
+        let mut evaluated = 0;
         for (idx, &rnorm) in self.norms.iter().enumerate() {
             if !keep(idx) {
                 continue;
@@ -439,12 +832,14 @@ impl CentroidKernel {
                 None => {
                     let d2 = lane_squared_distance(self.center(idx), query);
                     best = Some((idx, d2.sqrt(), d2));
+                    evaluated += 1;
                 }
                 Some((_, best_d, best_d2)) => {
                     let gap = rnorm - qnorm;
                     if gap.abs() * SCREEN_DEFLATE >= best_d {
                         continue;
                     }
+                    evaluated += 1;
                     if let Some(d2) =
                         lane_squared_distance_bounded(self.center(idx), query, best_d2)
                     {
@@ -459,7 +854,8 @@ impl CentroidKernel {
                 }
             }
         }
-        best.map(|(idx, d, _)| (idx, d))
+        self.search.book(&self.search.rent_effort, evaluated);
+        best.map(|(idx, d, _)| (idx, d, evaluated))
     }
 
     /// Nearest row to `query` by *squared* Euclidean distance. Ties keep the
@@ -478,7 +874,11 @@ impl CentroidKernel {
     ) -> Option<(usize, f64)> {
         let query = query.as_slice();
         let qnorm = lane_squared_norm(query).sqrt();
+        if let Some((idx, d2, _)) = self.seeded_search(query, qnorm, &mut keep, |d2| d2) {
+            return Some((idx, d2));
+        }
         let mut best: Option<(usize, f64)> = None;
+        let mut evaluated = 0;
         for (idx, &rnorm) in self.norms.iter().enumerate() {
             if !keep(idx) {
                 continue;
@@ -487,12 +887,14 @@ impl CentroidKernel {
                 None => {
                     let d2 = lane_squared_distance(self.center(idx), query);
                     best = Some((idx, d2));
+                    evaluated += 1;
                 }
                 Some((_, best_sq)) => {
                     let gap = rnorm - qnorm;
                     if gap * gap * SCREEN_DEFLATE >= best_sq {
                         continue;
                     }
+                    evaluated += 1;
                     if let Some(d2) =
                         lane_squared_distance_bounded(self.center(idx), query, best_sq)
                     {
@@ -501,6 +903,7 @@ impl CentroidKernel {
                 }
             }
         }
+        self.search.book(&self.search.rent_effort, evaluated);
         best
     }
 
@@ -1033,6 +1436,399 @@ mod tests {
                 let got = kernel.nearest_other_distance(i);
                 prop_assert_eq!(got.to_bits(), naive.to_bits());
             }
+        }
+    }
+
+    // -- the indexed (candidate-then-screen) search ------------------------
+
+    fn kernel_of(rows: &[Point]) -> CentroidKernel {
+        let mut kernel = CentroidKernel::new();
+        for (i, row) in rows.iter().enumerate() {
+            kernel.push_point(i as u64, row);
+        }
+        kernel
+    }
+
+    /// The naive reference: every kept row's full distance (`squared`
+    /// chooses the comparison domain), first minimum wins. Distances as
+    /// bits, so `assert_eq!` compares them exactly.
+    fn naive(
+        rows: &[Point],
+        query: &Point,
+        keep: impl Fn(usize) -> bool,
+        squared: bool,
+    ) -> Option<(usize, u64)> {
+        let distance = |row: &Point| {
+            if squared {
+                row.squared_distance(query)
+            } else {
+                row.distance(query)
+            }
+        };
+        rows.iter()
+            .enumerate()
+            .filter(|(i, _)| keep(*i))
+            .map(|(i, row)| (i, distance(row)))
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .map(|(i, d)| (i, d.to_bits()))
+    }
+
+    fn bits(found: Option<(usize, f64)>) -> Option<(usize, u64)> {
+        found.map(|(i, d)| (i, d.to_bits()))
+    }
+
+    /// All four `nearest*` forms against the naive reference, under `keep`.
+    fn assert_matches_naive(
+        kernel: &CentroidKernel,
+        rows: &[Point],
+        query: &Point,
+        keep: impl Fn(usize) -> bool,
+    ) {
+        let all = |_: usize| true;
+        assert_eq!(bits(kernel.nearest(query)), naive(rows, query, all, false));
+        assert_eq!(
+            bits(kernel.nearest_squared(query)),
+            naive(rows, query, all, true)
+        );
+        assert_eq!(
+            bits(kernel.nearest_filtered(query, &keep)),
+            naive(rows, query, &keep, false)
+        );
+        assert_eq!(
+            bits(kernel.nearest_squared_filtered(query, &keep)),
+            naive(rows, query, &keep, true)
+        );
+    }
+
+    /// `rows` centroids and some queries in `dims` dimensions, from `seed`.
+    /// Clustered: rows scatter around a few far-apart centres, queries
+    /// around rows. Gridded: rows are drawn (with repeats) from a small pool
+    /// of points one or two integer steps along one coordinate away from a
+    /// common base, and queries are the base, rows, or midpoints of two rows
+    /// — so duplicate rows, zero distances and exact ties are the rule, and
+    /// tied rows differ in whether the step lies on a probe coordinate.
+    fn layout(seed: u64, rows: usize, dims: usize, gridded: bool) -> (Vec<Point>, Vec<Point>) {
+        let mut rng = proptest::test_runner::TestRng::from_seed(seed);
+        let point = |coord: &mut dyn FnMut(usize) -> f64| -> Point {
+            Point::from((0..dims).map(coord).collect::<Vec<f64>>())
+        };
+        if gridded {
+            let base = point(&mut |_| rng.below(4) as f64);
+            let pool: Vec<Point> = (0..rows.div_ceil(3))
+                .map(|_| {
+                    let mut coords = base.as_slice().to_vec();
+                    coords[rng.below(dims.min(12) as u64) as usize] +=
+                        [-1.0, 1.0, 2.0][rng.below(3) as usize];
+                    Point::from(coords)
+                })
+                .collect();
+            let pick = |rng: &mut proptest::test_runner::TestRng| {
+                pool[rng.below(pool.len() as u64) as usize].clone()
+            };
+            let centroids: Vec<Point> = (0..rows).map(|_| pick(&mut rng)).collect();
+            let queries = (0..12)
+                .map(|i| {
+                    let (a, b) = (pick(&mut rng), pick(&mut rng));
+                    match i % 3 {
+                        0 => base.clone(),
+                        1 => a,
+                        _ => (&a + &b).scaled(0.5),
+                    }
+                })
+                .collect();
+            (centroids, queries)
+        } else {
+            let centres: Vec<Point> = (0..5)
+                .map(|_| point(&mut |_| rng.unit_f64() * 200.0 - 100.0))
+                .collect();
+            let near = |rng: &mut proptest::test_runner::TestRng, centre: &Point, spread: f64| {
+                Point::from(
+                    centre
+                        .iter()
+                        .map(|&c| c + (rng.unit_f64() - 0.5) * spread)
+                        .collect::<Vec<f64>>(),
+                )
+            };
+            let centroids: Vec<Point> = (0..rows)
+                .map(|_| {
+                    let centre = rng.below(centres.len() as u64) as usize;
+                    near(&mut rng, &centres[centre], 6.0)
+                })
+                .collect();
+            let queries = (0..12)
+                .map(|_| {
+                    let row = rng.below(rows as u64) as usize;
+                    near(&mut rng, &centroids[row], 3.0)
+                })
+                .collect();
+            (centroids, queries)
+        }
+    }
+
+    const SHAPE_ROWS: [usize; 4] = [1, 2, 3, 230];
+    const SHAPE_DIMS: [usize; 4] = [1, 2, 54, 315];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        /// Once a kernel has bought its index, all four forms still return
+        /// the naive winner and distance bits — on clustered rows and on
+        /// rows full of duplicates and exact ties, at every kernel shape the
+        /// workloads use, under a filter that keeps a random subset, one
+        /// that rejects the unfiltered winner, and one that rejects all.
+        #[test]
+        fn prop_indexed_search_matches_naive_bits(
+            seed in 0u64..u64::MAX,
+            mask_seed in 0u64..u64::MAX,
+        ) {
+            for (shape, gridded) in (0..16).flat_map(|shape| [(shape, false), (shape, true)]) {
+                let (n, dims) = (SHAPE_ROWS[shape % 4], SHAPE_DIMS[shape / 4]);
+                let (rows, queries) = layout(seed, n, dims, gridded);
+                let kernel = kernel_of(&rows);
+                prop_assert!(!kernel.is_indexed());
+                prop_assert!(kernel.pin_index());
+                prop_assert!(kernel.is_indexed());
+                for query in &queries {
+                    let random = |i: usize| (mask_seed >> (i % 61)) & 1 == 1;
+                    assert_matches_naive(&kernel, &rows, query, random);
+                    let winner = kernel.nearest(query).expect("non-empty").0;
+                    assert_matches_naive(&kernel, &rows, query, |i| i != winner);
+                    assert_matches_naive(&kernel, &rows, query, |_| false);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        /// Every row mutation drops the index, and the answers that follow
+        /// — plain, then through an index of the new rows — are the naive
+        /// ones.
+        #[test]
+        fn prop_mutation_drops_the_index(
+            seed in 0u64..u64::MAX,
+            gridded in any::<bool>(),
+            op in 0u8..5,
+            at in 0usize..24,
+        ) {
+            let (mut rows, queries) = layout(seed, 24, 3, gridded);
+            let mut kernel = kernel_of(&rows);
+            prop_assert!(kernel.pin_index());
+            let moved = rec(0, queries[1].as_slice().to_vec(), 0.0);
+            let cf = CfVector::from_record(&moved);
+            match op {
+                0 => {
+                    kernel.clear();
+                    rows.clear();
+                }
+                1 => {
+                    kernel.push_point(99, &queries[1]);
+                    rows.push(queries[1].clone());
+                }
+                2 => {
+                    kernel.insert_cf(at, 99, &cf);
+                    rows.insert(at, queries[1].clone());
+                }
+                3 => {
+                    kernel.replace_cf(at, &cf);
+                    rows[at] = queries[1].clone();
+                }
+                _ => {
+                    kernel.remove(at);
+                    rows.remove(at);
+                }
+            }
+            prop_assert!(!kernel.is_indexed());
+            // Through the rent-or-buy rule's own course first: rented
+            // scans, a bought index on trial, its verdict.
+            for query in &queries {
+                assert_matches_naive(&kernel, &rows, query, |i| i % 3 != 1);
+            }
+            prop_assert_eq!(kernel.pin_index(), !rows.is_empty());
+            for query in &queries {
+                assert_matches_naive(&kernel, &rows, query, |i| i % 3 != 1);
+            }
+        }
+    }
+
+    #[test]
+    fn small_work_never_pays_for_the_index() {
+        let (rows, queries) = layout(7, 230, 54, false);
+        let ask = |kernel: &CentroidKernel, times: usize| {
+            for query in queries.iter().cycle().take(times) {
+                kernel.nearest(query);
+            }
+        };
+        // Fewer queries than the build costs in scans: still renting. One
+        // more buys, and on clustered rows the trial keeps the index.
+        let kernel = kernel_of(&rows);
+        ask(&kernel, 230 / 2);
+        assert!(!kernel.is_indexed());
+        ask(&kernel, 1);
+        assert!(kernel.is_indexed());
+        ask(&kernel, 230);
+        assert!(kernel.is_indexed());
+        assert_matches_naive(&kernel, &rows, &queries[0], |i| i % 2 == 0);
+        // A clone starts over.
+        assert!(!kernel.clone().is_indexed());
+        // Mutated between queries, as a closest-pair index's rows are.
+        let mut kernel = kernel_of(&rows);
+        for query in queries.iter().cycle().take(2_000) {
+            kernel.nearest(query);
+            let moved = rec(0, query.as_slice().to_vec(), 0.0);
+            kernel.replace_cf(3, &CfVector::from_record(&moved));
+        }
+        assert!(!kernel.is_indexed());
+        // Rows without neighbourhoods — uniform in many dimensions, where
+        // every centre is about as far from a query as any other: bought,
+        // tried, returned.
+        let mut rng = proptest::test_runner::TestRng::from_seed(7);
+        let uniform: Vec<Point> = (0..150)
+            .map(|_| Point::from((0..54).map(|_| rng.unit_f64() * 10.0).collect::<Vec<_>>()))
+            .collect();
+        let (rows, queries) = uniform.split_at(100);
+        let kernel = kernel_of(rows);
+        for query in queries.iter().cycle().take(100 / 2 + 1) {
+            kernel.nearest(query);
+        }
+        assert!(kernel.is_indexed());
+        for query in queries.iter().cycle().take(100) {
+            kernel.nearest(query);
+        }
+        assert!(!kernel.is_indexed());
+        assert_matches_naive(&kernel, rows, &queries[0], |i| i % 2 == 0);
+        // Above the row cap: never, however many queries.
+        let (rows, queries) = layout(7, MAX_INDEXED_ROWS + 1, 2, false);
+        let kernel = kernel_of(&rows);
+        for query in queries.iter().cycle().take(2 * MAX_INDEXED_ROWS) {
+            kernel.nearest(query);
+        }
+        assert!(!kernel.is_indexed());
+        assert_matches_naive(&kernel, &rows, &queries[0], |i| i % 2 == 0);
+        // At the cap the index still fits its scratch.
+        let (rows, _) = layout(7, MAX_INDEXED_ROWS, 2, false);
+        let kernel = kernel_of(&rows);
+        assert!(kernel.pin_index());
+        assert_matches_naive(&kernel, &rows, &queries[0], |i| i % 2 == 0);
+    }
+
+    #[test]
+    fn indexed_ties_keep_the_earliest_kept_row() {
+        // Rows 0 and 1 are equidistant from the origin, but only along
+        // coordinate 8, which the far rows 2.. keep out of the probe table
+        // (coordinates 0..8 vary far more): the first candidate is row 1,
+        // the later of the tie, and the earlier must still win.
+        let unit = |dim: usize, len: f64| {
+            let mut coords = vec![0.0; 9];
+            coords[dim] = len;
+            Point::from(coords)
+        };
+        let mut rows = vec![unit(0, 1.0), unit(8, 1.0)];
+        rows.extend((0..8).map(|dim| unit(dim, 100.0)));
+        let kernel = kernel_of(&rows);
+        let origin = Point::from(vec![0.0; 9]);
+        assert!(kernel.pin_index());
+        let index = kernel.index().expect("indexed");
+        assert_eq!(
+            index.first_candidate(origin.as_slice(), &mut |_| true),
+            Some(1)
+        );
+        assert_eq!(kernel.nearest(&origin), Some((0, 1.0)));
+        assert_eq!(kernel.nearest_squared(&origin), Some((0, 1.0)));
+        assert_matches_naive(&kernel, &rows, &origin, |i| i != 0);
+
+        // Duplicate rows: the earliest kept copy answers, at distance zero
+        // and at a distance.
+        let rows: Vec<Point> = [5.0, 1.0, 9.0, 1.0, 1.0, 7.0]
+            .iter()
+            .map(|&x| Point::from(vec![x, -x]))
+            .collect();
+        let kernel = kernel_of(&rows);
+        let query = Point::from(vec![1.0, -1.0]);
+        assert!(kernel.pin_index());
+        assert_eq!(kernel.nearest(&query), Some((1, 0.0)));
+        assert_eq!(kernel.nearest_filtered(&query, |i| i != 1), Some((3, 0.0)));
+        assert_eq!(kernel.nearest_filtered(&query, |i| i > 3), Some((4, 0.0)));
+        for query in [vec![1.5, -1.0], vec![0.0, 0.0], vec![8.0, -8.0]] {
+            assert_matches_naive(&kernel, &rows, &Point::from(query), |i| i != 1);
+        }
+
+        // A tie that exists only after the square root: d² = 1 + ε and
+        // d² = 1 both have d = 1. Row 0 wins on `d`, row 1 on `d²`, and the
+        // first candidate (the exact `d²` argmin in two dimensions) is row 1.
+        let rows = vec![
+            Point::from(vec![1.0, 2.0_f64.powi(-26)]),
+            Point::from(vec![1.0, 0.0]),
+        ];
+        let kernel = kernel_of(&rows);
+        let origin = Point::from(vec![0.0, 0.0]);
+        assert!(kernel.pin_index());
+        assert_eq!(kernel.nearest(&origin), Some((0, 1.0)));
+        assert_eq!(kernel.nearest_squared(&origin), Some((1, 1.0)));
+        assert_matches_naive(&kernel, &rows, &origin, |_| true);
+    }
+
+    /// A NaN or infinite coordinate, in the query or in a row, gets exactly
+    /// what the plain scan gives it: such a query falls through the index,
+    /// and such rows never get one.
+    #[test]
+    fn hostile_coordinates_take_the_plain_scan() {
+        let (rows, queries) = layout(11, 40, 5, false);
+        let even = |i: usize| i % 2 == 0;
+        let all_forms = |kernel: &CentroidKernel, query: &Point| {
+            [
+                bits(kernel.nearest(query)),
+                bits(kernel.nearest_squared(query)),
+                bits(kernel.nearest_filtered(query, even)),
+                bits(kernel.nearest_squared_filtered(query, even)),
+            ]
+        };
+        for hostile in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for dim in [0, 4] {
+                // In the query: the indexed kernel answers like one that
+                // never indexed (a clone starts unindexed; one query does
+                // not buy 40 rows an index).
+                let kernel = kernel_of(&rows);
+                assert!(kernel.pin_index());
+                let mut coords = queries[1].as_slice().to_vec();
+                coords[dim] = hostile;
+                let query = Point::from(coords);
+                let plain = kernel.clone();
+                assert_eq!(all_forms(&kernel, &query), all_forms(&plain, &query));
+                assert!(!plain.is_indexed());
+
+                // In a row (the first, a middle one, the last): no index,
+                // however many queries, and the same answers as a fresh
+                // kernel gives on its first.
+                for at in [0, 17, 39] {
+                    let mut rows = rows.clone();
+                    let mut coords = rows[at].as_slice().to_vec();
+                    coords[dim] = hostile;
+                    rows[at] = Point::from(coords);
+                    let kernel = kernel_of(&rows);
+                    for query in queries.iter().cycle().take(40) {
+                        kernel.nearest(query);
+                    }
+                    assert!(!kernel.is_indexed());
+                    assert!(!kernel.pin_index());
+                    for query in &queries {
+                        let plain = kernel.clone();
+                        assert_eq!(all_forms(&kernel, query), all_forms(&plain, query));
+                    }
+                }
+            }
+        }
+        // Finite coordinates whose distances overflow: a query that far from
+        // its seed falls through, and a pair of rows that far apart is
+        // stored as zero, which screens nothing.
+        let rows = vec![
+            Point::from(vec![1e154, 0.0]),
+            Point::from(vec![-1e154, 0.0]),
+            Point::from(vec![0.0, 1.0]),
+        ];
+        let kernel = kernel_of(&rows);
+        assert!(kernel.pin_index());
+        for query in [&rows[2], &Point::from(vec![1e154, 1.0])] {
+            assert_matches_naive(&kernel, &rows, query, |_| true);
         }
     }
 

@@ -2,7 +2,12 @@
 //! ns/point (per centroid row scanned) for the `nearest`,
 //! `nearest_filtered`, and `nearest_squared` variants at the evaluation
 //! dimensionalities d ∈ {2, 34, 54} (synthetic grid, KDD-99 numeric,
-//! covertype).
+//! covertype) — and, because uniform rows have no neighbourhood to find,
+//! a clustered case: the 230 × 54-d centroids a CluStream `init` leaves on
+//! the KDD-99 analog, queried with the records that follow, through the
+//! plain in-order scan and through the kernel's search index
+//! (candidate-then-screen), with the share of rows whose distance each one
+//! evaluates.
 //!
 //! Informational only — the numbers land in the CI step summary but gate
 //! nothing; the regression gate for kernel work is `xtask bench-check`
@@ -16,6 +21,8 @@
 use std::time::Instant;
 
 use diststream_algorithms::CentroidKernel;
+use diststream_bench::{Bundle, DatasetKind};
+use diststream_core::StreamClustering;
 use diststream_types::Point;
 
 /// Dimensionalities matching the evaluation datasets.
@@ -78,6 +85,126 @@ fn time_variant(
     (per_query, per_query / ROWS as f64, sink)
 }
 
+/// One search path of the clustered case.
+struct Clustered {
+    path: &'static str,
+    ns_per_query: f64,
+    /// Share of (query, row) pairs whose distance was evaluated rather than
+    /// screened out.
+    evaluated_share: f64,
+}
+
+/// Records of the KDD-99 analog behind the clustered case.
+const CLUSTERED_RECORDS: usize = 48_000;
+
+/// Queries per timed pass of the clustered case (about one
+/// `clustream-kdd99` batch).
+const CLUSTERED_QUERIES: usize = 9_716;
+
+/// Timed passes per path; the median is reported.
+const CLUSTERED_PASSES: usize = 9;
+
+/// Plain vs indexed search over the centroids of a CluStream `init`.
+///
+/// A kernel buys its index once it has answered `rows / 2` queries, so the
+/// plain path is timed on fresh clones (a clone starts unindexed) that
+/// answer at most that many each, and the indexed path on one kernel past
+/// that point. Both must return the same rows and distance bits.
+fn clustered_case() -> (usize, usize, [Clustered; 2]) {
+    let bundle = Bundle::new(DatasetKind::Kdd99, CLUSTERED_RECORDS, 0x5eed);
+    let records = bundle.stress_records();
+    let (init, stream) = records.split_at(bundle.init_records());
+    let algo = bundle.clustream();
+    let model = algo
+        .init(init)
+        .expect("CluStream init on the KDD-99 analog");
+    let mut kernel = CentroidKernel::new();
+    for (idx, wp) in algo.snapshot(&model).iter().enumerate() {
+        kernel.push_point(idx as u64, &wp.point);
+    }
+    let queries: Vec<&Point> = stream
+        .iter()
+        .take(CLUSTERED_QUERIES)
+        .map(|r| &r.point)
+        .collect();
+    let rent = (kernel.len() / 2).max(1);
+    let fresh =
+        || -> Vec<CentroidKernel> { queries.chunks(rent).map(|_| kernel.clone()).collect() };
+    let pairs = (queries.len() * kernel.len()) as f64;
+
+    let plain_answers: Vec<_> = fresh()
+        .iter()
+        .zip(queries.chunks(rent))
+        .flat_map(|(k, chunk)| chunk.iter().map(move |q| k.nearest_with_effort(q)))
+        .collect();
+    let indexed = kernel.clone();
+    for q in queries.iter().take(rent + 1) {
+        indexed.nearest(q);
+    }
+    let indexed_answers: Vec<_> = queries
+        .iter()
+        .map(|q| indexed.nearest_with_effort(q))
+        .collect();
+    let effort = |answers: &[Option<(usize, f64, usize)>]| {
+        answers.iter().flatten().map(|a| a.2).sum::<usize>() as f64 / pairs
+    };
+    let same = plain_answers.iter().zip(&indexed_answers).all(|(p, i)| {
+        p.map(|(row, d, _)| (row, d.to_bits())) == i.map(|(row, d, _)| (row, d.to_bits()))
+    });
+    assert!(
+        same,
+        "indexed search must answer exactly like the plain scan"
+    );
+
+    let median = |mut samples: Vec<f64>| {
+        samples.sort_by(f64::total_cmp);
+        samples[samples.len() / 2] * 1e9 / queries.len() as f64
+    };
+    let mut sink = 0.0;
+    let plain_ns = median(
+        (0..CLUSTERED_PASSES)
+            .map(|_| {
+                let kernels = fresh();
+                let start = Instant::now();
+                for (k, chunk) in kernels.iter().zip(queries.chunks(rent)) {
+                    for q in chunk {
+                        sink += k.nearest(q).map_or(0.0, |(_, d)| d);
+                    }
+                }
+                start.elapsed().as_secs_f64()
+            })
+            .collect(),
+    );
+    let indexed_ns = median(
+        (0..CLUSTERED_PASSES)
+            .map(|_| {
+                let start = Instant::now();
+                for q in &queries {
+                    sink += indexed.nearest(q).map_or(0.0, |(_, d)| d);
+                }
+                start.elapsed().as_secs_f64()
+            })
+            .collect(),
+    );
+    assert!(sink.is_finite());
+    (
+        kernel.len(),
+        kernel.dims(),
+        [
+            Clustered {
+                path: "plain",
+                ns_per_query: plain_ns,
+                evaluated_share: effort(&plain_answers),
+            },
+            Clustered {
+                path: "indexed",
+                ns_per_query: indexed_ns,
+                evaluated_share: effort(&indexed_answers),
+            },
+        ],
+    )
+}
+
 fn main() {
     let markdown = std::env::args().any(|a| a == "--markdown");
     let mut rows: Vec<(usize, &str, f64, f64)> = Vec::new();
@@ -114,6 +241,38 @@ fn main() {
         println!("# kernel microbench — {ROWS} centroids, {ITERS} scans per cell");
         for (dims, name, per_query, per_row) in &rows {
             println!("d={dims}\t{name}\t{per_query:.0} ns/query\t{per_row:.2} ns/point");
+        }
+    }
+    let (c_rows, c_dims, clustered) = clustered_case();
+    println!();
+    if markdown {
+        println!(
+            "### Clustered kernel case ({c_rows} x {c_dims}-d CluStream centroids, \
+             {CLUSTERED_QUERIES} KDD-99-analog queries, informational)"
+        );
+        println!();
+        println!("| search | ns/query | rows evaluated |");
+        println!("|--------|----------|----------------|");
+        for c in &clustered {
+            println!(
+                "| {} | {:.0} | {:.1} % |",
+                c.path,
+                c.ns_per_query,
+                c.evaluated_share * 100.0
+            );
+        }
+    } else {
+        println!(
+            "# clustered case — {c_rows} x {c_dims}-d CluStream centroids, \
+             {CLUSTERED_QUERIES} queries, median of {CLUSTERED_PASSES} passes"
+        );
+        for c in &clustered {
+            println!(
+                "{}\t{:.0} ns/query\t{:.1} % of rows evaluated",
+                c.path,
+                c.ns_per_query,
+                c.evaluated_share * 100.0
+            );
         }
     }
     // Keep the accumulated distances observable so the scans cannot be

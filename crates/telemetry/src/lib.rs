@@ -75,19 +75,22 @@ pub fn finish_file_session() {
     close_journal();
 }
 
+/// Serializes the tests of this crate that touch its process-global state:
+/// the span journal, and the metrics registry (`metrics::reset` in one test
+/// would otherwise wipe what another has just recorded).
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    match TEST_LOCK.lock() {
+        Ok(g) => g,
+        Err(poisoned) => poisoned.into_inner(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::test_lock as lock;
     use super::*;
-
-    // Span tests share process-global journal state; serialize them.
-    static TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        match TEST_LOCK.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
 
     #[test]
     fn spans_record_open_close_pairs() {
@@ -206,11 +209,14 @@ mod tests {
         let _guard = lock();
         set_journal_capture();
         set_enabled(true);
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                let _span = span!("worker_side");
-            });
-        });
+        // Joined through its handle, not a scope: `join` returns once the
+        // thread is gone, thread-local destructors (the flush under test)
+        // included, whereas a scope only waits for the closure to return.
+        std::thread::spawn(|| {
+            let _span = span!("worker_side");
+        })
+        .join()
+        .expect("worker thread panicked");
         barrier_drain();
         set_enabled(false);
         let events = close_journal();

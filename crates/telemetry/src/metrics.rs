@@ -539,6 +539,7 @@ mod tests {
 
     #[test]
     fn counter_accumulates_and_is_shared() {
+        let _guard = crate::test_lock();
         reset();
         let a = counter("test_events_total");
         let b = counter("test_events_total");
@@ -595,6 +596,7 @@ mod tests {
 
     #[test]
     fn expose_renders_prometheus_text() {
+        let _guard = crate::test_lock();
         reset();
         counter("expose_total{task=\"1\"}").add(3);
         gauge("expose_depth").set(2.0);
@@ -611,6 +613,7 @@ mod tests {
 
     #[test]
     fn expose_emits_help_from_the_names_catalog() {
+        let _guard = crate::test_lock();
         reset();
         counter(crate::names::METRIC_BATCHES_TOTAL).add(7);
         histogram(crate::names::METRIC_BATCH_TOTAL_SECS, &[1.0]).observe(0.5);
@@ -633,6 +636,7 @@ mod tests {
 
     #[test]
     fn expose_escapes_label_values() {
+        let _guard = crate::test_lock();
         reset();
         counter("expose_esc_total{path=\"a\\b\nc\"}").add(1);
         histogram("expose_esc_secs{src=\"x\ny\"}", &[1.0]).observe(0.5);
@@ -692,6 +696,7 @@ mod tests {
 
     #[test]
     fn histogram_quantile_and_summary_percentiles_agree() {
+        let _guard = crate::test_lock();
         let h = Histogram::new(&[1.0, 2.0, 4.0]);
         for v in [0.5, 0.6, 1.2, 1.4, 1.6, 1.8, 2.5, 3.5, 5.0, 9.0] {
             h.observe(v);
@@ -738,6 +743,7 @@ mod tests {
 
     #[test]
     fn summary_rows_cover_all_kinds() {
+        let _guard = crate::test_lock();
         reset();
         counter("summary_a_total").inc();
         gauge("summary_b").set(1.5);

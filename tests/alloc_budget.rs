@@ -19,11 +19,18 @@
 //! here, which is why the key set is kept small: sixteen keys at sixteen
 //! chunks would spend the whole budget on doublings and mask the
 //! per-record signal the test exists for.
+//!
+//! The same bound is held for CluStream, whose step 1 searches a
+//! `CentroidKernel`: on clustered rows the kernel buys its search index
+//! part-way through every batch — a handful of allocations, plus one
+//! pair-table row the first time a centroid wins, so at most one per
+//! micro-cluster however long the batch; the indexed search itself
+//! allocates nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use diststream::algorithms::{DStream, DStreamParams};
+use diststream::algorithms::{CentroidKernel, CluStream, CluStreamParams, DStream, DStreamParams};
 use diststream::core::{DistStreamExecutor, PipelineOptions, StreamClustering};
 use diststream::engine::{ExecutionMode, MiniBatch, StreamingContext};
 use diststream::types::{Point, Record, Timestamp};
@@ -68,9 +75,9 @@ static GLOBAL: Counting = Counting;
 const DIMS: usize = 54;
 const CELLS: u64 = 4;
 
-/// Record `id` of the stream: 54-d, in grid cell `id % CELLS` of the two
-/// gridded dimensions, one millisecond after its predecessor.
-fn record(id: u64) -> Record {
+/// Record `id` of the D-Stream stream: 54-d, in grid cell `id % CELLS` of
+/// the two gridded dimensions, one millisecond after its predecessor.
+fn grid_record(id: u64) -> Record {
     let cell = id % CELLS;
     let mut coords = vec![0.25; DIMS];
     coords[0] = (cell % 2) as f64 + 0.5;
@@ -82,26 +89,49 @@ fn record(id: u64) -> Record {
     )
 }
 
+const CLUSTERS: u64 = 12;
+
+/// Record `id` of the CluStream stream: cluster `id % CLUSTERS` of 12 far
+/// apart in 54-d, exactly 0.1 from the cluster's centre along a coordinate
+/// and sign that rotate — so every micro-cluster has RMS radius 0.1 and
+/// absorbs every later record of its cluster.
+fn cluster_record(id: u64) -> Record {
+    let (cluster, turn) = (id % CLUSTERS, id / CLUSTERS);
+    let mut coords: Vec<f64> = (0..DIMS as u64)
+        .map(|dim| ((cluster * 7 + dim * 13) % 11) as f64 * 10.0)
+        .collect();
+    coords[turn as usize / 2 % DIMS] += if turn % 2 == 0 { 0.1 } else { -0.1 };
+    Record::new(
+        id,
+        Point::from(coords),
+        Timestamp::from_secs(id as f64 * 1e-3),
+    )
+}
+
 /// Allocations made by the third `process_batch` of a fresh executor fed
-/// `len`-record batches (the first two warm the scratch buffers and, when
-/// overlapped, fill the pending slot).
-fn allocations_per_batch(options: &PipelineOptions, p: usize, len: u64) -> u64 {
-    let algo = DStream::new(DStreamParams {
-        grid_dims: 2,
-        ..DStreamParams::default()
-    });
+/// `len`-record batches of `record` after `init_len` records of
+/// initialization (the first two warm the scratch buffers and, when
+/// overlapped, fill the pending slot), and the model they leave.
+fn allocations_per_batch<A: StreamClustering>(
+    algo: &A,
+    record: fn(u64) -> Record,
+    init_len: u64,
+    options: &PipelineOptions,
+    p: usize,
+    len: u64,
+) -> (u64, A::Model) {
     let ctx = StreamingContext::new(p, ExecutionMode::Threads).unwrap();
-    let mut exec = DistStreamExecutor::new(&algo, &ctx);
+    let mut exec = DistStreamExecutor::new(algo, &ctx);
     exec.combine(options.combine)
         .chunking(options.chunking)
         .overlap(options.overlap)
         .strategy(options.strategy);
-    let init: Vec<Record> = (0..CELLS).map(record).collect();
+    let init: Vec<Record> = (0..init_len).map(record).collect();
     let mut model = algo.init(&init).unwrap();
 
     let mut measured = 0;
     for index in 0..3u64 {
-        let first = CELLS + index * len;
+        let first = init_len + index * len;
         let records: Vec<Record> = (first..first + len).map(record).collect();
         let batch = MiniBatch {
             index: index as usize,
@@ -114,26 +144,77 @@ fn allocations_per_batch(options: &PipelineOptions, p: usize, len: u64) -> u64 {
         measured = ALLOCATIONS.load(Ordering::Relaxed) - before;
         assert_eq!(outcome.outlier_records, 0, "the key set must stay fixed");
     }
-    measured
+    (measured, model)
 }
 
-#[test]
-fn allocations_per_batch_do_not_grow_with_the_batch() {
-    const SMALL: u64 = 1024;
-    const LARGE: u64 = 8192;
+/// Requires the allocations of one batch to grow by less than `budget` per
+/// extra record between batches of `small` and `8 × small` records, for the
+/// synchronous and the fully overlapped pipeline at p = 1 and p = 4.
+/// Returns the last model.
+fn assert_budget<A: StreamClustering>(
+    algo: &A,
+    record: fn(u64) -> Record,
+    init_len: u64,
+    small: u64,
+    budget: f64,
+) -> A::Model {
+    let large = 8 * small;
+    let mut last = None;
     for (name, options) in [
         ("sync", PipelineOptions::sync()),
         ("all", PipelineOptions::all()),
     ] {
         for p in [1, 4] {
-            let small = allocations_per_batch(&options, p, SMALL);
-            let large = allocations_per_batch(&options, p, LARGE);
-            let per_extra_record = large.saturating_sub(small) as f64 / (LARGE - SMALL) as f64;
+            let (few, _) = allocations_per_batch(algo, record, init_len, &options, p, small);
+            let (many, model) = allocations_per_batch(algo, record, init_len, &options, p, large);
+            let per_extra_record = many.saturating_sub(few) as f64 / (large - small) as f64;
             assert!(
-                per_extra_record < 0.05,
-                "{name} p={p}: {small} allocations for {SMALL} records, {large} for {LARGE} \
+                per_extra_record < budget,
+                "{name} p={p}: {few} allocations for {small} records, {many} for {large} \
                  — {per_extra_record:.3} per extra record"
             );
+            last = Some(model);
         }
     }
+    last.expect("four configurations ran")
+}
+
+#[test]
+fn allocations_per_batch_do_not_grow_with_the_batch() {
+    let dstream = DStream::new(DStreamParams {
+        grid_dims: 2,
+        ..DStreamParams::default()
+    });
+    assert_budget(&dstream, grid_record, CELLS, 1024, 0.05);
+
+    let clustream = CluStream::new(CluStreamParams {
+        max_micro_clusters: CLUSTERS as usize,
+        ..CluStreamParams::default()
+    });
+    // Twelve keys, not four, so eight times the records for the same three
+    // doublings per index list.
+    let model = assert_budget(&clustream, cluster_record, 16 * CLUSTERS, 8192, 0.027);
+
+    // The budget above was held with the search index active: a kernel over
+    // this model, asked what a task asks it, buys the index and keeps it —
+    // a query then evaluates a fraction of the rows a plain scan does (a
+    // clone starts unindexed, so one query each keeps the clones plain).
+    let mut kernel = CentroidKernel::new();
+    for (idx, wp) in clustream.snapshot(&model).iter().enumerate() {
+        kernel.push_point(idx as u64, &wp.point);
+    }
+    assert_eq!(kernel.len(), CLUSTERS as usize);
+    let queries: Vec<Record> = (0..1024).map(cluster_record).collect();
+    let effort = |r: &Record, kernel: &CentroidKernel| {
+        kernel.nearest_with_effort(&r.point).expect("non-empty").2
+    };
+    let plain: usize = queries.iter().map(|r| effort(r, &kernel.clone())).sum();
+    let _trial: usize = queries.iter().map(|r| effort(r, &kernel)).sum(); // rents, buys, tries
+    let indexed: usize = queries.iter().map(|r| effort(r, &kernel)).sum();
+    assert!(
+        indexed * 2 < plain,
+        "{indexed} rows evaluated by {} indexed queries over {} rows, {plain} by plain scans",
+        queries.len(),
+        kernel.len()
+    );
 }
