@@ -822,6 +822,32 @@ impl CentroidKernel {
         if let Some(found) = self.seeded_search(query, qnorm, &mut keep, f64::sqrt) {
             return Some(found);
         }
+        let found = self.scan_in_order(query, qnorm, keep);
+        let evaluated = found.map_or(0, |(_, _, evaluated)| evaluated);
+        self.search.book(&self.search.rent_effort, evaluated);
+        found
+    }
+
+    /// [`CentroidKernel::nearest`] by the plain in-order scan alone: the
+    /// query is not counted towards a search index and never goes through
+    /// one, so its cost is the same from the first query against new rows to
+    /// the last.
+    pub(crate) fn nearest_in_order(&self, query: &Point) -> Option<(usize, f64)> {
+        let query = query.as_slice();
+        let qnorm = lane_squared_norm(query).sqrt();
+        self.scan_in_order(query, qnorm, |_| true)
+            .map(|(idx, d, _)| (idx, d))
+    }
+
+    /// The in-order scan behind [`CentroidKernel::nearest_filtered`]:
+    /// running best from the first kept row, norm screen, bounded early
+    /// exit. Returns `(row, distance, rows whose distance was evaluated)`.
+    fn scan_in_order(
+        &self,
+        query: &[f64],
+        qnorm: f64,
+        mut keep: impl FnMut(usize) -> bool,
+    ) -> Option<(usize, f64, usize)> {
         let mut best: Option<(usize, f64, f64)> = None; // (idx, dist, dist²)
         let mut evaluated = 0;
         for (idx, &rnorm) in self.norms.iter().enumerate() {
@@ -854,7 +880,6 @@ impl CentroidKernel {
                 }
             }
         }
-        self.search.book(&self.search.rent_effort, evaluated);
         best.map(|(idx, d, _)| (idx, d, evaluated))
     }
 
@@ -1670,6 +1695,20 @@ mod tests {
         assert_matches_naive(&kernel, &rows, &queries[0], |i| i % 2 == 0);
         // A clone starts over.
         assert!(!kernel.clone().is_indexed());
+        // In-order queries (the serving read path) are not counted towards
+        // a buy, and ignore an index other callers bought.
+        let quiet = kernel_of(&rows);
+        for query in queries.iter().cycle().take(4 * 230) {
+            assert_eq!(
+                bits(quiet.nearest_in_order(query)),
+                bits(kernel.nearest(query))
+            );
+            assert_eq!(
+                bits(kernel.nearest_in_order(query)),
+                bits(kernel.nearest(query))
+            );
+        }
+        assert!(!quiet.is_indexed());
         // Mutated between queries, as a closest-pair index's rows are.
         let mut kernel = kernel_of(&rows);
         for query in queries.iter().cycle().take(2_000) {

@@ -94,7 +94,12 @@ impl ServingPredictor {
             }
             self.kernel_epoch = Some(epoch);
         }
-        let (cluster, distance) = self.kernel.nearest(query)?;
+        // The in-order scan, not `nearest`: the kernel lives for one epoch
+        // (one batch interval under a running stream), and a search index
+        // bought inside it makes a predict cost three different things
+        // within every epoch — rented scans, the build, indexed searches.
+        // A read path is worth more steady than fast.
+        let (cluster, distance) = self.kernel.nearest_in_order(query)?;
         let weight = snapshot.centroids.get(cluster)?.weight;
         Some(Prediction {
             epoch,
@@ -149,6 +154,45 @@ mod tests {
         assert_eq!(p.distance, 5.0);
         assert_eq!(p.weight, 7.0);
         assert_eq!(predictor.epoch(), Some(1));
+    }
+
+    #[test]
+    fn predicts_never_buy_a_search_index() {
+        // Scattered 54-d centres, queries right beside them and far more
+        // predicts than a kernel's rent: `nearest` buys an index on these
+        // rows and keeps it.
+        let at = |i: usize, offset: f64| {
+            let coords = (0..54u64).map(|dim| {
+                let mixed = (i as u64 * 54 + dim + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                (mixed >> 54) as f64 + offset
+            });
+            Point::from(coords.collect::<Vec<_>>())
+        };
+        let handle = serving_handle();
+        let centroids = (0..64)
+            .map(|i| WeightedPoint {
+                point: at(i, 0.0),
+                weight: 1.0,
+            })
+            .collect();
+        handle.publish(
+            0,
+            ServingSnapshot {
+                epoch: 0,
+                model_bytes: Vec::new(),
+                centroids,
+            },
+        );
+        let mut predictor = ServingPredictor::new(&handle);
+        for i in 0..1_000 {
+            let p = predictor.predict(&at(i % 64, 0.5)).unwrap();
+            assert_eq!(p.cluster, i % 64);
+        }
+        assert!(!predictor.kernel.is_indexed());
+        for i in 0..1_000 {
+            predictor.kernel.nearest(&at(i % 64, 0.5));
+        }
+        assert!(predictor.kernel.is_indexed(), "the rows are worth an index");
     }
 
     #[test]
