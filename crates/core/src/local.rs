@@ -16,8 +16,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use diststream_engine::{
-    chunk_size, combine_by_key_with, fnv1a_hash, group_by_key_with, AppendCombiner, Broadcast,
-    StepMetrics, StreamingContext,
+    chunk_size, fnv1a_hash, Broadcast, FlatShuffle, StepMetrics, StreamingContext,
 };
 use diststream_telemetry as telemetry;
 use diststream_types::{DistStreamError, Record, RecordId, Result, Timestamp};
@@ -68,26 +67,40 @@ pub struct LocalOutcome<S> {
     /// Estimated bytes moved by the shuffle.
     pub shuffle_bytes: u64,
     /// Measured seconds the driver spent handling records around the
-    /// parallel tasks — accounting, keying, grouping, routing, and dropping
-    /// the batch: the call's elapsed time minus the task pool's. The
-    /// framework's own per-record cost, which no task metric shows.
+    /// parallel tasks — accounting, keying, grouping and routing (and
+    /// dropping the previous batch, if nobody took it out of the scratch):
+    /// the call's elapsed time minus the task pool's. The framework's own
+    /// per-record cost, which no task metric shows.
     pub driver_secs: f64,
 }
 
 /// Reusable scratch for [`local_update_distributed`].
 ///
-/// Holds the `(group key, arrival position)` buffer the shuffle groups:
-/// one 24-byte entry per record, rebuilt every batch, read by the grouping
-/// (combined or not) as borrowed chunks and never moved out — so its
-/// allocation is made once and recycled at steady state.
+/// Holds the shuffle's buffers — group table, position buffer, partition
+/// lists, all rebuilt every batch and recycled at steady state — and the
+/// last batch the step finished with, which leaves through here because it
+/// should be freed by whoever allocated it, not by the step.
 #[derive(Debug, Default)]
 pub struct LocalScratch {
-    keyed: Vec<((u64, u64), u32)>,
+    shuffle: FlatShuffle,
+    spent: SpentBatch,
 }
 
-/// One reduce task's groups: each key with the arrival positions of its
-/// records, in arrival order.
-type IndexGroups = [((u64, u64), Vec<u32>)];
+/// A batch the steps are done with, on its way back to its allocator.
+pub(crate) type SpentBatch = Vec<(Record, Assignment)>;
+
+impl LocalScratch {
+    /// The batch the last successful [`local_update_distributed`] call
+    /// finished with (empty if it was already taken). Left alone, it is
+    /// dropped when the next call replaces it.
+    pub(crate) fn take_spent(&mut self) -> SpentBatch {
+        std::mem::take(&mut self.spent)
+    }
+}
+
+/// One reduce task's groups: each key with the range of the shuffle's
+/// position buffer that holds its records' arrival positions, in order.
+type IndexGroups = [((u64, u64), std::ops::Range<u32>)];
 
 /// The batch's arrival positions as the `u32` index space the shuffle works
 /// in. A batch too long for it is refused, never truncated.
@@ -106,10 +119,12 @@ fn index_space(records: usize) -> Result<u32> {
 /// the configured [`UpdateOrdering`].
 ///
 /// The step owns the batch (`pairs`) and nothing in it copies a record:
-/// what is keyed, routed, map-side-combined, shipped to tasks and sorted
-/// there is each record's `u32` arrival position, and every task borrows
-/// the batch to fold `&pairs[position]` in the configured order. The batch
-/// is dropped here, on the driver, when the tasks are done.
+/// what is keyed, routed, shipped to tasks and sorted there is each
+/// record's `u32` arrival position, and every task borrows the batch to
+/// fold `&pairs[position]` in the configured order. When the tasks are done
+/// the batch is parked in `scratch`: the job's drive loop hands it back to
+/// the prefetch thread that allocated it; any other caller drops it, on its
+/// own thread, with the next call.
 ///
 /// In [`UpdateOrdering::Unordered`] the baseline "does not distinguish the
 /// data arrival orders" (paper §I): each group is folded in a seeded-shuffle
@@ -119,22 +134,21 @@ fn index_space(records: usize) -> Result<u32> {
 /// drives the shuffles (combined with each group's key, so results are
 /// deterministic for a given seed, independent of parallelism).
 ///
-/// With `combine` set, a map-side combine groups each map task's
-/// `(key, position)` pairs locally before they cross the hash shuffle, so
-/// records destined for the same micro-cluster travel as one keyed entry per
-/// map task instead of one per record. Map tasks are modeled as the same
-/// contiguous chunks the size-aware scheduler uses ([`chunk_size`]), and
-/// chunk partials merge in ascending chunk order — which makes the combined
-/// grouping *exactly* equal to the uncombined `groupByKey` (keys in
-/// first-occurrence order, values in arrival order; see
-/// [`combine_by_key_with`]). Both update orderings therefore produce
-/// bit-identical sketches with the combine on or off; only the charged
-/// shuffle bytes change. The savings are counted in
+/// The grouping is one [`FlatShuffle`] pass whatever `combine` says: keys
+/// in first-occurrence order, each group's positions in arrival order. With
+/// `combine` set, the shuffle is *charged* as if each map task had grouped
+/// its `(key, position)` pairs locally first, so records destined for the
+/// same micro-cluster travel as one keyed entry per map task instead of one
+/// per record. Map tasks are modeled as the same contiguous chunks the
+/// size-aware scheduler uses ([`chunk_size`]), and the flat pass counts
+/// their distinct `(chunk, key)` entries as it goes. Both update orderings
+/// therefore produce bit-identical sketches with the combine on or off;
+/// only the charged shuffle bytes change. The savings are counted in
 /// `diststream_shuffle_bytes_saved_total`.
 ///
 /// The `strategy` owns the key placement and the shuffle-byte accounting
 /// policy. For any strategy the grouped values equal the default hash
-/// shuffle's — [`group_by_key_with`] only moves whole groups between reduce
+/// shuffle's — routing only moves whole groups between reduce
 /// partitions — so under [`UpdateOrdering::OrderAware`] the sketches are
 /// bit-identical across strategies. What changes is the task layout and, for
 /// strategies with [`DistributionStrategy::accounts_locality`], the charged
@@ -147,9 +161,10 @@ fn index_space(records: usize) -> Result<u32> {
 /// # Errors
 ///
 /// Propagates engine failures (task panics) as
-/// [`DistStreamError::Engine`](diststream_types::DistStreamError::Engine), and
+/// [`DistStreamError::Engine`](diststream_types::DistStreamError::Engine),
 /// refuses a batch of more than `u32::MAX` records with
-/// [`DistStreamError::InvalidConfig`].
+/// [`DistStreamError::InvalidConfig`], and a `strategy` that places a key on
+/// a partition that does not exist with [`DistStreamError::Invariant`].
 #[allow(clippy::too_many_arguments)] // the step's inputs plus scratch, the combine flag and the strategy
 pub fn local_update_distributed<A: StreamClustering>(
     ctx: &StreamingContext,
@@ -173,14 +188,6 @@ pub fn local_update_distributed<A: StreamClustering>(
     let uncombined_bytes = payload_bytes + SHUFFLE_KEY_BYTES * record_count;
     let p = ctx.parallelism();
 
-    scratch.keyed.clear();
-    scratch.keyed.extend(
-        pairs
-            .iter()
-            .zip(0u32..)
-            .map(|((_, assignment), position)| (assignment.group_key(), position)),
-    );
-
     // Key placement is the strategy's call; the default strategy routes by
     // hash, reproducing the paper's shuffle exactly. Locality-accounting
     // strategies additionally measure which payloads stay on their modeled
@@ -202,19 +209,19 @@ pub fn local_update_distributed<A: StreamClustering>(
         (0, 0)
     };
 
-    let (partitions, shuffle_bytes) = if combine {
-        let _span = telemetry::span!(telemetry::names::SPAN_COMBINE);
-        let chunk = chunk_size(scratch.keyed.len(), p);
-        let chunks = scratch.keyed.chunks(chunk).map(|c| c.iter().copied());
-        let (partitions, stats) = combine_by_key_with(chunks, p, &AppendCombiner, |key| {
-            placement.reduce_partition(key)
-        });
+    let shuffled = {
+        let _span = combine.then(|| telemetry::span!(telemetry::names::SPAN_COMBINE));
+        scratch.shuffle.group(
+            pairs.iter().map(|(_, assignment)| assignment.group_key()),
+            p,
+            chunk_size(pairs.len(), p),
+            |key| placement.reduce_partition(key),
+        )?
+    };
+    let shuffle_bytes = if combine {
         // Post-combine the payloads are unchanged; only the key envelopes
-        // collapse to one per (map task, key) entry. Never double-charge a
-        // combined delta: combined_entries ≤ input pairs by construction.
-        let envelope_bytes =
-            SHUFFLE_KEY_BYTES * stats.combined_entries.min(stats.input_pairs) as u64;
-        let combined_bytes = payload_bytes + envelope_bytes;
+        // collapse to one per (map task, key) entry.
+        let combined_bytes = payload_bytes + SHUFFLE_KEY_BYTES * shuffled.combined_entries as u64;
         if telemetry::enabled() {
             telemetry::counter(telemetry::names::METRIC_SHUFFLE_BYTES_SAVED_TOTAL)
                 .add(uncombined_bytes - combined_bytes);
@@ -222,22 +229,9 @@ pub fn local_update_distributed<A: StreamClustering>(
         // Locality discount: map-local payloads never cross the wire. The
         // combined envelopes are charged in full (the combine stage does not
         // track per-chunk remoteness), so the discount is conservative.
-        let charged = if accounts_locality {
-            combined_bytes - local_payload_bytes
-        } else {
-            combined_bytes
-        };
-        (partitions, charged)
+        combined_bytes - local_payload_bytes
     } else {
-        let partitions = group_by_key_with(scratch.keyed.iter().copied(), p, |key| {
-            placement.reduce_partition(key)
-        });
-        let charged = if accounts_locality {
-            uncombined_bytes - local_payload_bytes - SHUFFLE_KEY_BYTES * local_count
-        } else {
-            uncombined_bytes
-        };
-        (partitions, charged)
+        uncombined_bytes - local_payload_bytes - SHUFFLE_KEY_BYTES * local_count
     };
     if telemetry::enabled() {
         let label = strategy.label();
@@ -263,12 +257,13 @@ pub fn local_update_distributed<A: StreamClustering>(
         }
     }
 
-    // Tasks get views — their partition's index groups by reference, the
-    // batch by borrow — so the pool's retain-for-retry clone is a pointer
-    // copy and a panicking attempt has nothing of the batch to lose.
+    // Tasks get views — their partition's group list by reference, the
+    // position buffer and the batch by borrow — so the pool's
+    // retain-for-retry clone is a pointer copy and a panicking attempt has
+    // nothing of the batch to lose.
     let batch = pairs.as_slice();
     let record_at = |position: &u32| batch.get(*position as usize).map(|(record, _)| record);
-    let views: Vec<&IndexGroups> = partitions.iter().map(Vec::as_slice).collect();
+    let views: Vec<&IndexGroups> = shuffled.partitions.iter().map(Vec::as_slice).collect();
     type TaskOut<S> = (Vec<UpdatedSketch<S>>, Vec<CreatedSketch<S>>);
     let tasks_start = Instant::now(); // lint:allow(wallclock-entropy) driver-side timing feeds step metrics only
     let (outputs, metrics) =
@@ -278,9 +273,10 @@ pub fn local_update_distributed<A: StreamClustering>(
             let mut created = Vec::new();
             // The group's positions in fold order; one buffer per task.
             let mut order: Vec<u32> = Vec::new();
-            for ((kind, key), positions) in groups {
+            for ((kind, key), at) in groups {
                 order.clear();
-                order.extend_from_slice(positions);
+                let group = shuffled.positions.get(at.start as usize..at.end as usize);
+                order.extend_from_slice(group.unwrap_or_default());
                 match ordering {
                     UpdateOrdering::OrderAware => {
                         order.sort_by_key(|position| record_at(position).map(Record::arrival_key));
@@ -293,7 +289,7 @@ pub fn local_update_distributed<A: StreamClustering>(
                     }
                 }
                 let records = || order.iter().filter_map(record_at);
-                // group_by_key never yields empty groups; an empty one
+                // The shuffle never yields empty groups; an empty one
                 // carries no records and can be skipped outright instead
                 // of panicking.
                 let Some(first_arrival) = records().map(Record::arrival_key).min() else {
@@ -340,10 +336,9 @@ pub fn local_update_distributed<A: StreamClustering>(
         updated.extend(u);
         created.extend(c);
     }
-    // The end of every record's life: allocated once by the source, moved
-    // into the batch, borrowed ever since.
-    drop(partitions);
-    drop(pairs);
+    // Allocated once by the source, moved into the batch, borrowed ever
+    // since — and freed by whoever takes the batch out of the scratch.
+    scratch.spent = pairs;
     Ok(LocalOutcome {
         updated,
         created,
@@ -627,6 +622,97 @@ mod tests {
                 "{err}"
             );
         }
+    }
+
+    /// A strategy that breaks the totality obligation: it places keys for
+    /// more reducers than the step has.
+    #[derive(Debug)]
+    struct PlacesForTooManyReducers;
+
+    impl DistributionStrategy for PlacesForTooManyReducers {
+        fn kind(&self) -> crate::distribution::StrategyKind {
+            crate::distribution::StrategyKind::KeyRange
+        }
+        fn split_records(&self, len: usize, partitions: usize) -> Vec<diststream_engine::Stride> {
+            RoundRobinStrategy.split_records(len, partitions)
+        }
+        fn merge_assigned(&self, parts: Vec<Vec<Assignment>>) -> Vec<Assignment> {
+            RoundRobinStrategy.merge_assigned(parts)
+        }
+        fn place_keys(
+            &self,
+            pairs: &[(Record, Assignment)],
+            partitions: usize,
+        ) -> crate::distribution::ShufflePlacement {
+            let route = pairs
+                .iter()
+                .map(|(_, a)| (a.group_key(), partitions + 1))
+                .collect();
+            crate::distribution::ShufflePlacement::explicit(route, partitions + 2)
+        }
+    }
+
+    /// An out-of-range placement used to hit an `assert!` inside the
+    /// grouping, on the driver thread; it is a typed error, and the scratch
+    /// it went through still serves the next batch.
+    #[test]
+    fn an_out_of_range_placement_is_a_typed_error_not_a_driver_panic() {
+        let algo = NaiveClustering::new(1.0);
+        let model = algo.init(&[rec(0, 0.0, 0.0), rec(1, 10.0, 0.0)]).unwrap();
+        let bcast = Broadcast::new(model);
+        let pairs = || vec![(rec(2, 0.2, 2.0), Assignment::Existing(0))];
+        let mut scratch = LocalScratch::default();
+        for mode in [ExecutionMode::Simulated, ExecutionMode::Threads] {
+            let ctx = StreamingContext::new(2, mode).unwrap();
+            let mut step = |strategy: &dyn DistributionStrategy| {
+                local_update_distributed(
+                    &ctx,
+                    &algo,
+                    &bcast,
+                    pairs(),
+                    UpdateOrdering::OrderAware,
+                    Timestamp::ZERO,
+                    7,
+                    &mut scratch,
+                    true,
+                    strategy,
+                )
+            };
+            let err = step(&PlacesForTooManyReducers).unwrap_err();
+            assert!(
+                matches!(&err, DistStreamError::Invariant(m) if m.contains("out of range")),
+                "{err}"
+            );
+            assert_eq!(step(&RoundRobinStrategy).unwrap().updated.len(), 1);
+        }
+    }
+
+    /// The spent batch leaves through the scratch, whole, for its allocator
+    /// to free.
+    #[test]
+    fn the_spent_batch_is_parked_in_the_scratch() {
+        let algo = NaiveClustering::new(1.0);
+        let model = algo.init(&[rec(0, 0.0, 0.0), rec(1, 10.0, 0.0)]).unwrap();
+        let ctx = StreamingContext::new(2, ExecutionMode::Simulated).unwrap();
+        let mut scratch = LocalScratch::default();
+        let pairs: Vec<(Record, Assignment)> = (2..9)
+            .map(|i| (rec(i, 0.1, i as f64), Assignment::Existing(i % 2)))
+            .collect();
+        local_update_distributed(
+            &ctx,
+            &algo,
+            &Broadcast::new(model),
+            pairs.clone(),
+            UpdateOrdering::OrderAware,
+            Timestamp::ZERO,
+            7,
+            &mut scratch,
+            false,
+            &RoundRobinStrategy,
+        )
+        .unwrap();
+        assert_eq!(scratch.take_spent(), pairs);
+        assert!(scratch.take_spent().is_empty(), "taken once");
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::api::{Assignment, StreamClustering, UpdateOrdering};
 use crate::assignment::assign_records_distributed;
 use crate::distribution::{strategy_for, StrategyKind};
 use crate::global::{global_update, GlobalOutcome};
-use crate::local::{local_update_distributed, LocalOutcome, LocalScratch};
+use crate::local::{local_update_distributed, LocalOutcome, LocalScratch, SpentBatch};
 use crate::serving::{publish_snapshot, ServingHandle};
 
 /// Per-batch statistics reported by [`DistStreamExecutor::process_batch`].
@@ -224,6 +224,13 @@ impl<'a, A: StreamClustering> DistStreamExecutor<'a, A> {
     /// against a fresher model than the uninterrupted run saw.
     pub(crate) fn restore_pending(&mut self, pending: Option<PendingGlobal<A::Sketch>>) {
         self.pending = pending;
+    }
+
+    /// The records of the last batch [`process_batch`](Self::process_batch)
+    /// completed, spent: the one driver takes them here to hand them back
+    /// to the thread that allocated them.
+    pub(crate) fn take_spent(&mut self) -> SpentBatch {
+        self.scratch.take_spent()
     }
 
     /// Processes one mini-batch, advancing `model` by one global update:

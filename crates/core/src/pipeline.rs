@@ -15,6 +15,7 @@ use crate::adaptive::AdaptiveBatchSizer;
 use crate::api::{StreamClustering, UpdateOrdering};
 use crate::distribution::StrategyKind;
 use crate::elastic::{ResizeOutcome, ResizeSchedule};
+use crate::local::SpentBatch;
 use crate::parallel::BatchOutcome;
 use crate::serving::ServingHandle;
 use crate::store::{CheckpointStore, MemoryCheckpointStore};
@@ -329,11 +330,12 @@ impl<'a, A: StreamClustering> DistStreamJob<'a, A> {
     /// `finish`. Callers differ only in `next_batch` (prefetch iterator or
     /// [`batcher_feed`]) and in `controller`, which sees each outcome and
     /// may return the next window width, handed to `next_batch` on the
-    /// following pull.
+    /// following pull — together with the previous batch's spent records,
+    /// for the feed to free where they were allocated.
     fn drive<F>(
         &self,
         model: A::Model,
-        mut next_batch: impl FnMut(Option<f64>) -> Option<MiniBatch>,
+        mut next_batch: impl FnMut(Option<f64>, SpentBatch) -> Option<MiniBatch>,
         mut controller: impl FnMut(&BatchOutcome) -> Option<f64>,
         on_batch: &mut F,
     ) -> Result<RunResult<A::Model>>
@@ -342,10 +344,12 @@ impl<'a, A: StreamClustering> DistStreamJob<'a, A> {
     {
         let mut session = self.start(model)?;
         let mut next_window = None;
-        while let Some(batch) = next_batch(next_window) {
+        let mut spent = SpentBatch::new();
+        while let Some(batch) = next_batch(next_window, std::mem::take(&mut spent)) {
             let batch_index = batch.index;
             let window_end = batch.window_end;
             let outcome = session.step(batch)?;
+            spent = session.exec.take_spent();
             next_window = controller(&outcome);
             on_batch(BatchReport {
                 batch_index,
@@ -353,8 +357,9 @@ impl<'a, A: StreamClustering> DistStreamJob<'a, A> {
                 model: session.model(),
                 outcome: &outcome,
             });
-            // Batch barrier: all worker threads of the batch have exited
-            // (their span buffers auto-flushed), so the journal drain here
+            // Batch barrier: the steps' helper threads have exited (their
+            // span buffers auto-flushed) and the tasks this thread ran
+            // itself wrote to its own buffer, so the journal drain here
             // sees the complete batch.
             if telemetry::enabled() {
                 telemetry::barrier_drain();
@@ -389,8 +394,15 @@ impl<'a, A: StreamClustering> DistStreamJob<'a, A> {
         if self.pipeline.prefetch {
             // Initialization records were already drained synchronously
             // above, so the worker stages exactly the post-init batches.
-            prefetch_batches(source, window, |mut batches| {
-                self.drive(model, |_| batches.next(), |_| None, &mut on_batch)
+            prefetch_batches(source, window, |batches| {
+                let feed = |_, spent: SpentBatch| {
+                    // The worker allocated these records; it frees them.
+                    if !spent.is_empty() {
+                        batches.retire(spent);
+                    }
+                    batches.next()
+                };
+                self.drive(model, feed, |_| None, &mut on_batch)
             })
         } else {
             let feed = batcher_feed(MiniBatcher::new(&mut source, window));
@@ -553,11 +565,12 @@ impl<'a, A: StreamClustering> DistStreamJob<'a, A> {
 
 /// A [`DistStreamJob::drive`] batch feed over a [`MiniBatcher`]: applies the
 /// window width the after-batch controller chose (if any) before pulling the
-/// next batch.
+/// next batch. This thread allocated the spent batch, so it drops it here.
 fn batcher_feed<S: RecordSource>(
     mut batcher: MiniBatcher<S>,
-) -> impl FnMut(Option<f64>) -> Option<MiniBatch> {
-    move |next_window| {
+) -> impl FnMut(Option<f64>, SpentBatch) -> Option<MiniBatch> {
+    move |next_window, spent| {
+        drop(spent);
         if let Some(secs) = next_window {
             batcher.set_batch_secs(secs);
         }

@@ -34,7 +34,7 @@ pub enum ExecutionMode {
 /// A `StreamingContext` owns the parallelism degree, the execution mode, and
 /// (in simulated mode) the cost model and its seeded RNG. The framework
 /// calls [`StreamingContext::run_tasks`] once per parallel step and charges
-/// data movement through [`StreamingContext::network_secs`]. Worker threads
+/// data movement through [`StreamingContext::network_secs`]. Helper threads
 /// are scoped to a step, so the degree is just a number:
 /// [`StreamingContext::resize`] changes it between batches.
 ///
@@ -189,7 +189,9 @@ impl StreamingContext {
     /// Executes one parallel step: runs `f` over every input and returns the
     /// outputs in task order plus the step's timing.
     ///
-    /// In [`ExecutionMode::Threads`] the tasks run concurrently and
+    /// In [`ExecutionMode::Threads`] the tasks run concurrently on `p`
+    /// executors — this thread and `p − 1` helpers scoped to the call, so
+    /// `f` runs on the driver thread too (always, at `p = 1`) — and
     /// `StepMetrics::wall_secs` is measured. In
     /// [`ExecutionMode::Simulated`] the tasks run serially (each timed) and
     /// `wall_secs` is the simulated barrier makespan.

@@ -10,7 +10,7 @@
 //!    [`StreamingContext::run_tasks`] over [`RoundRobinPartitioner`] output,
 //!    with the model shipped to every task as a [`Broadcast`].
 //! 3. **Shuffle / group-by-key** (model-based parallelism) —
-//!    [`group_by_key`] with a deterministic hash partitioner.
+//!    [`FlatShuffle`], routed by a deterministic hash partitioner.
 //! 4. **Driver-side aggregation** at the end of each batch — task outputs are
 //!    collected in task order, and the caller runs the global step on the
 //!    driver.
@@ -75,9 +75,9 @@ pub use latency::{LatencyProbe, RecordLatency, LATENCY_BUCKET_BOUNDS};
 pub use metrics::{BatchMetrics, StepMetrics, ThroughputMeter};
 pub use netcost::{ClusterTopology, NetworkModel, SimCostModel, StragglerModel};
 pub use partition::{
-    combine_by_key, combine_by_key_with, fnv1a_hash, group_by_key, group_by_key_with,
-    AppendCombiner, BlockPartitioner, CombineStats, Combiner, Fnv1a, HashPartitioner, KeyBytes,
-    RoundRobinPartitioner, Stride,
+    combine_by_key, fnv1a_hash, group_by_key, AppendCombiner, BlockPartitioner, CombineStats,
+    Combiner, FlatShuffle, Fnv1a, HashPartitioner, KeyBytes, RoundRobinPartitioner, Shuffled,
+    Stride,
 };
 pub use pool::{
     chunk_size, chunk_strides, split_chunks, TaskPool, CHUNK_OVERPARTITION,

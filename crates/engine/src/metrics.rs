@@ -165,8 +165,8 @@ pub struct BatchMetrics {
     /// execution modes and not a critical-path component: `total_secs`
     /// models the cluster, this is what the framework itself cost.
     pub assign_driver_secs: f64,
-    /// The same for step 2: accounting, keying, grouping, routing, and
-    /// dropping the batch.
+    /// The same for step 2: accounting, keying, grouping and routing (the
+    /// spent batch is freed elsewhere, by the thread that allocated it).
     pub local_driver_secs: f64,
 }
 

@@ -1,8 +1,12 @@
 //! Partitioners: round-robin for record-based parallelism, deterministic
-//! hash partitioning and `group_by_key` for model-based parallelism.
+//! hash partitioning and the [`FlatShuffle`] grouping for model-based
+//! parallelism (`group_by_key` / `combine_by_key` are its references).
 
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::ops::Range;
+
+use diststream_types::{DistStreamError, Result};
 
 /// Deterministic 64-bit FNV-1a hash.
 ///
@@ -334,9 +338,9 @@ impl KeyBytes for (u64, u64) {
 /// Within a partition, groups appear in first-occurrence order of their key
 /// and values keep their input order, so the result is fully deterministic.
 ///
-/// Accepts any `(key, value)` iterator, so callers can feed a drained scratch
-/// buffer (`buf.drain(..)`) and keep its capacity across batches instead of
-/// rebuilding a `Vec` every time.
+/// No shipping path calls this: step 2 groups through [`FlatShuffle`]. It
+/// stays as the reference the flat grouping is property-tested against, and
+/// because `benchmark/src/micro.rs` times it (ROADMAP item 5 retires it).
 ///
 /// # Panics
 ///
@@ -358,71 +362,19 @@ pub fn group_by_key<K, V>(
 where
     K: Eq + Hash + Clone + KeyBytes,
 {
-    group_by_key_with(pairs, partitions, |key| {
-        HashPartitioner.partition_of(key, partitions)
-    })
-}
-
-/// [`group_by_key`] with an explicit shuffle-routing function: `route(key)`
-/// names the reduce partition that owns `key`. This is the hook a
-/// `DistributionStrategy` uses to replace the default hash placement with
-/// key-range or locality-affine placement; everything else (first-occurrence
-/// group order, arrival-order values) is identical, which is why routing can
-/// never perturb the order-aware model.
-///
-/// # Panics
-///
-/// Panics if `partitions` is zero or `route` returns an out-of-range index.
-pub fn group_by_key_with<K, V, F>(
-    pairs: impl IntoIterator<Item = (K, V)>,
-    partitions: usize,
-    route: F,
-) -> Vec<Vec<(K, Vec<V>)>>
-where
-    K: Eq + Hash + Clone + KeyBytes,
-    F: Fn(&K) -> usize,
-{
     assert!(partitions > 0, "partition count must be at least 1");
-    #[cfg(feature = "debug_invariants")]
-    let mut input_len = 0usize;
     // key -> (partition, position within partition)
     let mut slots: HashMap<K, (usize, usize)> = HashMap::new();
     let mut out: Vec<Vec<(K, Vec<V>)>> = (0..partitions).map(|_| Vec::new()).collect();
     for (key, value) in pairs {
-        #[cfg(feature = "debug_invariants")]
-        {
-            input_len += 1;
-        }
         match slots.get(&key) {
             Some(&(p, idx)) => out[p][idx].1.push(value),
             None => {
-                let p = route(&key);
-                assert!(p < partitions, "shuffle route out of range: {p}");
+                let p = HashPartitioner.partition_of(&key, partitions);
                 let idx = out[p].len();
                 out[p].push((key.clone(), vec![value]));
                 slots.insert(key, (p, idx));
             }
-        }
-    }
-    #[cfg(feature = "debug_invariants")]
-    {
-        // Completeness: every input value lands in exactly one group, and
-        // no key appears in two partitions (slots guarantees both; this
-        // catches regressions if the bookkeeping is ever rewritten).
-        let value_count: usize = out
-            .iter()
-            .flat_map(|part| part.iter().map(|(_, vs)| vs.len()))
-            .sum();
-        assert_eq!(
-            value_count, input_len,
-            "debug_invariants: group_by_key lost or duplicated values",
-        );
-        let mut seen_keys = std::collections::BTreeSet::new();
-        for (key, _) in out.iter().flatten() {
-            assert!(
-                seen_keys.insert(fnv1a_hash(&key.key_bytes())),
-                "debug_invariants: group_by_key emitted a key twice",
-            );
         }
     }
     out
@@ -458,7 +410,8 @@ pub trait Combiner<V> {
 /// map partitions are contiguous slices of the input, the combined output
 /// is byte-identical to [`group_by_key`] over the flattened input (verified
 /// by property test), which is what lets the shuffle combine ride the
-/// order-aware path without perturbing the model.
+/// order-aware path without perturbing the model. Kept, with
+/// [`combine_by_key`], for `benchmark/src/micro.rs`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AppendCombiner;
 
@@ -504,12 +457,10 @@ pub type CombinedShuffle<K, P> = (Vec<Vec<(K, P)>>, CombineStats);
 /// that are contiguous slices of an input list, the output equals
 /// `group_by_key(flattened input)` exactly.
 ///
-/// Map partitions are any iterator of `(key, value)` iterators — owned
-/// `Vec`s, or borrowed views such as `buf.chunks(n).map(|c| c.iter().copied())`
-/// that leave a recycled buffer in place.
-///
 /// Returns the grouped shuffle partitions plus [`CombineStats`] for
-/// post-combine byte accounting.
+/// post-combine byte accounting. Like [`group_by_key`], a reference only:
+/// [`FlatShuffle::group`] counts the same entries without building them,
+/// and `benchmark/src/micro.rs` is this function's one caller outside tests.
 ///
 /// # Panics
 ///
@@ -534,31 +485,6 @@ pub fn combine_by_key<K, V, C>(
 where
     K: Eq + Hash + Clone + KeyBytes,
     C: Combiner<V>,
-{
-    combine_by_key_with(map_partitions, partitions, combiner, |key| {
-        HashPartitioner.partition_of(key, partitions)
-    })
-}
-
-/// [`combine_by_key`] with an explicit shuffle-routing function, the
-/// combined counterpart of [`group_by_key_with`]: `route(key)` names the
-/// reduce partition each combined partial is shipped to. The map-side merge
-/// order (ascending chunk index) is unchanged, so for any routing function
-/// the grouped values equal the uncombined shuffle under the same routing.
-///
-/// # Panics
-///
-/// Panics if `partitions` is zero or `route` returns an out-of-range index.
-pub fn combine_by_key_with<K, V, C, F>(
-    map_partitions: impl IntoIterator<Item = impl IntoIterator<Item = (K, V)>>,
-    partitions: usize,
-    combiner: &C,
-    route: F,
-) -> CombinedShuffle<K, C::Partial>
-where
-    K: Eq + Hash + Clone + KeyBytes,
-    C: Combiner<V>,
-    F: Fn(&K) -> usize,
 {
     assert!(partitions > 0, "partition count must be at least 1");
     let mut stats = CombineStats::default();
@@ -590,8 +516,7 @@ where
             match slots.get(&key) {
                 Some(&(p, idx)) => combiner.merge(&mut out[p][idx].1, partial),
                 None => {
-                    let p = route(&key);
-                    assert!(p < partitions, "shuffle route out of range: {p}");
+                    let p = HashPartitioner.partition_of(&key, partitions);
                     let idx = out[p].len();
                     out[p].push((key.clone(), partial));
                     slots.insert(key, (p, idx));
@@ -599,21 +524,160 @@ where
             }
         }
     }
-    #[cfg(feature = "debug_invariants")]
-    {
-        let mut seen_keys = std::collections::BTreeSet::new();
-        for (key, _) in out.iter().flatten() {
-            assert!(
-                seen_keys.insert(fnv1a_hash(&key.key_bytes())),
-                "debug_invariants: combine_by_key emitted a key twice",
-            );
-        }
-        assert!(
-            stats.combined_entries <= stats.input_pairs,
-            "debug_invariants: combine cannot create entries",
-        );
-    }
     (out, stats)
+}
+
+/// Two multiply-rotate rounds over a `(u64, u64)` group key: the
+/// [`FlatShuffle`] table is probed once per record, and SipHash was a third
+/// of the grouping time. Not collision-resistant, which is safe here — the
+/// table is never iterated, so a bad spread costs time and reorders nothing.
+#[derive(Debug, Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// One reduce partition's groups, in first-occurrence order: each key with
+/// the range of the position buffer that holds its records.
+type Groups = Vec<((u64, u64), Range<u32>)>;
+
+/// What [`FlatShuffle::group`] made of a batch, borrowed from its buffers.
+#[derive(Debug, Clone, Copy)]
+pub struct Shuffled<'a> {
+    /// The reduce partitions' groups.
+    pub partitions: &'a [Groups],
+    /// Arrival positions, group after group, ascending within each group.
+    pub positions: &'a [u32],
+    /// Distinct `(map chunk, key)` entries — the messages a map-side
+    /// combine puts on the wire ([`CombineStats::combined_entries`]).
+    pub combined_entries: usize,
+}
+
+/// The step-2 shuffle as index arithmetic over recycled buffers: the groups
+/// of [`group_by_key`] over `(key, arrival position)` pairs — same keys,
+/// same first-occurrence order, same values in arrival order — as ranges of
+/// one flat position buffer, plus [`combine_by_key`]'s entry count from the
+/// same pass, so combining is an accounting question, not a second
+/// grouping. A batch no wider (in records, keys and partitions) than one
+/// already seen allocates nothing.
+///
+/// ```
+/// let mut shuffle = diststream_engine::FlatShuffle::default();
+/// let out = shuffle.group([(0, 7), (0, 3), (0, 7)].into_iter(), 1, 2, |_| 0)?;
+/// assert_eq!(out.partitions[0], vec![((0, 7), 0..2), ((0, 3), 2..3)]);
+/// assert_eq!(out.positions, [0, 2, 1]);
+/// assert_eq!(out.combined_entries, 3); // key 7 is in both chunks of two
+/// # Ok::<(), diststream_types::DistStreamError>(())
+/// ```
+#[derive(Debug, Default)]
+pub struct FlatShuffle {
+    ids: HashMap<(u64, u64), u32, BuildHasherDefault<KeyHasher>>,
+    /// Per group id: its partition, its index there, its last map chunk.
+    slots: Vec<(usize, usize, u32)>,
+    group_of: Vec<u32>,
+    positions: Vec<u32>,
+    partitions: Vec<Groups>,
+}
+
+impl FlatShuffle {
+    /// Groups a batch whose record at arrival position `i` has group key
+    /// `keys[i]`. `route(key)`, asked once per distinct key, names its reduce
+    /// partition; combined entries count over map chunks of `chunk` records.
+    ///
+    /// # Errors
+    ///
+    /// [`DistStreamError::Invariant`] if `route` names a partition that does
+    /// not exist — a misbehaving placement must not take the driver down —
+    /// and [`DistStreamError::InvalidConfig`] past `u32::MAX` records.
+    pub fn group(
+        &mut self,
+        keys: impl ExactSizeIterator<Item = (u64, u64)>,
+        partitions: usize,
+        chunk: usize,
+        route: impl Fn(&(u64, u64)) -> usize,
+    ) -> Result<Shuffled<'_>> {
+        let records = u32::try_from(keys.len()).map_err(|_| {
+            DistStreamError::InvalidConfig("a shuffle indexes at most u32::MAX records".into())
+        })?;
+        let chunk = u32::try_from(chunk.max(1)).unwrap_or(u32::MAX);
+        self.ids.clear();
+        self.slots.clear();
+        self.group_of.clear();
+        self.partitions.resize_with(partitions, Vec::new);
+        self.partitions.iter_mut().for_each(Vec::clear);
+        let mut combined_entries = 0;
+        // Pass 1: name and size every record's group; a group's range holds
+        // its record count for now.
+        for (position, key) in (0..records).zip(keys) {
+            let next_id = self.slots.len() as u32;
+            let id = *self.ids.entry(key).or_insert(next_id);
+            if id == next_id {
+                let partition = route(&key);
+                let Some(groups) = self.partitions.get_mut(partition) else {
+                    return Err(DistStreamError::Invariant(format!(
+                        "shuffle route out of range: partition {partition} of {partitions}"
+                    )));
+                };
+                // No map chunk has index u32::MAX: positions stop short of it.
+                self.slots.push((partition, groups.len(), u32::MAX));
+                groups.push((key, 0..0));
+            }
+            let (partition, index, last_chunk) = &mut self.slots[id as usize];
+            self.partitions[*partition][*index].1.end += 1;
+            if *last_chunk != position / chunk {
+                *last_chunk = position / chunk;
+                combined_entries += 1;
+            }
+            self.group_of.push(id);
+        }
+        // Layout: every group gets its stretch of the position buffer, empty.
+        let mut start = 0;
+        for (_, at) in self.partitions.iter_mut().flatten() {
+            let len = at.end;
+            *at = start..start;
+            start += len;
+        }
+        // Pass 2: scatter arrival positions; each range grows back to size.
+        self.positions.clear();
+        self.positions.resize(self.group_of.len(), 0);
+        for (position, &id) in (0..records).zip(&self.group_of) {
+            let (partition, index, _) = self.slots[id as usize];
+            let at = &mut self.partitions[partition][index].1;
+            self.positions[at.end as usize] = position;
+            at.end += 1;
+        }
+        #[cfg(feature = "debug_invariants")]
+        {
+            // Completeness: every position sits in exactly one group and no
+            // key is listed twice (so none is in two partitions).
+            let groups = || self.partitions.iter().flatten();
+            let keys: std::collections::BTreeSet<_> = groups().map(|(key, _)| key).collect();
+            assert_eq!(keys.len(), groups().count(), "debug_invariants: key twice");
+            let mut placed: Vec<u32> = groups()
+                .flat_map(|(_, at)| &self.positions[at.start as usize..at.end as usize])
+                .copied()
+                .collect();
+            placed.sort_unstable();
+            let complete = placed.into_iter().eq(0..records);
+            assert!(complete, "debug_invariants: position lost or grouped twice");
+        }
+        Ok(Shuffled {
+            partitions: &self.partitions,
+            positions: &self.positions,
+            combined_entries,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -797,29 +861,59 @@ mod tests {
         );
     }
 
+    /// A [`FlatShuffle`] result spelled out in [`group_by_key`]'s shape.
+    type Spelled = Vec<Vec<((u64, u64), Vec<u32>)>>;
+
+    fn flat_group(
+        shuffle: &mut FlatShuffle,
+        keys: &[(u64, u64)],
+        partitions: usize,
+        chunk: usize,
+        route: impl Fn(&(u64, u64)) -> usize,
+    ) -> Result<(Spelled, usize)> {
+        let out = shuffle.group(keys.iter().copied(), partitions, chunk, route)?;
+        let values = |at: &Range<u32>| out.positions[at.start as usize..at.end as usize].to_vec();
+        let spelled = out
+            .partitions
+            .iter()
+            .map(|part| part.iter().map(|(key, at)| (*key, values(at))).collect())
+            .collect();
+        Ok((spelled, out.combined_entries))
+    }
+
     #[test]
-    fn group_by_key_with_honors_custom_route() {
-        let pairs = vec![(5u64, 1), (3, 2), (5, 3)];
+    fn flat_shuffle_honors_custom_route() {
+        let keys = [(0, 5), (0, 3), (0, 5)];
         // Route everything to partition 1 of 2.
-        let parts = group_by_key_with(pairs, 2, |_| 1);
+        let (parts, entries) = flat_group(&mut FlatShuffle::default(), &keys, 2, 8, |_| 1).unwrap();
         assert!(parts[0].is_empty());
-        assert_eq!(parts[1], vec![(5, vec![1, 3]), (3, vec![2])]);
+        assert_eq!(parts[1], vec![((0, 5), vec![0, 2]), ((0, 3), vec![1])]);
+        assert_eq!(entries, 2);
+    }
+
+    /// The old grouping `assert!`ed here — on the driver thread, on a value
+    /// a pluggable strategy computes.
+    #[test]
+    fn flat_shuffle_refuses_an_out_of_range_route_with_a_typed_error() {
+        let mut shuffle = FlatShuffle::default();
+        let err = flat_group(&mut shuffle, &[(0, 1)], 2, 8, |_| 2).unwrap_err();
+        assert!(
+            matches!(&err, DistStreamError::Invariant(m) if m.contains("out of range")),
+            "{err}"
+        );
+        // No partition at all is out of range for every key.
+        let err = flat_group(&mut shuffle, &[(0, 1)], 0, 8, |_| 0).unwrap_err();
+        assert!(matches!(err, DistStreamError::Invariant(_)), "{err}");
+        // The refused call leaves nothing behind that a later one can see.
+        let (parts, _) = flat_group(&mut shuffle, &[(0, 1)], 2, 8, |_| 1).unwrap();
+        assert_eq!(parts, vec![vec![], vec![((0, 1), vec![0])]]);
     }
 
     #[test]
-    #[should_panic(expected = "shuffle route out of range")]
-    fn group_by_key_with_rejects_out_of_range_route() {
-        let _ = group_by_key_with(vec![(1u64, 1)], 2, |_| 2);
-    }
-
-    #[test]
-    fn combine_by_key_with_matches_group_by_key_with_under_same_route() {
-        let pairs = vec![(7u64, 1), (3, 2), (7, 3), (3, 4), (9, 5)];
-        let route = |k: &u64| (*k % 3) as usize;
-        let chunks: Vec<Vec<(u64, i32)>> = pairs.chunks(2).map(<[_]>::to_vec).collect();
-        let (combined, _) = combine_by_key_with(chunks, 3, &AppendCombiner, route);
-        let grouped = group_by_key_with(pairs, 3, route);
-        assert_eq!(combined, grouped);
+    fn flat_shuffle_of_nothing_is_empty_partitions() {
+        let (parts, entries) = flat_group(&mut FlatShuffle::default(), &[], 3, 1, |_| 0).unwrap();
+        assert_eq!(parts, vec![vec![], vec![], vec![]]);
+        assert_eq!(entries, 0);
     }
 
     #[test]
@@ -886,6 +980,53 @@ mod tests {
             let (ga, _) = combine_by_key(chunk(a), p, &AppendCombiner);
             let (gb, _) = combine_by_key(chunk(b), p, &AppendCombiner);
             prop_assert_eq!(ga, gb);
+        }
+
+        /// The flat grouping is `group_by_key` without the `Vec`s: the
+        /// same keys in the same first-occurrence order holding the same
+        /// arrival positions, under the hash route, and its entry count is
+        /// `combine_by_key`'s over the same chunks. Run twice through one
+        /// `FlatShuffle`, so recycled buffers are shown to carry nothing
+        /// over from a batch of another shape.
+        #[test]
+        fn prop_flat_shuffle_equals_group_by_key_and_counts_like_combine(
+            batches in prop::collection::vec(
+                (prop::collection::vec((0u64..2, 0u64..12), 0..200), 1usize..6, 1usize..40),
+                2,
+            ),
+        ) {
+            let mut shuffle = FlatShuffle::default();
+            for (keys, p, chunk) in batches {
+                let pairs: Vec<((u64, u64), u32)> = keys.iter().copied().zip(0u32..).collect();
+                let (flat, entries) = flat_group(&mut shuffle, &keys, p, chunk, |key| {
+                    HashPartitioner.partition_of(key, p)
+                })
+                .unwrap();
+                prop_assert_eq!(flat, group_by_key(pairs.clone(), p));
+                let chunks = pairs.chunks(chunk).map(|c| c.iter().copied());
+                let (_, stats) = combine_by_key(chunks, p, &AppendCombiner);
+                prop_assert_eq!(entries, stats.combined_entries);
+            }
+        }
+
+        /// Routing only moves whole groups between partitions: under an
+        /// arbitrary route, partition `q` lists exactly the groups routed
+        /// to it, in the order the one-partition grouping has them.
+        #[test]
+        fn prop_flat_shuffle_routes_whole_groups_in_first_occurrence_order(
+            keys in prop::collection::vec((0u64..2, 0u64..12), 0..200),
+            table in prop::collection::vec(0usize..5, 24),
+            chunk in 1usize..40,
+        ) {
+            let p = 5;
+            let route = |key: &(u64, u64)| table[(key.0 * 12 + key.1) as usize];
+            let (flat, _) = flat_group(&mut FlatShuffle::default(), &keys, p, chunk, route).unwrap();
+            let pairs = keys.iter().copied().zip(0u32..);
+            let all = group_by_key(pairs, 1).remove(0);
+            for (q, part) in flat.iter().enumerate() {
+                let expected: Vec<_> = all.iter().filter(|(key, _)| route(key) == q).cloned().collect();
+                prop_assert_eq!(part, &expected);
+            }
         }
 
         #[test]

@@ -16,12 +16,15 @@ use crate::partition::Stride;
 /// times (one initial attempt plus three retries) before the step fails.
 pub const DEFAULT_MAX_TASK_FAILURES: usize = 4;
 
-/// A bounded pool of OS worker threads that executes a step's tasks.
+/// A bounded pool of `threads` executors that runs a step's tasks.
 ///
-/// Tasks are pulled from a shared counter by up to `threads` scoped worker
-/// threads — the same dynamic task-to-slot scheduling a Spark executor pool
-/// performs. Outputs are returned in task order together with each task's
-/// measured execution seconds.
+/// Tasks are pulled from a shared counter by up to `threads` executors —
+/// the same dynamic task-to-slot scheduling a Spark executor pool performs.
+/// The calling thread is one of them: a step of `n` tasks spawns
+/// `threads.min(n) − 1` scoped helpers and the caller claims tasks beside
+/// them, so a pool of one thread (or a step of one task) spawns nothing.
+/// Outputs are returned in task order together with each task's measured
+/// execution seconds.
 ///
 /// A panicking task is caught at a `catch_unwind` boundary and re-executed
 /// on its retained input, up to [`TaskPool::max_task_failures`] total
@@ -54,8 +57,8 @@ pub struct TaskPool {
 }
 
 impl TaskPool {
-    /// Creates a pool with `threads` worker threads and the default retry
-    /// budget ([`DEFAULT_MAX_TASK_FAILURES`]).
+    /// Creates a pool of `threads` executors (the caller and `threads − 1`
+    /// helpers) with the default retry budget ([`DEFAULT_MAX_TASK_FAILURES`]).
     ///
     /// # Errors
     ///
@@ -79,7 +82,7 @@ impl TaskPool {
         Ok(self)
     }
 
-    /// Number of worker threads.
+    /// Number of executors, the calling thread included.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -136,38 +139,42 @@ impl TaskPool {
         let retried = AtomicUsize::new(0);
         let failures: Mutex<Vec<TaskFailure>> = Mutex::new(Vec::new());
 
-        let scope_result = crossbeam::thread::scope(|s| {
-            for _ in 0..self.threads.min(n) {
-                s.spawn(|_| loop {
-                    // SeqCst: the claim counter gates which worker owns a
-                    // task slot; relaxed ordering here would let a claim
-                    // race ahead of the slot handoff it authorizes.
-                    let idx = cursor.fetch_add(1, Ordering::SeqCst);
-                    if idx >= n {
-                        break;
-                    }
-                    // fetch_add hands each index to exactly one worker, so
-                    // the slot is always full here; skipping instead of
-                    // panicking turns an impossible state into a detectable
-                    // "worker died early" error at collection time.
-                    let Some(input) = slots[idx].lock().take() else {
-                        continue;
-                    };
-                    match execute_with_retry(idx, input, self.max_task_failures, true, f, hook) {
-                        Ok((output, secs, retries)) => {
-                            if retries > 0 {
-                                retried.fetch_add(retries, Ordering::SeqCst);
-                            }
-                            *results[idx].lock() = Some((output, secs));
-                        }
-                        Err(failure) => failures.lock().push(failure),
-                    }
-                });
+        // One executor's claim loop. The caller runs it beside the helpers,
+        // so one task (or one thread) spawns none.
+        let claim_and_run = || loop {
+            // SeqCst: the claim counter gates which executor owns a task
+            // slot; relaxed ordering here would let a claim race ahead of
+            // the slot handoff it authorizes.
+            let idx = cursor.fetch_add(1, Ordering::SeqCst);
+            if idx >= n {
+                break;
             }
+            // fetch_add hands each index to exactly one executor, so the
+            // slot is always full here; skipping instead of panicking turns
+            // an impossible state into a detectable "worker died early"
+            // error at collection time.
+            let Some(input) = slots[idx].lock().take() else {
+                continue;
+            };
+            match execute_with_retry(idx, input, self.max_task_failures, true, f, hook) {
+                Ok((output, secs, retries)) => {
+                    if retries > 0 {
+                        retried.fetch_add(retries, Ordering::SeqCst);
+                    }
+                    *results[idx].lock() = Some((output, secs));
+                }
+                Err(failure) => failures.lock().push(failure),
+            }
+        };
+        let scope_result = crossbeam::thread::scope(|s| {
+            for _ in 1..self.threads.min(n) {
+                s.spawn(|_| claim_and_run());
+            }
+            claim_and_run();
         });
         if scope_result.is_err() {
             return Err(DistStreamError::Engine(
-                "a worker thread died outside the task retry boundary".into(),
+                "an executor died outside the task retry boundary".into(),
             ));
         }
 
@@ -264,7 +271,8 @@ pub fn chunk_size(n: usize, slots: usize) -> usize {
 }
 
 /// Splits `items` into contiguous chunks of `chunk` items (the final chunk
-/// may be shorter) — the input layout for size-aware chunk scheduling.
+/// may be shorter) — the owning form of [`chunk_strides`], kept only for
+/// `benchmark/src/micro.rs` (ROADMAP item 5 retires it).
 ///
 /// Unlike the round-robin split, chunks are contiguous slices of the input,
 /// so concatenating the per-chunk outputs in chunk index order restores the
@@ -577,6 +585,72 @@ mod tests {
         let pool = TaskPool::new(16).unwrap();
         let (outs, _) = pool.run(vec![7], &|_, x: i32| x + 1).unwrap();
         assert_eq!(outs, vec![8]);
+    }
+
+    /// A pool of one — and a step of one task on any pool — spawns
+    /// nothing: every task runs on the thread that called `run`.
+    #[test]
+    fn a_lone_executor_is_the_calling_thread() {
+        let caller = std::thread::current().id();
+        for (threads, tasks) in [(1, 5), (4, 1)] {
+            let pool = TaskPool::new(threads).unwrap();
+            let (ran_on, _) = pool
+                .run(vec![(); tasks], &|_, ()| std::thread::current().id())
+                .unwrap();
+            assert_eq!(ran_on, vec![caller; tasks], "threads={threads}");
+        }
+    }
+
+    /// `threads` tasks that all wait for each other can only finish if
+    /// `threads` executors run at once — and only `threads − 1` of them are
+    /// spawned, so the caller must be holding the last task.
+    #[test]
+    fn the_caller_claims_beside_its_helpers() {
+        for threads in [2, 3] {
+            let pool = TaskPool::new(threads).unwrap();
+            let rendezvous = std::sync::Barrier::new(threads);
+            let (ran_on, _) = pool
+                .run(vec![(); threads], &|_, ()| {
+                    rendezvous.wait();
+                    std::thread::current().id()
+                })
+                .unwrap();
+            assert!(ran_on.contains(&std::thread::current().id()));
+            let distinct: std::collections::BTreeSet<_> =
+                ran_on.iter().map(|id| format!("{id:?}")).collect();
+            assert_eq!(distinct.len(), threads, "one task per executor");
+        }
+    }
+
+    /// The caller fails like any worker: a panic in a task it claimed is
+    /// caught and retried on the retained input, and an exhausted budget
+    /// comes back as the typed error — nothing unwinds through `run`.
+    #[test]
+    fn a_panic_on_the_calling_thread_is_retried_then_typed() {
+        let pool = TaskPool::new(1).unwrap();
+        let failures_left = AtomicU64::new(2);
+        let (outs, _) = pool
+            .run(vec![10, 20, 30], &|_, x: i32| {
+                if x == 20 && failures_left.load(Ordering::SeqCst) > 0 {
+                    failures_left.fetch_sub(1, Ordering::SeqCst);
+                    panic!("transient, on the caller");
+                }
+                x * 2
+            })
+            .unwrap();
+        assert_eq!(outs, vec![20, 40, 60]);
+        let result = pool.run(vec![0, 1, 2], &|_, x: i32| {
+            if x >= 1 {
+                panic!("poisoned, on the caller");
+            }
+            x
+        });
+        match result {
+            Err(DistStreamError::TaskFailed { task, attempts, .. }) => {
+                assert_eq!((task, attempts), (1, DEFAULT_MAX_TASK_FAILURES));
+            }
+            other => panic!("expected TaskFailed, got {other:?}"),
+        }
     }
 
     /// Regression: both used to `assert!` — panics on values that arrive

@@ -56,6 +56,19 @@ enum Staged {
 /// resumes here — on the pull that would have panicked synchronously.
 pub struct PrefetchedBatches {
     rx: mpsc::Receiver<Staged>,
+    retired: mpsc::Sender<Box<dyn Send>>,
+}
+
+impl PrefetchedBatches {
+    /// Hands a spent batch (in whatever form the consumer left it) to the
+    /// worker, which allocated its records: freed here they are thousands
+    /// of cross-thread frees on the critical path. The worker frees before
+    /// it stages, so the staging channel's back-pressure bounds what waits.
+    pub fn retire(&self, spent: impl Send + 'static) {
+        // The worker outlives this handle; were it gone, the failed send
+        // would drop the batch right here.
+        let _ = self.retired.send(Box::new(spent));
+    }
 }
 
 impl Iterator for PrefetchedBatches {
@@ -77,13 +90,15 @@ impl Iterator for PrefetchedBatches {
 ///
 /// Equivalent to `consume` iterating `MiniBatcher::new(source, batch_secs)`
 /// directly — same batches, same order, same panics — but with the source
-/// drain overlapped against whatever `consume` does between pulls. The
-/// worker is joined before this function returns, so no work outlives the
-/// call.
+/// drain overlapped against whatever `consume` does between pulls. Once
+/// `consume` returns the worker stops staging, frees what was
+/// [retired](PrefetchedBatches::retire) and is joined, so no work outlives
+/// the call.
 ///
-/// Each staged drain is recorded as a `prefetch` telemetry span on the
-/// worker thread (never nested inside a `batch` span — the batch spans
-/// live on the driver thread; `xtask check-trace` enforces this).
+/// Each staged drain is recorded as a `prefetch` telemetry span and each
+/// freed batch as a `retire` span, both on the worker thread (never nested
+/// inside a `batch` span — the batch spans live on the driver thread;
+/// `xtask check-trace` enforces this).
 ///
 /// # Panics
 ///
@@ -107,15 +122,21 @@ impl Iterator for PrefetchedBatches {
 pub fn prefetch_batches<S, T, F>(source: S, batch_secs: f64, consume: F) -> T
 where
     S: RecordSource + Send,
-    F: FnOnce(PrefetchedBatches) -> T,
+    F: FnOnce(&mut PrefetchedBatches) -> T,
 {
     // Construct the batcher on the caller thread so argument validation
     // panics synchronously, exactly like the non-prefetched path.
     let mut batcher = MiniBatcher::new(source, batch_secs);
     let (tx, rx) = mpsc::sync_channel::<Staged>(PREFETCH_DEPTH);
+    let (retired, retired_rx) = mpsc::channel::<Box<dyn Send>>();
+    let free = |spent: Box<dyn Send>| {
+        let _span = telemetry::span!(telemetry::names::SPAN_RETIRE);
+        drop(spent);
+    };
     let scope_result = crossbeam::thread::scope(move |s| {
         s.spawn(move |_| {
             loop {
+                retired_rx.try_iter().for_each(free);
                 // Catch the drain's panic here and forward it so the
                 // consumer observes it at the same pull as the sync path;
                 // a raw worker panic would instead surface as a scope
@@ -139,8 +160,12 @@ where
                     }
                 }
             }
+            // End of stream for the consumer; what it retires from here on
+            // is freed here too: one `retire` span each, whatever the timing.
+            drop(tx);
+            retired_rx.iter().for_each(free);
         });
-        consume(PrefetchedBatches { rx })
+        consume(&mut PrefetchedBatches { rx, retired })
     });
     match scope_result {
         Ok(out) => out,
@@ -181,8 +206,44 @@ mod tests {
     #[test]
     fn consumer_may_stop_early() {
         // Dropping the handle after one batch must not wedge the worker.
-        let first = prefetch_batches(VecSource::new(records(100)), 1.0, |mut b| b.next());
+        let first = prefetch_batches(VecSource::new(records(100)), 1.0, |b| b.next());
         assert!(first.is_some());
+    }
+
+    /// Records where it is dropped.
+    struct Spent<'a>(&'a std::sync::Mutex<Vec<std::thread::ThreadId>>);
+
+    impl Drop for Spent<'_> {
+        fn drop(&mut self) {
+            if let Ok(mut log) = self.0.lock() {
+                log.push(std::thread::current().id());
+            }
+        }
+    }
+
+    /// Every retired batch is freed on the worker — also the ones retired
+    /// after the source ran dry, and also when the consumer stops early —
+    /// and all of them before `prefetch_batches` returns.
+    #[test]
+    fn retired_batches_are_dropped_by_the_worker() {
+        static DROPS: std::sync::Mutex<Vec<std::thread::ThreadId>> =
+            std::sync::Mutex::new(Vec::new());
+        let consumer = std::thread::current().id();
+        let mut retired = 0;
+        for stop_after in [usize::MAX, 2] {
+            prefetch_batches(VecSource::new(records(40)), 1.0, |batches| {
+                let mut pulled = 0;
+                while pulled < stop_after && batches.next().is_some() {
+                    pulled += 1;
+                    batches.retire(Spent(&DROPS));
+                    retired += 1;
+                }
+            });
+            let drops = DROPS.lock().unwrap();
+            assert_eq!(drops.len(), retired, "stop_after={stop_after}");
+            assert!(drops.iter().all(|id| *id != consumer));
+        }
+        assert!(retired > 10, "test needs several batches");
     }
 
     /// A source that panics mid-stream, standing in for a poisoned ingest.

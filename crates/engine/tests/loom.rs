@@ -14,13 +14,16 @@ use loom::sync::{Arc, Mutex};
 use loom::thread;
 
 /// A loom-instrumented replica of `TaskPool::run`'s scheduling core: a
-/// shared `fetch_add` cursor hands each task index to exactly one worker,
-/// which takes the input from its slot and writes the output slot.
+/// shared `fetch_add` cursor hands each task index to exactly one executor,
+/// which takes the input from its slot and writes the output slot. As in
+/// the pool, the thread that starts the step is one of the executors: it
+/// spawns `WORKERS − 1` helpers and then runs the same claim loop itself.
 ///
 /// Invariants checked on every explored schedule:
-/// - no two workers claim the same index (each input slot is taken once);
+/// - no two executors claim the same index (each input slot is taken once);
 /// - every output slot is written exactly once with the right value;
-/// - workers never observe an already-emptied input slot.
+/// - executors never observe an already-emptied input slot;
+/// - the caller's own claims obey the same rules as a helper's.
 #[test]
 fn claim_protocol_assigns_each_task_to_exactly_one_worker() {
     const TASKS: usize = 4;
@@ -33,30 +36,33 @@ fn claim_protocol_assigns_each_task_to_exactly_one_worker() {
             Arc::new((0..TASKS).map(|_| Mutex::new(None)).collect());
         let cursor = Arc::new(AtomicUsize::new(0));
 
-        let handles: Vec<_> = (0..WORKERS)
-            .map(|_| {
-                let slots = Arc::clone(&slots);
-                let results = Arc::clone(&results);
-                let cursor = Arc::clone(&cursor);
-                thread::spawn(move || loop {
-                    let idx = cursor.fetch_add(1, Ordering::SeqCst);
-                    if idx >= TASKS {
-                        break;
-                    }
-                    // The claim above is exclusive, so the slot must still
-                    // hold its input when this worker arrives.
-                    let input = slots[idx]
-                        .lock()
-                        .unwrap()
-                        .take()
-                        .expect("claimed slot was already emptied by another worker");
-                    let mut out = results[idx].lock().unwrap();
-                    assert!(out.is_none(), "output slot {idx} written twice");
-                    *out = Some(input * 10);
-                })
-            })
+        let claim_loop = {
+            let slots = Arc::clone(&slots);
+            let results = Arc::clone(&results);
+            let cursor = Arc::clone(&cursor);
+            move || loop {
+                let idx = cursor.fetch_add(1, Ordering::SeqCst);
+                if idx >= TASKS {
+                    break;
+                }
+                // The claim above is exclusive, so the slot must still
+                // hold its input when this executor arrives.
+                let input = slots[idx]
+                    .lock()
+                    .unwrap()
+                    .take()
+                    .expect("claimed slot was already emptied by another executor");
+                let mut out = results[idx].lock().unwrap();
+                assert!(out.is_none(), "output slot {idx} written twice");
+                *out = Some(input * 10);
+            }
+        };
+        let helpers: Vec<_> = (1..WORKERS)
+            .map(|_| thread::spawn(claim_loop.clone()))
             .collect();
-        for h in handles {
+        // The model thread claims beside its helpers, then joins them.
+        claim_loop();
+        for h in helpers {
             h.join().unwrap();
         }
 
@@ -67,12 +73,12 @@ fn claim_protocol_assigns_each_task_to_exactly_one_worker() {
                 "output slot {i} missing or wrong"
             );
         }
-        // Cursor overshoot is bounded: each worker exits after one failed
+        // Cursor overshoot is bounded: each executor exits after one failed
         // claim, so at most TASKS + WORKERS increments ever happen.
         let final_cursor = cursor.load(Ordering::SeqCst);
         assert!(
             final_cursor <= TASKS + WORKERS,
-            "cursor advanced past the worker-exit bound: {final_cursor}"
+            "cursor advanced past the executor-exit bound: {final_cursor}"
         );
     });
 }

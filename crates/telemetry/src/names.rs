@@ -39,6 +39,8 @@ pub const SPAN_GLOBAL_APPLY: &str = "global_apply";
 pub const SPAN_STEP_TASKS: &str = "step_tasks";
 /// Background ingest/reorder of the next batch (overlapped pipeline).
 pub const SPAN_PREFETCH: &str = "prefetch";
+/// A spent batch freed by the prefetch worker that allocated its records.
+pub const SPAN_RETIRE: &str = "retire";
 /// Map-side combine of same-key updates before the shuffle.
 pub const SPAN_COMBINE: &str = "combine";
 /// Durable checkpoint frame write (encode + store persist).
@@ -63,6 +65,7 @@ pub const ALL_SPANS: &[&str] = &[
     SPAN_GLOBAL_APPLY,
     SPAN_STEP_TASKS,
     SPAN_PREFETCH,
+    SPAN_RETIRE,
     SPAN_COMBINE,
     SPAN_CHECKPOINT_WRITE,
     SPAN_CHECKPOINT_RESTORE,

@@ -15,8 +15,9 @@
 //!    sum (sync protocol) or overlap-max (async protocol) to `total_secs`
 //!    within 5%;
 //! 5. pipeline spans sit where the overlapped pipeline puts them: a
-//!    `prefetch` span never nests inside a `batch` span (ingest runs on its
-//!    own worker thread, off the driver's batch loop), and a `combine` span
+//!    `prefetch` or `retire` span never nests inside a `batch` span (ingest
+//!    and the freeing of spent batches run on the prefetch worker's own
+//!    thread, off the driver's batch loop), and a `combine` span
 //!    always nests inside a `local_update` span (the map-side combine is
 //!    part of step 2);
 //! 6. the driver phase is tiled by its sub-spans: `global_order`,
@@ -179,10 +180,12 @@ pub fn check_trace(contents: &str) -> Result<TraceStats, Vec<String>> {
                             stack.len()
                         ));
                     }
-                    if name == "prefetch" && stack.iter().any(|s| s.name == "batch") {
+                    if (name == "prefetch" || name == "retire")
+                        && stack.iter().any(|s| s.name == "batch")
+                    {
                         errors.push(format!(
-                            "line {lineno}: `prefetch` span opened inside a `batch` span — \
-                             ingest prefetch must run off the driver's batch loop"
+                            "line {lineno}: `{name}` span opened inside a `batch` span — \
+                             the prefetch worker's spans must stay off the driver's batch loop"
                         ));
                     }
                     if name == "combine" && !stack.iter().any(|s| s.name == "local_update") {
@@ -615,6 +618,12 @@ mod tests {
         ]);
         let errors = check_trace(&bad).expect_err("prefetch inside batch");
         assert!(errors.iter().any(|e| e.contains("prefetch")), "{errors:?}");
+
+        // `retire` is the same worker's span and falls under the same rule.
+        let retire = |text: &str| text.replace("prefetch", "retire");
+        assert!(check_trace(&retire(&ok)).is_ok());
+        let errors = check_trace(&retire(&bad)).expect_err("retire inside batch");
+        assert!(errors.iter().any(|e| e.contains("retire")), "{errors:?}");
     }
 
     #[test]

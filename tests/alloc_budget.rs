@@ -4,21 +4,22 @@
 //! A record is allocated once by the source and only borrowed from there to
 //! the end of the local step, so the number of heap allocations one
 //! `process_batch` makes must not depend on how many records the batch
-//! holds — only on how many keys, tasks and chunks it has. This test counts
+//! holds — only on how many keys and tasks it has. This test counts
 //! allocations with a counting global allocator (hence its own test crate,
 //! and a single `#[test]`: the count is process-wide), drives batches of
-//! 1 024 and 8 192 records over the same four grid cells, and requires the
+//! 1 024 and 8 192 records over the same grid cells, and requires the
 //! count to grow by less than 0.05 per extra record. With the owning path
 //! it grew by more than 3: a deep copy per record in each step's retry
 //! clone, one in step 1's output merge, and a one-element `Vec` per record
 //! in the map-side combine.
 //!
-//! What legitimately grows is logarithmic: an index list doubles its
-//! buffer as it fills, once per key without the combine and once per
-//! `(chunk, key)` with it — `keys × chunks × log2(8)` extra allocations
-//! here, which is why the key set is kept small: sixteen keys at sixteen
-//! chunks would spend the whole budget on doublings and mask the
-//! per-record signal the test exists for.
+//! Nothing in the shuffle grows with the batch any more. The index lists
+//! it used to build — a `Vec<u32>` per key, or per `(chunk, key)` with the
+//! combine, each doubling its buffer as it filled — are ranges of one flat
+//! position buffer that the scratch recycles, so a wider key set or a
+//! finer chunking costs no allocation either: the budget is held over four
+//! grid cells and over 256, where the per-key lists at sixteen chunks
+//! would have spent it thirty times over on doublings alone.
 //!
 //! The same bound is held for CluStream, whose step 1 searches a
 //! `CentroidKernel`: on clustered rows the kernel buys its search index
@@ -74,19 +75,31 @@ static GLOBAL: Counting = Counting;
 
 const DIMS: usize = 54;
 const CELLS: u64 = 4;
+const WIDE_CELLS: u64 = 256;
 
-/// Record `id` of the D-Stream stream: 54-d, in grid cell `id % CELLS` of
-/// the two gridded dimensions, one millisecond after its predecessor.
-fn grid_record(id: u64) -> Record {
-    let cell = id % CELLS;
+/// Record `id` of a D-Stream stream: 54-d, in grid cell `id % side²` of a
+/// `side × side` block of the two gridded dimensions, one millisecond after
+/// its predecessor.
+fn record_in_block(id: u64, side: u64) -> Record {
+    let cell = id % (side * side);
     let mut coords = vec![0.25; DIMS];
-    coords[0] = (cell % 2) as f64 + 0.5;
-    coords[1] = (cell / 2) as f64 + 0.5;
+    coords[0] = (cell % side) as f64 + 0.5;
+    coords[1] = (cell / side) as f64 + 0.5;
     Record::new(
         id,
         Point::from(coords),
         Timestamp::from_secs(id as f64 * 1e-3),
     )
+}
+
+/// The stream over [`CELLS`] grid cells.
+fn grid_record(id: u64) -> Record {
+    record_in_block(id, 2)
+}
+
+/// The stream over [`WIDE_CELLS`] grid cells.
+fn wide_grid_record(id: u64) -> Record {
+    record_in_block(id, 16)
 }
 
 const CLUSTERS: u64 = 12;
@@ -186,13 +199,14 @@ fn allocations_per_batch_do_not_grow_with_the_batch() {
         ..DStreamParams::default()
     });
     assert_budget(&dstream, grid_record, CELLS, 1024, 0.05);
+    // 64 times the keys (and, overlapped at p = 4, sixteen map chunks over
+    // them) inside the same budget.
+    assert_budget(&dstream, wide_grid_record, WIDE_CELLS, 1024, 0.05);
 
     let clustream = CluStream::new(CluStreamParams {
         max_micro_clusters: CLUSTERS as usize,
         ..CluStreamParams::default()
     });
-    // Twelve keys, not four, so eight times the records for the same three
-    // doublings per index list.
     let model = assert_budget(&clustream, cluster_record, 16 * CLUSTERS, 8192, 0.027);
 
     // The budget above was held with the search index active: a kernel over

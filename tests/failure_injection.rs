@@ -194,6 +194,70 @@ fn scattered_fault_plan_still_replays_deterministically() {
     assert_eq!(clean, faulted);
 }
 
+// In thread mode the calling thread is one of the p executors (the only one
+// at p = 1). The cells below aim faults at it: at p = 1 every task is the
+// caller's, at p = 2 a plan that hits *every* task of a step hits the one
+// the caller claimed, whichever that was.
+
+#[test]
+fn a_fault_on_the_calling_thread_is_retried_like_any_other() {
+    for p in [1, 2] {
+        let ctx = StreamingContext::new(p, ExecutionMode::Threads).unwrap();
+        let clean = run_model(&ctx, None, &[]);
+        let plan = [1, 3].iter().fold(FaultPlan::new(), |plan, &batch| {
+            (0..p).fold(plan, |plan, task| plan.panic_on(batch, task, 0))
+        });
+        let faulted = run_model(&ctx, Some(plan), &[]);
+        assert_eq!(
+            clean, faulted,
+            "retry on the caller changed the model (p={p})"
+        );
+    }
+}
+
+#[test]
+fn an_exhausted_budget_on_the_calling_thread_is_a_typed_error() {
+    for p in [1, 2] {
+        let ctx = StreamingContext::new(p, ExecutionMode::Threads).unwrap();
+        let plan = (0..p).fold(FaultPlan::new(), |plan, task| {
+            (0..DEFAULT_MAX_TASK_FAILURES)
+                .fold(plan, |plan, attempt| plan.panic_on(0, task, attempt))
+        });
+        ctx.install_fault_plan(plan);
+        ctx.begin_batch(0);
+        // Returns — a panic unwinding through `run_tasks` would fail the
+        // test here instead — and names the lowest failing task.
+        let result = ctx.run_tasks(vec![(); p], |task, ()| task);
+        assert!(
+            matches!(
+                result,
+                Err(DistStreamError::TaskFailed { task: 0, attempts, .. })
+                    if attempts == DEFAULT_MAX_TASK_FAILURES
+            ),
+            "p={p}: {result:?}"
+        );
+        // The context (and the thread) are intact: the plan is spent, so
+        // the same step now runs clean.
+        let (outs, _) = ctx.run_tasks(vec![(); p], |task, ()| task).unwrap();
+        assert_eq!(outs, (0..p).collect::<Vec<_>>());
+    }
+}
+
+#[test]
+fn a_straggler_delay_really_holds_the_calling_thread() {
+    let ctx = StreamingContext::new(1, ExecutionMode::Threads).unwrap();
+    ctx.install_fault_plan(FaultPlan::new().delay_on(0, 1, 0, 0.05));
+    ctx.begin_batch(0);
+    let caller = std::thread::current().id();
+    let (ran_on, step) = ctx
+        .run_tasks(vec![(); 3], |_, ()| std::thread::current().id())
+        .unwrap();
+    assert_eq!(ran_on, vec![caller; 3]);
+    assert!(step.task_secs()[1] >= 0.05, "{:?}", step.task_secs());
+    assert!(step.task_secs()[0] < 0.05 && step.task_secs()[2] < 0.05);
+    assert!(step.wall_secs() >= 0.05);
+}
+
 /// One 64-record batch through the three steps by hand, so a first-attempt
 /// panic can be aimed at task 0 of step 1 or of step 2 (through the
 /// executor, step 1 always consumes the `(batch, 0, 0)` coordinate first).
