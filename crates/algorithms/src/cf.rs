@@ -78,7 +78,7 @@ impl CfVector {
     }
 
     /// Creation timestamp.
-    pub fn created_at(&self) -> Timestamp {
+    pub(crate) fn created_at(&self) -> Timestamp {
         self.created_at
     }
 
@@ -88,7 +88,7 @@ impl CfVector {
     }
 
     /// Mean of the absorbed timestamps, in seconds.
-    pub fn mean_time(&self) -> f64 {
+    pub(crate) fn mean_time(&self) -> f64 {
         if self.weight > 0.0 {
             self.cf1t / self.weight
         } else {
@@ -97,7 +97,7 @@ impl CfVector {
     }
 
     /// Standard deviation of the absorbed timestamps, in seconds.
-    pub fn std_time(&self) -> f64 {
+    pub(crate) fn std_time(&self) -> f64 {
         if self.weight <= 0.0 {
             return 0.0;
         }
@@ -107,7 +107,7 @@ impl CfVector {
 
     /// CluStream's relevance stamp: `μ_t + z·σ_t`, an estimate of the
     /// arrival time of the cluster's most recent records.
-    pub fn relevance_stamp(&self, z: f64) -> f64 {
+    pub(crate) fn relevance_stamp(&self, z: f64) -> f64 {
         self.mean_time() + z * self.std_time()
     }
 
@@ -131,7 +131,7 @@ impl CfVector {
     /// the linear sums: bit-identical to
     /// `self.centroid().distance(&other.centroid())` without materializing
     /// either `Point` (the pre-merge asks this for every candidate pair).
-    pub fn centroid_distance(&self, other: &CfVector) -> f64 {
+    pub(crate) fn centroid_distance(&self, other: &CfVector) -> f64 {
         debug_assert_eq!(self.dims(), other.dims(), "point dimension mismatch");
         lane_squared_distance_scaled(
             self.cf1x.as_slice(),
@@ -146,7 +146,7 @@ impl CfVector {
     /// micro-cluster "radius" used for maximum-boundary checks.
     ///
     /// Returns 0.0 for a singleton.
-    pub fn rms_radius(&self) -> f64 {
+    pub(crate) fn rms_radius(&self) -> f64 {
         if self.weight <= 0.0 {
             return 0.0;
         }
@@ -160,7 +160,7 @@ impl CfVector {
 
     /// The radius the sketch would have after absorbing `point` with unit
     /// weight and no decay — DenStream's tentative-insertion check.
-    pub fn radius_with(&self, point: &Point) -> f64 {
+    pub(crate) fn radius_with(&self, point: &Point) -> f64 {
         let w = self.weight + 1.0;
         let mut var_sum = 0.0;
         for ((&s2x, &s1x), &x) in self.cf2x.iter().zip(self.cf1x.iter()).zip(point.iter()) {
@@ -214,7 +214,7 @@ impl CfVector {
     }
 
     /// Exports centroid + weight for the offline phase.
-    pub fn to_weighted_point(&self) -> WeightedPoint {
+    pub(crate) fn to_weighted_point(&self) -> WeightedPoint {
         WeightedPoint {
             point: self.centroid(),
             weight: self.weight,
@@ -554,7 +554,7 @@ impl CentroidKernel {
     ///
     /// The first push fixes the kernel's dimensionality; later pushes must
     /// match it (checked with `debug_assert`).
-    pub fn push_center(&mut self, id: u64, coords: impl IntoIterator<Item = f64>) {
+    pub(crate) fn push_center(&mut self, id: u64, coords: impl IntoIterator<Item = f64>) {
         let start = self.centers.len();
         self.centers.extend(coords);
         if self.ids.is_empty() {
@@ -578,7 +578,7 @@ impl CentroidKernel {
     /// [`CfVector::centroid`] computes it (one division by the weight, then
     /// one multiply per coordinate) so the flattened row is bit-identical to
     /// the `Point` the naive loop would have materialized.
-    pub fn push_cf(&mut self, id: u64, cf: &CfVector) {
+    pub(crate) fn push_cf(&mut self, id: u64, cf: &CfVector) {
         let scale = cf.centroid_scale();
         self.push_center(id, cf.cf1x.iter().map(|&v| v * scale));
     }
@@ -892,7 +892,7 @@ impl CentroidKernel {
 
     /// Like [`CentroidKernel::nearest_squared`], restricted to rows where
     /// `keep(idx)` is true.
-    pub fn nearest_squared_filtered(
+    pub(crate) fn nearest_squared_filtered(
         &self,
         query: &Point,
         mut keep: impl FnMut(usize) -> bool,
@@ -941,7 +941,7 @@ impl CentroidKernel {
     /// # Panics
     ///
     /// Panics if `idx` is out of range.
-    pub fn nearest_other_distance(&self, idx: usize) -> f64 {
+    pub(crate) fn nearest_other_distance(&self, idx: usize) -> f64 {
         let query = self.center(idx);
         let qnorm = lane_squared_norm(query).sqrt();
         let mut best_d = f64::INFINITY;

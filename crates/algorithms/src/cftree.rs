@@ -134,7 +134,10 @@ impl CfTree {
     }
 
     /// Builds a tree by inserting all `entries` in order.
-    pub fn bulk<I: IntoIterator<Item = (u64, Point, f64)>>(fanout: usize, entries: I) -> Self {
+    pub(crate) fn bulk<I: IntoIterator<Item = (u64, Point, f64)>>(
+        fanout: usize,
+        entries: I,
+    ) -> Self {
         let mut tree = CfTree::new(fanout);
         for (id, centroid, weight) in entries {
             tree.insert(id, centroid, weight);
@@ -218,8 +221,9 @@ impl CfTree {
         }
     }
 
-    /// Iterates over all `(id, weight)` leaf entries (test/diagnostic aid).
-    pub fn entry_ids(&self) -> Vec<u64> {
+    /// The ids of all leaf entries, in tree order.
+    #[cfg(test)]
+    fn entry_ids(&self) -> Vec<u64> {
         fn walk(node: &Node, out: &mut Vec<u64>) {
             match node {
                 Node::Leaf(entries) => out.extend(entries.iter().map(|e| e.id)),

@@ -47,7 +47,7 @@ impl DenStreamParams {
     /// The pruning period `T_p = ⌈log_β(β_p·μ / (β_p·μ − 1))⌉` from the
     /// DenStream paper: the minimal time for a potential micro-cluster that
     /// stops receiving records to fall below the potential threshold.
-    pub fn prune_period_secs(&self) -> f64 {
+    pub(crate) fn prune_period_secs(&self) -> f64 {
         let bm = self.potential_factor * self.mu;
         if bm <= 1.0 {
             return 1.0;
@@ -87,11 +87,6 @@ impl DenStreamModel {
     /// Number of potential micro-clusters.
     pub fn potential_count(&self) -> usize {
         self.mcs.values().filter(|m| m.potential).count()
-    }
-
-    /// Number of outlier micro-clusters.
-    pub fn outlier_count(&self) -> usize {
-        self.len() - self.potential_count()
     }
 
     /// Iterates over `(id, micro-cluster)` pairs.
@@ -389,7 +384,7 @@ mod tests {
         let records: Vec<Record> = (0..30).map(|i| rec(i, 0.0, 0.0)).collect();
         let model = algo.init(&records).unwrap();
         assert_eq!(model.potential_count(), 1);
-        assert_eq!(model.outlier_count(), 0);
+        assert_eq!(model.len(), model.potential_count());
     }
 
     #[test]
@@ -440,7 +435,7 @@ mod tests {
             }
             model.insert_new(DenStreamMc { cf, potential });
         }
-        assert!(model.potential_count() > 0 && model.outlier_count() > 0);
+        assert!(model.potential_count() > 0 && model.potential_count() < model.len());
         let probes: Vec<Record> = (0..150)
             .map(|i| rec(1000 + i, (i % 23) as f64 * 0.35, 4.0 + i as f64 * 0.01))
             .collect();

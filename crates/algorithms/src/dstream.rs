@@ -172,7 +172,7 @@ impl DStream {
 
     /// The integer cell coordinates containing `point` (over the gridded
     /// subspace when `grid_dims > 0`).
-    pub fn cell_of(&self, point: &Point) -> Vec<i64> {
+    pub(crate) fn cell_of(&self, point: &Point) -> Vec<i64> {
         let dims = match self.params.grid_dims {
             0 => point.dims(),
             g => g.min(point.dims()),
@@ -185,7 +185,7 @@ impl DStream {
     }
 
     /// Deterministic cell id (FNV-1a over the coordinate bytes).
-    pub fn cell_id(coords: &[i64]) -> MicroClusterId {
+    pub(crate) fn cell_id(coords: &[i64]) -> MicroClusterId {
         let mut bytes = Vec::with_capacity(coords.len() * 8);
         for c in coords {
             bytes.extend_from_slice(&c.to_le_bytes());
@@ -197,7 +197,7 @@ impl DStream {
     /// equivalent to `Self::cell_id(&self.cell_of(point))` but hashing each
     /// coordinate incrementally, so the per-record grid lookup allocates
     /// nothing.
-    pub fn cell_key(&self, point: &Point) -> MicroClusterId {
+    pub(crate) fn cell_key(&self, point: &Point) -> MicroClusterId {
         let dims = match self.params.grid_dims {
             0 => point.dims(),
             g => g.min(point.dims()),
@@ -226,7 +226,7 @@ impl DStream {
     }
 
     /// Density below which a grid is *sparse*: `C_l / (N·(1 − λ₁))`.
-    pub fn sparse_threshold(&self) -> f64 {
+    pub(crate) fn sparse_threshold(&self) -> f64 {
         self.params.cl * self.density_scale() / self.params.expected_cells as f64
     }
 

@@ -47,7 +47,6 @@ mod denstream;
 mod dstream;
 pub mod offline;
 mod serving;
-mod streamkm;
 
 pub use cf::{CentroidKernel, CfVector};
 pub use cftree::CfTree;
@@ -56,4 +55,3 @@ pub use clustree::{ClusTree, ClusTreeModel, ClusTreeParams};
 pub use denstream::{DenStream, DenStreamMc, DenStreamModel, DenStreamParams};
 pub use dstream::{DStream, DStreamModel, DStreamParams, GridSketch};
 pub use serving::{Prediction, ServingPredictor};
-pub use streamkm::{StreamKMeans, StreamKMeansModel, StreamKMeansParams};

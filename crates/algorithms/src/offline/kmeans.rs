@@ -65,6 +65,7 @@ pub fn kmeans(points: &[WeightedPoint], params: KmeansParams) -> MacroClusters {
             assignment: vec![None; points.len()],
         };
     }
+    // lint:allow(wallclock-entropy) k-means++ init; params.seed arrives through configuration
     let mut rng = StdRng::seed_from_u64(params.seed);
     let mut centroids = plus_plus_seeds(points, params.k, &mut rng);
 
@@ -128,7 +129,7 @@ pub fn kmeans(points: &[WeightedPoint], params: KmeansParams) -> MacroClusters {
 
 /// Weighted k-means++ seeding: the first seed is drawn by weight, each
 /// subsequent seed with probability proportional to `w · D(x)²`.
-pub(crate) fn plus_plus_seeds(points: &[WeightedPoint], k: usize, rng: &mut StdRng) -> Vec<Point> {
+fn plus_plus_seeds(points: &[WeightedPoint], k: usize, rng: &mut StdRng) -> Vec<Point> {
     let mut centroids = Vec::with_capacity(k.min(points.len()));
     let total_weight: f64 = points.iter().map(|p| p.weight).sum();
     let first = weighted_index(points.iter().map(|p| p.weight), total_weight, rng);

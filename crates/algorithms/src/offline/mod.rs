@@ -9,12 +9,10 @@
 mod dbscan;
 mod grids;
 mod kmeans;
-mod parallel;
 
 pub use dbscan::{dbscan, DbscanParams};
 pub use grids::adjacent_grid_clusters;
 pub use kmeans::{kmeans, KmeansParams};
-pub use parallel::parallel_kmeans;
 
 use diststream_core::WeightedPoint;
 use diststream_types::Point;

@@ -58,7 +58,7 @@ pub const SHUFFLE_SKEW_FACTOR: f64 = 1.2;
 /// placement co-locates each key's updates with its modeled map partition,
 /// so the charged remote fraction is about `(p - 1) / p` of the round-robin
 /// full charge — `4/3 ≈ 1.33×` at `p = 4`, comfortably over the gate.
-pub const SHUFFLE_SKEW_PARALLELISM: usize = 4;
+pub(crate) const SHUFFLE_SKEW_PARALLELISM: usize = 4;
 
 /// Pipeline label for the paper's synchronous configuration.
 pub const PIPELINE_SYNC: &str = "sync";
@@ -68,7 +68,7 @@ pub const PIPELINE_SYNC: &str = "sync";
 pub const PIPELINE_OVERLAPPED: &str = "overlapped";
 
 /// Parallelism degrees measured for every algorithm.
-pub const PARALLELISMS: [usize; 4] = [1, 4, 8, 16];
+pub(crate) const PARALLELISMS: [usize; 4] = [1, 4, 8, 16];
 
 /// Mini-batch width used by every baseline run.
 pub const BATCH_SECS: f64 = 1.0;
@@ -155,7 +155,7 @@ pub struct BaselineEntry {
 
 impl BaselineEntry {
     /// Local-update throughput over the step makespan.
-    pub fn local_records_per_sec(&self) -> f64 {
+    pub(crate) fn local_records_per_sec(&self) -> f64 {
         if self.local_secs > 0.0 {
             self.records as f64 / self.local_secs
         } else {
@@ -211,7 +211,7 @@ pub struct ShuffleSkew {
 impl ShuffleSkew {
     /// Round-robin over key-range charged bytes — the skew-reduction factor
     /// key-range placement buys on this workload.
-    pub fn reduction_ratio(&self) -> f64 {
+    pub(crate) fn reduction_ratio(&self) -> f64 {
         if self.keyrange_bytes > 0 {
             self.roundrobin_bytes as f64 / self.keyrange_bytes as f64
         } else {
@@ -319,7 +319,7 @@ fn shuffle_bytes_for(bundle: &Bundle, spec: &BaselineSpec, strategy: StrategyKin
 
 /// Measures the committed `shuffle_skew` section: charged shuffle bytes of
 /// the same workload under round-robin vs key-range distribution.
-pub fn measure_shuffle_skew(bundle: &Bundle, spec: &BaselineSpec) -> Result<ShuffleSkew> {
+pub(crate) fn measure_shuffle_skew(bundle: &Bundle, spec: &BaselineSpec) -> Result<ShuffleSkew> {
     Ok(ShuffleSkew {
         parallelism: SHUFFLE_SKEW_PARALLELISM,
         roundrobin_bytes: shuffle_bytes_for(bundle, spec, StrategyKind::RoundRobin)?,
@@ -327,25 +327,10 @@ pub fn measure_shuffle_skew(bundle: &Bundle, spec: &BaselineSpec) -> Result<Shuf
     })
 }
 
-/// Runs the full baseline matrix: four algorithms × [`PARALLELISMS`] ×
-/// both pipelines (synchronous, and overlapped with prefetch + combine +
-/// chunk scheduling all on).
-///
-/// # Errors
-///
-/// Propagates engine failures and empty-stream errors.
-pub fn run_baseline(spec: &BaselineSpec) -> Result<BaselineReport> {
-    run_baseline_pipelines(
-        spec,
-        &[
-            (PIPELINE_SYNC, PipelineOptions::sync()),
-            (PIPELINE_OVERLAPPED, PipelineOptions::all()),
-        ],
-    )
-}
-
-/// [`run_baseline`] over an explicit pipeline-variant list (the
-/// `bench_baseline` binary's `--pipeline` / `--no-*` toggles).
+/// Runs the baseline matrix: four algorithms × [`PARALLELISMS`] × the
+/// given pipeline variants (the `bench_baseline` binary's `--pipeline` /
+/// `--no-*` toggles; by default synchronous, and overlapped with prefetch +
+/// combine + chunk scheduling all on).
 ///
 /// # Errors
 ///
@@ -720,7 +705,11 @@ mod tests {
             rounds: 1,
             seed: 7,
         };
-        let report = run_baseline(&spec).unwrap();
+        let pipelines = [
+            (PIPELINE_SYNC, PipelineOptions::sync()),
+            (PIPELINE_OVERLAPPED, PipelineOptions::all()),
+        ];
+        let report = run_baseline_pipelines(&spec, &pipelines).unwrap();
         assert_eq!(report.entries.len(), 4 * PARALLELISMS.len() * 2);
         // The overload scenario ships with every report and must meet the
         // gates bench-check enforces on blessed files.

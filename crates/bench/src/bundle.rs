@@ -58,7 +58,7 @@ impl DatasetKind {
     }
 
     /// The paper's quality-run streaming rate: 1K records/s (§VII-B1).
-    pub fn quality_rate(self) -> f64 {
+    pub(crate) fn quality_rate(self) -> f64 {
         1000.0
     }
 

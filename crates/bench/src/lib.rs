@@ -23,21 +23,17 @@ mod serving;
 mod trace;
 
 pub use baseline::{
-    baseline_to_json, calibration_score, measure_shuffle_skew, print_baseline, run_baseline,
-    run_baseline_pipelines, BaselineEntry, BaselineReport, BaselineSpec, ShuffleSkew,
-    BASELINE_PATH, BASELINE_QUICK_PATH, BASELINE_SCHEMA, BATCH_SECS, PARALLELISMS,
-    PIPELINE_OVERLAPPED, PIPELINE_SYNC, SHUFFLE_SKEW_FACTOR, SHUFFLE_SKEW_PARALLELISM,
+    baseline_to_json, calibration_score, print_baseline, run_baseline_pipelines, BaselineEntry,
+    BaselineReport, BaselineSpec, ShuffleSkew, BASELINE_PATH, BASELINE_QUICK_PATH, BASELINE_SCHEMA,
+    BATCH_SECS, PIPELINE_OVERLAPPED, PIPELINE_SYNC, SHUFFLE_SKEW_FACTOR,
 };
 pub use bundle::{Bundle, DatasetKind};
 pub use cli::Cli;
-pub use overload::{
-    measure_overload, OverloadScenario, OVERLOAD_BATCH_SECS, OVERLOAD_FACTOR, OVERLOAD_SEED,
-    OVERLOAD_STRATA, OVERLOAD_TARGET_LATENCY_SECS,
-};
+pub use overload::OverloadScenario;
 pub use report::{fmt_f64, print_table, Table};
 pub use runner::{
     run_quality, run_sequential_quality, run_sequential_throughput, run_throughput,
     throughput_context, ExecutorKind, QualityOutcome, ThroughputOutcome,
 };
-pub use serving::{measure_serving, ServingBench, READER_THREADS, SERVING_PARALLELISM};
+pub use serving::ServingBench;
 pub use trace::TelemetrySession;

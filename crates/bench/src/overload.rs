@@ -28,21 +28,21 @@ use crate::bundle::Bundle;
 /// Mini-batch width of the overload scenario — narrower than the matrix's
 /// [`crate::BATCH_SECS`] so the backpressure loop gets ~20 control
 /// intervals over the stress stream's few virtual seconds.
-pub const OVERLOAD_BATCH_SECS: f64 = 0.25;
+pub(crate) const OVERLOAD_BATCH_SECS: f64 = 0.25;
 
 /// Offered load over capacity: the executor's capacity is sized to a third
 /// of the per-window arrival rate, a sustained 3× overload.
-pub const OVERLOAD_FACTOR: f64 = 3.0;
+pub(crate) const OVERLOAD_FACTOR: f64 = 3.0;
 
 /// Latency bar the approximate path must hold: four windows of modeled
 /// backlog, matching the policy's own drain horizon.
-pub const OVERLOAD_TARGET_LATENCY_SECS: f64 = 4.0 * OVERLOAD_BATCH_SECS;
+pub(crate) const OVERLOAD_TARGET_LATENCY_SECS: f64 = 4.0 * OVERLOAD_BATCH_SECS;
 
 /// Sampler seed blessed into the committed baselines.
-pub const OVERLOAD_SEED: u64 = 0xD157_10AD;
+pub(crate) const OVERLOAD_SEED: u64 = 0xD157_10AD;
 
 /// Strata count of the blessed scenario.
-pub const OVERLOAD_STRATA: u32 = 8;
+pub(crate) const OVERLOAD_STRATA: u32 = 8;
 
 /// The measured overload section of a schema-v5 baseline report.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,13 +79,6 @@ pub struct OverloadScenario {
     pub model_digest_p1: u64,
     /// Same digest at p = 4 — must equal the p = 1 digest (replay gate).
     pub model_digest_p4: u64,
-}
-
-impl OverloadScenario {
-    /// `shed / seen` restated as kept coverage, for the printed report.
-    pub fn kept_fraction(&self) -> f64 {
-        1.0 - self.shed_fraction
-    }
 }
 
 fn overload_options(capacity_per_batch: u32) -> OverloadOptions {
@@ -128,7 +121,7 @@ fn evaluate_model(
 ///
 /// Propagates engine failures; fails hard when the sampled model bytes
 /// diverge between the p = 1 rerun and p = 4 (the replay gate).
-pub fn measure_overload(bundle: &Bundle) -> Result<OverloadScenario> {
+pub(crate) fn measure_overload(bundle: &Bundle) -> Result<OverloadScenario> {
     let records = bundle.stress_records();
     let init = bundle.init_records().min(records.len());
     let post_init = &records[init..];

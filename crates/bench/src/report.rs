@@ -63,30 +63,6 @@ impl Table {
     }
 }
 
-impl Table {
-    /// Renders the table as CSV (headers + rows, comma-escaped by quoting).
-    pub fn to_csv(&self) -> String {
-        let escape = |cell: &str| -> String {
-            if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
-                format!("\"{}\"", cell.replace('"', "\"\""))
-            } else {
-                cell.to_string()
-            }
-        };
-        let mut out = self
-            .headers
-            .iter()
-            .map(|h| escape(h))
-            .collect::<Vec<_>>()
-            .join(",");
-        for row in &self.rows {
-            out.push('\n');
-            out.push_str(&row.iter().map(|c| escape(c)).collect::<Vec<_>>().join(","));
-        }
-        out
-    }
-}
-
 /// Prints a titled table to stdout.
 pub fn print_table(title: &str, table: &Table) {
     println!("\n## {title}\n");
@@ -123,16 +99,6 @@ mod tests {
         t.row(["1"]);
         assert_eq!(t.len(), 1);
         assert!(t.render().lines().last().unwrap().matches('|').count() == 4);
-    }
-
-    #[test]
-    fn csv_escapes_commas_and_quotes() {
-        let mut t = Table::new(["a", "b"]);
-        t.row(["x,y", "say \"hi\""]);
-        let csv = t.to_csv();
-        assert_eq!(csv.lines().count(), 2);
-        assert!(csv.contains("\"x,y\""));
-        assert!(csv.contains("\"say \"\"hi\"\"\""));
     }
 
     #[test]

@@ -27,10 +27,10 @@ use crate::bundle::Bundle;
 use diststream_types::ClusteringConfig;
 
 /// Driver parallelism of the serving measurement run.
-pub const SERVING_PARALLELISM: usize = 4;
+pub(crate) const SERVING_PARALLELISM: usize = 4;
 
 /// Concurrent predict readers racing the stream.
-pub const READER_THREADS: usize = 2;
+pub(crate) const READER_THREADS: usize = 2;
 
 /// The measured serving section committed with the baseline (schema v6).
 #[derive(Debug, Clone, PartialEq)]
@@ -58,7 +58,7 @@ pub struct ServingBench {
 /// # Errors
 ///
 /// Propagates engine failures and empty-stream errors.
-pub fn measure_serving(bundle: &Bundle, spec: &BaselineSpec) -> Result<ServingBench> {
+pub(crate) fn measure_serving(bundle: &Bundle, spec: &BaselineSpec) -> Result<ServingBench> {
     let algo = bundle.clustream();
     let ctx = StreamingContext::with_cost_model(
         SERVING_PARALLELISM,

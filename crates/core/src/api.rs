@@ -51,9 +51,9 @@ pub enum Assignment {
 
 impl Assignment {
     /// [`group_key`](Self::group_key) kind of an existing micro-cluster.
-    pub const KIND_EXISTING: u64 = 0;
+    pub(crate) const KIND_EXISTING: u64 = 0;
     /// [`group_key`](Self::group_key) kind of a coalescing outlier key.
-    pub const KIND_NEW: u64 = 1;
+    pub(crate) const KIND_NEW: u64 = 1;
 
     /// The `(kind, key)` pair the local update's shuffle groups by: the
     /// micro-cluster id for absorbed records, the coalescing key for

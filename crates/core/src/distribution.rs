@@ -132,7 +132,7 @@ impl ShufflePlacement {
     }
 
     /// The reduce partition that owns `key`.
-    pub fn reduce_partition(&self, key: &(u64, u64)) -> usize {
+    pub(crate) fn reduce_partition(&self, key: &(u64, u64)) -> usize {
         match &self.route {
             Some(map) => map
                 .get(key)
@@ -155,7 +155,7 @@ impl ShufflePlacement {
 /// `i` maps to task `i % p` — used uniformly for every strategy so charged
 /// bytes are comparable across strategies regardless of the chunking the
 /// task scheduler actually used.
-pub fn modeled_map_partition(index: usize, partitions: usize) -> usize {
+pub(crate) fn modeled_map_partition(index: usize, partitions: usize) -> usize {
     index % partitions.max(1)
 }
 

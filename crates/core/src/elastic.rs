@@ -12,7 +12,7 @@
 //! exhausts its task retries, [`JobSession::step`] restores the boundary
 //! snapshot and reprocesses it at the old degree: a resize completes or
 //! never happened. Either way the model is bit-identical to a
-//! fixed-parallelism run, which the tests pin (protocol: DESIGN.md §13.3).
+//! fixed-parallelism run, which the tests pin (protocol: DESIGN.md §13).
 
 use diststream_telemetry as telemetry;
 use diststream_types::{DistStreamError, Result};
@@ -27,7 +27,7 @@ use crate::session::JobSession;
 /// consistent-hashing ring would shard — so the moved-key count is a pure
 /// function of `(strategy, old_p, new_p)` and never depends on the model's
 /// internals.
-pub const REBALANCE_KEY_SLOTS: usize = 4096;
+pub(crate) const REBALANCE_KEY_SLOTS: usize = 4096;
 
 /// When each parallelism degree takes effect, keyed by batch index.
 ///

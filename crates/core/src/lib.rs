@@ -81,14 +81,13 @@ pub use api::{
 };
 pub use assignment::{assign_records_distributed, AssignmentOutcome};
 pub use distribution::{
-    modeled_map_partition, strategy_for, DistributionStrategy, HybridStrategy, KeyRangeStrategy,
-    LocalityStrategy, RoundRobinStrategy, ShufflePlacement, StrategyKind,
+    strategy_for, DistributionStrategy, HybridStrategy, KeyRangeStrategy, LocalityStrategy,
+    RoundRobinStrategy, ShufflePlacement, StrategyKind,
 };
 pub use elastic::{ResizeOutcome, ResizeSchedule};
 pub use global::{global_update, GlobalOutcome};
 pub use local::{
     local_update_distributed, CreatedSketch, LocalOutcome, LocalScratch, UpdatedSketch,
-    SHUFFLE_KEY_BYTES,
 };
 pub use parallel::{BatchOutcome, DistStreamExecutor};
 pub use pipeline::{

@@ -28,7 +28,7 @@ use crate::distribution::{modeled_map_partition, DistributionStrategy};
 /// `(kind, key)` group key, two `u64`s. Charged once per shuffle message —
 /// per record on the uncombined path, per distinct `(map task, key)` entry
 /// after the map-side combine.
-pub const SHUFFLE_KEY_BYTES: u64 = 16;
+pub(crate) const SHUFFLE_KEY_BYTES: u64 = 16;
 
 /// A micro-cluster that existed in `Q_t` and absorbed records this batch.
 #[derive(Debug, Clone)]
@@ -258,9 +258,8 @@ pub fn local_update_distributed<A: StreamClustering>(
     }
 
     // Tasks get views — their partition's group list by reference, the
-    // position buffer and the batch by borrow — so the pool's
-    // retain-for-retry clone is a pointer copy and a panicking attempt has
-    // nothing of the batch to lose.
+    // position buffer and the batch by borrow — so a panicking attempt has
+    // nothing of the batch to lose and its retry reads the same view.
     let batch = pairs.as_slice();
     let record_at = |position: &u32| batch.get(*position as usize).map(|(record, _)| record);
     let views: Vec<&IndexGroups> = shuffled.partitions.iter().map(Vec::as_slice).collect();
@@ -285,6 +284,7 @@ pub fn local_update_distributed<A: StreamClustering>(
                         let seed = shuffle_seed
                             ^ fnv1a_hash(&kind.to_le_bytes())
                             ^ fnv1a_hash(&key.to_le_bytes());
+                        // lint:allow(wallclock-entropy) the same shuffle, per-group seed from the driver's
                         order.shuffle(&mut StdRng::seed_from_u64(seed));
                     }
                 }

@@ -25,6 +25,10 @@ use crate::global::{global_update, GlobalOutcome};
 use crate::local::{local_update_distributed, LocalOutcome, LocalScratch, SpentBatch};
 use crate::serving::{publish_snapshot, ServingHandle};
 
+/// Base seed of the unordered baseline's shuffles; each batch mixes its
+/// index in, so replays draw the same permutations.
+const UNORDERED_BASE_SEED: u64 = 0x0B5E55ED;
+
 /// Per-batch statistics reported by [`DistStreamExecutor::process_batch`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchOutcome {
@@ -111,7 +115,6 @@ pub struct DistStreamExecutor<'a, A: StreamClustering> {
     chunking: bool,
     overlap: bool,
     strategy: StrategyKind,
-    base_seed: u64,
     serving: Option<ServingHandle>,
     // The one global update queued between its batch's local step and its
     // application: across calls under `overlap`, within a call otherwise.
@@ -144,7 +147,6 @@ impl<'a, A: StreamClustering> DistStreamExecutor<'a, A> {
             chunking: false,
             overlap: false,
             strategy: StrategyKind::RoundRobin,
-            base_seed: 0x0B5E55ED,
             serving: None,
             pending: None,
             scratch: LocalScratch::default(),
@@ -206,12 +208,6 @@ impl<'a, A: StreamClustering> DistStreamExecutor<'a, A> {
         self
     }
 
-    /// Sets the base seed for the unordered baseline's shuffles.
-    pub fn shuffle_seed(&mut self, seed: u64) -> &mut Self {
-        self.base_seed = seed;
-        self
-    }
-
     /// A copy of the pending (queued, not yet applied) global update —
     /// `None` between the calls of a synchronous executor.
     pub(crate) fn pending(&self) -> Option<PendingGlobal<A::Sketch>> {
@@ -256,7 +252,8 @@ impl<'a, A: StreamClustering> DistStreamExecutor<'a, A> {
         // Scope any installed fault plan's (task, attempt) coordinates to
         // this batch before the parallel steps run.
         self.ctx.begin_batch(batch.index);
-        let batch_seed = self.base_seed ^ (batch.index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let batch_seed =
+            UNORDERED_BASE_SEED ^ (batch.index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let records = batch.len();
         let window_end = batch.window_end;
         // Capture record event times before the assignment step consumes

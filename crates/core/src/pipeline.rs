@@ -308,7 +308,7 @@ impl<'a, A: StreamClustering> DistStreamJob<'a, A> {
     /// Follows `schedule`: the context is resized to its initial degree at
     /// start, and each step takes effect — checkpoint-verified, rolled back
     /// if the first batch at the new degree fails — at the boundary before
-    /// its batch (DESIGN.md §13.3).
+    /// its batch (DESIGN.md §13).
     pub fn resize(&mut self, schedule: ResizeSchedule) -> &mut Self {
         self.schedule = Some(schedule);
         self

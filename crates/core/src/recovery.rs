@@ -10,7 +10,7 @@
 //! *replays* the batches after it. Because the executor is deterministic,
 //! replaying reproduces the pre-failure model bit for bit — verified by
 //! tests. An overlapped job's pending update rides beside each checkpoint
-//! in driver memory, as the replay log does (DESIGN.md §13.3).
+//! in driver memory, as the replay log does (DESIGN.md §13).
 
 use serde::de::DeserializeOwned;
 

@@ -32,4 +32,4 @@ pub use catalog::{
     COVERTYPE_RECORDS, KDD98_RECORDS, KDD99_RECORDS,
 };
 pub use normalize::{normalize, FeatureStats};
-pub use synth::{gaussian, generate, ClusterSpec, SynthConfig};
+pub use synth::{generate, ClusterSpec, SynthConfig};

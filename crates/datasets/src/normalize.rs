@@ -54,7 +54,7 @@ impl FeatureStats {
     }
 
     /// Normalizes one point in place.
-    pub fn normalize_point(&self, point: &mut Point) {
+    pub(crate) fn normalize_point(&self, point: &mut Point) {
         let coords = point.as_mut_slice();
         for (d, v) in coords.iter_mut().enumerate() {
             *v = (*v - self.means[d]) / self.stds[d];

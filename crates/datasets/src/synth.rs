@@ -111,6 +111,7 @@ pub fn generate(config: &SynthConfig) -> Vec<LabeledPoint> {
         "cluster fractions must be positive"
     );
 
+    // lint:allow(wallclock-entropy) the generator's seed arrives through its config
     let mut rng = StdRng::seed_from_u64(config.seed);
     // Centers and drift directions drawn first so that record count does not
     // change cluster geometry.
@@ -207,7 +208,7 @@ pub fn generate(config: &SynthConfig) -> Vec<LabeledPoint> {
 
 /// A standard normal sample via the Box–Muller transform (kept in-repo to
 /// avoid a `rand_distr` dependency).
-pub fn gaussian(rng: &mut StdRng) -> f64 {
+pub(crate) fn gaussian(rng: &mut StdRng) -> f64 {
     let u1: f64 = rng.gen_range(f64::EPSILON..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()

@@ -84,7 +84,7 @@ fn encode_to<T: Serialize + ?Sized, S: Sink>(value: &T, sink: S) -> S {
     let mut out = Encoder { sink };
     value
         .serialize(&mut out)
-        // lint:allow(no-panic) both sinks are in-memory and never error
+        // lint:allow(panic-path) both sinks are in-memory and never error
         .expect("in-memory encoding cannot fail");
     out.sink
 }

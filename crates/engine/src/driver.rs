@@ -34,7 +34,8 @@ pub enum ExecutionMode {
 /// A `StreamingContext` owns the parallelism degree, the execution mode, and
 /// (in simulated mode) the cost model and its seeded RNG. The framework
 /// calls [`StreamingContext::run_tasks`] once per parallel step and charges
-/// data movement through [`StreamingContext::network_secs`]. Helper threads
+/// data movement through [`StreamingContext::shuffle_secs`] and its
+/// siblings. Helper threads
 /// are scoped to a step, so the degree is just a number:
 /// [`StreamingContext::resize`] changes it between batches.
 ///
@@ -61,7 +62,7 @@ pub struct StreamingContext {
 
 impl StreamingContext {
     /// Default RNG seed for straggler injection.
-    pub const DEFAULT_SEED: u64 = 0xD157_57E0;
+    pub(crate) const DEFAULT_SEED: u64 = 0xD157_57E0;
 
     /// Creates a context with `parallelism` task slots and the default
     /// cost model (simulated mode only).
@@ -98,11 +99,6 @@ impl StreamingContext {
             rng: Mutex::new(StdRng::seed_from_u64(Self::DEFAULT_SEED)),
             faults: Mutex::new(None),
         })
-    }
-
-    /// Reseeds the straggler RNG (for reproducible experiment replicates).
-    pub fn reseed(&self, seed: u64) {
-        *self.rng.lock() = StdRng::seed_from_u64(seed);
     }
 
     /// The parallelism degree (number of task slots).
@@ -196,8 +192,10 @@ impl StreamingContext {
     /// [`ExecutionMode::Simulated`] the tasks run serially (each timed) and
     /// `wall_secs` is the simulated barrier makespan.
     ///
-    /// A panicking task (genuine or injected via [`FaultPlan`]) is retried
-    /// on its retained input, in both modes, up to
+    /// Inputs are `Copy` views (a [`Stride`](crate::Stride), a `&[T]`, an
+    /// index); `f` borrows the data they point into. A panicking task
+    /// (genuine or injected via [`FaultPlan`]) is retried on the same
+    /// input, in both modes, up to
     /// [`StreamingContext::max_task_failures`] total attempts. Retries
     /// recompute the same pure function over the same input, so they cannot
     /// perturb the computed data — only the reported timings.
@@ -208,7 +206,7 @@ impl StreamingContext {
     /// its permitted attempts.
     pub fn run_tasks<I, O, F>(&self, inputs: Vec<I>, f: F) -> Result<(Vec<O>, StepMetrics)>
     where
-        I: Send + Clone,
+        I: Copy + Send + Sync,
         O: Send,
         F: Fn(usize, I) -> O + Sync,
     {
@@ -268,17 +266,10 @@ impl StreamingContext {
         }
     }
 
-    /// Simulated network seconds for moving `bytes` in `messages` messages.
-    ///
-    /// This and the four charges below are 0.0 in thread mode, whose stored
-    /// cost model is [`SimCostModel::zero`].
-    pub fn network_secs(&self, bytes: u64, messages: u64) -> f64 {
-        let secs = self.cost.network.transfer_secs(bytes, messages);
-        charge_net_telemetry("transfer", bytes, secs);
-        secs
-    }
-
     /// Simulated cost of broadcasting `payload_bytes` to every task slot.
+    ///
+    /// This and the three charges below are 0.0 in thread mode, whose
+    /// stored cost model is [`SimCostModel::zero`].
     pub fn broadcast_secs(&self, payload_bytes: u64) -> f64 {
         let parallelism = self.parallelism();
         let secs = self.cost.broadcast_secs(payload_bytes, parallelism);
@@ -384,7 +375,6 @@ mod tests {
             StreamingContext::with_cost_model(2, ExecutionMode::Threads, SimCostModel::default())
                 .unwrap(),
         ] {
-            assert_eq!(ctx.network_secs(1 << 30, 100), 0.0);
             assert_eq!(ctx.broadcast_secs(1 << 30), 0.0);
             assert_eq!(ctx.shuffle_secs(1 << 30), 0.0);
             assert_eq!(ctx.collect_secs(1 << 30), 0.0);
@@ -423,15 +413,15 @@ mod tests {
     #[test]
     fn network_charges_nonzero_in_simulated_mode() {
         let ctx = StreamingContext::new(2, ExecutionMode::Simulated).unwrap();
-        assert!(ctx.network_secs(1 << 30, 1) > 0.0);
         assert!(ctx.broadcast_secs(1 << 20) > 0.0);
         assert!(ctx.batch_overhead_secs() > 0.0);
     }
 
     #[test]
-    fn reseed_makes_straggler_sequences_reproducible() {
+    fn straggler_sequences_are_reproducible() {
         // Straggler decisions come from the context's seeded RNG; with fixed
-        // task times the inflation pattern must repeat after a reseed.
+        // task times two contexts built alike draw the same inflation
+        // pattern.
         let cost = SimCostModel {
             straggler: Some(crate::netcost::StragglerModel {
                 prob_per_slot: 0.05,
@@ -441,16 +431,15 @@ mod tests {
             }),
             ..SimCostModel::zero()
         };
-        let ctx = StreamingContext::with_cost_model(8, ExecutionMode::Simulated, cost).unwrap();
         let fixed = vec![1.0_f64; 64];
-        ctx.reseed(99);
-        let first = ctx
-            .cost_model()
-            .step_wall_secs(&fixed, 8, &mut ctx.rng.lock());
-        ctx.reseed(99);
-        let second = ctx
-            .cost_model()
-            .step_wall_secs(&fixed, 8, &mut ctx.rng.lock());
+        let draw = || {
+            let ctx = StreamingContext::with_cost_model(8, ExecutionMode::Simulated, cost).unwrap();
+            let drawn = ctx
+                .cost_model()
+                .step_wall_secs(&fixed, 8, &mut ctx.rng.lock());
+            drawn
+        };
+        let (first, second) = (draw(), draw());
         assert_eq!(first, second);
         // And the pattern really contains some inflated tasks.
         assert!(first.0.iter().any(|&t| t > 1.0));

@@ -37,9 +37,11 @@
 //!
 //! // Four parallel tasks each squaring a partition of numbers.
 //! let ctx = StreamingContext::new(4, ExecutionMode::Threads)?;
+//! // Tasks take `Copy` views of their partition, never the data itself.
 //! let parts: Vec<Vec<i64>> = vec![vec![1, 2], vec![3], vec![4, 5], vec![6]];
-//! let (out, metrics) = ctx.run_tasks(parts, |_task, xs| {
-//!     xs.into_iter().map(|x| x * x).collect::<Vec<_>>()
+//! let views: Vec<&[i64]> = parts.iter().map(Vec::as_slice).collect();
+//! let (out, metrics) = ctx.run_tasks(views, |_task, xs| {
+//!     xs.iter().map(|x| x * x).collect::<Vec<_>>()
 //! })?;
 //! assert_eq!(out, vec![vec![1, 4], vec![9], vec![16, 25], vec![36]]);
 //! assert_eq!(metrics.task_count(), 4);
@@ -83,8 +85,8 @@ pub use pool::{
     chunk_size, chunk_strides, split_chunks, TaskPool, CHUNK_OVERPARTITION,
     DEFAULT_MAX_TASK_FAILURES, MIN_CHUNK_SIZE,
 };
-pub use prefetch::{prefetch_batches, PrefetchedBatches, PREFETCH_DEPTH};
+pub use prefetch::{prefetch_batches, PrefetchedBatches};
 pub use reorder::ReorderBuffer;
-pub use sampler::{error_bound, SamplerControl, StratifiedSampler, RATE_ONE_PPM};
+pub use sampler::{error_bound, SamplerControl, StratifiedSampler};
 pub use serving::{SnapshotReader, SnapshotSlot};
 pub use source::{RateStampedSource, RecordSource, RepeatSource, VecSource};

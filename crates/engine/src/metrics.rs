@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 
 /// The paper's straggler criterion: a task is a straggler when its execution
 /// time exceeds 1.2× the step's mean task time (§VII-D2).
-pub const STRAGGLER_FACTOR: f64 = 1.2;
+pub(crate) const STRAGGLER_FACTOR: f64 = 1.2;
 
 /// Timing of one parallel step (a set of tasks separated from the next step
 /// by a synchronization barrier).
@@ -77,7 +77,7 @@ impl StepMetrics {
 
     /// Number of straggler tasks: tasks slower than
     /// [`STRAGGLER_FACTOR`] × the mean task time.
-    pub fn straggler_count(&self) -> usize {
+    pub(crate) fn straggler_count(&self) -> usize {
         let mean = self.mean_task_secs();
         if mean == 0.0 {
             return 0;
@@ -104,7 +104,7 @@ impl StepMetrics {
     /// stragglers even when `wall_secs` far exceeds `max_task_secs`; this
     /// accessor surfaces that hidden overhead. Clamped to `[0, 1]`; 0.0
     /// for an empty or zero-wall step.
-    pub fn overhead_fraction(&self) -> f64 {
+    pub(crate) fn overhead_fraction(&self) -> f64 {
         if self.wall_secs <= 0.0 {
             return 0.0;
         }
@@ -114,7 +114,7 @@ impl StepMetrics {
     /// The step's straggler culprit: the slowest task's index and its skew
     /// ratio (task time / mean task time), when that task crosses the
     /// [`STRAGGLER_FACTOR`] threshold. `None` for uniform or empty steps.
-    pub fn straggler_culprit(&self) -> Option<(usize, f64)> {
+    pub(crate) fn straggler_culprit(&self) -> Option<(usize, f64)> {
         let mean = self.mean_task_secs();
         if mean == 0.0 {
             return None;
@@ -188,7 +188,7 @@ impl BatchMetrics {
     }
 
     /// Straggler tasks across both parallel steps.
-    pub fn straggler_count(&self) -> usize {
+    pub(crate) fn straggler_count(&self) -> usize {
         self.assignment.straggler_count() + self.local.straggler_count()
     }
 

@@ -81,7 +81,7 @@ impl StragglerModel {
     }
 
     /// Applies random slowdowns in place to `task_secs`.
-    pub fn inflate(&self, task_secs: &mut [f64], slots: usize, rng: &mut StdRng) {
+    pub(crate) fn inflate(&self, task_secs: &mut [f64], slots: usize, rng: &mut StdRng) {
         let prob = self.probability(slots);
         for t in task_secs {
             if rng.gen_bool(prob) {
@@ -156,7 +156,7 @@ impl SimCostModel {
     /// Tasks are assigned greedily in submission order to the least-loaded
     /// slot — the dynamic scheduling a Spark executor pool performs. The
     /// makespan is the latest slot finish time, i.e. the barrier wait.
-    pub fn step_wall_secs(
+    pub(crate) fn step_wall_secs(
         &self,
         measured_task_secs: &[f64],
         slots: usize,

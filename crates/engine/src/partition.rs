@@ -2,6 +2,7 @@
 //! hash partitioning and the [`FlatShuffle`] grouping for model-based
 //! parallelism (`group_by_key` / `combine_by_key` are its references).
 
+// lint:allow(nondeterministic-collection) lookup only, never iterated
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::ops::Range;
@@ -364,6 +365,7 @@ where
 {
     assert!(partitions > 0, "partition count must be at least 1");
     // key -> (partition, position within partition)
+    // lint:allow(nondeterministic-collection) lookup only, never iterated
     let mut slots: HashMap<K, (usize, usize)> = HashMap::new();
     let mut out: Vec<Vec<(K, Vec<V>)>> = (0..partitions).map(|_| Vec::new()).collect();
     for (key, value) in pairs {
@@ -489,10 +491,12 @@ where
     assert!(partitions > 0, "partition count must be at least 1");
     let mut stats = CombineStats::default();
     // key -> (partition, position) in the final grouped output.
+    // lint:allow(nondeterministic-collection) lookup only, never iterated
     let mut slots: HashMap<K, (usize, usize)> = HashMap::new();
     let mut out: Vec<Vec<(K, C::Partial)>> = (0..partitions).map(|_| Vec::new()).collect();
     // Scratch for one map partition's local combine; keyed by position so
     // the chunk's first-occurrence order is preserved into the merge.
+    // lint:allow(nondeterministic-collection) lookup only, never iterated
     let mut local_slots: HashMap<K, usize> = HashMap::new();
     let mut local: Vec<(K, C::Partial)> = Vec::new();
     for chunk in map_partitions {
@@ -582,6 +586,7 @@ pub struct Shuffled<'a> {
 /// ```
 #[derive(Debug, Default)]
 pub struct FlatShuffle {
+    // lint:allow(nondeterministic-collection) lookup only, never iterated
     ids: HashMap<(u64, u64), u32, BuildHasherDefault<KeyHasher>>,
     /// Per group id: its partition, its index there, its last map chunk.
     slots: Vec<(usize, usize, u32)>,

@@ -27,17 +27,16 @@ pub const DEFAULT_MAX_TASK_FAILURES: usize = 4;
 /// execution seconds.
 ///
 /// A panicking task is caught at a `catch_unwind` boundary and re-executed
-/// on its retained input, up to [`TaskPool::max_task_failures`] total
-/// attempts (Spark's `spark.task.maxFailures`), before the step surfaces
+/// on the same input, up to [`TaskPool::max_task_failures`] total attempts
+/// (Spark's `spark.task.maxFailures`), before the step surfaces
 /// [`DistStreamError::TaskFailed`]. Because a retry recomputes the same
-/// pure function over the same retained input, retries cannot change any
-/// task's output — replay stays byte-identical across parallelism degrees.
+/// pure function over the same input, retries cannot change any task's
+/// output — replay stays byte-identical across parallelism degrees.
 ///
-/// Retaining means cloning: every attempt but the last permitted one runs
-/// on a clone of the input (hence `I: Clone`), before the task clock
-/// starts. Hand the pool *views* — a [`Stride`], a `&[T]`, an index list —
-/// and let the task closure borrow the data they point into; an input that
-/// owns its records is deep-copied once per task on every fault-free step.
+/// Inputs are `Copy` *views* — a [`Stride`], a `&[T]`, an index — read out
+/// of one shared slice by whichever executor claims the task; the task
+/// closure borrows the data they point into, so a panicking attempt has
+/// nothing of the batch to lose and a retry has nothing to restore.
 ///
 /// # Examples
 ///
@@ -77,7 +76,7 @@ impl TaskPool {
     ///
     /// Returns [`DistStreamError::InvalidConfig`] if `max` is zero (every
     /// task needs at least one attempt).
-    pub fn with_max_task_failures(mut self, max: usize) -> Result<Self> {
+    pub(crate) fn with_max_task_failures(mut self, max: usize) -> Result<Self> {
         self.max_task_failures = positive(max, "max task failures")?;
         Ok(self)
     }
@@ -102,7 +101,7 @@ impl TaskPool {
     /// may not have run.
     pub fn run<I, O, F>(&self, inputs: Vec<I>, f: &F) -> Result<(Vec<O>, Vec<f64>)>
     where
-        I: Send + Clone,
+        I: Copy + Send + Sync,
         O: Send,
         F: Fn(usize, I) -> O + Sync,
     {
@@ -124,7 +123,7 @@ impl TaskPool {
         hook: Option<&(dyn Fn(usize, usize) -> f64 + Sync)>,
     ) -> Result<(Vec<O>, Vec<f64>)>
     where
-        I: Send + Clone,
+        I: Copy + Send + Sync,
         O: Send,
         F: Fn(usize, I) -> O + Sync,
     {
@@ -132,8 +131,6 @@ impl TaskPool {
         if n == 0 {
             return Ok((Vec::new(), Vec::new()));
         }
-        let slots: Vec<Mutex<Option<I>>> =
-            inputs.into_iter().map(|i| Mutex::new(Some(i))).collect();
         let results: Vec<Mutex<Option<(O, f64)>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let cursor = AtomicUsize::new(0);
         let retried = AtomicUsize::new(0);
@@ -142,19 +139,12 @@ impl TaskPool {
         // One executor's claim loop. The caller runs it beside the helpers,
         // so one task (or one thread) spawns none.
         let claim_and_run = || loop {
-            // SeqCst: the claim counter gates which executor owns a task
-            // slot; relaxed ordering here would let a claim race ahead of
-            // the slot handoff it authorizes.
+            // SeqCst: the claim counter gates which executor owns a task's
+            // result slot; relaxed ordering here would let a claim race
+            // ahead of the slot handoff it authorizes.
             let idx = cursor.fetch_add(1, Ordering::SeqCst);
-            if idx >= n {
+            let Some(&input) = inputs.get(idx) else {
                 break;
-            }
-            // fetch_add hands each index to exactly one executor, so the
-            // slot is always full here; skipping instead of panicking turns
-            // an impossible state into a detectable "worker died early"
-            // error at collection time.
-            let Some(input) = slots[idx].lock().take() else {
-                continue;
             };
             match execute_with_retry(idx, input, self.max_task_failures, true, f, hook) {
                 Ok((output, secs, retries)) => {
@@ -365,11 +355,8 @@ impl TaskFailure {
 }
 
 /// Executes one task with the retry protocol shared by both execution
-/// modes: the input is retained (cloned per attempt) until an attempt
-/// succeeds, and only the final permitted attempt consumes it. With the
-/// default budget of four attempts the first — usually only — attempt
-/// always runs on a clone, so the clone is part of every task's fixed cost,
-/// outside its measured seconds.
+/// modes: every attempt runs on the same `Copy` input, so a panic that
+/// unwinds through `f` leaves the next attempt exactly what the first had.
 ///
 /// `sleep_delays` selects how hook-injected straggler seconds are imposed:
 /// thread mode really holds the worker (`true`), simulated mode charges
@@ -377,7 +364,8 @@ impl TaskFailure {
 /// fast.
 ///
 /// On success returns `(output, secs, retries)` where `retries` counts the
-/// failed attempts that preceded the success.
+/// failed attempts that preceded the success. `max_attempts` is at least 1
+/// ([`TaskPool::with_max_task_failures`] rejects zero).
 pub(crate) fn execute_with_retry<I, O, F>(
     idx: usize,
     input: I,
@@ -387,23 +375,11 @@ pub(crate) fn execute_with_retry<I, O, F>(
     hook: Option<&(dyn Fn(usize, usize) -> f64 + Sync)>,
 ) -> std::result::Result<(O, f64, usize), TaskFailure>
 where
-    I: Clone,
+    I: Copy,
     F: Fn(usize, I) -> O,
 {
-    let mut master = Some(input);
-    for attempt in 0..max_attempts {
-        let last = attempt + 1 >= max_attempts;
-        // While retries remain the attempt runs on a clone, so a panic that
-        // unwinds through `f` drops the clone and leaves `master` for the
-        // next attempt; the final permitted attempt moves the original.
-        // The clone costs whatever `I::clone` costs: the core steps pass
-        // views (a `Stride`, a slice of index lists) whose clone is a
-        // pointer copy, and borrow the records from the closure instead —
-        // a panicking attempt cannot take with it what it never owned.
-        let retained = if last { master.take() } else { master.clone() };
-        let Some(attempt_input) = retained else {
-            break;
-        };
+    let mut attempt = 0;
+    loop {
         let start = Instant::now(); // lint:allow(wallclock-entropy) task timing feeds straggler metrics only
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut injected = 0.0;
@@ -413,7 +389,7 @@ where
                     std::thread::sleep(Duration::from_secs_f64(injected));
                 }
             }
-            (f(idx, attempt_input), injected)
+            (f(idx, input), injected)
         }));
         match outcome {
             Ok((output, injected)) => {
@@ -424,24 +400,17 @@ where
                 return Ok((output, secs, attempt));
             }
             Err(payload) => {
-                if last {
+                attempt += 1;
+                if attempt >= max_attempts {
                     return Err(TaskFailure {
                         task: idx,
-                        attempts: attempt + 1,
+                        attempts: attempt,
                         reason: panic_message(payload.as_ref()),
                     });
                 }
             }
         }
     }
-    // Unreachable by construction (the input is only consumed on the final
-    // attempt, which returns either way); kept as a typed error rather than
-    // an assertion so an impossible state cannot take the driver down.
-    Err(TaskFailure {
-        task: idx,
-        attempts: 0,
-        reason: "retry loop made no attempt".into(),
-    })
 }
 
 /// Best-effort extraction of a panic payload's message.

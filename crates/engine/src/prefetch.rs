@@ -38,7 +38,7 @@ use crate::source::RecordSource;
 /// consumed — the classic double buffer. Deeper prefetch would only grow
 /// memory residency; the worker can never be more than one batch ahead of
 /// the critical path anyway.
-pub const PREFETCH_DEPTH: usize = 1;
+pub(crate) const PREFETCH_DEPTH: usize = 1;
 
 /// What the prefetch worker ships to the consumer.
 enum Staged {
@@ -255,7 +255,7 @@ mod tests {
     impl RecordSource for PoisonedSource {
         fn next_record(&mut self) -> Option<Record> {
             if self.yielded == self.panic_at {
-                // lint:allow(no-panic) scripted test fault
+                // lint:allow(panic-path) scripted test fault
                 panic!("poisoned ingest at record {}", self.yielded);
             }
             let i = self.yielded;

@@ -34,7 +34,7 @@ use crate::source::RecordSource;
 
 /// Keep-rates are expressed in parts-per-million; this is the "keep
 /// everything" rate.
-pub const RATE_ONE_PPM: u32 = 1_000_000;
+pub(crate) const RATE_ONE_PPM: u32 = 1_000_000;
 
 /// Shared, lock-free control block between a [`StratifiedSampler`] (the
 /// ingest thread) and the backpressure policy (the driver loop). All
@@ -78,7 +78,7 @@ impl SamplerControl {
     }
 
     /// Sets the keep-rate of `stratum`, clamped to `[0, 1e6]` ppm.
-    pub fn set_rate_ppm(&self, stratum: usize, ppm: u32) {
+    pub(crate) fn set_rate_ppm(&self, stratum: usize, ppm: u32) {
         self.rates_ppm[stratum].store(ppm.min(RATE_ONE_PPM), Ordering::SeqCst);
     }
 
@@ -274,7 +274,7 @@ impl<S: RecordSource> StratifiedSampler<S> {
     /// of the same emerging cluster — land in the same stratum and shedding
     /// can never eliminate a cluster wholesale while its stratum keeps a
     /// positive rate. A dimensionless point falls back to the arrival id.
-    pub fn stratum_of(&self, record: &Record) -> usize {
+    pub(crate) fn stratum_of(&self, record: &Record) -> usize {
         let mut h = Fnv1a::new();
         if record.point.is_empty() {
             h.write(&record.id.to_le_bytes());

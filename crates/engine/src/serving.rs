@@ -106,11 +106,6 @@ impl<T> SnapshotReader<T> {
         }
         self.cached.as_ref().map(|(epoch, value)| (*epoch, value))
     }
-
-    /// The epoch of the cached snapshot, without checking for a newer one.
-    pub fn cached_epoch(&self) -> Option<u64> {
-        self.cached.as_ref().map(|(epoch, _)| *epoch)
-    }
 }
 
 impl<T> Clone for SnapshotReader<T> {
@@ -177,7 +172,7 @@ mod tests {
         slot.publish(2, 20u64);
         assert_eq!(b.current().map(|(e, v)| (e, **v)), Some((2, 20)));
         // `a` is unaffected by `b`'s refresh until it checks for itself.
-        assert_eq!(a.cached_epoch(), Some(1));
+        assert_eq!(a.cached.as_ref().map(|(epoch, _)| *epoch), Some(1));
         assert_eq!(a.current().map(|(e, v)| (e, **v)), Some((2, 20)));
     }
 

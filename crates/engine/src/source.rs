@@ -139,7 +139,11 @@ impl RateStampedSource {
     /// # Panics
     ///
     /// Panics if `records_per_sec` is not strictly positive.
-    pub fn starting_at(points: Vec<LabeledPoint>, records_per_sec: f64, start: Timestamp) -> Self {
+    pub(crate) fn starting_at(
+        points: Vec<LabeledPoint>,
+        records_per_sec: f64,
+        start: Timestamp,
+    ) -> Self {
         assert!(
             records_per_sec > 0.0 && records_per_sec.is_finite(),
             "rate must be positive and finite, got {records_per_sec}"

@@ -15,14 +15,14 @@ use loom::thread;
 
 /// A loom-instrumented replica of `TaskPool::run`'s scheduling core: a
 /// shared `fetch_add` cursor hands each task index to exactly one executor,
-/// which takes the input from its slot and writes the output slot. As in
-/// the pool, the thread that starts the step is one of the executors: it
-/// spawns `WORKERS − 1` helpers and then runs the same claim loop itself.
+/// which reads its `Copy` input out of the shared input slice and writes
+/// the output slot. As in the pool, the thread that starts the step is one
+/// of the executors: it spawns `WORKERS − 1` helpers and then runs the same
+/// claim loop itself.
 ///
 /// Invariants checked on every explored schedule:
-/// - no two executors claim the same index (each input slot is taken once);
-/// - every output slot is written exactly once with the right value;
-/// - executors never observe an already-emptied input slot;
+/// - no two executors claim the same index (each output slot is written
+///   exactly once, with the right value);
 /// - the caller's own claims obey the same rules as a helper's.
 #[test]
 fn claim_protocol_assigns_each_task_to_exactly_one_worker() {
@@ -30,28 +30,22 @@ fn claim_protocol_assigns_each_task_to_exactly_one_worker() {
     const WORKERS: usize = 3;
 
     loom::model(|| {
-        let slots: Arc<Vec<Mutex<Option<usize>>>> =
-            Arc::new((0..TASKS).map(|i| Mutex::new(Some(i))).collect());
+        let inputs: Arc<Vec<usize>> = Arc::new((0..TASKS).collect());
         let results: Arc<Vec<Mutex<Option<usize>>>> =
             Arc::new((0..TASKS).map(|_| Mutex::new(None)).collect());
         let cursor = Arc::new(AtomicUsize::new(0));
 
         let claim_loop = {
-            let slots = Arc::clone(&slots);
+            let inputs = Arc::clone(&inputs);
             let results = Arc::clone(&results);
             let cursor = Arc::clone(&cursor);
             move || loop {
                 let idx = cursor.fetch_add(1, Ordering::SeqCst);
-                if idx >= TASKS {
+                let Some(&input) = inputs.get(idx) else {
                     break;
-                }
-                // The claim above is exclusive, so the slot must still
-                // hold its input when this executor arrives.
-                let input = slots[idx]
-                    .lock()
-                    .unwrap()
-                    .take()
-                    .expect("claimed slot was already emptied by another executor");
+                };
+                // The claim above is exclusive, so nobody else can have
+                // written this task's output.
                 let mut out = results[idx].lock().unwrap();
                 assert!(out.is_none(), "output slot {idx} written twice");
                 *out = Some(input * 10);

@@ -15,7 +15,7 @@ static ANCHOR: OnceLock<Instant> = OnceLock::new();
 ///
 /// The anchor is the first call to this function, so early timestamps are
 /// small; only differences between readings are meaningful.
-pub fn now_ns() -> u64 {
+pub(crate) fn now_ns() -> u64 {
     let anchor = ANCHOR.get_or_init(Instant::now);
     // u64 nanoseconds cover ~584 years of process uptime.
     anchor.elapsed().as_nanos() as u64
@@ -23,13 +23,8 @@ pub fn now_ns() -> u64 {
 
 /// Converts a [`now_ns`] reading (or duration) to microseconds, the unit
 /// used in the JSONL journal.
-pub fn ns_to_us(ns: u64) -> u64 {
+pub(crate) fn ns_to_us(ns: u64) -> u64 {
     ns / 1_000
-}
-
-/// Converts a nanosecond duration to seconds.
-pub fn ns_to_secs(ns: u64) -> f64 {
-    ns as f64 / 1e9
 }
 
 #[cfg(test)]
@@ -46,6 +41,5 @@ mod tests {
     #[test]
     fn unit_conversions() {
         assert_eq!(ns_to_us(1_500), 1);
-        assert!((ns_to_secs(2_000_000_000) - 2.0).abs() < 1e-12);
     }
 }

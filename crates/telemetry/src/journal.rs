@@ -81,7 +81,7 @@ fn json_f64(value: f64) -> String {
 
 impl Event {
     /// Encodes the event as one JSONL line (no trailing newline).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut out = String::with_capacity(96);
         out.push_str("{\"ev\":\"");
         out.push_str(self.kind.as_str());
@@ -186,7 +186,7 @@ fn write_line(sink: &mut Sink, line: &str) -> std::io::Result<()> {
 /// # Errors
 ///
 /// Returns the I/O error if the file cannot be created or written.
-pub fn set_journal_file(path: &Path) -> std::io::Result<()> {
+pub(crate) fn set_journal_file(path: &Path) -> std::io::Result<()> {
     let file = File::create(path)?;
     let mut writer = BufWriter::new(file);
     writer.write_all(
@@ -202,7 +202,7 @@ pub fn set_journal_file(path: &Path) -> std::io::Result<()> {
 }
 
 /// Installs an in-memory capture sink (tests). Captured events are
-/// retrieved with [`take_events`].
+/// returned by [`close_journal`].
 pub fn set_journal_capture() {
     with_journal(|j| {
         j.sink = Some(Sink::Memory(Vec::new()));
@@ -246,15 +246,6 @@ pub fn close_journal() -> Vec<Event> {
 #[cfg(test)]
 pub(crate) fn force_write_errors(count: u64) {
     with_journal(|j| j.write_errors += count);
-}
-
-/// Takes every event captured so far by an in-memory sink without closing
-/// it. Returns an empty vector for file sinks or when no sink is installed.
-pub fn take_events() -> Vec<Event> {
-    with_journal(|j| match &mut j.sink {
-        Some(Sink::Memory(events)) => std::mem::take(events),
-        _ => Vec::new(),
-    })
 }
 
 /// Number of events drained while no sink was installed, plus write errors

@@ -40,8 +40,8 @@ pub mod names;
 pub mod span;
 
 pub use journal::{
-    barrier_drain, close_journal, dropped_events, set_journal_capture, set_journal_file,
-    take_events, Event, EventKind, JOURNAL_VERSION,
+    barrier_drain, close_journal, dropped_events, set_journal_capture, Event, EventKind,
+    JOURNAL_VERSION,
 };
 pub use metrics::{
     counter, expose, gauge, histogram, interpolate_quantile, summary_rows, Counter, Gauge,
@@ -57,7 +57,7 @@ pub use span::{emit_point, enabled, open_span, set_enabled, SpanGuard};
 /// Returns the I/O error if the journal file cannot be created; tracing is
 /// left disabled in that case.
 pub fn start_file_session(path: &std::path::Path) -> std::io::Result<()> {
-    set_journal_file(path)?;
+    journal::set_journal_file(path)?;
     set_enabled(true);
     Ok(())
 }

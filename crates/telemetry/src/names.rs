@@ -54,8 +54,9 @@ pub const SPAN_REBALANCE: &str = "rebalance";
 /// Serving-snapshot publish at a batch boundary (encode + swap).
 pub const SPAN_SNAPSHOT_PUBLISH: &str = "snapshot_publish";
 
-/// Every span name, for conformance checks and journal validators.
-pub const ALL_SPANS: &[&str] = &[
+/// Every span name, for this crate's conformance tests.
+#[cfg(test)]
+const ALL_SPANS: &[&str] = &[
     SPAN_BATCH,
     SPAN_ASSIGNMENT,
     SPAN_LOCAL_UPDATE,
@@ -95,7 +96,8 @@ pub const FIELD_ASSIGN_DRIVER_SECS: &str = "assign_driver_secs";
 pub const FIELD_LOCAL_DRIVER_SECS: &str = "local_driver_secs";
 
 /// Every point-event name.
-pub const ALL_POINTS: &[&str] = &[
+#[cfg(test)]
+const ALL_POINTS: &[&str] = &[
     POINT_BATCH_SUMMARY,
     POINT_RECORD_LATENCY,
     POINT_TASK_DURATION,
@@ -152,11 +154,12 @@ pub const METRIC_BATCHES_SKIPPED_TOTAL: &str = "diststream_batches_skipped_total
 /// Counter: corrupt checkpoint frames skipped during recovery.
 pub const METRIC_CHECKPOINT_FALLBACKS_TOTAL: &str = "diststream_checkpoint_fallbacks_total";
 /// Counter: metric registrations rejected for a name/type conflict.
-pub const METRIC_NAME_CONFLICTS_TOTAL: &str = "diststream_telemetry_name_conflicts_total";
+pub(crate) const METRIC_NAME_CONFLICTS_TOTAL: &str = "diststream_telemetry_name_conflicts_total";
 /// Histogram: event-time to model-integration latency per record, seconds.
 pub const METRIC_RECORD_LATENCY_SECS: &str = "diststream_record_latency_secs";
 /// Counter: journal events lost to a missing sink or swallowed write errors.
-pub const METRIC_JOURNAL_EVENTS_DROPPED_TOTAL: &str = "diststream_journal_events_dropped_total";
+pub(crate) const METRIC_JOURNAL_EVENTS_DROPPED_TOTAL: &str =
+    "diststream_journal_events_dropped_total";
 /// Counter (label `strategy`): shuffle bytes charged per distribution
 /// strategy.
 pub const METRIC_STRATEGY_SHUFFLE_BYTES_TOTAL: &str = "diststream_strategy_shuffle_bytes_total";
@@ -191,7 +194,8 @@ pub const METRIC_SERVING_PREDICTS_TOTAL: &str = "diststream_serving_predicts_tot
 pub const METRIC_SERVING_EPOCH: &str = "diststream_serving_epoch";
 
 /// Every metric base name.
-pub const ALL_METRICS: &[&str] = &[
+#[cfg(test)]
+const ALL_METRICS: &[&str] = &[
     METRIC_BATCHES_TOTAL,
     METRIC_RECORDS_TOTAL,
     METRIC_BROADCAST_BYTES_TOTAL,
@@ -239,7 +243,7 @@ pub const ALL_METRICS: &[&str] = &[
 /// the source of truth for humans; this table mirrors them at runtime so the
 /// exposition endpoint can emit `# HELP` lines (doc comments are not
 /// available to the compiled binary). A test below pins full coverage.
-pub const METRIC_HELP: &[(&str, &str)] = &[
+pub(crate) const METRIC_HELP: &[(&str, &str)] = &[
     (METRIC_BATCHES_TOTAL, "Mini-batches completed"),
     (METRIC_RECORDS_TOTAL, "Records folded into the model"),
     (
@@ -405,18 +409,21 @@ pub fn help(name: &str) -> Option<&'static str> {
 }
 
 /// Whether `name` is a cataloged span name.
-pub fn is_span(name: &str) -> bool {
+#[cfg(test)]
+fn is_span(name: &str) -> bool {
     ALL_SPANS.contains(&name)
 }
 
 /// Whether `name` is a cataloged point-event name.
-pub fn is_point(name: &str) -> bool {
+#[cfg(test)]
+fn is_point(name: &str) -> bool {
     ALL_POINTS.contains(&name)
 }
 
 /// Whether `name` — with any `{label="…"}` suffix stripped — is a cataloged
 /// metric base name.
-pub fn is_metric(name: &str) -> bool {
+#[cfg(test)]
+fn is_metric(name: &str) -> bool {
     let base = match name.find('{') {
         Some(idx) => &name[..idx],
         None => name,

@@ -95,7 +95,7 @@ struct SpanRecord {
 }
 
 /// Flushes the calling thread's buffer into the journal's pending queue.
-pub fn flush_thread() {
+pub(crate) fn flush_thread() {
     BUFFER.with(|b| {
         if let Ok(mut buffer) = b.try_borrow_mut() {
             let mut events = std::mem::take(&mut buffer.events);

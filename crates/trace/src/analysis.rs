@@ -149,7 +149,7 @@ impl BatchProfile {
     /// steps race the overlapped global update; the longer arm is on the
     /// path (ties go to the parallel arm, matching
     /// `BatchMetrics::total_secs`), overhead always follows.
-    pub fn critical_path(&self) -> Vec<Segment> {
+    pub(crate) fn critical_path(&self) -> Vec<Segment> {
         let seg = |phase, secs| Segment { phase, secs };
         if !self.async_overlap {
             return vec![

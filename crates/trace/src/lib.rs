@@ -36,5 +36,8 @@ pub use analysis::{
     Segment,
 };
 pub use diff::{attribute_regression, diff_blame, PhaseDelta};
-pub use parse::{parse_journal, parse_journal_file, EventKind, Journal, ParseError, TraceEvent};
-pub use whatif::{lpt_makespan, predict, WhatIf};
+pub use parse::{
+    parse_flat_object, parse_journal, parse_journal_file, EventKind, Journal, ParseError,
+    TraceEvent, Value,
+};
+pub use whatif::{predict, WhatIf};

@@ -7,8 +7,9 @@
 //! subset (string / number / null values, no nesting), so the crate needs
 //! no JSON dependency.
 //!
-//! Unlike `xtask check-trace` — which validates structure and reports every
-//! defect — this parser is a consumer: it requires the meta line and a
+//! Unlike `xtask check-trace` — which reads lines through the same
+//! [`parse_flat_object`], validates structure and reports every defect —
+//! [`parse_journal`] is a consumer: it requires the meta line and a
 //! supported version, errors on lines it cannot parse, and skips event
 //! kinds it does not know (forward compatibility with future journal
 //! additions).
@@ -236,21 +237,26 @@ pub fn parse_journal(contents: &str) -> Result<Journal, ParseError> {
 
 /// A minimal JSON scalar — everything the journal encoder can emit.
 #[derive(Debug, Clone, PartialEq)]
-enum Value {
+pub enum Value {
+    /// A string.
     Str(String),
+    /// A number.
     Num(f64),
+    /// `null` (how the encoder journals a non-finite number).
     Null,
 }
 
 impl Value {
-    fn as_str(&self) -> Option<&str> {
+    /// The string, `None` for anything else.
+    pub fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
             _ => None,
         }
     }
 
-    fn as_num(&self) -> Option<f64> {
+    /// The number, `None` for anything else.
+    pub fn as_num(&self) -> Option<f64> {
         match self {
             Value::Num(n) => Some(*n),
             _ => None,
@@ -258,8 +264,14 @@ impl Value {
     }
 }
 
-/// Parses one flat JSON object (`{"key":value,...}`) with scalar values.
-fn parse_flat_object(line: &str) -> Result<Vec<(String, Value)>, String> {
+/// Parses one journal line: a flat JSON object (`{"key":value,...}`) with
+/// scalar values, fields in file order. The only journal line parser in the
+/// workspace — `xtask check-trace` validates through it too.
+///
+/// # Errors
+///
+/// Returns what is malformed and at which byte.
+pub fn parse_flat_object(line: &str) -> Result<Vec<(String, Value)>, String> {
     let src = line.trim();
     let mut chars = src.char_indices().peekable();
     let mut fields = Vec::new();
@@ -438,6 +450,18 @@ mod tests {
 
         let e = parse_journal("").expect_err("empty");
         assert!(e.message.contains("empty"), "{e}");
+    }
+
+    #[test]
+    fn line_parser_handles_escapes_null_and_rejects_garbage() {
+        let fields =
+            parse_flat_object("{\"a\":\"x\\\"y\",\"b\":-1.5e3,\"c\":null}").expect("parses");
+        assert_eq!(fields[0].1, Value::Str("x\"y".to_string()));
+        assert_eq!(fields[1].1, Value::Num(-1500.0));
+        assert_eq!(fields[2].1, Value::Null);
+        assert!(parse_flat_object("{\"a\":[1]}").is_err());
+        assert!(parse_flat_object("{\"a\":1").is_err());
+        assert!(parse_flat_object("not json").is_err());
     }
 
     #[test]

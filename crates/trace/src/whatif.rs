@@ -49,7 +49,7 @@ pub struct WhatIf {
 /// `slots` executor slots. Deterministic: equal durations tie-break by
 /// their position after a stable sort, and the earliest-finishing slot
 /// wins ties by index.
-pub fn lpt_makespan(tasks: &[f64], slots: usize) -> f64 {
+pub(crate) fn lpt_makespan(tasks: &[f64], slots: usize) -> f64 {
     if tasks.is_empty() || slots == 0 {
         return 0.0;
     }
@@ -88,7 +88,7 @@ fn step_prediction(tasks: &[f64], recorded_wall: f64, p_run: usize, p_prime: usi
 }
 
 /// Predicted wall seconds of one batch at `p_prime`.
-pub fn predict_batch(batch: &BatchProfile, p_prime: usize) -> f64 {
+pub(crate) fn predict_batch(batch: &BatchProfile, p_prime: usize) -> f64 {
     let p_run = if batch.parallelism > 0 {
         batch.parallelism
     } else {

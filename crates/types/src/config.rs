@@ -38,11 +38,11 @@ pub struct ClusteringConfig {
 
 impl ClusteringConfig {
     /// Paper-default decay base `β = 2^{0.25} ≈ 1.19` (§VII intro).
-    pub const DEFAULT_BETA: f64 = 1.189_207_115_002_721; // 2^0.25
+    pub(crate) const DEFAULT_BETA: f64 = 1.189_207_115_002_721; // 2^0.25
     /// Paper-default impact threshold `α = 0.01` (§IV-D example).
-    pub const DEFAULT_ALPHA: f64 = 0.01;
+    pub(crate) const DEFAULT_ALPHA: f64 = 0.01;
     /// Paper-default batch window of 10 virtual seconds (§VII-B1).
-    pub const DEFAULT_BATCH_SECS: f64 = 10.0;
+    pub(crate) const DEFAULT_BATCH_SECS: f64 = 10.0;
 
     /// Starts building a configuration.
     pub fn builder() -> ClusteringConfigBuilder {

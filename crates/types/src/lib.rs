@@ -41,7 +41,7 @@ pub use config::ClusteringConfig;
 pub use error::DistStreamError;
 pub use point::{
     lane_squared_distance, lane_squared_distance_bounded, lane_squared_distance_scaled,
-    lane_squared_norm, Point, REDUCE_LANES,
+    lane_squared_norm, Point,
 };
 pub use record::{ClassId, Record, RecordId, Timestamp};
 pub use stream::{LabeledPoint, StreamSummary};

@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// LLVM autovectorizes while staying bit-identical to the "naive"
 /// [`Point::distance`] scans it replaces: both sides are the *same*
 /// floating-point expression, not merely algebraically equal ones.
-pub const REDUCE_LANES: usize = 4;
+pub(crate) const REDUCE_LANES: usize = 4;
 
 /// Combines the four reduction lanes in the one canonical order.
 #[inline]

@@ -1,178 +1,135 @@
-//! Fixture-file tests for the analyze rule families.
+//! Fixture-file tests for the rule table.
 //!
 //! Each rule has a directory under `crates/xtask/fixtures/<rule>/` with
 //! three files: `firing.rs` (the rule must flag it), `clean.rs` (the rule
 //! must accept it), and `allowed.rs` (a violation suppressed by an inline
 //! `// lint:allow(<rule>)` escape). Keeping the cases on disk instead of
-//! inline strings makes the rule semantics reviewable as real code and
-//! exercises the same lex/strip/allow pipeline production files go
-//! through. The golden SARIF snapshot lives here too: regenerate it with
-//! `REGEN_GOLDEN=1 cargo test -p xtask sarif_matches_golden`.
+//! inline strings makes the rule semantics reviewable as real code, and
+//! every case goes through [`Rule::run`] — the same lex/strip/scope/allow
+//! path production files go through, with no per-rule dispatch here.
 
 use std::path::Path;
 
-use crate::analyze::{self, Finding, NameDef, NameKind};
-use crate::lexer::{inline_allows, lex, strip_test_code};
-use crate::sarif;
+use crate::rules::{self, Context, Finding, NameDef, NameKind, Rule, RULES};
 use crate::workspace::SourceFile;
 
-/// Loads a fixture as a `SourceFile`, scoped under `rel` so path-scoped
-/// rules (panic-path, index-in-hot-path) apply.
-fn fixture(rule: &str, case: &str, rel: &str) -> SourceFile {
+/// Loads a rule's fixture `case` as a file of a crate every rule has in
+/// scope.
+fn fixture(rule: &Rule, case: &str) -> SourceFile {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("fixtures")
-        .join(rule)
+        .join(rule.name)
         .join(format!("{case}.rs"));
     let source = std::fs::read_to_string(&path)
         .unwrap_or_else(|err| panic!("cannot read fixture {}: {err}", path.display()));
-    SourceFile {
-        rel: rel.to_string(),
-        source: source.clone(),
-        tokens: strip_test_code(&lex(&source)),
-        allows: inline_allows(&source),
-    }
+    SourceFile::new("crates/algorithms/src/fixture.rs".into(), source)
 }
 
-/// A small synthetic catalog for the telemetry fixtures.
-fn names_catalog() -> Vec<NameDef> {
-    vec![
-        NameDef {
-            const_name: "SPAN_BATCH".into(),
-            value: "batch".into(),
-            line: 1,
-            kind: NameKind::Span,
-        },
-        NameDef {
-            const_name: "METRIC_BATCHES_TOTAL".into(),
-            value: "diststream_batches_total".into(),
-            line: 2,
-            kind: NameKind::Metric,
-        },
-    ]
+/// Runs `rule` over `file` against a small synthetic name catalog.
+fn run(rule: &Rule, file: &SourceFile) -> Vec<Finding> {
+    let def = |const_name: &str, value: &str, kind| NameDef {
+        const_name: const_name.into(),
+        value: value.into(),
+        line: 1,
+        kind,
+    };
+    let names = [
+        def("SPAN_BATCH", "batch", NameKind::Span),
+        def(
+            "METRIC_BATCHES_TOTAL",
+            "diststream_batches_total",
+            NameKind::Metric,
+        ),
+    ];
+    let ctx = Context {
+        files: std::slice::from_ref(file),
+        names: &names,
+    };
+    rule.run(file, &ctx)
 }
-
-/// Runs one rule's check over a fixture and returns its findings.
-fn run_rule(rule: &str, case: &str) -> Vec<Finding> {
-    let rel = "crates/algorithms/src/fixture.rs";
-    let file = fixture(rule, case, rel);
-    let mut findings = Vec::new();
-    match rule {
-        "panic-path" => analyze::check_panic_path(&file, &mut findings),
-        "index-in-hot-path" => analyze::check_index_in_hot_path(&file, &mut findings),
-        "determinism-dataflow" => analyze::check_determinism_dataflow(&file, &mut findings),
-        "guard-across-boundary" => analyze::check_guard_across_boundary(&file, &mut findings),
-        "ignored-result" => analyze::check_ignored_result(&file, &mut findings),
-        "unsafe-without-safety-comment" => {
-            analyze::check_unsafe_safety_comment(&file, &mut findings)
-        }
-        "telemetry-names" => {
-            let mut used = std::collections::BTreeSet::new();
-            analyze::check_telemetry_names(&file, &names_catalog(), &mut used, &mut findings);
-        }
-        other => panic!("no fixture harness for rule `{other}`"),
-    }
-    findings
-}
-
-const RULES: [&str; 7] = [
-    "panic-path",
-    "index-in-hot-path",
-    "determinism-dataflow",
-    "guard-across-boundary",
-    "ignored-result",
-    "unsafe-without-safety-comment",
-    "telemetry-names",
-];
 
 #[test]
-fn firing_fixtures_fire() {
-    for rule in RULES {
-        let findings = run_rule(rule, "firing");
+fn firing_fixtures_fire_with_real_lines_under_their_own_name() {
+    for rule in &RULES {
+        let findings = run(rule, &fixture(rule, "firing"));
         assert!(
             !findings.is_empty(),
-            "`{rule}` did not flag fixtures/{rule}/firing.rs"
+            "`{0}` did not flag fixtures/{0}/firing.rs",
+            rule.name
         );
-        assert!(
-            findings.iter().all(|f| f.rule == rule),
-            "`{rule}` produced findings under another rule name: {findings:?}"
-        );
+        for f in findings {
+            assert_eq!(f.rule, rule.name);
+            assert!(f.line > 0 && !f.message.is_empty(), "{f:?}");
+        }
     }
 }
 
 #[test]
 fn clean_fixtures_stay_clean() {
-    for rule in RULES {
-        let findings = run_rule(rule, "clean");
+    for rule in &RULES {
+        let findings = run(rule, &fixture(rule, "clean"));
         assert!(
             findings.is_empty(),
-            "`{rule}` flagged fixtures/{rule}/clean.rs: {findings:?}"
+            "`{0}` flagged fixtures/{0}/clean.rs: {findings:?}",
+            rule.name
         );
     }
 }
 
 #[test]
-fn allowed_fixtures_are_suppressed() {
-    for rule in RULES {
-        let findings = run_rule(rule, "allowed");
+fn allowed_fixtures_are_suppressed_by_the_inline_allow_alone() {
+    for rule in &RULES {
+        let mut file = fixture(rule, "allowed");
+        let findings = run(rule, &file);
         assert!(
             findings.is_empty(),
-            "inline allow did not suppress `{rule}` in fixtures/{rule}/allowed.rs: {findings:?}"
+            "inline allow did not suppress `{0}` in fixtures/{0}/allowed.rs: {findings:?}",
+            rule.name
+        );
+        // Without its allow comments the same file fires: the comment, not
+        // the code, is what kept it quiet.
+        file.allows.clear();
+        assert!(
+            !run(rule, &file).is_empty(),
+            "fixtures/{}/allowed.rs holds no violation to allow",
+            rule.name
         );
     }
 }
 
+/// The fixture directories are exactly the table: no rule without cases,
+/// no cases for a rule that is gone.
 #[test]
-fn firing_fixtures_report_real_lines() {
-    for rule in RULES {
-        for finding in run_rule(rule, "firing") {
-            assert!(finding.line > 0, "`{rule}` reported line 0");
-            assert!(
-                !finding.message.is_empty(),
-                "`{rule}` reported empty message"
-            );
-        }
-    }
+fn every_rule_has_fixtures_and_every_fixture_has_a_rule() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
+    let mut on_disk: Vec<String> = std::fs::read_dir(&dir)
+        .expect("fixtures directory")
+        .map(|entry| {
+            entry
+                .expect("entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    on_disk.sort();
+    let mut in_table: Vec<&str> = RULES.iter().map(|r| r.name).collect();
+    in_table.sort_unstable();
+    assert_eq!(on_disk, in_table);
 }
 
-/// The findings snapshotted in `fixtures/golden.sarif` — a representative
-/// pair covering two rules, sorted the way `analyze::run` sorts.
-fn golden_findings() -> Vec<Finding> {
-    vec![
-        Finding {
-            rule: "panic-path".into(),
-            path: "crates/algorithms/src/clustream.rs".into(),
-            line: 42,
-            message: "`.unwrap()` on a shipping path; return a typed DistStreamError".into(),
-        },
-        Finding {
-            rule: "telemetry-names".into(),
-            path: "crates/engine/src/driver.rs".into(),
-            line: 101,
-            message: "Span name \"bacth\" does not resolve against \
-                      crates/telemetry/src/names.rs; add it to the catalog or fix the typo"
-                .into(),
-        },
-    ]
-}
-
+/// `xtask rules` prints the whole table: one unindented name line per
+/// entry, in table order, each followed by its indented rationale.
 #[test]
-fn sarif_matches_golden_snapshot() {
-    let text = sarif::to_sarif(&golden_findings());
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/golden.sarif");
-    if std::env::var("REGEN_GOLDEN").is_ok() {
-        std::fs::write(&path, &text).expect("write golden snapshot");
+fn rules_subcommand_lists_exactly_the_table() {
+    let text = rules::catalog_text();
+    let listed: Vec<&str> = text
+        .lines()
+        .filter(|line| !line.is_empty() && !line.starts_with(' '))
+        .collect();
+    let in_table: Vec<&str> = RULES.iter().map(|r| r.name).collect();
+    assert_eq!(listed, in_table);
+    for rule in &RULES {
+        assert!(text.contains(&format!("{}\n    {}", rule.name, rule.rationale)));
     }
-    let golden = std::fs::read_to_string(&path)
-        .expect("fixtures/golden.sarif missing; run REGEN_GOLDEN=1 cargo test -p xtask");
-    assert_eq!(
-        text, golden,
-        "SARIF emission drifted from fixtures/golden.sarif; if intentional, regenerate \
-         with REGEN_GOLDEN=1 cargo test -p xtask sarif_matches_golden"
-    );
-    // The snapshot must also stay valid JSON with the SARIF envelope.
-    let doc = crate::json::parse(&golden).expect("golden snapshot parses as JSON");
-    assert_eq!(
-        doc.get("version").and_then(crate::json::Json::as_str),
-        Some("2.1.0")
-    );
 }

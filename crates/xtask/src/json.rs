@@ -1,9 +1,10 @@
 //! A minimal recursive-descent JSON parser for `xtask bench-check`.
 //!
-//! `BENCH_BASELINE.json` nests an array of entry objects, so the flat-object
-//! parser in `trace_check` is not enough. This is still a deliberate subset
-//! of JSON — objects, arrays, strings, numbers, booleans, null — with no
-//! streaming and no serde dependency (xtask has none by design).
+//! `BENCH_BASELINE.json` nests an array of entry objects, so the journal's
+//! flat-object parser (`diststream_trace::parse_flat_object`) is not enough.
+//! This is still a deliberate subset of JSON — objects, arrays, strings,
+//! numbers, booleans, null — with no streaming and no serde dependency
+//! (xtask has none by design).
 
 use std::collections::BTreeMap;
 
@@ -51,93 +52,6 @@ impl Json {
             _ => None,
         }
     }
-}
-
-/// Serializes a value to pretty-printed JSON with two-space indentation.
-///
-/// Object keys emit in `BTreeMap` order (sorted), so the output is
-/// byte-stable across runs — the SARIF golden-snapshot test depends on
-/// this. Numbers print integers without a fraction (`3`, not `3.0`).
-pub fn emit(value: &Json) -> String {
-    let mut out = String::new();
-    emit_into(value, 0, &mut out);
-    out.push('\n');
-    out
-}
-
-fn emit_into(value: &Json, indent: usize, out: &mut String) {
-    match value {
-        Json::Null => out.push_str("null"),
-        Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Json::Num(n) => {
-            if n.fract() == 0.0 && n.abs() < 9.0e15 {
-                out.push_str(&format!("{}", *n as i64));
-            } else {
-                out.push_str(&format!("{n}"));
-            }
-        }
-        Json::Str(s) => emit_string(s, out),
-        Json::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('\n');
-                push_indent(indent + 1, out);
-                emit_into(item, indent + 1, out);
-            }
-            out.push('\n');
-            push_indent(indent, out);
-            out.push(']');
-        }
-        Json::Object(map) => {
-            if map.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (key, item)) in map.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('\n');
-                push_indent(indent + 1, out);
-                emit_string(key, out);
-                out.push_str(": ");
-                emit_into(item, indent + 1, out);
-            }
-            out.push('\n');
-            push_indent(indent, out);
-            out.push('}');
-        }
-    }
-}
-
-fn push_indent(indent: usize, out: &mut String) {
-    for _ in 0..indent {
-        out.push_str("  ");
-    }
-}
-
-fn emit_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Parses a complete JSON document (trailing whitespace allowed).
@@ -364,27 +278,6 @@ mod tests {
         );
         assert_eq!(parse("[]").unwrap(), Json::Array(vec![]));
         assert_eq!(parse("{}").unwrap(), Json::Object(BTreeMap::new()));
-    }
-
-    #[test]
-    fn emit_round_trips_and_sorts_keys() {
-        let doc = parse(r#"{"z": [1, 2.5], "a": {"nested": true, "s": "x\"y"}, "n": null}"#)
-            .expect("parse");
-        let text = emit(&doc);
-        // Keys sorted, integers without fraction, stable across a re-parse.
-        assert!(text.find("\"a\"").unwrap() < text.find("\"z\"").unwrap());
-        assert!(text.contains("\n    1,"));
-        assert!(text.contains("2.5"));
-        assert_eq!(parse(&text).expect("re-parse"), doc);
-        assert_eq!(emit(&parse(&text).expect("re-parse")), text);
-    }
-
-    #[test]
-    fn emit_empty_containers_stay_inline() {
-        let doc = parse(r#"{"a": [], "b": {}}"#).expect("parse");
-        let text = emit(&doc);
-        assert!(text.contains("\"a\": []"));
-        assert!(text.contains("\"b\": {}"));
     }
 
     #[test]

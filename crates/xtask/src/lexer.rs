@@ -1,4 +1,4 @@
-//! A minimal Rust lexer for the lint and analyze passes.
+//! A minimal Rust lexer for the `analyze` and `loc` passes.
 //!
 //! The build environment has no crates.io access, so the passes cannot
 //! use `syn`; instead they tokenize source text directly. The lexer strips
@@ -177,7 +177,13 @@ pub fn lex(source: &str) -> Vec<Token> {
 fn skip_string(chars: &[char], mut i: usize, line: &mut u32, _hashes: usize) -> usize {
     while i < chars.len() {
         match chars[i] {
-            '\\' => i += 2,
+            '\\' => {
+                // An escaped newline (a `\`-continued literal) still ends a line.
+                if chars.get(i + 1) == Some(&'\n') {
+                    *line += 1;
+                }
+                i += 2;
+            }
             '\n' => {
                 *line += 1;
                 i += 1;
@@ -388,6 +394,17 @@ mod tests {
         assert_eq!(lines, vec![1, 2, 4]);
     }
 
+    /// Regression: a `\`-continued string literal used to swallow its
+    /// newline uncounted, shifting every later token — and every inline
+    /// allow below it — up by one line.
+    #[test]
+    fn continued_string_literals_keep_the_line_count() {
+        let toks = lex("f(\"a \\\n   b\");\nafter");
+        let after = toks.last().expect("tokens");
+        assert_eq!(after.tok, Tok::Ident("after".into()));
+        assert_eq!(after.line, 3);
+    }
+
     #[test]
     fn test_mod_is_stripped() {
         let src = r#"
@@ -421,12 +438,12 @@ mod tests {
 
     #[test]
     fn inline_allow_parsing() {
-        let src = "let x = 1; // lint:allow(no-panic) justification text\nplain line\n// lint:allow(wallclock-entropy)\n";
+        let src = "let x = 1; // lint:allow(panic-path) justification text\nplain line\n// lint:allow(wallclock-entropy)\n";
         let allows = inline_allows(src);
         assert_eq!(
             allows,
             vec![
-                (1, "no-panic".to_string()),
+                (1, "panic-path".to_string()),
                 (3, "wallclock-entropy".to_string())
             ]
         );

@@ -1,6 +1,6 @@
 //! `xtask loc`: the size report committed as `LOC.txt`.
 //!
-//! Per crate under `crates/`, over the same files the lint pass loads:
+//! Per crate under `crates/`, over the same files `analyze` loads:
 //! source files, non-test lines, and `pub` items. A file's non-test lines
 //! are the lines above its first `#[cfg(test)]`-gated inline module
 //! (`#[cfg(test)]` directly followed by `mod … {`), or all of them when it
@@ -97,15 +97,9 @@ pub fn run(root: &Path, check: bool) -> Result<bool, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer;
 
     fn file(source: &str) -> SourceFile {
-        SourceFile {
-            rel: "crates/demo/src/lib.rs".into(),
-            source: source.into(),
-            tokens: lexer::strip_test_code(&lexer::lex(source)),
-            allows: Vec::new(),
-        }
+        SourceFile::new("crates/demo/src/lib.rs".into(), source.into())
     }
 
     #[test]

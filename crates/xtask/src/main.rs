@@ -1,21 +1,14 @@
 //! Workspace automation tasks.
 //!
 //! `cargo run -p xtask -- analyze` walks every shipping `.rs` file under
-//! `crates/*/src` once and runs the determinism lint catalog in `rules.rs`
-//! *plus* the seven flow-aware rule families (determinism-dataflow,
-//! panic-path, index-in-hot-path, telemetry-names, guard-across-boundary,
-//! ignored-result, unsafe-without-safety-comment), printing
-//! `file:line: [rule] message` diagnostics and exiting nonzero on any
-//! finding. Escape hatches for the catalog, in order of preference:
-//!
-//! 1. fix the code;
-//! 2. `// lint:allow(<rule>) <why>` on the offending or preceding line;
-//! 3. a repo-relative path in `crates/xtask/allow/<rule>.txt`.
-//!
-//! `--sarif <path>` writes a SARIF 2.1 log of the active findings;
-//! `--update-baseline` regenerates `crates/xtask/analyze-baseline.txt` for
-//! the baseline-gated audits. `cargo run -p xtask -- rules` prints the
-//! catalog. See DESIGN.md §7.
+//! `crates/*/src` once and runs the rule table in `rules.rs` over it,
+//! printing `file:line: [rule] message` diagnostics and exiting nonzero on
+//! any finding. A finding goes away by fixing the code, or by a
+//! `// lint:allow(<rule>) <why>` on the offending or preceding line; the
+//! two audit rules are also counted per file against the committed
+//! `crates/xtask/analyze-baseline.txt`, which `--update-baseline`
+//! regenerates. `cargo run -p xtask -- rules` prints the table. See
+//! DESIGN.md §7.
 //!
 //! `cargo run -p xtask -- check-trace <journal.jsonl>` validates a
 //! telemetry span journal produced with `--trace-out`: schema version,
@@ -45,9 +38,7 @@ mod fixture_tests;
 mod json;
 mod lexer;
 mod loc;
-mod parser;
 mod rules;
-mod sarif;
 mod trace_analyze;
 mod trace_check;
 mod workspace;
@@ -60,20 +51,17 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("analyze") => match parse_analyze_args(&args[1..]) {
-            Ok((root, opts)) => run_analyze(&root, &opts),
+            Ok((root, update_baseline)) => run_analyze(&root, update_baseline),
             Err(msg) => {
                 eprintln!("xtask analyze: {msg}");
                 eprintln!(
-                    "usage: cargo run -p xtask -- analyze [--root <path>] [--sarif <out.sarif>] \
-                     [--update-baseline]"
+                    "usage: cargo run -p xtask -- analyze [--root <path>] [--update-baseline]"
                 );
                 ExitCode::FAILURE
             }
         },
         Some("rules") => {
-            for rule in rules::catalog() {
-                println!("{}\n    {}\n", rule.name, rule.rationale);
-            }
+            print!("{}", rules::catalog_text());
             ExitCode::SUCCESS
         }
         Some("check-trace") => match args.get(1) {
@@ -148,7 +136,7 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: cargo run -p xtask -- \
                  <analyze|rules|check-trace|trace-analyze|bench-check|loc> \
-                 [--root <path>] [--sarif <out.sarif>] [--update-baseline] [--quick] [--check] \
+                 [--root <path>] [--update-baseline] [--quick] [--check] \
                  [--baseline <journal>] [--what-if p=8,16] [--chrome-out <f>] \
                  [--blame-out <f>] [<journal.jsonl>]"
             );
@@ -205,12 +193,9 @@ fn default_root() -> Result<PathBuf, String> {
         .unwrap_or_else(|| PathBuf::from(".")))
 }
 
-fn parse_analyze_args(args: &[String]) -> Result<(PathBuf, analyze::Options), String> {
+fn parse_analyze_args(args: &[String]) -> Result<(PathBuf, bool), String> {
     let mut root: Option<PathBuf> = None;
-    let mut opts = analyze::Options {
-        sarif_out: None,
-        update_baseline: false,
-    };
+    let mut update_baseline = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -218,11 +203,7 @@ fn parse_analyze_args(args: &[String]) -> Result<(PathBuf, analyze::Options), St
                 let path = it.next().ok_or("--root requires a path argument")?;
                 root = Some(PathBuf::from(path));
             }
-            "--sarif" => {
-                let path = it.next().ok_or("--sarif requires a path argument")?;
-                opts.sarif_out = Some(PathBuf::from(path));
-            }
-            "--update-baseline" => opts.update_baseline = true,
+            "--update-baseline" => update_baseline = true,
             other => return Err(format!("unrecognized argument `{other}`")),
         }
     }
@@ -230,24 +211,17 @@ fn parse_analyze_args(args: &[String]) -> Result<(PathBuf, analyze::Options), St
         Some(root) => root,
         None => default_root()?,
     };
-    Ok((root, opts))
+    Ok((root, update_baseline))
 }
 
-fn run_analyze(root: &Path, opts: &analyze::Options) -> ExitCode {
-    let report = match analyze::run(root, opts) {
+fn run_analyze(root: &Path, update_baseline: bool) -> ExitCode {
+    let report = match analyze::run(root, update_baseline) {
         Ok(report) => report,
         Err(msg) => {
             eprintln!("xtask analyze: {msg}");
             return ExitCode::FAILURE;
         }
     };
-    if let Some(out) = &opts.sarif_out {
-        if let Err(msg) = analyze::write_sarif(&report, out) {
-            eprintln!("xtask analyze: {msg}");
-            return ExitCode::FAILURE;
-        }
-        println!("xtask analyze: SARIF log written to {}", out.display());
-    }
     for f in &report.active {
         println!(
             "{path}:{line}: [{rule}] {message}",
@@ -263,11 +237,12 @@ fn run_analyze(root: &Path, opts: &analyze::Options) -> ExitCode {
              run with --update-baseline to ratchet down"
         );
     }
-    let suppressed: usize = report.baselined.values().sum();
     if report.active.is_empty() {
         println!(
             "xtask analyze: {} files clean across {} rules ({} baselined finding(s) grandfathered)",
-            report.files_scanned, report.rules_run, suppressed
+            report.files_scanned,
+            rules::RULES.len(),
+            report.baselined
         );
         ExitCode::SUCCESS
     } else {
@@ -280,7 +255,7 @@ fn run_analyze(root: &Path, opts: &analyze::Options) -> ExitCode {
                 .map(|f| &f.path)
                 .collect::<BTreeSet<_>>()
                 .len(),
-            suppressed
+            report.baselined
         );
         ExitCode::FAILURE
     }
@@ -292,23 +267,21 @@ mod tests {
 
     #[test]
     fn analyze_args_parse_all_flags() {
-        let (root, opts) = parse_analyze_args(&[
+        let (root, update_baseline) = parse_analyze_args(&[
             "--root".to_string(),
             "/tmp/ws".to_string(),
-            "--sarif".to_string(),
-            "out.sarif".to_string(),
             "--update-baseline".to_string(),
         ])
         .expect("valid args");
         assert_eq!(root, PathBuf::from("/tmp/ws"));
-        assert_eq!(opts.sarif_out, Some(PathBuf::from("out.sarif")));
-        assert!(opts.update_baseline);
+        assert!(update_baseline);
     }
 
     #[test]
     fn analyze_args_reject_unknown_flags() {
         assert!(parse_analyze_args(&["--bogus".to_string()]).is_err());
         assert!(parse_analyze_args(&["--sarif".to_string()]).is_err());
+        assert!(parse_analyze_args(&["--root".to_string()]).is_err());
     }
 
     #[test]

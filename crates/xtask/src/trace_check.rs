@@ -22,29 +22,28 @@
 //!    part of step 2);
 //! 6. the driver phase is tiled by its sub-spans: `global_order`,
 //!    `global_premerge` and `global_apply` open only directly inside a
-//!    `global_update` span, and their durations sum to that span's duration
-//!    within 5%.
+//!    `global_update` span, and over the whole journal their durations sum
+//!    to the `global_update` spans' within 5%. The sum is judged per
+//!    journal, the granularity the blame table reports at, because that is
+//!    what a journal can resolve: one span with a 30 us hole is a thread
+//!    the scheduler took off the core, every span with one is work nobody
+//!    wrapped in a sub-span.
 //!
-//! The parser handles exactly the flat scalar objects the journal encoder
-//! emits (string / number / null values, no nesting) — a deliberate subset
-//! so xtask needs no JSON dependency.
+//! Lines are parsed by `diststream_trace::parse_flat_object` — the one
+//! journal line parser in the workspace, written against the file format
+//! and sharing no code with the telemetry encoder, so an encoder bug
+//! cannot hide from its validator.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
 
-/// Journal schema version this checker understands. Mirrors
-/// `diststream_telemetry::JOURNAL_VERSION` (the checker keeps its own
-/// parser so a telemetry bug cannot hide from its own validator).
-const SUPPORTED_VERSION: f64 = 1.0;
+use diststream_trace::parse::SUPPORTED_VERSION;
+use diststream_trace::{parse_flat_object, Value};
 
 /// Relative tolerance for the `batch_summary` critical-path reconciliation
 /// and the `global_update` sub-span tiling.
 const RECONCILE_REL_TOL: f64 = 0.05;
-
-/// Absolute floor of the sub-span tiling check, microseconds: journal
-/// durations are truncated to whole microseconds, one truncation per span.
-const SUBSPAN_FLOOR_US: f64 = 20.0;
 
 /// The spans that tile a `global_update` span.
 const GLOBAL_SUBSPANS: [&str; 3] = ["global_order", "global_premerge", "global_apply"];
@@ -70,30 +69,6 @@ pub struct TraceStats {
     pub threads: usize,
 }
 
-/// A minimal JSON scalar — everything the journal encoder can emit.
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Str(String),
-    Num(f64),
-    Null,
-}
-
-impl Value {
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_num(&self) -> Option<f64> {
-        match self {
-            Value::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
 /// Validates the journal file at `path`. Returns run statistics, or every
 /// diagnostic found (each prefixed `line N:`).
 pub fn check_trace_file(path: &Path) -> Result<TraceStats, Vec<String>> {
@@ -109,6 +84,9 @@ pub fn check_trace(contents: &str) -> Result<TraceStats, Vec<String>> {
     // Per-thread checker state: (last seq, last t_us, stack of open spans).
     let mut threads: BTreeMap<u64, (f64, f64, Vec<OpenSpan>)> = BTreeMap::new();
     let mut saw_meta = false;
+    // Summed duration of the `global_update` spans that hold sub-spans, of
+    // those sub-spans, and their count.
+    let (mut phase_us, mut phase_sub_us, mut phase_subs) = (0.0, 0.0, 0usize);
 
     for (idx, line) in contents.lines().enumerate() {
         let lineno = idx + 1;
@@ -234,17 +212,10 @@ pub fn check_trace(contents: &str) -> Result<TraceStats, Vec<String>> {
                                 }
                                 // Journals that predate the sub-spans have
                                 // none to reconcile.
-                                let tolerance = (dur_us * RECONCILE_REL_TOL).max(SUBSPAN_FLOOR_US);
-                                if name == "global_update"
-                                    && open.subs > 0
-                                    && (dur_us - open.sub_us).abs() > tolerance
-                                {
-                                    errors.push(format!(
-                                        "line {lineno}: `global_update` lasted {dur_us}us but \
-                                         its {} sub-span(s) sum to {}us (tolerance \
-                                         {tolerance:.0}us) — the sub-spans must tile the phase",
-                                        open.subs, open.sub_us
-                                    ));
+                                if name == "global_update" && open.subs > 0 {
+                                    phase_us += dur_us;
+                                    phase_sub_us += open.sub_us;
+                                    phase_subs += open.subs;
                                 }
                             }
                         }
@@ -307,6 +278,16 @@ pub fn check_trace(contents: &str) -> Result<TraceStats, Vec<String>> {
                 open.line, open.name
             ));
         }
+    }
+    // Journal durations are truncated to whole microseconds, one truncation
+    // per sub-span, on top of the relative tolerance.
+    let tolerance = phase_us * RECONCILE_REL_TOL + phase_subs as f64;
+    if (phase_us - phase_sub_us).abs() > tolerance {
+        errors.push(format!(
+            "the `global_update` spans lasted {phase_us}us in all but their {phase_subs} \
+             sub-span(s) sum to {phase_sub_us}us (tolerance {tolerance:.0}us) — the sub-spans \
+             must tile the phase"
+        ));
     }
     stats.threads = threads.len();
     if errors.is_empty() {
@@ -387,117 +368,6 @@ fn check_batch_summary<'a>(get: &impl Fn(&str) -> Option<&'a Value>) -> Option<S
         return Some(msg);
     }
     None
-}
-
-/// Parses one flat JSON object (`{"key":value,...}`) with scalar values.
-fn parse_flat_object(line: &str) -> Result<Vec<(String, Value)>, String> {
-    let mut chars = line.trim().char_indices().peekable();
-    let src = line.trim();
-    let mut fields = Vec::new();
-
-    let expect =
-        |chars: &mut std::iter::Peekable<std::str::CharIndices>, want: char| match chars.next() {
-            Some((_, c)) if c == want => Ok(()),
-            Some((at, c)) => Err(format!("expected `{want}` at byte {at}, found `{c}`")),
-            None => Err(format!("expected `{want}`, found end of line")),
-        };
-
-    expect(&mut chars, '{')?;
-    if chars.peek().map(|(_, c)| *c) == Some('}') {
-        return Ok(fields);
-    }
-    loop {
-        let key = parse_string(src, &mut chars)?;
-        expect(&mut chars, ':')?;
-        let value = parse_value(src, &mut chars)?;
-        fields.push((key, value));
-        match chars.next() {
-            Some((_, ',')) => continue,
-            Some((_, '}')) => break,
-            Some((at, c)) => return Err(format!("expected `,` or `}}` at byte {at}, found `{c}`")),
-            None => return Err("unterminated object".to_string()),
-        }
-    }
-    if chars.next().is_some() {
-        return Err("trailing characters after object".to_string());
-    }
-    Ok(fields)
-}
-
-fn parse_string(
-    src: &str,
-    chars: &mut std::iter::Peekable<std::str::CharIndices>,
-) -> Result<String, String> {
-    match chars.next() {
-        Some((_, '"')) => {}
-        Some((at, c)) => return Err(format!("expected `\"` at byte {at}, found `{c}`")),
-        None => return Err("expected string, found end of line".to_string()),
-    }
-    let mut out = String::new();
-    while let Some((at, c)) = chars.next() {
-        match c {
-            '"' => return Ok(out),
-            '\\' => match chars.next() {
-                Some((_, '"')) => out.push('"'),
-                Some((_, '\\')) => out.push('\\'),
-                Some((_, 'n')) => out.push('\n'),
-                Some((_, 'r')) => out.push('\r'),
-                Some((_, 't')) => out.push('\t'),
-                Some((_, 'u')) => {
-                    let mut code = 0u32;
-                    for _ in 0..4 {
-                        let digit = chars
-                            .next()
-                            .and_then(|(_, d)| d.to_digit(16))
-                            .ok_or("bad \\u escape")?;
-                        code = code * 16 + digit;
-                    }
-                    out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                }
-                _ => return Err(format!("bad escape in string at byte {at} of `{src}`")),
-            },
-            c => out.push(c),
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
-fn parse_value(
-    src: &str,
-    chars: &mut std::iter::Peekable<std::str::CharIndices>,
-) -> Result<Value, String> {
-    match chars.peek() {
-        Some((_, '"')) => parse_string(src, chars).map(Value::Str),
-        Some((_, 'n')) => {
-            for want in "null".chars() {
-                match chars.next() {
-                    Some((_, c)) if c == want => {}
-                    _ => return Err("bad literal (expected `null`)".to_string()),
-                }
-            }
-            Ok(Value::Null)
-        }
-        Some((start, c)) if *c == '-' || c.is_ascii_digit() => {
-            let start = *start;
-            let mut end = start;
-            while let Some((at, c)) = chars.peek() {
-                if c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E') {
-                    end = at + c.len_utf8();
-                    chars.next();
-                } else {
-                    break;
-                }
-            }
-            src[start..end]
-                .parse::<f64>()
-                .map(Value::Num)
-                .map_err(|_| format!("bad number `{}`", &src[start..end]))
-        }
-        Some((at, c)) => Err(format!(
-            "unsupported value starting with `{c}` at byte {at}"
-        )),
-        None => Err("expected value, found end of line".to_string()),
-    }
 }
 
 #[cfg(test)]
@@ -676,6 +546,39 @@ mod tests {
         let errors = check_trace(&journal(&refs)).expect_err("untiled phase");
         assert!(errors.iter().any(|e| e.contains("tile")), "{errors:?}");
 
+        // Regression (the overlapped quick journal failed ~1 run in 6): one
+        // phase the scheduler interrupted between two sub-spans — 35us
+        // unaccounted for out of 56us — among phases that tile is not a
+        // tiling defect. The same hole in every phase is.
+        let phase = |seq: u32, t: u32, hole: u32| {
+            [
+                span("open", "global_update", seq, t, 0, None),
+                span("open", "global_apply", seq + 1, t, 1, None),
+                span(
+                    "close",
+                    "global_apply",
+                    seq + 2,
+                    t + 56 - hole,
+                    1,
+                    Some(56 - hole),
+                ),
+                span("close", "global_update", seq + 3, t + 56, 0, Some(56)),
+            ]
+        };
+        let run = |holes: [u32; 40]| {
+            let lines: Vec<String> = (0u32..)
+                .zip(holes)
+                .flat_map(|(i, hole)| phase(4 * i, 100 * i, hole))
+                .collect();
+            let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
+            check_trace(&journal(&refs))
+        };
+        let mut holes = [1; 40];
+        holes[17] = 35;
+        assert!(run(holes).is_ok());
+        let errors = run([35; 40]).expect_err("every phase has the hole");
+        assert!(errors.iter().any(|e| e.contains("tile")), "{errors:?}");
+
         // A sub-span outside step 3 is misplaced.
         let lines = [
             span("open", "global_apply", 0, 0, 0, None),
@@ -708,15 +611,35 @@ mod tests {
         assert!(errors[0].contains("count"), "{errors:?}");
     }
 
+    /// Malformed lines come back as `line N: <what, at which byte>` from the
+    /// shared line parser, one diagnostic per bad line, and checking goes on.
     #[test]
-    fn parser_handles_escapes_null_and_rejects_garbage() {
-        let fields =
-            parse_flat_object("{\"a\":\"x\\\"y\",\"b\":-1.5e3,\"c\":null}").expect("parses");
-        assert_eq!(fields[0].1, Value::Str("x\"y".to_string()));
-        assert_eq!(fields[1].1, Value::Num(-1500.0));
-        assert_eq!(fields[2].1, Value::Null);
-        assert!(parse_flat_object("{\"a\":[1]}").is_err());
-        assert!(parse_flat_object("{\"a\":1").is_err());
-        assert!(parse_flat_object("not json").is_err());
+    fn malformed_lines_are_reported_with_their_line_and_byte() {
+        let contents = journal(&[
+            "not json",
+            "{\"ev\":\"point\",\"name\":[1]}",
+            "{\"ev\":\"drops\",\"count\":0",
+            "{\"ev\":\"drops\",\"count\":0} trailing",
+            "{\"thread\":0}",
+            "{\"ev\":\"teleport\"}",
+        ]);
+        let errors = check_trace(&contents).expect_err("six bad lines");
+        assert_eq!(
+            errors,
+            vec![
+                "line 2: expected `{` at byte 0, found `n`",
+                "line 3: unsupported value starting with `[` at byte 21",
+                "line 4: unterminated object",
+                "line 5: trailing characters after object",
+                "line 6: missing string field `ev`",
+                "line 7: unknown event kind `teleport`",
+            ]
+        );
+        let bad_version = "{\"ev\":\"meta\",\"version\":2}";
+        let errors = check_trace(bad_version).expect_err("unsupported version");
+        assert_eq!(
+            errors,
+            vec!["line 1: unsupported journal version 2 (expected 1)"]
+        );
     }
 }

@@ -1,12 +1,9 @@
-//! Shared workspace loading for the `lint` and `analyze` passes.
+//! Workspace loading shared by the `analyze` and `loc` passes.
 //!
-//! Both passes operate on the same inputs: every shipping `.rs` file under
+//! Both operate on the same inputs: every shipping `.rs` file under
 //! `crates/*/src`, lexed once, with test code stripped and inline
-//! `// lint:allow(rule)` escapes collected. Loading lives here so the two
-//! subcommands (and `analyze`, which runs *both* rule catalogs) walk and
-//! lex the tree exactly once per invocation instead of once per pass.
+//! `// lint:allow(rule)` escapes collected.
 
-use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 use crate::lexer::{self, Token};
@@ -15,8 +12,7 @@ use crate::lexer::{self, Token};
 pub struct SourceFile {
     /// Repo-relative path with `/` separators (the rules' scoping key).
     pub rel: String,
-    /// Raw source text (kept for line-oriented rules such as the
-    /// `// SAFETY:` comment check).
+    /// Raw source text (line counts, and whole-file mention searches).
     pub source: String,
     /// Tokens with `#[cfg(test)]` items removed — what the rules see.
     pub tokens: Vec<Token>,
@@ -25,8 +21,18 @@ pub struct SourceFile {
 }
 
 impl SourceFile {
+    /// Lexes `source` as the file at repo-relative path `rel`.
+    pub fn new(rel: String, source: String) -> Self {
+        SourceFile {
+            tokens: lexer::strip_test_code(&lexer::lex(&source)),
+            allows: lexer::inline_allows(&source),
+            rel,
+            source,
+        }
+    }
+
     /// Whether an inline allow for `rule` covers `line` (same or preceding
-    /// line, matching the lint pass convention).
+    /// line).
     pub fn allows(&self, rule: &str, line: u32) -> bool {
         self.allows
             .iter()
@@ -46,14 +52,7 @@ pub fn load(root: &Path) -> Result<Vec<SourceFile>, String> {
         let rel = relative_path(root, &file);
         let source =
             std::fs::read_to_string(&file).map_err(|err| format!("cannot read {rel}: {err}"))?;
-        let allows = lexer::inline_allows(&source);
-        let tokens = lexer::strip_test_code(&lexer::lex(&source));
-        out.push(SourceFile {
-            rel,
-            source,
-            tokens,
-            allows,
-        });
+        out.push(SourceFile::new(rel, source));
     }
     Ok(out)
 }
@@ -92,21 +91,6 @@ pub fn relative_path(root: &Path, file: &Path) -> String {
         .replace('\\', "/")
 }
 
-/// Loads `crates/xtask/allow/<rule>.txt`: one repo-relative path per line,
-/// `#` comments. A missing file means an empty allowlist.
-pub fn load_allowlist(root: &Path, rule: &str) -> BTreeSet<String> {
-    let path = root.join("crates/xtask/allow").join(format!("{rule}.txt"));
-    let Ok(contents) = std::fs::read_to_string(&path) else {
-        return BTreeSet::new();
-    };
-    contents
-        .lines()
-        .map(str::trim)
-        .filter(|line| !line.is_empty() && !line.starts_with('#'))
-        .map(str::to_string)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,13 +115,6 @@ mod tests {
     }
 
     #[test]
-    fn allowlist_parsing_skips_comments() {
-        let list = load_allowlist(&root(), "wallclock-entropy");
-        assert!(list.contains("crates/core/src/global.rs"));
-        assert!(!list.iter().any(|entry| entry.starts_with('#')));
-    }
-
-    #[test]
     fn load_collects_tokens_and_allows() {
         let files = load(&root()).expect("load");
         let sequential = files
@@ -154,15 +131,13 @@ mod tests {
 
     #[test]
     fn inline_allow_covers_same_and_next_line() {
-        let file = SourceFile {
-            rel: "x.rs".into(),
-            source: String::new(),
-            tokens: Vec::new(),
-            allows: vec![(10, "no-panic".into())],
-        };
-        assert!(file.allows("no-panic", 10));
-        assert!(file.allows("no-panic", 11));
-        assert!(!file.allows("no-panic", 12));
+        let file = SourceFile::new(
+            "x.rs".into(),
+            "\n".repeat(9) + "// lint:allow(panic-path) why",
+        );
+        assert!(file.allows("panic-path", 10));
+        assert!(file.allows("panic-path", 11));
+        assert!(!file.allows("panic-path", 12));
         assert!(!file.allows("other-rule", 10));
     }
 }

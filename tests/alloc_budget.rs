@@ -28,6 +28,10 @@
 //! micro-cluster however long the batch; the indexed search itself
 //! allocates nothing.
 
+// The one file in the workspace that needs `unsafe`: a `GlobalAlloc` cannot
+// be implemented without it. Every other target is `forbid` (root manifest).
+#![allow(unsafe_code)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
