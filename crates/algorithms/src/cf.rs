@@ -976,13 +976,15 @@ impl CentroidKernel {
 ///
 /// Centroids sit in a [`CentroidKernel`] in ascending id order (rows are
 /// bit-identical to [`CfVector::centroid`]); beside them an upper-triangular
-/// table caches every pairwise squared distance. The table is filled by the
-/// first [`ClosestPairIndex::closest`] call (`O(n²·d)`, once) and from then
-/// on each mutation recomputes one row (`O(n·d)`), so a capacity merge costs
-/// `O(n·d)` distance work plus an `O(n²)` scan over cached `f64`s instead of
-/// a full `O(n²·d)` rescan. Until the table exists mutations touch the
-/// centroid row only, so callers that never exceed their budget pay for the
-/// flat rows alone.
+/// table caches every pairwise squared distance, each row beside its own
+/// minimum ([`PairRow`]). The table is filled by the first
+/// [`ClosestPairIndex::closest`] call (`O(n²·d)`, once); from then on each
+/// mutation recomputes one row (`O(n·d)`) and one entry of every earlier
+/// row, whose minimum follows by a comparison, or by a rescan of that row if
+/// the entry was its minimum. A capacity merge so costs `O(n·d)` distance
+/// work plus a scan of `n` row minima instead of a full `O(n²·d)` rescan.
+/// Until the table exists mutations touch the centroid row only, so callers
+/// that never exceed their budget pay for the flat rows alone.
 ///
 /// The pair returned is the lexicographically first `(d², i, j)` with
 /// `i < j` in id order under strict `<` — exactly what a fresh double loop
@@ -994,9 +996,80 @@ impl CentroidKernel {
 #[derive(Debug)]
 pub(crate) struct ClosestPairIndex {
     rows: CentroidKernel,
-    /// `pairs[i][j - i - 1]` is the squared distance between rows `i < j`;
+    /// `pairs[i].d2[j - i - 1]` is the squared distance between rows `i < j`;
     /// `None` until the first `closest()`.
-    pairs: Option<Vec<Vec<f64>>>,
+    pairs: Option<Vec<PairRow>>,
+}
+
+/// One row of the pair table and what a strict-`<` scan of it from infinity
+/// ends on: the smallest entry and its first position — `(INFINITY, 0)` for
+/// an empty row or one of overflowed and NaN distances only.
+#[derive(Debug)]
+struct PairRow {
+    d2: Vec<f64>,
+    min: f64,
+    at: usize,
+}
+
+impl PairRow {
+    fn new(d2: Vec<f64>) -> Self {
+        let (min, at) = (f64::INFINITY, 0);
+        let mut row = PairRow { d2, min, at };
+        row.rescan();
+        row
+    }
+
+    fn rescan(&mut self) {
+        (self.min, self.at) = (f64::INFINITY, 0);
+        for (k, &d2) in self.d2.iter().enumerate() {
+            if d2 < self.min {
+                (self.min, self.at) = (d2, k);
+            }
+        }
+    }
+
+    /// Lets the entry now at `k` stand for the minimum if a scan would have
+    /// ended on it: smaller, or as small and earlier.
+    fn offer(&mut self, k: usize, d2: f64) {
+        if d2 < self.min || (d2 == self.min && k < self.at) {
+            (self.min, self.at) = (d2, k);
+        }
+    }
+
+    fn insert(&mut self, k: usize, d2: f64) -> Result<()> {
+        if k > self.d2.len() {
+            return Err(out_of_step());
+        }
+        self.d2.insert(k, d2);
+        if self.min < f64::INFINITY && k <= self.at {
+            self.at += 1;
+        }
+        self.offer(k, d2);
+        Ok(())
+    }
+
+    fn set(&mut self, k: usize, d2: f64) -> Result<()> {
+        *self.d2.get_mut(k).ok_or_else(out_of_step)? = d2;
+        if k == self.at {
+            self.rescan();
+        } else {
+            self.offer(k, d2);
+        }
+        Ok(())
+    }
+
+    fn remove(&mut self, k: usize) -> Result<()> {
+        if k >= self.d2.len() {
+            return Err(out_of_step());
+        }
+        self.d2.remove(k);
+        match k.cmp(&self.at) {
+            std::cmp::Ordering::Less => self.at -= 1,
+            std::cmp::Ordering::Equal => self.rescan(),
+            std::cmp::Ordering::Greater => {}
+        }
+        Ok(())
+    }
 }
 
 /// The table and the rows it caches disagree on shape — unreachable while
@@ -1058,15 +1131,13 @@ impl ClosestPairIndex {
                 .take(pos)
                 .zip(Self::distances(rows, pos, 0))
             {
-                if pos - i - 1 > row.len() {
-                    return Err(out_of_step());
-                }
-                row.insert(pos - i - 1, d2);
+                row.insert(pos - i - 1, d2)?;
             }
             if pos > pairs.len() {
                 return Err(out_of_step());
             }
-            pairs.insert(pos, Self::distances(rows, pos, pos + 1).collect());
+            let own = Self::distances(rows, pos, pos + 1).collect();
+            pairs.insert(pos, PairRow::new(own));
         }
         Ok(())
     }
@@ -1087,12 +1158,13 @@ impl ClosestPairIndex {
                 .take(pos)
                 .zip(Self::distances(rows, pos, 0))
             {
-                *row.get_mut(pos - i - 1).ok_or_else(out_of_step)? = d2;
+                row.set(pos - i - 1, d2)?;
             }
             let own = pairs.get_mut(pos).ok_or_else(out_of_step)?;
-            for (slot, d2) in own.iter_mut().zip(Self::distances(rows, pos, pos + 1)) {
+            for (slot, d2) in own.d2.iter_mut().zip(Self::distances(rows, pos, pos + 1)) {
                 *slot = d2;
             }
+            own.rescan();
         }
         Ok(())
     }
@@ -1111,10 +1183,7 @@ impl ClosestPairIndex {
             }
             pairs.remove(pos);
             for (i, row) in pairs.iter_mut().enumerate().take(pos) {
-                if pos - i > row.len() {
-                    return Err(out_of_step());
-                }
-                row.remove(pos - i - 1);
+                row.remove(pos - i - 1)?;
             }
         }
         Ok(())
@@ -1127,42 +1196,22 @@ impl ClosestPairIndex {
         let rows = &self.rows;
         let pairs = self.pairs.get_or_insert_with(|| {
             (0..rows.len())
-                .map(|i| Self::distances(rows, i, i + 1).collect())
+                .map(|i| PairRow::new(Self::distances(rows, i, i + 1).collect()))
                 .collect()
         });
         if rows.len() < 2 {
             return None;
         }
-        // Two passes over the cached table: the minimum value through four
-        // independent lanes (a branch-free loop LLVM vectorizes — `min` of
-        // non-NaN values does not depend on evaluation order), then the
-        // first position holding it, which is the pair a strict-`<` scan in
-        // row order would have kept.
-        let mut lanes = [f64::INFINITY; 4];
-        for row in pairs.iter() {
-            let mut chunks = row.chunks_exact(4);
-            for chunk in chunks.by_ref() {
-                for (lane, &d2) in lanes.iter_mut().zip(chunk) {
-                    *lane = if d2 < *lane { d2 } else { *lane };
-                }
-            }
-            for (lane, &d2) in lanes.iter_mut().zip(chunks.remainder()) {
-                *lane = if d2 < *lane { d2 } else { *lane };
+        // The first row holding the smallest row minimum, at that row's
+        // first position holding it, is the pair a strict-`<` scan of the
+        // whole table in row order would have kept.
+        let mut best = (0, 1, f64::INFINITY);
+        for (i, row) in pairs.iter().enumerate() {
+            if row.min < best.2 {
+                best = (i, i + 1 + row.at, row.min);
             }
         }
-        let min = lanes
-            .iter()
-            .fold(f64::INFINITY, |m, &l| if l < m { l } else { m });
-        let (i, j) = pairs
-            .iter()
-            .enumerate()
-            .find_map(|(i, row)| {
-                let k = row.iter().position(|&d2| d2 == min)?;
-                Some((i, i + 1 + k))
-            })
-            .filter(|_| min < f64::INFINITY)
-            .unwrap_or((0, 1));
-        Some((rows.id(i), rows.id(j), min))
+        Some((rows.id(best.0), rows.id(best.1), best.2))
     }
 
     /// One capacity merge on `entries`, the map this index mirrors: folds
@@ -1894,10 +1943,28 @@ mod tests {
         Some((items[best.0].0, items[best.1].0, best.2))
     }
 
+    /// `closest()` is the naive double loop's pair, and every cached row —
+    /// distances, minimum and its position — is what a fresh build holds.
     fn assert_closest_matches(index: &mut ClosestPairIndex, entries: &BTreeMap<u64, CfVector>) {
         let got = index.closest().map(|(i, j, d)| (i, j, d.to_bits()));
         let want = naive_closest(entries).map(|(i, j, d)| (i, j, d.to_bits()));
         assert_eq!(got, want);
+        let bits = |table: &[PairRow]| -> Vec<(Vec<u64>, u64, usize)> {
+            let row = |r: &PairRow| {
+                (
+                    r.d2.iter().map(|d| d.to_bits()).collect(),
+                    r.min.to_bits(),
+                    r.at,
+                )
+            };
+            table.iter().map(row).collect()
+        };
+        let mut fresh = ClosestPairIndex::build(entries);
+        fresh.closest();
+        assert_eq!(
+            bits(index.pairs.as_deref().unwrap()),
+            bits(fresh.pairs.as_deref().unwrap())
+        );
     }
 
     #[test]
@@ -1916,6 +1983,52 @@ mod tests {
         assert_eq!(entries.keys().copied().collect::<Vec<_>>(), [1, 3, 9]);
         assert_eq!(entries[&3].weight(), 2.0);
         assert_eq!(index.closest(), Some((3, 9, 0.0)));
+        assert_closest_matches(&mut index, &entries);
+    }
+
+    #[test]
+    fn row_minima_follow_an_id_inserted_below_every_other() {
+        let at = |x: f64| CfVector::from_record(&rec(0, vec![x], 0.0));
+        let mut entries: BTreeMap<u64, CfVector> =
+            [(10, at(0.0)), (20, at(5.0)), (30, at(5.0)), (40, at(9.0))].into();
+        let mut index = ClosestPairIndex::build(&entries);
+        assert_eq!(index.closest(), Some((20, 30, 0.0)));
+        // A new first row: every other row keeps its entries and minimum,
+        // and the new row's duplicate of 20 and 30 wins as the earlier pair.
+        entries.insert(1, at(5.0));
+        index.insert(1, &entries[&1]).unwrap();
+        assert_eq!(index.closest(), Some((1, 20, 0.0)));
+        assert_closest_matches(&mut index, &entries);
+        // Taking it away again hands the minimum back.
+        entries.remove(&1);
+        index.remove(1).unwrap();
+        assert_eq!(index.closest(), Some((20, 30, 0.0)));
+        assert_closest_matches(&mut index, &entries);
+        // An insertion in the middle shifts the later entries of the rows
+        // before it: row 10's minimum (to 20) stays put, row 20's moves up.
+        entries.insert(25, at(7.0));
+        index.insert(25, &entries[&25]).unwrap();
+        assert_closest_matches(&mut index, &entries);
+        assert_eq!(index.closest(), Some((20, 30, 0.0)));
+    }
+
+    #[test]
+    fn pairs_too_far_apart_to_measure_never_win() {
+        let at = |x: f64| CfVector::from_record(&rec(0, vec![x, 0.0], 0.0));
+        let mut entries: BTreeMap<u64, CfVector> =
+            [(1, at(-1e200)), (2, at(1e200)), (3, at(f64::NAN))].into();
+        let mut index = ClosestPairIndex::build(&entries);
+        // Every d² overflows or is NaN: the fallback is the first two ids.
+        assert_eq!(index.closest(), Some((1, 2, f64::INFINITY)));
+        assert_closest_matches(&mut index, &entries);
+        // One measurable pair appears behind them, then leaves again.
+        entries.insert(4, at(1e200));
+        index.insert(4, &entries[&4]).unwrap();
+        assert_eq!(index.closest(), Some((2, 4, 0.0)));
+        assert_closest_matches(&mut index, &entries);
+        entries.remove(&2);
+        index.remove(2).unwrap();
+        assert_eq!(index.closest(), Some((1, 3, f64::INFINITY)));
         assert_closest_matches(&mut index, &entries);
     }
 
@@ -1973,18 +2086,25 @@ mod tests {
 
         /// After any interleaving of insert / update / remove / merge the
         /// index's `closest()` equals the naive double loop in both ids and
-        /// d² bits. Centroids come from a 5 × 5 integer grid, so duplicate
-        /// and collinear centroids — exact ties — are the common case, and
-        /// ids are drawn from a small range so insertions land in the middle
-        /// of the id order, not only at its end.
+        /// d² bits, and the maintained row minima equal a fresh rescan.
+        /// Centroids come from a 5 × 5 integer grid, so duplicate and
+        /// collinear centroids — exact ties — are the common case; two more
+        /// cells lie so far out that their distance to anything else
+        /// overflows; and ids are drawn from a small range so insertions
+        /// land in the middle of the id order and below it, not only at its
+        /// end.
         #[test]
         fn prop_closest_pair_index_matches_naive_scan(
-            initial in prop::collection::vec((0u64..40, 0usize..25), 0..12),
-            ops in prop::collection::vec((0u8..4, 0u64..40, 0usize..25), 1..40),
+            initial in prop::collection::vec((0u64..40, 0usize..27), 0..12),
+            ops in prop::collection::vec((0u8..4, 0u64..40, 0usize..27), 1..40),
             first_check in 0usize..8,
         ) {
             let grid = |cell: usize, id: u64| {
-                let (x, y) = ((cell % 5) as f64 - 2.0, (cell / 5) as f64 - 2.0);
+                let (x, y) = match cell {
+                    25 => (1e200, 0.0),
+                    26 => (-1e200, 0.0),
+                    _ => ((cell % 5) as f64 - 2.0, (cell / 5) as f64 - 2.0),
+                };
                 CfVector::from_record(&rec(id, vec![x, y], 0.0))
             };
             let mut entries: BTreeMap<u64, CfVector> = BTreeMap::new();
@@ -2026,14 +2146,10 @@ mod tests {
                 // Mutations before the first query run against rows only;
                 // later ones maintain the cached table.
                 if step >= first_check {
-                    let got = index.closest().map(|(i, j, d)| (i, j, d.to_bits()));
-                    let want = naive_closest(&entries).map(|(i, j, d)| (i, j, d.to_bits()));
-                    prop_assert_eq!(got, want);
+                    assert_closest_matches(&mut index, &entries);
                 }
             }
-            let got = index.closest().map(|(i, j, d)| (i, j, d.to_bits()));
-            let want = naive_closest(&entries).map(|(i, j, d)| (i, j, d.to_bits()));
-            prop_assert_eq!(got, want);
+            assert_closest_matches(&mut index, &entries);
             // The flat rows stay the id-ordered centroids, bit for bit.
             prop_assert_eq!(index.rows().len(), entries.len());
             for (row, (id, cf)) in entries.iter().enumerate() {

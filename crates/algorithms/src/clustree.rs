@@ -20,11 +20,11 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use diststream_core::{Assignment, MicroClusterId, StreamClustering, WeightedPoint};
+use diststream_core::{Assignment, MicroClusterId, Searcher, StreamClustering, WeightedPoint};
 use diststream_types::{DistStreamError, Record, Result, Timestamp};
 
 use crate::cf::{CfVector, ClosestPairIndex};
-use crate::cftree::CfTree;
+use crate::cftree::{CfTree, FlatTree};
 
 /// Tuning parameters for [`ClusTree`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -169,7 +169,7 @@ impl ClusTree {
     /// micro-clusters until the model fits. `index` is the call's shared
     /// closest-pair index, built here on first need and kept in step with
     /// every merge, so one over-budget insertion costs `O(n·d)` distance
-    /// evaluations plus an `O(n²)` scan of cached distances.
+    /// evaluations plus a scan of `n` cached row minima.
     fn enforce_capacity(
         &self,
         model: &mut ClusTreeModel,
@@ -239,6 +239,28 @@ impl StreamClustering for ClusTree {
             },
             None => Assignment::New(record.id),
         }
+    }
+
+    fn searcher<'m>(&'m self, model: &'m ClusTreeModel) -> Searcher<'m> {
+        // Once per batch: the tree flattened and, per leaf slot, the id and
+        // the boundary `assign` looks up and computes for every record that
+        // lands there. NaN stands for an id merged or pruned away since the
+        // tree last saw it: no distance is within NaN, so such lookups fall
+        // through to outlier creation as they do in `assign`.
+        let tree = FlatTree::build(&model.tree);
+        let boundary = |id| {
+            let entry = model.entries.get(id);
+            entry.map_or(f64::NAN, |cf| self.boundary(cf))
+        };
+        let slots: Vec<(MicroClusterId, f64)> =
+            tree.ids().iter().map(|id| (*id, boundary(id))).collect();
+        Box::new(move |record| {
+            let found = tree.nearest(&record.point);
+            match found.and_then(|(slot, dist)| Some((slots.get(slot)?, dist))) {
+                Some((&(id, boundary), dist)) if dist <= boundary => Assignment::Existing(id),
+                _ => Assignment::New(record.id),
+            }
+        })
     }
 
     fn sketch_of(&self, model: &ClusTreeModel, id: MicroClusterId) -> CfVector {
@@ -387,6 +409,45 @@ mod tests {
             a.assign(&model, &rec(101, 500.0, 1.0)),
             Assignment::New(_)
         ));
+    }
+
+    #[test]
+    fn assign_many_matches_per_record_assign() {
+        let a = ClusTree::new(ClusTreeParams {
+            max_micro_clusters: 6,
+            ..Default::default()
+        });
+        // Six populated micro-clusters (boundary 2 × RMS), then ten created
+        // ones before any maintenance pass: each joins the tree, and the
+        // capacity merges that follow fold ids away that the tree still
+        // names — lookups landing on those must fall through to `New`.
+        let init: Vec<Record> = (0..36)
+            .map(|i| rec(i, (i % 6) as f64 * 40.0 + (i / 6) as f64 * 0.3, 0.0))
+            .collect();
+        let mut model = a.init(&init).unwrap();
+        let created: Vec<CfVector> = (0..10)
+            .map(|i| CfVector::from_record(&rec(100 + i, 7.0 + i as f64 * 23.0, 0.5)))
+            .collect();
+        a.apply_global(&mut model, vec![], created, Timestamp::from_secs(0.5))
+            .unwrap();
+        assert_eq!(model.len(), 6);
+        assert_eq!(model.tree.len(), 16);
+
+        let records: Vec<Record> = (0..400)
+            .map(|i| rec(1000 + i, i as f64 * 0.61 - 10.0, 1.0))
+            .collect();
+        let batched = a.assign_many(&model, &records);
+        let mut stale = 0;
+        for (r, got) in records.iter().zip(&batched) {
+            assert_eq!(*got, a.assign(&model, r), "record {}", r.id);
+            let (id, _) = model.tree.nearest(&r.point).unwrap();
+            stale += usize::from(!model.entries.contains_key(&id));
+        }
+        assert!(stale > 20, "only {stale} lookups landed on a removed id");
+        let existing = batched
+            .iter()
+            .filter(|a| matches!(a, Assignment::Existing(_)));
+        assert!(existing.count() > 20);
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! the KDD-99 analog, queried with the records that follow, through the
 //! plain in-order scan and through the kernel's search index
 //! (candidate-then-screen), with the share of rows whose distance each one
-//! evaluates.
+//! evaluates. Beside it, ClusTree on the same records: the model its
+//! `init` leaves, asked record by record (`assign`: a `CfTree::nearest`
+//! descent and a boundary computed per record) and as one batch
+//! (`assign_many`: the tree flattened and the boundaries computed once).
 //!
 //! Informational only — the numbers land in the CI step summary but gate
 //! nothing; the regression gate for kernel work is `xtask bench-check`
@@ -205,6 +208,53 @@ fn clustered_case() -> (usize, usize, [Clustered; 2]) {
     )
 }
 
+/// Per-record descent vs the per-batch flat searcher over the tree of a
+/// ClusTree `init`: `(micro-clusters, tree height, ns/record by path)`. Both
+/// paths must decide every record alike.
+fn clustree_case() -> (usize, usize, [(&'static str, f64); 3]) {
+    let bundle = Bundle::new(DatasetKind::Kdd99, CLUSTERED_RECORDS, 0x5eed);
+    let records = bundle.stress_records();
+    let (init, stream) = records.split_at(bundle.init_records());
+    let algo = bundle.clustree();
+    let model = algo.init(init).expect("ClusTree init on the KDD-99 analog");
+    let batch = &stream[..CLUSTERED_QUERIES.min(stream.len())];
+    let per_record = || -> Vec<_> { batch.iter().map(|r| algo.assign(&model, r)).collect() };
+    assert!(
+        per_record() == algo.assign_many(&model, batch),
+        "the flat searcher must decide every record like the tree descent"
+    );
+    let median = |mut samples: Vec<f64>| {
+        samples.sort_by(f64::total_cmp);
+        samples[samples.len() / 2] * 1e9 / batch.len() as f64
+    };
+    let time = |run: &dyn Fn() -> usize| {
+        median(
+            (0..CLUSTERED_PASSES)
+                .map(|_| {
+                    let start = Instant::now();
+                    assert_eq!(run(), batch.len());
+                    start.elapsed().as_secs_f64()
+                })
+                .collect(),
+        )
+    };
+    let descent_ns = time(&|| per_record().len());
+    let flat_ns = time(&|| algo.assign_many(&model, batch).len());
+    let build_ns = time(&|| {
+        drop(algo.searcher(&model));
+        batch.len()
+    });
+    (
+        model.len(),
+        model.tree_height(),
+        [
+            ("CfTree::nearest per record", descent_ns),
+            ("flat searcher per batch", flat_ns),
+            ("of which building it", build_ns),
+        ],
+    )
+}
+
 fn main() {
     let markdown = std::env::args().any(|a| a == "--markdown");
     let mut rows: Vec<(usize, &str, f64, f64)> = Vec::new();
@@ -273,6 +323,28 @@ fn main() {
                 c.ns_per_query,
                 c.evaluated_share * 100.0
             );
+        }
+    }
+    let (t_rows, t_height, tree_paths) = clustree_case();
+    println!();
+    if markdown {
+        println!(
+            "### ClusTree case ({t_rows} micro-clusters, tree height {t_height}, \
+             {CLUSTERED_QUERIES} KDD-99-analog records, informational)"
+        );
+        println!();
+        println!("| assignment | ns/record |");
+        println!("|------------|-----------|");
+        for (path, ns) in &tree_paths {
+            println!("| {path} | {ns:.0} |");
+        }
+    } else {
+        println!(
+            "# clustree case — {t_rows} micro-clusters, tree height {t_height}, \
+             {CLUSTERED_QUERIES} records, median of {CLUSTERED_PASSES} passes"
+        );
+        for (path, ns) in &tree_paths {
+            println!("{path}\t{ns:.0} ns/record");
         }
     }
     // Keep the accumulated distances observable so the scans cannot be

@@ -27,6 +27,10 @@
 //! pair-table row the first time a centroid wins, so at most one per
 //! micro-cluster however long the batch; the indexed search itself
 //! allocates nothing.
+//!
+//! And for ClusTree, whose step 1 flattens the model's tree and computes
+//! every leaf's boundary once per batch: the searcher allocates when it is
+//! built, never when it is asked.
 
 // The one file in the workspace that needs `unsafe`: a `GlobalAlloc` cannot
 // be implemented without it. Every other target is `forbid` (root manifest).
@@ -35,7 +39,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use diststream::algorithms::{CentroidKernel, CluStream, CluStreamParams, DStream, DStreamParams};
+use diststream::algorithms::{
+    CentroidKernel, CluStream, CluStreamParams, ClusTree, ClusTreeParams, DStream, DStreamParams,
+};
 use diststream::core::{DistStreamExecutor, PipelineOptions, StreamClustering};
 use diststream::engine::{ExecutionMode, MiniBatch, StreamingContext};
 use diststream::types::{Point, Record, Timestamp};
@@ -213,7 +219,17 @@ fn allocations_per_batch_do_not_grow_with_the_batch() {
     });
     let model = assert_budget(&clustream, cluster_record, 16 * CLUSTERS, 8192, 0.027);
 
-    // The budget above was held with the search index active: a kernel over
+    // The same stream through ClusTree: twelve leaves under a fanout-3 tree,
+    // every record inside its micro-cluster's boundary (2 × RMS 0.1).
+    let clustree = ClusTree::new(ClusTreeParams {
+        max_micro_clusters: CLUSTERS as usize,
+        ..ClusTreeParams::default()
+    });
+    let tree_model = assert_budget(&clustree, cluster_record, 16 * CLUSTERS, 8192, 0.03);
+    assert_eq!(tree_model.len(), CLUSTERS as usize);
+    assert!(tree_model.tree_height() >= 3);
+
+    // CluStream's budget was held with the search index active: a kernel over
     // this model, asked what a task asks it, buys the index and keeps it —
     // a query then evaluates a fraction of the rows a plain scan does (a
     // clone starts unindexed, so one query each keeps the clones plain).
