@@ -538,6 +538,7 @@ impl CentroidKernel {
     ///
     /// Panics if `idx` is out of range.
     pub fn id(&self, idx: usize) -> u64 {
+        // lint:allow(index-in-hot-path) idx < len() is the caller's documented contract; every idx a search returns meets it
         self.ids[idx]
     }
 
@@ -547,6 +548,7 @@ impl CentroidKernel {
     ///
     /// Panics if `idx` is out of range.
     pub fn center(&self, idx: usize) -> &[f64] {
+        // lint:allow(index-in-hot-path) idx < len() is the caller's documented contract; centers holds len() * dims coordinates
         &self.centers[idx * self.dims..(idx + 1) * self.dims]
     }
 

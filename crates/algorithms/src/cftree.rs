@@ -275,10 +275,12 @@ fn insert_into(node: &mut Node, entry: LeafEntry, fanout: usize) -> Split {
         }
         Node::Internal(children) => {
             let idx = closest_child(children, &entry.centroid).unwrap_or(0);
+            // lint:allow(index-in-hot-path) idx is closest_child's answer over these children, which the guard above left non-empty
             let split = insert_into(&mut children[idx].1, entry, fanout);
             match split {
                 None => {
                     // Refresh the child's summary.
+                    // lint:allow(index-in-hot-path) the same idx into the same children: nothing was removed since
                     children[idx].0 = summary_of(&children[idx].1);
                     None
                 }
@@ -312,8 +314,8 @@ fn split_leaf(entries: Vec<LeafEntry>) -> (Vec<LeafEntry>, Vec<LeafEntry>) {
     let (i, j) = farthest_pair(entries.iter().map(|e| &e.centroid));
     let mut left = Vec::new();
     let mut right = Vec::new();
-    let seed_l = entries[i].centroid.clone();
-    let seed_r = entries[j].centroid.clone();
+    // lint:allow(index-in-hot-path) farthest_pair answers i, j < entries.len(); a split leaf holds more than `fanout` entries
+    let (seed_l, seed_r) = (entries[i].centroid.clone(), entries[j].centroid.clone());
     for e in entries {
         if e.centroid.squared_distance(&seed_l) <= e.centroid.squared_distance(&seed_r) {
             left.push(e);
@@ -327,8 +329,8 @@ fn split_leaf(entries: Vec<LeafEntry>) -> (Vec<LeafEntry>, Vec<LeafEntry>) {
 fn split_internal(children: Vec<Child>) -> (Vec<Child>, Vec<Child>) {
     let centroids: Vec<Point> = children.iter().map(|(s, _)| s.centroid()).collect();
     let (i, j) = farthest_pair(centroids.iter());
-    let seed_l = centroids[i].clone();
-    let seed_r = centroids[j].clone();
+    // lint:allow(index-in-hot-path) farthest_pair answers i, j < centroids.len(); a split node holds more than `fanout` children
+    let (seed_l, seed_r) = (centroids[i].clone(), centroids[j].clone());
     let mut left = Vec::new();
     let mut right = Vec::new();
     for (child, centroid) in children.into_iter().zip(centroids) {
@@ -357,9 +359,9 @@ fn both_halves<T>(mut left: Vec<T>, mut right: Vec<T>) -> (Vec<T>, Vec<T>) {
 fn farthest_pair<'a, I: Iterator<Item = &'a Point> + Clone>(points: I) -> (usize, usize) {
     let pts: Vec<&Point> = points.collect();
     let mut best = (0, pts.len().saturating_sub(1), -1.0);
-    for i in 0..pts.len() {
-        for j in (i + 1)..pts.len() {
-            let d = pts[i].squared_distance(pts[j]);
+    for (i, a) in pts.iter().enumerate() {
+        for (j, b) in pts.iter().enumerate().skip(i + 1) {
+            let d = a.squared_distance(b);
             if d > best.2 {
                 best = (i, j, d);
             }

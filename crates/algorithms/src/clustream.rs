@@ -136,6 +136,7 @@ impl CluStreamSearcher {
 
     fn assign(&self, record: &Record) -> Assignment {
         match self.kernel.nearest(&record.point) {
+            // lint:allow(index-in-hot-path) `build` pushes one boundary per kernel row, and idx < kernel.len()
             Some((idx, dist)) if dist <= self.boundaries[idx] => {
                 Assignment::Existing(self.kernel.id(idx))
             }
@@ -304,11 +305,11 @@ impl StreamClustering for CluStream {
         let closest = model
             .mcs
             .iter()
-            .map(|(id, cf)| (*id, cf.centroid().distance(&record.point)))
-            .min_by(|a, b| a.1.total_cmp(&b.1));
+            .map(|(id, cf)| (*id, cf, cf.centroid().distance(&record.point)))
+            .min_by(|a, b| a.2.total_cmp(&b.2));
         match closest {
-            Some((id, dist)) => {
-                let boundary = self.max_boundary(model, id, &model.mcs[&id]);
+            Some((id, cf, dist)) => {
+                let boundary = self.max_boundary(model, id, cf);
                 if dist <= boundary {
                     Assignment::Existing(id)
                 } else {
@@ -325,6 +326,7 @@ impl StreamClustering for CluStream {
     }
 
     fn sketch_of(&self, model: &CluStreamModel, id: MicroClusterId) -> CfVector {
+        // lint:allow(index-in-hot-path) the trait's documented panic: `id` is one `assign` returned on this model
         model.mcs[&id].clone()
     }
 

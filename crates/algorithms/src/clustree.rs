@@ -264,6 +264,7 @@ impl StreamClustering for ClusTree {
     }
 
     fn sketch_of(&self, model: &ClusTreeModel, id: MicroClusterId) -> CfVector {
+        // lint:allow(index-in-hot-path) the trait's documented panic: `id` is one `assign` returned on this model
         model.entries[&id].clone()
     }
 

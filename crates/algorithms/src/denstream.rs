@@ -236,10 +236,10 @@ impl StreamClustering for DenStream {
                 .mcs
                 .iter()
                 .filter(|(_, mc)| mc.potential == want_potential)
-                .map(|(id, mc)| (*id, mc.cf.centroid().squared_distance(&record.point)))
-                .min_by(|a, b| a.1.total_cmp(&b.1));
-            if let Some((id, _)) = candidate {
-                if model.mcs[&id].cf.radius_with(&record.point) <= self.params.eps {
+                .map(|(id, mc)| (*id, mc, mc.cf.centroid().squared_distance(&record.point)))
+                .min_by(|a, b| a.2.total_cmp(&b.2));
+            if let Some((id, mc, _)) = candidate {
+                if mc.cf.radius_with(&record.point) <= self.params.eps {
                     return Assignment::Existing(id);
                 }
             }
@@ -263,9 +263,11 @@ impl StreamClustering for DenStream {
         Box::new(move |record| {
             for want_potential in [true, false] {
                 let candidate = kernel
+                    // lint:allow(index-in-hot-path) one `potential` flag was pushed per kernel row above, and the filter is asked about rows only
                     .nearest_squared_filtered(&record.point, |idx| potential[idx] == want_potential)
                     .map(|(idx, _)| kernel.id(idx));
                 if let Some(id) = candidate {
+                    // lint:allow(index-in-hot-path) the kernel's ids are the keys of `model.mcs` it was filled from
                     if model.mcs[&id].cf.radius_with(&record.point) <= self.params.eps {
                         return Assignment::Existing(id);
                     }
@@ -276,6 +278,7 @@ impl StreamClustering for DenStream {
     }
 
     fn sketch_of(&self, model: &DenStreamModel, id: MicroClusterId) -> CfVector {
+        // lint:allow(index-in-hot-path) the trait's documented panic: `id` is one `assign` returned on this model
         model.mcs[&id].cf.clone()
     }
 

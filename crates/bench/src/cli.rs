@@ -1,72 +1,102 @@
-//! Minimal command-line handling shared by the experiment binaries.
+//! The one command line of the `repro` binary, parsed once.
 
 use std::path::PathBuf;
 
-/// Options common to every experiment binary.
+use diststream_core::StrategyKind;
+
+/// Everything that can be set on a `repro` run.
 ///
 /// ```text
-/// --records N        base records per dataset (default varies per experiment)
-/// --seed S           dataset generation seed (default 42)
-/// --full             run at the real datasets' full record counts
-/// --trace-out FILE   write the telemetry span journal (JSONL) to FILE
-/// --metrics-out FILE write the Prometheus-style metrics dump to FILE
+/// repro <subcommand>
+///   --records N        base records per dataset (default varies per experiment)
+///   --seed S           dataset generation seed (default 42)
+///   --full             run at the real datasets' full record counts
+///   --trace-out FILE   write the telemetry span journal (JSONL) to FILE
+///   --metrics-out FILE write the Prometheus-style metrics dump to FILE
+/// matrix (and, for the first, digest) only:
+///   --rounds N         stream replays per run (default 3)
+///   --pipeline sync|overlapped|both   which pipeline variants to measure
+///   --strategy roundrobin|keyrange|locality|hybrid   distribution strategy
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Cli {
+pub(crate) struct Cli {
     /// Records per dataset, if overridden.
     pub records: Option<usize>,
     /// Generation seed.
     pub seed: u64,
     /// Run at full Table-I record counts.
     pub full: bool,
+    /// Stream replays per run, if overridden.
+    pub rounds: Option<usize>,
+    /// The one pipeline label to measure; `None` measures both.
+    pub pipeline: Option<String>,
+    /// Distribution strategy of every matrix cell.
+    pub strategy: StrategyKind,
     /// Span-journal output path (enables tracing).
     pub trace_out: Option<PathBuf>,
     /// Metrics exposition output path (enables telemetry).
     pub metrics_out: Option<PathBuf>,
 }
 
-impl Cli {
-    /// Parses `std::env::args`, ignoring unknown flags.
-    pub fn parse() -> Cli {
-        Self::from_args(std::env::args().skip(1))
-    }
+fn value<T: std::str::FromStr>(flag: &str, arg: Option<String>) -> Result<T, String> {
+    let arg = arg.ok_or_else(|| format!("{flag} takes a value"))?;
+    arg.parse()
+        .map_err(|_| format!("{flag}: cannot parse '{arg}'"))
+}
 
-    /// Parses from an explicit argument iterator (testable).
-    pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Cli {
+impl Cli {
+    /// Parses the flags that follow the subcommand. Input from outside the
+    /// program: an unknown flag or a malformed value is an error, not a
+    /// default.
+    pub(crate) fn from_args<I: IntoIterator<Item = String>>(args: I) -> Result<Cli, String> {
         let mut cli = Cli {
             records: None,
             seed: 42,
             full: false,
+            rounds: None,
+            pipeline: None,
+            strategy: StrategyKind::RoundRobin,
             trace_out: None,
             metrics_out: None,
         };
         let mut iter = args.into_iter();
         while let Some(arg) = iter.next() {
             match arg.as_str() {
-                "--records" => {
-                    cli.records = iter.next().and_then(|v| v.parse().ok());
-                }
-                "--seed" => {
-                    if let Some(v) = iter.next().and_then(|v| v.parse().ok()) {
-                        cli.seed = v;
-                    }
-                }
+                "--records" => cli.records = Some(value(&arg, iter.next())?),
+                "--seed" => cli.seed = value(&arg, iter.next())?,
                 "--full" => cli.full = true,
-                "--trace-out" => {
-                    cli.trace_out = iter.next().map(PathBuf::from);
+                "--rounds" => cli.rounds = Some(value(&arg, iter.next())?),
+                "--pipeline" => {
+                    let which: String = value(&arg, iter.next())?;
+                    cli.pipeline = match which.as_str() {
+                        "both" => None,
+                        "sync" | "overlapped" => Some(which),
+                        _ => {
+                            return Err(format!(
+                                "unknown --pipeline '{which}' (sync|overlapped|both)"
+                            ))
+                        }
+                    };
                 }
-                "--metrics-out" => {
-                    cli.metrics_out = iter.next().map(PathBuf::from);
+                "--strategy" => {
+                    let label: String = value(&arg, iter.next())?;
+                    cli.strategy = StrategyKind::parse(&label).ok_or_else(|| {
+                        format!(
+                            "unknown --strategy '{label}' (roundrobin|keyrange|locality|hybrid)"
+                        )
+                    })?;
                 }
-                _ => {}
+                "--trace-out" => cli.trace_out = Some(value(&arg, iter.next())?),
+                "--metrics-out" => cli.metrics_out = Some(value(&arg, iter.next())?),
+                other => return Err(format!("unknown flag '{other}'")),
             }
         }
-        cli
+        Ok(cli)
     }
 
     /// The record count to use for a dataset given this experiment's
     /// default scale.
-    pub fn records_for(&self, default: usize, full_records: usize) -> usize {
+    pub(crate) fn records_for(&self, default: usize, full_records: usize) -> usize {
         if self.full {
             full_records
         } else {
@@ -75,50 +105,64 @@ impl Cli {
     }
 }
 
-impl Default for Cli {
-    fn default() -> Self {
-        Cli::from_args(std::iter::empty())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Cli {
+    fn parse(args: &[&str]) -> Result<Cli, String> {
         Cli::from_args(args.iter().map(|s| s.to_string()))
     }
 
     #[test]
     fn defaults() {
-        let cli = parse(&[]);
-        assert_eq!(cli.records, None);
-        assert_eq!(cli.seed, 42);
-        assert!(!cli.full);
+        let cli = parse(&[]).unwrap();
+        assert_eq!((cli.records, cli.seed, cli.full), (None, 42, false));
         assert_eq!(cli.records_for(1000, 9999), 1000);
+        assert_eq!(cli.strategy, StrategyKind::RoundRobin);
+        assert_eq!((cli.rounds, cli.pipeline), (None, None));
+        assert_eq!((cli.trace_out, cli.metrics_out), (None, None));
     }
 
     #[test]
     fn parses_flags() {
-        let cli = parse(&["--records", "5000", "--seed", "7", "--full"]);
+        let cli = parse(&["--records", "5000", "--seed", "7", "--full"]).unwrap();
         assert_eq!(cli.records, Some(5000));
         assert_eq!(cli.seed, 7);
-        assert!(cli.full);
         // --full wins over --records.
         assert_eq!(cli.records_for(1000, 9999), 9999);
-    }
-
-    #[test]
-    fn ignores_unknown_flags() {
-        let cli = parse(&["--whatever", "--records", "10"]);
-        assert_eq!(cli.records, Some(10));
-    }
-
-    #[test]
-    fn parses_telemetry_outputs() {
-        let cli = parse(&["--trace-out", "trace.jsonl", "--metrics-out", "m.prom"]);
+        let cli = parse(&["--trace-out", "trace.jsonl", "--metrics-out", "m.prom"]).unwrap();
         assert_eq!(cli.trace_out, Some(PathBuf::from("trace.jsonl")));
         assert_eq!(cli.metrics_out, Some(PathBuf::from("m.prom")));
-        assert_eq!(parse(&[]).trace_out, None);
+    }
+
+    #[test]
+    fn parses_the_matrix_flags() {
+        let cli = parse(&[
+            "--rounds",
+            "1",
+            "--pipeline",
+            "overlapped",
+            "--strategy",
+            "keyrange",
+        ])
+        .unwrap();
+        assert_eq!(cli.rounds, Some(1));
+        assert_eq!(cli.pipeline.as_deref(), Some("overlapped"));
+        assert_eq!(cli.strategy, StrategyKind::KeyRange);
+        assert_eq!(parse(&["--pipeline", "both"]).unwrap().pipeline, None);
+    }
+
+    #[test]
+    fn rejects_what_it_cannot_read() {
+        for bad in [
+            &["--whatever"][..],
+            &["--quick"],
+            &["--records"],
+            &["--records", "many"],
+            &["--pipeline", "async"],
+            &["--strategy", "random"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?}");
+        }
     }
 }

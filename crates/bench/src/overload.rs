@@ -1,5 +1,5 @@
-//! The schema-v5 overload scenario: synchronous ingestion driven past
-//! capacity, measured twice over the same stream.
+//! The overload scenario: synchronous ingestion driven past capacity,
+//! measured twice over the same stream.
 //!
 //! The *exact* run processes every record; feeding its per-window arrival
 //! counts through the same deterministic service model the load-shed policy
@@ -9,9 +9,10 @@
 //! modeled latency under [`OVERLOAD_TARGET_LATENCY_SECS`] at a quality
 //! delta the Horvitz–Thompson error bound must cover. Everything here is
 //! virtual-time arithmetic over a seeded sample, so the scenario reproduces
-//! bit-identically: the committed model digests double as a replay gate
-//! (p = 1 rerun and p = 4 must match, enforced both here and by
-//! `xtask bench-check`).
+//! bit-identically, and the model digests double as a replay gate: a p = 1
+//! rerun and p = 4 must match, or [`measure_overload`] fails. The five
+//! conditions the scenario must meet are asserted by this module's tests;
+//! `repro matrix` only prints it.
 
 use diststream_algorithms::offline::{kmeans, KmeansParams};
 use diststream_core::{
@@ -26,7 +27,7 @@ use diststream_types::{ClusteringConfig, DistStreamError, Record, Result};
 use crate::bundle::Bundle;
 
 /// Mini-batch width of the overload scenario — narrower than the matrix's
-/// [`crate::BATCH_SECS`] so the backpressure loop gets ~20 control
+/// [`crate::matrix::BATCH_SECS`] so the backpressure loop gets ~20 control
 /// intervals over the stress stream's few virtual seconds.
 pub(crate) const OVERLOAD_BATCH_SECS: f64 = 0.25;
 
@@ -38,15 +39,15 @@ pub(crate) const OVERLOAD_FACTOR: f64 = 3.0;
 /// backlog, matching the policy's own drain horizon.
 pub(crate) const OVERLOAD_TARGET_LATENCY_SECS: f64 = 4.0 * OVERLOAD_BATCH_SECS;
 
-/// Sampler seed blessed into the committed baselines.
+/// Sampler seed of the scenario.
 pub(crate) const OVERLOAD_SEED: u64 = 0xD157_10AD;
 
-/// Strata count of the blessed scenario.
+/// Strata count of the scenario.
 pub(crate) const OVERLOAD_STRATA: u32 = 8;
 
-/// The measured overload section of a schema-v5 baseline report.
+/// The measured overload section of a matrix report.
 #[derive(Debug, Clone, PartialEq)]
-pub struct OverloadScenario {
+pub(crate) struct OverloadScenario {
     /// Mini-batch width of both runs, virtual seconds.
     pub batch_secs: f64,
     /// Executor capacity per window (records), derived from the arrival
@@ -197,7 +198,7 @@ pub(crate) fn measure_overload(bundle: &Bundle) -> Result<OverloadScenario> {
         .overload
         .expect("overload pipeline always reports stats");
 
-    // Replay gate, enforced in-binary before anything is blessed: a p = 1
+    // Replay gate, enforced in-binary before anything is printed: a p = 1
     // rerun and a p = 4 run must reproduce the model bytes exactly.
     let approx_bytes = encode(&approx.model);
     let rerun_model = |p: usize| -> Result<Vec<u8>> {

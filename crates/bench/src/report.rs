@@ -1,15 +1,15 @@
-//! Plain-text table output for the experiment binaries.
+//! Plain-text table output for the experiments.
 
 /// A simple left-aligned text table.
 #[derive(Debug, Clone, Default)]
-pub struct Table {
+pub(crate) struct Table {
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl Table {
     /// Creates a table with the given column headers.
-    pub fn new<S: Into<String>, I: IntoIterator<Item = S>>(headers: I) -> Table {
+    pub(crate) fn new<S: Into<String>, I: IntoIterator<Item = S>>(headers: I) -> Table {
         Table {
             headers: headers.into_iter().map(Into::into).collect(),
             rows: Vec::new(),
@@ -17,25 +17,18 @@ impl Table {
     }
 
     /// Appends a row (padded or truncated to the header width).
-    pub fn row<S: Into<String>, I: IntoIterator<Item = S>>(&mut self, cells: I) -> &mut Table {
+    pub(crate) fn row<S: Into<String>, I: IntoIterator<Item = S>>(
+        &mut self,
+        cells: I,
+    ) -> &mut Table {
         let mut row: Vec<String> = cells.into_iter().map(Into::into).collect();
         row.resize(self.headers.len(), String::new());
         self.rows.push(row);
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table as a markdown-style string.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
         for row in &self.rows {
             for (w, cell) in widths.iter_mut().zip(row.iter()) {
@@ -64,13 +57,13 @@ impl Table {
 }
 
 /// Prints a titled table to stdout.
-pub fn print_table(title: &str, table: &Table) {
+pub(crate) fn print_table(title: &str, table: &Table) {
     println!("\n## {title}\n");
     println!("{}", table.render());
 }
 
 /// Formats a float with `digits` fractional digits.
-pub fn fmt_f64(value: f64, digits: usize) -> String {
+pub(crate) fn fmt_f64(value: f64, digits: usize) -> String {
     format!("{value:.digits$}")
 }
 
@@ -97,7 +90,7 @@ mod tests {
     fn rows_padded_to_header_width() {
         let mut t = Table::new(["a", "b", "c"]);
         t.row(["1"]);
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.rows.len(), 1);
         assert!(t.render().lines().last().unwrap().matches('|').count() == 4);
     }
 

@@ -1,8 +1,9 @@
-//! Generic quality and throughput runners used by all experiment binaries.
+//! Generic quality and throughput runners used by the experiments.
 
 use diststream_algorithms::offline::{kmeans, KmeansParams};
 use diststream_core::{
-    DistStreamJob, SequentialExecutor, StreamClustering, UpdateOrdering, WeightedPoint,
+    DistStreamJob, PipelineOptions, SequentialExecutor, SequentialSummary, StreamClustering,
+    UpdateOrdering, WeightedPoint,
 };
 use diststream_engine::{
     ExecutionMode, RepeatSource, SimCostModel, StreamingContext, ThroughputMeter, VecSource,
@@ -14,34 +15,36 @@ use crate::bundle::Bundle;
 
 /// Which executor drives a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecutorKind {
+pub(crate) enum ExecutorKind {
     /// DistStream's order-aware mini-batch executor.
     OrderAware,
     /// The unordered mini-batch baseline.
     Unordered,
+    /// The order-aware executor on the asynchronous update protocol
+    /// (§VII-D2 future work): everything else at the paper defaults.
+    Async,
 }
 
 impl ExecutorKind {
     /// The corresponding core-crate ordering flag.
-    pub fn ordering(self) -> UpdateOrdering {
+    fn ordering(self) -> UpdateOrdering {
         match self {
-            ExecutorKind::OrderAware => UpdateOrdering::OrderAware,
             ExecutorKind::Unordered => UpdateOrdering::Unordered,
+            ExecutorKind::OrderAware | ExecutorKind::Async => UpdateOrdering::OrderAware,
         }
     }
 
-    /// Label used in result tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            ExecutorKind::OrderAware => "DistStream",
-            ExecutorKind::Unordered => "unordered",
+    fn pipeline(self) -> PipelineOptions {
+        PipelineOptions {
+            overlap: self == ExecutorKind::Async,
+            ..PipelineOptions::sync()
         }
     }
 }
 
 /// Result of a quality run: the CMM trajectory and fault statistics.
-#[derive(Debug, Clone)]
-pub struct QualityOutcome {
+#[derive(Debug, Clone, Default)]
+pub(crate) struct QualityOutcome {
     /// `(virtual stream seconds, CMM)` at every batch end.
     pub series: Vec<(f64, f64)>,
     /// Mean CMM over the stream.
@@ -60,23 +63,12 @@ pub struct QualityOutcome {
     pub meter: ThroughputMeter,
 }
 
-impl QualityOutcome {
-    fn from_series(series: Vec<(f64, f64)>) -> QualityOutcome {
-        let avg_cmm = if series.is_empty() {
-            1.0
-        } else {
-            series.iter().map(|(_, c)| c).sum::<f64>() / series.len() as f64
-        };
-        QualityOutcome {
-            series,
-            avg_cmm,
-            missed: 0,
-            misplaced: 0,
-            outlier_records: 0,
-            created_micro_clusters: 0,
-            created_after_premerge: 0,
-            meter: ThroughputMeter::new(),
-        }
+/// Mean CMM of a series (1.0 over an empty one).
+fn avg_cmm(series: &[(f64, f64)]) -> f64 {
+    if series.is_empty() {
+        1.0
+    } else {
+        series.iter().map(|(_, c)| c).sum::<f64>() / series.len() as f64
     }
 }
 
@@ -96,21 +88,23 @@ fn evaluate(
     cmm(window, &assignment, now, &params)
 }
 
-/// Runs a DistStream (or unordered-baseline) quality experiment: stream at
-/// the quality rate, evaluate CMM at the end of every batch using the
-/// offline phase, exactly as §VII-B1 prescribes.
+/// Runs a DistStream (or unordered-baseline) quality experiment at
+/// parallelism `p` on the simulated cluster: stream at the quality rate,
+/// evaluate CMM at the end of every batch using the offline phase, exactly
+/// as §VII-B1 prescribes.
 ///
 /// # Errors
 ///
 /// Propagates engine failures and empty-stream errors.
-pub fn run_quality<A: StreamClustering>(
+pub(crate) fn run_quality<A: StreamClustering>(
     algo: &A,
     bundle: &Bundle,
-    ctx: &StreamingContext,
+    p: usize,
     kind: ExecutorKind,
     batch_secs: f64,
     premerge: bool,
 ) -> Result<QualityOutcome> {
+    let ctx = StreamingContext::new(p, ExecutionMode::Simulated)?;
     let records = bundle.quality_records();
     let config = ClusteringConfig::builder().batch_secs(batch_secs).build()?;
     let mut processed = bundle.init_records();
@@ -121,13 +115,14 @@ pub fn run_quality<A: StreamClustering>(
     let mut created = 0;
     let mut premerged = 0;
 
-    let mut job = DistStreamJob::new(algo, ctx, config);
+    let mut job = DistStreamJob::new(algo, &ctx, config);
     // Pre-merge is a DistStream contribution (§V-C); the unordered baseline
     // does not have it, which is also why it handles more outlier
     // micro-clusters in the global update (§VII-C2).
     job.init_records(bundle.init_records())
         .ordering(kind.ordering())
-        .premerge(premerge && kind == ExecutorKind::OrderAware);
+        .pipeline(kind.pipeline())
+        .premerge(premerge && kind != ExecutorKind::Unordered);
     let result = job.run(VecSource::new(records.clone()), |report| {
         processed += report.outcome.metrics.records;
         outliers += report.outcome.outlier_records;
@@ -140,14 +135,16 @@ pub fn run_quality<A: StreamClustering>(
         series.push((report.window_end.secs(), out.cmm));
     })?;
 
-    let mut outcome = QualityOutcome::from_series(series);
-    outcome.missed = missed;
-    outcome.misplaced = misplaced;
-    outcome.outlier_records = outliers;
-    outcome.created_micro_clusters = created;
-    outcome.created_after_premerge = premerged;
-    outcome.meter = result.meter;
-    Ok(outcome)
+    Ok(QualityOutcome {
+        avg_cmm: avg_cmm(&series),
+        series,
+        missed,
+        misplaced,
+        outlier_records: outliers,
+        created_micro_clusters: created,
+        created_after_premerge: premerged,
+        meter: result.meter,
+    })
 }
 
 /// Runs the one-record-at-a-time (MOA analog) quality experiment, with CMM
@@ -156,7 +153,7 @@ pub fn run_quality<A: StreamClustering>(
 /// # Errors
 ///
 /// Returns an error if the stream is empty.
-pub fn run_sequential_quality<A: StreamClustering>(
+pub(crate) fn run_sequential_quality<A: StreamClustering>(
     algo: &A,
     bundle: &Bundle,
     batch_secs: f64,
@@ -187,47 +184,20 @@ pub fn run_sequential_quality<A: StreamClustering>(
             next_eval = record.timestamp + batch_secs;
         }
     }
-    let mut outcome = QualityOutcome::from_series(series);
-    outcome.missed = missed;
-    outcome.misplaced = misplaced;
-    Ok(outcome)
-}
-
-/// Result of a throughput run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ThroughputOutcome {
-    /// Records processed (post-initialization).
-    pub records: usize,
-    /// Total (simulated or measured) processing seconds.
-    pub secs: f64,
-    /// Average throughput in records per second.
-    pub records_per_sec: f64,
-    /// Per-record latency in microseconds.
-    pub micros_per_record: f64,
-    /// Driver-side global-update latency per record, in microseconds.
-    pub global_micros_per_record: f64,
-    /// Fraction of tasks that were stragglers.
-    pub straggler_fraction: f64,
-}
-
-impl From<&ThroughputMeter> for ThroughputOutcome {
-    fn from(meter: &ThroughputMeter) -> Self {
-        ThroughputOutcome {
-            records: meter.records(),
-            secs: meter.secs(),
-            records_per_sec: meter.records_per_sec(),
-            micros_per_record: meter.micros_per_record(),
-            global_micros_per_record: meter.global_micros_per_record(),
-            straggler_fraction: meter.straggler_fraction(),
-        }
-    }
+    Ok(QualityOutcome {
+        avg_cmm: avg_cmm(&series),
+        series,
+        missed,
+        misplaced,
+        ..QualityOutcome::default()
+    })
 }
 
 /// Builds the simulated-cluster context for throughput runs at parallelism
 /// `p`, with the fixed scheduling/broadcast costs scaled by the bundle's
 /// workload scale so the overhead-to-compute ratio matches a full-size
 /// deployment (see [`SimCostModel::workload_scale`]).
-pub fn throughput_context(bundle: &Bundle, p: usize) -> Result<StreamingContext> {
+pub(crate) fn throughput_context(bundle: &Bundle, p: usize) -> Result<StreamingContext> {
     let cost = SimCostModel {
         workload_scale: bundle.scale.min(1.0),
         ..SimCostModel::default()
@@ -243,22 +213,22 @@ pub fn throughput_context(bundle: &Bundle, p: usize) -> Result<StreamingContext>
 /// # Errors
 ///
 /// Propagates engine failures and empty-stream errors.
-pub fn run_throughput<A: StreamClustering>(
+pub(crate) fn run_throughput<A: StreamClustering>(
     algo: &A,
     bundle: &Bundle,
     ctx: &StreamingContext,
     kind: ExecutorKind,
     batch_secs: f64,
     rounds: usize,
-) -> Result<ThroughputOutcome> {
+) -> Result<ThroughputMeter> {
     let base = bundle.stress_records();
     let config = ClusteringConfig::builder().batch_secs(batch_secs).build()?;
     let mut job = DistStreamJob::new(algo, ctx, config);
     job.init_records(bundle.init_records())
         .ordering(kind.ordering())
-        .premerge(kind == ExecutorKind::OrderAware);
-    let result = job.run_to_end(RepeatSource::new(base, rounds))?;
-    Ok(ThroughputOutcome::from(&result.meter))
+        .pipeline(kind.pipeline())
+        .premerge(kind != ExecutorKind::Unordered);
+    Ok(job.run_to_end(RepeatSource::new(base, rounds))?.meter)
 }
 
 /// Runs the one-record-at-a-time throughput baseline (wall-clock measured).
@@ -266,11 +236,11 @@ pub fn run_throughput<A: StreamClustering>(
 /// # Errors
 ///
 /// Returns an error if the stream is empty.
-pub fn run_sequential_throughput<A: StreamClustering>(
+pub(crate) fn run_sequential_throughput<A: StreamClustering>(
     algo: &A,
     bundle: &Bundle,
     rounds: usize,
-) -> Result<ThroughputOutcome> {
+) -> Result<SequentialSummary> {
     let base = bundle.stress_records();
     let init = bundle.init_records().min(base.len());
     if base.is_empty() {
@@ -283,26 +253,13 @@ pub fn run_sequential_throughput<A: StreamClustering>(
     for _ in 0..init {
         let _ = diststream_engine::RecordSource::next_record(&mut source);
     }
-    let summary = exec.process_stream(&mut model, source)?;
-    Ok(ThroughputOutcome {
-        records: summary.records,
-        secs: summary.secs,
-        records_per_sec: summary.records_per_sec(),
-        micros_per_record: if summary.records > 0 {
-            summary.secs * 1e6 / summary.records as f64
-        } else {
-            0.0
-        },
-        global_micros_per_record: 0.0,
-        straggler_fraction: 0.0,
-    })
+    exec.process_stream(&mut model, source)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bundle::DatasetKind;
-    use diststream_engine::ExecutionMode;
 
     fn small_bundle() -> Bundle {
         Bundle::new(DatasetKind::CoverType, 4000, 3)
@@ -312,8 +269,7 @@ mod tests {
     fn quality_runner_produces_series() {
         let bundle = small_bundle();
         let algo = bundle.clustream();
-        let ctx = StreamingContext::new(2, ExecutionMode::Simulated).unwrap();
-        let out = run_quality(&algo, &bundle, &ctx, ExecutorKind::OrderAware, 10.0, true).unwrap();
+        let out = run_quality(&algo, &bundle, 2, ExecutorKind::OrderAware, 10.0, true).unwrap();
         assert!(!out.series.is_empty());
         assert!(out.avg_cmm > 0.0 && out.avg_cmm <= 1.0);
         assert!(out.meter.records() > 0);
@@ -334,8 +290,8 @@ mod tests {
         let algo = bundle.denstream();
         let ctx = StreamingContext::new(4, ExecutionMode::Simulated).unwrap();
         let out = run_throughput(&algo, &bundle, &ctx, ExecutorKind::OrderAware, 10.0, 2).unwrap();
-        assert_eq!(out.records, 2 * bundle.records() - bundle.init_records());
-        assert!(out.records_per_sec > 0.0);
+        assert_eq!(out.records(), 2 * bundle.records() - bundle.init_records());
+        assert!(out.records_per_sec() > 0.0);
     }
 
     #[test]
@@ -344,6 +300,6 @@ mod tests {
         let algo = bundle.clustream();
         let out = run_sequential_throughput(&algo, &bundle, 1).unwrap();
         assert_eq!(out.records, bundle.records() - bundle.init_records());
-        assert!(out.micros_per_record > 0.0);
+        assert!(out.records_per_sec() > 0.0);
     }
 }

@@ -1,11 +1,11 @@
-//! Telemetry session management for the experiment binaries.
+//! Telemetry session management for the `repro` binary.
 //!
 //! [`TelemetrySession`] is an RAII guard around the `--trace-out` /
 //! `--metrics-out` flags: constructing one (from the parsed [`Cli`])
 //! enables tracing and installs the JSONL journal sink; dropping it drains
 //! the journal, writes the metrics exposition file, and prints the human
-//! metrics summary table. Binaries just add
-//! `let _telemetry = TelemetrySession::from_cli(&cli);` after parsing.
+//! metrics summary table. The dispatcher opens one per run, whatever the
+//! subcommand.
 
 use std::path::PathBuf;
 
@@ -18,7 +18,7 @@ use crate::report::{print_table, Table};
 ///
 /// Inert (and free) when neither telemetry flag was passed.
 #[derive(Debug)]
-pub struct TelemetrySession {
+pub(crate) struct TelemetrySession {
     active: bool,
     trace_out: Option<PathBuf>,
     metrics_out: Option<PathBuf>,
@@ -28,12 +28,15 @@ impl TelemetrySession {
     /// Starts a session according to the CLI flags. A journal-file open
     /// failure disables tracing with a warning rather than aborting the
     /// experiment.
-    pub fn from_cli(cli: &Cli) -> TelemetrySession {
+    pub(crate) fn from_cli(cli: &Cli) -> TelemetrySession {
         Self::start(cli.trace_out.clone(), cli.metrics_out.clone())
     }
 
     /// Starts a session with explicit output paths (testable).
-    pub fn start(trace_out: Option<PathBuf>, metrics_out: Option<PathBuf>) -> TelemetrySession {
+    pub(crate) fn start(
+        trace_out: Option<PathBuf>,
+        metrics_out: Option<PathBuf>,
+    ) -> TelemetrySession {
         let mut active = false;
         let mut trace = None;
         if let Some(path) = trace_out {
@@ -65,11 +68,6 @@ impl TelemetrySession {
             trace_out: trace,
             metrics_out,
         }
-    }
-
-    /// Whether telemetry recording is on for this session.
-    pub fn active(&self) -> bool {
-        self.active
     }
 }
 
@@ -137,7 +135,7 @@ mod tests {
     #[test]
     fn no_flags_is_inert() {
         let session = TelemetrySession::start(None, None);
-        assert!(!session.active());
+        assert!(!session.active);
         assert!(!telemetry::enabled());
     }
 
@@ -148,7 +146,7 @@ mod tests {
         let path = dir.join("session.jsonl");
         {
             let session = TelemetrySession::start(Some(path.clone()), None);
-            assert!(session.active());
+            assert!(session.active);
             assert!(telemetry::enabled());
             let _span = telemetry::span!(telemetry::names::SPAN_SESSION_TEST);
         }

@@ -53,7 +53,6 @@ pub enum ExecutionMode {
 #[derive(Debug)]
 pub struct StreamingContext {
     parallelism: AtomicUsize,
-    max_task_failures: usize,
     mode: ExecutionMode,
     cost: SimCostModel,
     rng: Mutex<StdRng>,
@@ -93,7 +92,6 @@ impl StreamingContext {
         };
         Ok(StreamingContext {
             parallelism: AtomicUsize::new(positive(parallelism, "parallelism degree")?),
-            max_task_failures: DEFAULT_MAX_TASK_FAILURES,
             mode,
             cost,
             rng: Mutex::new(StdRng::seed_from_u64(Self::DEFAULT_SEED)),
@@ -131,23 +129,11 @@ impl StreamingContext {
         &self.cost
     }
 
-    /// Sets the per-task retry budget (Spark's `spark.task.maxFailures`):
-    /// the number of times a single task may execute, initial attempt
-    /// included, before the step fails with
-    /// [`DistStreamError::TaskFailed`]. Default is 4.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DistStreamError::InvalidConfig`] if `max` is zero (every
-    /// task needs at least one attempt).
-    pub fn set_max_task_failures(&mut self, max: usize) -> Result<()> {
-        self.max_task_failures = positive(max, "max task failures")?;
-        Ok(())
-    }
-
-    /// The per-task retry budget currently in force.
+    /// The per-task retry budget (Spark's `spark.task.maxFailures`): the
+    /// number of times a single task may execute, initial attempt included,
+    /// before the step fails with [`DistStreamError::TaskFailed`].
     pub fn max_task_failures(&self) -> usize {
-        self.max_task_failures
+        DEFAULT_MAX_TASK_FAILURES
     }
 
     /// Installs a deterministic [`FaultPlan`]; it replaces any plan already
@@ -229,15 +215,13 @@ impl StreamingContext {
         let parallelism = self.parallelism();
         match self.mode {
             ExecutionMode::Threads => {
-                let pool =
-                    TaskPool::new(parallelism)?.with_max_task_failures(self.max_task_failures)?;
+                let pool = TaskPool::new(parallelism)?;
                 let start = Instant::now();
                 let (outputs, task_secs) = pool.run_hooked(inputs, &f, hook)?;
                 let wall = start.elapsed().as_secs_f64();
                 Ok((outputs, StepMetrics::new(task_secs, wall)))
             }
             ExecutionMode::Simulated => {
-                let max_attempts = self.max_task_failures;
                 let mut outputs = Vec::with_capacity(inputs.len());
                 let mut measured = Vec::with_capacity(inputs.len());
                 let mut retried = 0usize;
@@ -245,7 +229,7 @@ impl StreamingContext {
                     // Injected straggler delays are charged numerically
                     // (sleep_delays = false): the simulation's virtual clock
                     // should see them without the host actually waiting.
-                    match execute_with_retry(idx, input, max_attempts, false, &f, hook) {
+                    match execute_with_retry(idx, input, false, &f, hook) {
                         Ok((output, secs, retries)) => {
                             retried += retries;
                             outputs.push(output);
@@ -380,18 +364,6 @@ mod tests {
             assert_eq!(ctx.collect_secs(1 << 30), 0.0);
             assert_eq!(ctx.batch_overhead_secs(), 0.0);
         }
-    }
-
-    /// Regression: a zero retry budget used to panic inside the pool — on a
-    /// value that arrives from configuration.
-    #[test]
-    fn zero_retry_budget_is_a_typed_error() {
-        let mut ctx = StreamingContext::new(2, ExecutionMode::Simulated).unwrap();
-        let err = ctx.set_max_task_failures(0).unwrap_err();
-        assert!(matches!(err, DistStreamError::InvalidConfig(_)), "{err}");
-        assert_eq!(ctx.max_task_failures(), DEFAULT_MAX_TASK_FAILURES);
-        ctx.set_max_task_failures(1).unwrap();
-        assert_eq!(ctx.max_task_failures(), 1);
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub const DEFAULT_MAX_TASK_FAILURES: usize = 4;
 /// execution seconds.
 ///
 /// A panicking task is caught at a `catch_unwind` boundary and re-executed
-/// on the same input, up to [`TaskPool::max_task_failures`] total attempts
+/// on the same input, up to [`DEFAULT_MAX_TASK_FAILURES`] total attempts
 /// (Spark's `spark.task.maxFailures`), before the step surfaces
 /// [`DistStreamError::TaskFailed`]. Because a retry recomputes the same
 /// pure function over the same input, retries cannot change any task's
@@ -52,12 +52,11 @@ pub const DEFAULT_MAX_TASK_FAILURES: usize = 4;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaskPool {
     threads: usize,
-    max_task_failures: usize,
 }
 
 impl TaskPool {
     /// Creates a pool of `threads` executors (the caller and `threads − 1`
-    /// helpers) with the default retry budget ([`DEFAULT_MAX_TASK_FAILURES`]).
+    /// helpers).
     ///
     /// # Errors
     ///
@@ -65,30 +64,12 @@ impl TaskPool {
     pub fn new(threads: usize) -> Result<Self> {
         Ok(TaskPool {
             threads: positive(threads, "thread count")?,
-            max_task_failures: DEFAULT_MAX_TASK_FAILURES,
         })
-    }
-
-    /// Sets the retry budget: the maximum number of times a single task may
-    /// execute (initial attempt included) before the step fails.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DistStreamError::InvalidConfig`] if `max` is zero (every
-    /// task needs at least one attempt).
-    pub(crate) fn with_max_task_failures(mut self, max: usize) -> Result<Self> {
-        self.max_task_failures = positive(max, "max task failures")?;
-        Ok(self)
     }
 
     /// Number of executors, the calling thread included.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Maximum executions per task (initial attempt plus retries).
-    pub fn max_task_failures(&self) -> usize {
-        self.max_task_failures
     }
 
     /// Runs `f` over every input on the pool, returning outputs in task
@@ -97,7 +78,7 @@ impl TaskPool {
     /// # Errors
     ///
     /// Returns [`DistStreamError::TaskFailed`] if any task panics on all of
-    /// its [`TaskPool::max_task_failures`] attempts; remaining tasks may or
+    /// its [`DEFAULT_MAX_TASK_FAILURES`] attempts; remaining tasks may or
     /// may not have run.
     pub fn run<I, O, F>(&self, inputs: Vec<I>, f: &F) -> Result<(Vec<O>, Vec<f64>)>
     where
@@ -146,7 +127,7 @@ impl TaskPool {
             let Some(&input) = inputs.get(idx) else {
                 break;
             };
-            match execute_with_retry(idx, input, self.max_task_failures, true, f, hook) {
+            match execute_with_retry(idx, input, true, f, hook) {
                 Ok((output, secs, retries)) => {
                     if retries > 0 {
                         retried.fetch_add(retries, Ordering::SeqCst);
@@ -364,12 +345,11 @@ impl TaskFailure {
 /// fast.
 ///
 /// On success returns `(output, secs, retries)` where `retries` counts the
-/// failed attempts that preceded the success. `max_attempts` is at least 1
-/// ([`TaskPool::with_max_task_failures`] rejects zero).
+/// failed attempts that preceded the success; the
+/// [`DEFAULT_MAX_TASK_FAILURES`]th failed attempt is the task's failure.
 pub(crate) fn execute_with_retry<I, O, F>(
     idx: usize,
     input: I,
-    max_attempts: usize,
     sleep_delays: bool,
     f: &F,
     hook: Option<&(dyn Fn(usize, usize) -> f64 + Sync)>,
@@ -401,7 +381,7 @@ where
             }
             Err(payload) => {
                 attempt += 1;
-                if attempt >= max_attempts {
+                if attempt >= DEFAULT_MAX_TASK_FAILURES {
                     return Err(TaskFailure {
                         task: idx,
                         attempts: attempt,
@@ -514,29 +494,10 @@ mod tests {
     }
 
     #[test]
-    fn retry_budget_of_one_fails_on_first_panic() {
-        let pool = TaskPool::new(2)
-            .and_then(|p| p.with_max_task_failures(1))
-            .unwrap();
-        let result = pool.run(vec![0, 1], &|_, x: i32| {
-            if x == 1 {
-                panic!("no second chances");
-            }
-            x
-        });
-        assert!(matches!(
-            result,
-            Err(DistStreamError::TaskFailed { attempts: 1, .. })
-        ));
-    }
-
-    #[test]
     fn lowest_failing_task_is_reported() {
         // Several tasks poisoned: whichever worker finishes last, the error
         // must name the lowest failing index for schedule independence.
-        let pool = TaskPool::new(4)
-            .and_then(|p| p.with_max_task_failures(1))
-            .unwrap();
+        let pool = TaskPool::new(4).unwrap();
         let result = pool.run((0..16).collect::<Vec<i32>>(), &|_, x| {
             if x >= 5 {
                 panic!("poisoned");
@@ -622,18 +583,12 @@ mod tests {
         }
     }
 
-    /// Regression: both used to `assert!` — panics on values that arrive
-    /// from configuration.
+    /// Regression: used to `assert!` — a panic on a value that arrives from
+    /// configuration.
     #[test]
-    fn zero_threads_and_zero_retry_budget_are_typed_errors() {
+    fn zero_threads_is_a_typed_error() {
         let err = TaskPool::new(0).unwrap_err();
         assert!(matches!(&err, DistStreamError::InvalidConfig(m) if m.contains("thread count")));
-        let err = TaskPool::new(1)
-            .and_then(|p| p.with_max_task_failures(0))
-            .unwrap_err();
-        assert!(
-            matches!(&err, DistStreamError::InvalidConfig(m) if m.contains("max task failures"))
-        );
     }
 
     #[test]
@@ -687,7 +642,7 @@ mod tests {
     fn hook_delay_is_charged_numerically_when_not_sleeping() {
         let hook: &(dyn Fn(usize, usize) -> f64 + Sync) = &|_, _| 2.5;
         let (out, secs, retries) =
-            execute_with_retry(0, 7u64, 4, false, &|_, x| x + 1, Some(hook)).unwrap();
+            execute_with_retry(0, 7u64, false, &|_, x| x + 1, Some(hook)).unwrap();
         assert_eq!(out, 8);
         assert!(secs >= 2.5, "injected delay must be charged, got {secs}");
         assert_eq!(retries, 0);

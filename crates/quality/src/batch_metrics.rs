@@ -1,5 +1,5 @@
-//! Batch-oriented quality metrics (SSQ, purity, F-measure) — the metrics
-//! CMM is compared against in the paper's methodology discussion.
+//! Batch-oriented quality metrics (SSQ, purity) — the metrics CMM is
+//! compared against in the paper's methodology discussion.
 
 use std::collections::BTreeMap;
 
@@ -95,8 +95,7 @@ pub fn ssq(records: &[Record], assignment: &[Option<usize>], centroids: &[Point]
 pub struct CoverageScore {
     /// The metric value in `[0, 1]` (1.0 when vacuous).
     pub score: f64,
-    /// Records that contributed to the score (clustered records for purity,
-    /// labeled records for F-measure).
+    /// Records that contributed to the score (the clustered ones).
     pub clustered: usize,
     /// Records that were offered to the metric.
     pub total: usize,
@@ -161,62 +160,6 @@ pub fn purity_with_coverage(records: &[Record], assignment: &[Option<usize>]) ->
     }
 }
 
-/// Macro-averaged F-measure: for every ground-truth class, the best F1
-/// score over all clusters, averaged across classes. In `[0, 1]`. Returns
-/// 1.0 when no record is labeled — use [`f_measure_with_coverage`] to tell
-/// that vacuous case apart.
-pub fn f_measure(records: &[Record], assignment: &[Option<usize>]) -> f64 {
-    f_measure_with_coverage(records, assignment).score
-}
-
-/// [`f_measure`] plus clustered-record coverage: `clustered` counts labeled
-/// records that were assigned to some cluster, so an all-shed batch (no
-/// assignments at all) is reported as vacuous rather than perfect.
-pub fn f_measure_with_coverage(records: &[Record], assignment: &[Option<usize>]) -> CoverageScore {
-    let mut class_total: BTreeMap<ClassId, usize> = BTreeMap::new();
-    let mut cluster_total: BTreeMap<usize, usize> = BTreeMap::new();
-    let mut joint: BTreeMap<(ClassId, usize), usize> = BTreeMap::new();
-    let mut clustered = 0usize;
-    for (r, a) in records.iter().zip(assignment.iter()) {
-        if let Some(label) = r.label {
-            *class_total.entry(label).or_insert(0) += 1;
-            if let Some(c) = a {
-                *joint.entry((label, *c)).or_insert(0) += 1;
-                clustered += 1;
-            }
-        }
-        if let Some(c) = a {
-            *cluster_total.entry(*c).or_insert(0) += 1;
-        }
-    }
-    if class_total.is_empty() {
-        return CoverageScore {
-            score: 1.0,
-            clustered: 0,
-            total: records.len(),
-        };
-    }
-    let mut sum = 0.0;
-    for (&class, &n_class) in &class_total {
-        let mut best = 0.0_f64;
-        for (&cluster, &n_cluster) in &cluster_total {
-            let hit = *joint.get(&(class, cluster)).unwrap_or(&0) as f64;
-            if hit == 0.0 {
-                continue;
-            }
-            let precision = hit / n_cluster as f64;
-            let recall = hit / n_class as f64;
-            best = best.max(2.0 * precision * recall / (precision + recall));
-        }
-        sum += best;
-    }
-    CoverageScore {
-        score: sum / class_total.len() as f64,
-        clustered,
-        total: records.len(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,33 +214,10 @@ mod tests {
     }
 
     #[test]
-    fn f_measure_perfect_is_one() {
-        let (records, assignment) = setup();
-        assert_eq!(f_measure(&records, &assignment), 1.0);
-    }
-
-    #[test]
-    fn f_measure_degrades_with_merged_clusters() {
-        let (records, _) = setup();
-        let merged = vec![Some(0); 4];
-        let f = f_measure(&records, &merged);
-        // Each class: precision 0.5, recall 1.0 → F1 = 2/3.
-        assert!((f - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn f_measure_counts_missed_as_recall_loss() {
-        let (records, mut assignment) = setup();
-        assignment[0] = None;
-        let f = f_measure(&records, &assignment);
-        assert!(f < 1.0);
-    }
-
-    #[test]
     fn all_shed_batch_is_reported_vacuous_not_perfect() {
         // Regression: with every record shed (no assignments), the plain
-        // scores still degenerate to their historical values, but the
-        // coverage-aware variants expose that nothing was measured — the
+        // score still degenerates to its historical value, but the
+        // coverage-aware variant exposes that nothing was measured — the
         // overload report must not average these 1.0s into quality curves.
         let (records, _) = setup();
         let none = vec![None; records.len()];
@@ -308,19 +228,6 @@ mod tests {
         assert!(p.is_vacuous());
         assert_eq!(p.coverage(), 0.0);
 
-        let unlabeled: Vec<Record> = (0..3)
-            .map(|i| {
-                Record::new(
-                    i,
-                    Point::from(vec![i as f64]),
-                    Timestamp::from_secs(i as f64),
-                )
-            })
-            .collect();
-        let f = f_measure_with_coverage(&unlabeled, &[Some(0), Some(0), None]);
-        assert_eq!(f.score, 1.0);
-        assert!(f.is_vacuous());
-
         // A genuinely measured batch is not vacuous and keeps its score.
         let (records, assignment) = setup();
         let p = purity_with_coverage(&records, &assignment);
@@ -328,9 +235,6 @@ mod tests {
         assert_eq!(p.score, 1.0);
         assert_eq!(p.clustered, 4);
         assert_eq!(p.coverage(), 1.0);
-        let f = f_measure_with_coverage(&records, &assignment);
-        assert!(!f.is_vacuous());
-        assert_eq!(f.clustered, 4);
 
         // Partial coverage is reported as such.
         let partial = vec![Some(0), None, Some(1), None];

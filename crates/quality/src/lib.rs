@@ -2,7 +2,7 @@
 //!
 //! The centerpiece is [`cmm`] — the Clustering Mapping Measure the paper
 //! uses for all quality numbers (Figure 6, §VII-B) — plus the batch metrics
-//! it is contrasted with (SSQ, purity, F-measure) and the helper that turns
+//! it is contrasted with (SSQ, purity) and the helper that turns
 //! offline macro-cluster centroids into per-record assignments.
 //!
 //! # Examples
@@ -30,11 +30,9 @@
 
 mod batch_metrics;
 mod cmm;
-mod external;
 
 pub use batch_metrics::{
-    f_measure, f_measure_with_coverage, nearest_assignment, nearest_assignment_bounded, purity,
-    purity_with_coverage, ssq, CoverageScore,
+    nearest_assignment, nearest_assignment_bounded, purity, purity_with_coverage, ssq,
+    CoverageScore,
 };
 pub use cmm::{cmm, CmmBreakdown, CmmParams};
-pub use external::{adjusted_rand_index, pairwise_f1};

@@ -47,7 +47,7 @@ pub const SPAN_COMBINE: &str = "combine";
 pub const SPAN_CHECKPOINT_WRITE: &str = "checkpoint_write";
 /// Checkpoint recovery walk (manifest scan + frame decode).
 pub const SPAN_CHECKPOINT_RESTORE: &str = "checkpoint_restore";
-/// Synthetic span emitted by the `trace_smoke` bench session self-test.
+/// Synthetic span emitted by the bench crate's telemetry-session self-test.
 pub const SPAN_SESSION_TEST: &str = "session_test";
 /// Elastic rebalance at a batch boundary (plan + replay + verify).
 pub const SPAN_REBALANCE: &str = "rebalance";

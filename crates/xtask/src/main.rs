@@ -4,11 +4,8 @@
 //! `crates/*/src` once and runs the rule table in `rules.rs` over it,
 //! printing `file:line: [rule] message` diagnostics and exiting nonzero on
 //! any finding. A finding goes away by fixing the code, or by a
-//! `// lint:allow(<rule>) <why>` on the offending or preceding line; the
-//! two audit rules are also counted per file against the committed
-//! `crates/xtask/analyze-baseline.txt`, which `--update-baseline`
-//! regenerates. `cargo run -p xtask -- rules` prints the table. See
-//! DESIGN.md §7.
+//! `// lint:allow(<rule>) <why>` on the offending or preceding line.
+//! `cargo run -p xtask -- rules` prints the table. See DESIGN.md §7.
 //!
 //! `cargo run -p xtask -- check-trace <journal.jsonl>` validates a
 //! telemetry span journal produced with `--trace-out`: schema version,
@@ -20,11 +17,6 @@
 //! summary, `--baseline` phase-level diffing, `--what-if` scaling
 //! prediction, and `--chrome-out` trace-event export. See DESIGN.md §12.
 //!
-//! `cargo run -p xtask -- bench-check [--quick]` re-measures the
-//! performance baseline and fails on a >15% calibration-normalized
-//! throughput regression against the committed `BENCH_BASELINE.json`
-//! (`BENCH_BASELINE_QUICK.json` with `--quick`). See DESIGN.md §9.
-//!
 //! `cargo run -p xtask -- loc [--check]` prints the per-crate size report
 //! (source files, non-test lines, `pub` items) committed as `LOC.txt`;
 //! `--check` fails when the committed file is stale.
@@ -32,10 +24,8 @@
 #![forbid(unsafe_code)]
 
 mod analyze;
-mod bench_check;
 #[cfg(test)]
 mod fixture_tests;
-mod json;
 mod lexer;
 mod loc;
 mod rules;
@@ -50,13 +40,11 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("analyze") => match parse_analyze_args(&args[1..]) {
-            Ok((root, update_baseline)) => run_analyze(&root, update_baseline),
+        Some("analyze") => match parse_root(&args[1..]) {
+            Ok(root) => run_analyze(&root),
             Err(msg) => {
                 eprintln!("xtask analyze: {msg}");
-                eprintln!(
-                    "usage: cargo run -p xtask -- analyze [--root <path>] [--update-baseline]"
-                );
+                eprintln!("usage: cargo run -p xtask -- analyze [--root <path>]");
                 ExitCode::FAILURE
             }
         },
@@ -90,33 +78,6 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         },
-        Some("bench-check") => match bench_check::parse_args(&args[1..]) {
-            Ok((quick, root_override)) => {
-                let root = match root_override {
-                    Some(root) => root,
-                    None => match parse_root(&[]) {
-                        Ok(root) => root,
-                        Err(msg) => {
-                            eprintln!("xtask bench-check: {msg}");
-                            return ExitCode::FAILURE;
-                        }
-                    },
-                };
-                match bench_check::run_gate(&root, quick) {
-                    Ok(true) => ExitCode::SUCCESS,
-                    Ok(false) => ExitCode::FAILURE,
-                    Err(msg) => {
-                        eprintln!("xtask bench-check: {msg}");
-                        ExitCode::FAILURE
-                    }
-                }
-            }
-            Err(msg) => {
-                eprintln!("xtask bench-check: {msg}");
-                eprintln!("usage: cargo run -p xtask -- bench-check [--quick] [--root <path>]");
-                ExitCode::FAILURE
-            }
-        },
         Some("loc") => {
             let (check, rest) = match args.get(1).map(String::as_str) {
                 Some("--check") => (true, &args[2..]),
@@ -135,8 +96,8 @@ fn main() -> ExitCode {
         _ => {
             eprintln!(
                 "usage: cargo run -p xtask -- \
-                 <analyze|rules|check-trace|trace-analyze|bench-check|loc> \
-                 [--root <path>] [--update-baseline] [--quick] [--check] \
+                 <analyze|rules|check-trace|trace-analyze|loc> \
+                 [--root <path>] [--check] \
                  [--baseline <journal>] [--what-if p=8,16] [--chrome-out <f>] \
                  [--blame-out <f>] [<journal.jsonl>]"
             );
@@ -193,29 +154,8 @@ fn default_root() -> Result<PathBuf, String> {
         .unwrap_or_else(|| PathBuf::from(".")))
 }
 
-fn parse_analyze_args(args: &[String]) -> Result<(PathBuf, bool), String> {
-    let mut root: Option<PathBuf> = None;
-    let mut update_baseline = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--root" => {
-                let path = it.next().ok_or("--root requires a path argument")?;
-                root = Some(PathBuf::from(path));
-            }
-            "--update-baseline" => update_baseline = true,
-            other => return Err(format!("unrecognized argument `{other}`")),
-        }
-    }
-    let root = match root {
-        Some(root) => root,
-        None => default_root()?,
-    };
-    Ok((root, update_baseline))
-}
-
-fn run_analyze(root: &Path, update_baseline: bool) -> ExitCode {
-    let report = match analyze::run(root, update_baseline) {
+fn run_analyze(root: &Path) -> ExitCode {
+    let report = match analyze::run(root) {
         Ok(report) => report,
         Err(msg) => {
             eprintln!("xtask analyze: {msg}");
@@ -231,23 +171,18 @@ fn run_analyze(root: &Path, update_baseline: bool) -> ExitCode {
             message = f.message
         );
     }
-    for (rule, path, allowed, current) in &report.ratchet {
-        println!(
-            "xtask analyze: note: {path} is below its `{rule}` baseline ({current} < {allowed}); \
-             run with --update-baseline to ratchet down"
-        );
-    }
+    // "0 baselined": there is no baseline file; an inline allow is the only
+    // way a finding stays.
     if report.active.is_empty() {
         println!(
-            "xtask analyze: {} files clean across {} rules ({} baselined finding(s) grandfathered)",
+            "xtask analyze: {} files clean across {} rules (0 baselined)",
             report.files_scanned,
             rules::RULES.len(),
-            report.baselined
         );
         ExitCode::SUCCESS
     } else {
         println!(
-            "xtask analyze: {} violation(s) in {} file(s) ({} baselined finding(s) grandfathered)",
+            "xtask analyze: {} violation(s) in {} file(s) (0 baselined)",
             report.active.len(),
             report
                 .active
@@ -255,7 +190,6 @@ fn run_analyze(root: &Path, update_baseline: bool) -> ExitCode {
                 .map(|f| &f.path)
                 .collect::<BTreeSet<_>>()
                 .len(),
-            report.baselined
         );
         ExitCode::FAILURE
     }
@@ -266,22 +200,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn analyze_args_parse_all_flags() {
-        let (root, update_baseline) = parse_analyze_args(&[
-            "--root".to_string(),
-            "/tmp/ws".to_string(),
-            "--update-baseline".to_string(),
-        ])
-        .expect("valid args");
-        assert_eq!(root, PathBuf::from("/tmp/ws"));
-        assert!(update_baseline);
-    }
-
-    #[test]
-    fn analyze_args_reject_unknown_flags() {
-        assert!(parse_analyze_args(&["--bogus".to_string()]).is_err());
-        assert!(parse_analyze_args(&["--sarif".to_string()]).is_err());
-        assert!(parse_analyze_args(&["--root".to_string()]).is_err());
+    fn root_args_parse_or_reject() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            parse_root(&args(&["--root", "/tmp/ws"])),
+            Ok(PathBuf::from("/tmp/ws"))
+        );
+        for bad in [&["--bogus"][..], &["--sarif", "x"], &["--root"]] {
+            assert!(parse_root(&args(bad)).is_err(), "{bad:?}");
+        }
     }
 
     #[test]
