@@ -142,6 +142,21 @@ impl CfVector {
         .sqrt()
     }
 
+    /// Squared Euclidean distance from the centroid to `point`, straight
+    /// from the linear sums: bit-identical to
+    /// `self.centroid().squared_distance(point)` (`x · 1.0` is `x`) without
+    /// materializing the centroid — the per-record reference `assign`s ask
+    /// this of every micro-cluster.
+    pub(crate) fn squared_distance_to(&self, point: &Point) -> f64 {
+        debug_assert_eq!(self.dims(), point.dims(), "point dimension mismatch");
+        lane_squared_distance_scaled(
+            self.cf1x.as_slice(),
+            self.centroid_scale(),
+            point.as_slice(),
+            1.0,
+        )
+    }
+
     /// RMS deviation of absorbed points from the centroid — the
     /// micro-cluster "radius" used for maximum-boundary checks.
     ///
@@ -187,18 +202,31 @@ impl CfVector {
     /// Inserts a record: decays the sketch by `lambda` (computed by the
     /// caller from the record's arrival interval) then adds the record's
     /// increment `Δx = (x², x, t², t, 1)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the record's dimensionality differs from the sketch's.
     pub fn insert(&mut self, record: &Record, lambda: f64) {
-        self.decay(lambda, record.timestamp.max(self.updated_at));
-        let t = record.timestamp.secs();
-        self.cf1x.add_in_place(&record.point);
-        // `x²` straight into CF2x: the same rounded square and the same add
-        // as `add_in_place(&point.squared())`, without the temporary.
-        for (s2, &x) in self.cf2x.as_mut_slice().iter_mut().zip(record.point.iter()) {
-            *s2 += x * x;
+        debug_assert!((0.0..=1.0).contains(&lambda));
+        assert_eq!(self.dims(), record.point.dims(), "point dimension mismatch");
+        // One pass over the sums: per element the same rounded multiply and
+        // then the same rounded add (of `x`, of the rounded `x²`) as
+        // `decay` followed by the two additions, so the sketch is
+        // bit-identical to that form.
+        let sums = self
+            .cf1x
+            .as_mut_slice()
+            .iter_mut()
+            .zip(self.cf2x.as_mut_slice());
+        for ((s1, s2), &x) in sums.zip(record.point.iter()) {
+            *s1 = *s1 * lambda + x;
+            *s2 = *s2 * lambda + x * x;
         }
-        self.cf2t += t * t;
-        self.cf1t += t;
-        self.weight += 1.0;
+        let t = record.timestamp.secs();
+        self.cf2t = self.cf2t * lambda + t * t;
+        self.cf1t = self.cf1t * lambda + t;
+        self.weight = self.weight * lambda + 1.0;
+        self.updated_at = record.timestamp.max(self.updated_at);
     }
 
     /// Adds another CF vector using the additivity property. The creation
@@ -969,6 +997,123 @@ impl CentroidKernel {
 }
 
 // ---------------------------------------------------------------------------
+// Closed-form screen for DenStream's tentative-insertion radius
+// ---------------------------------------------------------------------------
+
+/// Magnitudes the screen reasons about: below this neither path's
+/// intermediates (sums of squares times a weight) can overflow. A weight or
+/// a sum of squares at or beyond it is left to [`CfVector::radius_with`].
+const SCREEN_RANGE: f64 = 1e150;
+
+/// DenStream's absorption test — `cf.radius_with(x) <= eps` — decided from
+/// the squared distance `d²` the nearest-centroid search has already
+/// computed, for the sketches behind the rows of a [`CentroidKernel`].
+///
+/// Over the reals, for a sketch `(S1, S2, w₀)` with `w₀ > 0`, centroid
+/// `c = S1/w₀`, `w = w₀ + 1` and `V_j = S2_j − S1_j²/w₀`, the term
+/// `radius_with` sums for dimension `j` is
+///
+/// ```text
+/// (S2_j + x_j²)/w − ((S1_j + x_j)/w)²  =  V_j/w + w₀·(x_j − c_j)²/w²
+/// ```
+///
+/// so the radius squared is `a + b·d²` with `a = Σ V_j / w` and
+/// `b = w₀/w²` — no pass over the coordinates. Two things separate that
+/// from what `radius_with` returns. It clamps every term at zero; the
+/// second summand above is never negative, so a term is below zero only
+/// where `V_j` is (cancellation in a dimension of no variance), the clamp
+/// can only *add*, and by at most `clamp = Σ max(0, −V_j) / w`. And both
+/// sides round: every intermediate of either is bounded by the sum of
+/// squares `scale` below, each contributes a relative `2⁻⁵³`, a sum of `d`
+/// terms compounds `d` of them, and the constants add up to less than
+/// `2·dims + 22` units — [`RadiusScreen::new`] allows
+/// `(4·dims + 32)·ε_mach`, three to four times that (DESIGN.md §15.1c has
+/// the tally). So the screen **accepts** when
+/// `a + b·d² + clamp + margin ≤ ε²`, **rejects** when
+/// `a + b·d² − margin > ε²`, and otherwise answers `None`: the caller runs
+/// `radius_with`, as it does for an emptied sketch, a weight or magnitude
+/// outside [`SCREEN_RANGE`], and anything non-finite (NaN fails both
+/// comparisons). Every decision is therefore the one the full sum makes.
+#[derive(Debug)]
+pub(crate) struct RadiusScreen {
+    rows: Vec<ScreenRow>,
+    eps2: f64,
+    /// Relative rounding allowance on [`ScreenRow::scale`] and the
+    /// per-query magnitudes.
+    slack: f64,
+}
+
+/// What [`RadiusScreen`] keeps per sketch.
+#[derive(Debug)]
+struct ScreenRow {
+    a: f64,
+    b: f64,
+    clamp: f64,
+    /// The query-independent magnitudes the margin is relative to:
+    /// `Σ|S2_j|/w + 3‖c‖² + clamp + ε²`.
+    scale: f64,
+}
+
+impl RadiusScreen {
+    /// An empty screen for `dims`-dimensional sketches under threshold `eps`.
+    pub(crate) fn new(rows: usize, dims: usize, eps: f64) -> Self {
+        RadiusScreen {
+            rows: Vec::with_capacity(rows),
+            eps2: eps * eps,
+            slack: (4 * dims + 32) as f64 * f64::EPSILON,
+        }
+    }
+
+    /// Appends the row of `cf`; call in step with the kernel's `push_cf`.
+    pub(crate) fn push(&mut self, cf: &CfVector) {
+        let w0 = cf.weight;
+        let inv0 = 1.0 / w0;
+        let w = w0 + 1.0;
+        let (mut spread, mut clamp, mut s2_abs, mut c2) = (0.0, 0.0, 0.0, 0.0);
+        for (&s2, &s1) in cf.cf2x.iter().zip(cf.cf1x.iter()) {
+            let sq = s1 * (s1 * inv0);
+            let v = s2 - sq;
+            spread += v.max(0.0);
+            clamp += (-v).max(0.0);
+            s2_abs += s2.abs();
+            c2 += sq;
+        }
+        let a = if w0 > 0.0 && w0 < SCREEN_RANGE {
+            (spread - clamp) / w
+        } else {
+            f64::NAN // fails every comparison in `within`
+        };
+        let clamp = clamp / w;
+        self.rows.push(ScreenRow {
+            a,
+            b: w0 / (w * w),
+            clamp,
+            scale: s2_abs / w + 3.0 * (c2 * inv0) + clamp + self.eps2,
+        });
+    }
+
+    /// Whether the sketch behind `row` keeps its radius within `eps` after
+    /// absorbing a point at squared distance `d2` from its centroid —
+    /// `None` where only [`CfVector::radius_with`] can tell.
+    pub(crate) fn within(&self, row: usize, d2: f64) -> Option<bool> {
+        let row = self.rows.get(row)?;
+        let estimate = row.a + row.b * d2;
+        // ‖x‖² ≤ 2‖c‖² + 2d² — the row holds the first, this adds the rest.
+        let scale = row.scale + 2.0 * d2 + estimate.abs();
+        let margin = self.slack * scale + f64::MIN_POSITIVE;
+        if scale < SCREEN_RANGE {
+            if estimate + row.clamp + margin <= self.eps2 {
+                return Some(true);
+            }
+            if estimate - margin > self.eps2 {
+                return Some(false);
+            }
+        }
+        None
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Closest-pair index for capacity merges
 // ---------------------------------------------------------------------------
 
@@ -1294,6 +1439,159 @@ mod tests {
         let predicted = cf.radius_with(&Point::from(vec![4.0, 0.0]));
         cf.insert(&rec(2, vec![4.0, 0.0], 0.0), 1.0);
         assert!((predicted - cf.rms_radius()).abs() < 1e-12);
+    }
+
+    /// Every stored number of a sketch, as bits.
+    fn sketch_bits(cf: &CfVector) -> Vec<u64> {
+        let scalars = [cf.cf2t, cf.cf1t, cf.weight];
+        let stamps = [cf.created_at.secs(), cf.updated_at.secs()];
+        let all = cf.cf2x.iter().chain(cf.cf1x.iter()).chain(&scalars);
+        all.chain(&stamps).map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn one_pass_insert_is_decay_then_add_bit_for_bit() {
+        let mut rng = proptest::test_runner::TestRng::from_seed(22);
+        for dims in [1, 54, 315] {
+            for lambda in [1.0, 0.5, 1e-300] {
+                let mut coords = |scale: f64| -> Vec<f64> {
+                    (0..dims).map(|_| (rng.unit_f64() - 0.5) * scale).collect()
+                };
+                let mut cf = CfVector::from_record(&rec(0, coords(1e3), 1.0));
+                for (i, scale) in [1.0, 1e-7, 1e9, 3.0].into_iter().enumerate() {
+                    // Out of order on the third insert: `updated_at` holds.
+                    let t = if i == 2 { 0.5 } else { 2.0 + i as f64 * 0.37 };
+                    let record = rec(1 + i as u64, coords(scale), t);
+                    // The four-pass form `insert` used to be.
+                    let mut want = cf.clone();
+                    want.decay(lambda, record.timestamp.max(want.updated_at));
+                    want.cf1x.add_in_place(&record.point);
+                    want.cf2x.add_in_place(&record.point.squared());
+                    want.cf2t += t * t;
+                    want.cf1t += t;
+                    want.weight += 1.0;
+                    cf.insert(&record, lambda);
+                    assert_eq!(sketch_bits(&cf), sketch_bits(&want), "d={dims} λ={lambda}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "point dimension mismatch")]
+    fn insert_rejects_a_record_of_another_dimensionality() {
+        let mut cf = CfVector::from_record(&rec(0, vec![1.0, 2.0], 0.0));
+        cf.insert(&rec(1, vec![1.0], 0.0), 1.0);
+    }
+
+    /// The screen's answer for `point` against the one sketch it holds, and
+    /// the full sum's.
+    fn screened_and_exact(cf: &CfVector, point: &Point, eps: f64) -> (Option<bool>, bool) {
+        let mut screen = RadiusScreen::new(1, cf.dims(), eps);
+        screen.push(cf);
+        let d2 = cf.squared_distance_to(point);
+        (screen.within(0, d2), cf.radius_with(point) <= eps)
+    }
+
+    #[test]
+    fn radius_screen_decides_interior_points_and_only_as_the_full_sum_does() {
+        let mut cf = CfVector::from_record(&rec(0, vec![0.0, 0.0], 0.0));
+        cf.insert(&rec(1, vec![2.0, 0.0], 0.0), 1.0);
+        // Centroid (1, 0), per-dimension SSE (2, 0): absorbing (1, y) gives
+        // r² = (2 + ⅔·y²)/3.
+        for (y, absorbed) in [
+            (0.0, true),
+            (1.0, true),
+            (1.2, true),
+            (1.3, false),
+            (9.0, false),
+        ] {
+            let got = screened_and_exact(&cf, &Point::from(vec![1.0, y]), 1.0);
+            assert_eq!(got, (Some(absorbed), absorbed), "y = {y}");
+        }
+        // On the boundary itself — r² = 1 at y² = 3/2 up to rounding — the
+        // screen abstains.
+        let edge = Point::from(vec![1.0, 1.5f64.sqrt()]);
+        assert_eq!(screened_and_exact(&cf, &edge, 1.0).0, None);
+    }
+
+    /// The clamp is one-sided. A sketch whose squared sums undercut its
+    /// linear sums in some dimensions — what rounding does to a dimension of
+    /// no variance at a large offset, here made large enough to see — has
+    /// `a + b·d²` *below* what `radius_with` sums, because the full sum
+    /// lifts each negative term to zero. Accepting on the closed form alone
+    /// would absorb a point the full sum rejects.
+    #[test]
+    fn radius_screen_allows_for_the_clamp() {
+        let mut cf = CfVector::from_record(&rec(0, vec![0.0; 3], 0.0));
+        cf.insert(&rec(1, vec![2.0, 0.0, 0.0], 0.0), 1.0);
+        // Dimension 0: S1 = 2, S2 = 4 (SSE 2). Dimensions 1 and 2 hold 10
+        // twice over in S1 but only 199 of the 200 in S2: SSE −1 each.
+        cf.cf1x = Point::from(vec![2.0, 20.0, 20.0]);
+        cf.cf2x = Point::from(vec![4.0, 199.0, 199.0]);
+        let at_centroid = Point::from(vec![1.0, 10.0, 10.0]);
+        // Closed form: (2 − 1 − 1)/3 = 0. Full sum: 2/3 + 0 + 0.
+        let exact = cf.radius_with(&at_centroid);
+        assert!((exact * exact - 2.0 / 3.0).abs() < 1e-12);
+        for eps in [0.5, 0.8] {
+            // ε² = 0.25 and 0.64 both lie between 0 and ⅔: the estimate
+            // accepts, the clamp allowance (⅔) forbids it, the full sum
+            // rejects.
+            let (screened, absorbed) = screened_and_exact(&cf, &at_centroid, eps);
+            assert!(!absorbed);
+            assert_eq!(screened, None, "eps = {eps}");
+        }
+        // Past the allowance both agree again.
+        assert_eq!(
+            screened_and_exact(&cf, &at_centroid, 0.9),
+            (Some(true), true)
+        );
+        // The allowance never turns into a rejection: far out the
+        // estimate alone exceeds ε².
+        let far = Point::from(vec![1.0, 10.0, 14.0]);
+        assert_eq!(screened_and_exact(&cf, &far, 0.9), (Some(false), false));
+    }
+
+    /// Sketches and points the closed form has no business judging: the
+    /// screen abstains and [`CfVector::radius_with`] answers, whatever that
+    /// answer is.
+    #[test]
+    fn hostile_sketches_and_points_leave_the_radius_to_the_full_sum() {
+        let base = |x: f64| {
+            let mut cf = CfVector::from_record(&rec(0, vec![x, 1.0], 0.0));
+            cf.insert(&rec(1, vec![x, 3.0], 0.0), 1.0);
+            cf
+        };
+        let healthy = base(5.0);
+        for hostile in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e200, -1e200] {
+            // In the point...
+            let point = Point::from(vec![hostile, 2.0]);
+            assert_eq!(screened_and_exact(&healthy, &point, 1.0).0, None);
+            // ...and in the sketch.
+            let near = Point::from(vec![5.0, 2.0]);
+            assert_eq!(screened_and_exact(&base(hostile), &near, 1.0).0, None);
+        }
+        // Magnitudes that are finite but square past the screen's range.
+        let point = Point::from(vec![1e80, 2.0]);
+        assert_eq!(screened_and_exact(&base(1e80), &point, 1.0).0, None);
+        // An emptied sketch (w₀ = 0) and a weight past the range.
+        let mut emptied = healthy.clone();
+        emptied.decay(0.0, Timestamp::from_secs(1.0));
+        let mut heavy = healthy.clone();
+        heavy.weight = 1e200;
+        for cf in [&emptied, &heavy] {
+            let point = Point::from(vec![5.0, 2.0]);
+            assert_eq!(screened_and_exact(cf, &point, 1.0).0, None);
+        }
+        // A one-record sketch is ordinary: SSE 0, b = ¼.
+        let single = CfVector::from_record(&rec(0, vec![5.0, 2.0], 0.0));
+        for (x, absorbed) in [(5.0, true), (6.9, true), (7.1, false)] {
+            let got = screened_and_exact(&single, &Point::from(vec![x, 2.0]), 1.0);
+            assert_eq!(got, (Some(absorbed), absorbed), "x = {x}");
+        }
+        // A threshold whose square underflows leaves nothing to compare.
+        let at = Point::from(vec![5.0, 2.0]);
+        assert_eq!(screened_and_exact(&single, &at, 1e-170), (None, true));
     }
 
     #[test]
@@ -2069,16 +2367,24 @@ mod tests {
         let naive = empty.centroid().distance(&other.centroid());
         assert_eq!(empty.centroid_distance(&other).to_bits(), naive.to_bits());
         assert_eq!(other.centroid_distance(&empty).to_bits(), naive.to_bits());
+        let point = Point::from(vec![1.5, 2.5]);
+        assert_eq!(
+            empty.squared_distance_to(&point).to_bits(),
+            empty.centroid().squared_distance(&point).to_bits()
+        );
     }
 
     proptest! {
         /// `centroid_distance` is the materialized path, bit for bit, for
-        /// every pair of a random CF set (both argument orders).
+        /// every pair of a random CF set (both argument orders), and
+        /// `squared_distance_to` for every sketch and the query.
         #[test]
         fn prop_centroid_distance_matches_materialized_bits(
-            (cfs, _query) in cf_set_and_query(),
+            (cfs, query) in cf_set_and_query(),
         ) {
             for a in &cfs {
+                let naive = a.centroid().squared_distance(&query);
+                prop_assert_eq!(a.squared_distance_to(&query).to_bits(), naive.to_bits());
                 for b in &cfs {
                     let naive = a.centroid().distance(&b.centroid());
                     prop_assert_eq!(a.centroid_distance(b).to_bits(), naive.to_bits());

@@ -90,7 +90,7 @@ impl CluStreamModel {
         self.mcs
             .iter()
             .filter(|(id, _)| **id != exclude)
-            .map(|(_, cf)| cf.centroid().distance(point))
+            .map(|(_, cf)| cf.squared_distance_to(point).sqrt())
             .fold(f64::INFINITY, f64::min)
     }
 }
@@ -305,7 +305,7 @@ impl StreamClustering for CluStream {
         let closest = model
             .mcs
             .iter()
-            .map(|(id, cf)| (*id, cf, cf.centroid().distance(&record.point)))
+            .map(|(id, cf)| (*id, cf, cf.squared_distance_to(&record.point).sqrt()))
             .min_by(|a, b| a.2.total_cmp(&b.2));
         match closest {
             Some((id, cf, dist)) => {

@@ -12,10 +12,12 @@ use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use diststream_core::{Assignment, MicroClusterId, Searcher, StreamClustering, WeightedPoint};
+use diststream_core::{
+    telemetry, Assignment, MicroClusterId, Searcher, StreamClustering, WeightedPoint,
+};
 use diststream_types::{DistStreamError, Record, Result, Timestamp};
 
-use crate::cf::{CentroidKernel, CfVector};
+use crate::cf::{CentroidKernel, CfVector, RadiusScreen};
 
 /// Tuning parameters for [`DenStream`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -236,7 +238,7 @@ impl StreamClustering for DenStream {
                 .mcs
                 .iter()
                 .filter(|(_, mc)| mc.potential == want_potential)
-                .map(|(id, mc)| (*id, mc, mc.cf.centroid().squared_distance(&record.point)))
+                .map(|(id, mc)| (*id, mc, mc.cf.squared_distance_to(&record.point)))
                 .min_by(|a, b| a.2.total_cmp(&b.2));
             if let Some((id, mc, _)) = candidate {
                 if mc.cf.radius_with(&record.point) <= self.params.eps {
@@ -250,25 +252,38 @@ impl StreamClustering for DenStream {
     fn searcher<'m>(&'m self, model: &'m DenStreamModel) -> Searcher<'m> {
         // One flattened-centroid kernel per model snapshot, with the
         // potential/outlier role mask alongside so the two preference passes
-        // of `assign` become filtered scans over the same dense buffer.
-        let mut kernel = CentroidKernel::with_capacity(
-            model.mcs.len(),
-            model.mcs.values().next().map_or(0, |mc| mc.cf.dims()),
-        );
-        let mut potential = Vec::with_capacity(model.mcs.len());
+        // of `assign` become filtered scans over the same dense buffer, and
+        // the radius test in closed form per row: the search hands back the
+        // d² the test needs, so a record costs no second pass over its
+        // coordinates unless it lands within rounding of the ε boundary.
+        let rows = model.mcs.len();
+        let dims = model.mcs.values().next().map_or(0, |mc| mc.cf.dims());
+        let mut kernel = CentroidKernel::with_capacity(rows, dims);
+        let mut screen = RadiusScreen::new(rows, dims, self.params.eps);
+        let mut potential = Vec::with_capacity(rows);
         for (id, mc) in model.mcs.iter() {
             kernel.push_cf(*id, &mc.cf);
+            screen.push(&mc.cf);
             potential.push(mc.potential);
         }
+        // Registered (at zero) by every traced batch; the screened path
+        // touches no shared state.
+        let exact = telemetry::enabled()
+            .then(|| telemetry::counter(telemetry::names::METRIC_DENSTREAM_RADIUS_EXACT_TOTAL));
         Box::new(move |record| {
             for want_potential in [true, false] {
-                let candidate = kernel
-                    // lint:allow(index-in-hot-path) one `potential` flag was pushed per kernel row above, and the filter is asked about rows only
-                    .nearest_squared_filtered(&record.point, |idx| potential[idx] == want_potential)
-                    .map(|(idx, _)| kernel.id(idx));
-                if let Some(id) = candidate {
-                    // lint:allow(index-in-hot-path) the kernel's ids are the keys of `model.mcs` it was filled from
-                    if model.mcs[&id].cf.radius_with(&record.point) <= self.params.eps {
+                // lint:allow(index-in-hot-path) one `potential` flag was pushed per kernel row above, and the filter is asked about rows only
+                let in_role = |idx: usize| potential[idx] == want_potential;
+                if let Some((idx, d2)) = kernel.nearest_squared_filtered(&record.point, in_role) {
+                    let id = kernel.id(idx);
+                    let absorbs = screen.within(idx, d2).unwrap_or_else(|| {
+                        if let Some(exact) = &exact {
+                            exact.inc();
+                        }
+                        // lint:allow(index-in-hot-path) the kernel's ids are the keys of `model.mcs` it was filled from
+                        model.mcs[&id].cf.radius_with(&record.point) <= self.params.eps
+                    });
+                    if absorbs {
                         return Assignment::Existing(id);
                     }
                 }
@@ -362,6 +377,7 @@ impl StreamClustering for DenStream {
 mod tests {
     use super::*;
     use diststream_types::Point;
+    use proptest::test_runner::TestRng;
 
     fn rec(id: u64, x: f64, t: f64) -> Record {
         Record::new(id, Point::from(vec![x]), Timestamp::from_secs(t))
@@ -446,6 +462,233 @@ mod tests {
         for (r, got) in probes.iter().zip(batched) {
             assert_eq!(got, algo.assign(&model, r), "record {:?}", r.id);
         }
+    }
+
+    /// A model built to sit badly with a closed-form radius: `dims`
+    /// dimensions around a common `offset` (at 10⁶ the mean dwarfs the
+    /// spread and `S2 − S1²/w` cancels to its last bits), every third
+    /// dimension of zero variance (its cancellation residue has either
+    /// sign, so the clamp fires), decay factors and record counts that
+    /// differ per sketch, and weights scaled to span 10⁻⁶ … 10⁶. Roles
+    /// alternate; centres are ten spreads apart along dimension 0.
+    fn adversarial_model(rng: &mut TestRng, dims: usize, offset: f64) -> DenStreamModel {
+        let mut model = DenStreamModel::default();
+        for k in 0..6u64 {
+            let coords = |rng: &mut TestRng| -> Vec<f64> {
+                (0..dims)
+                    .map(|dim| {
+                        let centre = offset + if dim == 0 { k as f64 * 10.0 } else { 0.1 };
+                        let flat = dim % 3 == 2;
+                        centre + if flat { 0.0 } else { rng.unit_f64() - 0.5 }
+                    })
+                    .collect()
+            };
+            let mut cf =
+                CfVector::from_record(&Record::new(0, Point::from(coords(rng)), Timestamp::ZERO));
+            let lambda = [1.0, 0.97, 0.5][k as usize % 3];
+            for i in 1..=(3 + 4 * k) {
+                let at = Timestamp::from_secs(i as f64 * 0.01);
+                cf.insert(&Record::new(i, Point::from(coords(rng)), at), lambda);
+            }
+            match k {
+                // Down to ~10⁻⁶ of a record...
+                0 | 1 => cf.decay(1e-6, Timestamp::from_secs(1.0)),
+                // ...and up to ~10⁶: twenty doublings.
+                4 | 5 => (0..20).for_each(|_| cf.add(&cf.clone())),
+                _ => {}
+            }
+            model.insert_new(DenStreamMc {
+                cf,
+                potential: k % 2 == 0,
+            });
+        }
+        model
+    }
+
+    /// `centroid + t · direction`.
+    fn along(centroid: &Point, direction: &[f64], t: f64) -> Point {
+        let coords = centroid.iter().zip(direction).map(|(c, u)| c + t * u);
+        Point::from(coords.collect::<Vec<f64>>())
+    }
+
+    /// Probes for every micro-cluster of `model`: its centroid, points a
+    /// random step away, and — the ones that matter — points bisected along
+    /// a random direction until two neighbouring step lengths straddle
+    /// `radius_with(x) <= eps`, with a few more within rounding of those.
+    fn boundary_probes(rng: &mut TestRng, model: &DenStreamModel, eps: f64) -> Vec<Record> {
+        let mut probes = Vec::new();
+        for (_, mc) in model.iter() {
+            let centroid = mc.cf.centroid();
+            let direction: Vec<f64> = (0..mc.cf.dims()).map(|_| rng.unit_f64() - 0.5).collect();
+            let absorbs = |t: f64| mc.cf.radius_with(&along(&centroid, &direction, t)) <= eps;
+            let mut steps = vec![0.0, rng.unit_f64(), rng.unit_f64() * 30.0];
+            if absorbs(0.0) {
+                let (mut inside, mut outside) = (0.0, 1.0);
+                while absorbs(outside) && outside < 1e12 {
+                    outside *= 2.0;
+                }
+                for _ in 0..200 {
+                    let mid = inside + (outside - inside) / 2.0;
+                    if mid <= inside || mid >= outside {
+                        break;
+                    }
+                    if absorbs(mid) {
+                        inside = mid;
+                    } else {
+                        outside = mid;
+                    }
+                }
+                for edge in [inside, outside] {
+                    steps.extend((-2..=2).map(|ulps| edge * (1.0 + ulps as f64 * f64::EPSILON)));
+                }
+            }
+            for t in steps {
+                let id = probes.len() as u64;
+                let point = along(&centroid, &direction, t);
+                probes.push(Record::new(id, point, Timestamp::from_secs(2.0)));
+            }
+        }
+        probes
+    }
+
+    /// The searcher's screen must never change a decision: on sketches and
+    /// points chosen to make the closed form and the 315-term sum disagree
+    /// if anything can, `assign_many` (the screen, then the sum where the
+    /// screen abstains) answers exactly as `assign` (the sum) does — in
+    /// both roles, since a record the nearest potential micro-cluster turns
+    /// away is judged again by the nearest outlier one.
+    #[test]
+    fn searcher_decides_like_assign_on_adversarial_geometry() {
+        let mut rng = TestRng::from_seed(0x22);
+        let (mut existing, mut created, mut second_pass) = (0, 0, 0);
+        for dims in [1, 2, 54, 315] {
+            for offset in [0.0, 1e3, 1e6] {
+                let model = adversarial_model(&mut rng, dims, offset);
+                // About the spread of one sketch, so both outcomes occur.
+                for eps in [0.05, 0.3 * (dims as f64).sqrt(), 3.0] {
+                    let algo = DenStream::new(DenStreamParams {
+                        eps,
+                        ..DenStreamParams::default()
+                    });
+                    let probes = boundary_probes(&mut rng, &model, eps);
+                    let batched = algo.assign_many(&model, &probes);
+                    for (probe, got) in probes.iter().zip(batched) {
+                        let want = algo.assign(&model, probe);
+                        assert_eq!(got, want, "d={dims} offset={offset} eps={eps} {probe:?}");
+                        match want {
+                            Assignment::Existing(id) if id % 2 == 1 => second_pass += 1,
+                            Assignment::Existing(_) => existing += 1,
+                            Assignment::New(_) => created += 1,
+                        }
+                    }
+                }
+            }
+        }
+        // Every branch was exercised many times over.
+        assert!(existing > 100 && created > 100 && second_pass > 100);
+    }
+
+    /// The bisected points are the ones the screen cannot decide: there —
+    /// and, on well-conditioned sketches, only there — the searcher falls
+    /// back to the full sum, and says so on the telemetry counter.
+    #[test]
+    fn boundary_points_take_the_exact_radius_and_are_counted() {
+        let mut rng = TestRng::from_seed(0x23);
+        let model = adversarial_model(&mut rng, 54, 0.0);
+        let eps = 0.3 * 54f64.sqrt();
+        let probes = boundary_probes(&mut rng, &model, eps);
+        let mut screen = RadiusScreen::new(model.len(), 54, eps);
+        let mut abstained = 0;
+        for (row, (_, mc)) in model.iter().enumerate() {
+            screen.push(&mc.cf);
+            for probe in &probes {
+                let d2 = mc.cf.squared_distance_to(&probe.point);
+                match screen.within(row, d2) {
+                    Some(absorbs) => {
+                        assert_eq!(absorbs, mc.cf.radius_with(&probe.point) <= eps);
+                    }
+                    None => abstained += 1,
+                }
+            }
+        }
+        // Each sketch abstains on its own ten boundary points, and decides
+        // its interior points and everything about the other sketches.
+        let pairs = model.len() * probes.len();
+        assert!(abstained >= 10 * model.len(), "{abstained} of {pairs}");
+        assert!(abstained * 4 < pairs, "{abstained} of {pairs}");
+
+        let algo = DenStream::new(DenStreamParams {
+            eps,
+            ..DenStreamParams::default()
+        });
+        let counter = telemetry::counter(telemetry::names::METRIC_DENSTREAM_RADIUS_EXACT_TOTAL);
+        let before = counter.get();
+        telemetry::set_enabled(true);
+        let decisions = algo.assign_many(&model, &probes);
+        telemetry::set_enabled(false);
+        assert_eq!(decisions.len(), probes.len());
+        assert!(counter.get() > before);
+    }
+
+    /// NaN, infinite and overflowing coordinates, an emptied sketch, a
+    /// one-record sketch and one at 10²⁰⁰ get from the searcher what
+    /// `assign` gives them. One micro-cluster per role, so the candidate is
+    /// the same on both sides whatever the distances are: which of several
+    /// rows a search returns when every distance is NaN is the kernel's
+    /// business (`hostile_coordinates_take_the_plain_scan`), and it is not
+    /// the reference's first row.
+    #[test]
+    fn hostile_input_is_assigned_as_the_reference_assigns_it() {
+        let algo = algo();
+        let mut heavy = CfVector::from_record(&rec(0, 0.0, 0.0));
+        for i in 1..20 {
+            heavy.insert(&rec(i, 0.1 * (i % 3) as f64, 0.0), 1.0);
+        }
+        let mut emptied = CfVector::from_record(&rec(20, 4.0, 0.0));
+        emptied.decay(0.0, Timestamp::from_secs(1.0));
+        let sketches = [
+            heavy,
+            emptied,
+            CfVector::from_record(&rec(21, 8.0, 0.0)),
+            CfVector::from_record(&rec(22, 1e200, 0.0)),
+        ];
+        let coords = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e200,
+            -1e200,
+            1e155,
+            0.05,
+            4.0,
+            4.5,
+            8.0,
+            9.9,
+            10.1,
+        ];
+        let probes: Vec<Record> = coords
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| rec(100 + i as u64, x, 2.0))
+            .collect();
+        let mut absorbed = 0;
+        for (p, potential) in sketches.iter().enumerate() {
+            for (o, outlier) in sketches.iter().enumerate().filter(|(o, _)| *o != p) {
+                let mut model = DenStreamModel::default();
+                for (cf, potential) in [(potential, true), (outlier, false)] {
+                    model.insert_new(DenStreamMc {
+                        cf: cf.clone(),
+                        potential,
+                    });
+                }
+                let batched = algo.assign_many(&model, &probes);
+                for (probe, got) in probes.iter().zip(batched) {
+                    assert_eq!(got, algo.assign(&model, probe), "{p}/{o} {probe:?}");
+                    absorbed += usize::from(matches!(got, Assignment::Existing(_)));
+                }
+            }
+        }
+        assert!(absorbed > 0 && absorbed < 12 * probes.len());
     }
 
     #[test]

@@ -11,11 +11,17 @@
 //! `init` leaves, asked record by record (`assign`: a `CfTree::nearest`
 //! descent and a boundary computed per record) and as one batch
 //! (`assign_many`: the tree flattened and the boundaries computed once).
+//! And DenStream on the 315-d KDD-98 analog at the benchmark's `eps`: the
+//! model its `init` leaves, asked record by record (`assign`: every
+//! centroid distance, then the 315-term tentative radius) and as one batch
+//! (`assign_many`: the kernel's search, then the radius in closed form from
+//! the d² the search returned), with how often the batch path had to fall
+//! back to the full radius sum.
 //!
 //! Informational only — the numbers land in the CI step summary but gate
 //! nothing; kernel work is judged by `benchmark/`'s parent-vs-change pairs
-//! (end-to-end throughput) and the `repro digest` bit-identity table. Both
-//! cases assert that their two paths answer alike before timing them.
+//! (end-to-end throughput) and the `repro digest` bit-identity table. Every
+//! case asserts that its paths answer alike before timing them.
 //!
 //! ```text
 //! cargo run --release -p diststream-bench --bin repro -- kernel
@@ -24,8 +30,9 @@
 use std::time::Instant;
 
 use diststream_algorithms::CentroidKernel;
-use diststream_core::StreamClustering;
-use diststream_types::{Point, Result};
+use diststream_core::{Assignment, StreamClustering};
+use diststream_telemetry as telemetry;
+use diststream_types::{Point, Record, Result};
 
 use crate::bundle::{Bundle, DatasetKind};
 use crate::cli::Cli;
@@ -209,53 +216,139 @@ fn clustered_case() -> Result<(usize, usize, [Clustered; 2])> {
 }
 
 /// ns/record by assignment path.
-type TreePaths = [(&'static str, f64); 3];
+type Paths = [(&'static str, f64); 3];
+
+/// Median ns/record of [`CLUSTERED_PASSES`] timed runs over `batch`, for
+/// `assign` per record, `assign_many`, and building (and dropping) the
+/// searcher alone.
+fn time_assignment_paths<A: StreamClustering>(
+    algo: &A,
+    model: &A::Model,
+    batch: &[Record],
+    names: [&'static str; 3],
+) -> Paths {
+    let time = |run: &dyn Fn() -> usize| {
+        let mut samples: Vec<f64> = (0..CLUSTERED_PASSES)
+            .map(|_| {
+                let start = Instant::now();
+                assert_eq!(run(), batch.len());
+                start.elapsed().as_secs_f64()
+            })
+            .collect();
+        samples.sort_by(f64::total_cmp);
+        samples[samples.len() / 2] * 1e9 / batch.len() as f64
+    };
+    let per_record = time(&|| {
+        for record in batch {
+            std::hint::black_box(algo.assign(model, record));
+        }
+        batch.len()
+    });
+    let per_batch = time(&|| algo.assign_many(model, batch).len());
+    let build = time(&|| {
+        drop(algo.searcher(model));
+        batch.len()
+    });
+    [
+        (names[0], per_record),
+        (names[1], per_batch),
+        (names[2], build),
+    ]
+}
 
 /// Per-record descent vs the per-batch flat searcher over the tree of a
 /// ClusTree `init`: `(micro-clusters, tree height, ns/record by path)`. Both
 /// paths must decide every record alike.
-fn clustree_case() -> Result<(usize, usize, TreePaths)> {
+fn clustree_case() -> Result<(usize, usize, Paths)> {
     let bundle = Bundle::new(DatasetKind::Kdd99, CLUSTERED_RECORDS, 0x5eed);
     let records = bundle.stress_records();
     let (init, stream) = records.split_at(bundle.init_records());
     let algo = bundle.clustree();
     let model = algo.init(init)?;
     let batch = &stream[..CLUSTERED_QUERIES.min(stream.len())];
-    let per_record = || -> Vec<_> { batch.iter().map(|r| algo.assign(&model, r)).collect() };
+    let per_record: Vec<_> = batch.iter().map(|r| algo.assign(&model, r)).collect();
     assert!(
-        per_record() == algo.assign_many(&model, batch),
+        per_record == algo.assign_many(&model, batch),
         "the flat searcher must decide every record like the tree descent"
     );
-    let median = |mut samples: Vec<f64>| {
-        samples.sort_by(f64::total_cmp);
-        samples[samples.len() / 2] * 1e9 / batch.len() as f64
-    };
-    let time = |run: &dyn Fn() -> usize| {
-        median(
-            (0..CLUSTERED_PASSES)
-                .map(|_| {
-                    let start = Instant::now();
-                    assert_eq!(run(), batch.len());
-                    start.elapsed().as_secs_f64()
-                })
-                .collect(),
-        )
-    };
-    let descent_ns = time(&|| per_record().len());
-    let flat_ns = time(&|| algo.assign_many(&model, batch).len());
-    let build_ns = time(&|| {
-        drop(algo.searcher(&model));
-        batch.len()
-    });
+    let names = [
+        "CfTree::nearest per record",
+        "flat searcher per batch",
+        "of which building it",
+    ];
     Ok((
         model.len(),
         model.tree_height(),
-        [
-            ("CfTree::nearest per record", descent_ns),
-            ("flat searcher per batch", flat_ns),
-            ("of which building it", build_ns),
-        ],
+        time_assignment_paths(&algo, &model, batch, names),
     ))
+}
+
+/// Records of the KDD-98 analog behind the DenStream case (the base stream
+/// of `denstream-kdd98-serve`).
+const DENSTREAM_RECORDS: usize = 24_000;
+
+/// Records per timed pass of the DenStream case (about one
+/// `denstream-kdd98-serve` batch).
+const DENSTREAM_QUERIES: usize = 2_500;
+
+/// The DenStream case's findings.
+struct DenStreamCase {
+    micro_clusters: usize,
+    dims: usize,
+    /// Absorption tests the batch made, and how many of them the closed
+    /// form left to the full radius sum.
+    decisions: usize,
+    exact: u64,
+    paths: Paths,
+}
+
+/// The reference `assign` per record vs the searcher per batch over the
+/// model a DenStream `init` leaves on the KDD-98 analog. Both must decide
+/// every record alike.
+fn denstream_case() -> Result<DenStreamCase> {
+    let bundle = Bundle::new(DatasetKind::Kdd98, DENSTREAM_RECORDS, 0x5eed);
+    let records = bundle.stress_records();
+    let (init, stream) = records.split_at(bundle.init_records());
+    let algo = bundle.denstream();
+    let model = algo.init(init)?;
+    let batch = &stream[..DENSTREAM_QUERIES.min(stream.len())];
+    // The searcher counts its own fall-backs, on a telemetry counter and
+    // only while telemetry is on: on for this one untimed pass.
+    let counter = telemetry::counter(telemetry::names::METRIC_DENSTREAM_RADIUS_EXACT_TOTAL);
+    let (was_enabled, before) = (telemetry::enabled(), counter.get());
+    telemetry::set_enabled(true);
+    let batched = algo.assign_many(&model, batch);
+    telemetry::set_enabled(was_enabled);
+    let exact = counter.get() - before;
+    let per_record: Vec<_> = batch.iter().map(|r| algo.assign(&model, r)).collect();
+    assert!(
+        per_record == batched,
+        "the screened searcher must decide every record like the full radius sum"
+    );
+    // One test per role that has a micro-cluster, potential first, until one
+    // absorbs the record.
+    let potential: Vec<_> = model.iter().filter(|(_, mc)| mc.potential).collect();
+    let first = usize::from(!potential.is_empty());
+    let both = first + usize::from(potential.len() < model.len());
+    let decisions = batched
+        .iter()
+        .map(|assignment| match assignment {
+            Assignment::Existing(id) if potential.iter().any(|(p, _)| *p == id) => first,
+            _ => both,
+        })
+        .sum();
+    let names = [
+        "assign per record (full radius sum)",
+        "searcher per batch (closed form)",
+        "of which building it",
+    ];
+    Ok(DenStreamCase {
+        micro_clusters: model.len(),
+        dims: batch.first().map_or(0, |r| r.point.dims()),
+        decisions,
+        exact,
+        paths: time_assignment_paths(&algo, &model, batch, names),
+    })
 }
 
 pub(crate) fn kernel(_: &Cli) -> Result<bool> {
@@ -304,6 +397,22 @@ pub(crate) fn kernel(_: &Cli) -> Result<bool> {
     for (path, ns) in &tree_paths {
         println!("{path}\t{ns:.0} ns/record");
     }
+    let den = denstream_case()?;
+    println!();
+    println!(
+        "# denstream case — {} micro-clusters x {}-d, {DENSTREAM_QUERIES} records, \
+         median of {CLUSTERED_PASSES} passes",
+        den.micro_clusters, den.dims
+    );
+    for (path, ns) in &den.paths {
+        println!("{path}\t{ns:.0} ns/record");
+    }
+    println!(
+        "exact radius sums\t{} of {} absorption tests ({:.3} %)",
+        den.exact,
+        den.decisions,
+        den.exact as f64 * 100.0 / den.decisions.max(1) as f64
+    );
     // Keep the accumulated distances observable so the scans cannot be
     // optimized away; NaN would indicate a broken kernel.
     assert!(sink.is_finite());

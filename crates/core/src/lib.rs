@@ -99,3 +99,9 @@ pub use sequential::{SequentialExecutor, SequentialSummary};
 pub use serving::{serving_handle, serving_reader, ServingHandle, ServingSnapshot};
 pub use session::JobSession;
 pub use store::{CheckpointStore, FileCheckpointStore, MemoryCheckpointStore};
+
+/// The telemetry crate, for the counters an algorithm's [`Searcher`] bumps
+/// from inside this crate's assignment step: algorithm crates reach it
+/// through here, so their dependency lists — which `benchmark/Cargo.lock`
+/// pins — stay as they are.
+pub use diststream_telemetry as telemetry;

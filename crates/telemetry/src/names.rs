@@ -192,6 +192,9 @@ pub const METRIC_SERVING_PUBLISHES_TOTAL: &str = "diststream_serving_publishes_t
 pub const METRIC_SERVING_PREDICTS_TOTAL: &str = "diststream_serving_predicts_total";
 /// Gauge: epoch (batch index) of the latest published serving snapshot.
 pub const METRIC_SERVING_EPOCH: &str = "diststream_serving_epoch";
+/// Counter: DenStream absorption tests the closed-form screen could not
+/// decide and the full per-dimension radius sum answered.
+pub const METRIC_DENSTREAM_RADIUS_EXACT_TOTAL: &str = "diststream_denstream_radius_exact_total";
 
 /// Every metric base name.
 #[cfg(test)]
@@ -237,6 +240,7 @@ const ALL_METRICS: &[&str] = &[
     METRIC_SERVING_PUBLISHES_TOTAL,
     METRIC_SERVING_PREDICTS_TOTAL,
     METRIC_SERVING_EPOCH,
+    METRIC_DENSTREAM_RADIUS_EXACT_TOTAL,
 ];
 
 /// Prometheus `# HELP` text per metric base name. The doc comments above are
@@ -392,6 +396,10 @@ pub(crate) const METRIC_HELP: &[(&str, &str)] = &[
     (
         METRIC_SERVING_EPOCH,
         "Epoch of the latest published serving snapshot",
+    ),
+    (
+        METRIC_DENSTREAM_RADIUS_EXACT_TOTAL,
+        "DenStream absorption tests decided by the full radius sum",
     ),
 ];
 

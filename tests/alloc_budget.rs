@@ -31,6 +31,11 @@
 //! And for ClusTree, whose step 1 flattens the model's tree and computes
 //! every leaf's boundary once per batch: the searcher allocates when it is
 //! built, never when it is asked.
+//!
+//! And for DenStream, whose step 1 builds a kernel, a role mask and the
+//! closed-form radius rows once per batch: a record's absorption test reads
+//! four numbers of its nearest row, and the rare fall-back to the full
+//! radius sum borrows the model's own sketch.
 
 // The one file in the workspace that needs `unsafe`: a `GlobalAlloc` cannot
 // be implemented without it. Every other target is `forbid` (root manifest).
@@ -41,6 +46,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use diststream::algorithms::{
     CentroidKernel, CluStream, CluStreamParams, ClusTree, ClusTreeParams, DStream, DStreamParams,
+    DenStream, DenStreamParams,
 };
 use diststream::core::{DistStreamExecutor, PipelineOptions, StreamClustering};
 use diststream::engine::{ExecutionMode, MiniBatch, StreamingContext};
@@ -228,6 +234,15 @@ fn allocations_per_batch_do_not_grow_with_the_batch() {
     let tree_model = assert_budget(&clustree, cluster_record, 16 * CLUSTERS, 8192, 0.03);
     assert_eq!(tree_model.len(), CLUSTERS as usize);
     assert!(tree_model.tree_height() >= 3);
+
+    // And through DenStream: every micro-cluster potential (sixteen records
+    // or more each at initialization, well over β_p·μ = 2), every record 0.1
+    // from its centroid against ε = 1, so the closed form decides them all.
+    // Eleven micro-clusters: clusters 0 and 11 share a centre (7·11 ≡ 0).
+    let denstream = DenStream::new(DenStreamParams::default());
+    let den_model = assert_budget(&denstream, cluster_record, 16 * CLUSTERS, 8192, 0.03);
+    assert_eq!(den_model.len(), CLUSTERS as usize - 1);
+    assert_eq!(den_model.potential_count(), den_model.len());
 
     // CluStream's budget was held with the search index active: a kernel over
     // this model, asked what a task asks it, buys the index and keeps it —

@@ -9,9 +9,9 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use diststream::algorithms::{CluStream, CluStreamParams};
+use diststream::algorithms::{CluStream, CluStreamParams, DenStream, DenStreamParams};
 use diststream::core::DistStreamJob;
-use diststream::datasets::covertype_like;
+use diststream::datasets::{covertype_like, kdd98_like};
 use diststream::engine::{ExecutionMode, StreamingContext, VecSource};
 use diststream::telemetry::{self, Event, EventKind};
 use diststream::types::{ClusteringConfig, Record};
@@ -191,4 +191,49 @@ fn each_batch_records_one_summary_point() {
             assert!(secs.is_finite() && secs >= 0.0, "{key} = {secs}");
         }
     }
+}
+
+/// "What did the kernel decide": a traced DenStream run registers the
+/// counter of absorption tests its closed-form radius screen left to the
+/// full per-dimension sum — at zero if there were none, so the exposition
+/// always answers — and on a clustered stream that is a vanishing share of
+/// the records.
+#[test]
+fn traced_denstream_registers_its_exact_radius_counter() {
+    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let name = telemetry::names::METRIC_DENSTREAM_RADIUS_EXACT_TOTAL;
+    let dataset = kdd98_like(3000, 5);
+    let algo = DenStream::new(DenStreamParams {
+        eps: 0.5 * dataset.mean_intra_distance(),
+        ..Default::default()
+    });
+    let run = |records: Vec<Record>| {
+        let ctx = StreamingContext::new(2, ExecutionMode::Threads).expect("context");
+        DistStreamJob::new(&algo, &ctx, ClusteringConfig::default())
+            .init_records(150)
+            .run_to_end(VecSource::new(records))
+            .expect("job");
+    };
+    // Untraced: the searcher touches no counter, registered or not.
+    let before = telemetry::counter(name).get();
+    run(dataset.to_records(50.0));
+    assert_eq!(telemetry::counter(name).get(), before);
+
+    telemetry::metrics::reset();
+    assert!(!telemetry::expose().contains(name));
+    telemetry::set_journal_capture();
+    telemetry::set_enabled(true);
+    run(dataset.to_records(50.0));
+    telemetry::barrier_drain();
+    telemetry::set_enabled(false);
+    telemetry::close_journal();
+    assert!(
+        telemetry::expose().contains(name),
+        "a traced DenStream run did not register {name}"
+    );
+    let exact = telemetry::counter(name).get();
+    assert!(
+        exact * 1000 < 3000,
+        "{exact} exact radius sums for 3000 records"
+    );
 }
