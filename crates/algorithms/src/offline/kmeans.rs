@@ -67,7 +67,7 @@ pub fn kmeans(points: &[WeightedPoint], params: KmeansParams) -> MacroClusters {
     }
     // lint:allow(wallclock-entropy) k-means++ init; params.seed arrives through configuration
     let mut rng = StdRng::seed_from_u64(params.seed);
-    let mut centroids = plus_plus_seeds(points, params.k, &mut rng);
+    let mut centroids = plus_plus_seeds(points, params.k, &mut rng, Point::squared_distance);
 
     // Scratch reused across Lloyd iterations: the SoA kernel holding the
     // flattened centroids, and the per-cluster member lists. The kernel's
@@ -129,29 +129,39 @@ pub fn kmeans(points: &[WeightedPoint], params: KmeansParams) -> MacroClusters {
 
 /// Weighted k-means++ seeding: the first seed is drawn by weight, each
 /// subsequent seed with probability proportional to `w · D(x)²`.
-fn plus_plus_seeds(points: &[WeightedPoint], k: usize, rng: &mut StdRng) -> Vec<Point> {
+///
+/// `nearest[i]` holds `D(x_i)²` to the seeds drawn so far and is folded
+/// against the newest seed only, so drawing `k` seeds costs `n·(k−1)`
+/// calls of `distance` instead of `n·k(k−1)/2`. Per point this is the
+/// same `f64::min` chain, on the same operands in the same seed order, as
+/// folding over every seed afresh — NaN and ±∞ included — so the seeds are
+/// bit-identical to the full rescan's (the `rescan_seeds` test oracle).
+fn plus_plus_seeds(
+    points: &[WeightedPoint],
+    k: usize,
+    rng: &mut StdRng,
+    distance: impl Fn(&Point, &Point) -> f64,
+) -> Vec<Point> {
     let mut centroids = Vec::with_capacity(k.min(points.len()));
     let total_weight: f64 = points.iter().map(|p| p.weight).sum();
     let first = weighted_index(points.iter().map(|p| p.weight), total_weight, rng);
     centroids.push(points[first].point.clone());
 
+    let mut nearest = vec![f64::INFINITY; points.len()];
+    let mut dists = vec![0.0; points.len()];
+    let mut newest = first;
     while centroids.len() < k.min(points.len()) {
-        let dists: Vec<f64> = points
-            .iter()
-            .map(|wp| {
-                let d = centroids
-                    .iter()
-                    .map(|c| c.squared_distance(&wp.point))
-                    .fold(f64::INFINITY, f64::min);
-                d * wp.weight.max(0.0)
-            })
-            .collect();
+        let seed = &points[newest].point;
+        for ((near, d), wp) in nearest.iter_mut().zip(&mut dists).zip(points) {
+            *near = f64::min(*near, distance(seed, &wp.point));
+            *d = *near * wp.weight.max(0.0);
+        }
         let total: f64 = dists.iter().sum();
         if total <= 0.0 {
             break; // All remaining points coincide with a centroid.
         }
-        let next = weighted_index(dists.iter().copied(), total, rng);
-        centroids.push(points[next].point.clone());
+        newest = weighted_index(dists.iter().copied(), total, rng);
+        centroids.push(points[newest].point.clone());
     }
     centroids
 }
@@ -174,6 +184,7 @@ fn weighted_index(weights: impl Iterator<Item = f64>, total: f64, rng: &mut StdR
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::panic::UnwindSafe;
 
     fn wp(x: f64, w: f64) -> WeightedPoint {
         WeightedPoint {
@@ -194,9 +205,43 @@ mod tests {
             .expect("at least one centroid")
     }
 
+    /// The pre-change k-means++ seeding, kept as the bit-exactness oracle for
+    /// [`plus_plus_seeds`]: for every new seed, every point's distance to
+    /// *every* seed drawn so far, folded afresh — `n·k(k−1)/2` distances.
+    fn rescan_seeds(
+        points: &[WeightedPoint],
+        k: usize,
+        rng: &mut StdRng,
+        distance: impl Fn(&Point, &Point) -> f64,
+    ) -> Vec<Point> {
+        let mut centroids = Vec::with_capacity(k.min(points.len()));
+        let total_weight: f64 = points.iter().map(|p| p.weight).sum();
+        let first = weighted_index(points.iter().map(|p| p.weight), total_weight, rng);
+        centroids.push(points[first].point.clone());
+        while centroids.len() < k.min(points.len()) {
+            let dists: Vec<f64> = points
+                .iter()
+                .map(|wp| {
+                    let d = centroids
+                        .iter()
+                        .map(|c| distance(c, &wp.point))
+                        .fold(f64::INFINITY, f64::min);
+                    d * wp.weight.max(0.0)
+                })
+                .collect();
+            let total: f64 = dists.iter().sum();
+            if total <= 0.0 {
+                break;
+            }
+            let next = weighted_index(dists.iter().copied(), total, rng);
+            centroids.push(points[next].point.clone());
+        }
+        centroids
+    }
+
     /// The pre-kernel Lloyd loop, kept verbatim as the bit-exactness oracle
-    /// for [`kmeans`]: same seeding, naive assignment scan, fresh member
-    /// vectors per iteration.
+    /// for [`kmeans`]: the rescan seeding, naive assignment scan, fresh
+    /// member vectors per iteration.
     fn naive_kmeans(points: &[WeightedPoint], params: KmeansParams) -> MacroClusters {
         if points.is_empty() || params.k == 0 {
             return MacroClusters {
@@ -205,7 +250,7 @@ mod tests {
             };
         }
         let mut rng = StdRng::seed_from_u64(params.seed);
-        let mut centroids = plus_plus_seeds(points, params.k, &mut rng);
+        let mut centroids = rescan_seeds(points, params.k, &mut rng, Point::squared_distance);
         let mut assignment = vec![0usize; points.len()];
         for _ in 0..params.max_iters {
             let mut changed = false;
@@ -289,6 +334,160 @@ mod tests {
         let a = kmeans(&pts, KmeansParams::new(4));
         let b = kmeans(&pts, KmeansParams::new(4));
         assert_eq!(a, b);
+    }
+
+    /// How a seeding run ended: each seed's coordinate bits plus the next
+    /// draw of the RNG it left behind, or `None` if it panicked (a total
+    /// weight ≤ 0 or a NaN total makes `gen_range` panic, in the oracle as
+    /// in the incremental fold).
+    type SeedRun = Option<(Vec<Vec<u64>>, u64)>;
+
+    fn seed_run(
+        seeding: impl FnOnce(&mut StdRng) -> Vec<Point> + UnwindSafe,
+        seed: u64,
+    ) -> SeedRun {
+        std::panic::catch_unwind(move || {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let seeds = seeding(&mut rng);
+            let bits = seeds
+                .iter()
+                .map(|p| p.iter().map(|x| x.to_bits()).collect())
+                .collect();
+            (bits, rng.gen::<u64>())
+        })
+        .ok()
+    }
+
+    /// `(plus_plus_seeds, rescan_seeds)` on the same input and RNG seed.
+    fn both_seedings(points: &[WeightedPoint], k: usize, seed: u64) -> (SeedRun, SeedRun) {
+        (
+            seed_run(
+                |rng| plus_plus_seeds(points, k, rng, Point::squared_distance),
+                seed,
+            ),
+            seed_run(
+                |rng| rescan_seeds(points, k, rng, Point::squared_distance),
+                seed,
+            ),
+        )
+    }
+
+    /// `n` weighted points of dimension `d` drawn from `case`: coordinates
+    /// on a coarse lattice at a scale of 1.5 (half the cases), 1e-160
+    /// (squared distances subnormal) or 1e150 (they overflow to +∞ beyond
+    /// a few dimensions), a quarter of the points copies of earlier ones;
+    /// in one case of three a NaN or ±∞ in one coordinate of one point;
+    /// weights 0, negative, 1e-300…1e300 or 1.
+    fn hostile_points(case: u64, n: usize, d: usize) -> Vec<WeightedPoint> {
+        let mut rng = StdRng::seed_from_u64(case);
+        let scale = [1.5, 1.5, 1e-160, 1e150][rng.gen_range(0..4usize)];
+        let mut points: Vec<WeightedPoint> = Vec::with_capacity(n);
+        for _ in 0..n {
+            let point = if !points.is_empty() && rng.gen_bool(0.25) {
+                points[rng.gen_range(0..points.len())].point.clone()
+            } else {
+                (0..d)
+                    .map(|_| rng.gen_range(-2i32..3) as f64 * scale)
+                    .collect::<Vec<f64>>()
+                    .into()
+            };
+            let weight = match rng.gen_range(0..8u32) {
+                0 => 0.0,
+                1 => -rng.gen_range(0.0f64..4.0),
+                2 | 3 => 10f64.powi(rng.gen_range(-300i32..=300)),
+                _ => 1.0,
+            };
+            points.push(WeightedPoint { point, weight });
+        }
+        if rng.gen_bool(1.0 / 3.0) {
+            let special = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+            let at = rng.gen_range(0..n);
+            let mut coords = points[at].point.clone().into_inner();
+            coords[rng.gen_range(0..d)] = special[rng.gen_range(0..3usize)];
+            points[at].point = coords.into();
+        }
+        points
+    }
+
+    /// The edges the proptest below draws at random, pinned: the
+    /// `total <= 0` break, the panicking first draw, k ≥ n, and NaN / ±∞
+    /// coordinates.
+    #[test]
+    fn seeding_edges_end_like_the_oracle() {
+        let pair = [wp(0.0, 1.0), wp(3.0, 1.0)];
+        let duplicated: Vec<WeightedPoint> = pair.iter().cycle().take(6).cloned().collect();
+        let (fast, oracle) = both_seedings(&duplicated, 5, 1);
+        assert_eq!(fast, oracle);
+        assert_eq!(fast.map(|(seeds, _)| seeds.len()), Some(2), "break fires");
+
+        let weightless = [wp(0.0, 0.0), wp(1.0, 0.0)];
+        assert_eq!(both_seedings(&weightless, 2, 1), (None, None));
+
+        let hostile = [
+            wp(f64::NAN, 1.0),
+            wp(0.0, 1.0),
+            wp(f64::INFINITY, 2.0),
+            wp(f64::NEG_INFINITY, 0.0),
+            wp(1e200, 1e300),
+            wp(2.0, -1.0),
+        ];
+        for k in [1, 3, 6, 9] {
+            for seed in 0..16 {
+                let (fast, oracle) = both_seedings(&hostile, k, seed);
+                assert_eq!(fast, oracle, "k = {k}, seed = {seed}");
+            }
+        }
+    }
+
+    /// Drawing k′ seeds evaluates exactly n·(k′−1) distances; the rescan
+    /// made n·k′(k′−1)/2. n = 960 and k = 230 are CluStream's init on the
+    /// `clustream-kdd99` workload: 219 840 against 25 281 600.
+    #[test]
+    fn seeding_evaluates_one_distance_per_point_per_new_seed() {
+        let pts: Vec<WeightedPoint> = (0..960)
+            .map(|i| WeightedPoint {
+                point: Point::from(vec![(i as f64 * 0.618).sin(), (i as f64 * 0.377).cos()]),
+                weight: 1.0,
+            })
+            .collect();
+        let calls = std::cell::Cell::new(0usize);
+        let counted = |a: &Point, b: &Point| {
+            calls.set(calls.get() + 1);
+            a.squared_distance(b)
+        };
+        let seeds = plus_plus_seeds(&pts, 230, &mut StdRng::seed_from_u64(0x5EED), counted);
+        assert_eq!(seeds.len(), 230);
+        assert_eq!(calls.replace(0), 219_840);
+
+        let oracle = rescan_seeds(&pts, 230, &mut StdRng::seed_from_u64(0x5EED), counted);
+        assert_eq!(calls.get(), 25_281_600);
+        assert_eq!(seeds, oracle);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// `kmeans` is public and is fed snapshots, so the rescan oracle
+        /// defines the seeds for any input: same seeds to the bit, same
+        /// RNG state after, or a panic on both sides.
+        #[test]
+        fn prop_seeds_match_rescan_oracle_bits(
+            case in any::<u64>(),
+            n in 1usize..40,
+            dim in 0usize..4,
+            k_pick in 0usize..4,
+        ) {
+            let d = [1, 2, 54, 315][dim];
+            let k = match k_pick {
+                0 => 1,
+                1 => n,
+                2 => n + 3,
+                _ => 1 + case as usize % n,
+            };
+            let points = hostile_points(case, n, d);
+            let (fast, oracle) = both_seedings(&points, k, case);
+            prop_assert_eq!(fast, oracle, "case {}, n {}, d {}, k {}", case, n, d, k);
+        }
     }
 
     proptest! {

@@ -314,14 +314,16 @@ impl<'a, A: StreamClustering> DistStreamJob<'a, A> {
         self
     }
 
-    /// Drains the initialization records off `source` and builds the
-    /// initial model. Every run path starts here, so initialization is
-    /// never prefetched, sampled or shed.
+    /// Drains the initialization records off `source`, checks them, and
+    /// builds the initial model inside the journal's one `init` span — the
+    /// serial set-up before the first batch. Every run path starts here, so
+    /// initialization is never prefetched, sampled or shed, and no
+    /// algorithm's `init` sees a record of another dimension or a NaN / ±∞
+    /// coordinate.
     fn init_model<S: RecordSource>(&self, source: &mut S) -> Result<A::Model> {
         let init = take_records(source, self.init_records.max(1));
-        if init.is_empty() {
-            return Err(DistStreamError::EmptyStream);
-        }
+        check_init_records(&init)?;
+        let _init_span = telemetry::span!(telemetry::names::SPAN_INIT);
         self.algo.init(&init)
     }
 
@@ -576,6 +578,27 @@ fn batcher_feed<S: RecordSource>(
         }
         batcher.next()
     }
+}
+
+/// The initialization records' contract: at least one record, every record
+/// of the first one's dimension, every coordinate finite. The first
+/// offending record, in stream order, names the error.
+fn check_init_records(records: &[Record]) -> Result<()> {
+    let expected = records
+        .first()
+        .ok_or(DistStreamError::EmptyStream)?
+        .point
+        .dims();
+    for record in records {
+        let got = record.point.dims();
+        if got != expected {
+            return Err(DistStreamError::DimensionMismatch { expected, got });
+        }
+        if !record.point.is_finite() {
+            return Err(DistStreamError::NonFiniteRecord { id: record.id });
+        }
+    }
+    Ok(())
 }
 
 /// Consumes `count` records from a source into a vector (initialization

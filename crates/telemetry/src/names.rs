@@ -20,6 +20,10 @@
 
 // --- Span names (open/close pairs in the journal) ---
 
+/// A job's model initialization (`StreamClustering::init` over the leading
+/// records) — the one serial phase before the first batch, at most once per
+/// job and nested in nothing.
+pub const SPAN_INIT: &str = "init";
 /// One mini-batch end to end on the driver.
 pub const SPAN_BATCH: &str = "batch";
 /// Step 1: distance computation / assignment over the stale model.
@@ -57,6 +61,7 @@ pub const SPAN_SNAPSHOT_PUBLISH: &str = "snapshot_publish";
 /// Every span name, for this crate's conformance tests.
 #[cfg(test)]
 const ALL_SPANS: &[&str] = &[
+    SPAN_INIT,
     SPAN_BATCH,
     SPAN_ASSIGNMENT,
     SPAN_LOCAL_UPDATE,

@@ -28,6 +28,12 @@
 //! One level below phase, the driver-side global update is tiled by three
 //! sub-spans (ordering, pre-merge, `apply_global`); their journaled span
 //! time is summed per run and rendered beneath the `global_update` row.
+//!
+//! Before any of that, each job's `init` span is its set-up: the serial
+//! model initialization ahead of its first batch. It is on no batch's
+//! critical path, so it is reported as one set-up line above the table and
+//! taken out of the driver-thread gap it sits in, which would otherwise
+//! read as ingest.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -208,12 +214,27 @@ pub struct RunProfile {
     /// parallel steps, summed over batches (`assign_driver_secs` +
     /// `local_driver_secs`; zero for journals that predate the fields).
     pub driver_secs: f64,
+    /// `init` spans in the journal: one per job that initialised a model.
+    pub inits: usize,
+    /// Their summed seconds — serial set-up, outside every batch.
+    pub init_secs: f64,
 }
 
 impl RunProfile {
     /// Sum of recorded batch wall times.
     pub fn total_secs(&self) -> f64 {
         self.batches.iter().map(|b| b.total_secs).sum()
+    }
+
+    /// The set-up line printed above the blame table, or `None` for a
+    /// journal without `init` spans.
+    pub fn setup_line(&self) -> Option<String> {
+        (self.inits > 0).then(|| {
+            format!(
+                "set-up: {} init span(s), {:.6}s serial before the first batch of each job",
+                self.inits, self.init_secs
+            )
+        })
     }
 
     /// Builds the run-level blame table from every batch's critical path.
@@ -438,6 +459,10 @@ pub fn analyze(journal: &Journal) -> RunProfile {
     }
 
     for close in journal.events.iter().filter(|e| e.kind == EventKind::Close) {
+        if close.name == "init" {
+            profile.inits += 1;
+            profile.init_secs += close.dur_us as f64 / 1e6;
+        }
         let row = GLOBAL_SUBSPANS
             .iter()
             .position(|(span, _)| *span == close.name);
@@ -452,17 +477,27 @@ pub fn analyze(journal: &Journal) -> RunProfile {
 
 /// Wall-side ingest estimate: total `prefetch` span time, plus on each
 /// thread the gaps between a `batch` span's close and the next `batch`
-/// span's open (where the unprefetched batcher drains the source).
+/// span's open (where the unprefetched batcher drains the source), less any
+/// `init` span inside the gap (the next job's set-up).
 fn ingest_secs(journal: &Journal) -> f64 {
     let mut total_us: u64 = 0;
-    // (thread, close t_us) of the last top-level batch span seen.
-    let mut last_batch_close: Vec<(u64, u64)> = Vec::new();
+    // (thread, close t_us, init us since) of the last batch span seen.
+    let mut last_batch_close: Vec<(u64, u64, u64)> = Vec::new();
     for event in &journal.events {
         if event.kind != EventKind::Close && event.kind != EventKind::Open {
             continue;
         }
         if event.name == "prefetch" && event.kind == EventKind::Close {
             total_us += event.dur_us;
+            continue;
+        }
+        if event.name == "init" && event.kind == EventKind::Close {
+            if let Some(gap) = last_batch_close
+                .iter_mut()
+                .find(|(t, _, _)| *t == event.thread)
+            {
+                gap.2 += event.dur_us;
+            }
             continue;
         }
         if event.name != "batch" {
@@ -472,15 +507,15 @@ fn ingest_secs(journal: &Journal) -> f64 {
             EventKind::Open => {
                 if let Some(pos) = last_batch_close
                     .iter()
-                    .position(|(t, _)| *t == event.thread)
+                    .position(|(t, _, _)| *t == event.thread)
                 {
-                    let (_, closed_at) = last_batch_close.swap_remove(pos);
-                    total_us += event.t_us.saturating_sub(closed_at);
+                    let (_, closed_at, init_us) = last_batch_close.swap_remove(pos);
+                    total_us += event.t_us.saturating_sub(closed_at).saturating_sub(init_us);
                 }
             }
             EventKind::Close => {
-                last_batch_close.retain(|(t, _)| *t != event.thread);
-                last_batch_close.push((event.thread, event.t_us));
+                last_batch_close.retain(|(t, _, _)| *t != event.thread);
+                last_batch_close.push((event.thread, event.t_us, 0));
             }
             EventKind::Point => {}
         }
@@ -755,6 +790,39 @@ mod tests {
             "{}",
             run.ingest_secs
         );
+    }
+
+    #[test]
+    fn init_spans_are_set_up_not_ingest() {
+        let span = |ev: &str, name: &str, seq: u64, t: u64, dur: u64| {
+            format!(
+                "{{\"ev\":\"{ev}\",\"span\":\"{name}\",\"thread\":0,\"seq\":{seq},\
+                 \"t_us\":{t},\"depth\":0,\"dur_us\":{dur}}}"
+            )
+        };
+        // Job 1: init 0..400, batch 500..1000. Job 2: init 1200..1700,
+        // batch 1800..2000. Ingest is the 100 + 200 + 100 us around the
+        // second init, not its 500 us.
+        let run = build(&[
+            span("open", "init", 0, 0, 0),
+            span("close", "init", 1, 400, 400),
+            span("open", "batch", 2, 500, 0),
+            span("close", "batch", 3, 1000, 500),
+            span("open", "init", 4, 1200, 0),
+            span("close", "init", 5, 1700, 500),
+            span("open", "batch", 6, 1800, 0),
+            span("close", "batch", 7, 2000, 200),
+        ]);
+        assert_eq!(run.inits, 2);
+        assert!((run.init_secs - 0.0009).abs() < 1e-12, "{}", run.init_secs);
+        assert!(
+            (run.ingest_secs - 0.0003).abs() < 1e-12,
+            "{}",
+            run.ingest_secs
+        );
+        let line = run.setup_line().expect("set-up line");
+        assert!(line.contains("2 init span(s), 0.000900s"), "{line}");
+        assert_eq!(build(&[]).setup_line(), None);
     }
 
     #[test]

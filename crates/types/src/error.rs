@@ -29,6 +29,12 @@ pub enum DistStreamError {
     },
     /// The stream produced no records where at least one was required.
     EmptyStream,
+    /// A record carries a NaN or ±∞ coordinate, which no sketch can absorb
+    /// without poisoning it.
+    NonFiniteRecord {
+        /// Id of the offending record.
+        id: u64,
+    },
     /// A configuration knob is out of its valid range.
     InvalidConfig(String),
     /// The distributed engine failed (worker panic, channel closed, ...).
@@ -80,6 +86,9 @@ impl fmt::Display for DistStreamError {
                 write!(f, "dimension mismatch: expected {expected}, got {got}")
             }
             DistStreamError::EmptyStream => write!(f, "stream produced no records"),
+            DistStreamError::NonFiniteRecord { id } => {
+                write!(f, "record {id} has a non-finite coordinate")
+            }
             DistStreamError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             DistStreamError::Engine(msg) => write!(f, "engine failure: {msg}"),
             DistStreamError::TaskFailed {
@@ -129,6 +138,7 @@ mod tests {
                 got: 2,
             },
             DistStreamError::EmptyStream,
+            DistStreamError::NonFiniteRecord { id: 7 },
             DistStreamError::InvalidConfig("beta".into()),
             DistStreamError::Engine("worker died".into()),
             DistStreamError::TaskFailed {

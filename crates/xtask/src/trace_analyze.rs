@@ -6,7 +6,8 @@
 //! 1. per-batch critical paths aggregated into a run-level blame table
 //!    naming the dominant phase (with the reconciliation check from the
 //!    structural gate re-applied — an unreconciled batch means the blame
-//!    numbers cannot be trusted);
+//!    numbers cannot be trusted), below one set-up line for the jobs'
+//!    `init` spans;
 //! 2. `--baseline <journal>`: a phase-by-phase diff against another run,
 //!    attributing a slowdown to the phase that grew the most;
 //! 3. `--what-if p=8,16`: LPT-replay predictions of run time at
@@ -176,6 +177,9 @@ pub fn run(opts: &Options) -> Result<bool, String> {
 
     let blame = run.blame();
     println!();
+    if let Some(setup) = run.setup_line() {
+        println!("{setup}");
+    }
     println!("critical-path blame table:");
     print!("{}", blame.render());
 

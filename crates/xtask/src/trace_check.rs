@@ -27,14 +27,19 @@
 //!    journal, the granularity the blame table reports at, because that is
 //!    what a journal can resolve: one span with a 30 us hole is a thread
 //!    the scheduler took off the core, every span with one is work nobody
-//!    wrapped in a sub-span.
+//!    wrapped in a sub-span;
+//! 7. set-up comes before its job's batches: an `init` span opens with
+//!    nothing open on its thread, no `batch` span opens inside one, and a
+//!    thread opens no second `init` before a `batch` — at most one per job,
+//!    since every run path initialises once and then drives its batches on
+//!    the same thread.
 //!
 //! Lines are parsed by `diststream_trace::parse_flat_object` — the one
 //! journal line parser in the workspace, written against the file format
 //! and sharing no code with the telemetry encoder, so an encoder bug
 //! cannot hide from its validator.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -87,6 +92,8 @@ pub fn check_trace(contents: &str) -> Result<TraceStats, Vec<String>> {
     // Summed duration of the `global_update` spans that hold sub-spans, of
     // those sub-spans, and their count.
     let (mut phase_us, mut phase_sub_us, mut phase_subs) = (0.0, 0.0, 0usize);
+    // Threads that opened an `init` span and no `batch` span since.
+    let mut initialised: BTreeSet<u64> = BTreeSet::new();
 
     for (idx, line) in contents.lines().enumerate() {
         let lineno = idx + 1;
@@ -171,6 +178,30 @@ pub fn check_trace(contents: &str) -> Result<TraceStats, Vec<String>> {
                             "line {lineno}: `combine` span opened outside a `local_update` \
                              span — the map-side combine belongs to step 2"
                         ));
+                    }
+                    if name == "init" {
+                        if let Some(outer) = stack.last() {
+                            errors.push(format!(
+                                "line {lineno}: `init` span opened inside `{}` — set-up is \
+                                 nested in nothing",
+                                outer.name
+                            ));
+                        }
+                        if !initialised.insert(thread as u64) {
+                            errors.push(format!(
+                                "line {lineno}: second `init` span on thread {thread} before \
+                                 any `batch` — a job initialises once"
+                            ));
+                        }
+                    }
+                    if name == "batch" {
+                        if stack.iter().any(|s| s.name == "init") {
+                            errors.push(format!(
+                                "line {lineno}: `batch` span opened inside `init` — set-up \
+                                 closes before the first batch opens"
+                            ));
+                        }
+                        initialised.remove(&(thread as u64));
                     }
                     if GLOBAL_SUBSPANS.contains(&name.as_str())
                         && stack.last().is_none_or(|s| s.name != "global_update")
@@ -595,6 +626,70 @@ mod tests {
         ];
         let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
         assert!(check_trace(&journal(&refs)).is_ok());
+    }
+
+    #[test]
+    fn init_span_precedes_its_jobs_batches_once() {
+        let span = |ev: &str, name: &str, seq: u32, depth: u32| {
+            let dur = if ev == "close" { ",\"dur_us\":1" } else { "" };
+            format!(
+                "{{\"ev\":\"{ev}\",\"span\":\"{name}\",\"thread\":0,\"seq\":{seq},\
+                 \"t_us\":{seq},\"depth\":{depth}{dur}}}"
+            )
+        };
+        let check = |lines: &[String]| {
+            let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
+            check_trace(&journal(&refs))
+        };
+        // Two jobs back to back on one thread, each initialised once.
+        let job = |seq: u32| {
+            [
+                span("open", "init", seq, 0),
+                span("close", "init", seq + 1, 0),
+                span("open", "batch", seq + 2, 0),
+                span("close", "batch", seq + 3, 0),
+                span("open", "batch", seq + 4, 0),
+                span("close", "batch", seq + 5, 0),
+            ]
+        };
+        let two_jobs: Vec<String> = job(0).into_iter().chain(job(6)).collect();
+        assert!(check(&two_jobs).is_ok());
+
+        let twice = [
+            span("open", "init", 0, 0),
+            span("close", "init", 1, 0),
+            span("open", "init", 2, 0),
+            span("close", "init", 3, 0),
+        ];
+        let errors = check(&twice).expect_err("two inits, no batch");
+        assert!(
+            errors.iter().any(|e| e.contains("second `init`")),
+            "{errors:?}"
+        );
+
+        let nested = [
+            span("open", "batch", 0, 0),
+            span("open", "init", 1, 1),
+            span("close", "init", 2, 1),
+            span("close", "batch", 3, 0),
+        ];
+        let errors = check(&nested).expect_err("init inside a batch");
+        assert!(
+            errors.iter().any(|e| e.contains("nested in nothing")),
+            "{errors:?}"
+        );
+
+        let batch_inside = [
+            span("open", "init", 0, 0),
+            span("open", "batch", 1, 1),
+            span("close", "batch", 2, 1),
+            span("close", "init", 3, 0),
+        ];
+        let errors = check(&batch_inside).expect_err("batch inside init");
+        assert!(
+            errors.iter().any(|e| e.contains("inside `init`")),
+            "{errors:?}"
+        );
     }
 
     #[test]

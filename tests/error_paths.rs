@@ -1,8 +1,14 @@
 //! Regression tests for the typed-error refactor: `apply_global` returns
 //! `Result<()>` and every execution layer — sequential, the mini-batch
 //! executor under both update protocols, and the job facade — must surface
-//! the algorithm's error instead of panicking.
+//! the algorithm's error instead of panicking. Likewise a hostile
+//! initialization record: the job refuses it with a typed error before any
+//! algorithm's `init` can panic on it or build a model from it.
 
+use diststream_algorithms::{
+    CluStream, CluStreamParams, ClusTree, ClusTreeParams, DStream, DStreamParams, DenStream,
+    DenStreamParams,
+};
 use diststream_core::reference::{NaiveClustering, NaiveModel, NaiveSketch};
 use diststream_core::{
     Assignment, DistStreamExecutor, DistStreamJob, Searcher, SequentialExecutor, StreamClustering,
@@ -185,4 +191,80 @@ fn orphaned_update_ids_are_replaced_without_error() {
     )
     .expect("orphaned update must be tolerated");
     assert_eq!(model.len(), 2, "orphan re-inserted as a new micro-cluster");
+}
+
+/// Id of the one bad record, inside the job's ten initialization records.
+const BAD_ID: u64 = 4;
+
+/// Runs a job over a well-formed 2-d stream whose record `BAD_ID` carries
+/// `bad` instead, and returns the error it must fail with.
+fn bad_init_error<A: StreamClustering>(algo: &A, bad: Vec<f64>) -> DistStreamError {
+    let records: Vec<Record> = (0..40)
+        .map(|i| {
+            let coords = if i == BAD_ID {
+                bad.clone()
+            } else {
+                vec![(i % 3) as f64 * 5.0, 1.0]
+            };
+            Record::new(i, Point::from(coords), Timestamp::from_secs(i as f64 * 0.1))
+        })
+        .collect();
+    let ctx = StreamingContext::new(2, ExecutionMode::Simulated).unwrap();
+    match DistStreamJob::new(algo, &ctx, ClusteringConfig::default())
+        .init_records(10)
+        .run(VecSource::new(records), |_| {})
+    {
+        Ok(_) => panic!("a bad initialization record must fail the job"),
+        Err(err) => err,
+    }
+}
+
+/// One test per algorithm × {NaN, +∞, −∞, dimension change} in an
+/// initialization record.
+macro_rules! bad_init_record_tests {
+    ($($algorithm:ident => $algo:expr;)*) => {$(
+        mod $algorithm {
+            use super::*;
+
+            #[test]
+            fn nan_coordinate_is_a_typed_error() {
+                let err = bad_init_error(&$algo, vec![f64::NAN, 1.0]);
+                assert_eq!(err, DistStreamError::NonFiniteRecord { id: BAD_ID });
+            }
+
+            #[test]
+            fn positive_infinity_is_a_typed_error() {
+                let err = bad_init_error(&$algo, vec![f64::INFINITY, 1.0]);
+                assert_eq!(err, DistStreamError::NonFiniteRecord { id: BAD_ID });
+            }
+
+            #[test]
+            fn negative_infinity_is_a_typed_error() {
+                let err = bad_init_error(&$algo, vec![0.0, f64::NEG_INFINITY]);
+                assert_eq!(err, DistStreamError::NonFiniteRecord { id: BAD_ID });
+            }
+
+            #[test]
+            fn dimension_change_is_a_typed_error() {
+                let err = bad_init_error(&$algo, vec![0.0, 1.0, 2.0]);
+                assert_eq!(
+                    err,
+                    DistStreamError::DimensionMismatch {
+                        expected: 2,
+                        got: 3
+                    }
+                );
+            }
+        }
+    )*};
+}
+
+bad_init_record_tests! {
+    clustream => CluStream::new(CluStreamParams {
+        max_micro_clusters: 4,
+        ..Default::default()
+    });
+    denstream => DenStream::new(DenStreamParams::default());
+    dstream => DStream::new(DStreamParams::default());
+    clustree => ClusTree::new(ClusTreeParams::default());
 }

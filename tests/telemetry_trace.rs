@@ -140,6 +140,36 @@ fn span_multiset_is_parallelism_invariant() {
     );
 }
 
+/// Set-up is in the journal: every run, at every p, opens exactly one
+/// `init` span, with nothing open around it, on the thread that then runs
+/// the batches, and closes it before the first batch opens.
+#[test]
+fn each_run_records_one_init_span_before_its_first_batch() {
+    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for threads in [1, 2, 4] {
+        let events = run_traced(threads);
+        let find = |kind: EventKind, name: &str| {
+            let mut hits = events.iter().filter(|e| e.kind == kind && e.name == name);
+            (hits.next(), hits.count())
+        };
+        let (Some(open), 0) = find(EventKind::Open, telemetry::names::SPAN_INIT) else {
+            panic!("p = {threads}: not exactly one `init` span");
+        };
+        let (Some(close), 0) = find(EventKind::Close, telemetry::names::SPAN_INIT) else {
+            panic!("p = {threads}: `init` not closed exactly once");
+        };
+        let (Some(batch), _) = find(EventKind::Open, telemetry::names::SPAN_BATCH) else {
+            panic!("p = {threads}: no batch");
+        };
+        assert_eq!(open.depth, 0, "p = {threads}: `init` nested in a span");
+        assert_eq!((close.thread, batch.thread), (open.thread, open.thread));
+        assert!(
+            close.seq < batch.seq,
+            "p = {threads}: a batch opened before set-up closed"
+        );
+    }
+}
+
 /// Point events (batch summaries) are also parallelism-invariant, and
 /// every batch gets exactly one.
 #[test]
