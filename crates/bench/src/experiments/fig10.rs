@@ -13,7 +13,7 @@ use diststream_types::Result;
 use super::{batch_secs_for, scalability_sweep, MAX_PARALLELISM, PARALLELISM, ROUNDS};
 use crate::bundle::{Bundle, DatasetKind};
 use crate::cli::Cli;
-use crate::report::{fmt_f64, print_table, Table};
+use crate::report::{fmt_f64, print_table, Table, MODELED_ROWS_NOTE};
 use crate::runner::{
     run_quality, run_sequential_quality, run_throughput, throughput_context, ExecutorKind,
 };
@@ -113,6 +113,7 @@ pub(crate) fn fig10(cli: &Cli) -> Result<bool> {
     }
 
     print_table("Scalability (paper: sub-linear, like Figure 8)", &scal);
+    println!("{MODELED_ROWS_NOTE}");
     print_table(
         "Throughput edge at p=32 (paper: 1.1-1.3× over CluStream/DenStream)",
         &speed,

@@ -12,7 +12,7 @@ use diststream_types::Result;
 use super::{scalability_sweep, PARALLELISM};
 use crate::bundle::{Bundle, DatasetKind};
 use crate::cli::Cli;
-use crate::report::{fmt_f64, print_table, Table};
+use crate::report::{fmt_f64, print_table, Table, MODELED_ROWS_NOTE};
 
 fn report<A: StreamClustering>(
     table: &mut Table,
@@ -58,5 +58,6 @@ pub(crate) fn fig8(cli: &Cli) -> Result<bool> {
         "Paper: sub-linear gain up to ~13.2× at p=32; global-update latency constant in p; stragglers grow 12%→25% from p=16 to p=32",
         &table,
     );
+    println!("{MODELED_ROWS_NOTE}");
     Ok(true)
 }

@@ -30,7 +30,7 @@ use diststream_types::{ClusteringConfig, DistStreamError, Record, Result};
 use crate::bundle::{Bundle, DatasetKind};
 use crate::cli::Cli;
 use crate::overload::measure_overload;
-use crate::report::{fmt_f64, print_table, Table};
+use crate::report::{fmt_f64, print_table, Table, MODELED_ROWS_NOTE};
 use crate::serving::{measure_serving, READER_THREADS, SERVING_PARALLELISM};
 
 /// Parallelism degree the shuffle-skew measurement runs at. Key-range
@@ -416,6 +416,7 @@ fn print_rows(workload: &Workload, strategy: StrategyKind, rows: &[Row]) {
         ),
         &table,
     );
+    println!("{MODELED_ROWS_NOTE}");
 }
 
 /// `repro matrix`: the table, the three report sections (shuffle skew,

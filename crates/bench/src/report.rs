@@ -56,6 +56,13 @@ impl Table {
     }
 }
 
+/// Printed under every table of modeled rates at p >= 4 (`repro matrix`,
+/// `fig8`, `fig10`): what those numbers are, and what they are good for.
+pub(crate) const MODELED_ROWS_NOTE: &str = "note: rows at p >= 4 are a list-schedule makespan \
+     (tasks in submission order, each on the least-loaded of p slots) over task times measured \
+     one at a time, never checked against real threads; good for ratios within one run, not as \
+     absolute rates";
+
 /// Prints a titled table to stdout.
 pub(crate) fn print_table(title: &str, table: &Table) {
     println!("\n## {title}\n");

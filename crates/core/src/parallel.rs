@@ -312,9 +312,6 @@ impl<'a, A: StreamClustering> DistStreamExecutor<'a, A> {
         let local_metrics = local.metrics.clone();
         let shuffle_bytes = local.shuffle_bytes;
         let local_driver_secs = local.driver_secs;
-        let mut overhead_secs = self.ctx.batch_overhead_secs()
-            + self.ctx.broadcast_secs(model_bytes)
-            + self.ctx.shuffle_secs(shuffle_bytes);
 
         // Step 3: queue this batch's global update; the synchronous protocol
         // applies it right away, at the batch's own window end.
@@ -325,14 +322,16 @@ impl<'a, A: StreamClustering> DistStreamExecutor<'a, A> {
             seed: batch_seed,
             probe,
         });
+        let mut collect_bytes = None;
         if !self.overlap {
             applied = self.apply_pending(model, Some(window_end))?;
             // Only the synchronous critical path waits for the collect; the
             // overlapped one hides it with the rest of the driver side.
-            if let Some((global, _)) = &applied {
-                overhead_secs += self.ctx.collect_secs(global.collect_bytes);
-            }
+            collect_bytes = applied.as_ref().map(|(global, _)| global.collect_bytes);
         }
+        let overhead_secs = self
+            .ctx
+            .batch_overhead_secs(model_bytes, shuffle_bytes, collect_bytes);
         let (global, latency) = applied.unzip();
 
         let outcome = BatchOutcome {

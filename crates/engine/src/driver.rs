@@ -12,7 +12,7 @@ use diststream_types::{DistStreamError, Result};
 use crate::faults::{FaultPlan, FaultState};
 use crate::metrics::StepMetrics;
 use crate::netcost::SimCostModel;
-use crate::pool::{execute_with_retry, TaskPool, DEFAULT_MAX_TASK_FAILURES};
+use crate::pool::{TaskPool, DEFAULT_MAX_TASK_FAILURES};
 
 /// How a step's tasks are executed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,9 +33,8 @@ pub enum ExecutionMode {
 ///
 /// A `StreamingContext` owns the parallelism degree, the execution mode, and
 /// (in simulated mode) the cost model and its seeded RNG. The framework
-/// calls [`StreamingContext::run_tasks`] once per parallel step and charges
-/// data movement through [`StreamingContext::shuffle_secs`] and its
-/// siblings. Helper threads
+/// calls [`StreamingContext::run_tasks`] once per parallel step and
+/// [`StreamingContext::batch_overhead_secs`] once per batch. Helper threads
 /// are scoped to a step, so the degree is just a number:
 /// [`StreamingContext::resize`] changes it between batches.
 ///
@@ -119,11 +118,6 @@ impl StreamingContext {
         Ok(())
     }
 
-    /// The execution mode.
-    pub fn mode(&self) -> ExecutionMode {
-        self.mode
-    }
-
     /// The active cost model ([`SimCostModel::zero`] in thread mode).
     pub fn cost_model(&self) -> &SimCostModel {
         &self.cost
@@ -175,8 +169,10 @@ impl StreamingContext {
     /// executors — this thread and `p − 1` helpers scoped to the call, so
     /// `f` runs on the driver thread too (always, at `p = 1`) — and
     /// `StepMetrics::wall_secs` is measured. In
-    /// [`ExecutionMode::Simulated`] the tasks run serially (each timed) and
-    /// `wall_secs` is the simulated barrier makespan.
+    /// [`ExecutionMode::Simulated`] one executor — this thread — runs them
+    /// in submission order, each timed, and `wall_secs` is the simulated
+    /// barrier makespan ([`SimCostModel`]'s charges, then the list schedule
+    /// of `diststream_telemetry::time_model` over `p` slots).
     ///
     /// Inputs are `Copy` views (a [`Stride`](crate::Stride), a `&[T]`, an
     /// index); `f` borrows the data they point into. A panicking task
@@ -217,31 +213,15 @@ impl StreamingContext {
             ExecutionMode::Threads => {
                 let pool = TaskPool::new(parallelism)?;
                 let start = Instant::now();
-                let (outputs, task_secs) = pool.run_hooked(inputs, &f, hook)?;
+                let (outputs, task_secs) = pool.run_hooked(inputs, &f, hook, true)?;
                 let wall = start.elapsed().as_secs_f64();
                 Ok((outputs, StepMetrics::new(task_secs, wall)))
             }
             ExecutionMode::Simulated => {
-                let mut outputs = Vec::with_capacity(inputs.len());
-                let mut measured = Vec::with_capacity(inputs.len());
-                let mut retried = 0usize;
-                for (idx, input) in inputs.into_iter().enumerate() {
-                    // Injected straggler delays are charged numerically
-                    // (sleep_delays = false): the simulation's virtual clock
-                    // should see them without the host actually waiting.
-                    match execute_with_retry(idx, input, false, &f, hook) {
-                        Ok((output, secs, retries)) => {
-                            retried += retries;
-                            outputs.push(output);
-                            measured.push(secs);
-                        }
-                        Err(failure) => return Err(failure.into_error()),
-                    }
-                }
-                if telemetry::enabled() && retried > 0 {
-                    telemetry::counter(telemetry::names::METRIC_TASKS_RETRIED_TOTAL)
-                        .add(retried as u64);
-                }
+                // One executor claims every task in submission order, each
+                // timed alone; injected delays are added to its time
+                // instead of slept.
+                let (outputs, measured) = TaskPool::new(1)?.run_hooked(inputs, &f, hook, false)?;
                 let mut rng = self.rng.lock();
                 let (effective, makespan) =
                     self.cost.step_wall_secs(&measured, parallelism, &mut rng);
@@ -250,39 +230,37 @@ impl StreamingContext {
         }
     }
 
-    /// Simulated cost of broadcasting `payload_bytes` to every task slot.
+    /// The network and scheduling overhead charged to one batch, priced by
+    /// the context's [`SimCostModel`]: the fixed job submission, the
+    /// broadcast of a `model_bytes` model to every slot, the shuffle of
+    /// `shuffle_bytes` between the steps and, when the batch's critical
+    /// path waits for it, the collect of `collect_bytes` onto the driver.
     ///
-    /// This and the three charges below are 0.0 in thread mode, whose
-    /// stored cost model is [`SimCostModel::zero`].
-    pub fn broadcast_secs(&self, payload_bytes: u64) -> f64 {
-        let parallelism = self.parallelism();
-        let secs = self.cost.broadcast_secs(payload_bytes, parallelism);
+    /// 0.0 in thread mode, whose stored cost model is
+    /// [`SimCostModel::zero`]; the bytes are counted in both modes.
+    pub fn batch_overhead_secs(
+        &self,
+        model_bytes: u64,
+        shuffle_bytes: u64,
+        collect_bytes: Option<u64>,
+    ) -> f64 {
+        let slots = self.parallelism();
+        let cost = &self.cost;
+        let broadcast = cost.broadcast_secs(model_bytes, slots);
         charge_net_telemetry(
             "broadcast",
-            payload_bytes.saturating_mul(parallelism as u64),
-            secs,
+            model_bytes.saturating_mul(slots as u64),
+            broadcast,
         );
+        let shuffle = cost.shuffle_secs(shuffle_bytes, slots);
+        charge_net_telemetry("shuffle", shuffle_bytes, shuffle);
+        let mut secs = cost.per_batch_overhead_secs * cost.workload_scale + broadcast + shuffle;
+        if let Some(bytes) = collect_bytes {
+            let collect = cost.collect_secs(bytes, slots);
+            charge_net_telemetry("collect", bytes, collect);
+            secs += collect;
+        }
         secs
-    }
-
-    /// Simulated cost of the shuffle between the assignment and local-update
-    /// steps.
-    pub fn shuffle_secs(&self, bytes: u64) -> f64 {
-        let secs = self.cost.shuffle_secs(bytes, self.parallelism());
-        charge_net_telemetry("shuffle", bytes, secs);
-        secs
-    }
-
-    /// Simulated cost of collecting `bytes` of step output onto the driver.
-    pub fn collect_secs(&self, bytes: u64) -> f64 {
-        let secs = self.cost.collect_secs(bytes, self.parallelism());
-        charge_net_telemetry("collect", bytes, secs);
-        secs
-    }
-
-    /// The fixed per-batch scheduling overhead.
-    pub fn batch_overhead_secs(&self) -> f64 {
-        self.cost.per_batch_overhead_secs * self.cost.workload_scale
     }
 }
 
@@ -359,10 +337,10 @@ mod tests {
             StreamingContext::with_cost_model(2, ExecutionMode::Threads, SimCostModel::default())
                 .unwrap(),
         ] {
-            assert_eq!(ctx.broadcast_secs(1 << 30), 0.0);
-            assert_eq!(ctx.shuffle_secs(1 << 30), 0.0);
-            assert_eq!(ctx.collect_secs(1 << 30), 0.0);
-            assert_eq!(ctx.batch_overhead_secs(), 0.0);
+            assert_eq!(
+                ctx.batch_overhead_secs(1 << 30, 1 << 30, Some(1 << 30)),
+                0.0
+            );
         }
     }
 
@@ -383,10 +361,22 @@ mod tests {
     }
 
     #[test]
-    fn network_charges_nonzero_in_simulated_mode() {
+    fn batch_overhead_is_priced_by_the_cost_model_in_simulated_mode() {
         let ctx = StreamingContext::new(2, ExecutionMode::Simulated).unwrap();
-        assert!(ctx.broadcast_secs(1 << 20) > 0.0);
-        assert!(ctx.batch_overhead_secs() > 0.0);
+        let cost = *ctx.cost_model();
+        let (model, shuffle, collect) = (1 << 20, 1 << 16, 1 << 12);
+        let without_collect = cost.per_batch_overhead_secs
+            + cost.broadcast_secs(model, 2)
+            + cost.shuffle_secs(shuffle, 2);
+        assert!(without_collect > 0.0);
+        assert_eq!(
+            ctx.batch_overhead_secs(model, shuffle, None),
+            without_collect
+        );
+        assert_eq!(
+            ctx.batch_overhead_secs(model, shuffle, Some(collect)),
+            without_collect + cost.collect_secs(collect, 2)
+        );
     }
 
     #[test]

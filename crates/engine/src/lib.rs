@@ -24,7 +24,8 @@
 //!   performance experiments on hosts without enough cores. Every task body
 //!   *really executes* and is individually wall-timed; the per-step latency
 //!   reported in [`StepMetrics`] is the synchronous-barrier makespan of those
-//!   measured times over `p` executor slots, plus a calibrated
+//!   measured times over `p` executor slots (the list schedule of
+//!   `diststream_telemetry::time_model`), plus a calibrated
 //!   scheduling-overhead, network-cost, and straggler model ([`SimCostModel`]).
 //!
 //! Either way the *data* computed is identical — execution mode only affects
@@ -75,7 +76,7 @@ pub use driver::{ExecutionMode, StreamingContext};
 pub use faults::FaultPlan;
 pub use latency::{LatencyProbe, RecordLatency, LATENCY_BUCKET_BOUNDS};
 pub use metrics::{BatchMetrics, StepMetrics, ThroughputMeter};
-pub use netcost::{ClusterTopology, NetworkModel, SimCostModel, StragglerModel};
+pub use netcost::{NetworkModel, SimCostModel, StragglerModel};
 pub use partition::{
     combine_by_key, fnv1a_hash, group_by_key, AppendCombiner, BlockPartitioner, CombineStats,
     Combiner, FlatShuffle, Fnv1a, HashPartitioner, KeyBytes, RoundRobinPartitioner, Shuffled,

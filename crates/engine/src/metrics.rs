@@ -1,6 +1,7 @@
 //! Step- and batch-level performance metrics.
 
 use diststream_telemetry as telemetry;
+use diststream_telemetry::time_model::batch_critical_path;
 use serde::{Deserialize, Serialize};
 
 /// The paper's straggler criterion: a task is a straggler when its execution
@@ -171,7 +172,8 @@ pub struct BatchMetrics {
 }
 
 impl BatchMetrics {
-    /// Total batch latency.
+    /// Total batch latency: the batch critical path of
+    /// [`batch_critical_path`].
     ///
     /// Under the synchronous protocol this is the sum of both parallel
     /// steps, the driver-side global update, and overheads. Under the
@@ -179,30 +181,18 @@ impl BatchMetrics {
     /// previous batch runs concurrently with this batch's parallel steps,
     /// so the critical path is the *maximum* of the two.
     pub fn total_secs(&self) -> f64 {
-        let parallel = self.assignment.wall_secs() + self.local.wall_secs();
-        if self.async_overlap {
-            parallel.max(self.global_secs) + self.overhead_secs
-        } else {
-            parallel + self.global_secs + self.overhead_secs
-        }
+        batch_critical_path(
+            self.assignment.wall_secs() + self.local.wall_secs(),
+            self.global_secs,
+            self.overhead_secs,
+            self.async_overlap,
+        )
+        .secs
     }
 
     /// Straggler tasks across both parallel steps.
     pub(crate) fn straggler_count(&self) -> usize {
         self.assignment.straggler_count() + self.local.straggler_count()
-    }
-
-    /// Critical-path breakdown: named latency components whose sum (sync
-    /// protocol) or overlap-max (async protocol) is [`total_secs`]
-    /// (`BatchMetrics::total_secs`). Shuffle/broadcast time is charged to
-    /// `overhead`; its byte volume is accounted separately.
-    pub fn breakdown(&self) -> [(&'static str, f64); 4] {
-        [
-            ("assignment", self.assignment.wall_secs()),
-            ("local", self.local.wall_secs()),
-            ("global", self.global_secs),
-            ("overhead", self.overhead_secs),
-        ]
     }
 
     /// Records this batch into the telemetry subsystem: one
@@ -552,8 +542,6 @@ mod tests {
             ..BatchMetrics::default()
         };
         assert_eq!(batch.total_secs(), 2.0);
-        let breakdown_sum: f64 = batch.breakdown().iter().map(|(_, secs)| secs).sum();
-        assert_eq!(breakdown_sum, batch.total_secs());
     }
 
     #[test]

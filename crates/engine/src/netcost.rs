@@ -17,6 +17,7 @@
 //!
 //! [`ExecutionMode::Simulated`]: crate::ExecutionMode::Simulated
 
+use diststream_telemetry::time_model::list_makespan;
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -153,16 +154,15 @@ impl SimCostModel {
     /// vanished under the 4 ms overhead and made straggler attribution a
     /// function of host speed.)
     ///
-    /// Tasks are assigned greedily in submission order to the least-loaded
-    /// slot — the dynamic scheduling a Spark executor pool performs. The
-    /// makespan is the latest slot finish time, i.e. the barrier wait.
+    /// The makespan is [`list_makespan`]: tasks in submission order, each
+    /// on the least-loaded slot — the dynamic scheduling of `TaskPool` and
+    /// of a Spark executor pool — and the barrier waits for the last slot.
     pub(crate) fn step_wall_secs(
         &self,
         measured_task_secs: &[f64],
         slots: usize,
         rng: &mut StdRng,
     ) -> (Vec<f64>, f64) {
-        assert!(slots > 0, "slot count must be at least 1");
         let mut effective = measured_task_secs.to_vec();
         for t in &mut effective {
             *t += self.per_task_overhead_secs * self.workload_scale;
@@ -170,19 +170,7 @@ impl SimCostModel {
         if let Some(model) = &self.straggler {
             model.inflate(&mut effective, slots, rng);
         }
-        let mut slot_load = vec![0.0_f64; slots];
-        for &t in &effective {
-            // Greedy: place on the currently least-loaded slot.
-            let min_idx = slot_load
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.total_cmp(b.1))
-                .map(|(i, _)| i);
-            if let Some(min_idx) = min_idx {
-                slot_load[min_idx] += t;
-            }
-        }
-        let makespan = slot_load.iter().copied().fold(0.0, f64::max);
+        let makespan = list_makespan(&effective, slots);
         (effective, makespan)
     }
 
@@ -222,84 +210,6 @@ impl Default for SimCostModel {
             per_batch_overhead_secs: 0.05,
             straggler: Some(StragglerModel::default()),
             workload_scale: 1.0,
-        }
-    }
-}
-
-/// A named simulated cluster shape: node count plus straggler regime.
-///
-/// Topologies parameterize the [`SimCostModel`] for the distribution-strategy
-/// experiments: the same job runs against 10-, 32-, and 100-node clusters
-/// (and a straggler-heavy variant of each) without hand-tuning individual
-/// cost constants. Per-message latency grows with the node count — more
-/// hops through shared switches — and the straggler-heavy placement models
-/// a cluster where tasks land on oversubscribed hosts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ClusterTopology {
-    /// Number of simulated worker nodes.
-    pub nodes: usize,
-    /// Whether tasks are placed on oversubscribed (straggler-heavy) hosts.
-    pub straggler_heavy: bool,
-}
-
-impl ClusterTopology {
-    /// The standard topology sweep for strategy comparisons: 10, 32, and
-    /// 100 nodes, matching the Spark Streaming modeling paper's simulated
-    /// cluster sizes.
-    pub const SWEEP_NODES: [usize; 3] = [10, 32, 100];
-
-    /// A well-behaved cluster of `nodes` workers.
-    pub fn simulated(nodes: usize) -> Self {
-        ClusterTopology {
-            nodes,
-            straggler_heavy: false,
-        }
-    }
-
-    /// The same cluster with straggler-heavy task placement: every slot
-    /// contributes 4x the default straggler probability and the slowdown
-    /// tail stretches to 4x.
-    pub fn straggler_heavy(nodes: usize) -> Self {
-        ClusterTopology {
-            nodes,
-            straggler_heavy: true,
-        }
-    }
-
-    /// Short label for reports and journal attribution, e.g. `"n32"` or
-    /// `"n32-straggler"`.
-    pub fn label(&self) -> String {
-        if self.straggler_heavy {
-            format!("n{}-straggler", self.nodes)
-        } else {
-            format!("n{}", self.nodes)
-        }
-    }
-
-    /// The cost model of this topology. Bandwidth stays at the default
-    /// 1 Gb/s per link (links are point-to-point in the shuffle model);
-    /// per-message latency grows logarithmically with the node count to
-    /// reflect deeper switch fabrics.
-    pub fn cost_model(&self) -> SimCostModel {
-        let base = NetworkModel::default();
-        let fabric_depth = ((self.nodes + 1) as f64).log2().ceil().max(1.0);
-        let straggler = if self.straggler_heavy {
-            StragglerModel {
-                prob_per_slot: 4.0 / 128.0,
-                max_prob: 0.6,
-                min_slowdown: 1.5,
-                max_slowdown: 4.0,
-            }
-        } else {
-            StragglerModel::default()
-        };
-        SimCostModel {
-            network: NetworkModel {
-                bytes_per_sec: base.bytes_per_sec,
-                latency_secs: base.latency_secs * fabric_depth,
-            },
-            straggler: Some(straggler),
-            ..SimCostModel::default()
         }
     }
 }
@@ -387,8 +297,18 @@ mod tests {
         // Fast-host limit: measured compute is negligible next to the fixed
         // per-task overhead. Inflation must still spread the effective times
         // enough for relative straggler detection (> 1.2 × step mean), or
-        // attribution becomes a function of host speed.
-        let model = ClusterTopology::straggler_heavy(32).cost_model();
+        // attribution becomes a function of host speed. The placement is
+        // straggler-heavy: four times the default probability per slot,
+        // slowdowns up to 4×.
+        let model = SimCostModel {
+            straggler: Some(StragglerModel {
+                prob_per_slot: 4.0 / 128.0,
+                max_prob: 0.6,
+                min_slowdown: 1.5,
+                max_slowdown: 4.0,
+            }),
+            ..SimCostModel::default()
+        };
         let mut rng = StdRng::seed_from_u64(7);
         let measured = vec![1e-6_f64; 64];
         let (eff, _) = model.step_wall_secs(&measured, 8, &mut rng);
@@ -410,45 +330,5 @@ mod tests {
         assert_eq!(model.broadcast_secs(1000, 1), 1.0);
         assert_eq!(model.broadcast_secs(1000, 4), 3.0);
         assert_eq!(model.broadcast_secs(1000, 31), 5.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "slot count")]
-    fn zero_slots_panics() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let _ = SimCostModel::zero().step_wall_secs(&[1.0], 0, &mut rng);
-    }
-
-    #[test]
-    fn topology_latency_grows_with_node_count() {
-        let sweep: Vec<f64> = ClusterTopology::SWEEP_NODES
-            .iter()
-            .map(|&n| {
-                ClusterTopology::simulated(n)
-                    .cost_model()
-                    .network
-                    .latency_secs
-            })
-            .collect();
-        assert!(sweep[0] < sweep[1] && sweep[1] < sweep[2], "{sweep:?}");
-    }
-
-    #[test]
-    fn straggler_heavy_topology_is_strictly_worse() {
-        let plain = ClusterTopology::simulated(32).cost_model();
-        let heavy = ClusterTopology::straggler_heavy(32).cost_model();
-        let (p, h) = (plain.straggler.unwrap(), heavy.straggler.unwrap());
-        assert!(h.probability(32) > p.probability(32));
-        assert!(h.max_slowdown > p.max_slowdown);
-        assert_eq!(plain.network, heavy.network);
-    }
-
-    #[test]
-    fn topology_labels_name_the_regime() {
-        assert_eq!(ClusterTopology::simulated(10).label(), "n10");
-        assert_eq!(
-            ClusterTopology::straggler_heavy(100).label(),
-            "n100-straggler"
-        );
     }
 }

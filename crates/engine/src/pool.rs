@@ -1,6 +1,9 @@
-//! Real-thread task execution for [`ExecutionMode::Threads`].
+//! Task execution for both modes: [`ExecutionMode::Threads`] runs a step on
+//! `p` executors, [`ExecutionMode::Simulated`] on one, and both go through
+//! the same claim loop and retry boundary.
 //!
 //! [`ExecutionMode::Threads`]: crate::ExecutionMode::Threads
+//! [`ExecutionMode::Simulated`]: crate::ExecutionMode::Simulated
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -86,7 +89,7 @@ impl TaskPool {
         O: Send,
         F: Fn(usize, I) -> O + Sync,
     {
-        self.run_hooked(inputs, f, None)
+        self.run_hooked(inputs, f, None, true)
     }
 
     /// [`TaskPool::run`] with an optional per-attempt hook.
@@ -97,11 +100,17 @@ impl TaskPool {
     /// a task fault — the panic is caught at the same retry boundary as a
     /// genuine task panic. This is the engine half of deterministic fault
     /// injection (see [`FaultPlan`](crate::FaultPlan)).
+    ///
+    /// `sleep_delays` selects how injected delays are imposed: thread mode
+    /// really holds the executor (`true`); simulated mode, which runs its
+    /// tasks on a pool of one, adds them to the measured time (`false`) so
+    /// its virtual clock sees them without the host waiting.
     pub(crate) fn run_hooked<I, O, F>(
         &self,
         inputs: Vec<I>,
         f: &F,
         hook: Option<&(dyn Fn(usize, usize) -> f64 + Sync)>,
+        sleep_delays: bool,
     ) -> Result<(Vec<O>, Vec<f64>)>
     where
         I: Copy + Send + Sync,
@@ -127,7 +136,7 @@ impl TaskPool {
             let Some(&input) = inputs.get(idx) else {
                 break;
             };
-            match execute_with_retry(idx, input, true, f, hook) {
+            match execute_with_retry(idx, input, sleep_delays, f, hook) {
                 Ok((output, secs, retries)) => {
                     if retries > 0 {
                         retried.fetch_add(retries, Ordering::SeqCst);
@@ -243,7 +252,7 @@ pub fn chunk_size(n: usize, slots: usize) -> usize {
 
 /// Splits `items` into contiguous chunks of `chunk` items (the final chunk
 /// may be shorter) — the owning form of [`chunk_strides`], kept only for
-/// `benchmark/src/micro.rs` (ROADMAP item 5 retires it).
+/// `benchmark/src/micro.rs` (ROADMAP item 1(a) retires it).
 ///
 /// Unlike the round-robin split, chunks are contiguous slices of the input,
 /// so concatenating the per-chunk outputs in chunk index order restores the
@@ -319,14 +328,14 @@ pub fn chunk_strides(n: usize, chunk: usize) -> Vec<Stride> {
 
 /// A task that exhausted its retry budget.
 #[derive(Debug)]
-pub(crate) struct TaskFailure {
-    pub(crate) task: usize,
-    pub(crate) attempts: usize,
-    pub(crate) reason: String,
+struct TaskFailure {
+    task: usize,
+    attempts: usize,
+    reason: String,
 }
 
 impl TaskFailure {
-    pub(crate) fn into_error(self) -> DistStreamError {
+    fn into_error(self) -> DistStreamError {
         DistStreamError::TaskFailed {
             task: self.task,
             attempts: self.attempts,
@@ -335,19 +344,15 @@ impl TaskFailure {
     }
 }
 
-/// Executes one task with the retry protocol shared by both execution
-/// modes: every attempt runs on the same `Copy` input, so a panic that
-/// unwinds through `f` leaves the next attempt exactly what the first had.
-///
-/// `sleep_delays` selects how hook-injected straggler seconds are imposed:
-/// thread mode really holds the worker (`true`), simulated mode charges
-/// them numerically onto the measured time (`false`) so simulations stay
-/// fast.
+/// Executes one task with the retry protocol: every attempt runs on the
+/// same `Copy` input, so a panic that unwinds through `f` leaves the next
+/// attempt exactly what the first had. `sleep_delays` is
+/// [`TaskPool::run_hooked`]'s.
 ///
 /// On success returns `(output, secs, retries)` where `retries` counts the
 /// failed attempts that preceded the success; the
 /// [`DEFAULT_MAX_TASK_FAILURES`]th failed attempt is the task's failure.
-pub(crate) fn execute_with_retry<I, O, F>(
+fn execute_with_retry<I, O, F>(
     idx: usize,
     input: I,
     sleep_delays: bool,

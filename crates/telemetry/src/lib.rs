@@ -16,6 +16,9 @@
 //! capture for tests. Metrics ([`counter`], [`gauge`], [`histogram`]) are
 //! lock-free atomic handles registered by name and rendered at run end via
 //! [`expose`] (Prometheus text) or [`summary_rows`] (human table).
+//! [`time_model`] defines once what the journal's timing fields mean: the
+//! step makespan and the batch critical path that the engine records and
+//! that trace analytics and `xtask check-trace` read back.
 //!
 //! ## Observation-only guarantee
 //!
@@ -38,6 +41,7 @@ pub mod journal;
 pub mod metrics;
 pub mod names;
 pub mod span;
+pub mod time_model;
 
 pub use journal::{
     barrier_drain, close_journal, dropped_events, set_journal_capture, Event, EventKind,

@@ -38,21 +38,14 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use diststream_telemetry::time_model::{
+    batch_critical_path, reconcile_tolerance, CriticalPath, GLOBAL_SUBSPANS,
+};
+
 use crate::parse::{EventKind, Journal};
 
-/// Relative reconciliation tolerance: each batch's critical-path segments
-/// must reproduce its recorded `total_secs` within this fraction (with a
-/// small absolute floor for near-empty batches). Matches the `xtask
-/// check-trace` gate.
-pub const RECONCILE_REL_TOL: f64 = 0.05;
-
-/// The sub-spans that tile a `global_update` span, in execution order, as
-/// `(journal span name, blame-table label)`.
-pub const GLOBAL_SUBSPANS: [(&str, &str); 3] = [
-    ("global_order", "ordering"),
-    ("global_premerge", "pre-merge"),
-    ("global_apply", "apply_global"),
-];
+/// Blame-table labels of the [`GLOBAL_SUBSPANS`], in the same order.
+const GLOBAL_SUBSPAN_LABELS: [&str; 3] = ["ordering", "pre-merge", "apply_global"];
 
 /// A critical-path phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -149,44 +142,40 @@ pub struct BatchProfile {
 }
 
 impl BatchProfile {
-    /// The batch's critical path, in execution order.
-    ///
-    /// Sync protocol: all four phases chain. Async protocol: the parallel
-    /// steps race the overlapped global update; the longer arm is on the
-    /// path (ties go to the parallel arm, matching
-    /// `BatchMetrics::total_secs`), overhead always follows.
+    /// The batch's critical path, in execution order: the phases on
+    /// [`batch_critical_path`]'s path (the parallel steps, the global
+    /// update, or both), then the overhead.
     pub(crate) fn critical_path(&self) -> Vec<Segment> {
         let seg = |phase, secs| Segment { phase, secs };
-        if !self.async_overlap {
-            return vec![
-                seg(Phase::Assignment, self.assignment_secs),
-                seg(Phase::LocalUpdate, self.local_secs),
-                seg(Phase::GlobalUpdate, self.global_secs),
-                seg(Phase::Overhead, self.overhead_secs),
-            ];
+        let path = self.path();
+        let mut segments = Vec::with_capacity(4);
+        if path.parallel {
+            segments.push(seg(Phase::Assignment, self.assignment_secs));
+            segments.push(seg(Phase::LocalUpdate, self.local_secs));
         }
-        let parallel = self.assignment_secs + self.local_secs;
-        if parallel >= self.global_secs {
-            vec![
-                seg(Phase::Assignment, self.assignment_secs),
-                seg(Phase::LocalUpdate, self.local_secs),
-                seg(Phase::Overhead, self.overhead_secs),
-            ]
-        } else {
-            vec![
-                seg(Phase::GlobalUpdate, self.global_secs),
-                seg(Phase::Overhead, self.overhead_secs),
-            ]
+        if path.global {
+            segments.push(seg(Phase::GlobalUpdate, self.global_secs));
         }
+        segments.push(seg(Phase::Overhead, self.overhead_secs));
+        segments
     }
 
-    /// Checks that the critical-path segments reproduce the recorded wall
-    /// time within [`RECONCILE_REL_TOL`]. Returns the (path sum, recorded
+    /// The recorded components through the shared time model.
+    fn path(&self) -> CriticalPath {
+        batch_critical_path(
+            self.assignment_secs + self.local_secs,
+            self.global_secs,
+            self.overhead_secs,
+            self.async_overlap,
+        )
+    }
+
+    /// Checks that the critical path reproduces the recorded wall time
+    /// within [`reconcile_tolerance`]. Returns the (path sum, recorded
     /// total) pair on failure.
     pub fn reconcile(&self) -> Result<(), (f64, f64)> {
-        let path: f64 = self.critical_path().iter().map(|s| s.secs).sum();
-        let tolerance = (self.total_secs.abs() * RECONCILE_REL_TOL).max(1e-6);
-        if (path - self.total_secs).abs() > tolerance {
+        let path = self.path().secs;
+        if (path - self.total_secs).abs() > reconcile_tolerance(self.total_secs) {
             Err((path, self.total_secs))
         } else {
             Ok(())
@@ -369,7 +358,7 @@ impl BlameTable {
         if phase_secs <= 0.0 {
             return;
         }
-        for ((_, label), secs) in GLOBAL_SUBSPANS.iter().zip(self.global_sub_secs) {
+        for (label, secs) in GLOBAL_SUBSPAN_LABELS.iter().zip(self.global_sub_secs) {
             let _ = writeln!(
                 out,
                 "  {:<12} {:>12.6} {:>8} {:>10}",
@@ -463,9 +452,7 @@ pub fn analyze(journal: &Journal) -> RunProfile {
             profile.inits += 1;
             profile.init_secs += close.dur_us as f64 / 1e6;
         }
-        let row = GLOBAL_SUBSPANS
-            .iter()
-            .position(|(span, _)| *span == close.name);
+        let row = GLOBAL_SUBSPANS.iter().position(|span| *span == close.name);
         if let Some(slot) = row.and_then(|row| profile.global_sub_secs.get_mut(row)) {
             *slot += close.dur_us as f64 / 1e6;
         }
@@ -552,11 +539,7 @@ mod tests {
         overhead: f64,
         overlap: bool,
     ) -> String {
-        let total = if overlap {
-            (asg + local).max(global) + overhead
-        } else {
-            asg + local + global + overhead
-        };
+        let total = batch_critical_path(asg + local, global, overhead, overlap).secs;
         format!(
             "{{\"ev\":\"point\",\"name\":\"batch_summary\",\"thread\":0,\"seq\":{seq},\"t_us\":{seq},\"batch\":{batch},\
              \"records\":100.0,\"assignment_secs\":{asg},\"local_secs\":{local},\"global_secs\":{global},\

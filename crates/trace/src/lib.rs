@@ -13,15 +13,18 @@
 //!   critical-path growth, so a >15% throughput regression comes with an
 //!   attribution instead of a shrug.
 //! - **Would more workers help?** [`predict`] replays the recorded
-//!   per-task durations through a simulated LPT schedule at hypothetical
-//!   parallelism levels, reporting predicted speedup and the serial
-//!   fraction (Amdahl ceiling) that caps it.
+//!   per-task durations through the list schedule the runtime itself uses
+//!   (tasks in submission order, each on the least-loaded slot) at
+//!   hypothetical parallelism levels, reporting predicted speedup and the
+//!   serial fraction (Amdahl ceiling) that caps it.
 //! - **Can I look at it?** [`chrome::export`] renders the journal in the
 //!   Chrome trace-event format for `chrome://tracing` / Perfetto.
 //!
-//! Like the telemetry crate it mirrors, this crate deliberately has no
-//! dependencies: it is consumed by `xtask` (which must stay fast to
-//! build) and by the bench harness.
+//! Its one dependency is the dependency-free telemetry crate, whose
+//! [`time_model`](diststream_telemetry::time_model) defines the makespan,
+//! the critical path and the reconciliation tolerance this crate reads
+//! journals by. It is consumed by `xtask` (which must stay fast to build)
+//! and by the bench harness.
 
 #![forbid(unsafe_code)]
 

@@ -5,20 +5,24 @@
 //! PAPERS.md, "Modeling and Simulation of Spark Streaming"): a batch's
 //! parallel step is a list-scheduling problem over `p` executor slots, the
 //! driver-side global update and the charged overhead are serial, and the
-//! prediction at `p′` replays the *recorded* task durations through an LPT
-//! (longest-processing-time-first) greedy schedule over `p′` slots.
+//! prediction at `p′` replays the *recorded* task durations through the
+//! list schedule the runtime itself uses — tasks in submission order, each
+//! on the least-loaded slot ([`list_makespan`]) — and combines the phases
+//! by the runtime's own critical path ([`batch_critical_path`]).
 //!
 //! Two corrections keep the replay honest:
 //!
-//! - **Residual overhead.** The recorded step wall time exceeds the LPT
+//! - **Residual overhead.** The recorded step wall time exceeds the
 //!   makespan of its own tasks at the recorded parallelism (barrier cost,
-//!   per-slot setup). That residual is kept as-is in the prediction — no
-//!   re-schedule can shrink it.
+//!   per-slot setup such as the searcher build). That residual is kept
+//!   as-is in the prediction — no re-schedule can shrink it. A simulated
+//!   step records exactly its makespan plus its setup, so replaying it at
+//!   its own degree leaves only the setup as residual.
 //! - **Divisible-work fallback.** Task count is fixed at record time by
-//!   the recorded parallelism, so when `p′` exceeds the task count an LPT
+//!   the recorded parallelism, so when `p′` exceeds the task count a
 //!   replay cannot use the extra slots at all. Record-based steps *would*
 //!   split finer at a real `p′`, so the model assumes divisible work
-//!   there: `cpu_sum / p′`, floored by the largest single task.
+//!   there: `cpu_sum / p′`.
 //!
 //! Known error sources (documented in DESIGN.md §12): the fallback
 //! over-estimates splittability for model-based steps with few keys, the
@@ -27,6 +31,8 @@
 //! volume scales with it. Amdahl's law still bounds the result: the
 //! reported serial fraction caps any achievable speedup at
 //! `1 / serial_fraction`.
+
+use diststream_telemetry::time_model::{batch_critical_path, list_makespan};
 
 use crate::analysis::{BatchProfile, RunProfile};
 
@@ -45,93 +51,72 @@ pub struct WhatIf {
     pub serial_fraction: f64,
 }
 
-/// LPT (longest-processing-time-first) greedy makespan of `tasks` over
-/// `slots` executor slots. Deterministic: equal durations tie-break by
-/// their position after a stable sort, and the earliest-finishing slot
-/// wins ties by index.
-pub(crate) fn lpt_makespan(tasks: &[f64], slots: usize) -> f64 {
-    if tasks.is_empty() || slots == 0 {
-        return 0.0;
+/// The degree a batch ran at. Journals that predate the parallelism field
+/// fall back to the task count, which the schedulers align to the slot
+/// count.
+fn recorded_parallelism(batch: &BatchProfile) -> usize {
+    if batch.parallelism > 0 {
+        batch.parallelism
+    } else {
+        batch.step_tasks[0].len().max(1)
     }
-    let mut sorted: Vec<f64> = tasks.to_vec();
-    sorted.sort_by(|a, b| b.total_cmp(a));
-    let mut loads = vec![0.0f64; slots.min(sorted.len())];
-    for task in sorted {
-        let (idx, _) = loads
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.total_cmp(b.1))
-            .expect("slots is non-empty");
-        loads[idx] += task;
+}
+
+/// The part of a step's recorded wall time that its tasks' makespan at the
+/// recorded degree does not explain. A step without task data (an old
+/// journal or an empty step) is all residual: nothing to reschedule.
+fn residual(tasks: &[f64], recorded_wall: f64, p_run: usize) -> f64 {
+    if tasks.is_empty() {
+        recorded_wall
+    } else {
+        (recorded_wall - list_makespan(tasks, p_run)).max(0.0)
     }
-    loads.iter().copied().fold(0.0, f64::max)
 }
 
 /// Predicted wall seconds of one parallel step at `p_prime` slots:
 /// rescheduled task makespan plus the recorded schedule residual.
 fn step_prediction(tasks: &[f64], recorded_wall: f64, p_run: usize, p_prime: usize) -> f64 {
-    if tasks.is_empty() {
-        // No task data (old journal or empty step): the recorded wall is
-        // all we know; treat it as unscalable.
-        return recorded_wall;
-    }
-    let residual = (recorded_wall - lpt_makespan(tasks, p_run.max(1))).max(0.0);
     let makespan = if tasks.len() >= p_prime {
-        lpt_makespan(tasks, p_prime)
+        list_makespan(tasks, p_prime)
     } else {
         // More slots than recorded tasks: assume divisible work — the real
         // system would split the records finer at p′ — giving the ideal
         // cpu_sum / p′.
         tasks.iter().sum::<f64>() / p_prime as f64
     };
-    makespan + residual
+    makespan + residual(tasks, recorded_wall, p_run)
 }
 
 /// Predicted wall seconds of one batch at `p_prime`.
 pub(crate) fn predict_batch(batch: &BatchProfile, p_prime: usize) -> f64 {
-    let p_run = if batch.parallelism > 0 {
-        batch.parallelism
-    } else {
-        // Journal predates the parallelism field: fall back to the task
-        // count, which the schedulers align to the slot count.
-        batch.step_tasks[0].len().max(1)
-    };
+    let p_run = recorded_parallelism(batch);
     let assignment = step_prediction(&batch.step_tasks[0], batch.assignment_secs, p_run, p_prime);
     let local = step_prediction(&batch.step_tasks[1], batch.local_secs, p_run, p_prime);
-    let parallel = assignment + local;
-    if batch.async_overlap {
-        parallel.max(batch.global_secs) + batch.overhead_secs
-    } else {
-        parallel + batch.global_secs + batch.overhead_secs
-    }
+    batch_critical_path(
+        assignment + local,
+        batch.global_secs,
+        batch.overhead_secs,
+        batch.async_overlap,
+    )
+    .secs
 }
 
-/// The recorded run's serial seconds: global update + overhead + schedule
-/// residuals — the portion no added parallelism can shrink.
+/// The recorded run's serial seconds: what its critical path holds beyond
+/// the parallel steps (the global update where it is on the path, and the
+/// overhead), plus the steps' schedule residuals — the portion no added
+/// parallelism can shrink.
 fn serial_secs(batch: &BatchProfile) -> f64 {
-    let p_run = if batch.parallelism > 0 {
-        batch.parallelism
-    } else {
-        batch.step_tasks[0].len().max(1)
-    };
-    let residual = |tasks: &[f64], wall: f64| {
-        if tasks.is_empty() {
-            wall
-        } else {
-            (wall - lpt_makespan(tasks, p_run)).max(0.0)
-        }
-    };
-    let serial_global = if batch.async_overlap {
-        // Overlapped: the global update only costs wall time when it is the
-        // critical arm.
-        (batch.global_secs - batch.assignment_secs - batch.local_secs).max(0.0)
-    } else {
-        batch.global_secs
-    };
-    serial_global
-        + batch.overhead_secs
-        + residual(&batch.step_tasks[0], batch.assignment_secs)
-        + residual(&batch.step_tasks[1], batch.local_secs)
+    let p_run = recorded_parallelism(batch);
+    let parallel = batch.assignment_secs + batch.local_secs;
+    let path = batch_critical_path(
+        parallel,
+        batch.global_secs,
+        batch.overhead_secs,
+        batch.async_overlap,
+    );
+    (path.secs - parallel).max(0.0)
+        + residual(&batch.step_tasks[0], batch.assignment_secs, p_run)
+        + residual(&batch.step_tasks[1], batch.local_secs, p_run)
 }
 
 /// Predicts the run at each requested parallelism degree.
@@ -207,12 +192,7 @@ mod tests {
         p_run: usize,
         overlap: bool,
     ) -> BatchProfile {
-        let parallel = wall0 + wall1;
-        let total = if overlap {
-            parallel.max(global) + overhead
-        } else {
-            parallel + global + overhead
-        };
+        let total = batch_critical_path(wall0 + wall1, global, overhead, overlap).secs;
         BatchProfile {
             batch: 0,
             records: 100.0,
@@ -229,22 +209,26 @@ mod tests {
         }
     }
 
+    /// The runtime schedules in submission order, so the replay must too:
+    /// tasks `[1, 3, 2, 1.5]` recorded at p = 2 took 4.5 s (slot 0 runs 1,
+    /// 2 and 1.5), and none of it is residual. At p′ = 4 each task has its
+    /// own slot — 3.0 s, what a simulated run at p = 4 reports. A
+    /// longest-first replay packs the recorded step into 4.0 s, books the
+    /// other 0.5 s as serial residual and predicts 3.5 s.
     #[test]
-    fn lpt_makespan_matches_hand_schedules() {
-        // 4 tasks over 2 slots: LPT packs {3, 1} and {2, 1.5} → 4.0.
-        assert_eq!(lpt_makespan(&[1.0, 3.0, 2.0, 1.5], 2), 4.0);
-        // One slot: serial sum.
-        assert_eq!(lpt_makespan(&[1.0, 2.0, 3.0], 1), 6.0);
-        // More slots than tasks: longest task.
-        assert_eq!(lpt_makespan(&[1.0, 3.0], 8), 3.0);
-        // Edge cases.
-        assert_eq!(lpt_makespan(&[], 4), 0.0);
-        assert_eq!(lpt_makespan(&[1.0], 0), 0.0);
-        // Permutation invariance (determinism across journal orderings).
-        assert_eq!(
-            lpt_makespan(&[2.0, 1.0, 2.0, 1.0], 2),
-            lpt_makespan(&[1.0, 2.0, 1.0, 2.0], 2)
-        );
+    fn replay_schedules_in_submission_order_like_the_runtime() {
+        let tasks = vec![1.0, 3.0, 2.0, 1.5];
+        let wall = list_makespan(&tasks, 2);
+        assert_eq!(wall, 4.5);
+        let b = batch(tasks, wall, vec![], 0.0, 0.0, 0.0, 2, false);
+        let run = RunProfile {
+            batches: vec![b],
+            ..RunProfile::default()
+        };
+        let predictions = predict(&run, &[2, 4]);
+        assert_eq!(predictions[0].predicted_total_secs, 4.5);
+        assert_eq!(predictions[1].predicted_total_secs, 3.0);
+        assert_eq!(predictions[1].serial_fraction, 0.0);
     }
 
     #[test]
@@ -270,7 +254,7 @@ mod tests {
 
     #[test]
     fn residual_overhead_survives_rescheduling() {
-        // Recorded at p=2: tasks {1, 1}, LPT makespan 1, but wall 1.5 —
+        // Recorded at p=2: tasks {1, 1}, makespan 1, but wall 1.5 —
         // 0.5s of barrier residual that must persist at any p′.
         let b = batch(vec![1.0, 1.0], 1.5, vec![], 0.0, 0.0, 0.0, 2, false);
         let run = RunProfile {

@@ -10,8 +10,9 @@
 //!    `init` spans;
 //! 2. `--baseline <journal>`: a phase-by-phase diff against another run,
 //!    attributing a slowdown to the phase that grew the most;
-//! 3. `--what-if p=8,16`: LPT-replay predictions of run time at
-//!    hypothetical parallelism degrees, with the Amdahl serial-fraction
+//! 3. `--what-if p=8,16`: predictions of run time at hypothetical
+//!    parallelism degrees — the recorded task durations replayed through
+//!    the runtime's own list schedule — with the Amdahl serial-fraction
 //!    ceiling;
 //! 4. `--chrome-out <file>`: the journal re-rendered in the Chrome
 //!    trace-event format for `chrome://tracing` / Perfetto;
@@ -23,6 +24,7 @@
 
 use std::path::{Path, PathBuf};
 
+use diststream_telemetry::time_model::RECONCILE_REL_TOL;
 use diststream_trace::{analysis, chrome, diff, whatif, RunProfile};
 
 /// Parsed `trace-analyze` arguments.
@@ -160,7 +162,7 @@ pub fn run(opts: &Options) -> Result<bool, String> {
                 "batch {}: critical path sums to {path:.6}s but recorded total is {total:.6}s \
                  (tolerance {:.0}%)",
                 batch.batch,
-                analysis::RECONCILE_REL_TOL * 100.0
+                RECONCILE_REL_TOL * 100.0
             ));
         }
     }
@@ -212,7 +214,7 @@ pub fn run(opts: &Options) -> Result<bool, String> {
     if !opts.what_if.is_empty() {
         let predictions = whatif::predict(&run, &opts.what_if);
         println!();
-        println!("what-if scaling prediction (LPT replay of recorded task durations):");
+        println!("what-if scaling prediction (list-schedule replay of recorded task durations):");
         print!("{}", whatif::render(&predictions, run.total_secs()));
     }
 
@@ -236,7 +238,7 @@ pub fn run(opts: &Options) -> Result<bool, String> {
         println!(
             "xtask trace-analyze: OK — {} batch(es) reconciled within {:.0}%",
             run.batches.len(),
-            analysis::RECONCILE_REL_TOL * 100.0
+            RECONCILE_REL_TOL * 100.0
         );
         Ok(true)
     } else {

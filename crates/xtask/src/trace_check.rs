@@ -13,7 +13,8 @@
 //!    span and records the same depth), and every opened span is closed;
 //! 4. every `batch_summary` point reconciles: the critical-path components
 //!    sum (sync protocol) or overlap-max (async protocol) to `total_secs`
-//!    within 5%;
+//!    within 5% — the rule and the tolerance are the runtime's own
+//!    (`diststream_telemetry::time_model`);
 //! 5. pipeline spans sit where the overlapped pipeline puts them: a
 //!    `prefetch` or `retire` span never nests inside a `batch` span (ingest
 //!    and the freeing of spent batches run on the prefetch worker's own
@@ -43,15 +44,11 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::path::Path;
 
+use diststream_telemetry::time_model::{
+    batch_critical_path, reconcile_tolerance, GLOBAL_SUBSPANS, RECONCILE_REL_TOL,
+};
 use diststream_trace::parse::SUPPORTED_VERSION;
 use diststream_trace::{parse_flat_object, Value};
-
-/// Relative tolerance for the `batch_summary` critical-path reconciliation
-/// and the `global_update` sub-span tiling.
-const RECONCILE_REL_TOL: f64 = 0.05;
-
-/// The spans that tile a `global_update` span.
-const GLOBAL_SUBSPANS: [&str; 3] = ["global_order", "global_premerge", "global_apply"];
 
 /// One open span on a thread's stack.
 struct OpenSpan {
@@ -352,10 +349,9 @@ fn check_thread_order(
     *last_t = t_us;
 }
 
-/// The `batch_summary` reconciliation: critical-path components must
-/// reproduce `total_secs` within [`RECONCILE_REL_TOL`]. Sync protocol sums
-/// all four; async overlaps the driver-side global update with the
-/// parallel steps, so the critical path takes their max.
+/// The `batch_summary` reconciliation: the components, combined by the
+/// time model's [`batch_critical_path`], must reproduce `total_secs` within
+/// [`reconcile_tolerance`].
 fn check_batch_summary<'a>(get: &impl Fn(&str) -> Option<&'a Value>) -> Option<String> {
     let component = |key: &str| -> Result<f64, String> {
         get(key)
@@ -380,15 +376,9 @@ fn check_batch_summary<'a>(get: &impl Fn(&str) -> Option<&'a Value>) -> Option<S
     let [assignment, local, global, overhead, total, async_overlap] = parts[..] else {
         return Some("internal: component count mismatch".to_string());
     };
-    let parallel = assignment + local;
-    let expected = if async_overlap != 0.0 {
-        parallel.max(global) + overhead
-    } else {
-        parallel + global + overhead
-    };
-    // Relative tolerance with a small absolute floor so near-empty batches
-    // (microsecond totals) don't trip on rounding.
-    let tolerance = (expected.abs() * RECONCILE_REL_TOL).max(1e-6);
+    let expected =
+        batch_critical_path(assignment + local, global, overhead, async_overlap != 0.0).secs;
+    let tolerance = reconcile_tolerance(total);
     if (expected - total).abs() > tolerance {
         let mut msg = String::new();
         let _ = write!(

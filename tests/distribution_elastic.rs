@@ -26,7 +26,7 @@ use diststream::core::{
 };
 use diststream::datasets::covertype_like;
 use diststream::engine::{
-    encode, ClusterTopology, ExecutionMode, FaultPlan, MiniBatch, SimCostModel, StreamingContext,
+    encode, ExecutionMode, FaultPlan, MiniBatch, SimCostModel, StragglerModel, StreamingContext,
     VecSource,
 };
 use diststream::telemetry;
@@ -315,27 +315,37 @@ fn topology_run(cost: SimCostModel, kind: StrategyKind, parallelism: usize) -> V
     encode(&result.model)
 }
 
-/// Strategy invariance under every simulated topology in the CI sweep,
-/// including the straggler-heavy placements: key placement and record
-/// partitioning may move bytes and time, never the model.
+/// A straggler-heavy simulated cluster: four times the default straggler
+/// probability per slot, slowdowns up to 4×.
+fn straggler_heavy() -> SimCostModel {
+    SimCostModel {
+        straggler: Some(StragglerModel {
+            prob_per_slot: 4.0 / 128.0,
+            max_prob: 0.6,
+            min_slowdown: 1.5,
+            max_slowdown: 4.0,
+        }),
+        ..SimCostModel::default()
+    }
+}
+
+/// Strategy invariance under the default simulated cluster and a
+/// straggler-heavy one: key placement and record partitioning may move
+/// bytes and time, never the model.
 #[test]
 fn strategies_preserve_model_across_topology_sweep() {
     let reference = topology_run(SimCostModel::zero(), StrategyKind::RoundRobin, 1);
     assert!(!reference.is_empty());
-    for nodes in ClusterTopology::SWEEP_NODES {
-        for topology in [
-            ClusterTopology::simulated(nodes),
-            ClusterTopology::straggler_heavy(nodes),
-        ] {
-            for kind in StrategyKind::ALL {
-                let got = topology_run(topology.cost_model(), kind, 4);
-                assert_eq!(
-                    got,
-                    reference,
-                    "model diverged: topology={} strategy={kind:?}",
-                    topology.label()
-                );
-            }
+    for (cluster, cost) in [
+        ("default", SimCostModel::default()),
+        ("straggler-heavy", straggler_heavy()),
+    ] {
+        for kind in StrategyKind::ALL {
+            let got = topology_run(cost, kind, 4);
+            assert_eq!(
+                got, reference,
+                "model diverged: cluster={cluster} strategy={kind:?}"
+            );
         }
     }
 }
@@ -404,8 +414,8 @@ fn topology_sweep_journals_netcost_straggler_and_rebalance_metrics() {
     let replayed_before =
         telemetry::counter(telemetry::names::METRIC_REBALANCE_REPLAYED_BYTES_TOTAL).get();
 
-    let topology = ClusterTopology::straggler_heavy(32);
-    let bytes = topology_run(topology.cost_model(), StrategyKind::KeyRange, 8);
+    let topology = straggler_heavy();
+    let bytes = topology_run(topology, StrategyKind::KeyRange, 8);
     assert!(!bytes.is_empty());
 
     // Same topology, elastic: one resize boundary mid-stream.
@@ -415,8 +425,8 @@ fn topology_sweep_journals_netcost_straggler_and_rebalance_metrics() {
     });
     let all = records();
     let (init, rest) = all.split_at(100);
-    let ctx = StreamingContext::with_cost_model(1, ExecutionMode::Simulated, topology.cost_model())
-        .expect("context");
+    let ctx =
+        StreamingContext::with_cost_model(1, ExecutionMode::Simulated, topology).expect("context");
     elastic_run(
         &algo,
         &ctx,

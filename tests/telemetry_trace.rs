@@ -196,18 +196,16 @@ fn each_batch_records_one_summary_point() {
                 .unwrap_or_else(|| panic!("batch_summary lacks `{key}`"))
         };
         // The same reconciliation xtask check-trace applies to files.
-        let expected = if field("async_overlap") != 0.0 {
-            (field("assignment_secs") + field("local_secs")).max(field("global_secs"))
-                + field("overhead_secs")
-        } else {
-            field("assignment_secs")
-                + field("local_secs")
-                + field("global_secs")
-                + field("overhead_secs")
-        };
+        let expected = telemetry::time_model::batch_critical_path(
+            field("assignment_secs") + field("local_secs"),
+            field("global_secs"),
+            field("overhead_secs"),
+            field("async_overlap") != 0.0,
+        )
+        .secs;
         let total = field("total_secs");
         assert!(
-            (expected - total).abs() <= (expected.abs() * 0.05).max(1e-6),
+            (expected - total).abs() <= telemetry::time_model::reconcile_tolerance(total),
             "critical path {expected} does not reconcile with total {total}"
         );
         // The driver's own record handling rides along as wall-side

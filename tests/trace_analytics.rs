@@ -20,7 +20,9 @@ use diststream::algorithms::{
 };
 use diststream::core::{DistStreamJob, PipelineOptions, StreamClustering};
 use diststream::datasets::covertype_like;
-use diststream::engine::{encode, ExecutionMode, RecordLatency, StreamingContext, VecSource};
+use diststream::engine::{
+    encode, BatchMetrics, ExecutionMode, RecordLatency, SimCostModel, StreamingContext, VecSource,
+};
 use diststream::telemetry;
 use diststream::types::{ClusteringConfig, Record};
 use diststream_trace as trace;
@@ -251,6 +253,46 @@ fn blame_and_whatif_are_deterministic_with_pinned_values() {
     assert!((p2.speedup - 1.6).abs() < 1e-12);
     // Serial fraction: 1.0s of 4.0s per batch.
     assert!((p2.serial_fraction - 0.25).abs() < 1e-12);
+}
+
+/// A zero-cost simulated step records its wall as the list makespan of its
+/// task times — the schedule the what-if replay uses — so re-predicting
+/// such a journal at its own degree gives the recorded run back, with
+/// nothing left over as serial residual.
+#[test]
+fn a_simulated_journal_replays_at_its_own_degree_with_no_residual() {
+    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let p = 3;
+    let ctx = StreamingContext::with_cost_model(p, ExecutionMode::Simulated, SimCostModel::zero())
+        .expect("context");
+    let work = |_task, n: u64| (0..n * 5_000).fold(0u64, |a, x| a.wrapping_mul(31) ^ x);
+    let dir = std::env::temp_dir().join("diststream-trace-analytics-test");
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let path = dir.join("simulated.jsonl");
+    telemetry::start_file_session(&path).expect("journal session");
+    for batch_index in 0..3 {
+        let (_, assignment) = ctx
+            .run_tasks(vec![5, 1, 4, 2, 6, 3, 1], work)
+            .expect("step 1");
+        let (_, local) = ctx.run_tasks(vec![2, 7, 1], work).expect("step 2");
+        BatchMetrics {
+            batch_index,
+            records: 7,
+            assignment,
+            local,
+            parallelism: p,
+            ..BatchMetrics::default()
+        }
+        .emit_telemetry();
+    }
+    telemetry::finish_file_session();
+
+    let run = trace::analyze(&trace::parse_journal_file(&path).expect("journal parses"));
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(run.batches.len(), 3);
+    let same = trace::predict(&run, &[p])[0];
+    assert_eq!(same.predicted_total_secs, run.total_secs());
+    assert_eq!(same.serial_fraction, 0.0);
 }
 
 /// The Chrome export is byte-for-byte stable (golden test).
