@@ -311,13 +311,13 @@ const PROBE_TILE: usize = 4;
 /// An in-order scan starts with its running best at row 0, usually far from
 /// the query, so on clustered centroids the screens above rule out few rows.
 /// A kernel that keeps answering queries against unchanged rows therefore
-/// buys a [`SearchIndex`] and searches in two stages — a cheap first
+/// buys a `SearchIndex` and searches in two stages — a cheap first
 /// candidate, then the same in-order scan seeded with it and screened by the
 /// cached centre-to-centre distances. The index only decides which rows are
 /// *skipped*; every row it skips provably loses, ties still go to the
 /// earliest row, so the answers stay bit-identical to the plain scan. It is
 /// derived state: bought by a rent-or-buy rule on the queries the kernel
-/// observes (see [`CentroidKernel::index`]), dropped by every row mutation,
+/// observes (see `CentroidKernel::index`), dropped by every row mutation,
 /// not carried over by `clone`, never serialized.
 ///
 /// # Examples

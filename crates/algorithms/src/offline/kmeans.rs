@@ -136,6 +136,10 @@ pub fn kmeans(points: &[WeightedPoint], params: KmeansParams) -> MacroClusters {
 /// same `f64::min` chain, on the same operands in the same seed order, as
 /// folding over every seed afresh — NaN and ±∞ included — so the seeds are
 /// bit-identical to the full rescan's (the `rescan_seeds` test oracle).
+///
+/// A draw needs a positive total: when the weights sum to ≤ 0 or NaN, the
+/// first seed is point 0, drawn from nothing; when the `w · D(x)²` total is
+/// ≤ 0 or NaN, seeding stops.
 fn plus_plus_seeds(
     points: &[WeightedPoint],
     k: usize,
@@ -144,7 +148,11 @@ fn plus_plus_seeds(
 ) -> Vec<Point> {
     let mut centroids = Vec::with_capacity(k.min(points.len()));
     let total_weight: f64 = points.iter().map(|p| p.weight).sum();
-    let first = weighted_index(points.iter().map(|p| p.weight), total_weight, rng);
+    let first = if total_weight > 0.0 {
+        weighted_index(points.iter().map(|p| p.weight), total_weight, rng)
+    } else {
+        0
+    };
     centroids.push(points[first].point.clone());
 
     let mut nearest = vec![f64::INFINITY; points.len()];
@@ -157,8 +165,10 @@ fn plus_plus_seeds(
             *d = *near * wp.weight.max(0.0);
         }
         let total: f64 = dists.iter().sum();
-        if total <= 0.0 {
-            break; // All remaining points coincide with a centroid.
+        if total.is_nan() || total <= 0.0 {
+            // All remaining points coincide with a centroid or weigh
+            // nothing, or a weight ≤ 0 met a NaN / +∞ distance.
+            break;
         }
         newest = weighted_index(dists.iter().copied(), total, rng);
         centroids.push(points[newest].point.clone());
@@ -208,6 +218,7 @@ mod tests {
     /// The pre-change k-means++ seeding, kept as the bit-exactness oracle for
     /// [`plus_plus_seeds`]: for every new seed, every point's distance to
     /// *every* seed drawn so far, folded afresh — `n·k(k−1)/2` distances.
+    /// It guards its draws as the incremental fold does.
     fn rescan_seeds(
         points: &[WeightedPoint],
         k: usize,
@@ -216,7 +227,11 @@ mod tests {
     ) -> Vec<Point> {
         let mut centroids = Vec::with_capacity(k.min(points.len()));
         let total_weight: f64 = points.iter().map(|p| p.weight).sum();
-        let first = weighted_index(points.iter().map(|p| p.weight), total_weight, rng);
+        let first = if total_weight > 0.0 {
+            weighted_index(points.iter().map(|p| p.weight), total_weight, rng)
+        } else {
+            0
+        };
         centroids.push(points[first].point.clone());
         while centroids.len() < k.min(points.len()) {
             let dists: Vec<f64> = points
@@ -230,7 +245,7 @@ mod tests {
                 })
                 .collect();
             let total: f64 = dists.iter().sum();
-            if total <= 0.0 {
+            if total.is_nan() || total <= 0.0 {
                 break;
             }
             let next = weighted_index(dists.iter().copied(), total, rng);
@@ -328,6 +343,33 @@ mod tests {
         assert_eq!(out.len(), 1);
     }
 
+    /// Weights no k-means++ draw can use — all zero, all negative, one
+    /// NaN — used to panic in `gen_range`; every point is still assigned.
+    #[test]
+    fn undrawable_weights_seed_from_the_first_point() {
+        let xs = [0.0, 0.5, 20.0, 20.5];
+        for weights in [
+            [0.0; 4],
+            [-1.0, -2.0, -0.5, -3.0],
+            [1.0, f64::NAN, 1.0, 1.0],
+        ] {
+            let pts: Vec<WeightedPoint> = xs.iter().zip(weights).map(|(&x, w)| wp(x, w)).collect();
+            let out = kmeans(&pts, KmeansParams::new(2));
+            assert!(
+                (1..=2).contains(&out.len()),
+                "{weights:?}: {} clusters",
+                out.len()
+            );
+            assert!(
+                out.assignment
+                    .iter()
+                    .all(|a| a.is_some_and(|c| c < out.len())),
+                "{weights:?}: {:?}",
+                out.assignment
+            );
+        }
+    }
+
     #[test]
     fn deterministic_for_fixed_seed() {
         let pts: Vec<WeightedPoint> = (0..40).map(|i| wp((i % 7) as f64 * 3.0, 1.0)).collect();
@@ -337,9 +379,9 @@ mod tests {
     }
 
     /// How a seeding run ended: each seed's coordinate bits plus the next
-    /// draw of the RNG it left behind, or `None` if it panicked (a total
-    /// weight ≤ 0 or a NaN total makes `gen_range` panic, in the oracle as
-    /// in the incremental fold).
+    /// draw of the RNG it left behind, or `None` if it panicked (a draw
+    /// from a total ≤ 0 or NaN makes `gen_range` panic; both seedings guard
+    /// against it).
     type SeedRun = Option<(Vec<Vec<u64>>, u64)>;
 
     fn seed_run(
@@ -410,7 +452,7 @@ mod tests {
     }
 
     /// The edges the proptest below draws at random, pinned: the
-    /// `total <= 0` break, the panicking first draw, k ≥ n, and NaN / ±∞
+    /// `total <= 0` break, the undrawable first seed, k ≥ n, and NaN / ±∞
     /// coordinates.
     #[test]
     fn seeding_edges_end_like_the_oracle() {
@@ -421,7 +463,10 @@ mod tests {
         assert_eq!(fast.map(|(seeds, _)| seeds.len()), Some(2), "break fires");
 
         let weightless = [wp(0.0, 0.0), wp(1.0, 0.0)];
-        assert_eq!(both_seedings(&weightless, 2, 1), (None, None));
+        let (fast, oracle) = both_seedings(&weightless, 2, 1);
+        assert_eq!(fast, oracle);
+        let untouched = StdRng::seed_from_u64(1).gen::<u64>();
+        assert_eq!(fast, Some((vec![vec![0f64.to_bits()]], untouched)));
 
         let hostile = [
             wp(f64::NAN, 1.0),
@@ -469,7 +514,7 @@ mod tests {
 
         /// `kmeans` is public and is fed snapshots, so the rescan oracle
         /// defines the seeds for any input: same seeds to the bit, same
-        /// RNG state after, or a panic on both sides.
+        /// RNG state after, and no panic on either side.
         #[test]
         fn prop_seeds_match_rescan_oracle_bits(
             case in any::<u64>(),
@@ -486,6 +531,7 @@ mod tests {
             };
             let points = hostile_points(case, n, d);
             let (fast, oracle) = both_seedings(&points, k, case);
+            prop_assert!(fast.is_some(), "case {}, n {}, d {}, k {} panicked", case, n, d, k);
             prop_assert_eq!(fast, oracle, "case {}, n {}, d {}, k {}", case, n, d, k);
         }
     }

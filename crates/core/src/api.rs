@@ -67,7 +67,7 @@ impl Assignment {
 }
 
 /// Whether the executors preserve arrival order (the paper's contribution)
-/// or process updates in arbitrary order (the unordered baseline [13]).
+/// or process updates in arbitrary order (the unordered baseline \[13\]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum UpdateOrdering {
     /// Order-aware: local updates fold records by arrival order; global

@@ -1,11 +1,11 @@
 //! Elastic mid-stream scale-out: workers join or leave at batch boundaries.
 //!
-//! The executor is parallelism-invariant under both update protocols by
+//! The batch step is parallelism-invariant under both update protocols by
 //! construction (the order-aware update sorts by arrival keys, so neither
 //! task layout nor key placement can reach the model). Elasticity exploits
 //! exactly that: a [`ResizeSchedule`] on the job changes the parallelism
 //! degree between batches — `StreamingContext::resize` on the caller's
-//! context; the executor, and with it an overlapped job's pending update,
+//! context; the session, and with it an overlapped job's pending update,
 //! lives on untouched — after a deterministic rebalance: an ordinary
 //! checkpoint at the boundary's replay cursor, loaded back from the store
 //! and verified byte for byte. If the first batch at the new degree then
@@ -124,7 +124,7 @@ pub struct ResizeOutcome {
     pub from: usize,
     /// Target parallelism degree.
     pub to: usize,
-    /// Key slots (out of [`REBALANCE_KEY_SLOTS`]) whose placement moved.
+    /// Key slots (out of a fixed universe of 4 096) whose placement moved.
     pub moved_keys: u64,
     /// Checkpoint bytes replayed from the store to verify the boundary.
     pub replayed_bytes: u64,

@@ -7,13 +7,14 @@
 //! - [`StreamClustering`] — the four developer APIs (micro-cluster
 //!   representation, distance computation, local update, global update) that
 //!   any online-offline algorithm implements to get parallelized.
-//! - [`DistStreamExecutor`] — the one mini-batch executor: per batch it
-//!   broadcasts the stale model, assigns records with record-based
-//!   parallelism (§V-A), locally updates chosen micro-clusters with
-//!   model-based parallelism and per-group arrival-order folds (§V-B), and
-//!   runs the ordered, pre-merged global update on the driver (§V-C) — at
-//!   the bottom of the same call, or with [`DistStreamExecutor::overlap`]
-//!   (the §VII-D2 asynchronous protocol) at the top of the next one.
+//! - [`JobSession`] — the one batch stepper: per batch its
+//!   [`step`](JobSession::step) broadcasts the stale model, assigns records
+//!   with record-based parallelism (§V-A), locally updates chosen
+//!   micro-clusters with model-based parallelism and per-group
+//!   arrival-order folds (§V-B), and runs the ordered, pre-merged global
+//!   update on the driver (§V-C) — at the bottom of the same step, or with
+//!   [`PipelineOptions::overlap`] (the §VII-D2 asynchronous protocol) at
+//!   the top of the next one.
 //! - [`UpdateOrdering::Unordered`] — the unordered mini-batch baseline the
 //!   paper compares against.
 //! - [`SequentialExecutor`] — the one-record-at-a-time baseline (MOA
@@ -29,10 +30,10 @@
 //!   ([`DistStreamJob::resize`]) are boundary steps of [`JobSession::step`],
 //!   so they combine with every pipeline option and with each other.
 //!
-//! Every batch crosses its boundaries — resize, write-ahead log, the
-//! executor's three steps and snapshot publication, rollback, meter,
-//! checkpoint, controller, report, journal drain — in one fixed order,
-//! stated once in DESIGN.md §11.1a.
+//! Every batch crosses its boundaries — resize, write-ahead log, the three
+//! steps and snapshot publication, rollback, meter, checkpoint, controller,
+//! report, journal drain — in one fixed order, stated once in DESIGN.md
+//! §11.1a.
 //!
 //! # Examples
 //!
@@ -66,7 +67,6 @@ mod distribution;
 mod elastic;
 mod global;
 mod local;
-mod parallel;
 mod pipeline;
 mod recovery;
 pub mod reference;
@@ -89,7 +89,6 @@ pub use global::{global_update, GlobalOutcome};
 pub use local::{
     local_update_distributed, CreatedSketch, LocalOutcome, LocalScratch, UpdatedSketch,
 };
-pub use parallel::{BatchOutcome, DistStreamExecutor};
 pub use pipeline::{
     take_records, BatchReport, DistStreamJob, OverloadOptions, OverloadStats, PipelineOptions,
     RunResult,
@@ -97,7 +96,7 @@ pub use pipeline::{
 pub use recovery::{BatchDisposition, Checkpoint};
 pub use sequential::{SequentialExecutor, SequentialSummary};
 pub use serving::{serving_handle, serving_reader, ServingHandle, ServingSnapshot};
-pub use session::JobSession;
+pub use session::{BatchOutcome, JobSession};
 pub use store::{CheckpointStore, FileCheckpointStore, MemoryCheckpointStore};
 
 /// The telemetry crate, for the counters an algorithm's [`Searcher`] bumps

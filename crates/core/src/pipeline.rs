@@ -16,8 +16,8 @@ use crate::api::{StreamClustering, UpdateOrdering};
 use crate::distribution::StrategyKind;
 use crate::elastic::{ResizeOutcome, ResizeSchedule};
 use crate::local::SpentBatch;
-use crate::parallel::BatchOutcome;
 use crate::serving::ServingHandle;
+use crate::session::BatchOutcome;
 use crate::store::{CheckpointStore, MemoryCheckpointStore};
 
 /// Toggles for the overlapped batch pipeline — the three ingest-to-update
@@ -27,12 +27,10 @@ use crate::store::{CheckpointStore, MemoryCheckpointStore};
 /// None of the first three change the model: prefetch only moves the
 /// source drain off the critical path, combining only changes the charged
 /// shuffle bytes, and chunk scheduling only changes the task layout.
-/// `overlap` switches the executor to the asynchronous update protocol
-/// ([`DistStreamExecutor::overlap`]), which trades one batch of model
-/// staleness for throughput — a *different* (but still
-/// parallelism-invariant) model than the synchronous protocol.
-///
-/// [`DistStreamExecutor::overlap`]: crate::DistStreamExecutor::overlap
+/// `overlap` switches [`JobSession::step`](crate::JobSession::step) to the
+/// asynchronous update protocol, which trades one batch of model staleness
+/// for throughput — a *different* (but still parallelism-invariant) model
+/// than the synchronous protocol.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PipelineOptions {
     /// Double-buffered ingest: a worker drains the source for batch `N+1`
@@ -42,7 +40,8 @@ pub struct PipelineOptions {
     pub combine: bool,
     /// Deterministic size-aware chunk scheduling for the assignment step.
     pub chunking: bool,
-    /// Asynchronous update protocol ([`DistStreamExecutor::overlap`]).
+    /// Asynchronous update protocol: batch `B`'s global update applies at
+    /// the top of batch `B+1`'s step, after its broadcast.
     pub overlap: bool,
     /// Distribution strategy owning record partitioning, key placement, and
     /// shuffle routing (default: the paper's round-robin + hash shuffle).
@@ -161,7 +160,8 @@ pub struct BatchReport<'m, M> {
     pub window_end: Timestamp,
     /// The model after the batch's global update (`Q_{t+1}`).
     pub model: &'m M,
-    /// Executor statistics for the batch.
+    /// [`JobSession::step`](crate::JobSession::step)'s statistics for the
+    /// batch.
     pub outcome: &'m BatchOutcome,
 }
 
@@ -184,8 +184,8 @@ pub struct RunResult<M> {
 ///
 /// A job owns the paper's end-to-end flow: take `init_records` records off
 /// the stream and initialize the model with batch clustering, then process
-/// the remainder in `config.batch_secs()`-wide mini-batches through the one
-/// [`DistStreamExecutor`](crate::DistStreamExecutor). Checkpointing
+/// the remainder in `config.batch_secs()`-wide mini-batches through one
+/// [`JobSession`](crate::JobSession). Checkpointing
 /// ([`DistStreamJob::checkpoint_every`]) and elastic resizing
 /// ([`DistStreamJob::resize`]) are boundary steps of that batch loop, so
 /// they combine with every [`PipelineOptions`] field and with each other;
@@ -271,9 +271,11 @@ impl<'a, A: StreamClustering> DistStreamJob<'a, A> {
         self
     }
 
-    /// Attaches a serving slot: the executor publishes an epoch-tagged
-    /// [`ServingSnapshot`](crate::ServingSnapshot) of the model after every
-    /// applied global update, for concurrent predict readers. Lives outside
+    /// Attaches a serving slot: every *applied* global update publishes an
+    /// epoch-tagged [`ServingSnapshot`](crate::ServingSnapshot) of the model
+    /// under the applied batch's index, for concurrent predict readers — so
+    /// the asynchronous one-batch lag shows in the epoch numbering, and the
+    /// epoch-`N` bytes are the same under both protocols. Lives outside
     /// [`PipelineOptions`] (which stays `Copy`) because the handle is
     /// shared state, not a flag.
     pub fn serving(&mut self, handle: ServingHandle) -> &mut Self {
@@ -351,7 +353,7 @@ impl<'a, A: StreamClustering> DistStreamJob<'a, A> {
             let batch_index = batch.index;
             let window_end = batch.window_end;
             let outcome = session.step(batch)?;
-            spent = session.exec.take_spent();
+            spent = session.scratch.take_spent();
             next_window = controller(&outcome);
             on_batch(BatchReport {
                 batch_index,

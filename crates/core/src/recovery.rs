@@ -7,7 +7,7 @@
 //! each batch write-ahead and checkpoints the model every `k` batches
 //! (serialized with the engine's binary codec, into the job's store);
 //! [`JobSession::recover`] restores the newest checkpoint that validates and
-//! *replays* the batches after it. Because the executor is deterministic,
+//! *replays* the batches after it. Because the batch step is deterministic,
 //! replaying reproduces the pre-failure model bit for bit — verified by
 //! tests. An overlapped job's pending update rides beside each checkpoint
 //! in driver memory, as the replay log does (DESIGN.md §13).
@@ -19,8 +19,7 @@ use diststream_telemetry as telemetry;
 use diststream_types::{DistStreamError, Result};
 
 use crate::api::StreamClustering;
-use crate::parallel::BatchOutcome;
-use crate::session::JobSession;
+use crate::session::{BatchOutcome, JobSession};
 
 /// A serialized model checkpoint.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -117,7 +116,7 @@ impl<A: StreamClustering> JobSession<'_, A> {
         let oldest = store.manifest().last().copied().unwrap_or(cursor);
         self.log.retain(|b| b.index >= oldest);
         self.pendings.retain(|(c, _)| *c >= oldest && *c != cursor);
-        self.pendings.push((cursor, self.exec.pending()));
+        self.pendings.push((cursor, self.pending.clone()));
         Ok(())
     }
 
@@ -195,6 +194,7 @@ mod tests {
     use super::*;
     use crate::pipeline::{DistStreamJob, PipelineOptions};
     use crate::reference::NaiveClustering;
+    use crate::serving::serving_handle;
     use diststream_engine::{ExecutionMode, MiniBatch, StreamingContext};
     use diststream_types::{ClusteringConfig, Point, Record, Timestamp};
 
@@ -232,14 +232,16 @@ mod tests {
 
     /// Under both protocols: an overlapped job checkpoints between a batch's
     /// parallel steps and its global update, and recovery restores the
-    /// pending update kept beside the frame.
+    /// pending update kept beside the frame. The replay publishes nothing:
+    /// the job's serving slot reads the same before and after it.
     #[test]
     fn recovery_matches_live_model_between_checkpoints() {
         let algo = NaiveClustering::new(1.0);
         let ctx = StreamingContext::new(2, ExecutionMode::Simulated).unwrap();
         for options in [PipelineOptions::sync(), PipelineOptions::all()] {
+            let slot = serving_handle();
             let mut job = job(&algo, &ctx, 3);
-            job.pipeline(options);
+            job.pipeline(options).serving(slot.clone());
             let mut d = job.start(init(&algo)).unwrap();
             for i in 0..7 {
                 let records = (0..10)
@@ -252,9 +254,17 @@ mod tests {
                     })
                     .collect();
                 d.step(batch(i as usize, records)).unwrap();
+                let published = (slot.version(), slot.latest());
                 // Recovery must reproduce the live model at every point.
                 assert_eq!(&d.recover().unwrap(), d.model(), "diverged after batch {i}");
+                assert_eq!(
+                    (slot.version(), slot.latest()),
+                    published,
+                    "recover() published after batch {i}"
+                );
             }
+            // The live session did publish: one epoch per applied update.
+            assert_eq!(slot.version(), if options.overlap { 6 } else { 7 });
         }
     }
 

@@ -4,7 +4,7 @@
 //! The DistStream feedback loop mutates the model only on the driver, at one
 //! well-defined point per batch (the global update). That makes batch
 //! boundaries natural *serving epochs*: right after `Q_{t+1}` is installed,
-//! the executor publishes a [`ServingSnapshot`] — the checkpoint encoding of
+//! the job's session publishes a [`ServingSnapshot`] — the checkpoint encoding of
 //! the model plus its exported micro-clusters — into a shared
 //! [`SnapshotSlot`]. Reader threads answer nearest-cluster predict queries
 //! from their cached snapshot with **zero driver contention**: a reader
@@ -14,7 +14,7 @@
 //! Determinism carries over: the snapshot for epoch `N` is a pure function
 //! of the model after batch `N`'s global update, so its bytes are identical
 //! across parallelism degrees and across the synchronous and overlapped
-//! pipelines (the executor always publishes under the *applied* batch's
+//! pipelines (the session always publishes under the *applied* batch's
 //! index, preserving the async lag in the epoch numbering).
 
 use std::sync::Arc;
@@ -56,7 +56,7 @@ pub fn serving_reader(handle: &ServingHandle) -> SnapshotReader<ServingSnapshot>
 }
 
 /// Builds and publishes the serving snapshot for `batch_index`. Called by
-/// the executor immediately after a global update installs the new model;
+/// the session immediately after a global update installs the new model;
 /// the encode + export cost is driver-side and traced as its own span so
 /// the overhead is visible in batch critical paths.
 pub(crate) fn publish_snapshot<A: StreamClustering>(

@@ -133,7 +133,7 @@ impl LoadShedPolicy {
     ///
     /// Dead-beat step: after serving one window's capacity, whatever
     /// remains queued (modeled backlog plus the observed reorder depth) is
-    /// scheduled to drain over [`DRAIN_HORIZON`] windows, and the next rate
+    /// scheduled to drain over `DRAIN_HORIZON` (4) windows, and the next rate
     /// keeps exactly the arrivals that fit in the capacity left over. Under
     /// sustained overload the rate converges to `capacity / arrival_rate`;
     /// when load drops, backlog drains and the rate recovers to 1e6.

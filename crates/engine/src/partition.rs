@@ -341,7 +341,7 @@ impl KeyBytes for (u64, u64) {
 ///
 /// No shipping path calls this: step 2 groups through [`FlatShuffle`]. It
 /// stays as the reference the flat grouping is property-tested against, and
-/// because `benchmark/src/micro.rs` times it (ROADMAP item 5 retires it).
+/// because `benchmark/src/micro.rs` times it (ROADMAP item 1(a) retires it).
 ///
 /// # Panics
 ///

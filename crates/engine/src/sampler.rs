@@ -52,7 +52,7 @@ pub struct SamplerControl {
 
 impl SamplerControl {
     /// A control block for `strata` strata, all rates at
-    /// [`RATE_ONE_PPM`] (no shedding).
+    /// `RATE_ONE_PPM` (1 000 000 ppm: no shedding).
     ///
     /// # Panics
     ///

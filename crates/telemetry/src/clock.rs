@@ -1,6 +1,6 @@
 //! The telemetry clock — the single sanctioned monotonic-time read.
 //!
-//! All span and journal timestamps come from [`now_ns`]: nanoseconds since
+//! All span and journal timestamps come from `now_ns`: nanoseconds since
 //! a process-wide anchor taken on first use. Confining the `Instant::now`
 //! call to this module keeps the `wallclock-entropy` lint meaningful: time
 //! is observed here for *attribution only* and never feeds back into model

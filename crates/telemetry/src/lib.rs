@@ -68,7 +68,7 @@ pub fn start_file_session(path: &std::path::Path) -> std::io::Result<()> {
 
 /// Ends a file session: performs a final drain, disables tracing, surfaces
 /// the session's lost-event count as the
-/// [`names::METRIC_JOURNAL_EVENTS_DROPPED_TOTAL`] counter (registered even
+/// `diststream_journal_events_dropped_total` counter (registered even
 /// at zero, so the exposition always answers "was anything dropped?"), and
 /// closes the journal (flushing the file, with a `drops` trailer line when
 /// events were lost).

@@ -35,7 +35,8 @@ pub fn enabled() -> bool {
 }
 
 /// Turns recording on or off. Enabling does not install a journal sink —
-/// see [`journal::set_journal_file`] / [`journal::set_journal_capture`].
+/// see [`start_file_session`](crate::start_file_session) /
+/// [`journal::set_journal_capture`].
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::SeqCst);
 }

@@ -3,7 +3,7 @@
 //!
 //! A record is allocated once by the source and only borrowed from there to
 //! the end of the local step, so the number of heap allocations one
-//! `process_batch` makes must not depend on how many records the batch
+//! `JobSession::step` makes must not depend on how many records the batch
 //! holds — only on how many keys and tasks it has. This test counts
 //! allocations with a counting global allocator (hence its own test crate,
 //! and a single `#[test]`: the count is process-wide), drives batches of
@@ -48,9 +48,9 @@ use diststream::algorithms::{
     CentroidKernel, CluStream, CluStreamParams, ClusTree, ClusTreeParams, DStream, DStreamParams,
     DenStream, DenStreamParams,
 };
-use diststream::core::{DistStreamExecutor, PipelineOptions, StreamClustering};
+use diststream::core::{DistStreamJob, PipelineOptions, StreamClustering};
 use diststream::engine::{ExecutionMode, MiniBatch, StreamingContext};
-use diststream::types::{Point, Record, Timestamp};
+use diststream::types::{ClusteringConfig, Point, Record, Timestamp};
 
 /// Allocations (and reallocations) made by any thread since process start.
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -137,7 +137,7 @@ fn cluster_record(id: u64) -> Record {
     )
 }
 
-/// Allocations made by the third `process_batch` of a fresh executor fed
+/// Allocations made by the third `step` of a fresh job session fed
 /// `len`-record batches of `record` after `init_len` records of
 /// initialization (the first two warm the scratch buffers and, when
 /// overlapped, fill the pending slot), and the model they leave.
@@ -150,13 +150,10 @@ fn allocations_per_batch<A: StreamClustering>(
     len: u64,
 ) -> (u64, A::Model) {
     let ctx = StreamingContext::new(p, ExecutionMode::Threads).unwrap();
-    let mut exec = DistStreamExecutor::new(algo, &ctx);
-    exec.combine(options.combine)
-        .chunking(options.chunking)
-        .overlap(options.overlap)
-        .strategy(options.strategy);
+    let mut job = DistStreamJob::new(algo, &ctx, ClusteringConfig::default());
+    job.pipeline(*options);
     let init: Vec<Record> = (0..init_len).map(record).collect();
-    let mut model = algo.init(&init).unwrap();
+    let mut session = job.start(algo.init(&init).unwrap()).unwrap();
 
     let mut measured = 0;
     for index in 0..3u64 {
@@ -169,11 +166,11 @@ fn allocations_per_batch<A: StreamClustering>(
             records,
         };
         let before = ALLOCATIONS.load(Ordering::Relaxed);
-        let outcome = exec.process_batch(&mut model, batch).unwrap();
+        let outcome = session.step(batch).unwrap();
         measured = ALLOCATIONS.load(Ordering::Relaxed) - before;
         assert_eq!(outcome.outlier_records, 0, "the key set must stay fixed");
     }
-    (measured, model)
+    (measured, session.model().clone())
 }
 
 /// Requires the allocations of one batch to grow by less than `budget` per

@@ -223,7 +223,8 @@ fn clustream_resize_under_faults_completes_or_rolls_back() {
     }
 }
 
-/// Everything the single driver lets one job combine (ROADMAP item 4d): the
+/// Everything the single driver lets one job combine (ROADMAP item 2(e)
+/// generalises it into a seeded generator): the
 /// fully overlapped pipeline on key-range placement, a resize schedule, a
 /// checkpoint cadence and a serving handle, with faults on both resizing
 /// batches. Returns the final model bytes and the boundaries crossed.

@@ -6,7 +6,7 @@ use diststream::algorithms::{
     CluStream, CluStreamParams, ClusTree, ClusTreeParams, DStream, DStreamParams, DenStream,
     DenStreamParams,
 };
-use diststream::core::{DistStreamExecutor, DistStreamJob, SequentialExecutor, StreamClustering};
+use diststream::core::{DistStreamJob, SequentialExecutor, StreamClustering};
 use diststream::datasets::covertype_like;
 use diststream::engine::{ExecutionMode, MiniBatch, StreamingContext, VecSource};
 use diststream::types::{ClusteringConfig, Record};
@@ -104,8 +104,8 @@ fn thread_mode_matches_simulated_mode() {
     );
 }
 
-/// The paper's correctness anchor: driving the order-aware mini-batch
-/// executor with one-record batches (window_end = the record's timestamp)
+/// The paper's correctness anchor: stepping an order-aware job session
+/// with one-record batches (window_end = the record's timestamp)
 /// performs exactly the same update sequence as the strict sequential
 /// one-record-at-a-time model.
 #[test]
@@ -124,8 +124,10 @@ fn single_record_batches_equal_sequential_execution() {
         }
 
         let ctx = StreamingContext::new(4, ExecutionMode::Simulated).expect("context");
-        let mut exec = DistStreamExecutor::new(algo, &ctx);
-        let mut batch_model = algo.init(&recs[..init]).expect("init");
+        let job = DistStreamJob::new(algo, &ctx, ClusteringConfig::default());
+        let mut session = job
+            .start(algo.init(&recs[..init]).expect("init"))
+            .expect("start");
         for (i, r) in recs[init..].iter().enumerate() {
             let batch = MiniBatch {
                 index: i,
@@ -133,9 +135,9 @@ fn single_record_batches_equal_sequential_execution() {
                 window_end: r.timestamp,
                 records: vec![r.clone()],
             };
-            exec.process_batch(&mut batch_model, batch).expect("batch");
+            session.step(batch).expect("batch");
         }
-        assert_eq!(batch_model, seq_model);
+        assert_eq!(session.finish().expect("finish").model, seq_model);
     }
 
     check(&CluStream::new(CluStreamParams {

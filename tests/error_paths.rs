@@ -1,7 +1,8 @@
 //! Regression tests for the typed-error refactor: `apply_global` returns
-//! `Result<()>` and every execution layer — sequential, the mini-batch
-//! executor under both update protocols, and the job facade — must surface
-//! the algorithm's error instead of panicking. Likewise a hostile
+//! `Result<()>` and every execution layer — sequential, a job session's
+//! batch step under both update protocols (and its `finish`), and the job
+//! facade — must surface the algorithm's error instead of panicking.
+//! Likewise a hostile
 //! initialization record: the job refuses it with a typed error before any
 //! algorithm's `init` can panic on it or build a model from it.
 
@@ -11,7 +12,7 @@ use diststream_algorithms::{
 };
 use diststream_core::reference::{NaiveClustering, NaiveModel, NaiveSketch};
 use diststream_core::{
-    Assignment, DistStreamExecutor, DistStreamJob, Searcher, SequentialExecutor, StreamClustering,
+    Assignment, DistStreamJob, PipelineOptions, Searcher, SequentialExecutor, StreamClustering,
     WeightedPoint,
 };
 use diststream_engine::{ExecutionMode, MiniBatch, StreamingContext, VecSource};
@@ -94,6 +95,14 @@ impl StreamClustering for FailingGlobal {
     }
 }
 
+/// The paper's configuration with the asynchronous update protocol on.
+fn overlapped() -> PipelineOptions {
+    PipelineOptions {
+        overlap: true,
+        ..PipelineOptions::sync()
+    }
+}
+
 fn is_invariant(err: &DistStreamError) -> bool {
     matches!(err, DistStreamError::Invariant(msg) if msg == "global update rejected")
 }
@@ -123,11 +132,9 @@ fn sequential_stream_stops_at_first_error() {
 fn sync_executor_surfaces_apply_global_error() {
     let algo = FailingGlobal::new();
     let ctx = StreamingContext::new(2, ExecutionMode::Simulated).unwrap();
-    let mut model = algo.init(&[rec(0, 0.0, 0.0)]).unwrap();
-    let mut exec = DistStreamExecutor::new(&algo, &ctx);
-    let err = exec
-        .process_batch(&mut model, batch(0, vec![rec(1, 0.2, 1.0)]))
-        .unwrap_err();
+    let job = DistStreamJob::new(&algo, &ctx, ClusteringConfig::default());
+    let mut session = job.start(algo.init(&[rec(0, 0.0, 0.0)]).unwrap()).unwrap();
+    let err = session.step(batch(0, vec![rec(1, 0.2, 1.0)])).unwrap_err();
     assert!(is_invariant(&err), "got {err}");
 }
 
@@ -137,27 +144,28 @@ fn overlapped_executor_surfaces_error_one_batch_late() {
     // it during batch 1 — so the error surfaces there, not on batch 0.
     let algo = FailingGlobal::new();
     let ctx = StreamingContext::new(2, ExecutionMode::Simulated).unwrap();
-    let mut model = algo.init(&[rec(0, 0.0, 0.0)]).unwrap();
-    let mut exec = DistStreamExecutor::new(&algo, &ctx);
-    exec.overlap(true);
-    exec.process_batch(&mut model, batch(0, vec![rec(1, 0.2, 1.0)]))
+    let mut job = DistStreamJob::new(&algo, &ctx, ClusteringConfig::default());
+    job.pipeline(overlapped());
+    let mut session = job.start(algo.init(&[rec(0, 0.0, 0.0)]).unwrap()).unwrap();
+    session
+        .step(batch(0, vec![rec(1, 0.2, 1.0)]))
         .expect("batch 0 only queues the update");
-    let err = exec
-        .process_batch(&mut model, batch(1, vec![rec(2, 0.3, 2.0)]))
-        .unwrap_err();
+    let err = session.step(batch(1, vec![rec(2, 0.3, 2.0)])).unwrap_err();
     assert!(is_invariant(&err), "got {err}");
 }
 
 #[test]
 fn overlapped_flush_surfaces_pending_error() {
+    // `finish` applies the update the last overlapped batch left pending.
     let algo = FailingGlobal::new();
     let ctx = StreamingContext::new(2, ExecutionMode::Simulated).unwrap();
-    let mut model = algo.init(&[rec(0, 0.0, 0.0)]).unwrap();
-    let mut exec = DistStreamExecutor::new(&algo, &ctx);
-    exec.overlap(true);
-    exec.process_batch(&mut model, batch(0, vec![rec(1, 0.2, 1.0)]))
+    let mut job = DistStreamJob::new(&algo, &ctx, ClusteringConfig::default());
+    job.pipeline(overlapped());
+    let mut session = job.start(algo.init(&[rec(0, 0.0, 0.0)]).unwrap()).unwrap();
+    session
+        .step(batch(0, vec![rec(1, 0.2, 1.0)]))
         .expect("batch 0 only queues the update");
-    let err = exec.flush(&mut model).unwrap_err();
+    let err = session.finish().unwrap_err();
     assert!(is_invariant(&err), "got {err}");
 }
 

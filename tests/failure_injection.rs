@@ -6,9 +6,8 @@
 use diststream::core::reference::NaiveClustering;
 use diststream::core::{
     assign_records_distributed, global_update, local_update_distributed, strategy_for,
-    BatchDisposition, CheckpointStore, DistStreamExecutor, DistStreamJob, FileCheckpointStore,
-    LocalScratch, MemoryCheckpointStore, PipelineOptions, StrategyKind, StreamClustering,
-    UpdateOrdering,
+    BatchDisposition, CheckpointStore, DistStreamJob, FileCheckpointStore, LocalScratch,
+    MemoryCheckpointStore, PipelineOptions, StrategyKind, StreamClustering, UpdateOrdering,
 };
 use diststream::engine::{
     encode, prefetch_batches, Broadcast, ExecutionMode, FaultPlan, MiniBatch, MiniBatcher,
@@ -53,15 +52,15 @@ fn run_model(ctx: &StreamingContext, plan: Option<FaultPlan>, skip: &[usize]) ->
         Some(p) => ctx.install_fault_plan(p),
         None => ctx.clear_fault_plan(),
     }
-    let mut exec = DistStreamExecutor::new(&algo, ctx);
-    let mut model = algo.init(&[rec(0, 0.0, 0.0)]).unwrap();
+    let job = DistStreamJob::new(&algo, ctx, ClusteringConfig::default());
+    let mut session = job.start(algo.init(&[rec(0, 0.0, 0.0)]).unwrap()).unwrap();
     for b in batches(6, 20) {
         if skip.contains(&b.index) {
             continue;
         }
-        exec.process_batch(&mut model, b).unwrap();
+        session.step(b).unwrap();
     }
-    encode(&model)
+    encode(session.model())
 }
 
 // ---------------------------------------------------------------------------
@@ -94,13 +93,14 @@ fn dimension_mismatch_panics_in_thread_mode_as_task_failure() {
     // A malformed stream: the second record has the wrong dimensionality.
     // In thread mode the distance computation panics inside a worker task;
     // retries deterministically re-panic until the budget is spent and the
-    // executor reports the typed failure.
+    // step reports the typed failure.
     let algo = NaiveClustering::new(1.0);
     let ctx = StreamingContext::new(2, ExecutionMode::Threads).expect("context");
-    let mut exec = DistStreamExecutor::new(&algo, &ctx);
-    let mut model = algo
+    let job = DistStreamJob::new(&algo, &ctx, ClusteringConfig::default());
+    let model = algo
         .init(&[Record::new(0, Point::from(vec![0.0, 0.0]), Timestamp::ZERO)])
         .expect("init");
+    let mut session = job.start(model).expect("start");
     let bad = MiniBatch {
         index: 0,
         window_start: Timestamp::ZERO,
@@ -110,7 +110,7 @@ fn dimension_mismatch_panics_in_thread_mode_as_task_failure() {
             Record::new(2, Point::from(vec![0.1]), Timestamp::from_secs(0.2)),
         ],
     };
-    let result = exec.process_batch(&mut model, bad);
+    let result = session.step(bad);
     assert!(matches!(result, Err(DistStreamError::TaskFailed { .. })));
 }
 
@@ -121,10 +121,11 @@ fn executor_survives_after_a_failed_batch() {
     // batch is lost, the model is last-known-good).
     let algo = NaiveClustering::new(1.0);
     let ctx = StreamingContext::new(2, ExecutionMode::Threads).expect("context");
-    let mut exec = DistStreamExecutor::new(&algo, &ctx);
-    let mut model = algo
+    let job = DistStreamJob::new(&algo, &ctx, ClusteringConfig::default());
+    let model = algo
         .init(&[Record::new(0, Point::from(vec![0.0]), Timestamp::ZERO)])
         .expect("init");
+    let mut session = job.start(model).expect("start");
 
     let poison = MiniBatch {
         index: 0,
@@ -136,7 +137,7 @@ fn executor_survives_after_a_failed_batch() {
             Timestamp::from_secs(0.1),
         )],
     };
-    assert!(exec.process_batch(&mut model, poison).is_err());
+    assert!(session.step(poison).is_err());
 
     let good = MiniBatch {
         index: 1,
@@ -148,9 +149,7 @@ fn executor_survives_after_a_failed_batch() {
             Timestamp::from_secs(1.5),
         )],
     };
-    let outcome = exec
-        .process_batch(&mut model, good)
-        .expect("recovery batch");
+    let outcome = session.step(good).expect("recovery batch");
     assert_eq!(outcome.assigned_existing, 1);
 }
 
@@ -259,8 +258,8 @@ fn a_straggler_delay_really_holds_the_calling_thread() {
 }
 
 /// One 64-record batch through the three steps by hand, so a first-attempt
-/// panic can be aimed at task 0 of step 1 or of step 2 (through the
-/// executor, step 1 always consumes the `(batch, 0, 0)` coordinate first).
+/// panic can be aimed at task 0 of step 1 or of step 2 (through a
+/// session, step 1 always consumes the `(batch, 0, 0)` coordinate first).
 /// Returns the model bytes and the charged shuffle bytes.
 fn stepwise(ctx: &StreamingContext, combine: bool, fault_step: Option<u8>) -> (Vec<u8>, u64) {
     let algo = NaiveClustering::new(1.0);

@@ -1,4 +1,4 @@
-//! Edge cases of the borrowed, index-based batch path (ROADMAP item 4a).
+//! Edge cases of the borrowed, index-based batch path (DESIGN.md §16).
 //!
 //! Step 1 hands tasks strides over a batch they only borrow; step 2 groups,
 //! routes, combines and sorts `u32` arrival positions. The degenerate
