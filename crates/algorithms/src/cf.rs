@@ -824,13 +824,6 @@ impl CentroidKernel {
         self.nearest_filtered(query, |_| true)
     }
 
-    /// [`CentroidKernel::nearest`] plus the number of rows whose distance
-    /// the search evaluated rather than screened out — what a query cost,
-    /// for benchmarks and diagnostics.
-    pub fn nearest_with_effort(&self, query: &Point) -> Option<(usize, f64, usize)> {
-        self.nearest_counted(query, |_| true)
-    }
-
     /// Like [`CentroidKernel::nearest`], restricted to rows where
     /// `keep(idx)` is true.
     pub fn nearest_filtered(
@@ -2097,6 +2090,50 @@ mod tests {
         let kernel = kernel_of(&rows);
         assert!(kernel.pin_index());
         assert_matches_naive(&kernel, &rows, &queries[0], |i| i % 2 == 0);
+    }
+
+    /// The twelve 54-d clusters `tests/alloc_budget.rs` streams through
+    /// CluStream (clusters 0 and 11 share a centre), asked what a task asks
+    /// them: the kernel buys its index and keeps it, and an indexed query
+    /// evaluates fewer than half the rows a plain scan does — so that test
+    /// holds CluStream's budget with the index active.
+    #[test]
+    fn the_allocation_budgets_clusters_keep_their_index() {
+        let centre = |cluster: u64| -> Vec<f64> {
+            (0..54u64)
+                .map(|dim| ((cluster * 7 + dim * 13) % 11) as f64 * 10.0)
+                .collect()
+        };
+        let rows: Vec<Point> = (0..12).map(|c| Point::from(centre(c))).collect();
+        let queries: Vec<Point> = (0..1024u64)
+            .map(|id| {
+                let (cluster, turn) = (id % 12, id / 12);
+                let mut coords = centre(cluster);
+                coords[turn as usize / 2 % 54] += if turn % 2 == 0 { 0.1 } else { -0.1 };
+                Point::from(coords)
+            })
+            .collect();
+        let kernel = kernel_of(&rows);
+        let effort = |kernel: &CentroidKernel, query: &Point| {
+            kernel
+                .nearest_counted(query, |_| true)
+                .expect("non-empty")
+                .2
+        };
+        // A clone starts unindexed, so one query each keeps the clones plain.
+        let plain: usize = queries.iter().map(|q| effort(&kernel.clone(), q)).sum();
+        for query in &queries {
+            effort(&kernel, query); // rents, buys, tries
+        }
+        assert!(kernel.is_indexed());
+        let indexed: usize = queries.iter().map(|q| effort(&kernel, q)).sum();
+        assert!(
+            indexed * 2 < plain,
+            "{indexed} rows evaluated by indexed queries, {plain} by plain scans"
+        );
+        for query in queries.iter().step_by(97) {
+            assert_matches_naive(&kernel, &rows, query, |_| true);
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use diststream_types::Record;
 
 /// The three evaluation datasets of Table I.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DatasetKind {
+pub(crate) enum DatasetKind {
     /// KDD-99 network-intrusion analog (dynamic).
     Kdd99,
     /// CoverType forest-mapping analog (moderately changing).
@@ -24,14 +24,14 @@ pub enum DatasetKind {
 
 impl DatasetKind {
     /// All three datasets in the paper's order.
-    pub const ALL: [DatasetKind; 3] = [
+    pub(crate) const ALL: [DatasetKind; 3] = [
         DatasetKind::Kdd99,
         DatasetKind::CoverType,
         DatasetKind::Kdd98,
     ];
 
     /// Dataset name as used in the paper.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             DatasetKind::Kdd99 => "KDD-99",
             DatasetKind::CoverType => "CoverType",
@@ -40,7 +40,7 @@ impl DatasetKind {
     }
 
     /// Record count of the real dataset (Table I).
-    pub fn full_records(self) -> usize {
+    pub(crate) fn full_records(self) -> usize {
         match self {
             DatasetKind::Kdd99 => KDD99_RECORDS,
             DatasetKind::CoverType => COVERTYPE_RECORDS,
@@ -49,7 +49,7 @@ impl DatasetKind {
     }
 
     /// Ground-truth cluster count (Table I).
-    pub fn clusters(self) -> usize {
+    pub(crate) fn clusters(self) -> usize {
         match self {
             DatasetKind::Kdd99 => 23,
             DatasetKind::CoverType => 7,
@@ -64,7 +64,7 @@ impl DatasetKind {
 
     /// The paper's maximum stable Kafka rate for the stress tests:
     /// 100K/s on the low-dimensional datasets, 10K/s on KDD-98 (§VII-C1).
-    pub fn stress_rate(self) -> f64 {
+    pub(crate) fn stress_rate(self) -> f64 {
         match self {
             DatasetKind::Kdd98 => 10_000.0,
             _ => 100_000.0,
@@ -74,15 +74,15 @@ impl DatasetKind {
 
 /// A generated dataset plus everything the experiments need to drive it.
 #[derive(Debug, Clone)]
-pub struct Bundle {
+pub(crate) struct Bundle {
     /// Which Table-I dataset this is.
-    pub kind: DatasetKind,
+    pub(crate) kind: DatasetKind,
     /// The generated analog.
-    pub dataset: Dataset,
+    pub(crate) dataset: Dataset,
     /// Fraction of the real dataset's records generated (`1.0` = full).
-    pub scale: f64,
+    pub(crate) scale: f64,
     /// The dataset's intra-cluster distance scale (drives ε/radii).
-    pub distance_scale: f64,
+    pub(crate) distance_scale: f64,
 }
 
 impl Bundle {
@@ -91,7 +91,7 @@ impl Bundle {
     /// Rates are scaled by `records / full_records` so the virtual stream
     /// *duration* — and therefore decay/batch dynamics — matches the paper
     /// regardless of scale.
-    pub fn new(kind: DatasetKind, records: usize, seed: u64) -> Bundle {
+    pub(crate) fn new(kind: DatasetKind, records: usize, seed: u64) -> Bundle {
         let dataset = match kind {
             DatasetKind::Kdd99 => kdd99_like(records, seed),
             DatasetKind::CoverType => covertype_like(records, seed),
@@ -107,36 +107,36 @@ impl Bundle {
     }
 
     /// Number of generated records.
-    pub fn records(&self) -> usize {
+    pub(crate) fn records(&self) -> usize {
         self.dataset.points.len()
     }
 
     /// Records stamped at the (scaled) quality rate of 1K records/s.
-    pub fn quality_records(&self) -> Vec<Record> {
+    pub(crate) fn quality_records(&self) -> Vec<Record> {
         self.dataset
             .to_records(self.kind.quality_rate() * self.scale)
     }
 
     /// Records stamped at the (scaled) stress rate.
-    pub fn stress_records(&self) -> Vec<Record> {
+    pub(crate) fn stress_records(&self) -> Vec<Record> {
         self.dataset
             .to_records(self.kind.stress_rate() * self.scale)
     }
 
     /// Initialization prefix size: 2% of the stream, at least 200 records.
-    pub fn init_records(&self) -> usize {
+    pub(crate) fn init_records(&self) -> usize {
         (self.records() / 50).max(200).min(self.records())
     }
 
     /// Coverage bound for quality evaluation: records farther than this
     /// from every macro-centroid count as missed.
-    pub fn coverage_bound(&self) -> f64 {
+    pub(crate) fn coverage_bound(&self) -> f64 {
         1.5 * self.distance_scale
     }
 
     /// CluStream tuned for this dataset: q = 10 × real clusters (§VII
     /// intro), boundary factor 2.
-    pub fn clustream(&self) -> CluStream {
+    pub(crate) fn clustream(&self) -> CluStream {
         CluStream::new(CluStreamParams {
             max_micro_clusters: 10 * self.kind.clusters(),
             boundary_factor: 2.0,
@@ -150,7 +150,7 @@ impl Bundle {
     }
 
     /// DenStream tuned for this dataset: β = 2^0.25, μ = 10 (§VII intro).
-    pub fn denstream(&self) -> DenStream {
+    pub(crate) fn denstream(&self) -> DenStream {
         DenStream::new(DenStreamParams {
             // ε at clump granularity: a micro-cluster covers one sub-clump.
             eps: 0.5 * self.distance_scale,
@@ -160,7 +160,7 @@ impl Bundle {
 
     /// D-Stream tuned for this dataset: a 6-dimensional projected grid with
     /// cells sized to the intra-cluster scale.
-    pub fn dstream(&self) -> DStream {
+    pub(crate) fn dstream(&self) -> DStream {
         let grid_dims = 6usize;
         let dims = self.dataset.points.first().map_or(1, |p| p.point.dims());
         // Per-dimension spread of one cluster, widened so a cluster lands
@@ -175,7 +175,7 @@ impl Bundle {
     }
 
     /// ClusTree tuned for this dataset.
-    pub fn clustree(&self) -> ClusTree {
+    pub(crate) fn clustree(&self) -> ClusTree {
         ClusTree::new(ClusTreeParams {
             max_micro_clusters: 10 * self.kind.clusters(),
             boundary_factor: 2.0,
@@ -189,6 +189,8 @@ impl Bundle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use diststream_algorithms::CentroidKernel;
+    use diststream_core::StreamClustering;
 
     #[test]
     fn bundle_scales_rates_with_records() {
@@ -214,5 +216,83 @@ mod tests {
         assert!(b.dstream().params().cell_width > 0.0);
         assert_eq!(b.clustree().params().max_micro_clusters, 70);
         assert!(b.init_records() >= 200);
+    }
+
+    // -- the searchers against their references, on the dataset analogs ----
+
+    /// `records` of `kind`'s analog at the stress rate, split into the
+    /// initialization prefix and the first `batch` records after it.
+    fn split(
+        kind: DatasetKind,
+        records: usize,
+        batch: usize,
+    ) -> (Bundle, Vec<Record>, Vec<Record>) {
+        let bundle = Bundle::new(kind, records, 0x5eed);
+        let mut stream = bundle.stress_records();
+        let init: Vec<Record> = stream.drain(..bundle.init_records()).collect();
+        stream.truncate(batch);
+        (bundle, init, stream)
+    }
+
+    /// A kernel over the 230 × 54-d centroids a CluStream `init` leaves on
+    /// the KDD-99 analog, once past its rent (`rows / 2` queries buy the
+    /// search index and put it on trial), answers like the plain scan, row
+    /// and distance bits. The plain answers come from fresh clones that
+    /// each answer at most the rent: a clone starts unindexed.
+    #[test]
+    fn a_kernel_past_its_rent_answers_like_the_plain_scan() {
+        let (bundle, init, batch) = split(DatasetKind::Kdd99, 48_000, 2_000);
+        let algo = bundle.clustream();
+        let model = algo.init(&init).expect("init");
+        let mut kernel = CentroidKernel::new();
+        for (idx, wp) in algo.snapshot(&model).iter().enumerate() {
+            kernel.push_point(idx as u64, &wp.point);
+        }
+        assert_eq!(kernel.len(), 230);
+        let bits = |found: Option<(usize, f64)>| found.map(|(row, d)| (row, d.to_bits()));
+        let rent = kernel.len() / 2;
+        let mut plain = Vec::with_capacity(batch.len());
+        for chunk in batch.chunks(rent) {
+            let fresh = kernel.clone();
+            plain.extend(chunk.iter().map(|r| bits(fresh.nearest(&r.point))));
+        }
+        for record in &batch[..=rent] {
+            kernel.nearest(&record.point);
+        }
+        let indexed: Vec<_> = batch
+            .iter()
+            .map(|r| bits(kernel.nearest(&r.point)))
+            .collect();
+        let first_difference = plain.iter().zip(&indexed).position(|(p, i)| p != i);
+        assert_eq!(
+            first_difference, None,
+            "indexed search differs from the plain scan"
+        );
+    }
+
+    /// ClusTree's per-batch flat searcher decides every record like the
+    /// per-record tree descent, over the tree its `init` leaves on the
+    /// KDD-99 analog.
+    #[test]
+    fn clustree_assigns_a_batch_like_record_by_record() {
+        let (bundle, init, batch) = split(DatasetKind::Kdd99, 48_000, 9_716);
+        let algo = bundle.clustree();
+        let model = algo.init(&init).expect("init");
+        assert!(model.tree_height() > 1);
+        let per_record: Vec<_> = batch.iter().map(|r| algo.assign(&model, r)).collect();
+        assert!(per_record == algo.assign_many(&model, &batch));
+    }
+
+    /// DenStream's screened searcher decides every record like the full
+    /// radius sum, over the model its `init` leaves on the 315-d KDD-98
+    /// analog at the bundle's `eps`.
+    #[test]
+    fn denstream_assigns_a_batch_like_record_by_record() {
+        let (bundle, init, batch) = split(DatasetKind::Kdd98, 24_000, 2_500);
+        let algo = bundle.denstream();
+        let model = algo.init(&init).expect("init");
+        assert_eq!(batch[0].point.dims(), 315);
+        let per_record: Vec<_> = batch.iter().map(|r| algo.assign(&model, r)).collect();
+        assert!(per_record == algo.assign_many(&model, &batch));
     }
 }

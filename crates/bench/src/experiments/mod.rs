@@ -1,5 +1,5 @@
 //! One module per `repro` subcommand: every table and figure of the paper,
-//! the ablations and extensions, and the three tools (`kernel`, `digest`,
+//! the ablations and extensions, and the two tools (`digest`,
 //! `trace-smoke`). The modeled matrix has its own module, [`crate::matrix`].
 //!
 //! Experiment scale: by default the experiments run scaled-down streams
@@ -25,7 +25,6 @@ pub(crate) mod fig6;
 pub(crate) mod fig7;
 pub(crate) mod fig8;
 pub(crate) mod fig9;
-pub(crate) mod kernel;
 pub(crate) mod quality_faults;
 pub(crate) mod table1;
 pub(crate) mod trace_smoke;

@@ -3,11 +3,11 @@
 //!
 //! Every table and figure of the paper, the ablations, the modeled matrix
 //! and the tools are subcommands built on the pieces here: dataset bundles
-//! with dataset-tuned algorithm parameters ([`Bundle`], which the criterion
-//! benches also use), a generic quality runner (CMM at every batch end, as
-//! §VII-B1 prescribes), a generic throughput runner over the simulated
-//! cluster, and plain-text table printers. `repro all` rewrites every
-//! committed `results/*.txt`.
+//! with dataset-tuned algorithm parameters, a generic quality runner (CMM
+//! at every batch end, as §VII-B1 prescribes), a generic throughput runner
+//! over the simulated cluster, and plain-text table printers. `repro all`
+//! rewrites every committed `results/*.txt`. Wall-clock timing of the
+//! layers is `benchmark/`'s alone.
 
 #![forbid(unsafe_code)]
 
@@ -22,5 +22,4 @@ mod runner;
 mod serving;
 mod trace;
 
-pub use bundle::{Bundle, DatasetKind};
 pub use repro::repro;

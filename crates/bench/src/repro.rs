@@ -39,8 +39,7 @@ const ARTEFACTS: [(&str, Experiment); 13] = [
 ];
 
 /// Subcommands with no artefact of their own.
-const TOOLS: [(&str, Experiment); 4] = [
-    ("kernel", x::kernel::kernel),
+const TOOLS: [(&str, Experiment); 3] = [
     ("digest", x::digest::digest),
     ("trace-smoke", x::trace_smoke::trace_smoke),
     ("all", all),
@@ -156,7 +155,6 @@ mod tests {
             "ablation-async",
             "adaptive-batchsize",
             "matrix",
-            "kernel",
             "digest",
             "trace-smoke",
             "all",
@@ -164,13 +162,14 @@ mod tests {
             assert!(resolve(name).is_some(), "{name}");
             assert!(usage().contains(name), "{name}");
         }
-        assert_eq!(ARTEFACTS.len() + TOOLS.len(), 17);
+        assert_eq!(ARTEFACTS.len() + TOOLS.len(), 16);
     }
 
     #[test]
     fn an_unknown_subcommand_or_flag_exits_2_listing_the_names() {
         for bad in [
             &["fig11"][..],
+            &["kernel"],
             &[],
             &["--records", "10"],
             &["table1", "--quick"],

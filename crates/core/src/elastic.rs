@@ -54,14 +54,6 @@ pub struct ResizeSchedule {
 }
 
 impl ResizeSchedule {
-    /// A schedule that never resizes.
-    pub fn fixed(parallelism: usize) -> Self {
-        ResizeSchedule {
-            initial: parallelism.max(1),
-            steps: Vec::new(),
-        }
-    }
-
     /// A schedule starting at `initial` workers with resize `steps`
     /// `(first_batch, parallelism)`.
     ///
@@ -269,7 +261,12 @@ mod tests {
         assert_eq!(s.parallelism_for(2), 4);
         assert_eq!(s.parallelism_for(3), 4);
         assert_eq!(s.parallelism_for(100), 3);
-        assert_eq!(ResizeSchedule::fixed(3).parallelism_for(9), 3);
+        assert_eq!(
+            ResizeSchedule::with_steps(3, vec![])
+                .unwrap()
+                .parallelism_for(9),
+            3
+        );
         assert!(ResizeSchedule::with_steps(0, vec![]).is_err());
         assert!(ResizeSchedule::with_steps(2, vec![(0, 4)]).is_err());
         assert!(ResizeSchedule::with_steps(2, vec![(2, 4), (2, 3)]).is_err());
@@ -280,7 +277,7 @@ mod tests {
     fn elastic_model_matches_fixed_parallelism_sync_and_overlapped() {
         let elastic = ResizeSchedule::with_steps(2, vec![(2, 4), (4, 3)]).unwrap();
         for options in [PipelineOptions::sync(), PipelineOptions::all()] {
-            let fixed = run_schedule(ResizeSchedule::fixed(2), options);
+            let fixed = run_schedule(ResizeSchedule::with_steps(2, vec![]).unwrap(), options);
             let report = run_schedule(elastic.clone(), options);
             assert_eq!(report.model, fixed.model, "overlap={}", options.overlap);
             assert!(fixed.resizes.is_empty());
@@ -298,11 +295,15 @@ mod tests {
     #[test]
     fn elastic_model_is_schedule_invariant_across_strategies() {
         let schedules = [
-            ResizeSchedule::fixed(4),
+            ResizeSchedule::with_steps(4, vec![]).unwrap(),
             ResizeSchedule::with_steps(1, vec![(1, 5), (3, 2)]).unwrap(),
             ResizeSchedule::with_steps(3, vec![(5, 1)]).unwrap(),
         ];
-        let reference = run_schedule(ResizeSchedule::fixed(1), PipelineOptions::sync()).model;
+        let reference = run_schedule(
+            ResizeSchedule::with_steps(1, vec![]).unwrap(),
+            PipelineOptions::sync(),
+        )
+        .model;
         for kind in StrategyKind::ALL {
             for schedule in &schedules {
                 let options = PipelineOptions::sync().with_strategy(kind);

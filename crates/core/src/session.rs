@@ -275,9 +275,6 @@ impl<A: StreamClustering> JobSession<'_, A> {
             }
         };
         self.meter.observe(&outcome.metrics);
-        if let Some(latency) = &outcome.latency {
-            self.meter.observe_latency(latency);
-        }
         if let Some(every) = self.every {
             self.since_checkpoint += 1;
             if self.since_checkpoint >= every {
@@ -327,16 +324,15 @@ impl<A: StreamClustering> JobSession<'_, A> {
     }
 
     /// Ends the run: applies the last pending overlapped update at its own
-    /// batch's window end (metering its driver time and its records'
-    /// latency) and returns the result.
+    /// batch's window end (metering its driver time) and returns the
+    /// result.
     ///
     /// # Errors
     ///
     /// Propagates the algorithm's [`StreamClustering::apply_global`] error.
     pub fn finish(mut self) -> Result<RunResult<A::Model>> {
-        if let Some((global, latency)) = self.apply_pending(None)? {
+        if let Some((global, _)) = self.apply_pending(None)? {
             self.meter.observe_flush(global.global_secs);
-            self.meter.observe_latency(&latency);
             if telemetry::enabled() {
                 telemetry::barrier_drain();
             }

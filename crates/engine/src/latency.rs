@@ -21,18 +21,18 @@
 //! the captured timestamps into a [`RecordLatency`] digest (exact
 //! nearest-rank p50/p95/p99 plus fixed-bound histogram buckets) once the
 //! integration window end is known. The digest is observation-only: it
-//! rides on `BatchOutcome`, feeds `ThroughputMeter`, and — when telemetry
-//! is enabled — lands in the journal as a `record_latency` point and in
-//! the registry as the `diststream_record_latency_secs` histogram.
+//! rides on `BatchOutcome` and — when telemetry is enabled — lands in the
+//! journal as a `record_latency` point and in the registry as the
+//! `diststream_record_latency_secs` histogram, the one run-level aggregate
+//! (the digests merge into it exactly).
 
 use diststream_telemetry as telemetry;
 use diststream_types::{Record, Timestamp};
 use serde::{Deserialize, Serialize};
 
 /// Upper bucket bounds (seconds) shared by every record-latency histogram:
-/// the per-batch digest, the run-level meter aggregation, and the registry
-/// metric. Sharing one set of bounds is what lets pre-bucketed digests
-/// merge exactly.
+/// the per-batch digest and the registry metric. Sharing one set of bounds
+/// is what lets pre-bucketed digests merge exactly.
 pub const LATENCY_BUCKET_BOUNDS: [f64; 10] =
     [0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0];
 

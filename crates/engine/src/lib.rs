@@ -90,4 +90,4 @@ pub use prefetch::{prefetch_batches, PrefetchedBatches};
 pub use reorder::ReorderBuffer;
 pub use sampler::{error_bound, SamplerControl, StratifiedSampler};
 pub use serving::{SnapshotReader, SnapshotSlot};
-pub use source::{RateStampedSource, RecordSource, RepeatSource, VecSource};
+pub use source::{RecordSource, RepeatSource, VecSource};

@@ -307,13 +307,6 @@ pub struct ThroughputMeter {
     global_secs: f64,
     straggler_tasks: usize,
     total_tasks: usize,
-    latency_count: u64,
-    latency_sum_secs: f64,
-    latency_max_secs: f64,
-    /// Merged event-time latency buckets, aligned with
-    /// [`LATENCY_BUCKET_BOUNDS`](crate::LATENCY_BUCKET_BOUNDS) + `+Inf`.
-    /// Empty until the first digest is observed.
-    latency_buckets: Vec<u64>,
 }
 
 impl ThroughputMeter {
@@ -393,68 +386,6 @@ impl ThroughputMeter {
         } else {
             self.straggler_tasks as f64 / self.total_tasks as f64
         }
-    }
-
-    /// Merges one batch's event-time latency digest into the run totals.
-    ///
-    /// Digests are pre-bucketed against the shared
-    /// [`LATENCY_BUCKET_BOUNDS`](crate::LATENCY_BUCKET_BOUNDS), so merging
-    /// is exact and order-independent. Works with telemetry disabled — the
-    /// bench harness reads run-level percentiles from here.
-    pub fn observe_latency(&mut self, latency: &crate::RecordLatency) {
-        if latency.count == 0 {
-            return;
-        }
-        if self.latency_buckets.is_empty() {
-            self.latency_buckets = vec![0; crate::LATENCY_BUCKET_BOUNDS.len() + 1];
-        }
-        let last = self.latency_buckets.len() - 1;
-        for (i, &n) in latency.buckets.iter().enumerate() {
-            self.latency_buckets[i.min(last)] += n;
-        }
-        self.latency_count += latency.count as u64;
-        self.latency_sum_secs += latency.sum_secs;
-        self.latency_max_secs = self.latency_max_secs.max(latency.max_secs);
-    }
-
-    /// Records covered by observed latency digests.
-    pub fn latency_count(&self) -> u64 {
-        self.latency_count
-    }
-
-    /// Mean event-time → integration latency in seconds (0.0 before any
-    /// digest is observed).
-    pub fn latency_mean_secs(&self) -> f64 {
-        if self.latency_count == 0 {
-            0.0
-        } else {
-            self.latency_sum_secs / self.latency_count as f64
-        }
-    }
-
-    /// Largest event-time → integration latency observed, in seconds.
-    pub fn latency_max_secs(&self) -> f64 {
-        self.latency_max_secs
-    }
-
-    /// Run-level latency quantile in seconds, interpolated from the merged
-    /// buckets (Prometheus-style). The `+Inf` bucket clamps to the largest
-    /// finite bound; 0.0 before any digest is observed.
-    pub fn latency_quantile_secs(&self, q: f64) -> f64 {
-        if self.latency_buckets.is_empty() {
-            return 0.0;
-        }
-        let mut running = 0u64;
-        let mut cumulative = Vec::with_capacity(self.latency_buckets.len());
-        for (i, &n) in self.latency_buckets.iter().enumerate() {
-            running += n;
-            let bound = crate::LATENCY_BUCKET_BOUNDS
-                .get(i)
-                .copied()
-                .unwrap_or(f64::INFINITY);
-            cumulative.push((bound, running));
-        }
-        telemetry::interpolate_quantile(&cumulative, q)
     }
 }
 
@@ -605,52 +536,5 @@ mod tests {
         assert_eq!(meter.records_per_sec(), 0.0);
         assert_eq!(meter.micros_per_record(), 0.0);
         assert_eq!(meter.straggler_fraction(), 0.0);
-        assert_eq!(meter.latency_count(), 0);
-        assert_eq!(meter.latency_mean_secs(), 0.0);
-        assert_eq!(meter.latency_quantile_secs(0.5), 0.0);
-    }
-
-    #[test]
-    fn meter_merges_latency_digests_exactly() {
-        use crate::LatencyProbe;
-        use diststream_types::{Point, Record, Timestamp};
-
-        let rec =
-            |id: u64, t: f64| Record::new(id, Point::from(vec![0.0]), Timestamp::from_secs(t));
-        // Two batches: latencies {0.2, 0.4} and {0.2, 0.4, 12.0}.
-        let a = LatencyProbe::capture(0, &[rec(1, 0.8), rec(2, 0.6)])
-            .resolve(Timestamp::from_secs(1.0));
-        let b = LatencyProbe::capture(1, &[rec(3, 1.8), rec(4, 1.6), rec(5, -10.0)])
-            .resolve(Timestamp::from_secs(2.0));
-
-        let mut meter = ThroughputMeter::new();
-        meter.observe_latency(&a);
-        meter.observe_latency(&b);
-        assert_eq!(meter.latency_count(), 5);
-        assert!((meter.latency_max_secs() - 12.0).abs() < 1e-12);
-        assert!((meter.latency_mean_secs() - (0.2 + 0.4 + 0.2 + 0.4 + 12.0) / 5.0).abs() < 1e-12);
-
-        // Merged buckets: 2 in (0.1, 0.25], 2 in (0.25, 0.5], 1 in (10, 30].
-        // Interpolated p50: rank 2.5 exceeds the cumulative 2 at bound 0.25,
-        // so it falls in (0.25, 0.5]: 0.25 + (0.5 − 0.25)·(2.5 − 2)/2 = 0.3125.
-        assert!((meter.latency_quantile_secs(0.5) - 0.3125).abs() < 1e-12);
-        // p99 rank 4.95 falls in the (10, 30] bucket.
-        let p99 = meter.latency_quantile_secs(0.99);
-        assert!(p99 > 10.0 && p99 <= 30.0, "p99 = {p99}");
-
-        // Merging is order-independent.
-        let mut reversed = ThroughputMeter::new();
-        reversed.observe_latency(&b);
-        reversed.observe_latency(&a);
-        assert_eq!(
-            meter.latency_quantile_secs(0.95),
-            reversed.latency_quantile_secs(0.95)
-        );
-
-        // Empty digests are no-ops.
-        let empty = LatencyProbe::capture(2, &[]).resolve(Timestamp::from_secs(3.0));
-        let before = meter.clone();
-        meter.observe_latency(&empty);
-        assert_eq!(meter, before);
     }
 }

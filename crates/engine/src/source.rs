@@ -4,16 +4,15 @@
 //! disk at a user-defined rate; DistStream pulls the resulting stream in
 //! mini-batches. Here a [`RecordSource`] plays that role:
 //!
-//! - [`VecSource`] replays an in-memory record vector (the dataset already
-//!   stamped with timestamps).
-//! - [`RateStampedSource`] assigns arrival timestamps to unstamped labeled
-//!   points at a fixed rate — "first setting the timestamp for each record
-//!   and then streaming them in chronological order" (§VII-A).
+//! - [`VecSource`] replays an in-memory record vector, the dataset already
+//!   stamped at a fixed rate (`Dataset::to_records` in the datasets crate:
+//!   "first setting the timestamp for each record and then streaming them
+//!   in chronological order", §VII-A).
 //! - [`RepeatSource`] replays a base stream `n` times with continued
 //!   timestamps and fresh ids — the paper's `large-*` datasets, produced by
 //!   "instructing Kafka to read from the same dataset ten times".
 
-use diststream_types::{LabeledPoint, Record, Timestamp};
+use diststream_types::Record;
 
 /// An unbounded-or-finite, pull-based stream of [`Record`]s.
 ///
@@ -92,82 +91,6 @@ impl RecordSource for VecSource {
 
     fn len_hint(&self) -> Option<usize> {
         Some(self.records.len())
-    }
-}
-
-/// Stamps unlabeled points with ids and fixed-rate arrival timestamps.
-///
-/// Record `i` arrives at `start + i / rate` virtual seconds, matching the
-/// paper's streaming setup ("stream the data records at a rate of 1K
-/// records/s").
-///
-/// # Examples
-///
-/// ```
-/// use diststream_engine::{RateStampedSource, RecordSource};
-/// use diststream_types::{ClassId, LabeledPoint, Point};
-///
-/// let points = vec![
-///     LabeledPoint { point: Point::zeros(1), label: ClassId(0) },
-///     LabeledPoint { point: Point::zeros(1), label: ClassId(1) },
-/// ];
-/// let mut src = RateStampedSource::new(points, 2.0); // 2 records/s
-/// assert_eq!(src.next_record().unwrap().timestamp.secs(), 0.0);
-/// assert_eq!(src.next_record().unwrap().timestamp.secs(), 0.5);
-/// ```
-#[derive(Debug, Clone)]
-pub struct RateStampedSource {
-    points: std::vec::IntoIter<LabeledPoint>,
-    interval: f64,
-    next_id: u64,
-    start: Timestamp,
-}
-
-impl RateStampedSource {
-    /// Creates a source streaming `points` at `records_per_sec`, starting at
-    /// virtual time zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `records_per_sec` is not strictly positive.
-    pub fn new(points: Vec<LabeledPoint>, records_per_sec: f64) -> Self {
-        Self::starting_at(points, records_per_sec, Timestamp::ZERO)
-    }
-
-    /// Creates a source whose first record arrives at `start`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `records_per_sec` is not strictly positive.
-    pub(crate) fn starting_at(
-        points: Vec<LabeledPoint>,
-        records_per_sec: f64,
-        start: Timestamp,
-    ) -> Self {
-        assert!(
-            records_per_sec > 0.0 && records_per_sec.is_finite(),
-            "rate must be positive and finite, got {records_per_sec}"
-        );
-        RateStampedSource {
-            points: points.into_iter(),
-            interval: 1.0 / records_per_sec,
-            next_id: 0,
-            start,
-        }
-    }
-}
-
-impl RecordSource for RateStampedSource {
-    fn next_record(&mut self) -> Option<Record> {
-        let lp = self.points.next()?;
-        let id = self.next_id;
-        self.next_id += 1;
-        let t = self.start + id as f64 * self.interval;
-        Some(Record::labeled(id, lp.point, t, lp.label))
-    }
-
-    fn len_hint(&self) -> Option<usize> {
-        Some(self.points.len())
     }
 }
 
@@ -260,14 +183,7 @@ impl RecordSource for RepeatSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use diststream_types::{ClassId, Point};
-
-    fn lp(label: u32) -> LabeledPoint {
-        LabeledPoint {
-            point: Point::zeros(2),
-            label: ClassId(label),
-        }
-    }
+    use diststream_types::{Point, Timestamp};
 
     fn drain<S: RecordSource>(mut src: S) -> Vec<Record> {
         std::iter::from_fn(move || src.next_record()).collect()
@@ -282,30 +198,6 @@ mod tests {
         let src = VecSource::new(recs.clone());
         assert_eq!(src.len_hint(), Some(2));
         assert_eq!(drain(src), recs);
-    }
-
-    #[test]
-    fn rate_stamped_ids_are_sequential() {
-        let src = RateStampedSource::new(vec![lp(0), lp(1), lp(2)], 10.0);
-        let recs = drain(src);
-        assert_eq!(recs.len(), 3);
-        for (i, r) in recs.iter().enumerate() {
-            assert_eq!(r.id, i as u64);
-            assert!((r.timestamp.secs() - i as f64 * 0.1).abs() < 1e-12);
-            assert_eq!(r.label, Some(ClassId(i as u32)));
-        }
-    }
-
-    #[test]
-    fn rate_stamped_respects_start_offset() {
-        let src = RateStampedSource::starting_at(vec![lp(0)], 1.0, Timestamp::from_secs(100.0));
-        assert_eq!(drain(src)[0].timestamp.secs(), 100.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "rate must be positive")]
-    fn rate_stamped_rejects_zero_rate() {
-        let _ = RateStampedSource::new(vec![lp(0)], 0.0);
     }
 
     #[test]

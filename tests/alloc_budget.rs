@@ -45,8 +45,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use diststream::algorithms::{
-    CentroidKernel, CluStream, CluStreamParams, ClusTree, ClusTreeParams, DStream, DStreamParams,
-    DenStream, DenStreamParams,
+    CluStream, CluStreamParams, ClusTree, ClusTreeParams, DStream, DStreamParams, DenStream,
+    DenStreamParams,
 };
 use diststream::core::{DistStreamJob, PipelineOptions, StreamClustering};
 use diststream::engine::{ExecutionMode, MiniBatch, StreamingContext};
@@ -241,26 +241,8 @@ fn allocations_per_batch_do_not_grow_with_the_batch() {
     assert_eq!(den_model.len(), CLUSTERS as usize - 1);
     assert_eq!(den_model.potential_count(), den_model.len());
 
-    // CluStream's budget was held with the search index active: a kernel over
-    // this model, asked what a task asks it, buys the index and keeps it —
-    // a query then evaluates a fraction of the rows a plain scan does (a
-    // clone starts unindexed, so one query each keeps the clones plain).
-    let mut kernel = CentroidKernel::new();
-    for (idx, wp) in clustream.snapshot(&model).iter().enumerate() {
-        kernel.push_point(idx as u64, &wp.point);
-    }
-    assert_eq!(kernel.len(), CLUSTERS as usize);
-    let queries: Vec<Record> = (0..1024).map(cluster_record).collect();
-    let effort = |r: &Record, kernel: &CentroidKernel| {
-        kernel.nearest_with_effort(&r.point).expect("non-empty").2
-    };
-    let plain: usize = queries.iter().map(|r| effort(r, &kernel.clone())).sum();
-    let _trial: usize = queries.iter().map(|r| effort(r, &kernel)).sum(); // rents, buys, tries
-    let indexed: usize = queries.iter().map(|r| effort(r, &kernel)).sum();
-    assert!(
-        indexed * 2 < plain,
-        "{indexed} rows evaluated by {} indexed queries over {} rows, {plain} by plain scans",
-        queries.len(),
-        kernel.len()
-    );
+    // CluStream's budget was held with the search index active: one row per
+    // cluster, and `cf::tests::the_allocation_budgets_clusters_keep_their_index`
+    // shows a kernel over these twelve clusters buys its index and keeps it.
+    assert_eq!(clustream.snapshot(&model).len(), CLUSTERS as usize);
 }

@@ -108,7 +108,11 @@ fn zero_cost_ctx() -> StreamingContext {
 fn assert_elastic_replay_invariant<A: StreamClustering>(algo: &A, name: &str) {
     let resized = ResizeSchedule::with_steps(2, vec![(2, 4), (4, 3)]).expect("schedule");
     for options in [PipelineOptions::sync(), PipelineOptions::all()] {
-        let fixed = elastic_bytes(algo, ResizeSchedule::fixed(2), options);
+        let fixed = elastic_bytes(
+            algo,
+            ResizeSchedule::with_steps(2, vec![]).unwrap(),
+            options,
+        );
         assert!(!fixed.is_empty());
         let elastic = elastic_bytes(algo, resized.clone(), options);
         assert_eq!(
@@ -281,7 +285,7 @@ fn overlapped_keyrange_resize_checkpoint_serving_and_faults_combine() {
     // Key-range batches here would land in the per-strategy shuffle counter
     // the byte-gate test reads deltas of.
     let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let (plain, none) = combination_run(ResizeSchedule::fixed(2), None);
+    let (plain, none) = combination_run(ResizeSchedule::with_steps(2, vec![]).unwrap(), None);
     assert!(none.is_empty());
 
     // Exhaust task 3's retry budget on the first resizing batch (2 → 4
