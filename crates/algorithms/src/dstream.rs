@@ -11,12 +11,25 @@
 //! removed periodically. The grid-cell hash doubles as the micro-cluster id
 //! **and** as the [`Assignment::New`] coalescing key, so outlier records
 //! landing in the same new cell coalesce into one grid within a batch.
+//!
+//! Step 1 does not compute that hash for a record whose cell already holds
+//! a grid. Once per batch, [`DStream`]'s searcher lays the model's grids out
+//! in an open-addressing table keyed by their stored integer coordinates
+//! (a multiply-rotate hash of the ≤ `grid_dims` words; probed, never
+//! iterated). A record's floored coordinates either find their grid there —
+//! `Existing(key)` — or the record goes through [`StreamClustering::assign`]
+//! as before: FNV-1a over the coordinate bytes and a `BTreeMap` probe. A
+//! grid enters the table only when its key is the FNV-1a id of its
+//! coordinates, so a hit is exactly the answer `assign` gives, for any
+//! model, including one whose keys were never derived from its coordinates.
 
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use diststream_core::{Assignment, MicroClusterId, Sketch, StreamClustering, WeightedPoint};
+use diststream_core::{
+    Assignment, MicroClusterId, Searcher, Sketch, StreamClustering, WeightedPoint,
+};
 use diststream_engine::{fnv1a_hash, Fnv1a};
 use diststream_types::{DistStreamError, Point, Record, Result, Timestamp};
 
@@ -153,14 +166,19 @@ impl DStream {
     ///
     /// # Panics
     ///
-    /// Panics if `cell_width ≤ 0`, `beta ≤ 1`, or the threshold factors are
-    /// inconsistent (`cm ≤ cl`).
+    /// Panics if `cell_width ≤ 0`, `beta ≤ 1`, the threshold factors are
+    /// inconsistent (`cm ≤ cl`), or `expected_cells` is 0 (both thresholds
+    /// divide by it).
     pub fn new(params: DStreamParams) -> Self {
         assert!(params.cell_width > 0.0, "cell width must be positive");
         assert!(params.beta > 1.0, "decay base must exceed 1");
         assert!(
             params.cm > params.cl && params.cl > 0.0,
             "dense threshold must exceed sparse threshold"
+        );
+        assert!(
+            params.expected_cells > 0,
+            "expected cell count must be positive"
         );
         DStream { params }
     }
@@ -170,18 +188,32 @@ impl DStream {
         &self.params
     }
 
+    /// How many leading dimensions of `point` are gridded.
+    fn gridded(&self, point: &Point) -> usize {
+        match self.params.grid_dims {
+            0 => point.dims(),
+            g => g.min(point.dims()),
+        }
+    }
+
+    /// The cell index of coordinate `x` along one gridded axis (the cast
+    /// saturates: NaN is 0, ±∞ and huge values are `i64::MAX` / `MIN`).
+    fn coord(&self, x: f64) -> i64 {
+        (x / self.params.cell_width).floor() as i64
+    }
+
+    /// The gridded coordinates of `point`, one cell index each.
+    fn coords<'p>(&'p self, point: &'p Point) -> impl Iterator<Item = i64> + 'p {
+        point
+            .iter()
+            .take(self.gridded(point))
+            .map(|&x| self.coord(x))
+    }
+
     /// The integer cell coordinates containing `point` (over the gridded
     /// subspace when `grid_dims > 0`).
     pub(crate) fn cell_of(&self, point: &Point) -> Vec<i64> {
-        let dims = match self.params.grid_dims {
-            0 => point.dims(),
-            g => g.min(point.dims()),
-        };
-        point
-            .iter()
-            .take(dims)
-            .map(|&x| (x / self.params.cell_width).floor() as i64)
-            .collect()
+        self.coords(point).collect()
     }
 
     /// Deterministic cell id (FNV-1a over the coordinate bytes).
@@ -198,13 +230,8 @@ impl DStream {
     /// coordinate incrementally, so the per-record grid lookup allocates
     /// nothing.
     pub(crate) fn cell_key(&self, point: &Point) -> MicroClusterId {
-        let dims = match self.params.grid_dims {
-            0 => point.dims(),
-            g => g.min(point.dims()),
-        };
         let mut hash = Fnv1a::new();
-        for &x in point.iter().take(dims) {
-            let c = (x / self.params.cell_width).floor() as i64;
+        for c in self.coords(point) {
             hash.write(&c.to_le_bytes());
         }
         hash.finish()
@@ -240,6 +267,77 @@ impl DStream {
             updated_at: record.timestamp,
         }
     }
+}
+
+/// The most gridded axes [`CellTable::find`] floors a record over, on the
+/// stack; a wider record is left to `assign`.
+const TABLE_DIMS: usize = 16;
+
+/// The searcher's per-batch table: each grid's stored coordinates mapped to
+/// its key, by open addressing (linear probing, load ≤ ½) over
+/// [`coords_hash`]. A grid enters only when its key is
+/// `DStream::cell_id(coords)`, so a hit is what `assign` answers.
+struct CellTable<'m> {
+    /// `(hash of its coordinates, key, grid)` per occupied slot.
+    slots: Vec<Option<(u64, MicroClusterId, &'m GridSketch)>>,
+    /// `64 − log2(slots.len())`: a hash's top bits name its home slot.
+    shift: u32,
+}
+
+impl<'m> CellTable<'m> {
+    fn build(model: &'m DStreamModel) -> Self {
+        let capacity = (2 * model.grids.len()).next_power_of_two().max(2);
+        let mut table = CellTable {
+            slots: vec![None; capacity],
+            shift: 64 - capacity.trailing_zeros(),
+        };
+        for (&key, grid) in &model.grids {
+            if DStream::cell_id(&grid.coords) == key {
+                let hash = coords_hash(grid.coords.iter().copied());
+                let at = table.probe(hash, |_| false);
+                if let Some(slot) = table.slots.get_mut(at) {
+                    *slot = Some((hash, key, grid));
+                }
+            }
+        }
+        table
+    }
+
+    /// From `hash`'s home slot on, the first slot that is empty or whose
+    /// entry `is_it` accepts. One exists: at most half the slots are full.
+    fn probe(&self, hash: u64, is_it: impl Fn(&[i64]) -> bool) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut at = (hash >> self.shift) as usize;
+        while let Some(Some((h, _, grid))) = self.slots.get(at) {
+            if *h == hash && is_it(&grid.coords) {
+                break;
+            }
+            at = (at + 1) & mask;
+        }
+        at
+    }
+
+    /// The key of the grid whose coordinates are `point`'s under `algo`;
+    /// `None` also for a point gridded over more than [`TABLE_DIMS`] axes.
+    fn find(&self, algo: &DStream, point: &Point) -> Option<MicroClusterId> {
+        let mut buffer = [0i64; TABLE_DIMS];
+        let coords = buffer.get_mut(..algo.gridded(point))?;
+        for (c, x) in coords.iter_mut().zip(point.iter()) {
+            *c = algo.coord(*x);
+        }
+        let hash = coords_hash(coords.iter().copied());
+        let at = self.probe(hash, |stored| stored == coords);
+        let (_, key, _) = self.slots.get(at)?.as_ref()?;
+        Some(*key)
+    }
+}
+
+/// A multiply-rotate hash of a cell's coordinates, one round per word; its
+/// high bits are well mixed, and [`CellTable`] probes from them.
+fn coords_hash(coords: impl Iterator<Item = i64>) -> u64 {
+    coords.fold(0, |h, c| {
+        (h.rotate_left(5) ^ c as u64).wrapping_mul(0x517c_c1b7_2722_0a95)
+    })
 }
 
 impl StreamClustering for DStream {
@@ -283,6 +381,14 @@ impl StreamClustering for DStream {
         }
     }
 
+    fn searcher<'m>(&'m self, model: &'m DStreamModel) -> Searcher<'m> {
+        let cells = CellTable::build(model);
+        Box::new(move |record| match cells.find(self, &record.point) {
+            Some(key) => Assignment::Existing(key),
+            None => self.assign(model, record),
+        })
+    }
+
     fn sketch_of(&self, model: &DStreamModel, id: MicroClusterId) -> GridSketch {
         // lint:allow(index-in-hot-path) the trait's documented panic: `id` is one `assign` returned on this model
         model.grids[&id].clone()
@@ -295,8 +401,15 @@ impl StreamClustering for DStream {
     fn update(&self, sketch: &mut GridSketch, record: &Record) {
         let dt = record.timestamp.saturating_since(sketch.updated_at);
         let lambda = self.lambda(dt);
-        sketch.sum.scale_in_place(lambda);
-        sketch.sum.add_in_place(&record.point);
+        let (dims, got) = (sketch.sum.dims(), record.point.dims());
+        assert_eq!(dims, got, "point dimension mismatch: {dims} vs {got}");
+        // One pass over the sum: per element the same rounded multiply and
+        // then the same rounded add as `scale_in_place` followed by
+        // `add_in_place`, so the sketch is bit-identical to that form.
+        let sum = sketch.sum.as_mut_slice().iter_mut();
+        for (s, &x) in sum.zip(record.point.iter()) {
+            *s = *s * lambda + x;
+        }
         sketch.density = sketch.density * lambda + 1.0;
         sketch.updated_at = record.timestamp.max(sketch.updated_at);
     }
@@ -511,5 +624,173 @@ mod tests {
             cl: 0.8,
             ..Default::default()
         });
+    }
+
+    /// Both thresholds divide by `expected_cells`: at 0 they were +∞, and
+    /// the first sporadic-grid sweep deleted every grid without an error.
+    #[test]
+    #[should_panic(expected = "expected cell count")]
+    fn rejects_zero_expected_cells() {
+        let _ = DStream::new(DStreamParams {
+            expected_cells: 0,
+            ..Default::default()
+        });
+    }
+
+    /// Every stored number of a grid, as bits.
+    fn grid_bits(g: &GridSketch) -> Vec<u64> {
+        let scalars = [g.density, g.created_at.secs(), g.updated_at.secs()];
+        g.sum.iter().chain(&scalars).map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn one_pass_update_is_scale_then_add_bit_for_bit() {
+        let a = algo();
+        let mut fused = a.create(&rec(0, vec![0.1, -3.7, 1e-9], 0.0));
+        let mut reference = fused.clone();
+        for (i, t) in [0.3, 0.3, 1.9, 7.25, 7.0, 40.0].into_iter().enumerate() {
+            let x = i as f64;
+            let r = rec(i as u64 + 1, vec![x * 0.37, -x / 3.0, 1e6 - x], t);
+            a.update(&mut fused, &r);
+            let lambda = a.lambda(r.timestamp.saturating_since(reference.updated_at));
+            reference.sum.scale_in_place(lambda);
+            reference.sum.add_in_place(&r.point);
+            reference.density = reference.density * lambda + 1.0;
+            reference.updated_at = r.timestamp.max(reference.updated_at);
+            assert_eq!(grid_bits(&fused), grid_bits(&reference), "record {i}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "dimension mismatch")]
+    fn update_rejects_a_record_of_another_dimensionality() {
+        let a = algo();
+        let mut g = a.create(&rec(0, vec![0.5, 0.5], 0.0));
+        a.update(&mut g, &rec(1, vec![0.5], 1.0));
+    }
+
+    /// Coordinates that stress the floor-and-cast: signed zeros, cell
+    /// edges, values whose floors saturate the `i64` cast, NaN and ±∞.
+    const HOSTILE: [f64; 14] = [
+        0.0,
+        -0.0,
+        0.3,
+        -0.3,
+        0.7,
+        -0.7,
+        1.5,
+        -2.2,
+        1e300,
+        -1e300,
+        1e18,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+
+    /// `count` records of 1–4 or `TABLE_DIMS + 4` dimensions (too wide for
+    /// the table) over [`HOSTILE`], in a fixed pseudo-random mix.
+    fn hostile_records(count: u64) -> Vec<Record> {
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 33) as usize
+        };
+        (0..count)
+            .map(|id| {
+                let dims = [1, 2, 3, 4, TABLE_DIMS + 4][next() % 5];
+                let point = (0..dims).map(|_| HOSTILE[next() % HOSTILE.len()]).collect();
+                rec(id, point, id as f64)
+            })
+            .collect()
+    }
+
+    /// The per-batch searcher decides every record as `assign` does.
+    fn assert_searcher_assigns_like_assign(a: &DStream, model: &DStreamModel, records: &[Record]) {
+        let searcher = a.searcher(model);
+        for r in records {
+            assert_eq!(
+                searcher(r),
+                a.assign(model, r),
+                "record {} {:?}",
+                r.id,
+                r.point
+            );
+        }
+    }
+
+    #[test]
+    fn searcher_assigns_like_assign_on_hostile_coordinates() {
+        let records = hostile_records(600);
+        for grid_dims in [0, 1, 2, 3, 5] {
+            let a = DStream::new(DStreamParams {
+                grid_dims,
+                cell_width: 0.7,
+                ..Default::default()
+            });
+            // A grid at every other record's cell: hits and misses, at every
+            // gridded width (records with fewer dimensions than `grid_dims`
+            // grid over what they have). Built by hand: `init` would fold
+            // records of different widths into one cell and panic.
+            let mut model = DStreamModel::default();
+            for r in records.iter().step_by(2) {
+                let key = a.cell_key(&r.point);
+                model.grids.entry(key).or_insert_with(|| a.create(r));
+            }
+            assert!(model.len() > 5, "grid_dims={grid_dims}: {}", model.len());
+            assert_searcher_assigns_like_assign(&a, &model, &records);
+            let hits = records
+                .iter()
+                .filter(|r| matches!(a.assign(&model, r), Assignment::Existing(_)))
+                .count();
+            assert!(
+                hits > records.len() / 2,
+                "grid_dims={grid_dims}: {hits} hits"
+            );
+            // And over an empty model, where nothing hits.
+            assert_searcher_assigns_like_assign(&a, &DStreamModel::default(), &records);
+        }
+    }
+
+    /// A model whose keys are not the ids of their grids' coordinates — one
+    /// no `init` builds, but a deserialized one can be: the table must not
+    /// answer for such a grid by its coordinates, and `assign` still finds
+    /// it by its key.
+    #[test]
+    fn searcher_assigns_like_assign_when_a_key_is_not_its_cells_id() {
+        let a = algo();
+        let grid = |coords: Vec<i64>| {
+            let mut g = a.create(&rec(0, coords.iter().map(|&c| c as f64).collect(), 0.0));
+            g.coords = coords;
+            g
+        };
+        let elsewhere = DStream::cell_id(&[5, 5]);
+        let model = DStreamModel {
+            grids: BTreeMap::from([
+                (elsewhere, grid(vec![0, 0])),
+                (DStream::cell_id(&[2, 2]), grid(vec![2, 2])),
+                (DStream::cell_id(&[3, 3]) ^ 1, grid(vec![3, 3])),
+            ]),
+            last_prune_secs: 0.0,
+        };
+        let at = |x: f64| rec(9, vec![x + 0.5, x + 0.5], 1.0);
+        let searcher = a.searcher(&model);
+        assert_eq!(
+            searcher(&at(0.0)),
+            Assignment::New(DStream::cell_id(&[0, 0]))
+        );
+        assert_eq!(searcher(&at(5.0)), Assignment::Existing(elsewhere));
+        assert_eq!(
+            searcher(&at(2.0)),
+            Assignment::Existing(DStream::cell_id(&[2, 2]))
+        );
+        assert_eq!(
+            searcher(&at(3.0)),
+            Assignment::New(DStream::cell_id(&[3, 3]))
+        );
+        let records: Vec<Record> = (-2..8).map(|x| at(f64::from(x))).collect();
+        assert_searcher_assigns_like_assign(&a, &model, &records);
     }
 }

@@ -190,7 +190,7 @@ impl Bundle {
 mod tests {
     use super::*;
     use diststream_algorithms::CentroidKernel;
-    use diststream_core::StreamClustering;
+    use diststream_core::{Assignment, StreamClustering};
 
     #[test]
     fn bundle_scales_rates_with_records() {
@@ -281,6 +281,27 @@ mod tests {
         assert!(model.tree_height() > 1);
         let per_record: Vec<_> = batch.iter().map(|r| algo.assign(&model, r)).collect();
         assert!(per_record == algo.assign_many(&model, &batch));
+    }
+
+    /// D-Stream's cell-table searcher decides every record like `assign`,
+    /// over the grids its `init` leaves on the CoverType analog at the
+    /// bundle's 6-d grid (the `dstream-covertype-disorder` tuning): records
+    /// the table finds and records it leaves to `assign` alike.
+    #[test]
+    fn dstream_assigns_a_batch_like_record_by_record() {
+        let (bundle, init, batch) = split(DatasetKind::CoverType, 50_000, 10_000);
+        let algo = bundle.dstream();
+        let model = algo.init(&init).expect("init");
+        let per_record: Vec<_> = batch.iter().map(|r| algo.assign(&model, r)).collect();
+        assert!(per_record == algo.assign_many(&model, &batch));
+        let found = per_record
+            .iter()
+            .filter(|a| matches!(a, Assignment::Existing(_)))
+            .count();
+        assert!(
+            found > batch.len() / 2 && found < batch.len(),
+            "{found} found"
+        );
     }
 
     /// DenStream's screened searcher decides every record like the full

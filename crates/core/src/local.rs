@@ -3,12 +3,24 @@
 //! The assignment step's `(record, assignment)` pairs are grouped by
 //! micro-cluster key (`groupByKey`), the groups are distributed across `p`
 //! tasks, and each task folds its groups' records into detached sketches.
-//! In order-aware mode every group is first sorted by arrival key — "each
-//! task first sorts the absorbed records of each micro-cluster based on the
-//! timestamps to enforce the update order" — and then folded one record at
-//! a time. The unordered baseline shuffles each group with a seeded RNG
-//! instead.
+//!
+//! In order-aware mode the paper has "each task first sort[] the absorbed
+//! records of each micro-cluster based on the timestamps to enforce the
+//! update order", then fold them one record at a time. Here the batch
+//! reaches step 2 already sorted by arrival key `(timestamp, id)` — an
+//! in-order stream is, and the reorder buffer releases it so — and for such
+//! a batch ascending arrival position within a group *is* that stable
+//! sorted order. So a task neither copies nor sorts a group: it sweeps its
+//! own records once, in arrival order, folding each into its group's
+//! sketch. Groups are independent, so interleaving their folds changes no
+//! sketch; each group still sees exactly the paper's per-group order, and
+//! the batch is read front to back instead of once per micro-cluster. A
+//! batch that is not in arrival order (a disordered stream with no reorder
+//! buffer, or a hand-built call) is stably sorted by arrival key once per
+//! task first, which gives the same per-group order. The unordered baseline
+//! folds each group in a seeded-shuffle order instead.
 
+use std::borrow::Cow;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -16,7 +28,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use diststream_engine::{
-    chunk_size, fnv1a_hash, Broadcast, FlatShuffle, StepMetrics, StreamingContext,
+    chunk_size, fnv1a_hash, Broadcast, FlatShuffle, ShufflePartition, StepMetrics, StreamingContext,
 };
 use diststream_telemetry as telemetry;
 use diststream_types::{DistStreamError, Record, RecordId, Result, Timestamp};
@@ -76,10 +88,11 @@ pub struct LocalOutcome<S> {
 
 /// Reusable scratch for [`local_update_distributed`].
 ///
-/// Holds the shuffle's buffers — group table, position buffer, partition
-/// lists, all rebuilt every batch and recycled at steady state — and the
-/// last batch the step finished with, which leaves through here because it
-/// should be freed by whoever allocated it, not by the step.
+/// Holds the shuffle's buffers — group table, each partition's group list
+/// and its arrival-order sweep, all rebuilt every batch and recycled at
+/// steady state — and the last batch the step finished with, which leaves
+/// through here because it should be freed by whoever allocated it, not by
+/// the step.
 #[derive(Debug, Default)]
 pub struct LocalScratch {
     shuffle: FlatShuffle,
@@ -98,10 +111,6 @@ impl LocalScratch {
     }
 }
 
-/// One reduce task's groups: each key with the range of the shuffle's
-/// position buffer that holds its records' arrival positions, in order.
-type IndexGroups = [((u64, u64), std::ops::Range<u32>)];
-
 /// The batch's arrival positions as the `u32` index space the shuffle works
 /// in. A batch too long for it is refused, never truncated.
 fn index_space(records: usize) -> Result<u32> {
@@ -119,12 +128,22 @@ fn index_space(records: usize) -> Result<u32> {
 /// the configured [`UpdateOrdering`].
 ///
 /// The step owns the batch (`pairs`) and nothing in it copies a record:
-/// what is keyed, routed, shipped to tasks and sorted there is each
-/// record's `u32` arrival position, and every task borrows the batch to
-/// fold `&pairs[position]` in the configured order. When the tasks are done
-/// the batch is parked in `scratch`: the job's drive loop hands it back to
-/// the prefetch thread that allocated it; any other caller drops it, on its
-/// own thread, with the next call.
+/// what is keyed, routed and shipped to tasks is each record's `u32`
+/// arrival position, and every task borrows the batch to fold
+/// `&pairs[position]`. When the tasks are done the batch is parked in
+/// `scratch`: the job's drive loop hands it back to the prefetch thread
+/// that allocated it; any other caller drops it, on its own thread, with
+/// the next call.
+///
+/// In [`UpdateOrdering::OrderAware`] each task makes one pass over its
+/// records in arrival order and folds each into its group's sketch. Every
+/// group therefore sees its records sorted by arrival key, as the paper's
+/// per-group sort would leave them, when the batch is sorted by arrival key
+/// — as every batch cut from an in-order stream or released by the reorder
+/// buffer is. For a batch that is not, each task first sorts its records by
+/// arrival key, stably, which again gives every group that order. A group's
+/// `first_arrival` and `last_arrival` tags are its first and last records
+/// in that order.
 ///
 /// In [`UpdateOrdering::Unordered`] the baseline "does not distinguish the
 /// data arrival orders" (paper §I): each group is folded in a seeded-shuffle
@@ -134,16 +153,17 @@ fn index_space(records: usize) -> Result<u32> {
 /// drives the shuffles (combined with each group's key, so results are
 /// deterministic for a given seed, independent of parallelism).
 ///
-/// The grouping is one [`FlatShuffle`] pass whatever `combine` says: keys
-/// in first-occurrence order, each group's positions in arrival order. With
-/// `combine` set, the shuffle is *charged* as if each map task had grouped
-/// its `(key, position)` pairs locally first, so records destined for the
-/// same micro-cluster travel as one keyed entry per map task instead of one
-/// per record. Map tasks are modeled as the same contiguous chunks the
-/// size-aware scheduler uses ([`chunk_size`]), and the flat pass counts
-/// their distinct `(chunk, key)` entries as it goes. Both update orderings
-/// therefore produce bit-identical sketches with the combine on or off;
-/// only the charged shuffle bytes change. The savings are counted in
+/// The grouping is one [`FlatShuffle`] pass whatever `combine` says: each
+/// partition's keys in first-occurrence order and its records in arrival
+/// order, each tagged with its group. With `combine` set, the shuffle is
+/// *charged* as if each map task had grouped its `(key, position)` pairs
+/// locally first, so records destined for the same micro-cluster travel as
+/// one keyed entry per map task instead of one per record. Map tasks are
+/// modeled as the same contiguous chunks the size-aware scheduler uses
+/// ([`chunk_size`]), and the flat pass counts their distinct `(chunk, key)`
+/// entries as it goes. Both update orderings therefore produce
+/// bit-identical sketches with the combine on or off; only the charged
+/// shuffle bytes change. The savings are counted in
 /// `diststream_shuffle_bytes_saved_total`.
 ///
 /// The `strategy` owns the key placement and the shuffle-byte accounting
@@ -249,6 +269,11 @@ pub fn local_update_distributed<A: StreamClustering>(
         .add(shuffle_bytes);
     }
 
+    // Whether a task's records in arrival position are already in
+    // arrival-key order: true of every batch cut from an in-order stream or
+    // released by the reorder buffer.
+    let in_arrival_order = ordering == UpdateOrdering::OrderAware
+        && pairs.is_sorted_by_key(|(record, _)| record.arrival_key());
     if ordering == UpdateOrdering::Unordered {
         // Collapse arrival times: the unordered baseline treats the whole
         // batch as one unordered bag.
@@ -257,77 +282,39 @@ pub fn local_update_distributed<A: StreamClustering>(
         }
     }
 
-    // Tasks get views — their partition's group list by reference, the
-    // position buffer and the batch by borrow — so a panicking attempt has
-    // nothing of the batch to lose and its retry reads the same view.
+    // Tasks get views — their partition by reference, the batch by borrow —
+    // so a panicking attempt has nothing of the batch to lose and its retry
+    // reads the same view.
     let batch = pairs.as_slice();
-    let record_at = |position: &u32| batch.get(*position as usize).map(|(record, _)| record);
-    let views: Vec<&IndexGroups> = shuffled.partitions.iter().map(Vec::as_slice).collect();
-    type TaskOut<S> = (Vec<UpdatedSketch<S>>, Vec<CreatedSketch<S>>);
+    let arrival_at = |&(position, _): &(u32, u32)| {
+        let record = batch.get(position as usize).map(|(record, _)| record);
+        record.map(Record::arrival_key)
+    };
+    let views: Vec<&ShufflePartition> = shuffled.partitions.iter().collect();
     let tasks_start = Instant::now(); // lint:allow(wallclock-entropy) driver-side timing feeds step metrics only
-    let (outputs, metrics) =
-        ctx.run_tasks(views, |_task, groups: &IndexGroups| -> TaskOut<A::Sketch> {
-            let model = model.handle();
-            let mut updated = Vec::new();
-            let mut created = Vec::new();
-            // The group's positions in fold order; one buffer per task.
-            let mut order: Vec<u32> = Vec::new();
-            for ((kind, key), at) in groups {
-                order.clear();
-                let group = shuffled.positions.get(at.start as usize..at.end as usize);
-                order.extend_from_slice(group.unwrap_or_default());
-                match ordering {
-                    UpdateOrdering::OrderAware => {
-                        order.sort_by_key(|position| record_at(position).map(Record::arrival_key));
-                    }
-                    UpdateOrdering::Unordered => {
-                        let seed = shuffle_seed
-                            ^ fnv1a_hash(&kind.to_le_bytes())
-                            ^ fnv1a_hash(&key.to_le_bytes());
-                        // lint:allow(wallclock-entropy) the same shuffle, per-group seed from the driver's
-                        order.shuffle(&mut StdRng::seed_from_u64(seed));
-                    }
+    let (outputs, metrics) = ctx.run_tasks(
+        views,
+        |_task, part: &ShufflePartition| -> TaskOut<A::Sketch> {
+            let order = match ordering {
+                UpdateOrdering::OrderAware if in_arrival_order => {
+                    Cow::Borrowed(part.sweep.as_slice())
                 }
-                let records = || order.iter().filter_map(record_at);
-                // The shuffle never yields empty groups; an empty one
-                // carries no records and can be skipped outright instead
-                // of panicking.
-                let Some(first_arrival) = records().map(Record::arrival_key).min() else {
-                    continue;
-                };
-                let Some(last_arrival) = records().map(Record::arrival_key).max() else {
-                    continue;
-                };
-                let absorbed = order.len();
-                if *kind == Assignment::KIND_EXISTING {
-                    let mut sketch = algo.sketch_of(&model, *key);
-                    for r in records() {
-                        algo.update(&mut sketch, r);
-                    }
-                    updated.push(UpdatedSketch {
-                        id: *key,
-                        sketch,
-                        last_arrival,
-                        absorbed,
-                    });
-                } else {
-                    let mut iter = records();
-                    let Some(seed_record) = iter.next() else {
-                        continue;
-                    };
-                    let mut sketch = algo.create(seed_record);
-                    for r in iter {
-                        algo.update(&mut sketch, r);
-                    }
-                    created.push(CreatedSketch {
-                        sketch,
-                        first_arrival,
-                        absorbed,
-                    });
+                UpdateOrdering::OrderAware => {
+                    let mut order = part.sweep.clone();
+                    order.sort_by_key(arrival_at);
+                    Cow::Owned(order)
                 }
-            }
-            (updated, created)
-        })?;
+                UpdateOrdering::Unordered => Cow::Owned(shuffled_groups(part, shuffle_seed)),
+            };
+            // The whole order ascends in arrival key, so each group's does.
+            #[cfg(feature = "debug_invariants")]
+            assert!(
+                ordering == UpdateOrdering::Unordered || order.is_sorted_by_key(arrival_at),
+                "debug_invariants: step 2 folds a record before one that arrived earlier"
+            );
+            fold_in_order(algo, &model.handle(), batch, part, &order)
+        },
+    )?;
     let tasks_secs = tasks_start.elapsed().as_secs_f64();
 
     let mut updated = Vec::new();
@@ -348,13 +335,114 @@ pub fn local_update_distributed<A: StreamClustering>(
     })
 }
 
+/// One reduce task's output: the micro-clusters its partition updated and
+/// created, each list in the partition's group order.
+type TaskOut<S> = (Vec<UpdatedSketch<S>>, Vec<CreatedSketch<S>>);
+
+/// The unordered baseline's fold order: each group's records in a shuffle
+/// seeded by the run's `shuffle_seed` and the group key (so the same at
+/// every p), group after group.
+fn shuffled_groups(part: &ShufflePartition, shuffle_seed: u64) -> Vec<(u32, u32)> {
+    let mut order = Vec::with_capacity(part.sweep.len());
+    let groups = (0u32..).zip(&part.groups).zip(part.positions_by_group());
+    for ((slot, (kind, key)), mut positions) in groups {
+        let seed = shuffle_seed ^ fnv1a_hash(&kind.to_le_bytes()) ^ fnv1a_hash(&key.to_le_bytes());
+        // lint:allow(wallclock-entropy) the same shuffle, per-group seed from the driver's
+        positions.shuffle(&mut StdRng::seed_from_u64(seed));
+        order.extend(positions.into_iter().map(|position| (position, slot)));
+    }
+    order
+}
+
+/// A group's sketch part-way through a task's fold.
+struct Folding<S> {
+    sketch: S,
+    first_arrival: (Timestamp, RecordId),
+    last_arrival: (Timestamp, RecordId),
+    absorbed: usize,
+}
+
+/// Folds `part`'s records into their groups' sketches in one pass, in the
+/// order `order` lists them. A group's first record in `order` starts its
+/// sketch — the model's copy folded with it for an existing micro-cluster,
+/// `create` for a new one — and each later one is folded with `update`. A
+/// group's arrival tags are the least and greatest arrival keys among its
+/// records: in an order-aware fold, its first and its last.
+fn fold_in_order<A: StreamClustering>(
+    algo: &A,
+    model: &A::Model,
+    batch: &[(Record, Assignment)],
+    part: &ShufflePartition,
+    order: &[(u32, u32)],
+) -> TaskOut<A::Sketch> {
+    let mut folding: Vec<Option<Folding<A::Sketch>>> = Vec::with_capacity(part.groups.len());
+    folding.resize_with(part.groups.len(), || None);
+    for &(position, slot) in order {
+        let (Some((record, _)), Some(&(kind, key)), Some(group)) = (
+            batch.get(position as usize),
+            part.groups.get(slot as usize),
+            folding.get_mut(slot as usize),
+        ) else {
+            continue;
+        };
+        let arrival = record.arrival_key();
+        match group {
+            Some(group) => {
+                algo.update(&mut group.sketch, record);
+                group.first_arrival = group.first_arrival.min(arrival);
+                group.last_arrival = group.last_arrival.max(arrival);
+                group.absorbed += 1;
+            }
+            None => {
+                let sketch = if kind == Assignment::KIND_EXISTING {
+                    let mut sketch = algo.sketch_of(model, key);
+                    algo.update(&mut sketch, record);
+                    sketch
+                } else {
+                    algo.create(record)
+                };
+                *group = Some(Folding {
+                    sketch,
+                    first_arrival: arrival,
+                    last_arrival: arrival,
+                    absorbed: 1,
+                });
+            }
+        }
+    }
+    let mut updated = Vec::new();
+    let mut created = Vec::new();
+    for (&(kind, key), group) in part.groups.iter().zip(folding) {
+        // The shuffle makes no empty group; one would carry nothing.
+        let Some(group) = group else {
+            continue;
+        };
+        if kind == Assignment::KIND_EXISTING {
+            updated.push(UpdatedSketch {
+                id: key,
+                sketch: group.sketch,
+                last_arrival: group.last_arrival,
+                absorbed: group.absorbed,
+            });
+        } else {
+            created.push(CreatedSketch {
+                sketch: group.sketch,
+                first_arrival: group.first_arrival,
+                absorbed: group.absorbed,
+            });
+        }
+    }
+    (updated, created)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::MicroClusterId;
     use crate::api::Sketch;
     use crate::distribution::RoundRobinStrategy;
-    use crate::reference::NaiveClustering;
-    use diststream_engine::{serialized_size, ExecutionMode};
+    use crate::reference::{NaiveClustering, NaiveSketch};
+    use diststream_engine::{group_by_key, serialized_size, ExecutionMode};
     use diststream_types::{ClassId, Point};
 
     fn rec(id: u64, x: f64, t: f64) -> Record {
@@ -724,5 +812,130 @@ mod tests {
         let out = run_local(1, UpdateOrdering::OrderAware, pairs);
         assert_eq!(out.created.len(), 1);
         assert!((out.created[0].sketch.weight() - 2.0).abs() < 1e-12);
+    }
+
+    /// Everything a step-2 outcome says about its sketches, in output order:
+    /// updated `(id, sketch bits, last_arrival, absorbed)` and created
+    /// `(sketch bits, first_arrival, absorbed)`.
+    type Told = (
+        Vec<(MicroClusterId, Vec<u64>, (Timestamp, RecordId), usize)>,
+        Vec<(Vec<u64>, (Timestamp, RecordId), usize)>,
+    );
+
+    fn told(out: &TaskOut<NaiveSketch>) -> Told {
+        let bits = |s: &NaiveSketch| -> Vec<u64> {
+            let scalars = [s.weight, s.updated_at.secs()];
+            s.sum.iter().chain(&scalars).map(|v| v.to_bits()).collect()
+        };
+        let updated = out.0.iter();
+        let created = out.1.iter();
+        (
+            updated
+                .map(|u| (u.id, bits(&u.sketch), u.last_arrival, u.absorbed))
+                .collect(),
+            created
+                .map(|c| (bits(&c.sketch), c.first_arrival, c.absorbed))
+                .collect(),
+        )
+    }
+
+    /// The per-group fold the sweep replaced, as the oracle: groups from the
+    /// reference `group_by_key` under the default hash route, partition
+    /// after partition; each group's positions copied, sorted by arrival key
+    /// (or seed-shuffled), folded on their own, and tagged with their least
+    /// and greatest arrival keys.
+    fn per_group_oracle(
+        p: usize,
+        ordering: UpdateOrdering,
+        mut pairs: Vec<(Record, Assignment)>,
+    ) -> Told {
+        if ordering == UpdateOrdering::Unordered {
+            pairs
+                .iter_mut()
+                .for_each(|(r, _)| r.timestamp = Timestamp::ZERO);
+        }
+        let algo = NaiveClustering::new(1.0);
+        let model = algo.init(&[rec(0, 0.0, 0.0), rec(1, 10.0, 0.0)]).unwrap();
+        let record = |i: &u32| &pairs[*i as usize].0;
+        let keyed = pairs
+            .iter()
+            .zip(0u32..)
+            .map(|((_, a), i)| (a.group_key(), i));
+        let mut out: TaskOut<NaiveSketch> = (Vec::new(), Vec::new());
+        for ((kind, key), mut positions) in group_by_key(keyed, p).into_iter().flatten() {
+            match ordering {
+                UpdateOrdering::OrderAware => positions.sort_by_key(|i| record(i).arrival_key()),
+                UpdateOrdering::Unordered => {
+                    let seed = 7 ^ fnv1a_hash(&kind.to_le_bytes()) ^ fnv1a_hash(&key.to_le_bytes());
+                    positions.shuffle(&mut StdRng::seed_from_u64(seed));
+                }
+            }
+            let keys = || positions.iter().map(|i| record(i).arrival_key());
+            let (first_arrival, last_arrival) = (keys().min().unwrap(), keys().max().unwrap());
+            let absorbed = positions.len();
+            let mut records = positions.iter().map(record);
+            if kind == Assignment::KIND_EXISTING {
+                let mut sketch = algo.sketch_of(&model, key);
+                records.for_each(|r| algo.update(&mut sketch, r));
+                out.0.push(UpdatedSketch {
+                    id: key,
+                    sketch,
+                    last_arrival,
+                    absorbed,
+                });
+            } else {
+                let mut sketch = algo.create(records.next().unwrap());
+                records.for_each(|r| algo.update(&mut sketch, r));
+                out.1.push(CreatedSketch {
+                    sketch,
+                    first_arrival,
+                    absorbed,
+                });
+            }
+        }
+        told(&out)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The one-pass sweep leaves every sketch, tag, count and output
+        /// position where the per-group fold does: on batches in and out of
+        /// arrival order, with ties in arrival key, singleton and large
+        /// groups of both kinds, at p ∈ {1, 2, 3, 8}, combined or not, in
+        /// both orderings.
+        #[test]
+        fn prop_sweep_folds_like_the_per_group_oracle(
+            raw in proptest::collection::vec((0u64..40, 0u32..12, -3.0f64..3.0, 0u64..100), 1usize..301),
+            sorted in proptest::prelude::any::<bool>(),
+            p in 0usize..4,
+            combine in proptest::prelude::any::<bool>(),
+            unordered in proptest::prelude::any::<bool>(),
+        ) {
+            let p = [1, 2, 3, 8][p];
+            let ordering = if unordered {
+                UpdateOrdering::Unordered
+            } else {
+                UpdateOrdering::OrderAware
+            };
+            let mut pairs: Vec<(Record, Assignment)> = raw
+                .iter()
+                .map(|&(id, t, x, code)| {
+                    // Two large existing groups; sixty outlier keys.
+                    let a = if code < 40 {
+                        Assignment::Existing(code % 2)
+                    } else {
+                        Assignment::New(code)
+                    };
+                    (rec(id, x, f64::from(t)), a)
+                })
+                .collect();
+            if sorted {
+                pairs.sort_by_key(|(r, _)| r.arrival_key());
+            }
+            let expected = per_group_oracle(p, ordering, pairs.clone());
+            let out = run(p, ordering, pairs, combine);
+            proptest::prop_assert_eq!(told(&(out.updated, out.created)), expected);
+        }
     }
 }

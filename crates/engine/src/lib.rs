@@ -79,8 +79,8 @@ pub use metrics::{BatchMetrics, StepMetrics, ThroughputMeter};
 pub use netcost::{NetworkModel, SimCostModel, StragglerModel};
 pub use partition::{
     combine_by_key, fnv1a_hash, group_by_key, AppendCombiner, BlockPartitioner, CombineStats,
-    Combiner, FlatShuffle, Fnv1a, HashPartitioner, KeyBytes, RoundRobinPartitioner, Shuffled,
-    Stride,
+    Combiner, FlatShuffle, Fnv1a, HashPartitioner, KeyBytes, RoundRobinPartitioner,
+    ShufflePartition, Shuffled, Stride,
 };
 pub use pool::{
     chunk_size, chunk_strides, split_chunks, TaskPool, CHUNK_OVERPARTITION,

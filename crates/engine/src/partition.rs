@@ -5,7 +5,6 @@
 // lint:allow(nondeterministic-collection) lookup only, never iterated
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-use std::ops::Range;
 
 use diststream_types::{DistStreamError, Result};
 
@@ -552,35 +551,57 @@ impl Hasher for KeyHasher {
     }
 }
 
-/// One reduce partition's groups, in first-occurrence order: each key with
-/// the range of the position buffer that holds its records.
-type Groups = Vec<((u64, u64), Range<u32>)>;
+/// One reduce partition of a [`FlatShuffle`]: its groups, and its records in
+/// the order they arrived.
+#[derive(Debug, Default)]
+pub struct ShufflePartition {
+    /// The partition's group keys in first-occurrence order. A group's index
+    /// in this list is its *slot*.
+    pub groups: Vec<(u64, u64)>,
+    /// The partition's records as `(arrival position, group slot)`, in
+    /// ascending arrival position.
+    pub sweep: Vec<(u32, u32)>,
+}
+
+impl ShufflePartition {
+    /// Each group's arrival positions, ascending, in slot order —
+    /// [`group_by_key`]'s value lists.
+    pub fn positions_by_group(&self) -> Vec<Vec<u32>> {
+        let mut lists = vec![Vec::new(); self.groups.len()];
+        for &(position, slot) in &self.sweep {
+            if let Some(list) = lists.get_mut(slot as usize) {
+                list.push(position);
+            }
+        }
+        lists
+    }
+}
 
 /// What [`FlatShuffle::group`] made of a batch, borrowed from its buffers.
 #[derive(Debug, Clone, Copy)]
 pub struct Shuffled<'a> {
-    /// The reduce partitions' groups.
-    pub partitions: &'a [Groups],
-    /// Arrival positions, group after group, ascending within each group.
-    pub positions: &'a [u32],
+    /// The reduce partitions.
+    pub partitions: &'a [ShufflePartition],
     /// Distinct `(map chunk, key)` entries — the messages a map-side
     /// combine puts on the wire ([`CombineStats::combined_entries`]).
     pub combined_entries: usize,
 }
 
-/// The step-2 shuffle as index arithmetic over recycled buffers: the groups
-/// of [`group_by_key`] over `(key, arrival position)` pairs — same keys,
-/// same first-occurrence order, same values in arrival order — as ranges of
-/// one flat position buffer, plus [`combine_by_key`]'s entry count from the
-/// same pass, so combining is an accounting question, not a second
-/// grouping. A batch no wider (in records, keys and partitions) than one
-/// already seen allocates nothing.
+/// The step-2 shuffle as index arithmetic over recycled buffers, in one pass
+/// over the batch: the groups of [`group_by_key`] over `(key, arrival
+/// position)` pairs — same keys, same first-occurrence order, same values
+/// in arrival order — as each partition's group list plus its records in
+/// arrival order, each tagged with its group's slot. [`combine_by_key`]'s
+/// entry count comes from the same pass, so combining is an accounting
+/// question, not a second grouping. A batch no wider (in records, keys and
+/// partitions) than one already seen allocates nothing.
 ///
 /// ```
 /// let mut shuffle = diststream_engine::FlatShuffle::default();
 /// let out = shuffle.group([(0, 7), (0, 3), (0, 7)].into_iter(), 1, 2, |_| 0)?;
-/// assert_eq!(out.partitions[0], vec![((0, 7), 0..2), ((0, 3), 2..3)]);
-/// assert_eq!(out.positions, [0, 2, 1]);
+/// assert_eq!(out.partitions[0].groups, [(0, 7), (0, 3)]);
+/// assert_eq!(out.partitions[0].sweep, [(0, 0), (1, 1), (2, 0)]);
+/// assert_eq!(out.partitions[0].positions_by_group(), [vec![0, 2], vec![1]]);
 /// assert_eq!(out.combined_entries, 3); // key 7 is in both chunks of two
 /// # Ok::<(), diststream_types::DistStreamError>(())
 /// ```
@@ -588,11 +609,9 @@ pub struct Shuffled<'a> {
 pub struct FlatShuffle {
     // lint:allow(nondeterministic-collection) lookup only, never iterated
     ids: HashMap<(u64, u64), u32, BuildHasherDefault<KeyHasher>>,
-    /// Per group id: its partition, its index there, its last map chunk.
-    slots: Vec<(usize, usize, u32)>,
-    group_of: Vec<u32>,
-    positions: Vec<u32>,
-    partitions: Vec<Groups>,
+    /// Per group id: its partition, its slot there, its last map chunk.
+    slots: Vec<(usize, u32, u32)>,
+    partitions: Vec<ShufflePartition>,
 }
 
 impl FlatShuffle {
@@ -618,60 +637,59 @@ impl FlatShuffle {
         let chunk = u32::try_from(chunk.max(1)).unwrap_or(u32::MAX);
         self.ids.clear();
         self.slots.clear();
-        self.group_of.clear();
-        self.partitions.resize_with(partitions, Vec::new);
-        self.partitions.iter_mut().for_each(Vec::clear);
+        self.partitions
+            .resize_with(partitions, ShufflePartition::default);
+        for part in &mut self.partitions {
+            part.groups.clear();
+            part.sweep.clear();
+        }
         let mut combined_entries = 0;
-        // Pass 1: name and size every record's group; a group's range holds
-        // its record count for now.
+        // One pass: name every record's group, and append the record to its
+        // partition's sweep — which therefore ascends in arrival position.
         for (position, key) in (0..records).zip(keys) {
             let next_id = self.slots.len() as u32;
             let id = *self.ids.entry(key).or_insert(next_id);
             if id == next_id {
                 let partition = route(&key);
-                let Some(groups) = self.partitions.get_mut(partition) else {
+                let Some(part) = self.partitions.get_mut(partition) else {
                     return Err(DistStreamError::Invariant(format!(
                         "shuffle route out of range: partition {partition} of {partitions}"
                     )));
                 };
                 // No map chunk has index u32::MAX: positions stop short of it.
-                self.slots.push((partition, groups.len(), u32::MAX));
-                groups.push((key, 0..0));
+                self.slots
+                    .push((partition, part.groups.len() as u32, u32::MAX));
+                part.groups.push(key);
             }
-            let (partition, index, last_chunk) = &mut self.slots[id as usize];
-            self.partitions[*partition][*index].1.end += 1;
+            let (partition, slot, last_chunk) = &mut self.slots[id as usize];
+            self.partitions[*partition].sweep.push((position, *slot));
             if *last_chunk != position / chunk {
                 *last_chunk = position / chunk;
                 combined_entries += 1;
             }
-            self.group_of.push(id);
-        }
-        // Layout: every group gets its stretch of the position buffer, empty.
-        let mut start = 0;
-        for (_, at) in self.partitions.iter_mut().flatten() {
-            let len = at.end;
-            *at = start..start;
-            start += len;
-        }
-        // Pass 2: scatter arrival positions; each range grows back to size.
-        self.positions.clear();
-        self.positions.resize(self.group_of.len(), 0);
-        for (position, &id) in (0..records).zip(&self.group_of) {
-            let (partition, index, _) = self.slots[id as usize];
-            let at = &mut self.partitions[partition][index].1;
-            self.positions[at.end as usize] = position;
-            at.end += 1;
         }
         #[cfg(feature = "debug_invariants")]
         {
-            // Completeness: every position sits in exactly one group and no
-            // key is listed twice (so none is in two partitions).
-            let groups = || self.partitions.iter().flatten();
-            let keys: std::collections::BTreeSet<_> = groups().map(|(key, _)| key).collect();
-            assert_eq!(keys.len(), groups().count(), "debug_invariants: key twice");
-            let mut placed: Vec<u32> = groups()
-                .flat_map(|(_, at)| &self.positions[at.start as usize..at.end as usize])
-                .copied()
+            // Completeness: every position sits in exactly one sweep, each
+            // sweep ascends and names slots its partition has, and no key is
+            // listed twice (so none is in two partitions).
+            let keys: std::collections::BTreeSet<_> =
+                self.partitions.iter().flat_map(|p| &p.groups).collect();
+            let listed: usize = self.partitions.iter().map(|p| p.groups.len()).sum();
+            assert_eq!(keys.len(), listed, "debug_invariants: key twice");
+            for part in &self.partitions {
+                let ascending = part.sweep.windows(2).all(|w| w[0].0 < w[1].0);
+                assert!(ascending, "debug_invariants: a sweep out of arrival order");
+                let known = part
+                    .sweep
+                    .iter()
+                    .all(|s| (s.1 as usize) < part.groups.len());
+                assert!(known, "debug_invariants: a sweep names a missing slot");
+            }
+            let mut placed: Vec<u32> = self
+                .partitions
+                .iter()
+                .flat_map(|p| p.sweep.iter().map(|s| s.0))
                 .collect();
             placed.sort_unstable();
             let complete = placed.into_iter().eq(0..records);
@@ -679,7 +697,6 @@ impl FlatShuffle {
         }
         Ok(Shuffled {
             partitions: &self.partitions,
-            positions: &self.positions,
             combined_entries,
         })
     }
@@ -877,12 +894,13 @@ mod tests {
         route: impl Fn(&(u64, u64)) -> usize,
     ) -> Result<(Spelled, usize)> {
         let out = shuffle.group(keys.iter().copied(), partitions, chunk, route)?;
-        let values = |at: &Range<u32>| out.positions[at.start as usize..at.end as usize].to_vec();
-        let spelled = out
-            .partitions
-            .iter()
-            .map(|part| part.iter().map(|(key, at)| (*key, values(at))).collect())
-            .collect();
+        let spell = |part: &ShufflePartition| {
+            // A task folds its sweep front to back: it must be arrival order.
+            assert!(part.sweep.windows(2).all(|w| w[0].0 < w[1].0));
+            let lists = part.positions_by_group();
+            part.groups.iter().copied().zip(lists).collect()
+        };
+        let spelled = out.partitions.iter().map(spell).collect();
         Ok((spelled, out.combined_entries))
     }
 

@@ -27,7 +27,8 @@
 //! [`ReorderBuffer`]: crate::ReorderBuffer
 
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
+use std::time::Instant;
 
 use diststream_telemetry as telemetry;
 
@@ -57,6 +58,8 @@ enum Staged {
 pub struct PrefetchedBatches {
     rx: mpsc::Receiver<Staged>,
     retired: mpsc::Sender<Box<dyn Send>>,
+    /// Microseconds this side waited for a staged batch (traced runs).
+    waited: Option<Arc<telemetry::Counter>>,
 }
 
 impl PrefetchedBatches {
@@ -75,7 +78,7 @@ impl Iterator for PrefetchedBatches {
     type Item = MiniBatch;
 
     fn next(&mut self) -> Option<MiniBatch> {
-        match self.rx.recv() {
+        match waiting(self.waited.as_deref(), || self.rx.recv()) {
             Ok(Staged::Batch(batch)) => Some(batch),
             // Same observable behavior as the synchronous drain panicking.
             Ok(Staged::Poisoned(payload)) => panic::resume_unwind(payload),
@@ -83,6 +86,18 @@ impl Iterator for PrefetchedBatches {
             Err(mpsc::RecvError) => None,
         }
     }
+}
+
+/// Runs `wait` — a blocking end of the staging channel — and, when a
+/// counter is given, adds the microseconds it blocked to it.
+fn waiting<T>(waited: Option<&telemetry::Counter>, wait: impl FnOnce() -> T) -> T {
+    let Some(waited) = waited else {
+        return wait();
+    };
+    let start = Instant::now(); // lint:allow(wallclock-entropy) feeds a telemetry counter only
+    let out = wait();
+    waited.add(u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX));
+    out
 }
 
 /// Runs `consume` over the mini-batches of `source`, drained by a
@@ -98,7 +113,12 @@ impl Iterator for PrefetchedBatches {
 /// Each staged drain is recorded as a `prefetch` telemetry span and each
 /// freed batch as a `retire` span, both on the worker thread (never nested
 /// inside a `batch` span — the batch spans live on the driver thread;
-/// `xtask check-trace` enforces this).
+/// `xtask check-trace` enforces this). Which side of the channel waits for
+/// the other is counted too, in microseconds: the consumer's waits for a
+/// staged batch in `diststream_prefetch_driver_wait_us_total`, the worker's
+/// waits to hand one over in `diststream_prefetch_worker_wait_us_total`.
+/// Both are registered at zero when telemetry is on, and neither clock is
+/// read when it is off.
 ///
 /// # Panics
 ///
@@ -129,6 +149,10 @@ where
     let mut batcher = MiniBatcher::new(source, batch_secs);
     let (tx, rx) = mpsc::sync_channel::<Staged>(PREFETCH_DEPTH);
     let (retired, retired_rx) = mpsc::channel::<Box<dyn Send>>();
+    let driver_waited = telemetry::enabled()
+        .then(|| telemetry::counter(telemetry::names::METRIC_PREFETCH_DRIVER_WAIT_US_TOTAL));
+    let worker_waited = telemetry::enabled()
+        .then(|| telemetry::counter(telemetry::names::METRIC_PREFETCH_WORKER_WAIT_US_TOTAL));
     let free = |spent: Box<dyn Send>| {
         let _span = telemetry::span!(telemetry::names::SPAN_RETIRE);
         drop(spent);
@@ -149,7 +173,8 @@ where
                     // A send error means the consumer hung up early (it
                     // stopped on an error); just stop staging.
                     Ok(Some(batch)) => {
-                        if tx.send(Staged::Batch(batch)).is_err() {
+                        let staged = || tx.send(Staged::Batch(batch));
+                        if waiting(worker_waited.as_deref(), staged).is_err() {
                             break;
                         }
                     }
@@ -165,7 +190,11 @@ where
             drop(tx);
             retired_rx.iter().for_each(free);
         });
-        consume(&mut PrefetchedBatches { rx, retired })
+        consume(&mut PrefetchedBatches {
+            rx,
+            retired,
+            waited: driver_waited,
+        })
     });
     match scope_result {
         Ok(out) => out,

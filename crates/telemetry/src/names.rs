@@ -200,6 +200,12 @@ pub const METRIC_SERVING_EPOCH: &str = "diststream_serving_epoch";
 /// Counter: DenStream absorption tests the closed-form screen could not
 /// decide and the full per-dimension radius sum answered.
 pub const METRIC_DENSTREAM_RADIUS_EXACT_TOTAL: &str = "diststream_denstream_radius_exact_total";
+/// Counter: microseconds the driver waited for the prefetch worker to stage
+/// its next batch (registered at zero by every traced prefetching run).
+pub const METRIC_PREFETCH_DRIVER_WAIT_US_TOTAL: &str = "diststream_prefetch_driver_wait_us_total";
+/// Counter: microseconds the prefetch worker waited for the driver to take a
+/// staged batch (registered at zero by every traced prefetching run).
+pub const METRIC_PREFETCH_WORKER_WAIT_US_TOTAL: &str = "diststream_prefetch_worker_wait_us_total";
 
 /// Every metric base name.
 #[cfg(test)]
@@ -246,6 +252,8 @@ const ALL_METRICS: &[&str] = &[
     METRIC_SERVING_PREDICTS_TOTAL,
     METRIC_SERVING_EPOCH,
     METRIC_DENSTREAM_RADIUS_EXACT_TOTAL,
+    METRIC_PREFETCH_DRIVER_WAIT_US_TOTAL,
+    METRIC_PREFETCH_WORKER_WAIT_US_TOTAL,
 ];
 
 /// Prometheus `# HELP` text per metric base name. The doc comments above are
@@ -405,6 +413,14 @@ pub(crate) const METRIC_HELP: &[(&str, &str)] = &[
     (
         METRIC_DENSTREAM_RADIUS_EXACT_TOTAL,
         "DenStream absorption tests decided by the full radius sum",
+    ),
+    (
+        METRIC_PREFETCH_DRIVER_WAIT_US_TOTAL,
+        "Microseconds the driver waited for a staged batch",
+    ),
+    (
+        METRIC_PREFETCH_WORKER_WAIT_US_TOTAL,
+        "Microseconds the prefetch worker waited to hand a batch over",
     ),
 ];
 

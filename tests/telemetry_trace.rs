@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use diststream::algorithms::{CluStream, CluStreamParams, DenStream, DenStreamParams};
-use diststream::core::DistStreamJob;
+use diststream::core::{DistStreamJob, PipelineOptions};
 use diststream::datasets::{covertype_like, kdd98_like};
 use diststream::engine::{ExecutionMode, StreamingContext, VecSource};
 use diststream::telemetry::{self, Event, EventKind};
@@ -264,4 +264,49 @@ fn traced_denstream_registers_its_exact_radius_counter() {
         exact * 1000 < 3000,
         "{exact} exact radius sums for 3000 records"
     );
+}
+
+/// "Which side of the prefetch channel waits": a traced run with prefetch
+/// on registers both wait counters, at zero if nobody waited; an untraced
+/// one registers neither.
+#[test]
+fn traced_prefetching_run_registers_both_channel_wait_counters() {
+    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let names = [
+        telemetry::names::METRIC_PREFETCH_DRIVER_WAIT_US_TOTAL,
+        telemetry::names::METRIC_PREFETCH_WORKER_WAIT_US_TOTAL,
+    ];
+    let run = || {
+        let algo = CluStream::new(CluStreamParams {
+            max_micro_clusters: 70,
+            ..Default::default()
+        });
+        let ctx = StreamingContext::new(2, ExecutionMode::Threads).expect("context");
+        DistStreamJob::new(&algo, &ctx, ClusteringConfig::default())
+            .init_records(150)
+            .pipeline(PipelineOptions::all())
+            .run_to_end(VecSource::new(records()))
+            .expect("job");
+    };
+    telemetry::metrics::reset();
+    run();
+    for name in names {
+        assert!(
+            !telemetry::expose().contains(name),
+            "untraced run registered {name}"
+        );
+    }
+
+    telemetry::set_journal_capture();
+    telemetry::set_enabled(true);
+    run();
+    telemetry::barrier_drain();
+    telemetry::set_enabled(false);
+    telemetry::close_journal();
+    for name in names {
+        assert!(
+            telemetry::expose().contains(name),
+            "a traced prefetching run did not register {name}"
+        );
+    }
 }
