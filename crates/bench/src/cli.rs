@@ -8,13 +8,13 @@ use diststream_core::StrategyKind;
 ///
 /// ```text
 /// repro <subcommand>
-///   --records N        base records per dataset (default varies per experiment)
+///   --records N        base records per dataset, at least 100 (default varies per experiment)
 ///   --seed S           dataset generation seed (default 42)
 ///   --full             run at the real datasets' full record counts
 ///   --trace-out FILE   write the telemetry span journal (JSONL) to FILE
 ///   --metrics-out FILE write the Prometheus-style metrics dump to FILE
 /// matrix (and, for the first, digest) only:
-///   --rounds N         stream replays per run (default 3)
+///   --rounds N         stream replays per run, at least 1 (default 3)
 ///   --pipeline sync|overlapped|both   which pipeline variants to measure
 ///   --strategy roundrobin|keyrange|locality|hybrid   distribution strategy
 /// ```
@@ -38,10 +38,24 @@ pub(crate) struct Cli {
     pub metrics_out: Option<PathBuf>,
 }
 
+/// The fewest base records `--records` accepts: below it a bundle's
+/// dataset can leave every cluster a single point, which sizes its radii
+/// (and its arrival rate, at zero records) to nothing.
+const MIN_RECORDS: usize = 100;
+
 fn value<T: std::str::FromStr>(flag: &str, arg: Option<String>) -> Result<T, String> {
     let arg = arg.ok_or_else(|| format!("{flag} takes a value"))?;
     arg.parse()
         .map_err(|_| format!("{flag}: cannot parse '{arg}'"))
+}
+
+/// A count flag's value, refused below `min` — a run it cannot make.
+fn at_least(flag: &str, arg: Option<String>, min: usize) -> Result<usize, String> {
+    let count = value(flag, arg)?;
+    if count < min {
+        return Err(format!("{flag} must be at least {min}, got {count}"));
+    }
+    Ok(count)
 }
 
 impl Cli {
@@ -62,10 +76,10 @@ impl Cli {
         let mut iter = args.into_iter();
         while let Some(arg) = iter.next() {
             match arg.as_str() {
-                "--records" => cli.records = Some(value(&arg, iter.next())?),
+                "--records" => cli.records = Some(at_least(&arg, iter.next(), MIN_RECORDS)?),
                 "--seed" => cli.seed = value(&arg, iter.next())?,
                 "--full" => cli.full = true,
-                "--rounds" => cli.rounds = Some(value(&arg, iter.next())?),
+                "--rounds" => cli.rounds = Some(at_least(&arg, iter.next(), 1)?),
                 "--pipeline" => {
                     let which: String = value(&arg, iter.next())?;
                     cli.pipeline = match which.as_str() {
@@ -159,6 +173,9 @@ mod tests {
             &["--quick"],
             &["--records"],
             &["--records", "many"],
+            &["--records", "0"],
+            &["--records", "1"],
+            &["--rounds", "0"],
             &["--pipeline", "async"],
             &["--strategy", "random"],
         ] {

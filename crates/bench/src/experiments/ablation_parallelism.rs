@@ -11,19 +11,19 @@
 //! modeled network costs for both dimensions of both steps.
 
 use diststream_core::{DistStreamJob, StreamClustering};
-use diststream_engine::{
-    serialized_size, ExecutionMode, NetworkModel, StreamingContext, VecSource,
-};
+use diststream_engine::{serialized_size, ExecutionMode, StreamingContext, VecSource};
 use diststream_types::{ClusteringConfig, Result};
 
 use crate::bundle::{Bundle, DatasetKind};
 use crate::cli::Cli;
+use crate::cluster::{NetworkModel, Replay, SimCostModel};
 use crate::report::{fmt_f64, print_table, Table};
 
 const BATCH_SECS: f64 = 10.0;
 
 struct StepCosts {
-    /// Measured compute makespan of the step (seconds, averaged per batch).
+    /// Modeled compute makespan of the step (seconds, averaged per batch):
+    /// the measured task times on the default modeled cluster.
     compute: f64,
     /// Modeled network seconds for the dimension DistStream chose.
     chosen_net: f64,
@@ -48,12 +48,14 @@ fn analyze<A: StreamClustering>(
     let mut model_bytes = 0u64;
     let mut job = DistStreamJob::new(algo, &ctx, config);
     job.init_records(bundle.init_records());
+    let mut replay = Replay::new(SimCostModel::default());
     job.run(VecSource::new(records), |report| {
+        let metrics = replay.batch(&report.outcome.metrics);
         batches += 1;
-        assign_secs += report.outcome.metrics.assignment.wall_secs();
-        local_secs += report.outcome.metrics.local.wall_secs();
-        batch_records += report.outcome.metrics.records as u64;
-        model_bytes = report.outcome.metrics.broadcast_bytes / p as u64;
+        assign_secs += metrics.assignment.wall_secs();
+        local_secs += metrics.local.wall_secs();
+        batch_records += metrics.records as u64;
+        model_bytes = metrics.broadcast_bytes / p as u64;
     })?;
     let batches = batches.max(1) as f64;
     let m = (batch_records as f64 / batches) as u64; // records per batch

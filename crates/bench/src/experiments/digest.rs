@@ -11,9 +11,7 @@
 //! ```
 
 use diststream_core::{DistStreamJob, PipelineOptions, StreamClustering};
-use diststream_engine::{
-    encode, fnv1a_hash, ExecutionMode, RepeatSource, SimCostModel, StreamingContext,
-};
+use diststream_engine::{encode, fnv1a_hash, ExecutionMode, RepeatSource, StreamingContext};
 use diststream_types::{ClusteringConfig, Result};
 
 use crate::bundle::Bundle;
@@ -29,7 +27,7 @@ fn digest_one<A: StreamClustering>(
     rounds: usize,
     options: PipelineOptions,
 ) -> Result<(String, u64)> {
-    let ctx = StreamingContext::with_cost_model(p, ExecutionMode::Simulated, SimCostModel::zero())?;
+    let ctx = StreamingContext::new(p, ExecutionMode::Simulated)?;
     let config = ClusteringConfig::builder().batch_secs(BATCH_SECS).build()?;
     let mut job = DistStreamJob::new(algo, &ctx, config);
     job.init_records(bundle.init_records()).pipeline(options);

@@ -1,7 +1,7 @@
 //! Telemetry smoke run — a small real-thread (p = 4) job that exercises
 //! every instrumentation point:
 //! spans across the three update steps, the per-batch journal drain,
-//! pool/netcost/batcher metrics, reorder-buffer gauges (the stream is fed
+//! pool/batcher metrics, reorder-buffer gauges (the stream is fed
 //! through a `ReorderBuffer` with mild injected disorder), and straggler
 //! attribution. CI runs it with `--trace-out` and validates the journal
 //! with `cargo run -p xtask -- check-trace`.

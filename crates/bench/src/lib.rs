@@ -13,6 +13,7 @@
 
 mod bundle;
 mod cli;
+mod cluster;
 mod experiments;
 mod matrix;
 mod overload;

@@ -2,10 +2,10 @@
 //! algorithms at p ∈ {1, 2, 4, 8, 16} ([`PARALLELISMS`]), both pipelines,
 //! every cell the median of [`REPETITIONS`] runs printed with its spread.
 //!
-//! Measurements use [`ExecutionMode::Simulated`] with a *zero* cost model:
-//! every task body really executes and is individually wall-timed, and the
+//! Measurements use [`ExecutionMode::Simulated`], priced by nothing: every
+//! task body really executes and is individually wall-timed, and the
 //! reported step latency is the barrier makespan of those measured times
-//! over `p` slots with no simulated overheads — the only way a 2-core host
+//! over `p` slots with no modeled overheads — the only way a 2-core host
 //! can say anything about p = 16. What that model is worth is printed beside
 //! it: at p ≤ [`WALL_MAX_PARALLELISM`] every cell also runs the same batches
 //! on real threads ([`ExecutionMode::Threads`]) and the `sim/wall` column is
@@ -22,9 +22,7 @@
 use std::time::Instant;
 
 use diststream_core::{DistStreamJob, PipelineOptions, StrategyKind, StreamClustering};
-use diststream_engine::{
-    ExecutionMode, RecordSource, RepeatSource, SimCostModel, StreamingContext,
-};
+use diststream_engine::{ExecutionMode, RecordSource, RepeatSource, StreamingContext};
 use diststream_types::{ClusteringConfig, DistStreamError, Record, Result};
 
 use crate::bundle::{Bundle, DatasetKind};
@@ -176,7 +174,7 @@ fn measure<A: StreamClustering>(
     mode: ExecutionMode,
     options: PipelineOptions,
 ) -> Result<Sample> {
-    let ctx = StreamingContext::with_cost_model(p, mode, SimCostModel::zero())?;
+    let ctx = StreamingContext::new(p, mode)?;
     let config = ClusteringConfig::builder().batch_secs(BATCH_SECS).build()?;
     let mut job = DistStreamJob::new(algo, &ctx, config);
     job.init_records(bundle.init_records()).pipeline(options);
@@ -351,11 +349,7 @@ pub(crate) fn overlap_verdict(rows: &[Row], pipelines: usize) -> Result<Option<(
 /// placement, never on task timings — so the skew line reproduces exactly
 /// across machines.
 fn shuffle_bytes_for(bundle: &Bundle, workload: &Workload, strategy: StrategyKind) -> Result<u64> {
-    let ctx = StreamingContext::with_cost_model(
-        SHUFFLE_SKEW_PARALLELISM,
-        ExecutionMode::Simulated,
-        SimCostModel::zero(),
-    )?;
+    let ctx = StreamingContext::new(SHUFFLE_SKEW_PARALLELISM, ExecutionMode::Simulated)?;
     let config = ClusteringConfig::builder().batch_secs(BATCH_SECS).build()?;
     let algo = bundle.clustream();
     let mut job = DistStreamJob::new(&algo, &ctx, config);

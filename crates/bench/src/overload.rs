@@ -19,7 +19,7 @@ use diststream_core::{
     DistStreamJob, OverloadOptions, OverloadStats, PipelineOptions, StreamClustering,
 };
 use diststream_engine::{
-    encode, fnv1a_hash, ExecutionMode, LoadShedPolicy, SimCostModel, StreamingContext, VecSource,
+    encode, fnv1a_hash, ExecutionMode, LoadShedPolicy, StreamingContext, VecSource,
 };
 use diststream_quality::{nearest_assignment_bounded, purity_with_coverage, ssq, CoverageScore};
 use diststream_types::{ClusteringConfig, DistStreamError, Record, Result};
@@ -138,9 +138,7 @@ pub(crate) fn measure_overload(bundle: &Bundle) -> Result<OverloadScenario> {
         .batch_secs(OVERLOAD_BATCH_SECS)
         .build()?;
     let algo = bundle.clustream();
-    let ctx = |p: usize| {
-        StreamingContext::with_cost_model(p, ExecutionMode::Simulated, SimCostModel::zero())
-    };
+    let ctx = |p: usize| StreamingContext::new(p, ExecutionMode::Simulated);
 
     // Exact reference: everything processed, per-window arrivals collected.
     let ctx1 = ctx(1)?;

@@ -18,7 +18,7 @@ use std::time::Instant;
 
 use diststream_algorithms::ServingPredictor;
 use diststream_core::{serving_handle, DistStreamJob, PipelineOptions};
-use diststream_engine::{ExecutionMode, RepeatSource, SimCostModel, StreamingContext};
+use diststream_engine::{ExecutionMode, RepeatSource, StreamingContext};
 use diststream_telemetry as telemetry;
 use diststream_types::{Point, Result};
 
@@ -57,11 +57,7 @@ pub(crate) struct ServingBench {
 /// Propagates engine failures and empty-stream errors.
 pub(crate) fn measure_serving(bundle: &Bundle, rounds: usize) -> Result<ServingBench> {
     let algo = bundle.clustream();
-    let ctx = StreamingContext::with_cost_model(
-        SERVING_PARALLELISM,
-        ExecutionMode::Simulated,
-        SimCostModel::zero(),
-    )?;
+    let ctx = StreamingContext::new(SERVING_PARALLELISM, ExecutionMode::Simulated)?;
     let config = ClusteringConfig::builder().batch_secs(BATCH_SECS).build()?;
     let handle = serving_handle();
     let stop = Arc::new(AtomicBool::new(false));

@@ -23,7 +23,8 @@
 //!   source through initialization, mini-batching, and per-batch reporting.
 //!   `run` (optionally prefetched, or sampled in overload mode) and
 //!   `run_adaptive` differ only in the batch feed and in an after-batch
-//!   controller that may pick the next window width; each is `init_model →
+//!   controller that may pick the next window width (`run_adaptive` takes
+//!   the caller's, e.g. an [`AdaptiveBatchSizer`]); each is `init_model →
 //!   start → for batch in feed { step; controller; report; drain } → finish`
 //!   over a [`JobSession`], which fault and elastic harnesses step directly.
 //!   Checkpointing ([`DistStreamJob::checkpoint_every`]) and elastic resizing

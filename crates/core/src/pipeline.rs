@@ -534,10 +534,12 @@ impl<'a, A: StreamClustering> DistStreamJob<'a, A> {
         self.run(source, |_| {})
     }
 
-    /// Runs the job with an adaptive batch-size controller (§VII-D3 future
-    /// work): after every batch the controller observes the achieved
-    /// throughput and retunes the next window width within the §IV-D
-    /// quality bound.
+    /// Runs the job with an after-batch controller (§VII-D3 future work:
+    /// adaptive batch sizing): after every batch `controller` sees its
+    /// outcome and may return the next window width — e.g. an
+    /// [`AdaptiveBatchSizer`] observing the achieved throughput, which
+    /// keeps the width within the §IV-D quality bound. The first window is
+    /// `config.batch_secs()`.
     ///
     /// [`PipelineOptions::prefetch`] is ignored here: retuning must feed
     /// the next window width back into the batcher *between* pulls, which
@@ -548,21 +550,19 @@ impl<'a, A: StreamClustering> DistStreamJob<'a, A> {
     /// # Errors
     ///
     /// Same as [`DistStreamJob::run`].
-    pub fn run_adaptive<S, F>(
+    pub fn run_adaptive<S, C, F>(
         &self,
         mut source: S,
-        sizer: &mut AdaptiveBatchSizer,
+        controller: C,
         mut on_batch: F,
     ) -> Result<RunResult<A::Model>>
     where
         S: RecordSource,
+        C: FnMut(&BatchOutcome) -> Option<f64>,
         F: FnMut(BatchReport<'_, A::Model>),
     {
         let model = self.init_model(&mut source)?;
-        let feed = batcher_feed(MiniBatcher::new(&mut source, sizer.batch_secs()));
-        let controller = |outcome: &BatchOutcome| {
-            Some(sizer.observe(outcome.metrics.records, outcome.metrics.total_secs()))
-        };
+        let feed = batcher_feed(MiniBatcher::new(&mut source, self.config.batch_secs()));
         self.drive(model, feed, controller, &mut on_batch)
     }
 }
@@ -692,9 +692,14 @@ mod tests {
         let mut windows = Vec::new();
         let result = DistStreamJob::new(&algo, &ctx, config)
             .init_records(8)
-            .run_adaptive(VecSource::new(recs(300)), &mut sizer, |report| {
-                windows.push(report.window_end.secs());
-            })
+            .run_adaptive(
+                VecSource::new(recs(300)),
+                |outcome| {
+                    let metrics = &outcome.metrics;
+                    Some(sizer.observe(metrics.records, metrics.total_secs()))
+                },
+                |report| windows.push(report.window_end.secs()),
+            )
             .unwrap();
         assert_eq!(result.meter.records(), 292);
         assert!(windows.len() >= 2);
@@ -718,7 +723,14 @@ mod tests {
             let result = DistStreamJob::new(&algo, &ctx, config)
                 .init_records(8)
                 .pipeline(PipelineOptions::all())
-                .run_adaptive(VecSource::new(recs(300)), &mut sizer, |_| reports += 1)
+                .run_adaptive(
+                    VecSource::new(recs(300)),
+                    |outcome| {
+                        let metrics = &outcome.metrics;
+                        Some(sizer.observe(metrics.records, metrics.total_secs()))
+                    },
+                    |_| reports += 1,
+                )
                 .unwrap();
             assert_eq!(result.meter.records(), 292, "p={p}");
             assert!(reports >= 3, "p={p}: {reports} batches");

@@ -428,17 +428,9 @@ impl<A: StreamClustering> JobSession<'_, A> {
             seed: batch_seed,
             probe,
         });
-        let mut collect_bytes = None;
         if !self.job.pipeline.overlap {
             applied = self.apply_pending(Some(window_end))?;
-            // Only the synchronous critical path waits for the collect; the
-            // overlapped one hides it with the rest of the driver side.
-            collect_bytes = applied.as_ref().map(|(global, _)| global.collect_bytes);
         }
-        let overhead_secs =
-            self.job
-                .ctx
-                .batch_overhead_secs(model_bytes, shuffle_bytes, collect_bytes);
         let (global, latency) = applied.unzip();
 
         let outcome = BatchOutcome {
@@ -448,9 +440,10 @@ impl<A: StreamClustering> JobSession<'_, A> {
                 assignment: assignment.metrics,
                 local: local_metrics,
                 global_secs: global.as_ref().map_or(0.0, |g| g.global_secs),
-                overhead_secs,
+                overhead_secs: 0.0,
                 broadcast_bytes: model_bytes * self.job.ctx.parallelism() as u64,
                 shuffle_bytes,
+                collect_bytes: global.as_ref().map_or(0, |g| g.collect_bytes),
                 async_overlap: self.job.pipeline.overlap,
                 parallelism: self.job.ctx.parallelism(),
                 assign_driver_secs: assignment.driver_secs,

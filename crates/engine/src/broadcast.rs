@@ -15,8 +15,8 @@ use crate::codec::serialized_size;
 /// "the entire micro-cluster set `Q_t` to each task" (§V-A). In-process the
 /// share is an [`Arc`] clone; the *cost* of the broadcast — `p` copies of
 /// the serialized value over the network — is captured once at construction
-/// as [`Broadcast::payload_bytes`] and charged by the simulated network
-/// model.
+/// as [`Broadcast::payload_bytes`], which the batch's `broadcast_bytes`
+/// record for a network model to price.
 ///
 /// # Examples
 ///

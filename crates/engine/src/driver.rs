@@ -1,9 +1,8 @@
 //! The streaming driver: execution modes and the per-step task runner.
 
 use diststream_telemetry as telemetry;
+use diststream_telemetry::time_model::list_makespan;
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -11,32 +10,32 @@ use diststream_types::{DistStreamError, Result};
 
 use crate::faults::{FaultPlan, FaultState};
 use crate::metrics::StepMetrics;
-use crate::netcost::SimCostModel;
 use crate::pool::{TaskPool, DEFAULT_MAX_TASK_FAILURES};
 
-/// How a step's tasks are executed.
+/// How many threads run a step's tasks. Either way every task really
+/// executes and is timed; the mode only decides the threads and what the
+/// step's wall time means.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutionMode {
-    /// Run tasks on a real OS-thread pool sized to the parallelism degree.
-    /// Step latency is measured wall-clock. Use on hosts with enough cores
-    /// and in tests of the concurrent code paths.
+    /// Run the `p` tasks on `p` threads; the step's wall time is measured.
+    /// Use on hosts with enough cores and in tests of the concurrent code
+    /// paths.
     Threads,
-    /// Run tasks serially, timing each, and *simulate* the cluster:
-    /// step latency is the barrier makespan of the measured task times over
-    /// `p` slots under [`SimCostModel`] (scheduling overheads, network
-    /// charges, straggler injection). Use for performance experiments on
-    /// hosts with fewer cores than the modelled cluster.
+    /// Run the `p` tasks on one thread, each timed alone; the step's wall
+    /// time is their list makespan over `p` slots (plus any measured
+    /// set-up) — the step a cluster of `p` idle slots would take. Use for
+    /// experiments on hosts with fewer cores than the modelled cluster.
     Simulated,
 }
 
 /// The per-batch execution context — DistStream's window onto the cluster.
 ///
-/// A `StreamingContext` owns the parallelism degree, the execution mode, and
-/// (in simulated mode) the cost model and its seeded RNG. The framework
-/// calls [`StreamingContext::run_tasks`] once per parallel step and
-/// [`StreamingContext::batch_overhead_secs`] once per batch. Helper threads
-/// are scoped to a step, so the degree is just a number:
-/// [`StreamingContext::resize`] changes it between batches.
+/// A `StreamingContext` owns the parallelism degree, the execution mode and
+/// the fault plan. The framework calls [`StreamingContext::run_tasks`] once
+/// per parallel step. Helper threads are scoped to a step, so the degree is
+/// just a number: [`StreamingContext::resize`] changes it between batches.
+/// The context measures and never prices: what a recorded step would cost
+/// on a modelled cluster is computed afterwards, from its `StepMetrics`.
 ///
 /// # Examples
 ///
@@ -53,47 +52,19 @@ pub enum ExecutionMode {
 pub struct StreamingContext {
     parallelism: AtomicUsize,
     mode: ExecutionMode,
-    cost: SimCostModel,
-    rng: Mutex<StdRng>,
     faults: Mutex<Option<FaultState>>,
 }
 
 impl StreamingContext {
-    /// Default RNG seed for straggler injection.
-    pub(crate) const DEFAULT_SEED: u64 = 0xD157_57E0;
-
-    /// Creates a context with `parallelism` task slots and the default
-    /// cost model (simulated mode only).
+    /// Creates a context with `parallelism` task slots.
     ///
     /// # Errors
     ///
     /// Returns [`DistStreamError::InvalidConfig`] if `parallelism` is zero.
     pub fn new(parallelism: usize, mode: ExecutionMode) -> Result<Self> {
-        Self::with_cost_model(parallelism, mode, SimCostModel::default())
-    }
-
-    /// Creates a context with an explicit cost model. A
-    /// [`ExecutionMode::Threads`] context stores [`SimCostModel::zero`]
-    /// instead: real data movement (memory traffic) is already part of its
-    /// measured wall time, so every simulated charge is 0.0.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DistStreamError::InvalidConfig`] if `parallelism` is zero.
-    pub fn with_cost_model(
-        parallelism: usize,
-        mode: ExecutionMode,
-        cost: SimCostModel,
-    ) -> Result<Self> {
-        let cost = match mode {
-            ExecutionMode::Threads => SimCostModel::zero(),
-            ExecutionMode::Simulated => cost,
-        };
         Ok(StreamingContext {
             parallelism: AtomicUsize::new(positive(parallelism, "parallelism degree")?),
             mode,
-            cost,
-            rng: Mutex::new(StdRng::seed_from_u64(Self::DEFAULT_SEED)),
             faults: Mutex::new(None),
         })
     }
@@ -116,11 +87,6 @@ impl StreamingContext {
             Ordering::SeqCst,
         );
         Ok(())
-    }
-
-    /// The active cost model ([`SimCostModel::zero`] in thread mode).
-    pub fn cost_model(&self) -> &SimCostModel {
-        &self.cost
     }
 
     /// The per-task retry budget (Spark's `spark.task.maxFailures`): the
@@ -170,9 +136,9 @@ impl StreamingContext {
     /// `f` runs on the driver thread too (always, at `p = 1`) — and
     /// `StepMetrics::wall_secs` is measured. In
     /// [`ExecutionMode::Simulated`] one executor — this thread — runs them
-    /// in submission order, each timed, and `wall_secs` is the simulated
-    /// barrier makespan ([`SimCostModel`]'s charges, then the list schedule
-    /// of `diststream_telemetry::time_model` over `p` slots).
+    /// in submission order, each timed, and `wall_secs` is the list
+    /// makespan of those times over `p` slots
+    /// (`diststream_telemetry::time_model::list_makespan`).
     ///
     /// Inputs are `Copy` views (a [`Stride`](crate::Stride), a `&[T]`, an
     /// index); `f` borrows the data they point into. A panicking task
@@ -180,7 +146,9 @@ impl StreamingContext {
     /// input, in both modes, up to
     /// [`StreamingContext::max_task_failures`] total attempts. Retries
     /// recompute the same pure function over the same input, so they cannot
-    /// perturb the computed data — only the reported timings.
+    /// perturb the computed data — only the reported timings. An injected
+    /// delay holds the executor in both modes, so the delayed task's time
+    /// and the step's wall contain it.
     ///
     /// # Errors
     ///
@@ -211,56 +179,21 @@ impl StreamingContext {
         let parallelism = self.parallelism();
         match self.mode {
             ExecutionMode::Threads => {
-                let pool = TaskPool::new(parallelism)?;
                 let start = Instant::now();
-                let (outputs, task_secs) = pool.run_hooked(inputs, &f, hook, true)?;
+                let (outputs, task_secs) =
+                    TaskPool::new(parallelism)?.run_hooked(inputs, &f, hook)?;
                 let wall = start.elapsed().as_secs_f64();
                 Ok((outputs, StepMetrics::new(task_secs, wall)))
             }
             ExecutionMode::Simulated => {
                 // One executor claims every task in submission order, each
-                // timed alone; injected delays are added to its time
-                // instead of slept.
-                let (outputs, measured) = TaskPool::new(1)?.run_hooked(inputs, &f, hook, false)?;
-                let mut rng = self.rng.lock();
-                let (effective, makespan) =
-                    self.cost.step_wall_secs(&measured, parallelism, &mut rng);
-                Ok((outputs, StepMetrics::new(effective, makespan)))
+                // timed alone; p idle slots would have run them as the list
+                // schedule does.
+                let (outputs, task_secs) = TaskPool::new(1)?.run_hooked(inputs, &f, hook)?;
+                let wall = list_makespan(&task_secs, parallelism);
+                Ok((outputs, StepMetrics::new(task_secs, wall)))
             }
         }
-    }
-
-    /// The network and scheduling overhead charged to one batch, priced by
-    /// the context's [`SimCostModel`]: the fixed job submission, the
-    /// broadcast of a `model_bytes` model to every slot, the shuffle of
-    /// `shuffle_bytes` between the steps and, when the batch's critical
-    /// path waits for it, the collect of `collect_bytes` onto the driver.
-    ///
-    /// 0.0 in thread mode, whose stored cost model is
-    /// [`SimCostModel::zero`]; the bytes are counted in both modes.
-    pub fn batch_overhead_secs(
-        &self,
-        model_bytes: u64,
-        shuffle_bytes: u64,
-        collect_bytes: Option<u64>,
-    ) -> f64 {
-        let slots = self.parallelism();
-        let cost = &self.cost;
-        let broadcast = cost.broadcast_secs(model_bytes, slots);
-        charge_net_telemetry(
-            "broadcast",
-            model_bytes.saturating_mul(slots as u64),
-            broadcast,
-        );
-        let shuffle = cost.shuffle_secs(shuffle_bytes, slots);
-        charge_net_telemetry("shuffle", shuffle_bytes, shuffle);
-        let mut secs = cost.per_batch_overhead_secs * cost.workload_scale + broadcast + shuffle;
-        if let Some(bytes) = collect_bytes {
-            let collect = cost.collect_secs(bytes, slots);
-            charge_net_telemetry("collect", bytes, collect);
-            secs += collect;
-        }
-        secs
     }
 }
 
@@ -273,29 +206,6 @@ pub(crate) fn positive(value: usize, what: &str) -> Result<usize> {
         )));
     }
     Ok(value)
-}
-
-/// Netcost byte/seconds accounting into the telemetry registry, split by
-/// charge kind. Bytes are counted in both execution modes (data moves
-/// either way); seconds reflect the simulated charge, 0.0 in thread mode.
-/// Observation-only; no-op when telemetry is disabled.
-fn charge_net_telemetry(kind: &'static str, bytes: u64, secs: f64) {
-    if !telemetry::enabled() {
-        return;
-    }
-    telemetry::counter(&format!(
-        "{}{{kind=\"{kind}\"}}",
-        telemetry::names::METRIC_NETCOST_BYTES_TOTAL
-    ))
-    .add(bytes);
-    telemetry::histogram(
-        &format!(
-            "{}{{kind=\"{kind}\"}}",
-            telemetry::names::METRIC_NETCOST_SECS
-        ),
-        &[1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0],
-    )
-    .observe(secs);
 }
 
 #[cfg(test)]
@@ -318,29 +228,16 @@ mod tests {
     }
 
     #[test]
-    fn simulated_metrics_include_per_task_overhead() {
-        let cost = SimCostModel {
-            per_task_overhead_secs: 0.25,
-            ..SimCostModel::zero()
-        };
-        let ctx = StreamingContext::with_cost_model(2, ExecutionMode::Simulated, cost).unwrap();
-        let (_, step) = ctx.run_tasks(vec![(), ()], |_, ()| ()).unwrap();
-        assert!(step.task_secs().iter().all(|&t| t >= 0.25));
-        assert!(step.wall_secs() >= 0.25);
-    }
-
-    #[test]
-    fn network_charges_zero_in_thread_mode() {
-        // Even when handed a non-zero model: thread mode stores zero().
-        for ctx in [
-            StreamingContext::new(2, ExecutionMode::Threads).unwrap(),
-            StreamingContext::with_cost_model(2, ExecutionMode::Threads, SimCostModel::default())
-                .unwrap(),
-        ] {
-            assert_eq!(
-                ctx.batch_overhead_secs(1 << 30, 1 << 30, Some(1 << 30)),
-                0.0
-            );
+    fn a_simulated_step_is_the_list_makespan_of_its_task_times() {
+        for p in [1, 2, 5] {
+            let ctx = StreamingContext::new(p, ExecutionMode::Simulated).unwrap();
+            let (_, step) = ctx
+                .run_tasks((0..7).collect::<Vec<u64>>(), |_, x| {
+                    (0..x * 1000).sum::<u64>()
+                })
+                .unwrap();
+            assert_eq!(step.task_count(), 7);
+            assert_eq!(step.wall_secs(), list_makespan(step.task_secs(), p));
         }
     }
 
@@ -358,53 +255,6 @@ mod tests {
             assert!(matches!(err, DistStreamError::InvalidConfig(_)), "{err}");
             assert_eq!(ctx.parallelism(), 5, "a rejected resize changes nothing");
         }
-    }
-
-    #[test]
-    fn batch_overhead_is_priced_by_the_cost_model_in_simulated_mode() {
-        let ctx = StreamingContext::new(2, ExecutionMode::Simulated).unwrap();
-        let cost = *ctx.cost_model();
-        let (model, shuffle, collect) = (1 << 20, 1 << 16, 1 << 12);
-        let without_collect = cost.per_batch_overhead_secs
-            + cost.broadcast_secs(model, 2)
-            + cost.shuffle_secs(shuffle, 2);
-        assert!(without_collect > 0.0);
-        assert_eq!(
-            ctx.batch_overhead_secs(model, shuffle, None),
-            without_collect
-        );
-        assert_eq!(
-            ctx.batch_overhead_secs(model, shuffle, Some(collect)),
-            without_collect + cost.collect_secs(collect, 2)
-        );
-    }
-
-    #[test]
-    fn straggler_sequences_are_reproducible() {
-        // Straggler decisions come from the context's seeded RNG; with fixed
-        // task times two contexts built alike draw the same inflation
-        // pattern.
-        let cost = SimCostModel {
-            straggler: Some(crate::netcost::StragglerModel {
-                prob_per_slot: 0.05,
-                max_prob: 0.9,
-                min_slowdown: 2.0,
-                max_slowdown: 2.0,
-            }),
-            ..SimCostModel::zero()
-        };
-        let fixed = vec![1.0_f64; 64];
-        let draw = || {
-            let ctx = StreamingContext::with_cost_model(8, ExecutionMode::Simulated, cost).unwrap();
-            let drawn = ctx
-                .cost_model()
-                .step_wall_secs(&fixed, 8, &mut ctx.rng.lock());
-            drawn
-        };
-        let (first, second) = (draw(), draw());
-        assert_eq!(first, second);
-        // And the pattern really contains some inflated tasks.
-        assert!(first.0.iter().any(|&t| t > 1.0));
     }
 
     #[test]
@@ -433,22 +283,6 @@ mod tests {
             result,
             Err(diststream_types::DistStreamError::TaskFailed { task: 0, .. })
         ));
-    }
-
-    #[test]
-    fn injected_delay_is_charged_in_simulated_mode() {
-        let ctx =
-            StreamingContext::with_cost_model(2, ExecutionMode::Simulated, SimCostModel::zero())
-                .unwrap();
-        ctx.install_fault_plan(FaultPlan::new().delay_on(0, 1, 0, 5.0));
-        ctx.begin_batch(0);
-        let (_, step) = ctx.run_tasks(vec![(), (), ()], |_, ()| ()).unwrap();
-        assert!(
-            step.task_secs()[1] >= 5.0,
-            "straggler charge missing: {:?}",
-            step.task_secs()
-        );
-        assert!(step.task_secs()[0] < 5.0 && step.task_secs()[2] < 5.0);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!
 //! - **task panics** at `(batch, task, attempt)` — the task body panics
 //!   before running, exercising the pool's `catch_unwind` + retry path;
-//! - **straggler delays** at `(batch, task, attempt)` — the task is charged
-//!   (simulated mode) or held for (thread mode) extra seconds;
+//! - **straggler delays** at `(batch, task, attempt)` — the task's
+//!   executor is held for extra seconds, in both execution modes;
 //! - **checkpoint corruption** after a `batch` — the checkpoint written for
 //!   that batch is damaged in storage, exercising the CRC-validated
 //!   manifest fallback in recovery.
@@ -68,8 +68,8 @@ impl FaultPlan {
     }
 
     /// Injects `secs` of straggler delay into `task` of `batch` on its
-    /// `attempt`-th execution. Simulated mode charges the delay to the
-    /// task's measured time; thread mode really holds the worker.
+    /// `attempt`-th execution: the executor sleeps before the task body
+    /// runs, so the task's measured time contains the delay.
     pub fn delay_on(mut self, batch: usize, task: usize, attempt: usize, secs: f64) -> Self {
         self.delays
             .insert((batch as u64, task, attempt), secs.max(0.0));

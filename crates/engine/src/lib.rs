@@ -18,19 +18,19 @@
 //! This crate provides those capabilities with two interchangeable execution
 //! modes ([`ExecutionMode`]):
 //!
-//! - [`ExecutionMode::Threads`] — a real OS-thread worker pool. Used by tests
-//!   to validate the concurrent code paths and usable on multi-core hosts.
-//! - [`ExecutionMode::Simulated`] — a discrete-event cluster simulation for
-//!   performance experiments on hosts without enough cores. Every task body
-//!   *really executes* and is individually wall-timed; the per-step latency
-//!   reported in [`StepMetrics`] is the synchronous-barrier makespan of those
-//!   measured times over `p` executor slots (the list schedule of
-//!   `diststream_telemetry::time_model`), plus a calibrated
-//!   scheduling-overhead, network-cost, and straggler model ([`SimCostModel`]).
+//! - [`ExecutionMode::Threads`] — a real OS-thread worker pool: a step's
+//!   `p` tasks run on `p` threads and its wall time is measured. Used by
+//!   tests of the concurrent code paths and on multi-core hosts.
+//! - [`ExecutionMode::Simulated`] — the `p` tasks run on one thread, each
+//!   individually wall-timed, and the step's wall time in [`StepMetrics`]
+//!   is the barrier makespan of those times over `p` slots (the list
+//!   schedule of `diststream_telemetry::time_model`).
 //!
 //! Either way the *data* computed is identical — execution mode only affects
-//! the reported timings.
-//!
+//! the reported timings. The runtime measures and never prices: network,
+//! scheduling and straggler charges of a modelled cluster are computed
+//! afterwards from the recorded [`BatchMetrics`] (the `repro` harness does).
+
 //! # Examples
 //!
 //! ```
@@ -59,7 +59,6 @@ mod driver;
 mod faults;
 mod latency;
 mod metrics;
-mod netcost;
 mod partition;
 mod pool;
 mod prefetch;
@@ -76,7 +75,6 @@ pub use driver::{ExecutionMode, StreamingContext};
 pub use faults::FaultPlan;
 pub use latency::{LatencyProbe, RecordLatency, LATENCY_BUCKET_BOUNDS};
 pub use metrics::{BatchMetrics, StepMetrics, ThroughputMeter};
-pub use netcost::{NetworkModel, SimCostModel, StragglerModel};
 pub use partition::{
     combine_by_key, fnv1a_hash, group_by_key, AppendCombiner, BlockPartitioner, CombineStats,
     Combiner, FlatShuffle, Fnv1a, HashPartitioner, KeyBytes, RoundRobinPartitioner,

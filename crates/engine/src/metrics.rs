@@ -11,11 +11,11 @@ pub(crate) const STRAGGLER_FACTOR: f64 = 1.2;
 /// Timing of one parallel step (a set of tasks separated from the next step
 /// by a synchronization barrier).
 ///
-/// `task_secs` are the *effective* per-task durations: measured wall time in
-/// thread mode; measured serial time plus straggler inflation and per-task
-/// overhead in simulated mode. `wall_secs` is the step's barrier-to-barrier
-/// latency: measured in thread mode, the scheduling makespan in simulated
-/// mode.
+/// `task_secs` are the measured per-task durations, an injected fault delay
+/// included. `wall_secs` is the step's barrier-to-barrier latency: measured
+/// in thread mode; in simulated mode the list makespan of the task times
+/// over `p` slots plus any set-up charged with
+/// [`StepMetrics::charge_setup`].
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct StepMetrics {
     task_secs: Vec<f64>,
@@ -23,7 +23,7 @@ pub struct StepMetrics {
 }
 
 impl StepMetrics {
-    /// Creates step metrics from effective task durations and step wall time.
+    /// Creates step metrics from task durations and step wall time.
     pub fn new(task_secs: Vec<f64>, wall_secs: f64) -> Self {
         StepMetrics {
             task_secs,
@@ -52,7 +52,7 @@ impl StepMetrics {
         self.task_secs.len()
     }
 
-    /// Effective per-task durations in seconds.
+    /// Per-task durations in seconds.
     pub fn task_secs(&self) -> &[f64] {
         &self.task_secs
     }
@@ -147,12 +147,18 @@ pub struct BatchMetrics {
     pub local: StepMetrics,
     /// Step 3: global update on the driver, in seconds.
     pub global_secs: f64,
-    /// Network + scheduling overhead charged to the batch, in seconds.
+    /// Network + scheduling overhead charged to the batch, in seconds. The
+    /// runtime measures and never prices, so it always writes 0.0; a
+    /// cost-model replay of the recorded batch fills it in.
     pub overhead_secs: f64,
     /// Bytes broadcast to tasks (model × parallelism).
     pub broadcast_bytes: u64,
     /// Bytes moved by the shuffle between steps 1 and 2.
     pub shuffle_bytes: u64,
+    /// Bytes of task output the global update applied in this batch
+    /// collected onto the driver (0 when none applied). Under the
+    /// asynchronous protocol that update is the previous batch's.
+    pub collect_bytes: u64,
     /// `true` when the batch ran under the asynchronous update protocol,
     /// overlapping the driver-side global update with the parallel steps.
     pub async_overlap: bool,
@@ -221,6 +227,7 @@ impl BatchMetrics {
                 ("async_overlap", f64::from(u8::from(self.async_overlap))),
                 ("broadcast_bytes", self.broadcast_bytes as f64),
                 ("shuffle_bytes", self.shuffle_bytes as f64),
+                ("collect_bytes", self.collect_bytes as f64),
                 ("stragglers", self.straggler_count() as f64),
                 ("parallelism", self.parallelism as f64),
                 (

@@ -89,7 +89,7 @@ impl TaskPool {
         O: Send,
         F: Fn(usize, I) -> O + Sync,
     {
-        self.run_hooked(inputs, f, None, true)
+        self.run_hooked(inputs, f, None)
     }
 
     /// [`TaskPool::run`] with an optional per-attempt hook.
@@ -99,18 +99,13 @@ impl TaskPool {
     /// of straggler delay to impose on the attempt, and may panic to inject
     /// a task fault — the panic is caught at the same retry boundary as a
     /// genuine task panic. This is the engine half of deterministic fault
-    /// injection (see [`FaultPlan`](crate::FaultPlan)).
-    ///
-    /// `sleep_delays` selects how injected delays are imposed: thread mode
-    /// really holds the executor (`true`); simulated mode, which runs its
-    /// tasks on a pool of one, adds them to the measured time (`false`) so
-    /// its virtual clock sees them without the host waiting.
+    /// injection (see [`FaultPlan`](crate::FaultPlan)). An injected delay
+    /// is slept on the executor, inside the task's timed attempt.
     pub(crate) fn run_hooked<I, O, F>(
         &self,
         inputs: Vec<I>,
         f: &F,
         hook: Option<&(dyn Fn(usize, usize) -> f64 + Sync)>,
-        sleep_delays: bool,
     ) -> Result<(Vec<O>, Vec<f64>)>
     where
         I: Copy + Send + Sync,
@@ -136,7 +131,7 @@ impl TaskPool {
             let Some(&input) = inputs.get(idx) else {
                 break;
             };
-            match execute_with_retry(idx, input, sleep_delays, f, hook) {
+            match execute_with_retry(idx, input, f, hook) {
                 Ok((output, secs, retries)) => {
                     if retries > 0 {
                         retried.fetch_add(retries, Ordering::SeqCst);
@@ -346,8 +341,8 @@ impl TaskFailure {
 
 /// Executes one task with the retry protocol: every attempt runs on the
 /// same `Copy` input, so a panic that unwinds through `f` leaves the next
-/// attempt exactly what the first had. `sleep_delays` is
-/// [`TaskPool::run_hooked`]'s.
+/// attempt exactly what the first had. An injected delay is slept before
+/// `f` runs, so the attempt's time contains it.
 ///
 /// On success returns `(output, secs, retries)` where `retries` counts the
 /// failed attempts that preceded the success; the
@@ -355,7 +350,6 @@ impl TaskFailure {
 fn execute_with_retry<I, O, F>(
     idx: usize,
     input: I,
-    sleep_delays: bool,
     f: &F,
     hook: Option<&(dyn Fn(usize, usize) -> f64 + Sync)>,
 ) -> std::result::Result<(O, f64, usize), TaskFailure>
@@ -367,23 +361,16 @@ where
     loop {
         let start = Instant::now(); // lint:allow(wallclock-entropy) task timing feeds straggler metrics only
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut injected = 0.0;
             if let Some(hook) = hook {
-                injected = hook(idx, attempt);
-                if sleep_delays && injected > 0.0 {
+                let injected = hook(idx, attempt);
+                if injected > 0.0 {
                     std::thread::sleep(Duration::from_secs_f64(injected));
                 }
             }
-            (f(idx, input), injected)
+            f(idx, input)
         }));
         match outcome {
-            Ok((output, injected)) => {
-                let mut secs = start.elapsed().as_secs_f64();
-                if !sleep_delays {
-                    secs += injected;
-                }
-                return Ok((output, secs, attempt));
-            }
+            Ok(output) => return Ok((output, start.elapsed().as_secs_f64(), attempt)),
             Err(payload) => {
                 attempt += 1;
                 if attempt >= DEFAULT_MAX_TASK_FAILURES {
@@ -644,12 +631,11 @@ mod tests {
     }
 
     #[test]
-    fn hook_delay_is_charged_numerically_when_not_sleeping() {
-        let hook: &(dyn Fn(usize, usize) -> f64 + Sync) = &|_, _| 2.5;
-        let (out, secs, retries) =
-            execute_with_retry(0, 7u64, false, &|_, x| x + 1, Some(hook)).unwrap();
+    fn a_hook_delay_is_slept_inside_the_attempt() {
+        let hook: &(dyn Fn(usize, usize) -> f64 + Sync) = &|_, _| 0.02;
+        let (out, secs, retries) = execute_with_retry(0, 7u64, &|_, x| x + 1, Some(hook)).unwrap();
         assert_eq!(out, 8);
-        assert!(secs >= 2.5, "injected delay must be charged, got {secs}");
+        assert!(secs >= 0.02, "injected delay must be timed, got {secs}");
         assert_eq!(retries, 0);
     }
 }

@@ -150,10 +150,6 @@ pub const METRIC_REORDER_DROPPED_LATE_TOTAL: &str = "diststream_reorder_dropped_
 /// Counter: duplicate deliveries dropped at the release point.
 pub const METRIC_REORDER_DROPPED_DUPLICATE_TOTAL: &str =
     "diststream_reorder_dropped_duplicate_total";
-/// Counter (label `kind`): simulated network bytes by transfer kind.
-pub const METRIC_NETCOST_BYTES_TOTAL: &str = "diststream_netcost_bytes_total";
-/// Gauge (label `kind`): simulated network seconds by transfer kind.
-pub const METRIC_NETCOST_SECS: &str = "diststream_netcost_secs";
 /// Counter: poisoned batches skipped after retry exhaustion.
 pub const METRIC_BATCHES_SKIPPED_TOTAL: &str = "diststream_batches_skipped_total";
 /// Counter: corrupt checkpoint frames skipped during recovery.
@@ -229,8 +225,6 @@ const ALL_METRICS: &[&str] = &[
     METRIC_REORDER_STALL_SECS,
     METRIC_REORDER_DROPPED_LATE_TOTAL,
     METRIC_REORDER_DROPPED_DUPLICATE_TOTAL,
-    METRIC_NETCOST_BYTES_TOTAL,
-    METRIC_NETCOST_SECS,
     METRIC_BATCHES_SKIPPED_TOTAL,
     METRIC_CHECKPOINT_FALLBACKS_TOTAL,
     METRIC_NAME_CONFLICTS_TOTAL,
@@ -321,14 +315,6 @@ pub(crate) const METRIC_HELP: &[(&str, &str)] = &[
     (
         METRIC_REORDER_DROPPED_DUPLICATE_TOTAL,
         "Duplicate deliveries dropped at the release point",
-    ),
-    (
-        METRIC_NETCOST_BYTES_TOTAL,
-        "Simulated network bytes by transfer kind",
-    ),
-    (
-        METRIC_NETCOST_SECS,
-        "Simulated network seconds by transfer kind",
     ),
     (
         METRIC_BATCHES_SKIPPED_TOTAL,
@@ -503,12 +489,14 @@ mod tests {
     #[test]
     fn labeled_names_resolve_to_base() {
         assert!(is_metric(
-            "diststream_netcost_bytes_total{kind=\"broadcast\"}"
+            "diststream_strategy_shuffle_bytes_total{strategy=\"keyrange\"}"
         ));
         assert!(is_metric(
             "diststream_straggler_culprit_total{step=\"assignment\",task=\"3\"}"
         ));
-        assert!(!is_metric("diststream_netcost_bytes_totale{kind=\"x\"}"));
+        assert!(!is_metric(
+            "diststream_strategy_shuffle_bytes_totale{strategy=\"x\"}"
+        ));
     }
 
     #[test]
@@ -527,8 +515,8 @@ mod tests {
         assert_eq!(help("no_such_metric"), None);
         // Labeled lookups resolve through the base name.
         assert_eq!(
-            help("diststream_netcost_bytes_total{kind=\"broadcast\"}"),
-            help("diststream_netcost_bytes_total")
+            help("diststream_strategy_shuffle_bytes_total{strategy=\"keyrange\"}"),
+            help("diststream_strategy_shuffle_bytes_total")
         );
     }
 }

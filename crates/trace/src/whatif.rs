@@ -4,7 +4,7 @@
 //! The model follows the Spark-Streaming simulation literature (see
 //! PAPERS.md, "Modeling and Simulation of Spark Streaming"): a batch's
 //! parallel step is a list-scheduling problem over `p` executor slots, the
-//! driver-side global update and the charged overhead are serial, and the
+//! driver-side global update and the batch overhead are serial, and the
 //! prediction at `p′` replays the *recorded* task durations through the
 //! list schedule the runtime itself uses — tasks in submission order, each
 //! on the least-loaded slot ([`list_makespan`]) — and combines the phases
@@ -25,10 +25,12 @@
 //!   there: `cpu_sum / p′`.
 //!
 //! Known error sources (documented in DESIGN.md §12): the fallback
-//! over-estimates splittability for model-based steps with few keys, the
-//! residual is assumed parallelism-independent, and overhead charged
-//! from byte volumes does not change with `p′` even though broadcast
-//! volume scales with it. Amdahl's law still bounds the result: the
+//! over-estimates splittability for model-based steps with few keys, and
+//! the residual is assumed parallelism-independent. The runtime records
+//! `overhead_secs` as 0.0 — it measures and never prices — so a journal's
+//! overhead is whatever a cost-model replay wrote into the batch (none,
+//! for a runtime journal), kept as-is at every `p′` even though a
+//! broadcast's volume scales with it. Amdahl's law still bounds the result: the
 //! reported serial fraction caps any achievable speedup at
 //! `1 / serial_fraction`.
 

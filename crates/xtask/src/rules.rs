@@ -117,14 +117,13 @@ pub const RULES: [Rule; 9] = [
     },
     Rule {
         name: "wallclock-entropy",
-        rationale: "wall-clock reads and RNG construction outside the driver, metrics, \
-                    netcost, and telemetry-clock modules leak nondeterminism into \
+        rationale: "wall-clock reads and RNG construction outside the driver, metrics \
+                    and telemetry-clock modules leak nondeterminism into \
                     simulated-mode replays (a seed that arrives through configuration \
                     carries an inline allow naming its source)",
         scope: |path| {
             let sanctioned_module = path == "crates/engine/src/driver.rs"
                 || path == "crates/engine/src/metrics.rs"
-                || path == "crates/engine/src/netcost.rs"
                 || path == "crates/telemetry/src/clock.rs";
             !sanctioned_module
                 && in_crates(
@@ -306,7 +305,7 @@ fn check_wallclock_entropy(file: &SourceFile, _: &Context) -> Vec<Hit> {
                 out.push((
                     tokens[i].line,
                     format!(
-                        "`{first}::now()` outside driver/metrics/netcost; wall-clock \
+                        "`{first}::now()` outside driver/metrics; wall-clock \
                          reads break simulated-mode reproducibility"
                     ),
                 ));
@@ -320,7 +319,7 @@ fn check_wallclock_entropy(file: &SourceFile, _: &Context) -> Vec<Hit> {
                 out.push((
                     tokens[i].line,
                     format!(
-                        "RNG construction `{name}(…)` outside driver/metrics/netcost; \
+                        "RNG construction `{name}(…)` outside driver/metrics; \
                          operators must receive seeds from the driver"
                     ),
                 ));
@@ -819,7 +818,6 @@ mod tests {
         );
         for exempt in [
             "crates/engine/src/driver.rs",
-            "crates/engine/src/netcost.rs",
             "crates/telemetry/src/clock.rs",
             "crates/quality/src/cmm.rs",
         ] {

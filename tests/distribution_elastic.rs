@@ -4,7 +4,7 @@
 //!
 //! 1. **Strategy invariance** — record partitioning, key placement, and
 //!    shuffle routing are scheduling decisions; no [`StrategyKind`] may
-//!    perturb the order-aware model, under any simulated cluster topology.
+//!    perturb the order-aware model, at any parallelism degree.
 //! 2. **Elastic replay** — a run whose parallelism degree changes
 //!    mid-stream (workers joining and leaving at batch boundaries) is
 //!    bit-identical to every fixed-parallelism run, for all four
@@ -26,8 +26,7 @@ use diststream::core::{
 };
 use diststream::datasets::covertype_like;
 use diststream::engine::{
-    encode, ExecutionMode, FaultPlan, MiniBatch, SimCostModel, StragglerModel, StreamingContext,
-    VecSource,
+    encode, ExecutionMode, FaultPlan, MiniBatch, StreamingContext, VecSource,
 };
 use diststream::telemetry;
 use diststream::types::{ClusteringConfig, Record, Timestamp};
@@ -87,7 +86,7 @@ fn elastic_bytes<A: StreamClustering>(
     let (init, rest) = all.split_at(100);
     elastic_run(
         algo,
-        &zero_cost_ctx(),
+        &simulated_ctx(),
         schedule,
         options,
         init,
@@ -96,11 +95,10 @@ fn elastic_bytes<A: StreamClustering>(
     .0
 }
 
-/// A simulated context with the zero-cost network model; jobs with a resize
-/// schedule set its degree themselves.
-fn zero_cost_ctx() -> StreamingContext {
-    StreamingContext::with_cost_model(1, ExecutionMode::Simulated, SimCostModel::zero())
-        .expect("context")
+/// A simulated context; jobs with a resize schedule set its degree
+/// themselves.
+fn simulated_ctx() -> StreamingContext {
+    StreamingContext::new(1, ExecutionMode::Simulated).expect("context")
 }
 
 /// The elastic replay gate: p = 2 → 4 → 3 mid-stream must be bit-identical
@@ -180,7 +178,7 @@ fn clustream_resize_under_faults_completes_or_rolls_back() {
 
     for overlap in [false, true] {
         let run = |plan: Option<FaultPlan>| {
-            let ctx = zero_cost_ctx();
+            let ctx = simulated_ctx();
             if let Some(plan) = plan {
                 ctx.install_fault_plan(plan);
             }
@@ -242,7 +240,7 @@ fn combination_run(
     });
     let all = records();
     let (init, rest) = all.split_at(100);
-    let ctx = zero_cost_ctx();
+    let ctx = simulated_ctx();
     if let Some(plan) = plan {
         ctx.install_fault_plan(plan);
     }
@@ -303,15 +301,14 @@ fn overlapped_keyrange_resize_checkpoint_serving_and_faults_combine() {
     assert_eq!(crossed, vec![(2, 2, 4, true), (4, 2, 3, false)]);
 }
 
-/// Runs a CluStream job under `cost` with the given strategy and returns
-/// the final model bytes.
-fn topology_run(cost: SimCostModel, kind: StrategyKind, parallelism: usize) -> Vec<u8> {
+/// Runs a CluStream job at `parallelism` with the given strategy and
+/// returns the final model bytes.
+fn topology_run(kind: StrategyKind, parallelism: usize) -> Vec<u8> {
     let algo = CluStream::new(CluStreamParams {
         max_micro_clusters: 70,
         ..Default::default()
     });
-    let ctx = StreamingContext::with_cost_model(parallelism, ExecutionMode::Simulated, cost)
-        .expect("context");
+    let ctx = StreamingContext::new(parallelism, ExecutionMode::Simulated).expect("context");
     let result = DistStreamJob::new(&algo, &ctx, ClusteringConfig::default())
         .init_records(100)
         .pipeline(PipelineOptions::sync().with_strategy(kind))
@@ -320,38 +317,16 @@ fn topology_run(cost: SimCostModel, kind: StrategyKind, parallelism: usize) -> V
     encode(&result.model)
 }
 
-/// A straggler-heavy simulated cluster: four times the default straggler
-/// probability per slot, slowdowns up to 4×.
-fn straggler_heavy() -> SimCostModel {
-    SimCostModel {
-        straggler: Some(StragglerModel {
-            prob_per_slot: 4.0 / 128.0,
-            max_prob: 0.6,
-            min_slowdown: 1.5,
-            max_slowdown: 4.0,
-        }),
-        ..SimCostModel::default()
-    }
-}
-
-/// Strategy invariance under the default simulated cluster and a
-/// straggler-heavy one: key placement and record partitioning may move
-/// bytes and time, never the model.
+/// Strategy invariance: key placement and record partitioning may move
+/// bytes and time, never the model — every strategy at p = 4 ends on the
+/// round-robin model of p = 1.
 #[test]
 fn strategies_preserve_model_across_topology_sweep() {
-    let reference = topology_run(SimCostModel::zero(), StrategyKind::RoundRobin, 1);
+    let reference = topology_run(StrategyKind::RoundRobin, 1);
     assert!(!reference.is_empty());
-    for (cluster, cost) in [
-        ("default", SimCostModel::default()),
-        ("straggler-heavy", straggler_heavy()),
-    ] {
-        for kind in StrategyKind::ALL {
-            let got = topology_run(cost, kind, 4);
-            assert_eq!(
-                got, reference,
-                "model diverged: cluster={cluster} strategy={kind:?}"
-            );
-        }
+    for kind in StrategyKind::ALL {
+        let got = topology_run(kind, 4);
+        assert_eq!(got, reference, "model diverged: strategy={kind:?}");
     }
 }
 
@@ -375,7 +350,7 @@ fn key_range_cuts_shuffle_bytes_at_least_1_2x_versus_round_robin() {
     let mut measured = Vec::new();
     for kind in StrategyKind::ALL {
         let before = strategy_bytes(kind);
-        let bytes = topology_run(SimCostModel::zero(), kind, 4);
+        let bytes = topology_run(kind, 4);
         assert!(!bytes.is_empty());
         let charged = strategy_bytes(kind) - before;
         assert!(charged > 0, "{kind:?} journaled no shuffle bytes");
@@ -402,16 +377,15 @@ fn key_range_cuts_shuffle_bytes_at_least_1_2x_versus_round_robin() {
     assert!(charged_of(StrategyKind::Locality) <= charged_of(StrategyKind::RoundRobin));
 }
 
-/// Straggler-heavy placements journal netcost charges and straggler
-/// attribution through the telemetry names catalog; the rebalance metrics
-/// land when an elastic boundary fires under the same topology.
+/// A key-range placement journals its shuffle bytes, an injected straggler
+/// delay its straggler attribution, through the telemetry names catalog;
+/// the rebalance metrics land when an elastic boundary fires.
 #[test]
-fn topology_sweep_journals_netcost_straggler_and_rebalance_metrics() {
+fn topology_sweep_journals_shuffle_straggler_and_rebalance_metrics() {
     let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     telemetry::set_enabled(true);
 
-    let netcost_before =
-        telemetry::counter("diststream_netcost_bytes_total{kind=\"shuffle\"}").get();
+    let shuffle_before = telemetry::counter(telemetry::names::METRIC_SHUFFLE_BYTES_TOTAL).get();
     let straggler_before = telemetry::counter(telemetry::names::METRIC_STRAGGLER_TASKS_TOTAL).get();
     let rebalance_before = telemetry::counter(telemetry::names::METRIC_REBALANCE_TOTAL).get();
     let moved_before =
@@ -419,19 +393,19 @@ fn topology_sweep_journals_netcost_straggler_and_rebalance_metrics() {
     let replayed_before =
         telemetry::counter(telemetry::names::METRIC_REBALANCE_REPLAYED_BYTES_TOTAL).get();
 
-    let topology = straggler_heavy();
-    let bytes = topology_run(topology, StrategyKind::KeyRange, 8);
+    let bytes = topology_run(StrategyKind::KeyRange, 8);
     assert!(!bytes.is_empty());
 
-    // Same topology, elastic: one resize boundary mid-stream.
+    // Elastic, with one task of batch 1 held 20 ms — a straggler next to
+    // its sibling at p = 2 — and one resize boundary mid-stream.
     let algo = CluStream::new(CluStreamParams {
         max_micro_clusters: 70,
         ..Default::default()
     });
     let all = records();
     let (init, rest) = all.split_at(100);
-    let ctx =
-        StreamingContext::with_cost_model(1, ExecutionMode::Simulated, topology).expect("context");
+    let ctx = simulated_ctx();
+    ctx.install_fault_plan(FaultPlan::new().delay_on(1, 0, 0, 0.02));
     elastic_run(
         &algo,
         &ctx,
@@ -444,13 +418,12 @@ fn topology_sweep_journals_netcost_straggler_and_rebalance_metrics() {
     telemetry::set_enabled(false);
 
     assert!(
-        telemetry::counter("diststream_netcost_bytes_total{kind=\"shuffle\"}").get()
-            > netcost_before,
-        "no shuffle netcost journaled under the simulated topology"
+        telemetry::counter(telemetry::names::METRIC_SHUFFLE_BYTES_TOTAL).get() > shuffle_before,
+        "no shuffle bytes journaled"
     );
     assert!(
         telemetry::counter(telemetry::names::METRIC_STRAGGLER_TASKS_TOTAL).get() > straggler_before,
-        "straggler-heavy placement journaled no straggler attribution"
+        "the delayed task journaled no straggler attribution"
     );
     assert_eq!(
         telemetry::counter(telemetry::names::METRIC_REBALANCE_TOTAL).get(),

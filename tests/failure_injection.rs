@@ -242,19 +242,26 @@ fn an_exhausted_budget_on_the_calling_thread_is_a_typed_error() {
     }
 }
 
+/// One fault-delay behaviour in both modes: the delay really holds the
+/// executor — the calling thread, for a one-thread step — so the delayed
+/// task's time and the step's wall contain it and the other tasks' times
+/// do not.
 #[test]
 fn a_straggler_delay_really_holds_the_calling_thread() {
-    let ctx = StreamingContext::new(1, ExecutionMode::Threads).unwrap();
-    ctx.install_fault_plan(FaultPlan::new().delay_on(0, 1, 0, 0.05));
-    ctx.begin_batch(0);
-    let caller = std::thread::current().id();
-    let (ran_on, step) = ctx
-        .run_tasks(vec![(); 3], |_, ()| std::thread::current().id())
-        .unwrap();
-    assert_eq!(ran_on, vec![caller; 3]);
-    assert!(step.task_secs()[1] >= 0.05, "{:?}", step.task_secs());
-    assert!(step.task_secs()[0] < 0.05 && step.task_secs()[2] < 0.05);
-    assert!(step.wall_secs() >= 0.05);
+    for (mode, p) in [(ExecutionMode::Threads, 1), (ExecutionMode::Simulated, 2)] {
+        let ctx = StreamingContext::new(p, mode).unwrap();
+        ctx.install_fault_plan(FaultPlan::new().delay_on(0, 1, 0, 0.05));
+        ctx.begin_batch(0);
+        let caller = std::thread::current().id();
+        let (ran_on, step) = ctx
+            .run_tasks(vec![(); 3], |_, ()| std::thread::current().id())
+            .unwrap();
+        assert_eq!(ran_on, vec![caller; 3], "{mode:?}");
+        let tasks = step.task_secs();
+        assert!(tasks[1] >= 0.05, "{mode:?}: {tasks:?}");
+        assert!(tasks[0] < 0.05 && tasks[2] < 0.05, "{mode:?}: {tasks:?}");
+        assert!(step.wall_secs() >= 0.05, "{mode:?}: {}", step.wall_secs());
+    }
 }
 
 /// One 64-record batch through the three steps by hand, so a first-attempt

@@ -21,7 +21,7 @@ use diststream::algorithms::{
 use diststream::core::{DistStreamJob, PipelineOptions, StreamClustering};
 use diststream::datasets::covertype_like;
 use diststream::engine::{
-    encode, BatchMetrics, ExecutionMode, RecordLatency, SimCostModel, StreamingContext, VecSource,
+    encode, BatchMetrics, ExecutionMode, RecordLatency, StreamingContext, VecSource,
 };
 use diststream::telemetry;
 use diststream::types::{ClusteringConfig, Record};
@@ -255,7 +255,7 @@ fn blame_and_whatif_are_deterministic_with_pinned_values() {
     assert!((p2.serial_fraction - 0.25).abs() < 1e-12);
 }
 
-/// A zero-cost simulated step records its wall as the list makespan of its
+/// A simulated step records its wall as the list makespan of its
 /// task times — the schedule the what-if replay uses — so re-predicting
 /// such a journal at its own degree gives the recorded run back, with
 /// nothing left over as serial residual.
@@ -263,8 +263,7 @@ fn blame_and_whatif_are_deterministic_with_pinned_values() {
 fn a_simulated_journal_replays_at_its_own_degree_with_no_residual() {
     let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let p = 3;
-    let ctx = StreamingContext::with_cost_model(p, ExecutionMode::Simulated, SimCostModel::zero())
-        .expect("context");
+    let ctx = StreamingContext::new(p, ExecutionMode::Simulated).expect("context");
     let work = |_task, n: u64| (0..n * 5_000).fold(0u64, |a, x| a.wrapping_mul(31) ^ x);
     let dir = std::env::temp_dir().join("diststream-trace-analytics-test");
     std::fs::create_dir_all(&dir).expect("tmp dir");
