@@ -12,6 +12,8 @@
 //! tests. An overlapped job's pending update rides beside each checkpoint
 //! in driver memory, as the replay log does (DESIGN.md §13).
 
+use std::sync::Arc;
+
 use serde::de::DeserializeOwned;
 
 use diststream_engine::{decode, encode_into};
@@ -104,7 +106,7 @@ impl<A: StreamClustering> JobSession<'_, A> {
         // encode_into clears the previous checkpoint's buffer but keeps its
         // capacity, so steady-state checkpointing stops allocating once the
         // model size stabilizes.
-        encode_into(&self.model, &mut self.checkpoint.bytes);
+        encode_into(&*self.model, &mut self.checkpoint.bytes);
         self.checkpoint.batch_index = cursor;
         self.since_checkpoint = 0;
         let mut store = self.job.store.lock();
@@ -185,7 +187,7 @@ impl<A: StreamClustering> JobSession<'_, A> {
         for batch in self.log.iter().filter(|b| b.index >= cursor) {
             replay.step(batch.clone())?;
         }
-        Ok(replay.model)
+        Ok(Arc::unwrap_or_clone(replay.model))
     }
 }
 

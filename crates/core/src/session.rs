@@ -18,7 +18,15 @@
 //! The order-aware mechanism is the same either way: records fold in arrival
 //! order and micro-clusters apply in creation order.
 //!
+//! The broadcast shares the session's model rather than copying it, and the
+//! global update writes it copy-on-write: a synchronous step has dropped its
+//! broadcast by then and updates `Q_t` in place; an overlapped step's tasks
+//! still read `Q_t`, so its update writes a copy — the one copy the step
+//! makes.
+//!
 //! [`PipelineOptions::overlap`]: crate::PipelineOptions::overlap
+
+use std::sync::Arc;
 
 use diststream_engine::{
     BatchMetrics, Broadcast, LatencyProbe, MiniBatch, RecordLatency, ThroughputMeter,
@@ -120,7 +128,9 @@ pub(crate) struct PendingGlobal<S> {
 #[derive(Debug)]
 pub struct JobSession<'j, A: StreamClustering> {
     pub(crate) job: &'j DistStreamJob<'j, A>,
-    pub(crate) model: A::Model,
+    /// `Q_t`, shared with the step's broadcast and the rollback snapshots;
+    /// only `apply_pending` writes it.
+    pub(crate) model: Arc<A::Model>,
     /// The one global update queued between its batch's local step and its
     /// application: across steps under `overlap`, within a step otherwise.
     pub(crate) pending: Option<PendingGlobal<A::Sketch>>,
@@ -188,7 +198,7 @@ impl<'a, A: StreamClustering> DistStreamJob<'a, A> {
     ) -> JobSession<'_, A> {
         JobSession {
             job: self,
-            model,
+            model: Arc::new(model),
             pending,
             scratch: LocalScratch::default(),
             serving: None,
@@ -246,7 +256,7 @@ impl<A: StreamClustering> JobSession<'_, A> {
         if let Some(to) = target.filter(|p| *p != from) {
             undo = Some((
                 from,
-                self.model.clone(),
+                Arc::clone(&self.model),
                 self.pending.clone(),
                 batch.clone(),
             ));
@@ -303,7 +313,7 @@ impl<A: StreamClustering> JobSession<'_, A> {
             .job
             .pipeline
             .overlap
-            .then(|| (self.model.clone(), self.pending.clone()));
+            .then(|| (Arc::clone(&self.model), self.pending.clone()));
         match self.step(batch) {
             Ok(outcome) => Ok(BatchDisposition::Processed(outcome)),
             Err(error @ DistStreamError::TaskFailed { .. }) => {
@@ -338,7 +348,7 @@ impl<A: StreamClustering> JobSession<'_, A> {
             }
         }
         Ok(RunResult {
-            model: self.model,
+            model: Arc::unwrap_or_clone(self.model),
             meter: self.meter,
             overload: None,
             resizes: self.resizes,
@@ -368,7 +378,7 @@ impl<A: StreamClustering> JobSession<'_, A> {
 
         // Broadcast the stale model Q_t once per feedback-loop iteration —
         // *before* any pending update applies: that is the asynchrony.
-        let bcast = Broadcast::new(self.model.clone());
+        let bcast = Broadcast::from_arc(Arc::clone(&self.model));
         let model_bytes = bcast.payload_bytes();
 
         // Driver side of the asynchronous protocol (conceptually concurrent
@@ -429,6 +439,8 @@ impl<A: StreamClustering> JobSession<'_, A> {
             probe,
         });
         if !self.job.pipeline.overlap {
+            // No task reads Q_t any more: the update writes it in place.
+            drop(bcast);
             applied = self.apply_pending(Some(window_end))?;
         }
         let (global, latency) = applied.unzip();
@@ -459,10 +471,12 @@ impl<A: StreamClustering> JobSession<'_, A> {
         Ok(outcome)
     }
 
-    /// The one place a global update is applied: installs the pending
-    /// batch's update, resolves its records' latency against `integrates_at`
-    /// (default: the batch's own window end — no later batch, no staleness
-    /// penalty), and publishes the new model as that batch's serving epoch.
+    /// The one place a global update is applied, and the model's one
+    /// writer (it copies `Q_t` only while something else shares it):
+    /// installs the pending batch's update, resolves its records' latency
+    /// against `integrates_at` (default: the batch's own window end — no
+    /// later batch, no staleness penalty), and publishes the new model as
+    /// that batch's serving epoch.
     /// Returns the applied update's [`GlobalOutcome`] and the latency
     /// digest of the records it integrated, or `None` if nothing was
     /// pending.
@@ -480,7 +494,7 @@ impl<A: StreamClustering> JobSession<'_, A> {
             );
             global_update(
                 self.job.algo,
-                &mut self.model,
+                Arc::make_mut(&mut self.model),
                 pending.local,
                 pending.window_end,
                 self.job.ordering,
@@ -741,6 +755,47 @@ mod tests {
         let outcome = session.step(batch(0, vec![])).unwrap();
         assert_eq!(outcome.assigned_existing, 0);
         assert_eq!(outcome.outlier_records, 0);
+    }
+
+    #[test]
+    fn a_sync_step_updates_the_shared_model_in_place() {
+        let algo = NaiveClustering::new(1.0);
+        let ctx = StreamingContext::new(2, ExecutionMode::Threads).unwrap();
+        let job = job(&algo, &ctx, PipelineOptions::sync());
+        let mut session = job.start(init(&algo)).unwrap();
+        // An address, not a clone: holding a clone would itself force a copy.
+        let before = Arc::as_ptr(&session.model);
+        session
+            .step(batch(0, vec![rec(1, 0.2, 1.0), rec(2, 9.0, 2.0)]))
+            .unwrap();
+        assert_eq!(session.model().len(), 2, "the update applied");
+        assert_eq!(
+            Arc::as_ptr(&session.model),
+            before,
+            "the broadcast was copied or outlived the step"
+        );
+        assert_eq!(Arc::strong_count(&session.model), 1);
+    }
+
+    #[test]
+    fn an_overlapped_step_copies_the_model_once() {
+        let algo = NaiveClustering::new(1.0);
+        let ctx = StreamingContext::new(2, ExecutionMode::Threads).unwrap();
+        let job = job(&algo, &ctx, overlap(true));
+        let mut session = job.start(init(&algo)).unwrap();
+        session.step(batch(0, vec![rec(1, 9.0, 1.0)])).unwrap();
+        // Batch 0's update is pending; batch 1 applies it while its own
+        // broadcast still shares Q_t, so the update writes the one copy.
+        let stale = session.model().clone();
+        let before = Arc::as_ptr(&session.model);
+        session.step(batch(1, vec![rec(2, 0.3, 2.0)])).unwrap();
+        assert_ne!(session.model(), &stale, "the update applied");
+        assert_ne!(
+            Arc::as_ptr(&session.model),
+            before,
+            "the broadcast did not share Q_t"
+        );
+        assert_eq!(Arc::strong_count(&session.model), 1);
     }
 
     #[test]

@@ -65,6 +65,8 @@ pub struct MiniBatcher<S> {
     pending: Option<Record>,
     next_index: usize,
     exhausted: bool,
+    /// Records the previous batch held: what the next one reserves.
+    last_len: usize,
 }
 
 impl<S: RecordSource> MiniBatcher<S> {
@@ -85,6 +87,7 @@ impl<S: RecordSource> MiniBatcher<S> {
             pending: None,
             next_index: 0,
             exhausted: false,
+            last_len: 16,
         }
     }
 
@@ -169,10 +172,11 @@ impl<S: RecordSource> Iterator for MiniBatcher<S> {
         };
         let window_end = origin + (window + 1) as f64 * self.batch_secs;
 
-        let mut records = Vec::with_capacity(self.source.len_hint().map_or(16, |n| {
-            // Rough pre-size: assume uniform density across remaining stream.
-            (n / 8).clamp(16, 1 << 20)
-        }));
+        // Sized from the stream already seen: a batch holds about what the
+        // one before it held, and one that outgrows that doubles like any
+        // `Vec` — never the remaining run's length, which a long replay puts
+        // far beyond any one window.
+        let mut records = Vec::with_capacity(self.last_len);
         records.push(first);
         loop {
             match self.source.next_record() {
@@ -187,6 +191,7 @@ impl<S: RecordSource> Iterator for MiniBatcher<S> {
                 }
             }
         }
+        self.last_len = records.len();
         let index = self.next_index;
         self.next_index += 1;
         if telemetry::enabled() {
@@ -210,7 +215,7 @@ impl<S: RecordSource> Iterator for MiniBatcher<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::source::VecSource;
+    use crate::source::{RepeatSource, VecSource};
     use diststream_types::Point;
 
     fn rec(id: u64, t: f64) -> Record {
@@ -273,6 +278,18 @@ mod tests {
         let batches = batch_all(recs, 1000.0);
         assert_eq!(batches.len(), 1);
         assert_eq!(batches[0].len(), 10);
+    }
+
+    #[test]
+    fn batches_reserve_what_the_previous_one_held() {
+        // Ten records a second, replayed for a million-record length hint.
+        let base: Vec<Record> = (0..10).map(|i| rec(i, i as f64 * 0.1)).collect();
+        let source = RepeatSource::new(base, 100_000);
+        let batches: Vec<MiniBatch> = MiniBatcher::new(source, 1.0).take(3).collect();
+        assert!(batches.iter().all(|b| b.len() == 10));
+        assert_eq!(batches[0].records.capacity(), 16, "the first batch's guess");
+        assert_eq!(batches[1].records.capacity(), 10);
+        assert_eq!(batches[2].records.capacity(), 10);
     }
 
     #[test]

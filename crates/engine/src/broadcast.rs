@@ -1,4 +1,10 @@
 //! Broadcast variables — shipping the micro-cluster model to every task.
+//!
+//! [`Broadcast::new`] moves a value in; [`Broadcast::from_arc`] shares one
+//! the caller keeps in an [`Arc`] — the driver's own model `Q_t`, which it
+//! then updates copy-on-write ([`Arc::make_mut`]): the update copies `Q_t`
+//! only while a task still holds the broadcast, and writes in place once
+//! every handle has dropped.
 
 use std::fmt;
 use std::ops::Deref;
@@ -35,9 +41,15 @@ pub struct Broadcast<T> {
 impl<T: Serialize> Broadcast<T> {
     /// Wraps `value` for sharing, recording its serialized size.
     pub fn new(value: T) -> Self {
-        let payload_bytes = serialized_size(&value);
+        Broadcast::from_arc(Arc::new(value))
+    }
+
+    /// Shares a value the caller already holds in an [`Arc`], without
+    /// copying it, recording its serialized size.
+    pub fn from_arc(value: Arc<T>) -> Self {
+        let payload_bytes = serialized_size(&*value);
         Broadcast {
-            value: Arc::new(value),
+            value,
             payload_bytes,
         }
     }
@@ -97,6 +109,25 @@ mod tests {
         let c = b.clone();
         assert!(Arc::ptr_eq(&b.handle(), &c.handle()));
         assert_eq!(c.payload_bytes(), b.payload_bytes());
+    }
+
+    #[test]
+    fn from_arc_shares_the_callers_value() {
+        let mut model = Arc::new(vec![1u64, 2, 3]);
+        let b = Broadcast::from_arc(Arc::clone(&model));
+        assert!(Arc::ptr_eq(&b.handle(), &model));
+        assert_eq!(
+            b.payload_bytes(),
+            Broadcast::new(vec![1u64, 2, 3]).payload_bytes()
+        );
+        // A write while the broadcast is alive copies; the tasks' view stays.
+        Arc::make_mut(&mut model).push(4);
+        assert_eq!(*b, vec![1, 2, 3]);
+        // Once it has dropped, the writer owns its value again.
+        drop(b);
+        let before = Arc::as_ptr(&model);
+        Arc::make_mut(&mut model).push(5);
+        assert_eq!(Arc::as_ptr(&model), before);
     }
 
     #[test]

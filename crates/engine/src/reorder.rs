@@ -241,11 +241,11 @@ impl<S: RecordSource> RecordSource for ReorderBuffer<S> {
     /// Once the inner source is exhausted its missing hint no longer
     /// matters: everything left lives in the heap, and `Some(heap.len())`
     /// is reported instead of hiding those records behind a `None` (the
-    /// pre-fix behavior, which made downstream pre-sizing treat a full
-    /// buffer as an unknown-length stream).
+    /// pre-fix behavior, which reported a full buffer as an unknown-length
+    /// stream). The sum saturates at `usize::MAX`.
     fn len_hint(&self) -> Option<usize> {
         match self.inner.len_hint() {
-            Some(n) => Some(n + self.heap.len()),
+            Some(n) => Some(n.saturating_add(self.heap.len())),
             None if self.inner_exhausted => Some(self.heap.len()),
             None => None,
         }
@@ -298,8 +298,7 @@ mod tests {
         // Large lateness bound: the buffer swallows the entire inner source
         // before releasing anything, so after one pull the heap holds all
         // remaining records while the inner hint is None. The pre-fix hint
-        // returned None here, hiding a full buffer from downstream
-        // pre-sizing.
+        // returned None here, hiding a full buffer from its caller.
         let recs: Vec<Record> = (0..10).map(|i| rec(i, i as f64)).collect();
         let mut buf = ReorderBuffer::new(NoHintSource(VecSource::new(recs)), 1e9);
         assert_eq!(buf.len_hint(), None, "nothing buffered, nothing known");
@@ -312,6 +311,28 @@ mod tests {
         );
         let rest = drain(buf);
         assert_eq!(rest.len(), 9, "hint must not under-count");
+    }
+
+    /// A source whose hint is already at the top of `usize`, like a replay
+    /// too long to count.
+    struct UncountedSource(VecSource);
+
+    impl RecordSource for UncountedSource {
+        fn next_record(&mut self) -> Option<Record> {
+            self.0.next_record()
+        }
+
+        fn len_hint(&self) -> Option<usize> {
+            Some(usize::MAX)
+        }
+    }
+
+    #[test]
+    fn len_hint_saturates_over_an_uncounted_inner_source() {
+        let recs: Vec<Record> = (0..10).map(|i| rec(i, i as f64)).collect();
+        let mut buf = ReorderBuffer::new(UncountedSource(VecSource::new(recs)), 1e9);
+        buf.next_record().unwrap();
+        assert_eq!(buf.len_hint(), Some(usize::MAX), "nine buffered on top");
     }
 
     #[test]

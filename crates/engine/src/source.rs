@@ -26,8 +26,11 @@ pub trait RecordSource {
     /// Pulls the next record, or `None` when the stream is exhausted.
     fn next_record(&mut self) -> Option<Record>;
 
-    /// A hint of how many records remain, if known (used to pre-size
-    /// buffers; not required to be exact).
+    /// A hint of how many records remain, if known. Advisory only: it need
+    /// not be exact, and nothing in the engine sizes a buffer from it (the
+    /// [`MiniBatcher`] reserves what its previous batch held).
+    ///
+    /// [`MiniBatcher`]: crate::MiniBatcher
     fn len_hint(&self) -> Option<usize> {
         None
     }
@@ -174,9 +177,15 @@ impl RecordSource for RepeatSource {
         Some(record)
     }
 
+    /// Saturates at `usize::MAX` for a run too long to count.
     fn len_hint(&self) -> Option<usize> {
         let emitted = self.round * self.base.len() + self.index;
-        Some(self.base.len() * self.rounds - emitted)
+        Some(
+            self.base
+                .len()
+                .saturating_mul(self.rounds)
+                .saturating_sub(emitted),
+        )
     }
 }
 
@@ -228,6 +237,20 @@ mod tests {
         src.next_record();
         assert_eq!(src.len_hint(), Some(0));
         assert!(src.next_record().is_none());
+    }
+
+    #[test]
+    fn repeat_source_len_hint_saturates_on_huge_rounds() {
+        let base = vec![
+            Record::new(0, Point::zeros(1), Timestamp::ZERO),
+            Record::new(1, Point::zeros(1), Timestamp::from_secs(1.0)),
+        ];
+        let mut src = RepeatSource::new(base, usize::MAX);
+        assert_eq!(src.len_hint(), Some(usize::MAX));
+        for _ in 0..3 {
+            src.next_record();
+        }
+        assert_eq!(src.len_hint(), Some(usize::MAX - 3));
     }
 
     #[test]

@@ -36,45 +36,62 @@
 //! closed-form radius rows once per batch: a record's absorption test reads
 //! four numbers of its nearest row, and the rare fall-back to the full
 //! radius sum borrows the model's own sketch.
+//!
+//! The same allocator also keeps the largest single allocation, for the
+//! other half of the per-batch fixed cost: what a batch *reserves*. Batches
+//! of about a thousand records cut from a replay a million records long
+//! must reserve about what they hold, not a share of the whole run — the
+//! batcher once sized every batch from the source's remaining-length hint
+//! and reserved 2^20 records (48 MiB) for each.
 
 // The one file in the workspace that needs `unsafe`: a `GlobalAlloc` cannot
 // be implemented without it. Every other target is `forbid` (root manifest).
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::mem::size_of;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use diststream::algorithms::{
     CluStream, CluStreamParams, ClusTree, ClusTreeParams, DStream, DStreamParams, DenStream,
     DenStreamParams,
 };
 use diststream::core::{DistStreamJob, PipelineOptions, StreamClustering};
-use diststream::engine::{ExecutionMode, MiniBatch, StreamingContext};
+use diststream::engine::{
+    ExecutionMode, MiniBatch, MiniBatcher, RecordSource, RepeatSource, StreamingContext,
+};
 use diststream::types::{ClusteringConfig, Point, Record, Timestamp};
 
 /// Allocations (and reallocations) made by any thread since process start.
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+/// The largest single allocation (or reallocation's new size), in bytes,
+/// since it was last reset.
+static LARGEST: AtomicUsize = AtomicUsize::new(0);
+
 struct Counting;
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the only addition is a relaxed counter
-// increment, which neither allocates nor touches the memory being managed.
+// upholds the `GlobalAlloc` contract; the only additions are relaxed counter
+// updates, which neither allocate nor touch the memory being managed.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract for `layout`.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
         // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract for `layout`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LARGEST.fetch_max(new_size, Ordering::Relaxed);
         // SAFETY: `ptr` was returned by this allocator, i.e. by `System`, with
         // `layout`; the caller upholds the rest of `GlobalAlloc::realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -205,8 +222,49 @@ fn assert_budget<A: StreamClustering>(
     last.expect("four configurations ran")
 }
 
+/// Cuts one-second batches (about a thousand records each) out of a
+/// replay whose length hint is over a million records and steps them
+/// through an overlapped D-Stream job; requires no single allocation on
+/// that path to exceed twice the largest batch's records plus 4 KiB — what
+/// a `Vec` reserving the previous batch's length and doubling past it can
+/// reach.
+fn assert_batches_reserve_what_they_hold() {
+    let base: Vec<Record> = (0..1024).map(grid_record).collect();
+    let source = RepeatSource::new(base, 1024);
+    assert!(source.len_hint().is_some_and(|n| n >= 1 << 20));
+    let dstream = DStream::new(DStreamParams {
+        grid_dims: 2,
+        ..DStreamParams::default()
+    });
+    let ctx = StreamingContext::new(1, ExecutionMode::Threads).unwrap();
+    let mut job = DistStreamJob::new(&dstream, &ctx, ClusteringConfig::default());
+    job.pipeline(PipelineOptions::all());
+    let init: Vec<Record> = (0..CELLS).map(grid_record).collect();
+    let mut session = job.start(dstream.init(&init).unwrap()).unwrap();
+
+    LARGEST.store(0, Ordering::Relaxed);
+    let mut largest_batch = 0;
+    for batch in MiniBatcher::new(source, 1.0).take(8) {
+        largest_batch = largest_batch.max(batch.len());
+        session.step(batch).unwrap();
+    }
+    let largest = LARGEST.load(Ordering::Relaxed);
+    let bound = 2 * largest_batch * size_of::<Record>() + 4096;
+    assert!(
+        (900..=1100).contains(&largest_batch),
+        "one-second windows over millisecond spacing: {largest_batch} records"
+    );
+    assert!(
+        largest <= bound,
+        "a {largest}-byte allocation on the batch path of batches of at most \
+         {largest_batch} records (bound {bound} bytes)"
+    );
+}
+
 #[test]
 fn allocations_per_batch_do_not_grow_with_the_batch() {
+    assert_batches_reserve_what_they_hold();
+
     let dstream = DStream::new(DStreamParams {
         grid_dims: 2,
         ..DStreamParams::default()
