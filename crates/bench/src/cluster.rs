@@ -1,12 +1,13 @@
 //! The modeled cluster: what a recorded run would have cost on the paper's
-//! testbed, computed from the run's own [`BatchMetrics`].
+//! testbed, computed from the run's own [`BatchRecord`]s.
 //!
 //! The runtime measures and never prices. A [`Replay`] takes each recorded
-//! batch of one run, in order, and applies [`SimCostModel`]'s charges to it:
-//! per-task scheduling overhead, seeded straggler slowdowns, the list
-//! schedule of the slowed tasks over the batch's `p` slots, and the
-//! network and job-submission overhead of the batch. The defaults are
-//! calibrated to the paper's testbed observations:
+//! batch of one run, in order, through the workspace's one replay
+//! ([`replay`], at the batch's own `p`) with [`SimCostModel`]'s charges:
+//! per-task scheduling overhead and seeded straggler slowdowns before the
+//! list schedule of the slowed tasks over the batch's `p` slots, and the
+//! network and job-submission overhead of the batch after its critical
+//! path. The defaults are calibrated to the paper's testbed observations:
 //!
 //! - **Network**: 1 Gb/s links with ~0.5 ms per-message latency — a typical
 //!   local cluster, consistent with the paper's analysis that record-based
@@ -22,8 +23,8 @@
 //! recorded, a replay with no charges gives back the recorded batches: the
 //! model's error is its charges, never a second measurement.
 
-use diststream_engine::{BatchMetrics, StepMetrics, ThroughputMeter};
-use diststream_telemetry::time_model::list_makespan;
+use diststream_engine::{BatchRecord, StepMetrics, ThroughputMeter};
+use diststream_telemetry::time_model::replay;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -135,27 +136,21 @@ impl SimCostModel {
         }
     }
 
-    /// One recorded step on the modeled cluster: per-task overhead, then
-    /// straggler inflation, then the list makespan over `slots`, plus the
-    /// step's recorded residual — its wall time beyond the list makespan
-    /// of its recorded tasks, which is set-up no re-schedule can shrink
-    /// (the residual rule of `trace::whatif`).
+    /// The charges on one recorded step's tasks: per-task overhead, then
+    /// straggler inflation. The replay then schedules them over `slots`
+    /// and keeps the step's recorded residual.
     ///
     /// Overhead is added *before* inflation: OS/JVM noise slows a task's
     /// whole slot occupancy — scheduling and serialization included — so a
     /// straggler's slowdown factor survives relative to the step mean even
     /// when the measured compute is tiny next to the fixed overhead.
-    fn step(&self, recorded: &StepMetrics, slots: usize, rng: &mut StdRng) -> StepMetrics {
-        let residual = recorded.wall_secs() - list_makespan(recorded.task_secs(), slots);
-        let mut tasks = recorded.task_secs().to_vec();
-        for t in &mut tasks {
+    fn charge_tasks(&self, tasks: &mut [f64], slots: usize, rng: &mut StdRng) {
+        for t in tasks.iter_mut() {
             *t += self.per_task_overhead_secs * self.workload_scale;
         }
         if let Some(model) = &self.straggler {
-            model.inflate(&mut tasks, slots, rng);
+            model.inflate(tasks, slots, rng);
         }
-        let wall = list_makespan(&tasks, slots) + residual;
-        StepMetrics::new(tasks, wall)
     }
 
     /// Network time to broadcast a `payload_bytes` model to `slots` tasks.
@@ -189,7 +184,7 @@ impl SimCostModel {
     /// job submission, the broadcast of the model to every slot, the
     /// shuffle between the steps and, when the batch's critical path waits
     /// for it (the synchronous protocol), the collect onto the driver.
-    fn batch_overhead_secs(&self, batch: &BatchMetrics, slots: usize) -> f64 {
+    fn batch_overhead_secs(&self, batch: &BatchRecord, slots: usize) -> f64 {
         let model_bytes = batch.broadcast_bytes / slots as u64;
         let mut secs = self.per_batch_overhead_secs * self.workload_scale
             + self.broadcast_secs(model_bytes, slots)
@@ -210,6 +205,25 @@ impl Default for SimCostModel {
             straggler: Some(StragglerModel::default()),
             workload_scale: 1.0,
         }
+    }
+}
+
+/// A recorded batch as the modeled cluster prices it.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Priced {
+    /// Step 1: the charged tasks and their wall on the recorded slots.
+    pub(crate) assignment: StepMetrics,
+    /// Step 2, likewise.
+    pub(crate) local: StepMetrics,
+    /// The batch's network and job-submission overhead.
+    pub(crate) overhead_secs: f64,
+    total_secs: f64,
+}
+
+impl Priced {
+    /// The priced batch time: its critical path, then its overhead.
+    pub(crate) fn total_secs(&self) -> f64 {
+        self.total_secs
     }
 }
 
@@ -241,20 +255,22 @@ impl Replay {
     }
 
     /// Prices the run's next recorded batch and meters it; returns the
-    /// priced metrics. Call once per batch, in batch order.
-    pub(crate) fn batch(&mut self, recorded: &BatchMetrics) -> BatchMetrics {
+    /// priced batch. Call once per batch, in batch order.
+    pub(crate) fn batch(&mut self, recorded: &BatchRecord) -> Priced {
         let slots = recorded.parallelism.max(1);
-        let assignment = self.cost.step(&recorded.assignment, slots, &mut self.rng);
-        let local = self.cost.step(&recorded.local, slots, &mut self.rng);
-        let priced = BatchMetrics {
-            assignment,
-            local,
-            overhead_secs: self.cost.batch_overhead_secs(recorded, slots),
-            ..recorded.clone()
-        };
+        let (cost, rng) = (&self.cost, &mut self.rng);
+        let mut charge = |tasks: &mut [f64]| cost.charge_tasks(tasks, slots, rng);
+        let priced = replay(recorded, slots, &mut charge);
+        let overhead_secs = cost.batch_overhead_secs(recorded, slots);
+        let total_secs = priced.total_secs() + overhead_secs;
         self.recorded_secs += recorded.total_secs();
-        self.priced.observe(&priced);
-        priced
+        self.priced.observe(&priced, total_secs);
+        Priced {
+            assignment: priced.assignment,
+            local: priced.local,
+            overhead_secs,
+            total_secs,
+        }
     }
 
     /// The run's priced meter. `run` is the run's own meter: its time
@@ -270,6 +286,7 @@ impl Replay {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use diststream_telemetry::time_model::list_makespan;
 
     /// What the runtime charged the fixture below while it still priced
     /// steps itself (per-task overhead and straggler draws in `run_tasks`,
@@ -404,7 +421,7 @@ mod tests {
     /// Batch `b` of the fixture run as the runtime records it: `p` tasks
     /// per step, a 0.25 ms set-up residual on step 1, and non-zero
     /// broadcast, shuffle and collect bytes.
-    fn recorded(b: usize, p: usize, overlap: bool) -> BatchMetrics {
+    fn recorded(b: usize, p: usize, overlap: bool) -> BatchRecord {
         let step1: Vec<f64> = (0..p)
             .map(|i| 1e-3 * (1.0 + ((i * 7 + b) % 11) as f64 / 4.0))
             .collect();
@@ -413,7 +430,7 @@ mod tests {
             .collect();
         let wall1 = list_makespan(&step1, p) + 2.5e-4;
         let wall2 = list_makespan(&step2, p);
-        BatchMetrics {
+        BatchRecord {
             batch_index: b,
             records: 1000,
             assignment: StepMetrics::new(step1, wall1),
@@ -424,7 +441,7 @@ mod tests {
             collect_bytes: 9_000 + 500 * b as u64,
             async_overlap: overlap,
             parallelism: p,
-            ..BatchMetrics::default()
+            ..BatchRecord::default()
         }
     }
 
@@ -447,7 +464,7 @@ mod tests {
             let mut tasks = Vec::new();
             for (b, p) in [1, 8, 32].into_iter().enumerate() {
                 let batch = recorded(b, p, overlap);
-                run_meter.observe(&batch);
+                run_meter.observe(&batch, batch.total_secs());
                 let priced = replay.batch(&batch);
                 tasks.extend_from_slice(priced.assignment.task_secs());
                 tasks.extend_from_slice(priced.local.task_secs());
@@ -528,8 +545,13 @@ mod tests {
             ..SimCostModel::default()
         };
         let mut rng = StdRng::seed_from_u64(7);
-        let recorded = StepMetrics::new(vec![1e-6; 64], 8e-6);
-        let priced = model.step(&recorded, 8, &mut rng);
+        let recorded = BatchRecord {
+            assignment: StepMetrics::new(vec![1e-6; 64], 8e-6),
+            parallelism: 8,
+            ..BatchRecord::default()
+        };
+        let mut charge = |tasks: &mut [f64]| model.charge_tasks(tasks, 8, &mut rng);
+        let priced = replay(&recorded, 8, &mut charge).assignment;
         assert!(priced.straggler_fraction() > 0.0, "no straggler detectable");
     }
 

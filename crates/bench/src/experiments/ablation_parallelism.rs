@@ -50,12 +50,13 @@ fn analyze<A: StreamClustering>(
     job.init_records(bundle.init_records());
     let mut replay = Replay::new(SimCostModel::default());
     job.run(VecSource::new(records), |report| {
-        let metrics = replay.batch(&report.outcome.metrics);
+        let recorded = &report.outcome.metrics;
+        let priced = replay.batch(recorded);
         batches += 1;
-        assign_secs += metrics.assignment.wall_secs();
-        local_secs += metrics.local.wall_secs();
-        batch_records += metrics.records as u64;
-        model_bytes = metrics.broadcast_bytes / p as u64;
+        assign_secs += priced.assignment.wall_secs();
+        local_secs += priced.local.wall_secs();
+        batch_records += recorded.records as u64;
+        model_bytes = recorded.broadcast_bytes / p as u64;
     })?;
     let batches = batches.max(1) as f64;
     let m = (batch_records as f64 / batches) as u64; // records per batch

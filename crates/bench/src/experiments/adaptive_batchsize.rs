@@ -57,7 +57,7 @@ pub(crate) fn adaptive_batchsize(cli: &Cli) -> Result<bool> {
             RepeatSource::new(bundle.stress_records(), ROUNDS),
             |outcome| {
                 let priced = replay.batch(&outcome.metrics);
-                Some(sizer.observe(priced.records, priced.total_secs()))
+                Some(sizer.observe(outcome.metrics.records, priced.total_secs()))
             },
             |_| {},
         )?;

@@ -106,14 +106,15 @@ impl Drop for TelemetrySession {
 /// written. Best-effort: a journal that cannot be parsed (e.g. truncated
 /// by write errors) only warns.
 fn print_blame(path: &std::path::Path) {
-    let journal = match diststream_trace::parse_journal_file(path) {
-        Ok(journal) => journal,
+    let run = match diststream_trace::parse_journal_file(path)
+        .and_then(|journal| diststream_trace::analyze(&journal))
+    {
+        Ok(run) => run,
         Err(err) => {
             eprintln!("telemetry: cannot analyze {}: {err}", path.display());
             return;
         }
     };
-    let run = diststream_trace::analyze(&journal);
     if run.batches.is_empty() {
         return;
     }

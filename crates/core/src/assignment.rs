@@ -196,7 +196,7 @@ mod tests {
             assert_eq!(out.pairs, reference, "parallelism {p}");
             // With 298 records and MIN_CHUNK_SIZE = 32, chunking produces
             // more tasks than slots at low p — the balance lever.
-            assert!(out.metrics.task_count() >= p.min(298 / 32), "p={p}");
+            assert!(out.metrics.task_secs().len() >= p.min(298 / 32), "p={p}");
         }
     }
 

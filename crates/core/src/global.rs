@@ -165,7 +165,7 @@ mod tests {
         LocalOutcome {
             updated,
             created,
-            metrics: StepMetrics::empty(),
+            metrics: StepMetrics::default(),
             shuffle_bytes: 0,
             driver_secs: 0.0,
         }

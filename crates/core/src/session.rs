@@ -29,7 +29,7 @@
 use std::sync::Arc;
 
 use diststream_engine::{
-    BatchMetrics, Broadcast, LatencyProbe, MiniBatch, RecordLatency, ThroughputMeter,
+    BatchRecord, Broadcast, LatencyProbe, MiniBatch, RecordLatency, ThroughputMeter,
 };
 use diststream_telemetry as telemetry;
 use diststream_types::{DistStreamError, Result, Timestamp};
@@ -52,7 +52,7 @@ const UNORDERED_BASE_SEED: u64 = 0x0B5E55ED;
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchOutcome {
     /// Timing and data-movement metrics for the batch.
-    pub metrics: BatchMetrics,
+    pub metrics: BatchRecord,
     /// Records assigned to existing micro-clusters.
     pub assigned_existing: usize,
     /// Records labelled outliers by the assignment step.
@@ -284,7 +284,8 @@ impl<A: StreamClustering> JobSession<'_, A> {
                 (result, _) => break result?,
             }
         };
-        self.meter.observe(&outcome.metrics);
+        self.meter
+            .observe(&outcome.metrics, outcome.metrics.total_secs());
         if let Some(every) = self.every {
             self.since_checkpoint += 1;
             if self.since_checkpoint >= every {
@@ -446,13 +447,12 @@ impl<A: StreamClustering> JobSession<'_, A> {
         let (global, latency) = applied.unzip();
 
         let outcome = BatchOutcome {
-            metrics: BatchMetrics {
+            metrics: BatchRecord {
                 batch_index: batch.index,
                 records,
                 assignment: assignment.metrics,
                 local: local_metrics,
                 global_secs: global.as_ref().map_or(0.0, |g| g.global_secs),
-                overhead_secs: 0.0,
                 broadcast_bytes: model_bytes * self.job.ctx.parallelism() as u64,
                 shuffle_bytes,
                 collect_bytes: global.as_ref().map_or(0, |g| g.collect_bytes),
@@ -467,7 +467,7 @@ impl<A: StreamClustering> JobSession<'_, A> {
             created_after_premerge: global.as_ref().map_or(0, |g| g.created_after_premerge),
             latency,
         };
-        outcome.metrics.emit_telemetry();
+        outcome.metrics.emit();
         Ok(outcome)
     }
 

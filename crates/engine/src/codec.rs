@@ -5,8 +5,9 @@
 //! DistStream inherits Spark Streaming's recovery; here the recovery
 //! substrate is ours). This module provides `encode`/`decode` for any
 //! `Serialize`/`Deserialize` type using a fixed-width little-endian wire
-//! format. The simulated cluster charges network time for broadcasting the
-//! model and shuffling record groups by that same layout:
+//! format. The runtime counts the bytes it broadcasts and shuffles by that
+//! same layout, and only a replay outside the engine (the bench crate's
+//! modeled cluster) turns those counts into network time:
 //! [`serialized_size`] runs the one encoder over a byte *counter* instead of
 //! a buffer, so `encode(v).len() == serialized_size(v)` by construction.
 //!

@@ -9,8 +9,8 @@ use std::time::Instant;
 use diststream_types::{DistStreamError, Result};
 
 use crate::faults::{FaultPlan, FaultState};
-use crate::metrics::StepMetrics;
 use crate::pool::{TaskPool, DEFAULT_MAX_TASK_FAILURES};
+use diststream_telemetry::record::StepMetrics;
 
 /// How many threads run a step's tasks. Either way every task really
 /// executes and is timed; the mode only decides the threads and what the
@@ -45,7 +45,7 @@ pub enum ExecutionMode {
 /// let ctx = StreamingContext::new(8, ExecutionMode::Simulated)?;
 /// let (outs, step) = ctx.run_tasks(vec![10u64, 20, 30], |_idx, x| x + 1)?;
 /// assert_eq!(outs, vec![11, 21, 31]);
-/// assert_eq!(step.task_count(), 3);
+/// assert_eq!(step.task_secs().len(), 3);
 /// # Ok::<(), diststream_types::DistStreamError>(())
 /// ```
 #[derive(Debug)]
@@ -236,7 +236,7 @@ mod tests {
                     (0..x * 1000).sum::<u64>()
                 })
                 .unwrap();
-            assert_eq!(step.task_count(), 7);
+            assert_eq!(step.task_secs().len(), 7);
             assert_eq!(step.wall_secs(), list_makespan(step.task_secs(), p));
         }
     }
@@ -267,7 +267,7 @@ mod tests {
                 .run_tasks((0..4).collect::<Vec<u64>>(), |_, x| x * 7)
                 .unwrap();
             assert_eq!(outs, vec![0, 7, 14, 21], "retry must not change data");
-            assert_eq!(step.task_count(), 4);
+            assert_eq!(step.task_secs().len(), 4);
         }
     }
 

@@ -29,7 +29,7 @@
 //! Either way the *data* computed is identical — execution mode only affects
 //! the reported timings. The runtime measures and never prices: network,
 //! scheduling and straggler charges of a modelled cluster are computed
-//! afterwards from the recorded [`BatchMetrics`] (the `repro` harness does).
+//! afterwards from the recorded [`BatchRecord`] (the `repro` harness does).
 
 //! # Examples
 //!
@@ -45,7 +45,7 @@
 //!     xs.iter().map(|x| x * x).collect::<Vec<_>>()
 //! })?;
 //! assert_eq!(out, vec![vec![1, 4], vec![9], vec![16, 25], vec![36]]);
-//! assert_eq!(metrics.task_count(), 4);
+//! assert_eq!(metrics.task_secs().len(), 4);
 //! # Ok::<(), diststream_types::DistStreamError>(())
 //! ```
 
@@ -58,7 +58,6 @@ mod codec;
 mod driver;
 mod faults;
 mod latency;
-mod metrics;
 mod partition;
 mod pool;
 mod prefetch;
@@ -71,10 +70,10 @@ pub use backpressure::LoadShedPolicy;
 pub use batcher::{MiniBatch, MiniBatcher};
 pub use broadcast::Broadcast;
 pub use codec::{decode, encode, encode_into, serialized_size};
+pub use diststream_telemetry::record::{BatchRecord, StepMetrics, ThroughputMeter};
 pub use driver::{ExecutionMode, StreamingContext};
 pub use faults::FaultPlan;
 pub use latency::{LatencyProbe, RecordLatency, LATENCY_BUCKET_BOUNDS};
-pub use metrics::{BatchMetrics, StepMetrics, ThroughputMeter};
 pub use partition::{
     combine_by_key, fnv1a_hash, group_by_key, AppendCombiner, BlockPartitioner, CombineStats,
     Combiner, FlatShuffle, Fnv1a, HashPartitioner, KeyBytes, RoundRobinPartitioner,

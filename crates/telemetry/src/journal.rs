@@ -15,9 +15,11 @@ use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::Mutex;
 
-/// Schema version stamped into the journal's leading `meta` line and
-/// checked by `xtask check-trace`.
-pub const JOURNAL_VERSION: u64 = 1;
+/// Schema version stamped into the journal's leading `meta` line; readers
+/// (`diststream-trace`, `xtask check-trace`) refuse any other. Version 2
+/// dropped `batch_summary`'s `overhead_secs`, which the runtime always
+/// wrote as 0.0.
+pub const JOURNAL_VERSION: u64 = 2;
 
 /// What an [`Event`] records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -16,9 +16,12 @@
 //! capture for tests. Metrics ([`counter`], [`gauge`], [`histogram`]) are
 //! lock-free atomic handles registered by name and rendered at run end via
 //! [`expose`] (Prometheus text) or [`summary_rows`] (human table).
-//! [`time_model`] defines once what the journal's timing fields mean: the
-//! step makespan and the batch critical path that the engine records and
-//! that trace analytics and `xtask check-trace` read back.
+//! [`record`] holds the one per-batch type, [`record::BatchRecord`], with
+//! the field table that writes it to the journal and reads it back;
+//! [`time_model`] defines once what its timing fields mean: the step
+//! makespan, the batch critical path and the replay of a recorded batch at
+//! another degree, which the engine, trace analytics, the bench crate's
+//! modeled cluster and `xtask check-trace` all use.
 //!
 //! ## Observation-only guarantee
 //!
@@ -40,6 +43,7 @@ pub mod clock;
 pub mod journal;
 pub mod metrics;
 pub mod names;
+pub mod record;
 pub mod span;
 pub mod time_model;
 

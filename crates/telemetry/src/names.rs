@@ -82,7 +82,8 @@ const ALL_SPANS: &[&str] = &[
 
 // --- Point-event names (single journal events with numeric fields) ---
 
-/// Per-batch critical-path breakdown emitted once per mini-batch.
+/// Per-batch critical-path breakdown emitted once per mini-batch; its
+/// fields are `record::BatchRecord`'s field table.
 pub const POINT_BATCH_SUMMARY: &str = "batch_summary";
 /// Per-batch event-time → model-integration latency percentiles.
 pub const POINT_RECORD_LATENCY: &str = "record_latency";
@@ -92,13 +93,6 @@ pub const POINT_TASK_DURATION: &str = "task_duration";
 /// Per-batch overload-control summary (seen/kept/shed counts, keep-rate,
 /// error bound, backlog, virtual latency) emitted when sampling is active.
 pub const POINT_OVERLOAD_SUMMARY: &str = "overload_summary";
-
-/// `batch_summary` field: measured driver seconds of the assignment step
-/// outside its tasks (step span minus the pool's step and the searcher
-/// build). Wall-side context, not a critical-path component.
-pub const FIELD_ASSIGN_DRIVER_SECS: &str = "assign_driver_secs";
-/// `batch_summary` field: the same for the local-update step.
-pub const FIELD_LOCAL_DRIVER_SECS: &str = "local_driver_secs";
 
 /// Every point-event name.
 #[cfg(test)]

@@ -1,16 +1,19 @@
-//! The one time model: how long a step's tasks take on `p` slots, and how a
-//! batch's phases combine into its critical path.
+//! The one time model: how long a step's tasks take on `p` slots, how a
+//! batch's phases combine into its critical path, and how a recorded batch
+//! replays at another degree.
 //!
 //! Every number the workspace reports about modeled time goes through here:
-//! the engine prices each `ExecutionMode::Simulated` step with
-//! [`list_makespan`], and writes each `batch_summary`'s `total_secs` with
-//! [`batch_critical_path`]; `diststream-trace` replays a journal's task
-//! times through the same two functions at another degree; and `xtask
-//! check-trace` reconciles every summary against the same rule, within
-//! [`reconcile_tolerance`]. A later change to either rule is one edit, and
-//! the runtime, the replay and the validator cannot drift apart.
+//! the engine times each `ExecutionMode::Simulated` step with
+//! [`list_makespan`]; a [`BatchRecord`]'s `total_secs` is its
+//! [`batch_critical_path`]; [`replay`] reschedules a recorded batch — the
+//! what-if predictions of `diststream-trace` at another degree, the bench
+//! crate's modeled cluster at the recorded one with its charges; and `xtask
+//! check-trace` reconciles every journaled summary against the same rule,
+//! within [`reconcile_tolerance`]. A later change to either rule is one
+//! edit, and the runtime, the replays and the validator cannot drift apart.
 
 use crate::names;
+use crate::record::{BatchRecord, StepMetrics};
 
 /// Relative tolerance within which a batch's critical-path components must
 /// reproduce its recorded `total_secs`, and the `global_*` sub-spans must
@@ -68,40 +71,91 @@ pub struct CriticalPath {
     pub parallel: bool,
     /// The driver-side global update is on the path.
     pub global: bool,
-    /// Seconds from the batch's start to its barrier: the arms on the path
-    /// plus the charged overhead, which always is.
+    /// Seconds from the batch's start to its barrier: the arms on the path.
     pub secs: f64,
 }
 
 /// The batch critical path. The synchronous protocol chains the parallel
-/// steps, the global update and the overhead. Under `overlap` the previous
-/// batch's global update runs beside this batch's parallel steps, so only
-/// the longer of the two arms is on the path (ties to the parallel arm),
-/// followed by the overhead.
+/// steps and the global update. Under `overlap` the previous batch's global
+/// update runs beside this batch's parallel steps, so only the longer of
+/// the two arms is on the path (ties to the parallel arm).
 ///
 /// # Examples
 ///
 /// ```
 /// use diststream_telemetry::time_model::batch_critical_path;
 ///
-/// assert_eq!(batch_critical_path(1.5, 0.25, 0.25, false).secs, 2.0);
-/// let overlapped = batch_critical_path(1.5, 5.0, 0.25, true);
-/// assert_eq!(overlapped.secs, 5.25);
+/// assert_eq!(batch_critical_path(1.5, 0.5, false).secs, 2.0);
+/// let overlapped = batch_critical_path(1.5, 5.0, true);
+/// assert_eq!(overlapped.secs, 5.0);
 /// assert!(overlapped.global && !overlapped.parallel);
 /// ```
-pub fn batch_critical_path(
-    parallel_secs: f64,
-    global_secs: f64,
-    overhead_secs: f64,
-    overlap: bool,
-) -> CriticalPath {
+pub fn batch_critical_path(parallel_secs: f64, global_secs: f64, overlap: bool) -> CriticalPath {
     let parallel = !overlap || parallel_secs >= global_secs;
     let global = !overlap || !parallel;
     let arm = |on: bool, secs: f64| if on { secs } else { 0.0 };
     CriticalPath {
         parallel,
         global,
-        secs: arm(parallel, parallel_secs) + arm(global, global_secs) + overhead_secs,
+        secs: arm(parallel, parallel_secs) + arm(global, global_secs),
+    }
+}
+
+/// Replays a recorded batch on `slots` executor slots: each step's
+/// recorded tasks, adjusted by `charge` (step 1's, then step 2's; a replay
+/// without charges passes `&mut |_| {}`), are rescheduled by
+/// [`list_makespan`], and the step keeps its recorded
+/// [`StepMetrics::residual_secs`] at the degree it ran at. The returned
+/// record's [`BatchRecord::total_secs`] is the replayed critical path.
+///
+/// One case is not a reschedule: when `slots` exceeds both the recorded
+/// degree and a step's task count, the record cannot say how the step would
+/// have split at that degree, so its work is taken as divisible —
+/// `Σ task / slots`. Record-based steps do split finer at a higher degree;
+/// the assumption over-estimates model-based steps with few keys.
+///
+/// # Examples
+///
+/// ```
+/// use diststream_telemetry::record::{BatchRecord, StepMetrics};
+/// use diststream_telemetry::time_model::replay;
+///
+/// // Four 1 s tasks recorded at p = 1, plus 0.5 s of barrier residual.
+/// let recorded = BatchRecord {
+///     assignment: StepMetrics::new(vec![1.0; 4], 4.5),
+///     parallelism: 1,
+///     ..BatchRecord::default()
+/// };
+/// let at = |slots| replay(&recorded, slots, &mut |_| {}).total_secs();
+/// assert_eq!(at(1), 4.5);
+/// assert_eq!(at(2), 2.5);
+/// // Eight slots for four tasks: divisible work, 4 / 8 s.
+/// assert_eq!(at(8), 1.0);
+/// ```
+pub fn replay(
+    record: &BatchRecord,
+    slots: usize,
+    charge: &mut dyn FnMut(&mut [f64]),
+) -> BatchRecord {
+    let ran_at = record.parallelism.max(1);
+    let slots = slots.max(1);
+    let mut step = |recorded: &StepMetrics| {
+        let mut tasks = recorded.task_secs().to_vec();
+        charge(&mut tasks);
+        let makespan = if slots > ran_at && tasks.len() < slots {
+            tasks.iter().sum::<f64>() / slots as f64
+        } else {
+            list_makespan(&tasks, slots)
+        };
+        let wall = makespan + recorded.residual_secs(ran_at);
+        StepMetrics::new(tasks, wall)
+    };
+    let assignment = step(&record.assignment);
+    let local = step(&record.local);
+    BatchRecord {
+        assignment,
+        local,
+        ..*record
     }
 }
 
@@ -133,24 +187,56 @@ mod tests {
 
     #[test]
     fn critical_path_chains_sync_and_races_overlapped_arms() {
-        let sync = batch_critical_path(1.5, 0.25, 0.25, false);
+        let sync = batch_critical_path(1.5, 0.5, false);
         assert_eq!(sync.secs, 2.0);
         assert!(sync.parallel && sync.global);
 
         // Parallel arm longer: the global update hides behind it.
-        let hidden = batch_critical_path(1.5, 0.25, 0.1, true);
-        assert!((hidden.secs - 1.6).abs() < 1e-12);
+        let hidden = batch_critical_path(1.5, 0.25, true);
+        assert_eq!(hidden.secs, 1.5);
         assert!(hidden.parallel && !hidden.global);
 
         // A tie goes to the parallel arm.
-        let tie = batch_critical_path(1.0, 1.0, 0.0, true);
+        let tie = batch_critical_path(1.0, 1.0, true);
         assert!(tie.parallel && !tie.global);
         assert_eq!(tie.secs, 1.0);
 
         // Global arm longer: it is the path.
-        let global = batch_critical_path(1.5, 5.0, 0.1, true);
-        assert!((global.secs - 5.1).abs() < 1e-12);
+        let global = batch_critical_path(1.5, 5.0, true);
+        assert_eq!(global.secs, 5.0);
         assert!(!global.parallel && global.global);
+    }
+
+    /// The two rules the replay settles: a residual is never negative, and
+    /// at the recorded degree the tasks are rescheduled, not divided, however
+    /// few there are.
+    #[test]
+    fn replay_clamps_the_residual_and_divides_work_only_past_the_recorded_degree() {
+        let skewed = BatchRecord {
+            assignment: StepMetrics::new(vec![2.0, 2.0], 1.5),
+            parallelism: 2,
+            ..BatchRecord::default()
+        };
+        assert_eq!(replay(&skewed, 2, &mut |_| {}).assignment.wall_secs(), 2.0);
+
+        let few = BatchRecord {
+            assignment: StepMetrics::new(vec![3.0, 1.0], 3.0),
+            parallelism: 4,
+            ..BatchRecord::default()
+        };
+        assert_eq!(replay(&few, 4, &mut |_| {}).assignment.wall_secs(), 3.0);
+        assert_eq!(replay(&few, 8, &mut |_| {}).assignment.wall_secs(), 0.5);
+
+        // Charges apply to step 1's tasks, then step 2's, before the
+        // schedule; the rest of the record is kept.
+        let mut seen = Vec::new();
+        let charged = replay(&few, 4, &mut |tasks: &mut [f64]| {
+            seen.push(tasks.len());
+            tasks.iter_mut().for_each(|t| *t += 1.0);
+        });
+        assert_eq!(seen, [2, 0]);
+        assert_eq!(charged.assignment.task_secs(), [4.0, 2.0]);
+        assert_eq!(charged.parallelism, 4);
     }
 
     #[test]

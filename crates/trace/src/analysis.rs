@@ -1,10 +1,10 @@
 //! Per-batch span-DAG construction, critical-path extraction, and the
 //! run-level blame table.
 //!
-//! Every mini-batch's `batch_summary` point carries the four critical-path
+//! Every mini-batch's `batch_summary` point carries the three critical-path
 //! components the executor measured (`assignment_secs`, `local_secs`,
-//! `global_secs`, `overhead_secs`) plus the protocol flag. The batch's
-//! dependency DAG is fixed by the protocol:
+//! `global_secs`) plus the protocol flag; [`BatchRecord::from_point`] reads
+//! it back. The batch's dependency DAG is fixed by the protocol:
 //!
 //! ```text
 //! sync:   ingest → assignment → local_update → global_update  (chain)
@@ -12,10 +12,9 @@
 //!                   global_update(B−1)       ─┴→ barrier      (diamond)
 //! ```
 //!
-//! so the critical path is the chain of all four phases under the
+//! so the critical path is the chain of all three batch phases under the
 //! synchronous protocol, and the *longer arm* of the diamond (parallel
-//! steps vs. the overlapped global update) plus overhead under the
-//! asynchronous one. Ingest never appears on a batch's critical path —
+//! steps vs. the overlapped global update) under the asynchronous one. Ingest never appears on a batch's critical path —
 //! the batcher drains the source between batch spans (or a prefetch worker
 //! hides it entirely) — so it is reported as a wall-side row computed from
 //! the journal's span layout, not from `batch_summary`.
@@ -38,11 +37,11 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use diststream_telemetry::time_model::{
-    batch_critical_path, reconcile_tolerance, CriticalPath, GLOBAL_SUBSPANS,
-};
+use diststream_telemetry::names::{POINT_BATCH_SUMMARY, POINT_TASK_DURATION};
+use diststream_telemetry::record::BatchRecord;
+use diststream_telemetry::time_model::{batch_critical_path, reconcile_tolerance, GLOBAL_SUBSPANS};
 
-use crate::parse::{EventKind, Journal};
+use crate::parse::{EventKind, Journal, ParseError};
 
 /// Blame-table labels of the [`GLOBAL_SUBSPANS`], in the same order.
 const GLOBAL_SUBSPAN_LABELS: [&str; 3] = ["ordering", "pre-merge", "apply_global"];
@@ -58,18 +57,15 @@ pub enum Phase {
     LocalUpdate,
     /// Step 3: driver-side global update.
     GlobalUpdate,
-    /// Scheduling, broadcast, shuffle, and collect overhead.
-    Overhead,
 }
 
 impl Phase {
     /// Every phase, in pipeline order.
-    pub const ALL: [Phase; 5] = [
+    pub const ALL: [Phase; 4] = [
         Phase::Ingest,
         Phase::Assignment,
         Phase::LocalUpdate,
         Phase::GlobalUpdate,
-        Phase::Overhead,
     ];
 
     /// Stable display name.
@@ -79,14 +75,13 @@ impl Phase {
             Phase::Assignment => "assignment",
             Phase::LocalUpdate => "local_update",
             Phase::GlobalUpdate => "global_update",
-            Phase::Overhead => "overhead",
         }
     }
 }
 
 /// One critical-path segment of a batch.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Segment {
+pub(crate) struct Segment {
     /// Which phase the time is charged to.
     pub phase: Phase,
     /// Seconds on the critical path.
@@ -112,69 +107,39 @@ pub struct LatencyDigest {
 /// Everything the journal recorded about one mini-batch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchProfile {
-    /// Mini-batch index.
-    pub batch: u64,
-    /// Records in the batch.
-    pub records: f64,
-    /// Step 1 barrier-to-barrier seconds.
-    pub assignment_secs: f64,
-    /// Step 2 barrier-to-barrier seconds.
-    pub local_secs: f64,
-    /// Driver-side global update seconds (the *applied* update under the
-    /// async protocol — one batch behind the records).
-    pub global_secs: f64,
-    /// Charged scheduling/network overhead seconds.
-    pub overhead_secs: f64,
-    /// Recorded batch wall time.
+    /// The batch as the run recorded it, its tasks included.
+    pub record: BatchRecord,
+    /// The `total_secs` the batch was journaled with.
     pub total_secs: f64,
-    /// `true` under the asynchronous update protocol.
-    pub async_overlap: bool,
-    /// Executor slots the batch ran with (0 when the journal predates the
-    /// field).
-    pub parallelism: usize,
-    /// Straggler tasks across both parallel steps.
-    pub stragglers: f64,
-    /// Per-task effective durations: `[0]` = assignment, `[1]` = local
-    /// update. Empty when `task_duration` points were not journaled.
-    pub step_tasks: [Vec<f64>; 2],
     /// Event-time latency percentiles, when journaled.
     pub latency: Option<LatencyDigest>,
 }
 
 impl BatchProfile {
     /// The batch's critical path, in execution order: the phases on
-    /// [`batch_critical_path`]'s path (the parallel steps, the global
-    /// update, or both), then the overhead.
+    /// [`batch_critical_path`]'s path — the parallel steps, the global
+    /// update, or both.
     pub(crate) fn critical_path(&self) -> Vec<Segment> {
+        let r = &self.record;
+        let (assignment, local) = (r.assignment.wall_secs(), r.local.wall_secs());
+        let path = batch_critical_path(assignment + local, r.global_secs, r.async_overlap);
         let seg = |phase, secs| Segment { phase, secs };
-        let path = self.path();
-        let mut segments = Vec::with_capacity(4);
+        let mut segments = Vec::with_capacity(3);
         if path.parallel {
-            segments.push(seg(Phase::Assignment, self.assignment_secs));
-            segments.push(seg(Phase::LocalUpdate, self.local_secs));
+            segments.push(seg(Phase::Assignment, assignment));
+            segments.push(seg(Phase::LocalUpdate, local));
         }
         if path.global {
-            segments.push(seg(Phase::GlobalUpdate, self.global_secs));
+            segments.push(seg(Phase::GlobalUpdate, r.global_secs));
         }
-        segments.push(seg(Phase::Overhead, self.overhead_secs));
         segments
     }
 
-    /// The recorded components through the shared time model.
-    fn path(&self) -> CriticalPath {
-        batch_critical_path(
-            self.assignment_secs + self.local_secs,
-            self.global_secs,
-            self.overhead_secs,
-            self.async_overlap,
-        )
-    }
-
-    /// Checks that the critical path reproduces the recorded wall time
-    /// within [`reconcile_tolerance`]. Returns the (path sum, recorded
-    /// total) pair on failure.
+    /// Checks that the record's critical path reproduces the journaled
+    /// wall time within [`reconcile_tolerance`]. Returns the (path sum,
+    /// recorded total) pair on failure.
     pub fn reconcile(&self) -> Result<(), (f64, f64)> {
-        let path = self.path().secs;
+        let path = self.record.total_secs();
         if (path - self.total_secs).abs() > reconcile_tolerance(self.total_secs) {
             Err((path, self.total_secs))
         } else {
@@ -197,12 +162,8 @@ pub struct RunProfile {
     /// value means every number here is a lower bound.
     pub drops: u64,
     /// Span seconds inside the driver-side global update, one entry per
-    /// [`GLOBAL_SUBSPANS`] row (all zero for journals that predate them).
+    /// [`GLOBAL_SUBSPANS`] row (all zero for a run without global updates).
     pub global_sub_secs: [f64; 3],
-    /// Measured seconds the driver spent handling records around the two
-    /// parallel steps, summed over batches (`assign_driver_secs` +
-    /// `local_driver_secs`; zero for journals that predate the fields).
-    pub driver_secs: f64,
     /// `init` spans in the journal: one per job that initialised a model.
     pub inits: usize,
     /// Their summed seconds — serial set-up, outside every batch.
@@ -254,7 +215,11 @@ impl RunProfile {
             critical_secs: self.total_secs(),
             batches: self.batches.len(),
             global_sub_secs: self.global_sub_secs,
-            driver_secs: self.driver_secs,
+            driver_secs: self
+                .batches
+                .iter()
+                .map(|b| b.record.assign_driver_secs + b.record.local_driver_secs)
+                .sum(),
         }
     }
 }
@@ -284,7 +249,8 @@ pub struct BlameTable {
     /// `global_update` phase.
     pub global_sub_secs: [f64; 3],
     /// Wall-side seconds of driver record handling around the parallel
-    /// steps, rendered as the `driver` row beneath `local_update`.
+    /// steps (`assign_driver_secs` + `local_driver_secs`, summed over
+    /// batches), rendered as the `driver` row beneath `local_update`.
     pub driver_secs: f64,
 }
 
@@ -373,14 +339,24 @@ impl BlameTable {
 
 /// Builds a [`RunProfile`] from a parsed journal.
 ///
-/// Batches come from `batch_summary` points; per-task durations from
-/// `task_duration` points; latency percentiles from `record_latency`
-/// points; wall-side ingest from `prefetch` spans plus the gaps between
-/// consecutive `batch` spans on each thread that runs them.
-pub fn analyze(journal: &Journal) -> RunProfile {
+/// Batches come from `batch_summary` points and their tasks from
+/// `task_duration` points, both read by [`BatchRecord`]; latency
+/// percentiles from `record_latency` points; wall-side ingest from
+/// `prefetch` spans plus the gaps between consecutive `batch` spans on each
+/// thread that runs them.
+///
+/// # Errors
+///
+/// Names the batch and the field of a `batch_summary` or `task_duration`
+/// point the record cannot be read from.
+pub fn analyze(journal: &Journal) -> Result<RunProfile, ParseError> {
     let mut profile = RunProfile {
         drops: journal.drops,
         ..RunProfile::default()
+    };
+    let refuse = |batch: u64, message: String| ParseError {
+        line: 0,
+        message: format!("batch {batch}: {message}"),
     };
 
     // A journal may hold several runs back-to-back (the bench harness
@@ -394,41 +370,29 @@ pub fn analyze(journal: &Journal) -> RunProfile {
     let mut current: BTreeMap<u64, usize> = BTreeMap::new();
     let mut pending_latency: BTreeMap<u64, LatencyDigest> = BTreeMap::new();
     for point in journal.events.iter().filter(|e| e.kind == EventKind::Point) {
-        let get = |key: &str| point.field(key).unwrap_or(0.0);
+        let field = |key: &str| point.field(key);
+        let Some(batch) = point.batch else { continue };
         match point.name.as_str() {
-            "batch_summary" => {
-                let batch = point.batch.unwrap_or(0);
+            POINT_BATCH_SUMMARY => {
+                let (record, total_secs) =
+                    BatchRecord::from_point(batch, field).map_err(|e| refuse(batch, e))?;
                 current.insert(batch, profile.batches.len());
-                // Literal twins of telemetry's FIELD_*_DRIVER_SECS: this
-                // crate has no dependencies.
-                profile.driver_secs += get("assign_driver_secs") + get("local_driver_secs");
                 profile.batches.push(BatchProfile {
-                    batch,
-                    records: get("records"),
-                    assignment_secs: get("assignment_secs"),
-                    local_secs: get("local_secs"),
-                    global_secs: get("global_secs"),
-                    overhead_secs: get("overhead_secs"),
-                    total_secs: get("total_secs"),
-                    async_overlap: get("async_overlap") != 0.0,
-                    parallelism: get("parallelism") as usize,
-                    stragglers: get("stragglers"),
-                    step_tasks: [Vec::new(), Vec::new()],
+                    record,
+                    total_secs,
                     latency: pending_latency.remove(&batch),
                 });
             }
-            "task_duration" => {
-                let Some(batch) = point.batch else { continue };
-                let Some(&pos) = current.get(&batch) else {
-                    continue;
-                };
-                let step = get("step") as usize;
-                if let Some(tasks) = profile.batches[pos].step_tasks.get_mut(step) {
-                    tasks.push(get("secs"));
+            POINT_TASK_DURATION => {
+                if let Some(&pos) = current.get(&batch) {
+                    profile.batches[pos]
+                        .record
+                        .push_task(field)
+                        .map_err(|e| refuse(batch, e))?;
                 }
             }
             "record_latency" => {
-                let Some(batch) = point.batch else { continue };
+                let get = |key: &str| field(key).unwrap_or(0.0);
                 let digest = LatencyDigest {
                     records: get("records"),
                     mean_secs: get("mean_secs"),
@@ -459,7 +423,7 @@ pub fn analyze(journal: &Journal) -> RunProfile {
     }
 
     profile.ingest_secs = ingest_secs(journal);
-    profile
+    Ok(profile)
 }
 
 /// Wall-side ingest estimate: total `prefetch` span time, plus on each
@@ -530,50 +494,53 @@ pub fn span_multiset(journal: &Journal) -> Vec<(String, usize)> {
 mod tests {
     use super::*;
     use crate::parse::parse_journal;
+    use diststream_telemetry::record::StepMetrics;
 
-    fn summary(
+    const META: &str = "{\"ev\":\"meta\",\"version\":2,\"clock\":\"monotonic-us\"}";
+
+    /// A version-2 `batch_summary` line with no driver seconds.
+    fn summary(batch: u64, asg: f64, local: f64, global: f64, overlap: bool) -> String {
+        summary_with_driver(batch, asg, local, global, overlap, (0.0, 0.0))
+    }
+
+    fn summary_with_driver(
         batch: u64,
         asg: f64,
         local: f64,
         global: f64,
-        overhead: f64,
         overlap: bool,
+        (assign_driver, local_driver): (f64, f64),
     ) -> String {
-        let total = batch_critical_path(asg + local, global, overhead, overlap).secs;
+        let total = batch_critical_path(asg + local, global, overlap).secs;
         format!(
             "{{\"ev\":\"point\",\"name\":\"batch_summary\",\"thread\":0,\"seq\":{seq},\"t_us\":{seq},\"batch\":{batch},\
              \"records\":100.0,\"assignment_secs\":{asg},\"local_secs\":{local},\"global_secs\":{global},\
-             \"overhead_secs\":{overhead},\"total_secs\":{total},\"async_overlap\":{ov},\
-             \"broadcast_bytes\":0,\"shuffle_bytes\":0,\"stragglers\":0,\"parallelism\":4}}",
+             \"total_secs\":{total},\"async_overlap\":{ov},\
+             \"broadcast_bytes\":0,\"shuffle_bytes\":0,\"collect_bytes\":0,\"stragglers\":0,\"parallelism\":4,\
+             \"assign_driver_secs\":{assign_driver},\"local_driver_secs\":{local_driver}}}",
             seq = batch * 10,
             ov = if overlap { 1.0 } else { 0.0 },
         )
     }
 
     fn build(lines: &[String]) -> RunProfile {
-        let mut contents =
-            String::from("{\"ev\":\"meta\",\"version\":1,\"clock\":\"monotonic-us\"}");
+        let mut contents = String::from(META);
         for line in lines {
             contents.push('\n');
             contents.push_str(line);
         }
-        analyze(&parse_journal(&contents).expect("journal parses"))
+        analyze(&parse_journal(&contents).expect("journal parses")).expect("journal analyzes")
     }
 
     #[test]
-    fn sync_critical_path_chains_all_four_phases() {
-        let run = build(&[summary(0, 1.0, 0.5, 0.25, 0.25, false)]);
+    fn sync_critical_path_chains_all_three_phases() {
+        let run = build(&[summary(0, 1.0, 0.5, 0.5, false)]);
         assert_eq!(run.batches.len(), 1);
         let path = run.batches[0].critical_path();
         let phases: Vec<Phase> = path.iter().map(|s| s.phase).collect();
         assert_eq!(
             phases,
-            [
-                Phase::Assignment,
-                Phase::LocalUpdate,
-                Phase::GlobalUpdate,
-                Phase::Overhead
-            ]
+            [Phase::Assignment, Phase::LocalUpdate, Phase::GlobalUpdate]
         );
         assert!(run.batches[0].reconcile().is_ok());
     }
@@ -581,43 +548,38 @@ mod tests {
     #[test]
     fn async_critical_path_takes_the_longer_arm() {
         // Parallel arm dominates: global update is hidden.
-        let run = build(&[summary(0, 1.0, 0.5, 0.25, 0.1, true)]);
+        let run = build(&[summary(0, 1.0, 0.5, 0.25, true)]);
         let phases: Vec<Phase> = run.batches[0]
             .critical_path()
             .iter()
             .map(|s| s.phase)
             .collect();
-        assert_eq!(
-            phases,
-            [Phase::Assignment, Phase::LocalUpdate, Phase::Overhead]
-        );
+        assert_eq!(phases, [Phase::Assignment, Phase::LocalUpdate]);
         assert!(run.batches[0].reconcile().is_ok());
 
         // Global arm dominates: the parallel steps are hidden.
-        let run = build(&[summary(1, 1.0, 0.5, 5.0, 0.1, true)]);
+        let run = build(&[summary(1, 1.0, 0.5, 5.0, true)]);
         let phases: Vec<Phase> = run.batches[0]
             .critical_path()
             .iter()
             .map(|s| s.phase)
             .collect();
-        assert_eq!(phases, [Phase::GlobalUpdate, Phase::Overhead]);
+        assert_eq!(phases, [Phase::GlobalUpdate]);
         assert!(run.batches[0].reconcile().is_ok());
     }
 
     #[test]
     fn reconcile_flags_inconsistent_summaries() {
         let bad = BatchProfile {
-            batch: 0,
-            records: 1.0,
-            assignment_secs: 1.0,
-            local_secs: 1.0,
-            global_secs: 1.0,
-            overhead_secs: 0.0,
+            record: BatchRecord {
+                records: 1,
+                assignment: StepMetrics::new(Vec::new(), 1.0),
+                local: StepMetrics::new(Vec::new(), 1.0),
+                global_secs: 1.0,
+                parallelism: 1,
+                ..BatchRecord::default()
+            },
             total_secs: 9.0,
-            async_overlap: false,
-            parallelism: 1,
-            stragglers: 0.0,
-            step_tasks: [Vec::new(), Vec::new()],
             latency: None,
         };
         let (path, total) = bad.reconcile().expect_err("inconsistent");
@@ -629,8 +591,8 @@ mod tests {
     fn blame_table_aggregates_and_names_the_dominant_phase() {
         // Two sync batches dominated by assignment.
         let run = build(&[
-            summary(0, 2.0, 0.5, 0.25, 0.25, false),
-            summary(1, 3.0, 0.5, 0.25, 0.25, false),
+            summary(0, 2.0, 0.5, 0.5, false),
+            summary(1, 3.0, 0.5, 0.5, false),
         ]);
         let blame = run.blame();
         assert_eq!(blame.batches, 2);
@@ -650,20 +612,15 @@ mod tests {
 
     /// The driver's record handling is wall-side context: summed from the
     /// two `batch_summary` fields into one `driver` row beneath
-    /// `local_update`, never on a critical path, and absent for journals
-    /// that predate the fields.
+    /// `local_update`, never on a critical path, and absent when the run
+    /// spent none.
     #[test]
     fn driver_seconds_render_as_a_wall_side_row() {
-        let with_driver = |batch, assign: f64, local: f64| {
-            let line = summary(batch, 1.0, 0.5, 0.25, 0.25, false);
-            let fields =
-                format!(",\"assign_driver_secs\":{assign},\"local_driver_secs\":{local}}}");
-            format!("{}{fields}", line.trim_end_matches('}'))
-        };
-        let run = build(&[with_driver(0, 0.25, 0.5), with_driver(1, 0.125, 0.125)]);
-        assert!((run.driver_secs - 1.0).abs() < 1e-12);
+        let with_driver = |batch, driver| summary_with_driver(batch, 1.0, 0.5, 0.5, false, driver);
+        let run = build(&[with_driver(0, (0.25, 0.5)), with_driver(1, (0.125, 0.125))]);
         assert!(run.batches.iter().all(|b| b.reconcile().is_ok()));
         let blame = run.blame();
+        assert!((blame.driver_secs - 1.0).abs() < 1e-12);
         assert!((blame.critical_secs - 4.0).abs() < 1e-12, "not on the path");
         let rendered = blame.render();
         let rows: Vec<&str> = rendered
@@ -674,9 +631,9 @@ mod tests {
         assert_eq!(rows[local_at + 1], "driver", "{rendered}");
         assert!(rendered.contains("1.000000"), "{rendered}");
 
-        let old = build(&[summary(0, 1.0, 0.5, 0.25, 0.25, false)]);
-        assert_eq!(old.driver_secs, 0.0);
-        assert!(!old.blame().render().contains("driver"));
+        let idle = build(&[summary(0, 1.0, 0.5, 0.5, false)]).blame();
+        assert_eq!(idle.driver_secs, 0.0);
+        assert!(!idle.render().contains("driver"));
     }
 
     #[test]
@@ -688,7 +645,7 @@ mod tests {
             )
         };
         let run = build(&[
-            summary(0, 1.0, 0.5, 0.25, 0.25, false),
+            summary(0, 1.0, 0.5, 0.5, false),
             close("global_order", 100, 10_000),
             close("global_premerge", 101, 40_000),
             close("global_apply", 102, 200_000),
@@ -704,19 +661,17 @@ mod tests {
         assert!(lines[phase + 2].starts_with("  pre-merge"), "{rendered}");
         assert!(lines[phase + 3].starts_with("  apply_global"), "{rendered}");
         assert!(lines[phase + 3].contains("80.0%"), "{rendered}");
-        assert!(lines[phase + 4].starts_with("overhead"), "{rendered}");
+        assert!(lines[phase + 4].starts_with("dominant phase"), "{rendered}");
 
-        // Journals without the sub-spans render the table as before.
-        let plain = build(&[summary(0, 1.0, 0.5, 0.25, 0.25, false)])
-            .blame()
-            .render();
+        // No sub-span time (no global update journaled): no breakdown rows.
+        let plain = build(&[summary(0, 1.0, 0.5, 0.5, false)]).blame().render();
         assert!(!plain.contains("of phase"), "{plain}");
     }
 
     #[test]
     fn task_durations_and_latency_attach_to_their_batch() {
         let run = build(&[
-            summary(0, 1.0, 0.5, 0.25, 0.25, false),
+            summary(0, 1.0, 0.5, 0.5, false),
             "{\"ev\":\"point\",\"name\":\"task_duration\",\"thread\":0,\"seq\":100,\"t_us\":100,\"batch\":0,\"step\":0,\"index\":0,\"secs\":0.6}".to_string(),
             "{\"ev\":\"point\",\"name\":\"task_duration\",\"thread\":0,\"seq\":101,\"t_us\":101,\"batch\":0,\"step\":0,\"index\":1,\"secs\":0.4}".to_string(),
             "{\"ev\":\"point\",\"name\":\"task_duration\",\"thread\":0,\"seq\":102,\"t_us\":102,\"batch\":0,\"step\":1,\"index\":0,\"secs\":0.5}".to_string(),
@@ -724,9 +679,9 @@ mod tests {
              \"records\":100.0,\"mean_secs\":2.5,\"min_secs\":1.0,\"max_secs\":5.0,\"p50_secs\":2.0,\"p95_secs\":4.5,\"p99_secs\":5.0}".to_string(),
         ]);
         let batch = &run.batches[0];
-        assert_eq!(batch.step_tasks[0], vec![0.6, 0.4]);
-        assert_eq!(batch.step_tasks[1], vec![0.5]);
-        assert_eq!(batch.parallelism, 4);
+        assert_eq!(batch.record.assignment.task_secs(), [0.6, 0.4]);
+        assert_eq!(batch.record.local.task_secs(), [0.5]);
+        assert_eq!(batch.record.parallelism, 4);
         let latency = batch.latency.expect("latency digest");
         assert_eq!(latency.p95_secs, 4.5);
         assert_eq!(latency.records, 100.0);
@@ -741,17 +696,17 @@ mod tests {
         let run = build(&[
             "{\"ev\":\"point\",\"name\":\"record_latency\",\"thread\":0,\"seq\":1,\"t_us\":1,\"batch\":0,\
              \"records\":10.0,\"mean_secs\":1.0,\"min_secs\":1.0,\"max_secs\":1.0,\"p50_secs\":1.0,\"p95_secs\":1.0,\"p99_secs\":1.0}".to_string(),
-            summary(0, 1.0, 0.5, 0.25, 0.25, false),
+            summary(0, 1.0, 0.5, 0.5, false),
             "{\"ev\":\"point\",\"name\":\"task_duration\",\"thread\":0,\"seq\":2,\"t_us\":2,\"batch\":0,\"step\":0,\"index\":0,\"secs\":0.9}".to_string(),
             // Second run, batch index 0 again.
             "{\"ev\":\"point\",\"name\":\"record_latency\",\"thread\":0,\"seq\":3,\"t_us\":3,\"batch\":0,\
              \"records\":20.0,\"mean_secs\":2.0,\"min_secs\":2.0,\"max_secs\":2.0,\"p50_secs\":2.0,\"p95_secs\":2.0,\"p99_secs\":2.0}".to_string(),
-            summary(0, 3.0, 0.5, 0.25, 0.25, false),
+            summary(0, 3.0, 0.5, 0.5, false),
             "{\"ev\":\"point\",\"name\":\"task_duration\",\"thread\":0,\"seq\":4,\"t_us\":4,\"batch\":0,\"step\":0,\"index\":0,\"secs\":2.9}".to_string(),
         ]);
         assert_eq!(run.batches.len(), 2);
-        assert_eq!(run.batches[0].step_tasks[0], vec![0.9]);
-        assert_eq!(run.batches[1].step_tasks[0], vec![2.9]);
+        assert_eq!(run.batches[0].record.assignment.task_secs(), [0.9]);
+        assert_eq!(run.batches[1].record.assignment.task_secs(), [2.9]);
         assert_eq!(run.batches[0].latency.expect("run 1 latency").records, 10.0);
         assert_eq!(run.batches[1].latency.expect("run 2 latency").records, 20.0);
     }
@@ -808,10 +763,71 @@ mod tests {
         assert_eq!(build(&[]).setup_line(), None);
     }
 
+    /// The journal's text form loses nothing: records emitted into a file
+    /// and read back by `analyze` equal the originals bit for bit — at
+    /// p ∈ {1, 3}, sync and overlapped, with task lists — and so does the
+    /// journaled total. (The only test here that records a journal.)
+    #[test]
+    fn records_round_trip_through_a_journal_file() {
+        let records: Vec<BatchRecord> = [(1, false), (1, true), (3, false), (3, true)]
+            .into_iter()
+            .enumerate()
+            .map(|(i, (p, overlap))| {
+                let tasks: Vec<f64> = (0..p + i).map(|t| (t + 1) as f64 / 3.0e3).collect();
+                BatchRecord {
+                    batch_index: i,
+                    records: 999 + i,
+                    assignment: StepMetrics::new(tasks.clone(), 0.1 / 3.0),
+                    local: StepMetrics::new(tasks[..p].to_vec(), 0.2 / 7.0),
+                    global_secs: 1.0 / 30.0 * i as f64,
+                    async_overlap: overlap,
+                    parallelism: p,
+                    broadcast_bytes: 4_097 * p as u64,
+                    shuffle_bytes: 65_537,
+                    collect_bytes: 257 * i as u64,
+                    assign_driver_secs: 1e-5 / 3.0,
+                    local_driver_secs: 1e-5 / 7.0,
+                }
+            })
+            .collect();
+        let path = std::env::temp_dir().join(format!(
+            "diststream-trace-round-trip-{}.jsonl",
+            std::process::id()
+        ));
+        diststream_telemetry::start_file_session(&path).expect("journal session");
+        for record in &records {
+            record.emit();
+        }
+        diststream_telemetry::finish_file_session();
+        let journal = crate::parse_journal_file(&path).expect("journal parses");
+        let _ = std::fs::remove_file(&path);
+        let run = analyze(&journal).expect("journal analyzes");
+        let read: Vec<&BatchRecord> = run.batches.iter().map(|b| &b.record).collect();
+        assert_eq!(read, records.iter().collect::<Vec<_>>());
+        for batch in &run.batches {
+            assert_eq!(
+                batch.total_secs.to_bits(),
+                batch.record.total_secs().to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn a_summary_missing_a_field_is_refused_with_its_batch() {
+        let line = summary(7, 1.0, 0.5, 0.5, false).replace("\"collect_bytes\":0,", "");
+        let mut contents = String::from(META);
+        contents.push('\n');
+        contents.push_str(&line);
+        let err = analyze(&parse_journal(&contents).expect("parses")).expect_err("refused");
+        assert!(
+            err.message.contains("batch 7") && err.message.contains("collect_bytes"),
+            "{err}"
+        );
+    }
+
     #[test]
     fn span_multiset_counts_open_events() {
-        let mut contents =
-            String::from("{\"ev\":\"meta\",\"version\":1,\"clock\":\"monotonic-us\"}");
+        let mut contents = String::from(META);
         for line in [
             "{\"ev\":\"open\",\"span\":\"batch\",\"thread\":0,\"seq\":0,\"t_us\":0,\"depth\":0}",
             "{\"ev\":\"close\",\"span\":\"batch\",\"thread\":0,\"seq\":1,\"t_us\":1,\"depth\":0,\"dur_us\":1}",

@@ -99,7 +99,7 @@ mod tests {
 
     #[test]
     fn exports_complete_and_instant_events() {
-        let contents = "{\"ev\":\"meta\",\"version\":1,\"clock\":\"monotonic-us\"}\n\
+        let contents = "{\"ev\":\"meta\",\"version\":2,\"clock\":\"monotonic-us\"}\n\
             {\"ev\":\"open\",\"span\":\"batch\",\"thread\":0,\"seq\":0,\"t_us\":100,\"depth\":0,\"batch\":2}\n\
             {\"ev\":\"close\",\"span\":\"batch\",\"thread\":0,\"seq\":1,\"t_us\":400,\"depth\":0,\"dur_us\":300,\"batch\":2}\n\
             {\"ev\":\"point\",\"name\":\"batch_summary\",\"thread\":0,\"seq\":2,\"t_us\":401,\"batch\":2,\"total_secs\":0.5}";

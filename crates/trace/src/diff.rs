@@ -107,8 +107,8 @@ mod tests {
     use super::*;
     use crate::analysis::{BlameRow, BlameTable};
 
-    fn table(assignment: f64, local: f64, global: f64, overhead: f64) -> BlameTable {
-        let secs = [0.0, assignment, local, global, overhead];
+    fn table(assignment: f64, local: f64, global: f64) -> BlameTable {
+        let secs = [0.0, assignment, local, global];
         BlameTable {
             rows: Phase::ALL
                 .iter()
@@ -119,7 +119,7 @@ mod tests {
                     batches_on_path: 1,
                 })
                 .collect(),
-            critical_secs: assignment + local + global + overhead,
+            critical_secs: assignment + local + global,
             batches: 1,
             global_sub_secs: [0.0; 3],
             driver_secs: 0.0,
@@ -128,8 +128,8 @@ mod tests {
 
     #[test]
     fn diff_reports_per_phase_deltas() {
-        let base = table(1.0, 0.5, 0.25, 0.25);
-        let new = table(1.0, 0.8, 0.25, 0.25);
+        let base = table(1.0, 0.5, 0.5);
+        let new = table(1.0, 0.8, 0.5);
         let deltas = diff_blame(&base, &new);
         let local = deltas
             .iter()
@@ -146,20 +146,20 @@ mod tests {
 
     #[test]
     fn attribution_picks_the_largest_growth_and_ignores_improvements() {
-        let base = table(1.0, 0.5, 0.25, 0.25);
-        let new = table(0.5, 0.9, 0.35, 0.25);
+        let base = table(1.0, 0.5, 0.5);
+        let new = table(0.5, 0.9, 0.6);
         let worst = attribute_regression(&diff_blame(&base, &new)).expect("regression");
         assert_eq!(worst.phase, Phase::LocalUpdate);
 
         // Everything faster: nothing to blame.
-        let faster = table(0.5, 0.4, 0.2, 0.2);
+        let faster = table(0.5, 0.4, 0.4);
         assert_eq!(attribute_regression(&diff_blame(&base, &faster)), None);
     }
 
     #[test]
     fn render_names_the_largest_regression() {
-        let base = table(1.0, 0.5, 0.25, 0.25);
-        let new = table(1.0, 0.8, 0.25, 0.25);
+        let base = table(1.0, 0.5, 0.5);
+        let new = table(1.0, 0.8, 0.5);
         let out = render(&diff_blame(&base, &new));
         assert!(out.contains("largest regression: local_update"), "{out}");
         assert!(out.contains("+60.0%"), "{out}");

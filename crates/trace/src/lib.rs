@@ -16,14 +16,20 @@
 //!   per-task durations through the list schedule the runtime itself uses
 //!   (tasks in submission order, each on the least-loaded slot) at
 //!   hypothetical parallelism levels, reporting predicted speedup and the
-//!   serial fraction (Amdahl ceiling) that caps it.
+//!   serial fraction (Amdahl ceiling) that caps it. The replay is the
+//!   workspace's one, `diststream_telemetry::time_model::replay`, which
+//!   the bench crate's modeled cluster also prices runs with.
 //! - **Can I look at it?** [`chrome::export`] renders the journal in the
 //!   Chrome trace-event format for `chrome://tracing` / Perfetto.
 //!
-//! Its one dependency is the dependency-free telemetry crate, whose
+//! Its one dependency is the dependency-free telemetry crate: its
+//! [`record`](diststream_telemetry::record) module reads each batch back
+//! from the journal (one `BatchRecord` per `batch_summary` and its
+//! `task_duration` points, journal version 2 only — [`parse_journal`]
+//! refuses any other), and its
 //! [`time_model`](diststream_telemetry::time_model) defines the makespan,
-//! the critical path and the reconciliation tolerance this crate reads
-//! journals by. It is consumed by `xtask` (which must stay fast to build)
+//! the critical path, the replay and the reconciliation tolerance this
+//! crate reads journals by. It is consumed by `xtask` (which must stay fast to build)
 //! and by the bench harness.
 
 #![forbid(unsafe_code)]
@@ -36,7 +42,6 @@ pub mod whatif;
 
 pub use analysis::{
     analyze, span_multiset, BatchProfile, BlameRow, BlameTable, LatencyDigest, Phase, RunProfile,
-    Segment,
 };
 pub use diff::{attribute_regression, diff_blame, PhaseDelta};
 pub use parse::{

@@ -16,10 +16,26 @@
 
 use std::fmt;
 
-/// Journal schema version this crate understands. Mirrors
-/// `diststream_telemetry::JOURNAL_VERSION` (duplicated deliberately — the
-/// crate reads journal *files*, which outlive any in-process constant).
-pub const SUPPORTED_VERSION: f64 = 1.0;
+use diststream_telemetry::JOURNAL_VERSION;
+
+/// Accepts a journal's meta-line `version` when it is the one this
+/// workspace writes, [`JOURNAL_VERSION`]: the batch record's field table
+/// reads exactly the fields that version writes.
+///
+/// # Errors
+///
+/// Names both versions. A journal of another version is re-recorded, not
+/// read.
+pub fn check_version(version: f64) -> Result<(), String> {
+    if version == JOURNAL_VERSION as f64 {
+        Ok(())
+    } else {
+        Err(format!(
+            "unsupported journal version {version} (this reader reads version \
+             {JOURNAL_VERSION}; re-record the run)"
+        ))
+    }
+}
 
 /// What a parsed journal event records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,12 +171,7 @@ pub fn parse_journal(contents: &str) -> Result<Journal, ParseError> {
             let version = get("version")
                 .and_then(Value::as_num)
                 .ok_or_else(|| err(lineno, "meta line lacks `version`"))?;
-            if version != SUPPORTED_VERSION {
-                return Err(err(
-                    lineno,
-                    format!("unsupported journal version {version} (expected {SUPPORTED_VERSION})"),
-                ));
-            }
+            check_version(version).map_err(|e| err(lineno, e))?;
             journal.version = version;
             saw_meta = true;
             continue;
@@ -385,7 +396,7 @@ fn parse_value(
 mod tests {
     use super::*;
 
-    pub(crate) const META: &str = "{\"ev\":\"meta\",\"version\":1,\"clock\":\"monotonic-us\"}";
+    const META: &str = "{\"ev\":\"meta\",\"version\":2,\"clock\":\"monotonic-us\"}";
 
     fn journal(lines: &[&str]) -> String {
         let mut out = String::from(META);
@@ -405,7 +416,7 @@ mod tests {
             "{\"ev\":\"drops\",\"count\":3}",
         ]);
         let parsed = parse_journal(&contents).expect("parses");
-        assert_eq!(parsed.version, 1.0);
+        assert_eq!(parsed.version, 2.0);
         assert_eq!(parsed.events.len(), 3);
         assert_eq!(parsed.drops, 3);
         assert_eq!(parsed.events[0].kind, EventKind::Open);
@@ -447,6 +458,15 @@ mod tests {
         let bad_version = "{\"ev\":\"meta\",\"version\":99}";
         let e = parse_journal(bad_version).expect_err("bad version");
         assert!(e.message.contains("unsupported"), "{e}");
+
+        // Version 1 still wrote `overhead_secs`; it is refused by name.
+        let v1 = "{\"ev\":\"meta\",\"version\":1,\"clock\":\"monotonic-us\"}";
+        let e = parse_journal(v1).expect_err("v1 journal");
+        assert_eq!(e.line, 1);
+        assert!(
+            e.message.contains("version 1") && e.message.contains("version 2"),
+            "{e}"
+        );
 
         let e = parse_journal("").expect_err("empty");
         assert!(e.message.contains("empty"), "{e}");

@@ -110,7 +110,7 @@ fn parse_what_if(spec: &str) -> Result<Vec<usize>, String> {
 fn load(path: &Path) -> Result<(diststream_trace::Journal, RunProfile), String> {
     let journal = diststream_trace::parse_journal_file(path)
         .map_err(|err| format!("{}: {err}", path.display()))?;
-    let run = analysis::analyze(&journal);
+    let run = analysis::analyze(&journal).map_err(|err| format!("{}: {err}", path.display()))?;
     Ok((journal, run))
 }
 
@@ -161,15 +161,15 @@ pub fn run(opts: &Options) -> Result<bool, String> {
             failures.push(format!(
                 "batch {}: critical path sums to {path:.6}s but recorded total is {total:.6}s \
                  (tolerance {:.0}%)",
-                batch.batch,
+                batch.record.batch_index,
                 RECONCILE_REL_TOL * 100.0
             ));
         }
     }
 
-    let records: f64 = run.batches.iter().map(|b| b.records).sum();
+    let records: usize = run.batches.iter().map(|b| b.record.records).sum();
     println!(
-        "xtask trace-analyze: {} — {} batch(es), {records:.0} record(s), {:.6}s recorded, \
+        "xtask trace-analyze: {} — {} batch(es), {records} record(s), {:.6}s recorded, \
          {:.6}s wall-side ingest",
         opts.journal.display(),
         run.batches.len(),
@@ -304,18 +304,22 @@ mod tests {
 
     #[test]
     fn latency_summary_weights_batches_by_records() {
-        let contents = "{\"ev\":\"meta\",\"version\":1,\"clock\":\"monotonic-us\"}\n\
+        let contents = "{\"ev\":\"meta\",\"version\":2,\"clock\":\"monotonic-us\"}\n\
             {\"ev\":\"point\",\"name\":\"batch_summary\",\"thread\":0,\"seq\":0,\"t_us\":1,\"batch\":0,\
              \"records\":100,\"assignment_secs\":1.0,\"local_secs\":0.0,\"global_secs\":0.0,\
-             \"overhead_secs\":0.0,\"total_secs\":1.0,\"async_overlap\":0.0,\"parallelism\":1}\n\
+             \"total_secs\":1.0,\"async_overlap\":0.0,\"broadcast_bytes\":0,\"shuffle_bytes\":0,\
+             \"collect_bytes\":0,\"stragglers\":0,\"parallelism\":1,\"assign_driver_secs\":0.0,\
+             \"local_driver_secs\":0.0}\n\
             {\"ev\":\"point\",\"name\":\"record_latency\",\"thread\":0,\"seq\":1,\"t_us\":2,\"batch\":0,\
              \"records\":100,\"mean_secs\":1.0,\"p50_secs\":1.0,\"p95_secs\":2.0,\"p99_secs\":2.0}\n\
             {\"ev\":\"point\",\"name\":\"batch_summary\",\"thread\":0,\"seq\":2,\"t_us\":3,\"batch\":1,\
              \"records\":300,\"assignment_secs\":1.0,\"local_secs\":0.0,\"global_secs\":0.0,\
-             \"overhead_secs\":0.0,\"total_secs\":1.0,\"async_overlap\":0.0,\"parallelism\":1}\n\
+             \"total_secs\":1.0,\"async_overlap\":0.0,\"broadcast_bytes\":0,\"shuffle_bytes\":0,\
+             \"collect_bytes\":0,\"stragglers\":0,\"parallelism\":1,\"assign_driver_secs\":0.0,\
+             \"local_driver_secs\":0.0}\n\
             {\"ev\":\"point\",\"name\":\"record_latency\",\"thread\":0,\"seq\":3,\"t_us\":4,\"batch\":1,\
              \"records\":300,\"mean_secs\":3.0,\"p50_secs\":3.0,\"p95_secs\":6.0,\"p99_secs\":6.0}";
-        let run = analysis::analyze(&parse_journal(contents).expect("parses"));
+        let run = analysis::analyze(&parse_journal(contents).expect("parses")).expect("analyzes");
         let (records, mean, p50, p95, p99) = latency_summary(&run).expect("latency present");
         assert_eq!(records, 400.0);
         // (1.0*100 + 3.0*300) / 400 = 2.5
@@ -327,11 +331,13 @@ mod tests {
 
     #[test]
     fn latency_summary_is_none_without_digests() {
-        let contents = "{\"ev\":\"meta\",\"version\":1,\"clock\":\"monotonic-us\"}\n\
+        let contents = "{\"ev\":\"meta\",\"version\":2,\"clock\":\"monotonic-us\"}\n\
             {\"ev\":\"point\",\"name\":\"batch_summary\",\"thread\":0,\"seq\":0,\"t_us\":1,\"batch\":0,\
              \"records\":100,\"assignment_secs\":1.0,\"local_secs\":0.0,\"global_secs\":0.0,\
-             \"overhead_secs\":0.0,\"total_secs\":1.0,\"async_overlap\":0.0,\"parallelism\":1}";
-        let run = analysis::analyze(&parse_journal(contents).expect("parses"));
+             \"total_secs\":1.0,\"async_overlap\":0.0,\"broadcast_bytes\":0,\"shuffle_bytes\":0,\
+             \"collect_bytes\":0,\"stragglers\":0,\"parallelism\":1,\"assign_driver_secs\":0.0,\
+             \"local_driver_secs\":0.0}";
+        let run = analysis::analyze(&parse_journal(contents).expect("parses")).expect("analyzes");
         assert_eq!(latency_summary(&run), None);
     }
 }

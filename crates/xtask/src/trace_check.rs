@@ -11,10 +11,11 @@
 //! 3. per thread: sequence numbers strictly increase, timestamps never go
 //!    backwards, spans nest LIFO (each `close` matches the innermost open
 //!    span and records the same depth), and every opened span is closed;
-//! 4. every `batch_summary` point reconciles: the critical-path components
-//!    sum (sync protocol) or overlap-max (async protocol) to `total_secs`
-//!    within 5% — the rule and the tolerance are the runtime's own
-//!    (`diststream_telemetry::time_model`);
+//! 4. every `batch_summary` point reads back as a batch record (the field
+//!    table of `diststream_telemetry::record` — every field present) and
+//!    reconciles: the critical-path components sum (sync protocol) or
+//!    overlap-max (async protocol) to `total_secs` within 5% — the rule and
+//!    the tolerance are the runtime's own (`diststream_telemetry::time_model`);
 //! 5. pipeline spans sit where the overlapped pipeline puts them: a
 //!    `prefetch` or `retire` span never nests inside a `batch` span (ingest
 //!    and the freeing of spent batches run on the prefetch worker's own
@@ -41,13 +42,12 @@
 //! cannot hide from its validator.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write as _;
 use std::path::Path;
 
-use diststream_telemetry::time_model::{
-    batch_critical_path, reconcile_tolerance, GLOBAL_SUBSPANS, RECONCILE_REL_TOL,
-};
-use diststream_trace::parse::SUPPORTED_VERSION;
+use diststream_telemetry::names::POINT_BATCH_SUMMARY;
+use diststream_telemetry::record::BatchRecord;
+use diststream_telemetry::time_model::{reconcile_tolerance, GLOBAL_SUBSPANS, RECONCILE_REL_TOL};
+use diststream_trace::parse::check_version;
 use diststream_trace::{parse_flat_object, Value};
 
 /// One open span on a thread's stack.
@@ -86,8 +86,8 @@ pub fn check_trace(contents: &str) -> Result<TraceStats, Vec<String>> {
     // Per-thread checker state: (last seq, last t_us, stack of open spans).
     let mut threads: BTreeMap<u64, (f64, f64, Vec<OpenSpan>)> = BTreeMap::new();
     let mut saw_meta = false;
-    // Summed duration of the `global_update` spans that hold sub-spans, of
-    // those sub-spans, and their count.
+    // Summed duration of the `global_update` spans, of the sub-spans
+    // closed directly inside them, and their count.
     let (mut phase_us, mut phase_sub_us, mut phase_subs) = (0.0, 0.0, 0usize);
     // Threads that opened an `init` span and no `batch` span since.
     let mut initialised: BTreeSet<u64> = BTreeSet::new();
@@ -119,11 +119,9 @@ pub fn check_trace(contents: &str) -> Result<TraceStats, Vec<String>> {
                     "line {lineno}: journal must start with a meta line, found `{ev}`"
                 ));
             } else {
-                match get("version").and_then(Value::as_num) {
-                    Some(v) if v == SUPPORTED_VERSION => {}
-                    Some(v) => errors.push(format!(
-                        "line {lineno}: unsupported journal version {v} (expected {SUPPORTED_VERSION})"
-                    )),
+                match get("version").and_then(Value::as_num).map(check_version) {
+                    Some(Ok(())) => {}
+                    Some(Err(err)) => errors.push(format!("line {lineno}: {err}")),
                     None => errors.push(format!("line {lineno}: meta line lacks `version`")),
                 }
             }
@@ -238,9 +236,7 @@ pub fn check_trace(contents: &str) -> Result<TraceStats, Vec<String>> {
                                         parent.subs += 1;
                                     }
                                 }
-                                // Journals that predate the sub-spans have
-                                // none to reconcile.
-                                if name == "global_update" && open.subs > 0 {
+                                if name == "global_update" {
                                     phase_us += dur_us;
                                     phase_sub_us += open.sub_us;
                                     phase_subs += open.subs;
@@ -270,9 +266,10 @@ pub fn check_trace(contents: &str) -> Result<TraceStats, Vec<String>> {
                     .or_insert((-1.0, 0.0, Vec::new()));
                 check_thread_order(state, seq, t_us, lineno, &mut errors);
                 stats.points += 1;
-                if name == "batch_summary" {
+                if name == POINT_BATCH_SUMMARY {
                     stats.batch_summaries += 1;
-                    if let Some(err) = check_batch_summary(&get) {
+                    let field = |key: &str| get(key).and_then(Value::as_num);
+                    if let Err(err) = check_batch_summary(field) {
                         errors.push(format!("line {lineno}: {err}"));
                     }
                 }
@@ -349,53 +346,27 @@ fn check_thread_order(
     *last_t = t_us;
 }
 
-/// The `batch_summary` reconciliation: the components, combined by the
-/// time model's [`batch_critical_path`], must reproduce `total_secs` within
-/// [`reconcile_tolerance`].
-fn check_batch_summary<'a>(get: &impl Fn(&str) -> Option<&'a Value>) -> Option<String> {
-    let component = |key: &str| -> Result<f64, String> {
-        get(key)
-            .and_then(Value::as_num)
-            .ok_or_else(|| format!("batch_summary lacks numeric `{key}`"))
-    };
-    let parts: Result<Vec<f64>, String> = [
-        "assignment_secs",
-        "local_secs",
-        "global_secs",
-        "overhead_secs",
-        "total_secs",
-        "async_overlap",
-    ]
-    .iter()
-    .map(|key| component(key))
-    .collect();
-    let parts = match parts {
-        Ok(parts) => parts,
-        Err(err) => return Some(err),
-    };
-    let [assignment, local, global, overhead, total, async_overlap] = parts[..] else {
-        return Some("internal: component count mismatch".to_string());
-    };
-    let expected =
-        batch_critical_path(assignment + local, global, overhead, async_overlap != 0.0).secs;
+/// The `batch_summary` reconciliation: the point reads back as a
+/// [`BatchRecord`], whose critical path must reproduce the journaled
+/// `total_secs` within [`reconcile_tolerance`].
+fn check_batch_summary(field: impl Fn(&str) -> Option<f64>) -> Result<(), String> {
+    let (record, total) = BatchRecord::from_point(0, field)?;
+    let expected = record.total_secs();
     let tolerance = reconcile_tolerance(total);
     if (expected - total).abs() > tolerance {
-        let mut msg = String::new();
-        let _ = write!(
-            msg,
+        return Err(format!(
             "batch_summary does not reconcile: components give {expected:.6}s \
              but total_secs is {total:.6}s (tolerance {tolerance:.6}s)"
-        );
-        return Some(msg);
+        ));
     }
-    None
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const META: &str = "{\"ev\":\"meta\",\"version\":1,\"clock\":\"monotonic-us\"}";
+    const META: &str = "{\"ev\":\"meta\",\"version\":2,\"clock\":\"monotonic-us\"}";
 
     fn journal(lines: &[&str]) -> String {
         let mut out = String::from(META);
@@ -406,15 +377,26 @@ mod tests {
         out
     }
 
+    /// A version-2 `batch_summary` point: `head` carries the point's own
+    /// keys and the components under test, the rest is zero.
+    fn summary(head: &str) -> String {
+        format!(
+            "{{\"ev\":\"point\",\"name\":\"batch_summary\",{head},\"records\":10.0,\
+             \"broadcast_bytes\":0,\"shuffle_bytes\":0,\"collect_bytes\":0,\"stragglers\":0,\
+             \"parallelism\":1,\"assign_driver_secs\":0.0,\"local_driver_secs\":0.0}}"
+        )
+    }
+
     #[test]
     fn accepts_well_formed_journal() {
         let contents = journal(&[
             "{\"ev\":\"open\",\"span\":\"batch\",\"thread\":0,\"seq\":0,\"t_us\":10,\"depth\":0,\"batch\":0}",
             "{\"ev\":\"open\",\"span\":\"assignment\",\"thread\":0,\"seq\":1,\"t_us\":11,\"depth\":1,\"batch\":0}",
             "{\"ev\":\"close\",\"span\":\"assignment\",\"thread\":0,\"seq\":2,\"t_us\":20,\"depth\":1,\"dur_us\":9,\"batch\":0}",
-            "{\"ev\":\"point\",\"name\":\"batch_summary\",\"thread\":0,\"seq\":3,\"t_us\":21,\"batch\":0,\
-             \"records\":10.0,\"assignment_secs\":1.0,\"local_secs\":0.5,\"global_secs\":0.25,\
-             \"overhead_secs\":0.25,\"total_secs\":2.0,\"async_overlap\":0.0}",
+            &summary(
+                "\"thread\":0,\"seq\":3,\"t_us\":21,\"batch\":0,\"assignment_secs\":1.0,\
+                 \"local_secs\":0.5,\"global_secs\":0.5,\"total_secs\":2.0,\"async_overlap\":0.0",
+            ),
             "{\"ev\":\"close\",\"span\":\"batch\",\"thread\":0,\"seq\":4,\"t_us\":22,\"depth\":0,\"dur_us\":12,\"batch\":0}",
         ]);
         let stats = check_trace(&contents).expect("journal is valid");
@@ -426,13 +408,12 @@ mod tests {
 
     #[test]
     fn async_overlap_reconciles_with_max_form() {
-        // total = max(1.0 + 0.5, 5.0) + 0.1 = 5.1 — the sync sum (6.6)
+        // total = max(1.0 + 0.5, 5.0) = 5.0 — the sync sum (6.5)
         // would fail, the async max must pass.
-        let contents = journal(&[
-            "{\"ev\":\"point\",\"name\":\"batch_summary\",\"thread\":0,\"seq\":0,\"t_us\":1,\
-             \"assignment_secs\":1.0,\"local_secs\":0.5,\"global_secs\":5.0,\
-             \"overhead_secs\":0.1,\"total_secs\":5.1,\"async_overlap\":1.0}",
-        ]);
+        let contents = journal(&[&summary(
+            "\"thread\":0,\"seq\":0,\"t_us\":1,\"assignment_secs\":1.0,\"local_secs\":0.5,\
+             \"global_secs\":5.0,\"total_secs\":5.0,\"async_overlap\":1.0",
+        )]);
         assert!(check_trace(&contents).is_ok());
     }
 
@@ -469,13 +450,23 @@ mod tests {
 
     #[test]
     fn rejects_unreconciled_batch_summary() {
-        let contents = journal(&[
-            "{\"ev\":\"point\",\"name\":\"batch_summary\",\"thread\":0,\"seq\":0,\"t_us\":1,\
-             \"assignment_secs\":1.0,\"local_secs\":1.0,\"global_secs\":1.0,\
-             \"overhead_secs\":0.0,\"total_secs\":9.0,\"async_overlap\":0.0}",
-        ]);
+        let contents = journal(&[&summary(
+            "\"thread\":0,\"seq\":0,\"t_us\":1,\"assignment_secs\":1.0,\"local_secs\":1.0,\
+             \"global_secs\":1.0,\"total_secs\":9.0,\"async_overlap\":0.0",
+        )]);
         let errors = check_trace(&contents).expect_err("bad reconciliation");
         assert!(errors[0].contains("reconcile"), "{errors:?}");
+
+        // A summary the batch record cannot be read from names the field.
+        let incomplete = journal(&[
+            "{\"ev\":\"point\",\"name\":\"batch_summary\",\"thread\":0,\"seq\":0,\"t_us\":1,\
+             \"records\":10.0,\"total_secs\":1.0}",
+        ]);
+        let errors = check_trace(&incomplete).expect_err("incomplete summary");
+        assert_eq!(
+            errors,
+            vec!["line 2: batch_summary lacks numeric `assignment_secs`"]
+        );
     }
 
     #[test]
@@ -609,13 +600,15 @@ mod tests {
         let errors = check_trace(&journal(&refs)).expect_err("stray sub-span");
         assert!(errors.iter().any(|e| e.contains("outside")), "{errors:?}");
 
-        // A journal without sub-spans (written before they existed) passes.
+        // The runtime opens all three sub-spans in every global update, so
+        // a phase with none is untiled, not an older journal.
         let lines = [
             span("open", "global_update", 0, 0, 0, None),
             span("close", "global_update", 1, 900, 0, Some(900)),
         ];
         let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
-        assert!(check_trace(&journal(&refs)).is_ok());
+        let errors = check_trace(&journal(&refs)).expect_err("phase without sub-spans");
+        assert!(errors.iter().any(|e| e.contains("tile")), "{errors:?}");
     }
 
     #[test]
@@ -720,11 +713,16 @@ mod tests {
                 "line 7: unknown event kind `teleport`",
             ]
         );
-        let bad_version = "{\"ev\":\"meta\",\"version\":2}";
-        let errors = check_trace(bad_version).expect_err("unsupported version");
+        // Version 1 (which still carried `overhead_secs`) is refused with
+        // both versions named.
+        let v1 = "{\"ev\":\"meta\",\"version\":1}";
+        let errors = check_trace(v1).expect_err("unsupported version");
         assert_eq!(
             errors,
-            vec!["line 1: unsupported journal version 2 (expected 1)"]
+            vec![
+                "line 1: unsupported journal version 1 (this reader reads version 2; \
+                 re-record the run)"
+            ]
         );
     }
 }

@@ -21,7 +21,7 @@ use diststream::algorithms::{
 use diststream::core::{DistStreamJob, PipelineOptions, StreamClustering};
 use diststream::datasets::covertype_like;
 use diststream::engine::{
-    encode, BatchMetrics, ExecutionMode, RecordLatency, StreamingContext, VecSource,
+    encode, BatchRecord, ExecutionMode, RecordLatency, StreamingContext, VecSource,
 };
 use diststream::telemetry;
 use diststream::types::{ClusteringConfig, Record};
@@ -142,21 +142,24 @@ fn traced_and_untraced_runs_produce_identical_models() {
 
     let journal = trace::parse_journal_file(&path).expect("journal parses");
     assert_eq!(journal.drops, 0, "journal lost events");
-    let run = trace::analyze(&journal);
+    let run = trace::analyze(&journal).expect("journal analyzes");
     assert_eq!(run.batches.len(), plain_latencies.len());
     for batch in &run.batches {
         batch.reconcile().unwrap_or_else(|(path_secs, total)| {
             panic!(
                 "batch {} does not reconcile: path {path_secs} vs total {total}",
-                batch.batch
+                batch.record.batch_index
             )
         });
-        assert_eq!(batch.parallelism, 2);
-        assert!(!batch.step_tasks[0].is_empty(), "no task_duration points");
+        assert_eq!(batch.record.parallelism, 2);
+        assert!(
+            !batch.record.assignment.task_secs().is_empty(),
+            "no task_duration points"
+        );
         let digest = batch.latency.expect("record_latency point journaled");
         let in_process = plain_latencies
             .iter()
-            .find(|d| d.source_batch as u64 == batch.batch)
+            .find(|d| d.source_batch == batch.record.batch_index)
             .expect("matching in-process digest");
         assert_eq!(digest.records, in_process.count as f64);
         assert_eq!(digest.p99_secs, in_process.p99_secs);
@@ -196,29 +199,35 @@ fn journal_structure_is_invariant_across_parallelism() {
         "span structure changed with parallelism"
     );
     let latency = |j: &trace::Journal| {
-        let run = trace::analyze(j);
+        let run = trace::analyze(j).expect("journal analyzes");
         run.batches
             .iter()
-            .map(|b| (b.batch, b.latency))
+            .map(|b| (b.record.batch_index, b.latency))
             .collect::<Vec<_>>()
     };
     assert_eq!(latency(narrow), latency(wide));
 }
 
-const META: &str = "{\"ev\":\"meta\",\"version\":1,\"clock\":\"monotonic-us\"}";
+const META: &str = "{\"ev\":\"meta\",\"version\":2,\"clock\":\"monotonic-us\"}";
 
-/// A synthetic two-batch sync journal with hand-checkable numbers.
+/// A synthetic two-batch sync journal with hand-checkable numbers: per
+/// batch 2.0 s of assignment, 1.0 s of local update and 1.0 s of global
+/// update, 4.0 s in all.
 fn synthetic_journal() -> trace::Journal {
     let contents = format!(
         "{META}\n\
          {{\"ev\":\"point\",\"name\":\"batch_summary\",\"thread\":0,\"seq\":0,\"t_us\":1,\"batch\":0,\
-          \"records\":100,\"assignment_secs\":2.0,\"local_secs\":1.0,\"global_secs\":0.5,\
-          \"overhead_secs\":0.5,\"total_secs\":4.0,\"async_overlap\":0.0,\"parallelism\":1}}\n\
+          \"records\":100,\"assignment_secs\":2.0,\"local_secs\":1.0,\"global_secs\":1.0,\
+          \"total_secs\":4.0,\"async_overlap\":0.0,\"broadcast_bytes\":0,\"shuffle_bytes\":0,\
+          \"collect_bytes\":0,\"stragglers\":0,\"parallelism\":1,\"assign_driver_secs\":0.0,\
+          \"local_driver_secs\":0.0}}\n\
          {{\"ev\":\"point\",\"name\":\"task_duration\",\"thread\":0,\"seq\":1,\"t_us\":2,\"batch\":0,\"step\":0,\"index\":0,\"secs\":2.0}}\n\
          {{\"ev\":\"point\",\"name\":\"task_duration\",\"thread\":0,\"seq\":2,\"t_us\":3,\"batch\":0,\"step\":1,\"index\":0,\"secs\":1.0}}\n\
          {{\"ev\":\"point\",\"name\":\"batch_summary\",\"thread\":0,\"seq\":3,\"t_us\":4,\"batch\":1,\
-          \"records\":100,\"assignment_secs\":2.0,\"local_secs\":1.0,\"global_secs\":0.5,\
-          \"overhead_secs\":0.5,\"total_secs\":4.0,\"async_overlap\":0.0,\"parallelism\":1}}\n\
+          \"records\":100,\"assignment_secs\":2.0,\"local_secs\":1.0,\"global_secs\":1.0,\
+          \"total_secs\":4.0,\"async_overlap\":0.0,\"broadcast_bytes\":0,\"shuffle_bytes\":0,\
+          \"collect_bytes\":0,\"stragglers\":0,\"parallelism\":1,\"assign_driver_secs\":0.0,\
+          \"local_driver_secs\":0.0}}\n\
          {{\"ev\":\"point\",\"name\":\"task_duration\",\"thread\":0,\"seq\":4,\"t_us\":5,\"batch\":1,\"step\":0,\"index\":0,\"secs\":2.0}}\n\
          {{\"ev\":\"point\",\"name\":\"task_duration\",\"thread\":0,\"seq\":5,\"t_us\":6,\"batch\":1,\"step\":1,\"index\":0,\"secs\":1.0}}"
     );
@@ -230,8 +239,8 @@ fn synthetic_journal() -> trace::Journal {
 #[test]
 fn blame_and_whatif_are_deterministic_with_pinned_values() {
     let journal = synthetic_journal();
-    let run = trace::analyze(&journal);
-    let replay = trace::analyze(&journal);
+    let run = trace::analyze(&journal).expect("journal analyzes");
+    let replay = trace::analyze(&journal).expect("journal analyzes");
     assert_eq!(run, replay, "analyze is not deterministic");
 
     let blame = run.blame();
@@ -245,7 +254,7 @@ fn blame_and_whatif_are_deterministic_with_pinned_values() {
 
     // Each batch recorded one 2.0s + one 1.0s task at p=1 (no residual):
     // at p'=2 the divisible fallback predicts 1.0 + 0.5 parallel seconds,
-    // plus 1.0s serial (global + overhead) → 2.5s/batch, 5.0s total.
+    // plus 1.0s serial (global) → 2.5s/batch, 5.0s total.
     let predictions = trace::predict(&run, &[2]);
     assert_eq!(trace::predict(&run, &[2]), predictions);
     let p2 = predictions.first().expect("one prediction");
@@ -274,19 +283,20 @@ fn a_simulated_journal_replays_at_its_own_degree_with_no_residual() {
             .run_tasks(vec![5, 1, 4, 2, 6, 3, 1], work)
             .expect("step 1");
         let (_, local) = ctx.run_tasks(vec![2, 7, 1], work).expect("step 2");
-        BatchMetrics {
+        BatchRecord {
             batch_index,
             records: 7,
             assignment,
             local,
             parallelism: p,
-            ..BatchMetrics::default()
+            ..BatchRecord::default()
         }
-        .emit_telemetry();
+        .emit();
     }
     telemetry::finish_file_session();
 
-    let run = trace::analyze(&trace::parse_journal_file(&path).expect("journal parses"));
+    let run = trace::analyze(&trace::parse_journal_file(&path).expect("journal parses"))
+        .expect("journal analyzes");
     let _ = std::fs::remove_file(&path);
     assert_eq!(run.batches.len(), 3);
     let same = trace::predict(&run, &[p])[0];
