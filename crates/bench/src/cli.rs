@@ -2,8 +2,6 @@
 
 use std::path::PathBuf;
 
-use diststream_core::StrategyKind;
-
 /// Everything that can be set on a `repro` run.
 ///
 /// ```text
@@ -16,7 +14,6 @@ use diststream_core::StrategyKind;
 /// matrix (and, for the first, digest) only:
 ///   --rounds N         stream replays per run, at least 1 (default 3)
 ///   --pipeline sync|overlapped|both   which pipeline variants to measure
-///   --strategy roundrobin|keyrange|locality|hybrid   distribution strategy
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Cli {
@@ -30,8 +27,6 @@ pub(crate) struct Cli {
     pub rounds: Option<usize>,
     /// The one pipeline label to measure; `None` measures both.
     pub pipeline: Option<String>,
-    /// Distribution strategy of every matrix cell.
-    pub strategy: StrategyKind,
     /// Span-journal output path (enables tracing).
     pub trace_out: Option<PathBuf>,
     /// Metrics exposition output path (enables telemetry).
@@ -69,7 +64,6 @@ impl Cli {
             full: false,
             rounds: None,
             pipeline: None,
-            strategy: StrategyKind::RoundRobin,
             trace_out: None,
             metrics_out: None,
         };
@@ -91,14 +85,6 @@ impl Cli {
                             ))
                         }
                     };
-                }
-                "--strategy" => {
-                    let label: String = value(&arg, iter.next())?;
-                    cli.strategy = StrategyKind::parse(&label).ok_or_else(|| {
-                        format!(
-                            "unknown --strategy '{label}' (roundrobin|keyrange|locality|hybrid)"
-                        )
-                    })?;
                 }
                 "--trace-out" => cli.trace_out = Some(value(&arg, iter.next())?),
                 "--metrics-out" => cli.metrics_out = Some(value(&arg, iter.next())?),
@@ -132,7 +118,6 @@ mod tests {
         let cli = parse(&[]).unwrap();
         assert_eq!((cli.records, cli.seed, cli.full), (None, 42, false));
         assert_eq!(cli.records_for(1000, 9999), 1000);
-        assert_eq!(cli.strategy, StrategyKind::RoundRobin);
         assert_eq!((cli.rounds, cli.pipeline), (None, None));
         assert_eq!((cli.trace_out, cli.metrics_out), (None, None));
     }
@@ -151,18 +136,9 @@ mod tests {
 
     #[test]
     fn parses_the_matrix_flags() {
-        let cli = parse(&[
-            "--rounds",
-            "1",
-            "--pipeline",
-            "overlapped",
-            "--strategy",
-            "keyrange",
-        ])
-        .unwrap();
+        let cli = parse(&["--rounds", "1", "--pipeline", "overlapped"]).unwrap();
         assert_eq!(cli.rounds, Some(1));
         assert_eq!(cli.pipeline.as_deref(), Some("overlapped"));
-        assert_eq!(cli.strategy, StrategyKind::KeyRange);
         assert_eq!(parse(&["--pipeline", "both"]).unwrap().pipeline, None);
     }
 
@@ -177,7 +153,7 @@ mod tests {
             &["--records", "1"],
             &["--rounds", "0"],
             &["--pipeline", "async"],
-            &["--strategy", "random"],
+            &["--strategy", "roundrobin"],
         ] {
             assert!(parse(bad).is_err(), "{bad:?}");
         }

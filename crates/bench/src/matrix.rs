@@ -21,7 +21,7 @@
 
 use std::time::Instant;
 
-use diststream_core::{DistStreamJob, PipelineOptions, StrategyKind, StreamClustering};
+use diststream_core::{DistStreamJob, PipelineOptions, StreamClustering};
 use diststream_engine::{ExecutionMode, RecordSource, RepeatSource, StreamingContext};
 use diststream_types::{ClusteringConfig, DistStreamError, Record, Result};
 
@@ -30,12 +30,6 @@ use crate::cli::Cli;
 use crate::overload::measure_overload;
 use crate::report::{fmt_f64, print_table, Table, MODELED_ROWS_NOTE};
 use crate::serving::{measure_serving, READER_THREADS, SERVING_PARALLELISM};
-
-/// Parallelism degree the shuffle-skew measurement runs at. Key-range
-/// placement co-locates each key's updates with its modeled map partition,
-/// so the charged remote fraction is about `(p - 1) / p` of the round-robin
-/// full charge — `4/3 ≈ 1.33×` at `p = 4`.
-const SHUFFLE_SKEW_PARALLELISM: usize = 4;
 
 /// Pipeline label for the paper's synchronous configuration.
 pub(crate) const PIPELINE_SYNC: &str = "sync";
@@ -343,31 +337,10 @@ pub(crate) fn overlap_verdict(rows: &[Row], pipelines: usize) -> Result<Option<(
     Ok(Some((ratio, ratio >= OVERLAP_WIN_FACTOR)))
 }
 
-/// Sums the charged shuffle bytes of one synchronous CluStream run at
-/// [`SHUFFLE_SKEW_PARALLELISM`] under `strategy`. Byte accounting is
-/// deterministic — it depends only on the stream and the strategy's
-/// placement, never on task timings — so the skew line reproduces exactly
-/// across machines.
-fn shuffle_bytes_for(bundle: &Bundle, workload: &Workload, strategy: StrategyKind) -> Result<u64> {
-    let ctx = StreamingContext::new(SHUFFLE_SKEW_PARALLELISM, ExecutionMode::Simulated)?;
-    let config = ClusteringConfig::builder().batch_secs(BATCH_SECS).build()?;
-    let algo = bundle.clustream();
-    let mut job = DistStreamJob::new(&algo, &ctx, config);
-    job.init_records(bundle.init_records())
-        .pipeline(PipelineOptions::sync().with_strategy(strategy));
-    let mut bytes = 0u64;
-    job.run(
-        RepeatSource::new(bundle.stress_records(), workload.rounds),
-        |report| bytes += report.outcome.metrics.shuffle_bytes,
-    )?;
-    Ok(bytes)
-}
-
-fn print_rows(workload: &Workload, strategy: StrategyKind, rows: &[Row]) {
+fn print_rows(workload: &Workload, rows: &[Row]) {
     let mut table = Table::new([
         "algorithm",
         "pipeline",
-        "strategy",
         "p",
         "records",
         "records/s",
@@ -383,7 +356,6 @@ fn print_rows(workload: &Workload, strategy: StrategyKind, rows: &[Row]) {
         table.row([
             run.algo.clone(),
             row.pipeline.to_string(),
-            strategy.label().to_string(),
             row.parallelism.to_string(),
             run.records.to_string(),
             fmt_f64(row.records_per_sec, 1),
@@ -413,9 +385,9 @@ fn print_rows(workload: &Workload, strategy: StrategyKind, rows: &[Row]) {
     println!("{MODELED_ROWS_NOTE}");
 }
 
-/// `repro matrix`: the table, the three report sections (shuffle skew,
-/// overload, serving — printed, not judged: their pass/fail belongs to the
-/// tests DESIGN.md §9 names), and the verdict, which is the return value.
+/// `repro matrix`: the table, the two report sections (overload, serving —
+/// printed, not judged: their pass/fail belongs to the tests DESIGN.md §9
+/// names), and the verdict, which is the return value.
 ///
 /// # Errors
 ///
@@ -429,22 +401,14 @@ pub(crate) fn matrix(cli: &Cli) -> Result<bool> {
     ]
     .into_iter()
     .filter(|(label, _)| cli.pipeline.as_deref().is_none_or(|only| only == *label))
-    .map(|(label, options)| (label, options.with_strategy(cli.strategy)))
     .collect();
 
     let repetitions = (0..REPETITIONS)
         .map(|_| run_repetition(&bundle, &workload, &pipelines))
         .collect::<Result<Vec<_>>>()?;
     let rows = fold(&repetitions);
-    print_rows(&workload, cli.strategy, &rows);
+    print_rows(&workload, &rows);
 
-    let roundrobin = shuffle_bytes_for(&bundle, &workload, StrategyKind::RoundRobin)?;
-    let keyrange = shuffle_bytes_for(&bundle, &workload, StrategyKind::KeyRange)?;
-    println!(
-        "shuffle skew (p={SHUFFLE_SKEW_PARALLELISM}): roundrobin {roundrobin} B vs keyrange \
-         {keyrange} B — {:.2}x reduction",
-        roundrobin as f64 / keyrange.max(1) as f64,
-    );
     let o = measure_overload(&bundle)?;
     println!(
         "overload (capacity {}/batch, {:.2}s windows): shed {:.1}% — latency approx {:.2}s vs \

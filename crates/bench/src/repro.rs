@@ -55,7 +55,7 @@ fn usage() -> String {
     format!(
         "usage: repro <{}> [--records N] [--seed S] [--full] [--trace-out FILE] \
          [--metrics-out FILE]; matrix and digest also take [--rounds N], matrix \
-         [--pipeline sync|overlapped|both] [--strategy roundrobin|keyrange|locality|hybrid]",
+         [--pipeline sync|overlapped|both]",
         names.join("|")
     )
 }

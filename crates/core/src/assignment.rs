@@ -4,12 +4,12 @@
 use std::time::Instant;
 
 use diststream_engine::{
-    chunk_size, chunk_strides, BlockPartitioner, Broadcast, StepMetrics, StreamingContext, Stride,
+    chunk_size, chunk_strides, Broadcast, StepMetrics, StreamingContext, Stride,
 };
 use diststream_types::{DistStreamError, Record, Result};
 
 use crate::api::{Assignment, StreamClustering};
-use crate::distribution::DistributionStrategy;
+use crate::distribution::Placement;
 
 /// Output of the assignment step: every record of the batch paired with its
 /// step-1 decision, in arrival order, plus the step's timing and the bytes
@@ -39,10 +39,10 @@ pub struct AssignmentOutcome {
 /// [`Assignment`] (`Copy`, 16 bytes) per position. The merged assignment
 /// list is then zipped onto the untouched records by move.
 ///
-/// The task layout is the `strategy`'s
-/// [`DistributionStrategy::split_records`] (`chunking == false`; the default
-/// round-robin split preserves relative record order inside every task, and
-/// [`DistributionStrategy::merge_assigned`] interleaves the outputs back),
+/// The task layout is the `placement`'s round-robin
+/// [`Placement::split_records`] (`chunking == false`; it preserves relative
+/// record order inside every task, and [`Placement::merge_assigned`]
+/// interleaves the outputs back),
 /// or deterministic size-aware chunk scheduling (`chunking == true`):
 /// the batch is cut into contiguous fixed-size chunks ([`chunk_size`])
 /// claimed by workers from the pool's shared deterministic queue, so a slow
@@ -52,29 +52,29 @@ pub struct AssignmentOutcome {
 ///
 /// Either way `pairs` comes back in arrival order — the property the
 /// order-aware local update depends on — and, per-record assignment being a
-/// pure function of `(model, record)`, byte-identical under every strategy,
-/// task layout and parallelism degree.
+/// pure function of `(model, record)`, byte-identical under every task
+/// layout and parallelism degree.
 ///
 /// # Errors
 ///
 /// Propagates engine failures (task panics) as
 /// [`DistStreamError::Engine`](diststream_types::DistStreamError::Engine), and
-/// reports a strategy whose merge does not return one assignment per record
-/// as [`DistStreamError::Invariant`].
+/// reports a merge that does not return one assignment per record as
+/// [`DistStreamError::Invariant`].
 pub fn assign_records_distributed<A: StreamClustering>(
     ctx: &StreamingContext,
     algo: &A,
     model: &Broadcast<A::Model>,
     records: Vec<Record>,
     chunking: bool,
-    strategy: &dyn DistributionStrategy,
+    placement: Placement,
 ) -> Result<AssignmentOutcome> {
     let entered = Instant::now(); // lint:allow(wallclock-entropy) driver-side timing feeds step metrics only
     let layout = if chunking {
         let chunk = chunk_size(records.len(), ctx.parallelism());
         chunk_strides(records.len(), chunk)
     } else {
-        strategy.split_records(records.len(), ctx.parallelism())
+        placement.split_records(records.len(), ctx.parallelism())
     };
     // Batched distance computation: the searcher (the algorithm's per-model
     // scan structure) is built once per batch and shared read-only by every
@@ -98,9 +98,9 @@ pub fn assign_records_distributed<A: StreamClustering>(
     let assignments = if chunking {
         // Contiguous chunks: concatenation in chunk order is the inverse
         // of the split.
-        BlockPartitioner.concat(outputs)
+        outputs.concat()
     } else {
-        strategy.merge_assigned(outputs)
+        placement.merge_assigned(outputs)
     };
     if assignments.len() != records.len() {
         return Err(DistStreamError::Invariant(format!(
@@ -121,7 +121,6 @@ pub fn assign_records_distributed<A: StreamClustering>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distribution::RoundRobinStrategy;
     use crate::reference::NaiveClustering;
     use diststream_engine::ExecutionMode;
     use diststream_types::{Point, Timestamp};
@@ -133,8 +132,7 @@ mod tests {
         records: Vec<Record>,
         chunking: bool,
     ) -> AssignmentOutcome {
-        assign_records_distributed(ctx, algo, model, records, chunking, &RoundRobinStrategy)
-            .unwrap()
+        assign_records_distributed(ctx, algo, model, records, chunking, Placement).unwrap()
     }
 
     fn rec(id: u64, x: f64) -> Record {

@@ -18,14 +18,13 @@ use diststream_telemetry as telemetry;
 use diststream_types::{DistStreamError, Result};
 
 use crate::api::StreamClustering;
-use crate::distribution::StrategyKind;
 use crate::session::JobSession;
 
 /// Size of the modeled key-slot universe used to size a rebalance plan.
 ///
 /// Key movement is accounted at hash-slot granularity — the same universe a
 /// consistent-hashing ring would shard — so the moved-key count is a pure
-/// function of `(strategy, old_p, new_p)` and never depends on the model's
+/// function of `(old_p, new_p)` and never depends on the model's
 /// internals.
 pub(crate) const REBALANCE_KEY_SLOTS: usize = 4096;
 
@@ -142,7 +141,7 @@ impl<A: StreamClustering> JobSession<'_, A> {
             });
         }
         let replayed_bytes = restored.len() as u64;
-        let moved_keys = moved_key_slots(self.job.pipeline.strategy, from, to);
+        let moved_keys = moved_key_slots(from, to);
         if telemetry::enabled() {
             telemetry::counter(telemetry::names::METRIC_REBALANCE_TOTAL).inc();
             telemetry::counter(telemetry::names::METRIC_REBALANCE_MOVED_KEYS_TOTAL).add(moved_keys);
@@ -172,24 +171,11 @@ impl<A: StreamClustering> JobSession<'_, A> {
 }
 
 /// Key slots (out of [`REBALANCE_KEY_SLOTS`]) whose partition changes when
-/// resizing `from → to` under `kind`'s routing discipline: modulo for the
-/// hash-routed strategies, contiguous ranges for the range-routed ones.
-fn moved_key_slots(kind: StrategyKind, from: usize, to: usize) -> u64 {
-    if from == to {
-        return 0;
-    }
+/// resizing `from → to` under hash routing (slot modulo the degree).
+fn moved_key_slots(from: usize, to: usize) -> u64 {
     (0..REBALANCE_KEY_SLOTS)
-        .filter(|&slot| slot_partition(kind, slot, from) != slot_partition(kind, slot, to))
+        .filter(|&slot| slot % from != slot % to)
         .count() as u64
-}
-
-fn slot_partition(kind: StrategyKind, slot: usize, p: usize) -> usize {
-    match kind {
-        StrategyKind::RoundRobin | StrategyKind::Locality => slot % p,
-        StrategyKind::KeyRange | StrategyKind::Hybrid => {
-            (slot / REBALANCE_KEY_SLOTS.div_ceil(p)).min(p - 1)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -293,7 +279,7 @@ mod tests {
     }
 
     #[test]
-    fn elastic_model_is_schedule_invariant_across_strategies() {
+    fn elastic_model_is_schedule_invariant() {
         let schedules = [
             ResizeSchedule::with_steps(4, vec![]).unwrap(),
             ResizeSchedule::with_steps(1, vec![(1, 5), (3, 2)]).unwrap(),
@@ -304,12 +290,9 @@ mod tests {
             PipelineOptions::sync(),
         )
         .model;
-        for kind in StrategyKind::ALL {
-            for schedule in &schedules {
-                let options = PipelineOptions::sync().with_strategy(kind);
-                let model = run_schedule(schedule.clone(), options).model;
-                assert_eq!(model, reference, "kind={kind:?} schedule={schedule:?}");
-            }
+        for schedule in &schedules {
+            let model = run_schedule(schedule.clone(), PipelineOptions::sync()).model;
+            assert_eq!(model, reference, "schedule={schedule:?}");
         }
     }
 
@@ -370,21 +353,12 @@ mod tests {
 
     #[test]
     fn moved_key_slots_is_zero_only_for_no_op_resizes() {
-        for kind in StrategyKind::ALL {
-            assert_eq!(moved_key_slots(kind, 4, 4), 0, "{kind:?}");
-            let moved = moved_key_slots(kind, 2, 4);
-            assert!(moved > 0, "{kind:?}");
-            assert!(moved <= REBALANCE_KEY_SLOTS as u64, "{kind:?}");
-        }
-        // Range routing preserves the leading range when growing; hash
-        // routing reshuffles by modulus. Both are deterministic.
-        assert_eq!(
-            moved_key_slots(StrategyKind::KeyRange, 2, 4),
-            moved_key_slots(StrategyKind::Hybrid, 2, 4)
-        );
-        assert_eq!(
-            moved_key_slots(StrategyKind::RoundRobin, 2, 4),
-            moved_key_slots(StrategyKind::Locality, 2, 4)
-        );
+        assert_eq!(moved_key_slots(4, 4), 0);
+        let moved = moved_key_slots(2, 4);
+        assert!(moved > 0);
+        assert!(moved <= REBALANCE_KEY_SLOTS as u64);
+        // Hash routing reshuffles by modulus: growing 2 → 4 moves every
+        // slot whose residue mod 4 is 2 or 3, half of them.
+        assert_eq!(moved, REBALANCE_KEY_SLOTS as u64 / 2);
     }
 }

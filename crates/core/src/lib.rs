@@ -81,10 +81,7 @@ pub use api::{
     Assignment, MicroClusterId, Searcher, Sketch, StreamClustering, UpdateOrdering, WeightedPoint,
 };
 pub use assignment::{assign_records_distributed, AssignmentOutcome};
-pub use distribution::{
-    strategy_for, DistributionStrategy, HybridStrategy, KeyRangeStrategy, LocalityStrategy,
-    RoundRobinStrategy, ShufflePlacement, StrategyKind,
-};
+pub use distribution::{strategy_for, Placement, StrategyKind};
 pub use elastic::{ResizeOutcome, ResizeSchedule};
 pub use global::{global_update, GlobalOutcome};
 pub use local::{

@@ -34,7 +34,7 @@ use diststream_telemetry as telemetry;
 use diststream_types::{DistStreamError, Record, RecordId, Result, Timestamp};
 
 use crate::api::{Assignment, MicroClusterId, StreamClustering, UpdateOrdering};
-use crate::distribution::{modeled_map_partition, DistributionStrategy};
+use crate::distribution::Placement;
 
 /// Bytes a shuffle message's key envelope occupies on the wire: the
 /// `(kind, key)` group key, two `u64`s. Charged once per shuffle message —
@@ -166,26 +166,18 @@ fn index_space(records: usize) -> Result<u32> {
 /// shuffle bytes change. The savings are counted in
 /// `diststream_shuffle_bytes_saved_total`.
 ///
-/// The `strategy` owns the key placement and the shuffle-byte accounting
-/// policy. For any strategy the grouped values equal the default hash
-/// shuffle's — routing only moves whole groups between reduce
-/// partitions — so under [`UpdateOrdering::OrderAware`] the sketches are
-/// bit-identical across strategies. What changes is the task layout and, for
-/// strategies with [`DistributionStrategy::accounts_locality`], the charged
-/// shuffle bytes: payloads whose modeled map partition equals their key's
-/// reduce partition stay node-local and are not billed. The locality
-/// discount is journaled per strategy via
-/// `diststream_shuffle_bytes_saved_total` and
-/// `diststream_strategy_shuffle_bytes_total`.
+/// Each group goes to the reduce partition the `placement` hashes its key
+/// to ([`Placement::reduce_partition`]); routing only moves whole groups
+/// between reduce partitions, so under [`UpdateOrdering::OrderAware`] the
+/// sketches are bit-identical at every parallelism degree.
 ///
 /// # Errors
 ///
 /// Propagates engine failures (task panics) as
 /// [`DistStreamError::Engine`](diststream_types::DistStreamError::Engine),
-/// refuses a batch of more than `u32::MAX` records with
-/// [`DistStreamError::InvalidConfig`], and a `strategy` that places a key on
-/// a partition that does not exist with [`DistStreamError::Invariant`].
-#[allow(clippy::too_many_arguments)] // the step's inputs plus scratch, the combine flag and the strategy
+/// and refuses a batch of more than `u32::MAX` records with
+/// [`DistStreamError::InvalidConfig`].
+#[allow(clippy::too_many_arguments)] // the step's inputs plus scratch, the combine flag and the placement
 pub fn local_update_distributed<A: StreamClustering>(
     ctx: &StreamingContext,
     algo: &A,
@@ -196,7 +188,7 @@ pub fn local_update_distributed<A: StreamClustering>(
     shuffle_seed: u64,
     scratch: &mut LocalScratch,
     combine: bool,
-    strategy: &dyn DistributionStrategy,
+    placement: Placement,
 ) -> Result<LocalOutcome<A::Sketch>> {
     let entered = Instant::now(); // lint:allow(wallclock-entropy) driver-side timing feeds step metrics only
     let record_count = u64::from(index_space(pairs.len())?);
@@ -208,34 +200,13 @@ pub fn local_update_distributed<A: StreamClustering>(
     let uncombined_bytes = payload_bytes + SHUFFLE_KEY_BYTES * record_count;
     let p = ctx.parallelism();
 
-    // Key placement is the strategy's call; the default strategy routes by
-    // hash, reproducing the paper's shuffle exactly. Locality-accounting
-    // strategies additionally measure which payloads stay on their modeled
-    // map partition and discount them from the charged shuffle bytes.
-    let placement = strategy.place_keys(&pairs, p);
-    let accounts_locality = strategy.accounts_locality();
-    let (local_payload_bytes, local_count) = if accounts_locality {
-        let mut bytes = 0u64;
-        let mut count = 0u64;
-        for (index, (record, assignment)) in pairs.iter().enumerate() {
-            let reducer = placement.reduce_partition(&assignment.group_key());
-            if modeled_map_partition(index, p) == reducer {
-                bytes += record.wire_size();
-                count += 1;
-            }
-        }
-        (bytes, count)
-    } else {
-        (0, 0)
-    };
-
     let shuffled = {
         let _span = combine.then(|| telemetry::span!(telemetry::names::SPAN_COMBINE));
         scratch.shuffle.group(
             pairs.iter().map(|(_, assignment)| assignment.group_key()),
             p,
             chunk_size(pairs.len(), p),
-            |key| placement.reduce_partition(key),
+            |key| placement.reduce_partition(key, p),
         )?
     };
     let shuffle_bytes = if combine {
@@ -246,28 +217,10 @@ pub fn local_update_distributed<A: StreamClustering>(
             telemetry::counter(telemetry::names::METRIC_SHUFFLE_BYTES_SAVED_TOTAL)
                 .add(uncombined_bytes - combined_bytes);
         }
-        // Locality discount: map-local payloads never cross the wire. The
-        // combined envelopes are charged in full (the combine stage does not
-        // track per-chunk remoteness), so the discount is conservative.
-        combined_bytes - local_payload_bytes
+        combined_bytes
     } else {
-        uncombined_bytes - local_payload_bytes - SHUFFLE_KEY_BYTES * local_count
+        uncombined_bytes
     };
-    if telemetry::enabled() {
-        let label = strategy.label();
-        if accounts_locality {
-            telemetry::counter(&format!(
-                "{}{{strategy=\"{label}\"}}",
-                telemetry::names::METRIC_SHUFFLE_BYTES_SAVED_TOTAL
-            ))
-            .add(uncombined_bytes.saturating_sub(shuffle_bytes));
-        }
-        telemetry::counter(&format!(
-            "{}{{strategy=\"{label}\"}}",
-            telemetry::names::METRIC_STRATEGY_SHUFFLE_BYTES_TOTAL
-        ))
-        .add(shuffle_bytes);
-    }
 
     // Whether a task's records in arrival position are already in
     // arrival-key order: true of every batch cut from an in-order stream or
@@ -440,7 +393,6 @@ mod tests {
     use super::*;
     use crate::api::MicroClusterId;
     use crate::api::Sketch;
-    use crate::distribution::RoundRobinStrategy;
     use crate::reference::{NaiveClustering, NaiveSketch};
     use diststream_engine::{group_by_key, serialized_size, ExecutionMode};
     use diststream_types::{ClassId, Point};
@@ -469,7 +421,7 @@ mod tests {
             7,
             &mut LocalScratch::default(),
             combine,
-            &RoundRobinStrategy,
+            Placement,
         )
         .unwrap()
     }
@@ -712,69 +664,6 @@ mod tests {
         }
     }
 
-    /// A strategy that breaks the totality obligation: it places keys for
-    /// more reducers than the step has.
-    #[derive(Debug)]
-    struct PlacesForTooManyReducers;
-
-    impl DistributionStrategy for PlacesForTooManyReducers {
-        fn kind(&self) -> crate::distribution::StrategyKind {
-            crate::distribution::StrategyKind::KeyRange
-        }
-        fn split_records(&self, len: usize, partitions: usize) -> Vec<diststream_engine::Stride> {
-            RoundRobinStrategy.split_records(len, partitions)
-        }
-        fn merge_assigned(&self, parts: Vec<Vec<Assignment>>) -> Vec<Assignment> {
-            RoundRobinStrategy.merge_assigned(parts)
-        }
-        fn place_keys(
-            &self,
-            pairs: &[(Record, Assignment)],
-            partitions: usize,
-        ) -> crate::distribution::ShufflePlacement {
-            let route = pairs
-                .iter()
-                .map(|(_, a)| (a.group_key(), partitions + 1))
-                .collect();
-            crate::distribution::ShufflePlacement::explicit(route, partitions + 2)
-        }
-    }
-
-    /// An out-of-range placement used to hit an `assert!` inside the
-    /// grouping, on the driver thread; it is a typed error, and the scratch
-    /// it went through still serves the next batch.
-    #[test]
-    fn an_out_of_range_placement_is_a_typed_error_not_a_driver_panic() {
-        let algo = NaiveClustering::new(1.0);
-        let model = algo.init(&[rec(0, 0.0, 0.0), rec(1, 10.0, 0.0)]).unwrap();
-        let bcast = Broadcast::new(model);
-        let pairs = || vec![(rec(2, 0.2, 2.0), Assignment::Existing(0))];
-        let mut scratch = LocalScratch::default();
-        for mode in [ExecutionMode::Simulated, ExecutionMode::Threads] {
-            let ctx = StreamingContext::new(2, mode).unwrap();
-            let mut step = |strategy: &dyn DistributionStrategy| {
-                local_update_distributed(
-                    &ctx,
-                    &algo,
-                    &bcast,
-                    pairs(),
-                    UpdateOrdering::OrderAware,
-                    Timestamp::ZERO,
-                    7,
-                    &mut scratch,
-                    true,
-                    strategy,
-                )
-            };
-            let err = step(&PlacesForTooManyReducers).unwrap_err();
-            assert!(
-                matches!(&err, DistStreamError::Invariant(m) if m.contains("out of range")),
-                "{err}"
-            );
-            assert_eq!(step(&RoundRobinStrategy).unwrap().updated.len(), 1);
-        }
-    }
-
     /// The spent batch leaves through the scratch, whole, for its allocator
     /// to free.
     #[test]
@@ -796,7 +685,7 @@ mod tests {
             7,
             &mut scratch,
             false,
-            &RoundRobinStrategy,
+            Placement,
         )
         .unwrap();
         assert_eq!(scratch.take_spent(), pairs);

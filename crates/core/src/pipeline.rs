@@ -13,7 +13,6 @@ use parking_lot::Mutex;
 
 use crate::adaptive::AdaptiveBatchSizer;
 use crate::api::{StreamClustering, UpdateOrdering};
-use crate::distribution::StrategyKind;
 use crate::elastic::{ResizeOutcome, ResizeSchedule};
 use crate::local::SpentBatch;
 use crate::serving::ServingHandle;
@@ -43,11 +42,6 @@ pub struct PipelineOptions {
     /// Asynchronous update protocol: batch `B`'s global update applies at
     /// the top of batch `B+1`'s step, after its broadcast.
     pub overlap: bool,
-    /// Distribution strategy owning record partitioning, key placement, and
-    /// shuffle routing (default: the paper's round-robin + hash shuffle).
-    /// Never changes the order-aware model — only task layout and charged
-    /// shuffle bytes.
-    pub strategy: StrategyKind,
     /// Bounded-error overload mode: stratified sampling between the reorder
     /// buffer and the batcher, driven by the backpressure policy. `None`
     /// (the default) leaves the exact path bit-identical to a build without
@@ -62,24 +56,16 @@ impl PipelineOptions {
         PipelineOptions::default()
     }
 
-    /// The fully overlapped pipeline (every optimization on, default
-    /// round-robin + hash distribution). Overload mode stays off: it is a
-    /// model change, not an optimization.
+    /// The fully overlapped pipeline (every optimization on). Overload mode
+    /// stays off: it is a model change, not an optimization.
     pub fn all() -> Self {
         PipelineOptions {
             prefetch: true,
             combine: true,
             chunking: true,
             overlap: true,
-            strategy: StrategyKind::RoundRobin,
             overload: None,
         }
-    }
-
-    /// The same options with a different [`StrategyKind`].
-    pub fn with_strategy(mut self, strategy: StrategyKind) -> Self {
-        self.strategy = strategy;
-        self
     }
 
     /// The same options with bounded-error overload mode enabled.
@@ -777,7 +763,6 @@ mod tests {
                 combine: true,
                 chunking: true,
                 overlap: false,
-                strategy: StrategyKind::RoundRobin,
                 overload: None,
             },
         );

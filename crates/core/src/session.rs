@@ -36,7 +36,7 @@ use diststream_types::{DistStreamError, Result, Timestamp};
 
 use crate::api::{Assignment, StreamClustering};
 use crate::assignment::assign_records_distributed;
-use crate::distribution::strategy_for;
+use crate::distribution::Placement;
 use crate::elastic::ResizeOutcome;
 use crate::global::{global_update, GlobalOutcome};
 use crate::local::{local_update_distributed, LocalOutcome, LocalScratch};
@@ -392,7 +392,6 @@ impl<A: StreamClustering> JobSession<'_, A> {
         }
 
         // Step 1: record-based parallel assignment.
-        let strategy = strategy_for(self.job.pipeline.strategy);
         let assignment = {
             let _span = telemetry::span!(telemetry::names::SPAN_ASSIGNMENT, batch = batch.index);
             assign_records_distributed(
@@ -401,7 +400,7 @@ impl<A: StreamClustering> JobSession<'_, A> {
                 &bcast,
                 batch.records,
                 self.job.pipeline.chunking,
-                strategy,
+                Placement,
             )?
         };
         let assigned_existing = assignment
@@ -423,7 +422,7 @@ impl<A: StreamClustering> JobSession<'_, A> {
                 batch_seed,
                 &mut self.scratch,
                 self.job.pipeline.combine,
-                strategy,
+                Placement,
             )?
         };
         let local_metrics = local.metrics.clone();
@@ -517,7 +516,6 @@ impl<A: StreamClustering> JobSession<'_, A> {
 mod tests {
     use super::*;
     use crate::api::UpdateOrdering;
-    use crate::distribution::StrategyKind;
     use crate::pipeline::PipelineOptions;
     use crate::reference::{NaiveClustering, NaiveModel};
     use diststream_engine::{ExecutionMode, StreamingContext};
@@ -663,35 +661,6 @@ mod tests {
                         );
                     }
                 }
-            }
-        }
-    }
-
-    /// The distribution-strategy determinism gate: every strategy leaves
-    /// the order-aware model bit-identical to the default round-robin+hash
-    /// topology at every parallelism degree — placement only moves task
-    /// layout and shuffle accounting.
-    #[test]
-    fn model_identical_across_strategies() {
-        let run = |p: usize, strategy: StrategyKind, tuned: bool| {
-            run_stream(p, |j| {
-                j.pipeline(PipelineOptions {
-                    strategy,
-                    combine: tuned,
-                    chunking: tuned,
-                    ..PipelineOptions::sync()
-                });
-            })
-        };
-        let reference = run(1, StrategyKind::RoundRobin, false);
-        for kind in StrategyKind::ALL {
-            for p in [1, 2, 4, 8] {
-                assert_eq!(run(p, kind, false), reference, "{kind} p={p}");
-                assert_eq!(
-                    run(p, kind, true),
-                    reference,
-                    "{kind} p={p} combine+chunking"
-                );
             }
         }
     }

@@ -106,6 +106,10 @@ fn decode_frame(frame: &[u8], cursor: usize) -> Result<Checkpoint> {
             "unsupported frame version {version} (expected {FRAME_VERSION})"
         )));
     }
+    // Written as zero; anything else is damage the CRC does not cover.
+    if frame[6..8] != [0, 0] {
+        return Err(corrupt("reserved header field is set".to_string()));
+    }
     let u64_at = |at: usize| -> u64 {
         let mut raw = [0u8; 8];
         raw.copy_from_slice(&frame[at..at + 8]);

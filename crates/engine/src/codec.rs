@@ -399,11 +399,14 @@ struct Decoder<'de> {
 }
 
 impl<'de> Decoder<'de> {
+    /// The next `n` bytes. `n` may come from the input (a length prefix),
+    /// so it is checked against what is left, never added to the position
+    /// first.
     fn take(&mut self, n: usize) -> std::result::Result<&'de [u8], CodecError> {
-        if self.pos + n > self.bytes.len() {
+        let rest = self.bytes.get(self.pos..).unwrap_or_default();
+        let Some(slice) = rest.get(..n) else {
             return Err(de::Error::custom("unexpected end of input"));
-        }
-        let slice = &self.bytes[self.pos..self.pos + n];
+        };
         self.pos += n;
         Ok(slice)
     }
@@ -795,6 +798,43 @@ mod tests {
         let bytes = encode(&vec![1.0f64, 2.0]);
         let short = &bytes[..bytes.len() - 1];
         assert!(decode::<Vec<f64>>(short).is_err());
+    }
+
+    /// A length prefix is input: one near `u64::MAX` used to overflow the
+    /// read position (a panic in either build profile) instead of running
+    /// out of input.
+    #[test]
+    fn forged_length_prefixes_are_typed_errors() {
+        /// Reads itself through `deserialize_byte_buf`, the `bytes` path.
+        #[derive(Debug)]
+        struct Bytes;
+        impl<'de> Deserialize<'de> for Bytes {
+            fn deserialize<D: de::Deserializer<'de>>(d: D) -> std::result::Result<Self, D::Error> {
+                struct Visit;
+                impl de::Visitor<'_> for Visit {
+                    type Value = Bytes;
+                    fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                        f.write_str("bytes")
+                    }
+                    fn visit_bytes<E: de::Error>(self, _: &[u8]) -> std::result::Result<Bytes, E> {
+                        Ok(Bytes)
+                    }
+                }
+                d.deserialize_byte_buf(Visit)
+            }
+        }
+        for len in [u64::MAX, u64::MAX - 4] {
+            let mut forged = len.to_le_bytes().to_vec();
+            forged.extend_from_slice(b"abc");
+            assert!(decode::<String>(&forged).is_err(), "str {len}");
+            assert!(decode::<Bytes>(&forged).is_err(), "bytes {len}");
+            assert!(decode::<Vec<u8>>(&forged).is_err(), "seq {len}");
+        }
+        // The honest prefix still reads.
+        let mut honest = 3u64.to_le_bytes().to_vec();
+        honest.extend_from_slice(b"abc");
+        assert_eq!(decode::<String>(&honest).unwrap(), "abc");
+        assert!(decode::<Bytes>(&honest).is_ok());
     }
 
     #[test]

@@ -75,9 +75,8 @@ pub use driver::{ExecutionMode, StreamingContext};
 pub use faults::FaultPlan;
 pub use latency::{LatencyProbe, RecordLatency, LATENCY_BUCKET_BOUNDS};
 pub use partition::{
-    combine_by_key, fnv1a_hash, group_by_key, AppendCombiner, BlockPartitioner, CombineStats,
-    Combiner, FlatShuffle, Fnv1a, HashPartitioner, KeyBytes, RoundRobinPartitioner,
-    ShufflePartition, Shuffled, Stride,
+    combine_by_key, fnv1a_hash, group_by_key, AppendCombiner, CombineStats, Combiner, FlatShuffle,
+    Fnv1a, HashPartitioner, KeyBytes, RoundRobinPartitioner, ShufflePartition, Shuffled, Stride,
 };
 pub use pool::{
     chunk_size, chunk_strides, split_chunks, TaskPool, CHUNK_OVERPARTITION,

@@ -229,56 +229,6 @@ impl RoundRobinPartitioner {
     }
 }
 
-/// Splits a batch into `p` contiguous blocks in arrival order — the
-/// range-sharded alternative to [`RoundRobinPartitioner`] for step-1 record
-/// parallelism. Each block preserves arrival order and the original order is
-/// recovered by plain concatenation, so block partitioning satisfies the
-/// same order-restoration contract as round-robin.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BlockPartitioner;
-
-impl BlockPartitioner {
-    /// Cuts `len` arrival positions into `partitions` contiguous blocks of
-    /// near-equal size (the first `len % partitions` blocks get one extra
-    /// position), one [`Stride`] per task.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `partitions` is zero.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use diststream_engine::{BlockPartitioner, Stride};
-    /// let blocks = BlockPartitioner.strides(5, 2);
-    /// assert_eq!(blocks, vec![Stride::block(0, 3), Stride::block(3, 2)]);
-    /// ```
-    pub fn strides(&self, len: usize, partitions: usize) -> Vec<Stride> {
-        assert!(partitions > 0, "partition count must be at least 1");
-        let base = len / partitions;
-        let extra = len % partitions;
-        let mut start = 0;
-        (0..partitions)
-            .map(|i| {
-                let block = Stride::block(start, base + usize::from(i < extra));
-                start += block.len;
-                block
-            })
-            .collect()
-    }
-
-    /// Reassembles per-block outputs back into the original order — the
-    /// inverse of [`BlockPartitioner::strides`] is concatenation.
-    pub fn concat<T>(&self, partitions: Vec<Vec<T>>) -> Vec<T> {
-        let total: usize = partitions.iter().map(Vec::len).sum();
-        let mut out = Vec::with_capacity(total);
-        for part in partitions {
-            out.extend(part);
-        }
-        out
-    }
-}
-
 /// Hash-partitions keyed items deterministically across `p` partitions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HashPartitioner;
@@ -817,9 +767,9 @@ mod tests {
         assert_eq!(stats.combined_entries, 4);
     }
 
-    /// The stride layouts are the owning splits, minus the move: reading a
-    /// batch through them yields exactly what `split` would have handed
-    /// each task, and interleave / concat restore arrival order.
+    /// The stride layout is the owning split, minus the move: reading a
+    /// batch through it yields exactly what `split` would have handed each
+    /// task, and interleave restores arrival order.
     #[test]
     fn strides_read_what_split_would_move() {
         for len in [0usize, 1, 2, 5, 17, 64] {
@@ -832,29 +782,8 @@ mod tests {
                     .collect();
                 assert_eq!(rr, RoundRobinPartitioner.split(items.clone(), p));
                 assert_eq!(RoundRobinPartitioner.interleave(rr), items);
-
-                let blocks = BlockPartitioner.strides(len, p);
-                assert_eq!(blocks.len(), p);
-                let lens: Vec<usize> = blocks.iter().map(|b| b.len).collect();
-                let (min, max) = (lens.iter().min().unwrap(), lens.iter().max().unwrap());
-                assert!(max - min <= 1, "len={len} p={p} {lens:?}");
-                let parts: Vec<Vec<u32>> = blocks
-                    .iter()
-                    .map(|s| s.of(&items).copied().collect())
-                    .collect();
-                assert_eq!(BlockPartitioner.concat(parts), items, "len={len} p={p}");
             }
         }
-    }
-
-    #[test]
-    fn block_strides_give_the_remainder_to_the_first_blocks() {
-        let lens: Vec<usize> = BlockPartitioner
-            .strides(10, 3)
-            .iter()
-            .map(|b| b.len)
-            .collect();
-        assert_eq!(lens, vec![4, 3, 3]);
     }
 
     #[test]
@@ -862,12 +791,6 @@ mod tests {
         let items = [1, 2, 3];
         assert_eq!(Stride::block(7, 2).of(&items).count(), 0);
         assert_eq!(Stride::block(2, 5).of(&items).count(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "partition count")]
-    fn block_strides_zero_partitions_panics() {
-        let _ = BlockPartitioner.strides(1, 0);
     }
 
     /// Borrowed map partitions (chunks of a recycled buffer) combine to
@@ -915,7 +838,7 @@ mod tests {
     }
 
     /// The old grouping `assert!`ed here — on the driver thread, on a value
-    /// a pluggable strategy computes.
+    /// the caller's route computes.
     #[test]
     fn flat_shuffle_refuses_an_out_of_range_route_with_a_typed_error() {
         let mut shuffle = FlatShuffle::default();

@@ -155,9 +155,6 @@ pub const METRIC_RECORD_LATENCY_SECS: &str = "diststream_record_latency_secs";
 /// Counter: journal events lost to a missing sink or swallowed write errors.
 pub(crate) const METRIC_JOURNAL_EVENTS_DROPPED_TOTAL: &str =
     "diststream_journal_events_dropped_total";
-/// Counter (label `strategy`): shuffle bytes charged per distribution
-/// strategy.
-pub const METRIC_STRATEGY_SHUFFLE_BYTES_TOTAL: &str = "diststream_strategy_shuffle_bytes_total";
 /// Counter: elastic rebalances executed at batch boundaries.
 pub const METRIC_REBALANCE_TOTAL: &str = "diststream_rebalance_total";
 /// Counter: keys whose placement moved across an elastic rebalance.
@@ -224,7 +221,6 @@ const ALL_METRICS: &[&str] = &[
     METRIC_NAME_CONFLICTS_TOTAL,
     METRIC_RECORD_LATENCY_SECS,
     METRIC_JOURNAL_EVENTS_DROPPED_TOTAL,
-    METRIC_STRATEGY_SHUFFLE_BYTES_TOTAL,
     METRIC_REBALANCE_TOTAL,
     METRIC_REBALANCE_MOVED_KEYS_TOTAL,
     METRIC_REBALANCE_REPLAYED_BYTES_TOTAL,
@@ -329,10 +325,6 @@ pub(crate) const METRIC_HELP: &[(&str, &str)] = &[
     (
         METRIC_JOURNAL_EVENTS_DROPPED_TOTAL,
         "Journal events lost to a missing sink or swallowed write errors",
-    ),
-    (
-        METRIC_STRATEGY_SHUFFLE_BYTES_TOTAL,
-        "Shuffle bytes charged per distribution strategy",
     ),
     (
         METRIC_REBALANCE_TOTAL,
@@ -483,13 +475,10 @@ mod tests {
     #[test]
     fn labeled_names_resolve_to_base() {
         assert!(is_metric(
-            "diststream_strategy_shuffle_bytes_total{strategy=\"keyrange\"}"
-        ));
-        assert!(is_metric(
             "diststream_straggler_culprit_total{step=\"assignment\",task=\"3\"}"
         ));
         assert!(!is_metric(
-            "diststream_strategy_shuffle_bytes_totale{strategy=\"x\"}"
+            "diststream_straggler_culprit_totale{step=\"x\"}"
         ));
     }
 
@@ -509,8 +498,8 @@ mod tests {
         assert_eq!(help("no_such_metric"), None);
         // Labeled lookups resolve through the base name.
         assert_eq!(
-            help("diststream_strategy_shuffle_bytes_total{strategy=\"keyrange\"}"),
-            help("diststream_strategy_shuffle_bytes_total")
+            help("diststream_straggler_culprit_total{step=\"assignment\",task=\"3\"}"),
+            help("diststream_straggler_culprit_total")
         );
     }
 }

@@ -20,7 +20,7 @@
 //! `1 / serial_fraction`.
 
 use diststream_telemetry::record::BatchRecord;
-use diststream_telemetry::time_model::replay;
+use diststream_telemetry::time_model::{batch_critical_path, replay};
 
 use crate::analysis::RunProfile;
 
@@ -33,21 +33,21 @@ pub struct WhatIf {
     pub predicted_total_secs: f64,
     /// Recorded wall seconds / predicted wall seconds.
     pub speedup: f64,
-    /// Fraction of the *recorded* run that is serial (the global update
-    /// where it is on the path, and the schedule residuals) — Amdahl's
-    /// ceiling on any speedup is `1 / serial_fraction`.
+    /// Fraction of the *recorded* run that is serial (each batch's critical
+    /// path with its parallel steps shrunk to their schedule residuals) —
+    /// Amdahl's ceiling on any speedup is `1 / serial_fraction`.
     pub serial_fraction: f64,
 }
 
-/// The recorded batch's serial seconds: what its critical path holds beyond
-/// the parallel steps (the global update where it is on the path), plus the
-/// steps' schedule residuals — the portion no added parallelism can shrink.
+/// The recorded batch's serial seconds: its critical path with each
+/// parallel step shrunk to its schedule residual — the replay's limit as
+/// `p′` grows, the portion no added parallelism can shrink. A synchronous
+/// batch keeps the residuals and the global update; an overlapped one the
+/// longer of the two arms.
 fn serial_secs(record: &BatchRecord) -> f64 {
     let ran_at = record.parallelism.max(1);
-    let parallel = record.assignment.wall_secs() + record.local.wall_secs();
-    (record.total_secs() - parallel).max(0.0)
-        + record.assignment.residual_secs(ran_at)
-        + record.local.residual_secs(ran_at)
+    let residuals = record.assignment.residual_secs(ran_at) + record.local.residual_secs(ran_at);
+    batch_critical_path(residuals, record.global_secs, record.async_overlap).secs
 }
 
 /// Predicts the run at each requested parallelism degree.
@@ -218,6 +218,34 @@ mod tests {
         let predictions = predict(&run, &[2]);
         assert!((predictions[0].predicted_total_secs - 3.0).abs() < 1e-12);
         assert!((predictions[0].speedup - 1.0).abs() < 1e-12);
+    }
+
+    /// An overlapped batch whose global update outlasts the parallel
+    /// steps' residuals: tasks 1.0 + 0.5 s at p = 1 under a 2.0 s step-1
+    /// wall (0.5 s residual), a 1.0 s global update — 2.0 s recorded. No
+    /// degree can beat the 1.0 s global arm, so the ceiling is 2x; counting
+    /// only the residuals as serial printed 4x beside a 2x prediction.
+    #[test]
+    fn the_amdahl_ceiling_bounds_an_overlapped_run() {
+        let b = batch(vec![1.0, 0.5], 2.0, vec![], 0.0, 1.0, 1, true);
+        let run = RunProfile {
+            batches: vec![b],
+            ..RunProfile::default()
+        };
+        let predictions = predict(&run, &[1, 2, 4, 1000, 1 << 20]);
+        let ceiling = 1.0 / predictions[0].serial_fraction;
+        for p in &predictions {
+            assert!(
+                p.speedup <= ceiling + 1e-12,
+                "p={} predicts {}x past the {ceiling}x ceiling",
+                p.parallelism,
+                p.speedup
+            );
+        }
+        let limit = predictions.last().unwrap().speedup;
+        assert!((ceiling - limit).abs() < 1e-12, "{ceiling} vs {limit}");
+        assert!((ceiling - 2.0).abs() < 1e-12, "{ceiling}");
+        assert!(render(&predictions, 2.0).contains("2.00x"));
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Distribution-strategy and elastic scale-out integration tests.
+//! Placement and elastic scale-out integration tests.
 //!
 //! Pins the two tentpole guarantees end to end, on the real algorithms:
 //!
-//! 1. **Strategy invariance** — record partitioning, key placement, and
-//!    shuffle routing are scheduling decisions; no [`StrategyKind`] may
-//!    perturb the order-aware model, at any parallelism degree.
+//! 1. **Placement invariance** — record partitioning, key placement, and
+//!    shuffle routing are scheduling decisions; the order-aware model is
+//!    the same at every parallelism degree.
 //! 2. **Elastic replay** — a run whose parallelism degree changes
 //!    mid-stream (workers joining and leaving at batch boundaries) is
 //!    bit-identical to every fixed-parallelism run, for all four
@@ -22,7 +22,7 @@ use diststream::algorithms::{
 };
 use diststream::core::{
     serving_handle, DistStreamJob, MemoryCheckpointStore, PipelineOptions, ResizeOutcome,
-    ResizeSchedule, StrategyKind, StreamClustering,
+    ResizeSchedule, StreamClustering,
 };
 use diststream::datasets::covertype_like;
 use diststream::engine::{
@@ -226,10 +226,10 @@ fn clustream_resize_under_faults_completes_or_rolls_back() {
 }
 
 /// Everything the single driver lets one job combine (ROADMAP item 2(e)
-/// generalises it into a seeded generator): the
-/// fully overlapped pipeline on key-range placement, a resize schedule, a
-/// checkpoint cadence and a serving handle, with faults on both resizing
-/// batches. Returns the final model bytes and the boundaries crossed.
+/// generalises it into a seeded generator): the fully overlapped pipeline,
+/// a resize schedule, a checkpoint cadence and a serving handle, with
+/// faults on both resizing batches. Returns the final model bytes and the
+/// boundaries crossed.
 fn combination_run(
     schedule: ResizeSchedule,
     plan: Option<FaultPlan>,
@@ -246,7 +246,7 @@ fn combination_run(
     }
     let handle = serving_handle();
     let mut job = DistStreamJob::new(&algo, &ctx, ClusteringConfig::default());
-    job.pipeline(PipelineOptions::all().with_strategy(StrategyKind::KeyRange))
+    job.pipeline(PipelineOptions::all())
         .serving(handle.clone())
         .checkpoint_store(Box::new(MemoryCheckpointStore::new(3)))
         .checkpoint_every(2)
@@ -279,9 +279,9 @@ fn combination_run(
 }
 
 #[test]
-fn overlapped_keyrange_resize_checkpoint_serving_and_faults_combine() {
-    // Key-range batches here would land in the per-strategy shuffle counter
-    // the byte-gate test reads deltas of.
+fn overlapped_resize_checkpoint_serving_and_faults_combine() {
+    // Its batches would land in the shuffle and rebalance counters the
+    // metrics test reads deltas of.
     let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let (plain, none) = combination_run(ResizeSchedule::with_steps(2, vec![]).unwrap(), None);
     assert!(none.is_empty());
@@ -301,9 +301,8 @@ fn overlapped_keyrange_resize_checkpoint_serving_and_faults_combine() {
     assert_eq!(crossed, vec![(2, 2, 4, true), (4, 2, 3, false)]);
 }
 
-/// Runs a CluStream job at `parallelism` with the given strategy and
-/// returns the final model bytes.
-fn topology_run(kind: StrategyKind, parallelism: usize) -> Vec<u8> {
+/// Runs a CluStream job at `parallelism` and returns the final model bytes.
+fn topology_run(parallelism: usize) -> Vec<u8> {
     let algo = CluStream::new(CluStreamParams {
         max_micro_clusters: 70,
         ..Default::default()
@@ -311,75 +310,27 @@ fn topology_run(kind: StrategyKind, parallelism: usize) -> Vec<u8> {
     let ctx = StreamingContext::new(parallelism, ExecutionMode::Simulated).expect("context");
     let result = DistStreamJob::new(&algo, &ctx, ClusteringConfig::default())
         .init_records(100)
-        .pipeline(PipelineOptions::sync().with_strategy(kind))
+        .pipeline(PipelineOptions::sync())
         .run_to_end(VecSource::new(records()))
         .expect("job");
     encode(&result.model)
 }
 
-/// Strategy invariance: key placement and record partitioning may move
-/// bytes and time, never the model — every strategy at p = 4 ends on the
-/// round-robin model of p = 1.
+/// Placement invariance: record partitioning and key placement move with
+/// the parallelism degree, the model never does — every degree ends on the
+/// model of p = 1.
 #[test]
-fn strategies_preserve_model_across_topology_sweep() {
-    let reference = topology_run(StrategyKind::RoundRobin, 1);
+fn parallelism_sweep_preserves_the_model() {
+    let reference = topology_run(1);
     assert!(!reference.is_empty());
-    for kind in StrategyKind::ALL {
-        let got = topology_run(kind, 4);
-        assert_eq!(got, reference, "model diverged: strategy={kind:?}");
+    for p in [2, 3, 4, 8] {
+        assert_eq!(topology_run(p), reference, "model diverged at p={p}");
     }
 }
 
-/// Reads the labeled per-strategy shuffle-bytes counter.
-fn strategy_bytes(kind: StrategyKind) -> u64 {
-    telemetry::counter(&format!(
-        "{}{{strategy=\"{}\"}}",
-        telemetry::names::METRIC_STRATEGY_SHUFFLE_BYTES_TOTAL,
-        kind.label()
-    ))
-    .get()
-}
-
-/// The headline byte win, measured through the telemetry names catalog on a
-/// key-skewed workload: key-range placement must cut charged shuffle bytes
-/// by at least 1.2x versus the round-robin + hash baseline at p = 4.
-#[test]
-fn key_range_cuts_shuffle_bytes_at_least_1_2x_versus_round_robin() {
-    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    telemetry::set_enabled(true);
-    let mut measured = Vec::new();
-    for kind in StrategyKind::ALL {
-        let before = strategy_bytes(kind);
-        let bytes = topology_run(kind, 4);
-        assert!(!bytes.is_empty());
-        let charged = strategy_bytes(kind) - before;
-        assert!(charged > 0, "{kind:?} journaled no shuffle bytes");
-        measured.push((kind, charged));
-    }
-    telemetry::set_enabled(false);
-
-    let charged_of = |want: StrategyKind| {
-        measured
-            .iter()
-            .find(|(kind, _)| *kind == want)
-            .map(|(_, bytes)| *bytes)
-            .expect("measured")
-    };
-    let roundrobin = charged_of(StrategyKind::RoundRobin) as f64;
-    let keyrange = charged_of(StrategyKind::KeyRange) as f64;
-    let ratio = roundrobin / keyrange;
-    assert!(
-        ratio >= 1.2,
-        "key-range shuffle reduction {ratio:.3}x is under the 1.2x gate \
-         (roundrobin={roundrobin} keyrange={keyrange})"
-    );
-    // The locality-affine strategy can never charge more than full price.
-    assert!(charged_of(StrategyKind::Locality) <= charged_of(StrategyKind::RoundRobin));
-}
-
-/// A key-range placement journals its shuffle bytes, an injected straggler
-/// delay its straggler attribution, through the telemetry names catalog;
-/// the rebalance metrics land when an elastic boundary fires.
+/// A run at p = 8 journals its shuffle bytes, an injected straggler delay
+/// its straggler attribution, through the telemetry names catalog; the
+/// rebalance metrics land when an elastic boundary fires.
 #[test]
 fn topology_sweep_journals_shuffle_straggler_and_rebalance_metrics() {
     let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -393,7 +344,7 @@ fn topology_sweep_journals_shuffle_straggler_and_rebalance_metrics() {
     let replayed_before =
         telemetry::counter(telemetry::names::METRIC_REBALANCE_REPLAYED_BYTES_TOTAL).get();
 
-    let bytes = topology_run(StrategyKind::KeyRange, 8);
+    let bytes = topology_run(8);
     assert!(!bytes.is_empty());
 
     // Elastic, with one task of batch 1 held 20 ms — a straggler next to
@@ -410,7 +361,7 @@ fn topology_sweep_journals_shuffle_straggler_and_rebalance_metrics() {
         &algo,
         &ctx,
         ResizeSchedule::with_steps(2, vec![(3, 4)]).expect("schedule"),
-        PipelineOptions::sync().with_strategy(StrategyKind::KeyRange),
+        PipelineOptions::sync(),
         init,
         to_batches(rest, 200),
     );

@@ -273,7 +273,7 @@ fn stepwise(ctx: &StreamingContext, combine: bool, fault_step: Option<u8>) -> (V
     let mut model = algo.init(&[rec(0, 0.0, 0.0)]).unwrap();
     let batch = batches(1, 64).remove(0);
     let bcast = Broadcast::new(model.clone());
-    let strategy = strategy_for(StrategyKind::RoundRobin);
+    let placement = strategy_for(StrategyKind::RoundRobin);
     let arm = |step: u8| {
         if fault_step == Some(step) {
             ctx.install_fault_plan(FaultPlan::new().panic_on(0, 0, 0));
@@ -284,7 +284,7 @@ fn stepwise(ctx: &StreamingContext, combine: bool, fault_step: Option<u8>) -> (V
     };
     arm(1);
     let assigned =
-        assign_records_distributed(ctx, &algo, &bcast, batch.records, combine, strategy).unwrap();
+        assign_records_distributed(ctx, &algo, &bcast, batch.records, combine, placement).unwrap();
     arm(2);
     let local = local_update_distributed(
         ctx,
@@ -296,7 +296,7 @@ fn stepwise(ctx: &StreamingContext, combine: bool, fault_step: Option<u8>) -> (V
         7,
         &mut LocalScratch::default(),
         combine,
-        strategy,
+        placement,
     )
     .unwrap();
     ctx.clear_fault_plan();

@@ -3,8 +3,8 @@
 //! Step 1 hands tasks strides over a batch they only borrow; step 2 groups,
 //! routes, combines and sorts `u32` arrival positions. The degenerate
 //! shapes of that index space — no records, one record, only outliers, one
-//! key, more tasks than records — must behave under every distribution
-//! strategy, with chunk scheduling and the map-side combine on or off:
+//! key, more tasks than records — must behave with chunk scheduling and
+//! the map-side combine on or off:
 //! pairs come back in the order the records were given, and the model
 //! equals the one-record-at-a-time `SequentialExecutor`'s.
 //!
@@ -56,18 +56,17 @@ fn distributed(
     records: &[Record],
     p: usize,
     mode: ExecutionMode,
-    kind: StrategyKind,
     chunking: bool,
     combine: bool,
 ) -> NaiveModel {
     let ctx = StreamingContext::new(p, mode).unwrap();
     let mut model = init_model(algo);
     let bcast = Broadcast::new(model.clone());
-    let strategy = strategy_for(kind);
-    let what = format!("{kind} p={p} chunking={chunking} combine={combine}");
+    let placement = strategy_for(StrategyKind::RoundRobin);
+    let what = format!("p={p} chunking={chunking} combine={combine}");
 
     let assigned =
-        assign_records_distributed(&ctx, algo, &bcast, records.to_vec(), chunking, strategy)
+        assign_records_distributed(&ctx, algo, &bcast, records.to_vec(), chunking, placement)
             .unwrap();
     let given: Vec<u64> = records.iter().map(|r| r.id).collect();
     let returned: Vec<u64> = assigned.pairs.iter().map(|(r, _)| r.id).collect();
@@ -91,7 +90,7 @@ fn distributed(
         7,
         &mut LocalScratch::default(),
         combine,
-        strategy,
+        placement,
     )
     .unwrap();
     let absorbed: usize = local.updated.iter().map(|u| u.absorbed).sum::<usize>()
@@ -114,40 +113,29 @@ fn distributed(
     model
 }
 
-/// Runs `records` at parallelism `p` under every strategy × chunking ×
-/// combine and compares each model with the sequential one.
+/// Runs `records` at parallelism `p` under every chunking × combine and
+/// compares each model with the sequential one.
 fn check(name: &str, records: &[Record], p: usize) {
     let algo = NaiveClustering::new(1.0);
     let expected = sequential(&algo, records);
-    for kind in StrategyKind::ALL {
-        for chunking in [false, true] {
-            for combine in [false, true] {
-                let got = distributed(
-                    &algo,
-                    records,
-                    p,
-                    ExecutionMode::Simulated,
-                    kind,
-                    chunking,
-                    combine,
-                );
-                assert_eq!(
-                    got, expected,
-                    "{name}: {kind} p={p} chunking={chunking} combine={combine}"
-                );
-            }
+    for chunking in [false, true] {
+        for combine in [false, true] {
+            let got = distributed(
+                &algo,
+                records,
+                p,
+                ExecutionMode::Simulated,
+                chunking,
+                combine,
+            );
+            assert_eq!(
+                got, expected,
+                "{name}: p={p} chunking={chunking} combine={combine}"
+            );
         }
     }
     // Once in real threads: the borrows cross the pool's scope.
-    let got = distributed(
-        &algo,
-        records,
-        p,
-        ExecutionMode::Threads,
-        StrategyKind::Hybrid,
-        true,
-        true,
-    );
+    let got = distributed(&algo, records, p, ExecutionMode::Threads, true, true);
     assert_eq!(got, expected, "{name}: threads");
 }
 
