@@ -64,9 +64,9 @@ pub fn global_update<A: StreamClustering>(
     let collect_bytes = collect_size(&updated, &created);
     let start = Instant::now(); // lint:allow(wallclock-entropy) driver-side timing feeds step metrics only
 
-    // The three sub-spans tile the driver phase so a journal shows where
-    // inside `global_update` the time went; with no telemetry session each
-    // guard is one atomic load.
+    // These three sub-spans, after the session's `global_copy`, tile the
+    // driver phase so a journal shows where inside `global_update` the time
+    // went; with no telemetry session each guard is one atomic load.
     {
         let _span = telemetry::span!(telemetry::names::SPAN_GLOBAL_ORDER);
         match ordering {

@@ -32,8 +32,9 @@ use crate::store::{CheckpointStore, MemoryCheckpointStore};
 /// than the synchronous protocol.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PipelineOptions {
-    /// Double-buffered ingest: a worker drains the source for batch `N+1`
-    /// while batch `N` processes.
+    /// Prefetched ingest: a worker drains the source for batch `N+1` while
+    /// batch `N` processes, then waits for the driver to take it — one
+    /// batch ahead, so at most two batches are live.
     pub prefetch: bool,
     /// Map-side combine before the hash shuffle.
     pub combine: bool,

@@ -491,9 +491,13 @@ impl<A: StreamClustering> JobSession<'_, A> {
                 telemetry::names::SPAN_GLOBAL_UPDATE,
                 batch = pending.batch_index
             );
+            let model = {
+                let _copy = telemetry::span!(telemetry::names::SPAN_GLOBAL_COPY);
+                Arc::make_mut(&mut self.model)
+            };
             global_update(
                 self.job.algo,
-                Arc::make_mut(&mut self.model),
+                model,
                 pending.local,
                 pending.window_end,
                 self.job.ordering,

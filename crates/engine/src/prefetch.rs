@@ -1,13 +1,21 @@
-//! Ingest/reorder prefetch — the double-buffered batch stage.
+//! Ingest/reorder prefetch — a one-batch lead on a rendezvous hand-off.
 //!
 //! Synchronously, the driver drains the source (and any [`ReorderBuffer`]
 //! wrapped around it) for batch *N+1* only after batch *N*'s global update
 //! finishes, so source decode and order-recovery cost sits on the batch
 //! critical path. [`prefetch_batches`] moves that drain onto a dedicated
-//! worker: while the driver processes batch *N*, the worker stages batch
-//! *N+1* into a bounded channel ([`PREFETCH_DEPTH`] slots — a double
-//! buffer), and the driver's next pull is a channel receive instead of a
-//! source drain.
+//! worker: while the driver processes batch *N*, the worker drains batch
+//! *N+1*, then blocks handing it over until the driver's next pull takes
+//! it — a rendezvous channel with no slot, so the driver's pull is a
+//! receive instead of a source drain.
+//!
+//! **Lead.** The worker is at most one batch ahead: beyond the batch in
+//! process there is at most one finished batch, plus the one look-ahead
+//! record the batcher holds to see a window close — two batches live, never
+//! three. A staged batch would not start sooner, only wait longer: every
+//! record of a queued batch pays the queue's wait in latency, and the queue
+//! holds its records in memory. The driver retires batch *N* before it
+//! pulls *N+1*, so the worker frees *N* before it drains *N+2*.
 //!
 //! **Determinism.** The worker runs the same [`MiniBatcher`] the
 //! synchronous path would, over the same source, producing the identical
@@ -35,12 +43,6 @@ use diststream_telemetry as telemetry;
 use crate::batcher::{MiniBatch, MiniBatcher};
 use crate::source::RecordSource;
 
-/// Staged-batch channel capacity: one batch in flight while one is being
-/// consumed — the classic double buffer. Deeper prefetch would only grow
-/// memory residency; the worker can never be more than one batch ahead of
-/// the critical path anyway.
-pub(crate) const PREFETCH_DEPTH: usize = 1;
-
 /// What the prefetch worker ships to the consumer.
 enum Staged {
     /// The next mini-batch, drained and reordered off the critical path.
@@ -66,7 +68,8 @@ impl PrefetchedBatches {
     /// Hands a spent batch (in whatever form the consumer left it) to the
     /// worker, which allocated its records: freed here they are thousands
     /// of cross-thread frees on the critical path. The worker frees before
-    /// it stages, so the staging channel's back-pressure bounds what waits.
+    /// it drains the next batch, and the rendezvous keeps it one batch
+    /// ahead, so at most one spent batch waits.
     pub fn retire(&self, spent: impl Send + 'static) {
         // The worker outlives this handle; were it gone, the failed send
         // would drop the batch right here.
@@ -147,7 +150,8 @@ where
     // Construct the batcher on the caller thread so argument validation
     // panics synchronously, exactly like the non-prefetched path.
     let mut batcher = MiniBatcher::new(source, batch_secs);
-    let (tx, rx) = mpsc::sync_channel::<Staged>(PREFETCH_DEPTH);
+    // A rendezvous: `send` returns once the consumer has taken the batch.
+    let (tx, rx) = mpsc::sync_channel::<Staged>(0);
     let (retired, retired_rx) = mpsc::channel::<Box<dyn Send>>();
     let driver_waited = telemetry::enabled()
         .then(|| telemetry::counter(telemetry::names::METRIC_PREFETCH_DRIVER_WAIT_US_TOTAL));
@@ -210,6 +214,8 @@ mod tests {
     use super::*;
     use crate::source::VecSource;
     use diststream_types::{Point, Record, Timestamp};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
 
     fn records(n: u64) -> Vec<Record> {
         (0..n)
@@ -237,6 +243,71 @@ mod tests {
         // Dropping the handle after one batch must not wedge the worker.
         let first = prefetch_batches(VecSource::new(records(100)), 1.0, |b| b.next());
         assert!(first.is_some());
+    }
+
+    /// Counts the records pulled from the source it wraps.
+    struct Counted {
+        source: VecSource,
+        pulled: Arc<AtomicUsize>,
+    }
+
+    impl RecordSource for Counted {
+        fn next_record(&mut self) -> Option<Record> {
+            let record = self.source.next_record();
+            if record.is_some() {
+                self.pulled.fetch_add(1, Ordering::SeqCst);
+            }
+            record
+        }
+    }
+
+    /// `pulled` once it has held still for 50 ms (waiting at most 5 s).
+    fn settled(pulled: &AtomicUsize) -> usize {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut last = pulled.load(Ordering::SeqCst);
+        let mut still_since = Instant::now();
+        while still_since.elapsed() < Duration::from_millis(50) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+            let now = pulled.load(Ordering::SeqCst);
+            if now != last {
+                last = now;
+                still_since = Instant::now();
+            }
+        }
+        last
+    }
+
+    /// The worker drains one batch ahead of the consumer and then waits for
+    /// it: holding batch `k`, the consumer has let the source be pulled
+    /// through batch `k+1` plus the batcher's one look-ahead record, never
+    /// further, however long it dawdles. A one-slot channel fails this —
+    /// the worker parks `k+1` and drains `k+2` as well.
+    #[test]
+    fn worker_stays_one_batch_ahead() {
+        let sizes: Vec<usize> = MiniBatcher::new(VecSource::new(records(40)), 1.0)
+            .map(|b| b.len())
+            .collect();
+        assert!(sizes.len() > 5, "test needs several batches");
+        let pulled = Arc::new(AtomicUsize::new(0));
+        let source = Counted {
+            source: VecSource::new(records(40)),
+            pulled: Arc::clone(&pulled),
+        };
+        let seen = prefetch_batches(source, 1.0, |batches| {
+            (0..3)
+                .map(|k| {
+                    assert!(batches.next().is_some());
+                    (k, settled(&pulled))
+                })
+                .collect::<Vec<_>>()
+        });
+        for (k, seen) in seen {
+            let bound = sizes[..=k + 1].iter().sum::<usize>() + 1;
+            assert!(
+                seen <= bound,
+                "holding batch {k} the source was pulled {seen} times; one batch ahead is {bound}"
+            );
+        }
     }
 
     /// Records where it is dropped.

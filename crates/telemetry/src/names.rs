@@ -32,6 +32,10 @@ pub const SPAN_ASSIGNMENT: &str = "assignment";
 pub const SPAN_LOCAL_UPDATE: &str = "local_update";
 /// Step 3: global update on the driver.
 pub const SPAN_GLOBAL_UPDATE: &str = "global_update";
+/// Inside `global_update`, first: the copy-on-write of the model
+/// (`Arc::make_mut`) — a copy of `Q_t` while the broadcast still shares it
+/// (the asynchronous protocol), nothing otherwise.
+pub const SPAN_GLOBAL_COPY: &str = "global_copy";
 /// Step 3a, inside `global_update`: order-aware sort (or seeded shuffle) of
 /// the batch's updated and created sketches.
 pub const SPAN_GLOBAL_ORDER: &str = "global_order";
@@ -66,6 +70,7 @@ const ALL_SPANS: &[&str] = &[
     SPAN_ASSIGNMENT,
     SPAN_LOCAL_UPDATE,
     SPAN_GLOBAL_UPDATE,
+    SPAN_GLOBAL_COPY,
     SPAN_GLOBAL_ORDER,
     SPAN_GLOBAL_PREMERGE,
     SPAN_GLOBAL_APPLY,

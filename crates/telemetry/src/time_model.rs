@@ -21,7 +21,8 @@ use crate::record::{BatchRecord, StepMetrics};
 pub const RECONCILE_REL_TOL: f64 = 0.05;
 
 /// The spans that tile a `global_update` span, in execution order.
-pub const GLOBAL_SUBSPANS: [&str; 3] = [
+pub const GLOBAL_SUBSPANS: [&str; 4] = [
+    names::SPAN_GLOBAL_COPY,
     names::SPAN_GLOBAL_ORDER,
     names::SPAN_GLOBAL_PREMERGE,
     names::SPAN_GLOBAL_APPLY,

@@ -24,9 +24,10 @@
 //! both execution modes, but outside the modeled critical path — so it is
 //! a second wall-side row, `driver`.
 //!
-//! One level below phase, the driver-side global update is tiled by three
-//! sub-spans (ordering, pre-merge, `apply_global`); their journaled span
-//! time is summed per run and rendered beneath the `global_update` row.
+//! One level below phase, the driver-side global update is tiled by four
+//! sub-spans (the model's copy-on-write, ordering, pre-merge,
+//! `apply_global`); their journaled span time is summed per run and
+//! rendered beneath the `global_update` row.
 //!
 //! Before any of that, each job's `init` span is its set-up: the serial
 //! model initialization ahead of its first batch. It is on no batch's
@@ -44,7 +45,8 @@ use diststream_telemetry::time_model::{batch_critical_path, reconcile_tolerance,
 use crate::parse::{EventKind, Journal, ParseError};
 
 /// Blame-table labels of the [`GLOBAL_SUBSPANS`], in the same order.
-const GLOBAL_SUBSPAN_LABELS: [&str; 3] = ["ordering", "pre-merge", "apply_global"];
+const GLOBAL_SUBSPAN_LABELS: [&str; GLOBAL_SUBSPANS.len()] =
+    ["copy-on-write", "ordering", "pre-merge", "apply_global"];
 
 /// A critical-path phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -163,7 +165,7 @@ pub struct RunProfile {
     pub drops: u64,
     /// Span seconds inside the driver-side global update, one entry per
     /// [`GLOBAL_SUBSPANS`] row (all zero for a run without global updates).
-    pub global_sub_secs: [f64; 3],
+    pub global_sub_secs: [f64; GLOBAL_SUBSPANS.len()],
     /// `init` spans in the journal: one per job that initialised a model.
     pub inits: usize,
     /// Their summed seconds — serial set-up, outside every batch.
@@ -247,7 +249,7 @@ pub struct BlameTable {
     pub batches: usize,
     /// Span seconds of each [`GLOBAL_SUBSPANS`] row, rendered beneath the
     /// `global_update` phase.
-    pub global_sub_secs: [f64; 3],
+    pub global_sub_secs: [f64; GLOBAL_SUBSPANS.len()],
     /// Wall-side seconds of driver record handling around the parallel
     /// steps (`assign_driver_secs` + `local_driver_secs`, summed over
     /// batches), rendered as the `driver` row beneath `local_update`.
@@ -317,7 +319,7 @@ impl BlameTable {
     }
 
     /// One indented row per global-update sub-span: its span seconds and
-    /// its share of the three together. Span time, not critical-path time —
+    /// its share of the four together. Span time, not critical-path time —
     /// under the asynchronous protocol the phase may be off the path.
     fn render_global_breakdown(&self, out: &mut String) {
         let phase_secs: f64 = self.global_sub_secs.iter().sum();
@@ -327,7 +329,7 @@ impl BlameTable {
         for (label, secs) in GLOBAL_SUBSPAN_LABELS.iter().zip(self.global_sub_secs) {
             let _ = writeln!(
                 out,
-                "  {:<12} {:>12.6} {:>8} {:>10}",
+                "  {:<13}{:>12.6} {:>8} {:>10}",
                 label,
                 secs,
                 format!("{:.1}%", 100.0 * secs / phase_secs),
@@ -646,22 +648,27 @@ mod tests {
         };
         let run = build(&[
             summary(0, 1.0, 0.5, 0.5, false),
+            close("global_copy", 99, 50_000),
             close("global_order", 100, 10_000),
             close("global_premerge", 101, 40_000),
             close("global_apply", 102, 200_000),
         ]);
-        assert_eq!(run.global_sub_secs, [0.01, 0.04, 0.2]);
+        assert_eq!(run.global_sub_secs, [0.05, 0.01, 0.04, 0.2]);
         let rendered = run.blame().render();
         let lines: Vec<&str> = rendered.lines().collect();
         let phase = lines
             .iter()
             .position(|l| l.starts_with("global_update"))
             .expect("phase row");
-        assert!(lines[phase + 1].starts_with("  ordering"), "{rendered}");
-        assert!(lines[phase + 2].starts_with("  pre-merge"), "{rendered}");
-        assert!(lines[phase + 3].starts_with("  apply_global"), "{rendered}");
-        assert!(lines[phase + 3].contains("80.0%"), "{rendered}");
-        assert!(lines[phase + 4].starts_with("dominant phase"), "{rendered}");
+        assert!(
+            lines[phase + 1].starts_with("  copy-on-write"),
+            "{rendered}"
+        );
+        assert!(lines[phase + 2].starts_with("  ordering"), "{rendered}");
+        assert!(lines[phase + 3].starts_with("  pre-merge"), "{rendered}");
+        assert!(lines[phase + 4].starts_with("  apply_global"), "{rendered}");
+        assert!(lines[phase + 4].contains("66.7%"), "{rendered}");
+        assert!(lines[phase + 5].starts_with("dominant phase"), "{rendered}");
 
         // No sub-span time (no global update journaled): no breakdown rows.
         let plain = build(&[summary(0, 1.0, 0.5, 0.5, false)]).blame().render();

@@ -121,7 +121,7 @@ mod tests {
                 .collect(),
             critical_secs: assignment + local + global,
             batches: 1,
-            global_sub_secs: [0.0; 3],
+            global_sub_secs: [0.0; 4],
             driver_secs: 0.0,
         }
     }

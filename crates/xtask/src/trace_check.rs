@@ -22,14 +22,14 @@
 //!    thread, off the driver's batch loop), and a `combine` span
 //!    always nests inside a `local_update` span (the map-side combine is
 //!    part of step 2);
-//! 6. the driver phase is tiled by its sub-spans: `global_order`,
-//!    `global_premerge` and `global_apply` open only directly inside a
-//!    `global_update` span, and over the whole journal their durations sum
-//!    to the `global_update` spans' within 5%. The sum is judged per
-//!    journal, the granularity the blame table reports at, because that is
-//!    what a journal can resolve: one span with a 30 us hole is a thread
-//!    the scheduler took off the core, every span with one is work nobody
-//!    wrapped in a sub-span;
+//! 6. the driver phase is tiled by its sub-spans: `global_copy`,
+//!    `global_order`, `global_premerge` and `global_apply` open only
+//!    directly inside a `global_update` span, and over the whole journal
+//!    their durations sum to the `global_update` spans' within 5%. The sum
+//!    is judged per journal, the granularity the blame table reports at,
+//!    because that is what a journal can resolve: one span with a 30 us
+//!    hole is a thread the scheduler took off the core, every span with
+//!    one is work nobody wrapped in a sub-span;
 //! 7. set-up comes before its job's batches: an `init` span opens with
 //!    nothing open on its thread, no `batch` span opens inside one, and a
 //!    thread opens no second `init` before a `batch` — at most one per job,
@@ -600,7 +600,7 @@ mod tests {
         let errors = check_trace(&journal(&refs)).expect_err("stray sub-span");
         assert!(errors.iter().any(|e| e.contains("outside")), "{errors:?}");
 
-        // The runtime opens all three sub-spans in every global update, so
+        // The runtime opens all four sub-spans in every global update, so
         // a phase with none is untiled, not an older journal.
         let lines = [
             span("open", "global_update", 0, 0, 0, None),
@@ -724,5 +724,49 @@ mod tests {
                  re-record the run)"
             ]
         );
+    }
+
+    /// A small in-process job's journal passes the checker in both
+    /// protocols. Under the asynchronous one the model is copied inside
+    /// `global_update` (the broadcast still shares it), and D-Stream's grid
+    /// table is the largest model for the least apply work: without the
+    /// `global_copy` sub-span, over a third of this journal's phase is
+    /// untiled.
+    #[test]
+    fn in_process_journals_pass_in_both_protocols() {
+        use diststream::algorithms::{DStream, DStreamParams};
+        use diststream::core::{DistStreamJob, PipelineOptions};
+        use diststream::datasets::covertype_like;
+        use diststream::engine::{ExecutionMode, StreamingContext, VecSource};
+        use diststream::telemetry;
+        use diststream::types::ClusteringConfig;
+
+        let algo = DStream::new(DStreamParams::default());
+        let ctx = StreamingContext::new(2, ExecutionMode::Threads).expect("context");
+        for (protocol, pipeline) in [
+            ("sync", PipelineOptions::sync()),
+            ("overlapped", PipelineOptions::all()),
+        ] {
+            let path = std::env::temp_dir().join(format!(
+                "check-trace-{}-{protocol}.jsonl",
+                std::process::id()
+            ));
+            telemetry::start_file_session(&path).expect("journal file");
+            let run = DistStreamJob::new(&algo, &ctx, ClusteringConfig::default())
+                .init_records(400)
+                .pipeline(pipeline)
+                .run_to_end(VecSource::new(covertype_like(6000, 3).to_records(50.0)));
+            telemetry::finish_file_session();
+            let checked = check_trace_file(&path);
+            let journal = std::fs::read_to_string(&path).unwrap_or_default();
+            let _ = std::fs::remove_file(&path);
+            run.expect("job");
+            let stats = checked.unwrap_or_else(|errors| panic!("{protocol}: {errors:#?}"));
+            assert!(stats.batch_summaries > 5, "{protocol}: too few batches");
+            assert_eq!(
+                journal.contains("\"span\":\"prefetch\""),
+                protocol == "overlapped"
+            );
+        }
     }
 }

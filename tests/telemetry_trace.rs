@@ -104,6 +104,7 @@ fn every_open_span_closes_and_nests_lifo_per_thread() {
         "assignment",
         "local_update",
         "global_update",
+        "global_copy",
         "global_order",
         "global_premerge",
         "global_apply",
