@@ -3,9 +3,7 @@
 
 use std::time::Instant;
 
-use diststream_engine::{
-    chunk_size, chunk_strides, Broadcast, StepMetrics, StreamingContext, Stride,
-};
+use diststream_engine::{chunk_size, Broadcast, StepMetrics, StreamingContext};
 use diststream_types::{DistStreamError, Record, Result};
 
 use crate::api::{Assignment, StreamClustering};
@@ -31,29 +29,21 @@ pub struct AssignmentOutcome {
 }
 
 /// Runs step 1: broadcasts the stale model `Q_t` to every task, splits the
-/// batch's records across `p` tasks, and computes each record's closest
+/// batch's records across tasks, and computes each record's closest
 /// micro-cluster (or outlier decision) in parallel.
 ///
-/// The batch is never copied or re-partitioned: every task *borrows* it and
-/// reads the arrival positions of its [`Stride`], returning one
-/// [`Assignment`] (`Copy`, 16 bytes) per position. The merged assignment
-/// list is then zipped onto the untouched records by move.
+/// The batch is never copied: every task *borrows* one contiguous slice of
+/// it (`task_slices`) and returns one [`Assignment`] (`Copy`, 16 bytes) per
+/// record; the outputs, concatenated in task order, are zipped onto the
+/// untouched records by move. The paper splits round-robin (§V-A) only to
+/// keep records and decisions in relative order, which contiguous slices
+/// keep too. So `pairs` comes back in arrival order — the property the
+/// order-aware local update depends on — and, assignment being a pure
+/// function of `(model, record)`, byte-identical under every task layout
+/// and parallelism degree.
 ///
-/// The task layout is the `placement`'s round-robin
-/// [`Placement::split_records`] (`chunking == false`; it preserves relative
-/// record order inside every task, and [`Placement::merge_assigned`]
-/// interleaves the outputs back),
-/// or deterministic size-aware chunk scheduling (`chunking == true`):
-/// the batch is cut into contiguous fixed-size chunks ([`chunk_size`])
-/// claimed by workers from the pool's shared deterministic queue, so a slow
-/// slot sheds load at chunk granularity instead of holding the step barrier
-/// on the largest static partition, and chunk outputs are concatenated in
-/// chunk order. Chunking is the scheduler's lever, orthogonal to placement.
-///
-/// Either way `pairs` comes back in arrival order — the property the
-/// order-aware local update depends on — and, per-record assignment being a
-/// pure function of `(model, record)`, byte-identical under every task
-/// layout and parallelism degree.
+/// `_placement` is unused; it stays until ROADMAP item 8 drops it with the
+/// benchmark's stepped pass, which calls this function.
 ///
 /// # Errors
 ///
@@ -67,41 +57,31 @@ pub fn assign_records_distributed<A: StreamClustering>(
     model: &Broadcast<A::Model>,
     records: Vec<Record>,
     chunking: bool,
-    placement: Placement,
+    _placement: Placement,
 ) -> Result<AssignmentOutcome> {
     let entered = Instant::now(); // lint:allow(wallclock-entropy) driver-side timing feeds step metrics only
-    let layout = if chunking {
-        let chunk = chunk_size(records.len(), ctx.parallelism());
-        chunk_strides(records.len(), chunk)
-    } else {
-        placement.split_records(records.len(), ctx.parallelism())
-    };
+    let slices = task_slices(&records, ctx.parallelism(), chunking);
     // Batched distance computation: the searcher (the algorithm's per-model
     // scan structure) is built once per batch and shared read-only by every
     // task, so its build cost is paid once per worker slot instead of once
     // per claimed chunk — the property that keeps over-partitioned chunk
-    // scheduling as cheap as the static split.
+    // scheduling as cheap as one block per slot.
     let snapshot = model.handle();
     let build_start = Instant::now(); // lint:allow(wallclock-entropy) searcher-build timing feeds step metrics only
     let searcher = algo.searcher(&snapshot);
     let build_secs = build_start.elapsed().as_secs_f64();
-    let batch = records.as_slice();
     let tasks_start = Instant::now(); // lint:allow(wallclock-entropy) driver-side timing feeds step metrics only
-    let (outputs, mut metrics) = ctx.run_tasks(layout, |_task, stride: Stride| {
-        stride.of(batch).map(&searcher).collect::<Vec<Assignment>>()
+    let (outputs, mut metrics) = ctx.run_tasks(slices, |_task, slice: &[Record]| {
+        slice.iter().map(&searcher).collect::<Vec<Assignment>>()
     })?;
     let off_driver_secs = tasks_start.elapsed().as_secs_f64() + build_secs;
     drop(searcher);
     // Every slot builds the searcher once, concurrently, right after the
     // broadcast lands.
     metrics.charge_setup(build_secs);
-    let assignments = if chunking {
-        // Contiguous chunks: concatenation in chunk order is the inverse
-        // of the split.
-        outputs.concat()
-    } else {
-        placement.merge_assigned(outputs)
-    };
+    // Contiguous slices: concatenation in task order is the inverse of the
+    // split.
+    let assignments = outputs.concat();
     if assignments.len() != records.len() {
         return Err(DistStreamError::Invariant(format!(
             "assignment merge returned {} decisions for {} records",
@@ -116,6 +96,23 @@ pub fn assign_records_distributed<A: StreamClustering>(
         model_bytes: model.payload_bytes(),
         driver_secs: entered.elapsed().as_secs_f64() - off_driver_secs,
     })
+}
+
+/// Step 1's task layout: contiguous slices of `batch`, in arrival order.
+/// Without `chunking`, `p` balanced blocks `[i·n/p, (i+1)·n/p)` — empty at
+/// the tail when `n < p`, so the task indices (and a fault plan's task
+/// coordinates) are always `0..p`. With it, [`chunk_size`] chunks that
+/// workers claim from the pool's queue, so a slow slot sheds load at chunk
+/// granularity instead of holding the barrier on the largest block.
+fn task_slices<T>(batch: &[T], p: usize, chunking: bool) -> Vec<&[T]> {
+    let n = batch.len();
+    if chunking {
+        batch.chunks(chunk_size(n, p)).collect()
+    } else {
+        (0..p)
+            .map(|i| batch.get(i * n / p..(i + 1) * n / p).unwrap_or_default())
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -176,10 +173,10 @@ mod tests {
     }
 
     /// Chunk scheduling changes the task layout, never the output: pairs
-    /// must be byte-identical to the round-robin layout at every
-    /// parallelism degree, and in arrival order.
+    /// must be byte-identical to one block per slot at every parallelism
+    /// degree, and in arrival order.
     #[test]
-    fn chunked_assignment_equals_round_robin() {
+    fn chunked_assignment_equals_one_block_per_slot() {
         let (algo, model) = setup();
         let records: Vec<Record> = (2..300).map(|i| rec(i, (i % 13) as f64)).collect();
         let reference = {
@@ -195,6 +192,49 @@ mod tests {
             // With 298 records and MIN_CHUNK_SIZE = 32, chunking produces
             // more tasks than slots at low p — the balance lever.
             assert!(out.metrics.task_secs().len() >= p.min(298 / 32), "p={p}");
+        }
+    }
+
+    /// Every task reads one contiguous run of arrival positions and the
+    /// runs tile the batch in order; without chunking there is one
+    /// balanced block per slot, empty ones included (p > n). Whatever the
+    /// layout, the pairs are the one-task result.
+    #[test]
+    fn tasks_read_contiguous_runs_that_tile_the_batch() {
+        let (algo, model) = setup();
+        for p in [1usize, 2, 3, 5, 29] {
+            for n in [0, 1, p - 1, p, 2 * p + 1, 298] {
+                let positions: Vec<usize> = (0..n).collect();
+                let records: Vec<Record> = (0..n as u64).map(|i| rec(i, (i % 13) as f64)).collect();
+                let reference = {
+                    let ctx = StreamingContext::new(1, ExecutionMode::Simulated).unwrap();
+                    assign(
+                        &ctx,
+                        &algo,
+                        &Broadcast::new(model.clone()),
+                        records.clone(),
+                        false,
+                    )
+                };
+                for chunking in [false, true] {
+                    let case = format!("n={n} p={p} chunking={chunking}");
+                    let slices = task_slices(&positions, p, chunking);
+                    // Each slice a run of consecutive positions, the runs
+                    // in arrival order with no gap or overlap.
+                    assert_eq!(slices.concat(), positions, "{case}");
+                    if !chunking {
+                        assert_eq!(slices.len(), p, "{case}");
+                        let lens = slices.iter().map(|s| s.len());
+                        let (min, max) = (lens.clone().min(), lens.max());
+                        assert!(max.zip(min).is_some_and(|(hi, lo)| hi - lo <= 1), "{case}");
+                    }
+                    let ctx = StreamingContext::new(p, ExecutionMode::Simulated).unwrap();
+                    let bcast = Broadcast::new(model.clone());
+                    let out = assign(&ctx, &algo, &bcast, records.clone(), chunking);
+                    assert_eq!(out.pairs, reference.pairs, "{case}");
+                    assert_eq!(out.metrics.task_secs().len(), slices.len(), "{case}");
+                }
+            }
         }
     }
 

@@ -133,7 +133,7 @@ impl<A: StreamClustering> JobSession<'_, A> {
     pub(crate) fn rebalance(&mut self, batch_index: usize, from: usize, to: usize) -> Result<()> {
         let _span = telemetry::span!(telemetry::names::SPAN_REBALANCE, batch = batch_index);
         self.take_checkpoint(batch_index)?;
-        let restored = self.job.store.lock().load(batch_index)?;
+        let restored = self.job.store().load(batch_index)?;
         if restored.bytes != self.checkpoint.bytes {
             return Err(DistStreamError::CorruptCheckpoint {
                 batch_index,

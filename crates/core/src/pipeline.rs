@@ -9,7 +9,7 @@ use diststream_engine::{
 };
 use diststream_telemetry as telemetry;
 use diststream_types::{ClusteringConfig, DistStreamError, Record, Result, Timestamp};
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use crate::adaptive::AdaptiveBatchSizer;
 use crate::api::{StreamClustering, UpdateOrdering};
@@ -282,7 +282,7 @@ impl<'a, A: StreamClustering> DistStreamJob<'a, A> {
     /// test surgery such as [`CheckpointStore::inject_corruption`]). Drop
     /// the guard before stepping a session of this job.
     pub fn store(&self) -> impl std::ops::DerefMut<Target = Box<dyn CheckpointStore>> + '_ {
-        self.store.lock()
+        self.store.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Turns on write-ahead logging and a model checkpoint every `batches`

@@ -109,7 +109,7 @@ impl<A: StreamClustering> JobSession<'_, A> {
         encode_into(&*self.model, &mut self.checkpoint.bytes);
         self.checkpoint.batch_index = cursor;
         self.since_checkpoint = 0;
-        let mut store = self.job.store.lock();
+        let mut store = self.job.store();
         store.persist(&self.checkpoint)?;
         if cursor > 0 && self.job.ctx.take_checkpoint_corruption(cursor - 1) {
             store.inject_corruption(cursor)?;
@@ -145,13 +145,12 @@ impl<A: StreamClustering> JobSession<'_, A> {
                 "recover() needs a checkpoint cadence".into(),
             ));
         }
-        let store = &self.job.store;
-        let manifest = store.lock().manifest();
+        let manifest = self.job.store().manifest();
         let mut fallbacks = 0u64;
         let mut last_err =
             DistStreamError::Storage("checkpoint store has an empty manifest".into());
         for cursor in manifest {
-            let loaded = store.lock().load(cursor);
+            let loaded = self.job.store().load(cursor);
             match loaded.and_then(|checkpoint| self.replay_from(&checkpoint)) {
                 Ok(model) => {
                     if fallbacks > 0 && telemetry::enabled() {

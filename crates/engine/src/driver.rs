@@ -2,8 +2,8 @@
 
 use diststream_telemetry as telemetry;
 use diststream_telemetry::time_model::list_makespan;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use diststream_types::{DistStreamError, Result};
@@ -96,23 +96,29 @@ impl StreamingContext {
         DEFAULT_MAX_TASK_FAILURES
     }
 
+    /// The fault state, locked; an injected fault panics under it, so
+    /// poison is ignored.
+    fn faults(&self) -> MutexGuard<'_, Option<FaultState>> {
+        self.faults.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Installs a deterministic [`FaultPlan`]; it replaces any plan already
     /// installed. Executors scope the plan's `(batch, task, attempt)`
     /// coordinates by calling [`StreamingContext::begin_batch`].
     pub fn install_fault_plan(&self, plan: FaultPlan) {
-        *self.faults.lock() = Some(FaultState::new(plan));
+        *self.faults() = Some(FaultState::new(plan));
     }
 
     /// Removes any installed fault plan.
     pub fn clear_fault_plan(&self) {
-        *self.faults.lock() = None;
+        *self.faults() = None;
     }
 
     /// Reports that processing of mini-batch `index` is starting, scoping
     /// subsequent fault-plan coordinates to that batch. A no-op without an
     /// installed plan.
     pub fn begin_batch(&self, index: usize) {
-        if let Some(state) = self.faults.lock().as_mut() {
+        if let Some(state) = self.faults().as_mut() {
             state.set_batch(index);
         }
     }
@@ -122,8 +128,7 @@ impl StreamingContext {
     /// after persisting a checkpoint and damage the stored copy when it
     /// returns `true`.
     pub fn take_checkpoint_corruption(&self, batch_index: usize) -> bool {
-        self.faults
-            .lock()
+        self.faults()
             .as_mut()
             .is_some_and(|state| state.take_checkpoint_corruption(batch_index))
     }
@@ -140,8 +145,8 @@ impl StreamingContext {
     /// makespan of those times over `p` slots
     /// (`diststream_telemetry::time_model::list_makespan`).
     ///
-    /// Inputs are `Copy` views (a [`Stride`](crate::Stride), a `&[T]`, an
-    /// index); `f` borrows the data they point into. A panicking task
+    /// Inputs are `Copy` views (a `&[T]` slice of the batch, an index); `f`
+    /// borrows the data they point into. A panicking task
     /// (genuine or injected via [`FaultPlan`]) is retried on the same
     /// input, in both modes, up to
     /// [`StreamingContext::max_task_failures`] total attempts. Retries
@@ -167,9 +172,9 @@ impl StreamingContext {
         // The hook locks the fault mutex per attempt, so only pay for it
         // when a plan is actually installed (plans are installed before the
         // run, never mid-step).
-        let faulting = self.faults.lock().is_some();
+        let faulting = self.faults().is_some();
         let hook = |task: usize, attempt: usize| -> f64 {
-            match self.faults.lock().as_mut() {
+            match self.faults().as_mut() {
                 Some(state) => state.before_attempt(task, attempt),
                 None => 0.0,
             }

@@ -7,8 +7,10 @@
 //! 1. **Mini-batch division** of an unbounded record stream — [`MiniBatcher`]
 //!    cuts a [`RecordSource`] into virtual-time windows.
 //! 2. **Parallel map over record partitions** (record-based parallelism) —
-//!    [`StreamingContext::run_tasks`] over [`RoundRobinPartitioner`] output,
-//!    with the model shipped to every task as a [`Broadcast`].
+//!    [`StreamingContext::run_tasks`] over contiguous `&[Record]` slices of
+//!    the batch (Spark splits round-robin; any split whose outputs
+//!    concatenate back into arrival order computes the same bytes), with
+//!    the model shipped to every task as a [`Broadcast`].
 //! 3. **Shuffle / group-by-key** (model-based parallelism) —
 //!    [`FlatShuffle`], routed by a deterministic hash partitioner.
 //! 4. **Driver-side aggregation** at the end of each batch — task outputs are
@@ -76,11 +78,11 @@ pub use faults::FaultPlan;
 pub use latency::{LatencyProbe, RecordLatency, LATENCY_BUCKET_BOUNDS};
 pub use partition::{
     combine_by_key, fnv1a_hash, group_by_key, AppendCombiner, CombineStats, Combiner, FlatShuffle,
-    Fnv1a, HashPartitioner, KeyBytes, RoundRobinPartitioner, ShufflePartition, Shuffled, Stride,
+    Fnv1a, HashPartitioner, KeyBytes, ShufflePartition, Shuffled,
 };
 pub use pool::{
-    chunk_size, chunk_strides, split_chunks, TaskPool, CHUNK_OVERPARTITION,
-    DEFAULT_MAX_TASK_FAILURES, MIN_CHUNK_SIZE,
+    chunk_size, split_chunks, TaskPool, CHUNK_OVERPARTITION, DEFAULT_MAX_TASK_FAILURES,
+    MIN_CHUNK_SIZE,
 };
 pub use prefetch::{prefetch_batches, PrefetchedBatches};
 pub use reorder::ReorderBuffer;

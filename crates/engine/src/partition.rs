@@ -1,6 +1,7 @@
-//! Partitioners: round-robin for record-based parallelism, deterministic
-//! hash partitioning and the [`FlatShuffle`] grouping for model-based
-//! parallelism (`group_by_key` / `combine_by_key` are its references).
+//! Partitioners for model-based parallelism: deterministic hash
+//! partitioning and the [`FlatShuffle`] grouping (`group_by_key` /
+//! `combine_by_key` are its references). Record-based parallelism needs no
+//! partitioner: step 1's tasks read contiguous slices of the batch.
 
 // lint:allow(nondeterministic-collection) lookup only, never iterated
 use std::collections::HashMap;
@@ -75,157 +76,6 @@ impl Fnv1a {
 impl Default for Fnv1a {
     fn default() -> Self {
         Fnv1a::new()
-    }
-}
-
-/// A task's share of a batch it only borrows: the arrival positions
-/// `start, start + step, …` — `len` of them. Record-parallel steps hand
-/// the pool one `Stride` per task (24 bytes, `Copy`) next to a shared
-/// `&[T]`, so nothing a task reads is moved or copied to schedule it, and
-/// the pool's retain-for-retry clone is free.
-///
-/// # Examples
-///
-/// ```
-/// use diststream_engine::Stride;
-///
-/// let batch = [10, 11, 12, 13, 14];
-/// let odd = Stride { start: 1, step: 2, len: 2 };
-/// assert_eq!(odd.of(&batch).copied().collect::<Vec<_>>(), vec![11, 13]);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Stride {
-    /// First position.
-    pub start: usize,
-    /// Distance between consecutive positions (1 = a contiguous block).
-    pub step: usize,
-    /// Number of positions.
-    pub len: usize,
-}
-
-impl Stride {
-    /// The contiguous block `start..start + len`.
-    pub fn block(start: usize, len: usize) -> Self {
-        Stride {
-            start,
-            step: 1,
-            len,
-        }
-    }
-
-    /// The items of `batch` at this stride's positions, in order. Positions
-    /// past the end of `batch` yield nothing.
-    pub fn of<'a, T>(&self, batch: &'a [T]) -> impl Iterator<Item = &'a T> {
-        batch
-            .get(self.start..)
-            .unwrap_or_default()
-            .iter()
-            .step_by(self.step.max(1))
-            .take(self.len)
-    }
-}
-
-/// Splits records across `p` tasks in round-robin order (§V-A).
-///
-/// The paper assigns "incoming records with different timestamps into
-/// different tasks in a round-robin way ... to facilitate the goal of
-/// maintaining the relative orders between the input data records and the
-/// output micro-cluster results": element `i` goes to partition `i % p`, so
-/// each partition individually preserves arrival order and the original
-/// order is recoverable by interleaving.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RoundRobinPartitioner;
-
-impl RoundRobinPartitioner {
-    /// Splits `items` into `partitions` round-robin partitions.
-    ///
-    /// Every partition preserves the relative order of its items. When
-    /// `items.len() < partitions` the trailing partitions are empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `partitions` is zero.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use diststream_engine::RoundRobinPartitioner;
-    /// let parts = RoundRobinPartitioner.split(vec![1, 2, 3, 4, 5], 2);
-    /// assert_eq!(parts, vec![vec![1, 3, 5], vec![2, 4]]);
-    /// ```
-    pub fn split<T>(&self, items: Vec<T>, partitions: usize) -> Vec<Vec<T>> {
-        assert!(partitions > 0, "partition count must be at least 1");
-        let per = items.len() / partitions + 1;
-        #[cfg(feature = "debug_invariants")]
-        let input_len = items.len();
-        let mut out: Vec<Vec<T>> = (0..partitions).map(|_| Vec::with_capacity(per)).collect();
-        for (i, item) in items.into_iter().enumerate() {
-            out[i % partitions].push(item);
-        }
-        #[cfg(feature = "debug_invariants")]
-        assert_eq!(
-            out.iter().map(Vec::len).sum::<usize>(),
-            input_len,
-            "debug_invariants: round-robin split lost or duplicated items",
-        );
-        out
-    }
-
-    /// [`split`](Self::split) without moving anything: the positions each
-    /// of the `partitions` tasks would receive out of a batch of `len`
-    /// items, as one [`Stride`] per task.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `partitions` is zero.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use diststream_engine::{RoundRobinPartitioner, Stride};
-    /// let strides = RoundRobinPartitioner.strides(5, 2);
-    /// assert_eq!(strides[0], Stride { start: 0, step: 2, len: 3 });
-    /// assert_eq!(strides[1], Stride { start: 1, step: 2, len: 2 });
-    /// ```
-    pub fn strides(&self, len: usize, partitions: usize) -> Vec<Stride> {
-        assert!(partitions > 0, "partition count must be at least 1");
-        (0..partitions)
-            .map(|start| Stride {
-                start,
-                step: partitions,
-                len: (len + partitions - 1 - start) / partitions,
-            })
-            .collect()
-    }
-
-    /// Reassembles round-robin partitions back into the original order —
-    /// the inverse of [`RoundRobinPartitioner::split`].
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use diststream_engine::RoundRobinPartitioner;
-    /// let parts = RoundRobinPartitioner.split(vec![1, 2, 3, 4, 5], 3);
-    /// assert_eq!(RoundRobinPartitioner.interleave(parts), vec![1, 2, 3, 4, 5]);
-    /// ```
-    pub fn interleave<T>(&self, partitions: Vec<Vec<T>>) -> Vec<T> {
-        let total: usize = partitions.iter().map(Vec::len).sum();
-        let mut iters: Vec<std::vec::IntoIter<T>> =
-            partitions.into_iter().map(Vec::into_iter).collect();
-        let mut out = Vec::with_capacity(total);
-        'outer: loop {
-            let mut advanced = false;
-            for it in &mut iters {
-                if let Some(item) = it.next() {
-                    out.push(item);
-                    advanced = true;
-                }
-            }
-            if !advanced {
-                break 'outer;
-            }
-        }
-        out
     }
 }
 
@@ -658,38 +508,6 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn round_robin_preserves_relative_order() {
-        let parts = RoundRobinPartitioner.split((0..10).collect::<Vec<_>>(), 3);
-        assert_eq!(parts[0], vec![0, 3, 6, 9]);
-        assert_eq!(parts[1], vec![1, 4, 7]);
-        assert_eq!(parts[2], vec![2, 5, 8]);
-    }
-
-    #[test]
-    fn round_robin_more_partitions_than_items() {
-        let parts = RoundRobinPartitioner.split(vec![1, 2], 4);
-        assert_eq!(parts.len(), 4);
-        assert_eq!(parts[0], vec![1]);
-        assert_eq!(parts[1], vec![2]);
-        assert!(parts[2].is_empty() && parts[3].is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "partition count")]
-    fn round_robin_zero_partitions_panics() {
-        let _ = RoundRobinPartitioner.split(vec![1], 0);
-    }
-
-    #[test]
-    fn interleave_inverts_split() {
-        let items: Vec<u32> = (0..17).collect();
-        for p in 1..6 {
-            let parts = RoundRobinPartitioner.split(items.clone(), p);
-            assert_eq!(RoundRobinPartitioner.interleave(parts), items);
-        }
-    }
-
-    #[test]
     fn hash_partitioner_is_deterministic_and_in_range() {
         for key in 0u64..100 {
             let p = HashPartitioner.partition_of(&key, 7);
@@ -765,32 +583,6 @@ mod tests {
         let (parts, stats) = combine_by_key(chunks, 1, &Sum);
         assert_eq!(parts[0], vec![(2, 40), (1, 3)]);
         assert_eq!(stats.combined_entries, 4);
-    }
-
-    /// The stride layout is the owning split, minus the move: reading a
-    /// batch through it yields exactly what `split` would have handed each
-    /// task, and interleave restores arrival order.
-    #[test]
-    fn strides_read_what_split_would_move() {
-        for len in [0usize, 1, 2, 5, 17, 64] {
-            let items: Vec<u32> = (0..len as u32).collect();
-            for p in 1..7 {
-                let rr: Vec<Vec<u32>> = RoundRobinPartitioner
-                    .strides(len, p)
-                    .iter()
-                    .map(|s| s.of(&items).copied().collect())
-                    .collect();
-                assert_eq!(rr, RoundRobinPartitioner.split(items.clone(), p));
-                assert_eq!(RoundRobinPartitioner.interleave(rr), items);
-            }
-        }
-    }
-
-    #[test]
-    fn a_stride_past_the_end_of_the_batch_is_empty() {
-        let items = [1, 2, 3];
-        assert_eq!(Stride::block(7, 2).of(&items).count(), 0);
-        assert_eq!(Stride::block(2, 5).of(&items).count(), 1);
     }
 
     /// Borrowed map partitions (chunks of a recycled buffer) combine to
@@ -869,16 +661,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn prop_split_conserves_items(items in prop::collection::vec(0u32..1000, 0..200), p in 1usize..8) {
-            let parts = RoundRobinPartitioner.split(items.clone(), p);
-            let mut collected: Vec<u32> = parts.iter().flatten().copied().collect();
-            let mut expected = items.clone();
-            collected.sort_unstable();
-            expected.sort_unstable();
-            prop_assert_eq!(collected, expected);
-        }
-
         #[test]
         fn prop_group_by_key_conserves_values(
             pairs in prop::collection::vec((0u64..20, 0i32..1000), 0..200),

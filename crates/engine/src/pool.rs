@@ -5,15 +5,15 @@
 //! [`ExecutionMode::Threads`]: crate::ExecutionMode::Threads
 //! [`ExecutionMode::Simulated`]: crate::ExecutionMode::Simulated
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use diststream_telemetry as telemetry;
 use diststream_types::{DistStreamError, Result};
-use parking_lot::Mutex;
 
 use crate::driver::positive;
-use crate::partition::Stride;
 
 /// Spark's `spark.task.maxFailures` default: a task may execute up to four
 /// times (one initial attempt plus three retries) before the step fails.
@@ -36,10 +36,10 @@ pub const DEFAULT_MAX_TASK_FAILURES: usize = 4;
 /// pure function over the same input, retries cannot change any task's
 /// output — replay stays byte-identical across parallelism degrees.
 ///
-/// Inputs are `Copy` *views* — a [`Stride`], a `&[T]`, an index — read out
-/// of one shared slice by whichever executor claims the task; the task
-/// closure borrows the data they point into, so a panicking attempt has
-/// nothing of the batch to lose and a retry has nothing to restore.
+/// Inputs are `Copy` *views* — a `&[T]` slice of the batch, an index —
+/// read by whichever executor claims the task; the task closure borrows
+/// the data they point into, so a panicking attempt has nothing of the
+/// batch to lose and a retry has nothing to restore.
 ///
 /// # Examples
 ///
@@ -136,17 +136,25 @@ impl TaskPool {
                     if retries > 0 {
                         retried.fetch_add(retries, Ordering::SeqCst);
                     }
-                    *results[idx].lock() = Some((output, secs));
+                    *results[idx].lock().unwrap_or_else(PoisonError::into_inner) =
+                        Some((output, secs));
                 }
-                Err(failure) => failures.lock().push(failure),
+                Err(failure) => failures
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .push(failure),
             }
         };
-        let scope_result = crossbeam::thread::scope(|s| {
-            for _ in 1..self.threads.min(n) {
-                s.spawn(|_| claim_and_run());
-            }
-            claim_and_run();
-        });
+        // A helper that dies outside the retry boundary makes the scope
+        // panic as it joins; that panic stops here, as the typed error.
+        let scope_result = catch_unwind(AssertUnwindSafe(|| {
+            std::thread::scope(|s| {
+                for _ in 1..self.threads.min(n) {
+                    s.spawn(claim_and_run);
+                }
+                claim_and_run();
+            })
+        }));
         if scope_result.is_err() {
             return Err(DistStreamError::Engine(
                 "an executor died outside the task retry boundary".into(),
@@ -157,7 +165,9 @@ impl TaskPool {
         if telemetry::enabled() && retried > 0 {
             telemetry::counter(telemetry::names::METRIC_TASKS_RETRIED_TOTAL).add(retried as u64);
         }
-        let mut failures = failures.into_inner();
+        let mut failures = failures
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
         // Workers push failures in completion order; report the lowest task
         // index so the surfaced error is schedule-independent.
         failures.sort_by_key(|failure| failure.task);
@@ -168,7 +178,7 @@ impl TaskPool {
         let mut outputs = Vec::with_capacity(n);
         let mut durations = Vec::with_capacity(n);
         for cell in results {
-            match cell.into_inner() {
+            match cell.into_inner().unwrap_or_else(PoisonError::into_inner) {
                 Some((o, secs)) => {
                     outputs.push(o);
                     durations.push(secs);
@@ -217,8 +227,8 @@ pub const MIN_CHUNK_SIZE: usize = 32;
 /// chunks at least [`MIN_CHUNK_SIZE`] records. Large batches get
 /// `CHUNK_OVERPARTITION` claimable chunks per slot (the balance lever);
 /// small batches degrade to exactly one balanced chunk per slot, whose
-/// makespan matches the static round-robin split instead of leaving one
-/// slot a `MIN_CHUNK_SIZE`-sized straggler chunk.
+/// makespan matches the static one-block-per-slot split instead of leaving
+/// one slot a `MIN_CHUNK_SIZE`-sized straggler chunk.
 ///
 /// Purely arithmetic in `(n, slots)` — no load measurement, no clock — so
 /// the chunk layout is reproducible run-to-run. The layout *may* differ
@@ -246,13 +256,13 @@ pub fn chunk_size(n: usize, slots: usize) -> usize {
 }
 
 /// Splits `items` into contiguous chunks of `chunk` items (the final chunk
-/// may be shorter) — the owning form of [`chunk_strides`], kept only for
-/// `benchmark/src/micro.rs` (ROADMAP item 1(a) retires it).
+/// may be shorter) — the owning form of `<[T]>::chunks`, which step 1
+/// reads its chunks through; kept only for `benchmark/src/micro.rs`
+/// (ROADMAP item 1(a) retires it).
 ///
-/// Unlike the round-robin split, chunks are contiguous slices of the input,
-/// so concatenating the per-chunk outputs in chunk index order restores the
-/// original arrival order exactly — no interleave step, and no dependence
-/// on which worker claimed which chunk.
+/// Chunks are contiguous slices of the input, so concatenating the
+/// per-chunk outputs in chunk index order restores the original arrival
+/// order exactly, whichever worker claimed which chunk.
 ///
 /// # Panics
 ///
@@ -289,36 +299,6 @@ pub fn split_chunks<T>(items: Vec<T>, chunk: usize) -> Vec<Vec<T>> {
         "debug_invariants: chunk split lost or duplicated items",
     );
     out
-}
-
-/// [`split_chunks`] without moving anything: the contiguous blocks of
-/// `chunk` positions (the final one may be shorter) that cover a batch of
-/// `n` items, one [`Stride`] per chunk. Tasks read their block out of a
-/// shared `&[T]`; concatenating their outputs in chunk order restores
-/// arrival order exactly as it does for the owning split.
-///
-/// # Panics
-///
-/// Panics if `chunk` is zero.
-///
-/// # Examples
-///
-/// ```
-/// use diststream_engine::{chunk_strides, Stride};
-///
-/// let chunks = chunk_strides(5, 2);
-/// assert_eq!(
-///     chunks,
-///     vec![Stride::block(0, 2), Stride::block(2, 2), Stride::block(4, 1)],
-/// );
-/// assert!(chunk_strides(0, 8).is_empty());
-/// ```
-pub fn chunk_strides(n: usize, chunk: usize) -> Vec<Stride> {
-    assert!(chunk > 0, "chunk size must be at least 1");
-    (0..n)
-        .step_by(chunk)
-        .map(|start| Stride::block(start, chunk.min(n - start)))
-        .collect()
 }
 
 /// A task that exhausted its retry budget.
@@ -360,7 +340,7 @@ where
     let mut attempt = 0;
     loop {
         let start = Instant::now(); // lint:allow(wallclock-entropy) task timing feeds straggler metrics only
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
             if let Some(hook) = hook {
                 let injected = hook(idx, attempt);
                 if injected > 0.0 {

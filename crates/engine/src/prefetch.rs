@@ -36,6 +36,7 @@
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{mpsc, Arc};
+use std::thread;
 use std::time::Instant;
 
 use diststream_telemetry as telemetry;
@@ -161,8 +162,12 @@ where
         let _span = telemetry::span!(telemetry::names::SPAN_RETIRE);
         drop(spent);
     };
-    let scope_result = crossbeam::thread::scope(move |s| {
-        s.spawn(move |_| {
+    // The scope joins the worker before it returns, and re-raises a panic
+    // of `consume` after that join, payload intact. The worker catches its
+    // own panics, so none escapes it.
+    // lint:allow(thread-spawn) the prefetch worker lives across steps, so it cannot be a pool task
+    thread::scope(move |s| {
+        s.spawn(move || {
             loop {
                 retired_rx.try_iter().for_each(free);
                 // Catch the drain's panic here and forward it so the
@@ -199,14 +204,7 @@ where
             retired,
             waited: driver_waited,
         })
-    });
-    match scope_result {
-        Ok(out) => out,
-        // Unreachable by construction — the worker catches its own panics —
-        // but re-raise rather than assert so an impossible state cannot
-        // mask the original panic.
-        Err(payload) => panic::resume_unwind(payload),
-    }
+    })
 }
 
 #[cfg(test)]

@@ -24,9 +24,7 @@
 //! a reader is untouched by the epoch-`N+1` publish.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Shared single-writer snapshot cell. Wrap in an [`Arc`] (or use
 /// [`SnapshotSlot::shared`]) to hand clones to the driver and readers.
@@ -56,7 +54,7 @@ impl<T> SnapshotSlot<T> {
     /// snapshot. The version bump happens under the slot lock so readers can
     /// never observe a version/pair mismatch.
     pub fn publish(&self, epoch: u64, value: T) {
-        let mut guard = self.slot.lock();
+        let mut guard = self.locked();
         *guard = Some((epoch, Arc::new(value)));
         self.version.fetch_add(1, Ordering::SeqCst);
     }
@@ -69,7 +67,12 @@ impl<T> SnapshotSlot<T> {
     /// Clones the latest `(epoch, snapshot)` pair, taking the lock.
     /// Hot paths should go through a [`SnapshotReader`] instead.
     pub fn latest(&self) -> Option<(u64, Arc<T>)> {
-        self.slot.lock().clone()
+        self.locked().clone()
+    }
+
+    /// The slot, locked; poison is ignored, as the pair is written whole.
+    fn locked(&self) -> MutexGuard<'_, Option<(u64, Arc<T>)>> {
+        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Creates a caching read handle bound to this slot.
@@ -98,7 +101,7 @@ impl<T> SnapshotReader<T> {
     /// per new publish.
     pub fn current(&mut self) -> Option<(u64, &Arc<T>)> {
         if self.slot.version.load(Ordering::SeqCst) != self.seen_version {
-            let guard = self.slot.slot.lock();
+            let guard = self.slot.locked();
             // Re-read the version under the lock: publish bumps it while
             // holding the same lock, so this pairing is exact.
             self.seen_version = self.slot.version.load(Ordering::SeqCst);

@@ -7,7 +7,7 @@
 //!
 //! - the driver thread flushes explicitly inside the barrier drain;
 //! - worker threads flush automatically when they exit (the thread-local
-//!   buffer's `Drop` runs as the `crossbeam` scope joins, *before* the
+//!   buffer's `Drop` runs as the step's thread scope joins, *before* the
 //!   step barrier releases the driver), so a barrier drain always sees a
 //!   complete picture of the batch that just finished.
 //!

@@ -264,7 +264,7 @@ fn check_thread_spawn(file: &SourceFile, _: &Context) -> Vec<Hit> {
     let tokens = &file.tokens;
     let mut out = Vec::new();
     for i in 0..tokens.len() {
-        for what in ["spawn", "Builder"] {
+        for what in ["spawn", "Builder", "scope"] {
             if path_pair(tokens, i, "thread", what) {
                 out.push((
                     tokens[i].line,
@@ -796,6 +796,16 @@ mod tests {
         assert!(run_rule("thread-spawn", "crates/engine/src/pool.rs", src).is_empty());
         let src = "#[cfg(test)]\nmod tests {\n fn t() { std::thread::spawn(|| {}); }\n}";
         assert!(run_rule("thread-spawn", "crates/core/src/parallel.rs", src).is_empty());
+        // A scoped worker spawns through the scope's handle, not through
+        // `thread::spawn`: the scope itself is what the rule sees.
+        for src in [
+            "fn f() { std::thread::scope(|s| { s.spawn(|| {}); }); }",
+            "fn f() { let _ = crossbeam::thread::scope(|s| { s.spawn(|_| {}); }); }",
+        ] {
+            let hits = run_rule("thread-spawn", "crates/engine/src/prefetch.rs", src);
+            assert_eq!(hits.len(), 1, "{src}");
+            assert!(run_rule("thread-spawn", "crates/engine/src/pool.rs", src).is_empty());
+        }
     }
 
     #[test]

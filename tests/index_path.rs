@@ -1,12 +1,12 @@
 //! Edge cases of the borrowed, index-based batch path (DESIGN.md §16).
 //!
-//! Step 1 hands tasks strides over a batch they only borrow; step 2 groups,
-//! routes, combines and sorts `u32` arrival positions. The degenerate
-//! shapes of that index space — no records, one record, only outliers, one
-//! key, more tasks than records — must behave with chunk scheduling and
-//! the map-side combine on or off:
-//! pairs come back in the order the records were given, and the model
-//! equals the one-record-at-a-time `SequentialExecutor`'s.
+//! Step 1 hands tasks contiguous slices of a batch they only borrow; step 2
+//! groups, routes, combines and sorts `u32` arrival positions. The
+//! degenerate shapes of that index space — no records, one record, only
+//! outliers, one key, more tasks than records — must behave with chunk
+//! scheduling and the map-side combine on or off: pairs come back in the
+//! order the records were given, and the model equals the
+//! one-record-at-a-time `SequentialExecutor`'s.
 //!
 //! The equality is exact because the data is chosen so that the reference
 //! algorithm's arithmetic is: timestamps are whole seconds (its decay
