@@ -34,8 +34,8 @@ use crate::serving::{measure_serving, READER_THREADS, SERVING_PARALLELISM};
 /// Pipeline label for the paper's synchronous configuration.
 pub(crate) const PIPELINE_SYNC: &str = "sync";
 
-/// Pipeline label for the overlapped configuration (prefetch + combine +
-/// chunk scheduling + asynchronous update protocol).
+/// Pipeline label for the overlapped configuration (prefetch + chunk
+/// scheduling + asynchronous update protocol).
 pub(crate) const PIPELINE_OVERLAPPED: &str = "overlapped";
 
 /// Parallelism degrees measured for every algorithm.

@@ -20,14 +20,6 @@ use diststream_types::{DistStreamError, Result};
 use crate::api::StreamClustering;
 use crate::session::JobSession;
 
-/// Size of the modeled key-slot universe used to size a rebalance plan.
-///
-/// Key movement is accounted at hash-slot granularity — the same universe a
-/// consistent-hashing ring would shard — so the moved-key count is a pure
-/// function of `(old_p, new_p)` and never depends on the model's
-/// internals.
-pub(crate) const REBALANCE_KEY_SLOTS: usize = 4096;
-
 /// When each parallelism degree takes effect, keyed by batch index.
 ///
 /// A schedule is the initial degree plus zero or more steps
@@ -115,8 +107,6 @@ pub struct ResizeOutcome {
     pub from: usize,
     /// Target parallelism degree.
     pub to: usize,
-    /// Key slots (out of a fixed universe of 4 096) whose placement moved.
-    pub moved_keys: u64,
     /// Checkpoint bytes replayed from the store to verify the boundary.
     pub replayed_bytes: u64,
     /// Whether the rebalancing batch failed and the resize was rolled back
@@ -127,9 +117,10 @@ pub struct ResizeOutcome {
 impl<A: StreamClustering> JobSession<'_, A> {
     /// The deterministic rebalance at a resize boundary: an ordinary
     /// checkpoint under the new epoch's first batch index (its replay
-    /// cursor), loaded back (CRC-validated) and compared byte for byte, with
-    /// the key movement sized at slot granularity. Records the boundary's
-    /// [`ResizeOutcome`].
+    /// cursor), loaded back (CRC-validated) and compared byte for byte.
+    /// Nothing migrates: the model lives on the driver and is broadcast to
+    /// every task each batch, so a new degree only re-routes the next
+    /// batch's groups. Records the boundary's [`ResizeOutcome`].
     pub(crate) fn rebalance(&mut self, batch_index: usize, from: usize, to: usize) -> Result<()> {
         let _span = telemetry::span!(telemetry::names::SPAN_REBALANCE, batch = batch_index);
         self.take_checkpoint(batch_index)?;
@@ -141,10 +132,8 @@ impl<A: StreamClustering> JobSession<'_, A> {
             });
         }
         let replayed_bytes = restored.len() as u64;
-        let moved_keys = moved_key_slots(from, to);
         if telemetry::enabled() {
             telemetry::counter(telemetry::names::METRIC_REBALANCE_TOTAL).inc();
-            telemetry::counter(telemetry::names::METRIC_REBALANCE_MOVED_KEYS_TOTAL).add(moved_keys);
             telemetry::counter(telemetry::names::METRIC_REBALANCE_REPLAYED_BYTES_TOTAL)
                 .add(replayed_bytes);
         }
@@ -152,7 +141,6 @@ impl<A: StreamClustering> JobSession<'_, A> {
             batch_index,
             from,
             to,
-            moved_keys,
             replayed_bytes,
             rolled_back: false,
         });
@@ -168,14 +156,6 @@ impl<A: StreamClustering> JobSession<'_, A> {
             telemetry::counter(telemetry::names::METRIC_REBALANCE_ROLLBACKS_TOTAL).inc();
         }
     }
-}
-
-/// Key slots (out of [`REBALANCE_KEY_SLOTS`]) whose partition changes when
-/// resizing `from → to` under hash routing (slot modulo the degree).
-fn moved_key_slots(from: usize, to: usize) -> u64 {
-    (0..REBALANCE_KEY_SLOTS)
-        .filter(|&slot| slot % from != slot % to)
-        .count() as u64
 }
 
 #[cfg(test)]
@@ -273,7 +253,6 @@ mod tests {
             let r = &report.resizes[0];
             assert_eq!((r.batch_index, r.from, r.to), (2, 2, 4));
             assert!(!r.rolled_back);
-            assert!(r.moved_keys > 0);
             assert!(r.replayed_bytes > 0);
         }
     }
@@ -349,16 +328,5 @@ mod tests {
         let store = job.store();
         assert_eq!(store.manifest(), vec![3], "boundary cursor is batch 3");
         assert!(store.load(3).unwrap().validate().is_ok());
-    }
-
-    #[test]
-    fn moved_key_slots_is_zero_only_for_no_op_resizes() {
-        assert_eq!(moved_key_slots(4, 4), 0);
-        let moved = moved_key_slots(2, 4);
-        assert!(moved > 0);
-        assert!(moved <= REBALANCE_KEY_SLOTS as u64);
-        // Hash routing reshuffles by modulus: growing 2 → 4 moves every
-        // slot whose residue mod 4 is 2 or 3, half of them.
-        assert_eq!(moved, REBALANCE_KEY_SLOTS as u64 / 2);
     }
 }

@@ -28,18 +28,17 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use diststream_engine::{
-    chunk_size, fnv1a_hash, Broadcast, FlatShuffle, ShufflePartition, StepMetrics, StreamingContext,
+    fnv1a_hash, Broadcast, FlatShuffle, ShufflePartition, StepMetrics, StreamingContext,
 };
-use diststream_telemetry as telemetry;
 use diststream_types::{DistStreamError, Record, RecordId, Result, Timestamp};
 
 use crate::api::{Assignment, MicroClusterId, StreamClustering, UpdateOrdering};
 use crate::distribution::Placement;
 
 /// Bytes a shuffle message's key envelope occupies on the wire: the
-/// `(kind, key)` group key, two `u64`s. Charged once per shuffle message —
-/// per record on the uncombined path, per distinct `(map task, key)` entry
-/// after the map-side combine.
+/// `(kind, key)` group key, two `u64`s. Charged once per record: every
+/// record crosses the shuffle as its own keyed message, as under Spark's
+/// `groupByKey`.
 pub(crate) const SHUFFLE_KEY_BYTES: u64 = 16;
 
 /// A micro-cluster that existed in `Q_t` and absorbed records this batch.
@@ -153,18 +152,14 @@ fn index_space(records: usize) -> Result<u32> {
 /// drives the shuffles (combined with each group's key, so results are
 /// deterministic for a given seed, independent of parallelism).
 ///
-/// The grouping is one [`FlatShuffle`] pass whatever `combine` says: each
-/// partition's keys in first-occurrence order and its records in arrival
-/// order, each tagged with its group. With `combine` set, the shuffle is
-/// *charged* as if each map task had grouped its `(key, position)` pairs
-/// locally first, so records destined for the same micro-cluster travel as
-/// one keyed entry per map task instead of one per record. Map tasks are
-/// modeled as the same contiguous chunks the size-aware scheduler uses
-/// ([`chunk_size`]), and the flat pass counts their distinct `(chunk, key)`
-/// entries as it goes. Both update orderings therefore produce
-/// bit-identical sketches with the combine on or off; only the charged
-/// shuffle bytes change. The savings are counted in
-/// `diststream_shuffle_bytes_saved_total`.
+/// The grouping is one [`FlatShuffle`] pass: each partition's keys in
+/// first-occurrence order and its records in arrival order, each tagged
+/// with its group. The shuffle is charged as the paper's uncombined
+/// `groupByKey`: every record's serialized payload plus a 16-byte key
+/// envelope per record. `_combine` is unused: there is no map-side
+/// combine, because no byte crosses a process boundary here. It stays until
+/// ROADMAP item 8 drops it, with step 1's `_placement` and the benchmark's
+/// stepped pass that calls both steps.
 ///
 /// Each group goes to the reduce partition the `placement` hashes its key
 /// to ([`Placement::reduce_partition`]); routing only moves whole groups
@@ -177,7 +172,7 @@ fn index_space(records: usize) -> Result<u32> {
 /// [`DistStreamError::Engine`](diststream_types::DistStreamError::Engine),
 /// and refuses a batch of more than `u32::MAX` records with
 /// [`DistStreamError::InvalidConfig`].
-#[allow(clippy::too_many_arguments)] // the step's inputs plus scratch, the combine flag and the placement
+#[allow(clippy::too_many_arguments)] // the step's inputs plus scratch, the unused combine flag and the placement
 pub fn local_update_distributed<A: StreamClustering>(
     ctx: &StreamingContext,
     algo: &A,
@@ -187,40 +182,23 @@ pub fn local_update_distributed<A: StreamClustering>(
     window_start: Timestamp,
     shuffle_seed: u64,
     scratch: &mut LocalScratch,
-    combine: bool,
+    _combine: bool,
     placement: Placement,
 ) -> Result<LocalOutcome<A::Sketch>> {
     let entered = Instant::now(); // lint:allow(wallclock-entropy) driver-side timing feeds step metrics only
     let record_count = u64::from(index_space(pairs.len())?);
     // Shuffle accounting: each record's serialized payload crosses the wire
     // exactly once (to its key's destination partition), plus one key
-    // envelope per shuffle message. An earlier version charged the *first*
-    // record's size for every record, misbilling mixed-size batches.
+    // envelope per record.
     let payload_bytes: u64 = pairs.iter().map(|(r, _)| r.wire_size()).sum();
-    let uncombined_bytes = payload_bytes + SHUFFLE_KEY_BYTES * record_count;
+    let shuffle_bytes = payload_bytes + SHUFFLE_KEY_BYTES * record_count;
     let p = ctx.parallelism();
 
-    let shuffled = {
-        let _span = combine.then(|| telemetry::span!(telemetry::names::SPAN_COMBINE));
-        scratch.shuffle.group(
-            pairs.iter().map(|(_, assignment)| assignment.group_key()),
-            p,
-            chunk_size(pairs.len(), p),
-            |key| placement.reduce_partition(key, p),
-        )?
-    };
-    let shuffle_bytes = if combine {
-        // Post-combine the payloads are unchanged; only the key envelopes
-        // collapse to one per (map task, key) entry.
-        let combined_bytes = payload_bytes + SHUFFLE_KEY_BYTES * shuffled.combined_entries as u64;
-        if telemetry::enabled() {
-            telemetry::counter(telemetry::names::METRIC_SHUFFLE_BYTES_SAVED_TOTAL)
-                .add(uncombined_bytes - combined_bytes);
-        }
-        combined_bytes
-    } else {
-        uncombined_bytes
-    };
+    let partitions = scratch.shuffle.group(
+        pairs.iter().map(|(_, assignment)| assignment.group_key()),
+        p,
+        |key| placement.reduce_partition(key, p),
+    )?;
 
     // Whether a task's records in arrival position are already in
     // arrival-key order: true of every batch cut from an in-order stream or
@@ -243,7 +221,7 @@ pub fn local_update_distributed<A: StreamClustering>(
         let record = batch.get(position as usize).map(|(record, _)| record);
         record.map(Record::arrival_key)
     };
-    let views: Vec<&ShufflePartition> = shuffled.partitions.iter().collect();
+    let views: Vec<&ShufflePartition> = partitions.iter().collect();
     let tasks_start = Instant::now(); // lint:allow(wallclock-entropy) driver-side timing feeds step metrics only
     let (outputs, metrics) = ctx.run_tasks(
         views,
@@ -401,11 +379,10 @@ mod tests {
         Record::new(id, Point::from(vec![x]), Timestamp::from_secs(t))
     }
 
-    fn run(
+    fn run_local(
         p: usize,
         ordering: UpdateOrdering,
         pairs: Vec<(Record, Assignment)>,
-        combine: bool,
     ) -> LocalOutcome<crate::reference::NaiveSketch> {
         let algo = NaiveClustering::new(1.0);
         let model = algo.init(&[rec(0, 0.0, 0.0), rec(1, 10.0, 0.0)]).unwrap();
@@ -420,26 +397,10 @@ mod tests {
             Timestamp::ZERO,
             7,
             &mut LocalScratch::default(),
-            combine,
+            false,
             Placement,
         )
         .unwrap()
-    }
-
-    fn run_local(
-        p: usize,
-        ordering: UpdateOrdering,
-        pairs: Vec<(Record, Assignment)>,
-    ) -> LocalOutcome<crate::reference::NaiveSketch> {
-        run(p, ordering, pairs, false)
-    }
-
-    fn run_local_combined(
-        p: usize,
-        ordering: UpdateOrdering,
-        pairs: Vec<(Record, Assignment)>,
-    ) -> LocalOutcome<crate::reference::NaiveSketch> {
-        run(p, ordering, pairs, true)
     }
 
     #[test]
@@ -588,64 +549,6 @@ mod tests {
         assert_eq!(out.shuffle_bytes, expected);
     }
 
-    /// Post-combine accounting: payloads are charged once and key
-    /// envelopes once per distinct (map task, key) entry — combined deltas
-    /// are never double-charged.
-    #[test]
-    fn combined_shuffle_bytes_charge_envelope_once_per_entry() {
-        // 6 identical 1-dim records, 2 distinct keys, all in one chunk at
-        // p = 1: 6 payloads + 2 envelopes.
-        let pairs: Vec<(Record, Assignment)> = (0..6)
-            .map(|i| (rec(i + 2, 0.5, i as f64), Assignment::Existing(i % 2)))
-            .collect();
-        let out = run_local_combined(1, UpdateOrdering::OrderAware, pairs.clone());
-        assert_eq!(out.shuffle_bytes, 6 * 33 + 2 * SHUFFLE_KEY_BYTES);
-        // At p = 2 the six pairs split into two chunks of three, each
-        // holding both keys: 4 (chunk, key) envelopes.
-        let split = run_local_combined(2, UpdateOrdering::OrderAware, pairs.clone());
-        assert_eq!(split.shuffle_bytes, 6 * 33 + 4 * SHUFFLE_KEY_BYTES);
-        // Uncombined charges an envelope per record.
-        let uncombined = run_local(2, UpdateOrdering::OrderAware, pairs);
-        assert_eq!(uncombined.shuffle_bytes, 6 * (33 + SHUFFLE_KEY_BYTES));
-    }
-
-    /// The combined grouping is exactly the uncombined grouping, so both
-    /// orderings — including the shuffle-order-sensitive Unordered
-    /// baseline — produce identical sketches with the combine on.
-    #[test]
-    fn combine_produces_identical_sketches_in_both_orderings() {
-        let pairs: Vec<(Record, Assignment)> = (2..80)
-            .map(|i| {
-                let a = if i % 7 == 0 {
-                    Assignment::New(i)
-                } else {
-                    Assignment::Existing(i % 2)
-                };
-                (rec(i, (i % 10) as f64 / 10.0, i as f64), a)
-            })
-            .collect();
-        for ordering in [UpdateOrdering::OrderAware, UpdateOrdering::Unordered] {
-            for p in [1, 4] {
-                let plain = run_local(p, ordering, pairs.clone());
-                let combined = run_local_combined(p, ordering, pairs.clone());
-                let key = |o: &LocalOutcome<crate::reference::NaiveSketch>| {
-                    let mut u: Vec<_> =
-                        o.updated.iter().map(|u| (u.id, u.sketch.clone())).collect();
-                    u.sort_by_key(|(id, _)| *id);
-                    let mut c: Vec<_> = o
-                        .created
-                        .iter()
-                        .map(|c| (c.first_arrival, c.sketch.clone()))
-                        .collect();
-                    c.sort_by_key(|(arrival, _)| *arrival);
-                    (u, c)
-                };
-                assert_eq!(key(&plain), key(&combined), "{ordering:?} p={p}");
-                assert!(combined.shuffle_bytes <= plain.shuffle_bytes);
-            }
-        }
-    }
-
     /// A batch longer than the `u32` index space is refused with a typed
     /// error — never indexed through a truncating cast. (Such a batch
     /// cannot be allocated in a test; the guard is the one place the
@@ -791,14 +694,12 @@ mod tests {
         /// The one-pass sweep leaves every sketch, tag, count and output
         /// position where the per-group fold does: on batches in and out of
         /// arrival order, with ties in arrival key, singleton and large
-        /// groups of both kinds, at p ∈ {1, 2, 3, 8}, combined or not, in
-        /// both orderings.
+        /// groups of both kinds, at p ∈ {1, 2, 3, 8}, in both orderings.
         #[test]
         fn prop_sweep_folds_like_the_per_group_oracle(
             raw in proptest::collection::vec((0u64..40, 0u32..12, -3.0f64..3.0, 0u64..100), 1usize..301),
             sorted in proptest::prelude::any::<bool>(),
             p in 0usize..4,
-            combine in proptest::prelude::any::<bool>(),
             unordered in proptest::prelude::any::<bool>(),
         ) {
             let p = [1, 2, 3, 8][p];
@@ -823,7 +724,7 @@ mod tests {
                 pairs.sort_by_key(|(r, _)| r.arrival_key());
             }
             let expected = per_group_oracle(p, ordering, pairs.clone());
-            let out = run(p, ordering, pairs, combine);
+            let out = run_local(p, ordering, pairs);
             proptest::prop_assert_eq!(told(&(out.updated, out.created)), expected);
         }
     }

@@ -19,13 +19,15 @@ use crate::serving::ServingHandle;
 use crate::session::BatchOutcome;
 use crate::store::{CheckpointStore, MemoryCheckpointStore};
 
-/// Toggles for the overlapped batch pipeline — the three ingest-to-update
+/// Toggles for the overlapped batch pipeline — the two ingest-to-update
 /// optimizations plus the asynchronous update protocol, all off by default
 /// (the paper's synchronous configuration).
 ///
-/// None of the first three change the model: prefetch only moves the
-/// source drain off the critical path, combining only changes the charged
-/// shuffle bytes, and chunk scheduling only changes the task layout.
+/// Neither of the first two changes the model or the charged bytes:
+/// prefetch only moves the source drain off the critical path, and chunk
+/// scheduling only changes the task layout. There is no map-side combine:
+/// the shuffle moves `u32` arrival positions within one process, so every
+/// run charges the paper's uncombined `groupByKey` (DESIGN.md §11.1b).
 /// `overlap` switches [`JobSession::step`](crate::JobSession::step) to the
 /// asynchronous update protocol, which trades one batch of model staleness
 /// for throughput — a *different* (but still parallelism-invariant) model
@@ -36,8 +38,6 @@ pub struct PipelineOptions {
     /// batch `N` processes, then waits for the driver to take it — one
     /// batch ahead, so at most two batches are live.
     pub prefetch: bool,
-    /// Map-side combine before the hash shuffle.
-    pub combine: bool,
     /// Deterministic size-aware chunk scheduling for the assignment step.
     pub chunking: bool,
     /// Asynchronous update protocol: batch `B`'s global update applies at
@@ -62,7 +62,6 @@ impl PipelineOptions {
     pub fn all() -> Self {
         PipelineOptions {
             prefetch: true,
-            combine: true,
             chunking: true,
             overlap: true,
             overload: None,
@@ -752,8 +751,8 @@ mod tests {
             .unwrap()
     }
 
-    /// Prefetch, combine, and chunk scheduling are pure optimizations:
-    /// the synchronous model is bit-identical with them on or off.
+    /// Prefetch and chunk scheduling are pure optimizations: the
+    /// synchronous model is bit-identical with them on or off.
     #[test]
     fn non_overlap_options_do_not_change_sync_model() {
         let plain = run_with(4, PipelineOptions::sync());
@@ -761,7 +760,6 @@ mod tests {
             4,
             PipelineOptions {
                 prefetch: true,
-                combine: true,
                 chunking: true,
                 overlap: false,
                 overload: None,

@@ -421,7 +421,7 @@ impl<A: StreamClustering> JobSession<'_, A> {
                 batch.window_start,
                 batch_seed,
                 &mut self.scratch,
-                self.job.pipeline.combine,
+                false,
                 Placement,
             )?
         };
@@ -623,43 +623,39 @@ mod tests {
         }
     }
 
-    /// The determinism gate at session level: combine + chunk scheduling
-    /// leave the model bit-identical to the plain pipeline at every
-    /// parallelism degree, in both orderings, under both protocols.
+    /// The determinism gate at session level: chunk scheduling leaves the
+    /// model bit-identical to the plain pipeline at every parallelism
+    /// degree, in both orderings, under both protocols.
     #[test]
-    fn combine_and_chunking_preserve_model_at_every_parallelism() {
+    fn chunking_preserves_model_at_every_parallelism() {
         for overlap in [false, true] {
             for ordering in [UpdateOrdering::OrderAware, UpdateOrdering::Unordered] {
-                let run = |p: usize, combine: bool, chunking: bool| {
+                let run = |p: usize, chunking: bool| {
                     run_stream(p, |j| {
                         j.ordering(ordering).pipeline(PipelineOptions {
                             overlap,
-                            combine,
                             chunking,
                             ..PipelineOptions::sync()
                         });
                     })
                 };
                 for p in [1, 4, 8] {
-                    // Combine and chunk scheduling never change the model
-                    // the plain pipeline produces at the same parallelism —
-                    // even in Unordered mode, where the baseline itself is
+                    // Chunk scheduling never changes the model the plain
+                    // pipeline produces at the same parallelism — even in
+                    // Unordered mode, where the baseline itself is
                     // p-*dependent* (global applies groups in p-shaped
                     // partition order; that sensitivity is the paper's
                     // motivation and must not be masked here).
-                    let reference = run(p, false, false);
                     let tag = format!("overlap={overlap} {ordering:?} p={p}");
-                    assert_eq!(run(p, true, true), reference, "{tag}");
-                    assert_eq!(run(p, true, false), reference, "{tag} combine-only");
-                    assert_eq!(run(p, false, true), reference, "{tag} chunk-only");
+                    assert_eq!(run(p, true), run(p, false), "{tag}");
                 }
-                // And in OrderAware mode the full feature set stays
-                // p-*invariant*: bit-identical to the p=1 plain pipeline.
+                // And in OrderAware mode chunking stays p-*invariant*:
+                // bit-identical to the p=1 plain pipeline.
                 if ordering == UpdateOrdering::OrderAware {
-                    let base = run(1, false, false);
+                    let base = run(1, false);
                     for p in [4, 8] {
                         assert_eq!(
-                            run(p, true, true),
+                            run(p, true),
                             base,
                             "overlap={overlap}: p-invariance lost at p={p}"
                         );
@@ -667,6 +663,28 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every pipeline charges the paper's uncombined shuffle — each
+    /// record's payload plus one key envelope per record — so the fully
+    /// overlapped pipeline reports the synchronous one's shuffle bytes.
+    #[test]
+    fn every_pipeline_charges_the_uncombined_shuffle() {
+        let records = stream(150);
+        let expected: u64 = records
+            .iter()
+            .map(|r| r.wire_size() + crate::local::SHUFFLE_KEY_BYTES)
+            .sum();
+        let shuffle_bytes = |options: PipelineOptions| {
+            let algo = NaiveClustering::new(1.0);
+            let ctx = StreamingContext::new(4, ExecutionMode::Simulated).unwrap();
+            let job = job(&algo, &ctx, options);
+            let mut session = job.start(init(&algo)).unwrap();
+            let outcome = session.step(batch(0, records.clone())).unwrap();
+            outcome.metrics.shuffle_bytes
+        };
+        assert_eq!(shuffle_bytes(PipelineOptions::sync()), expected);
+        assert_eq!(shuffle_bytes(PipelineOptions::all()), expected);
     }
 
     #[test]

@@ -259,14 +259,15 @@ impl FileCheckpointStore {
     ///
     /// # Errors
     ///
-    /// Returns [`DistStreamError::Storage`] if the directory cannot be
-    /// created or an existing manifest cannot be parsed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `retain` is zero.
+    /// Returns [`DistStreamError::InvalidConfig`] if `retain` is zero, and
+    /// [`DistStreamError::Storage`] if the directory cannot be created or an
+    /// existing manifest cannot be parsed.
     pub fn open(dir: impl Into<PathBuf>, retain: usize) -> Result<Self> {
-        assert!(retain > 0, "retention must keep at least 1 checkpoint");
+        if retain == 0 {
+            return Err(DistStreamError::InvalidConfig(
+                "checkpoint retention must keep at least 1 checkpoint".into(),
+            ));
+        }
         let dir = dir.into();
         fs::create_dir_all(&dir)
             .map_err(|e| DistStreamError::Storage(format!("create {}: {e}", dir.display())))?;
@@ -457,6 +458,17 @@ mod tests {
         assert_eq!(store.load(2).unwrap().bytes, b"alpha");
         assert_eq!(store.load(4).unwrap().bytes, b"beta");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn file_store_refuses_zero_retention_with_a_typed_error() {
+        let dir = temp_dir("retain0");
+        let err = FileCheckpointStore::open(&dir, 0).unwrap_err();
+        assert!(
+            matches!(&err, DistStreamError::InvalidConfig(m) if m.contains("retention")),
+            "{err}"
+        );
+        assert!(!dir.exists(), "a refused open creates nothing");
     }
 
     #[test]

@@ -78,7 +78,7 @@ pub use faults::FaultPlan;
 pub use latency::{LatencyProbe, RecordLatency, LATENCY_BUCKET_BOUNDS};
 pub use partition::{
     combine_by_key, fnv1a_hash, group_by_key, AppendCombiner, CombineStats, Combiner, FlatShuffle,
-    Fnv1a, HashPartitioner, KeyBytes, ShufflePartition, Shuffled,
+    Fnv1a, HashPartitioner, KeyBytes, ShufflePartition,
 };
 pub use pool::{
     chunk_size, split_chunks, TaskPool, CHUNK_OVERPARTITION, DEFAULT_MAX_TASK_FAILURES,

@@ -1,7 +1,8 @@
 //! Partitioners for model-based parallelism: deterministic hash
-//! partitioning and the [`FlatShuffle`] grouping (`group_by_key` /
-//! `combine_by_key` are its references). Record-based parallelism needs no
-//! partitioner: step 1's tasks read contiguous slices of the batch.
+//! partitioning and the [`FlatShuffle`] grouping (`group_by_key` is its
+//! reference; `combine_by_key` stays for `benchmark/src/micro.rs`).
+//! Record-based parallelism needs no partitioner: step 1's tasks read
+//! contiguous slices of the batch.
 
 // lint:allow(nondeterministic-collection) lookup only, never iterated
 use std::collections::HashMap;
@@ -210,8 +211,7 @@ pub trait Combiner<V> {
 /// concatenation. Combining with this is *exactly* `groupByKey` — when the
 /// map partitions are contiguous slices of the input, the combined output
 /// is byte-identical to [`group_by_key`] over the flattened input (verified
-/// by property test), which is what lets the shuffle combine ride the
-/// order-aware path without perturbing the model. Kept, with
+/// by property test). No shipping path combines; kept, with
 /// [`combine_by_key`], for `benchmark/src/micro.rs`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AppendCombiner;
@@ -229,8 +229,8 @@ impl<V> Combiner<V> for AppendCombiner {
     }
 }
 
-/// What the map-side combine saved: entry counts before and after the
-/// task-local merge, for the network-cost model's post-combine accounting.
+/// What a map-side combine would save: entry counts before and after the
+/// task-local merge.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CombineStats {
     /// Total `(key, value)` pairs fed in — the uncombined shuffle message
@@ -258,10 +258,10 @@ pub type CombinedShuffle<K, P> = (Vec<Vec<(K, P)>>, CombineStats);
 /// that are contiguous slices of an input list, the output equals
 /// `group_by_key(flattened input)` exactly.
 ///
-/// Returns the grouped shuffle partitions plus [`CombineStats`] for
-/// post-combine byte accounting. Like [`group_by_key`], a reference only:
-/// [`FlatShuffle::group`] counts the same entries without building them,
-/// and `benchmark/src/micro.rs` is this function's one caller outside tests.
+/// Returns the grouped shuffle partitions plus [`CombineStats`]. No
+/// shipping path calls this: step 2 groups through [`FlatShuffle`] and
+/// charges the uncombined shuffle, and `benchmark/src/micro.rs` is this
+/// function's one caller outside tests.
 ///
 /// # Panics
 ///
@@ -377,47 +377,34 @@ impl ShufflePartition {
     }
 }
 
-/// What [`FlatShuffle::group`] made of a batch, borrowed from its buffers.
-#[derive(Debug, Clone, Copy)]
-pub struct Shuffled<'a> {
-    /// The reduce partitions.
-    pub partitions: &'a [ShufflePartition],
-    /// Distinct `(map chunk, key)` entries — the messages a map-side
-    /// combine puts on the wire ([`CombineStats::combined_entries`]).
-    pub combined_entries: usize,
-}
-
 /// The step-2 shuffle as index arithmetic over recycled buffers, in one pass
 /// over the batch: the groups of [`group_by_key`] over `(key, arrival
 /// position)` pairs — same keys, same first-occurrence order, same values
 /// in arrival order — as each partition's group list plus its records in
-/// arrival order, each tagged with its group's slot. [`combine_by_key`]'s
-/// entry count comes from the same pass, so combining is an accounting
-/// question, not a second grouping. A batch no wider (in records, keys and
-/// partitions) than one already seen allocates nothing.
+/// arrival order, each tagged with its group's slot. A batch no wider (in
+/// records, keys and partitions) than one already seen allocates nothing.
 ///
 /// ```
 /// let mut shuffle = diststream_engine::FlatShuffle::default();
-/// let out = shuffle.group([(0, 7), (0, 3), (0, 7)].into_iter(), 1, 2, |_| 0)?;
-/// assert_eq!(out.partitions[0].groups, [(0, 7), (0, 3)]);
-/// assert_eq!(out.partitions[0].sweep, [(0, 0), (1, 1), (2, 0)]);
-/// assert_eq!(out.partitions[0].positions_by_group(), [vec![0, 2], vec![1]]);
-/// assert_eq!(out.combined_entries, 3); // key 7 is in both chunks of two
+/// let partitions = shuffle.group([(0, 7), (0, 3), (0, 7)].into_iter(), 1, |_| 0)?;
+/// assert_eq!(partitions[0].groups, [(0, 7), (0, 3)]);
+/// assert_eq!(partitions[0].sweep, [(0, 0), (1, 1), (2, 0)]);
+/// assert_eq!(partitions[0].positions_by_group(), [vec![0, 2], vec![1]]);
 /// # Ok::<(), diststream_types::DistStreamError>(())
 /// ```
 #[derive(Debug, Default)]
 pub struct FlatShuffle {
     // lint:allow(nondeterministic-collection) lookup only, never iterated
     ids: HashMap<(u64, u64), u32, BuildHasherDefault<KeyHasher>>,
-    /// Per group id: its partition, its slot there, its last map chunk.
-    slots: Vec<(usize, u32, u32)>,
+    /// Per group id: its partition and its slot there.
+    slots: Vec<(usize, u32)>,
     partitions: Vec<ShufflePartition>,
 }
 
 impl FlatShuffle {
     /// Groups a batch whose record at arrival position `i` has group key
     /// `keys[i]`. `route(key)`, asked once per distinct key, names its reduce
-    /// partition; combined entries count over map chunks of `chunk` records.
+    /// partition. Returns the reduce partitions, borrowed from the buffers.
     ///
     /// # Errors
     ///
@@ -428,13 +415,11 @@ impl FlatShuffle {
         &mut self,
         keys: impl ExactSizeIterator<Item = (u64, u64)>,
         partitions: usize,
-        chunk: usize,
         route: impl Fn(&(u64, u64)) -> usize,
-    ) -> Result<Shuffled<'_>> {
+    ) -> Result<&[ShufflePartition]> {
         let records = u32::try_from(keys.len()).map_err(|_| {
             DistStreamError::InvalidConfig("a shuffle indexes at most u32::MAX records".into())
         })?;
-        let chunk = u32::try_from(chunk.max(1)).unwrap_or(u32::MAX);
         self.ids.clear();
         self.slots.clear();
         self.partitions
@@ -443,7 +428,6 @@ impl FlatShuffle {
             part.groups.clear();
             part.sweep.clear();
         }
-        let mut combined_entries = 0;
         // One pass: name every record's group, and append the record to its
         // partition's sweep — which therefore ascends in arrival position.
         for (position, key) in (0..records).zip(keys) {
@@ -456,17 +440,11 @@ impl FlatShuffle {
                         "shuffle route out of range: partition {partition} of {partitions}"
                     )));
                 };
-                // No map chunk has index u32::MAX: positions stop short of it.
-                self.slots
-                    .push((partition, part.groups.len() as u32, u32::MAX));
+                self.slots.push((partition, part.groups.len() as u32));
                 part.groups.push(key);
             }
-            let (partition, slot, last_chunk) = &mut self.slots[id as usize];
-            self.partitions[*partition].sweep.push((position, *slot));
-            if *last_chunk != position / chunk {
-                *last_chunk = position / chunk;
-                combined_entries += 1;
-            }
+            let (partition, slot) = self.slots[id as usize];
+            self.partitions[partition].sweep.push((position, slot));
         }
         #[cfg(feature = "debug_invariants")]
         {
@@ -495,10 +473,7 @@ impl FlatShuffle {
             let complete = placed.into_iter().eq(0..records);
             assert!(complete, "debug_invariants: position lost or grouped twice");
         }
-        Ok(Shuffled {
-            partitions: &self.partitions,
-            combined_entries,
-        })
+        Ok(&self.partitions)
     }
 }
 
@@ -605,28 +580,25 @@ mod tests {
         shuffle: &mut FlatShuffle,
         keys: &[(u64, u64)],
         partitions: usize,
-        chunk: usize,
         route: impl Fn(&(u64, u64)) -> usize,
-    ) -> Result<(Spelled, usize)> {
-        let out = shuffle.group(keys.iter().copied(), partitions, chunk, route)?;
+    ) -> Result<Spelled> {
+        let out = shuffle.group(keys.iter().copied(), partitions, route)?;
         let spell = |part: &ShufflePartition| {
             // A task folds its sweep front to back: it must be arrival order.
             assert!(part.sweep.windows(2).all(|w| w[0].0 < w[1].0));
             let lists = part.positions_by_group();
             part.groups.iter().copied().zip(lists).collect()
         };
-        let spelled = out.partitions.iter().map(spell).collect();
-        Ok((spelled, out.combined_entries))
+        Ok(out.iter().map(spell).collect())
     }
 
     #[test]
     fn flat_shuffle_honors_custom_route() {
         let keys = [(0, 5), (0, 3), (0, 5)];
         // Route everything to partition 1 of 2.
-        let (parts, entries) = flat_group(&mut FlatShuffle::default(), &keys, 2, 8, |_| 1).unwrap();
+        let parts = flat_group(&mut FlatShuffle::default(), &keys, 2, |_| 1).unwrap();
         assert!(parts[0].is_empty());
         assert_eq!(parts[1], vec![((0, 5), vec![0, 2]), ((0, 3), vec![1])]);
-        assert_eq!(entries, 2);
     }
 
     /// The old grouping `assert!`ed here — on the driver thread, on a value
@@ -634,24 +606,23 @@ mod tests {
     #[test]
     fn flat_shuffle_refuses_an_out_of_range_route_with_a_typed_error() {
         let mut shuffle = FlatShuffle::default();
-        let err = flat_group(&mut shuffle, &[(0, 1)], 2, 8, |_| 2).unwrap_err();
+        let err = flat_group(&mut shuffle, &[(0, 1)], 2, |_| 2).unwrap_err();
         assert!(
             matches!(&err, DistStreamError::Invariant(m) if m.contains("out of range")),
             "{err}"
         );
         // No partition at all is out of range for every key.
-        let err = flat_group(&mut shuffle, &[(0, 1)], 0, 8, |_| 0).unwrap_err();
+        let err = flat_group(&mut shuffle, &[(0, 1)], 0, |_| 0).unwrap_err();
         assert!(matches!(err, DistStreamError::Invariant(_)), "{err}");
         // The refused call leaves nothing behind that a later one can see.
-        let (parts, _) = flat_group(&mut shuffle, &[(0, 1)], 2, 8, |_| 1).unwrap();
+        let parts = flat_group(&mut shuffle, &[(0, 1)], 2, |_| 1).unwrap();
         assert_eq!(parts, vec![vec![], vec![((0, 1), vec![0])]]);
     }
 
     #[test]
     fn flat_shuffle_of_nothing_is_empty_partitions() {
-        let (parts, entries) = flat_group(&mut FlatShuffle::default(), &[], 3, 1, |_| 0).unwrap();
+        let parts = flat_group(&mut FlatShuffle::default(), &[], 3, |_| 0).unwrap();
         assert_eq!(parts, vec![vec![], vec![], vec![]]);
-        assert_eq!(entries, 0);
     }
 
     #[test]
@@ -712,28 +683,24 @@ mod tests {
 
         /// The flat grouping is `group_by_key` without the `Vec`s: the
         /// same keys in the same first-occurrence order holding the same
-        /// arrival positions, under the hash route, and its entry count is
-        /// `combine_by_key`'s over the same chunks. Run twice through one
+        /// arrival positions, under the hash route. Run twice through one
         /// `FlatShuffle`, so recycled buffers are shown to carry nothing
         /// over from a batch of another shape.
         #[test]
-        fn prop_flat_shuffle_equals_group_by_key_and_counts_like_combine(
+        fn prop_flat_shuffle_equals_group_by_key(
             batches in prop::collection::vec(
-                (prop::collection::vec((0u64..2, 0u64..12), 0..200), 1usize..6, 1usize..40),
+                (prop::collection::vec((0u64..2, 0u64..12), 0..200), 1usize..6),
                 2,
             ),
         ) {
             let mut shuffle = FlatShuffle::default();
-            for (keys, p, chunk) in batches {
-                let pairs: Vec<((u64, u64), u32)> = keys.iter().copied().zip(0u32..).collect();
-                let (flat, entries) = flat_group(&mut shuffle, &keys, p, chunk, |key| {
+            for (keys, p) in batches {
+                let pairs = keys.iter().copied().zip(0u32..);
+                let flat = flat_group(&mut shuffle, &keys, p, |key| {
                     HashPartitioner.partition_of(key, p)
                 })
                 .unwrap();
-                prop_assert_eq!(flat, group_by_key(pairs.clone(), p));
-                let chunks = pairs.chunks(chunk).map(|c| c.iter().copied());
-                let (_, stats) = combine_by_key(chunks, p, &AppendCombiner);
-                prop_assert_eq!(entries, stats.combined_entries);
+                prop_assert_eq!(flat, group_by_key(pairs, p));
             }
         }
 
@@ -744,11 +711,10 @@ mod tests {
         fn prop_flat_shuffle_routes_whole_groups_in_first_occurrence_order(
             keys in prop::collection::vec((0u64..2, 0u64..12), 0..200),
             table in prop::collection::vec(0usize..5, 24),
-            chunk in 1usize..40,
         ) {
             let p = 5;
             let route = |key: &(u64, u64)| table[(key.0 * 12 + key.1) as usize];
-            let (flat, _) = flat_group(&mut FlatShuffle::default(), &keys, p, chunk, route).unwrap();
+            let flat = flat_group(&mut FlatShuffle::default(), &keys, p, route).unwrap();
             let pairs = keys.iter().copied().zip(0u32..);
             let all = group_by_key(pairs, 1).remove(0);
             for (q, part) in flat.iter().enumerate() {

@@ -49,8 +49,6 @@ pub const SPAN_STEP_TASKS: &str = "step_tasks";
 pub const SPAN_PREFETCH: &str = "prefetch";
 /// A spent batch freed by the prefetch worker that allocated its records.
 pub const SPAN_RETIRE: &str = "retire";
-/// Map-side combine of same-key updates before the shuffle.
-pub const SPAN_COMBINE: &str = "combine";
 /// Durable checkpoint frame write (encode + store persist).
 pub const SPAN_CHECKPOINT_WRITE: &str = "checkpoint_write";
 /// Checkpoint recovery walk (manifest scan + frame decode).
@@ -77,7 +75,6 @@ const ALL_SPANS: &[&str] = &[
     SPAN_STEP_TASKS,
     SPAN_PREFETCH,
     SPAN_RETIRE,
-    SPAN_COMBINE,
     SPAN_CHECKPOINT_WRITE,
     SPAN_CHECKPOINT_RESTORE,
     SPAN_SESSION_TEST,
@@ -118,8 +115,6 @@ pub const METRIC_RECORDS_TOTAL: &str = "diststream_records_total";
 pub const METRIC_BROADCAST_BYTES_TOTAL: &str = "diststream_broadcast_bytes_total";
 /// Counter: shuffle bytes shipped between assignment and local update.
 pub const METRIC_SHUFFLE_BYTES_TOTAL: &str = "diststream_shuffle_bytes_total";
-/// Counter: shuffle bytes avoided by the map-side combine.
-pub const METRIC_SHUFFLE_BYTES_SAVED_TOTAL: &str = "diststream_shuffle_bytes_saved_total";
 /// Counter: tasks whose wall time crossed the straggler threshold.
 pub const METRIC_STRAGGLER_TASKS_TOTAL: &str = "diststream_straggler_tasks_total";
 /// Counter (labels `step`, `task`): straggler culprit attribution.
@@ -162,8 +157,6 @@ pub(crate) const METRIC_JOURNAL_EVENTS_DROPPED_TOTAL: &str =
     "diststream_journal_events_dropped_total";
 /// Counter: elastic rebalances executed at batch boundaries.
 pub const METRIC_REBALANCE_TOTAL: &str = "diststream_rebalance_total";
-/// Counter: keys whose placement moved across an elastic rebalance.
-pub const METRIC_REBALANCE_MOVED_KEYS_TOTAL: &str = "diststream_rebalance_moved_keys_total";
 /// Counter: checkpoint bytes replayed to verify an elastic rebalance.
 pub const METRIC_REBALANCE_REPLAYED_BYTES_TOTAL: &str = "diststream_rebalance_replayed_bytes_total";
 /// Counter: elastic rebalances rolled back after a mid-resize failure.
@@ -206,7 +199,6 @@ const ALL_METRICS: &[&str] = &[
     METRIC_RECORDS_TOTAL,
     METRIC_BROADCAST_BYTES_TOTAL,
     METRIC_SHUFFLE_BYTES_TOTAL,
-    METRIC_SHUFFLE_BYTES_SAVED_TOTAL,
     METRIC_STRAGGLER_TASKS_TOTAL,
     METRIC_STRAGGLER_CULPRIT_TOTAL,
     METRIC_STRAGGLER_SKEW_RATIO,
@@ -227,7 +219,6 @@ const ALL_METRICS: &[&str] = &[
     METRIC_RECORD_LATENCY_SECS,
     METRIC_JOURNAL_EVENTS_DROPPED_TOTAL,
     METRIC_REBALANCE_TOTAL,
-    METRIC_REBALANCE_MOVED_KEYS_TOTAL,
     METRIC_REBALANCE_REPLAYED_BYTES_TOTAL,
     METRIC_REBALANCE_ROLLBACKS_TOTAL,
     METRIC_SAMPLER_SEEN_TOTAL,
@@ -259,10 +250,6 @@ pub(crate) const METRIC_HELP: &[(&str, &str)] = &[
     (
         METRIC_SHUFFLE_BYTES_TOTAL,
         "Shuffle bytes shipped between assignment and local update",
-    ),
-    (
-        METRIC_SHUFFLE_BYTES_SAVED_TOTAL,
-        "Shuffle bytes avoided by the map-side combine",
     ),
     (
         METRIC_STRAGGLER_TASKS_TOTAL,
@@ -334,10 +321,6 @@ pub(crate) const METRIC_HELP: &[(&str, &str)] = &[
     (
         METRIC_REBALANCE_TOTAL,
         "Elastic rebalances executed at batch boundaries",
-    ),
-    (
-        METRIC_REBALANCE_MOVED_KEYS_TOTAL,
-        "Keys whose placement moved across an elastic rebalance",
     ),
     (
         METRIC_REBALANCE_REPLAYED_BYTES_TOTAL,

@@ -19,9 +19,7 @@
 //! 5. pipeline spans sit where the overlapped pipeline puts them: a
 //!    `prefetch` or `retire` span never nests inside a `batch` span (ingest
 //!    and the freeing of spent batches run on the prefetch worker's own
-//!    thread, off the driver's batch loop), and a `combine` span
-//!    always nests inside a `local_update` span (the map-side combine is
-//!    part of step 2);
+//!    thread, off the driver's batch loop);
 //! 6. the driver phase is tiled by its sub-spans: `global_copy`,
 //!    `global_order`, `global_premerge` and `global_apply` open only
 //!    directly inside a `global_update` span, and over the whole journal
@@ -166,12 +164,6 @@ pub fn check_trace(contents: &str) -> Result<TraceStats, Vec<String>> {
                         errors.push(format!(
                             "line {lineno}: `{name}` span opened inside a `batch` span — \
                              the prefetch worker's spans must stay off the driver's batch loop"
-                        ));
-                    }
-                    if name == "combine" && !stack.iter().any(|s| s.name == "local_update") {
-                        errors.push(format!(
-                            "line {lineno}: `combine` span opened outside a `local_update` \
-                             span — the map-side combine belongs to step 2"
                         ));
                     }
                     if name == "init" {
@@ -506,24 +498,6 @@ mod tests {
         assert!(check_trace(&retire(&ok)).is_ok());
         let errors = check_trace(&retire(&bad)).expect_err("retire inside batch");
         assert!(errors.iter().any(|e| e.contains("retire")), "{errors:?}");
-    }
-
-    #[test]
-    fn combine_span_must_nest_inside_local_update() {
-        let ok = journal(&[
-            "{\"ev\":\"open\",\"span\":\"local_update\",\"thread\":0,\"seq\":0,\"t_us\":1,\"depth\":0}",
-            "{\"ev\":\"open\",\"span\":\"combine\",\"thread\":0,\"seq\":1,\"t_us\":2,\"depth\":1}",
-            "{\"ev\":\"close\",\"span\":\"combine\",\"thread\":0,\"seq\":2,\"t_us\":3,\"depth\":1,\"dur_us\":1}",
-            "{\"ev\":\"close\",\"span\":\"local_update\",\"thread\":0,\"seq\":3,\"t_us\":4,\"depth\":0,\"dur_us\":3}",
-        ]);
-        assert!(check_trace(&ok).is_ok());
-
-        let bad = journal(&[
-            "{\"ev\":\"open\",\"span\":\"combine\",\"thread\":0,\"seq\":0,\"t_us\":1,\"depth\":0}",
-            "{\"ev\":\"close\",\"span\":\"combine\",\"thread\":0,\"seq\":1,\"t_us\":2,\"depth\":0,\"dur_us\":1}",
-        ]);
-        let errors = check_trace(&bad).expect_err("combine outside local_update");
-        assert!(errors.iter().any(|e| e.contains("combine")), "{errors:?}");
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! model must decode to an error or to some value — never a panic, and a
 //! truncation never to a value. Written into a checkpoint store, the same
 //! damage to the stored frame must surface as
-//! [`DistStreamError::CorruptCheckpoint`], which recovery falls back on.
-//! The models come from a seeded stream, so every run damages the same
-//! bytes.
+//! [`DistStreamError::CorruptCheckpoint`], which recovery falls back on;
+//! damage to the store's `MANIFEST` must be refused as
+//! [`DistStreamError::Storage`] or leave every listed cursor loading what
+//! was stored there, or refusing. The models come from a seeded stream, so
+//! every run damages the same bytes.
 
 use std::fs;
 use std::path::PathBuf;
@@ -138,5 +140,72 @@ fn damaged_frames_load_as_corrupt_checkpoints() {
     for bit in 0..8 * frame.len() {
         must_be_corrupt(&flipped(&frame, bit), &format!("bit {bit} flipped"));
     }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Every way the store's `MANIFEST` can be damaged is refused by `open` as
+/// [`DistStreamError::Storage`], or reopens to a store whose every listed
+/// cursor loads the checkpoint persisted there or refuses as
+/// `CorruptCheckpoint` / `Storage` — never a panic, never another cursor's
+/// model.
+#[test]
+fn damaged_manifests_open_as_storage_errors_or_load_what_was_stored() {
+    let dir = store_dir("manifest");
+    let stored: Vec<Checkpoint> = [3usize, 7, 12]
+        .iter()
+        .map(|&cursor| Checkpoint {
+            batch_index: cursor,
+            bytes: format!("model at batch {cursor}").into_bytes(),
+        })
+        .collect();
+    let mut store = FileCheckpointStore::open(&dir, 3).expect("store");
+    for checkpoint in &stored {
+        store.persist(checkpoint).expect("persist");
+    }
+    let path = dir.join("MANIFEST");
+    let manifest = fs::read(&path).expect("manifest");
+    assert_eq!(manifest, b"12\n7\n3\n");
+    let reopen = |damaged: &[u8], what: &str| -> Option<FileCheckpointStore> {
+        fs::write(&path, damaged).expect("write damaged manifest");
+        match FileCheckpointStore::open(&dir, 3) {
+            Ok(store) => Some(store),
+            Err(DistStreamError::Storage(_)) => None,
+            Err(other) => panic!("{what}: open returned {other:?}"),
+        }
+    };
+    let loads_or_refuses = |damaged: &[u8], what: &str| {
+        let Some(store) = reopen(damaged, what) else {
+            return;
+        };
+        for cursor in store.manifest() {
+            match store.load(cursor) {
+                Ok(checkpoint) => assert!(
+                    stored.contains(&checkpoint) && checkpoint.batch_index == cursor,
+                    "{what}: cursor {cursor} loaded {checkpoint:?}"
+                ),
+                Err(DistStreamError::CorruptCheckpoint { .. } | DistStreamError::Storage(_)) => {}
+                Err(other) => panic!("{what}: cursor {cursor} returned {other:?}"),
+            }
+        }
+    };
+    for len in 0..manifest.len() {
+        loads_or_refuses(&manifest[..len], &format!("{len}-byte truncation"));
+    }
+    for bit in 0..8 * manifest.len() {
+        loads_or_refuses(&flipped(&manifest, bit), &format!("bit {bit} flipped"));
+    }
+    // A cursor no `usize` holds is a malformed line.
+    assert!(
+        reopen(b"18446744073709551616\n12\n", "cursor above u64::MAX").is_none(),
+        "a cursor above u64::MAX opened"
+    );
+    // A cursor whose frame file does not exist opens, and loads as Storage.
+    let store = reopen(b"5\n12\n", "cursor with no frame").expect("opens");
+    assert_eq!(store.manifest(), vec![5, 12]);
+    match store.load(5) {
+        Err(DistStreamError::Storage(_)) => {}
+        other => panic!("cursor with no frame: {other:?}"),
+    }
+    assert_eq!(store.load(12).expect("intact frame"), stored[2]);
     let _ = fs::remove_dir_all(&dir);
 }

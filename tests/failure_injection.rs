@@ -268,7 +268,7 @@ fn a_straggler_delay_really_holds_the_calling_thread() {
 /// panic can be aimed at task 0 of step 1 or of step 2 (through a
 /// session, step 1 always consumes the `(batch, 0, 0)` coordinate first).
 /// Returns the model bytes and the charged shuffle bytes.
-fn stepwise(ctx: &StreamingContext, combine: bool, fault_step: Option<u8>) -> (Vec<u8>, u64) {
+fn stepwise(ctx: &StreamingContext, chunking: bool, fault_step: Option<u8>) -> (Vec<u8>, u64) {
     let algo = NaiveClustering::new(1.0);
     let mut model = algo.init(&[rec(0, 0.0, 0.0)]).unwrap();
     let batch = batches(1, 64).remove(0);
@@ -284,7 +284,7 @@ fn stepwise(ctx: &StreamingContext, combine: bool, fault_step: Option<u8>) -> (V
     };
     arm(1);
     let assigned =
-        assign_records_distributed(ctx, &algo, &bcast, batch.records, combine, placement).unwrap();
+        assign_records_distributed(ctx, &algo, &bcast, batch.records, chunking, placement).unwrap();
     arm(2);
     let local = local_update_distributed(
         ctx,
@@ -295,7 +295,7 @@ fn stepwise(ctx: &StreamingContext, combine: bool, fault_step: Option<u8>) -> (V
         batch.window_start,
         7,
         &mut LocalScratch::default(),
-        combine,
+        false,
         placement,
     )
     .unwrap();
@@ -320,24 +320,24 @@ fn retry_on_borrowed_input_changes_nothing_in_either_step() {
     // task closure, so an attempt that panics has nothing of the batch to
     // lose: the retry reads the very same records, and the model and the
     // shuffle accounting match the fault-free run — in real threads, with
-    // the grouping combined (chunked step 1) or not.
+    // step 1 chunked or not.
     diststream::telemetry::set_enabled(true);
     let retried = || diststream::telemetry::counter("diststream_tasks_retried_total").get();
     let ctx = StreamingContext::new(2, ExecutionMode::Threads).unwrap();
-    for combine in [false, true] {
-        let clean = stepwise(&ctx, combine, None);
+    for chunking in [false, true] {
+        let clean = stepwise(&ctx, chunking, None);
         for step in [1, 2] {
             let before = retried();
-            let faulted = stepwise(&ctx, combine, Some(step));
+            let faulted = stepwise(&ctx, chunking, Some(step));
             assert_eq!(
                 clean, faulted,
-                "a retry in step {step} changed the outcome (combine={combine})"
+                "a retry in step {step} changed the outcome (chunking={chunking})"
             );
             // Other tests of this binary may retry concurrently: at least
             // this one was counted.
             assert!(
                 retried() > before,
-                "retry in step {step} not counted (combine={combine})"
+                "retry in step {step} not counted (chunking={chunking})"
             );
         }
     }
@@ -611,8 +611,8 @@ fn prefetched_poisoned_batch_skips_and_replays_like_sync_ingest() {
 
 #[test]
 fn overlapped_pipeline_with_faults_is_parallelism_invariant() {
-    // Acceptance: the fully overlapped pipeline (prefetch + combine +
-    // chunking + async updates) stays bit-identical across parallelism
+    // Acceptance: the fully overlapped pipeline (prefetch + chunking +
+    // async updates) stays bit-identical across parallelism
     // degrees even with first-attempt task panics absorbed by retries.
     let algo = NaiveClustering::new(1.0);
     let plan = FaultPlan::new().panic_on(1, 0, 0).panic_on(3, 0, 0);

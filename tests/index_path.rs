@@ -1,12 +1,11 @@
 //! Edge cases of the borrowed, index-based batch path (DESIGN.md §16).
 //!
 //! Step 1 hands tasks contiguous slices of a batch they only borrow; step 2
-//! groups, routes, combines and sorts `u32` arrival positions. The
-//! degenerate shapes of that index space — no records, one record, only
-//! outliers, one key, more tasks than records — must behave with chunk
-//! scheduling and the map-side combine on or off: pairs come back in the
-//! order the records were given, and the model equals the
-//! one-record-at-a-time `SequentialExecutor`'s.
+//! groups, routes and sorts `u32` arrival positions. The degenerate shapes
+//! of that index space — no records, one record, only outliers, one key,
+//! more tasks than records — must behave with chunk scheduling on or off:
+//! pairs come back in the order the records were given, and the model
+//! equals the one-record-at-a-time `SequentialExecutor`'s.
 //!
 //! The equality is exact because the data is chosen so that the reference
 //! algorithm's arithmetic is: timestamps are whole seconds (its decay
@@ -57,13 +56,12 @@ fn distributed(
     p: usize,
     mode: ExecutionMode,
     chunking: bool,
-    combine: bool,
 ) -> NaiveModel {
     let ctx = StreamingContext::new(p, mode).unwrap();
     let mut model = init_model(algo);
     let bcast = Broadcast::new(model.clone());
     let placement = strategy_for(StrategyKind::RoundRobin);
-    let what = format!("p={p} chunking={chunking} combine={combine}");
+    let what = format!("p={p} chunking={chunking}");
 
     let assigned =
         assign_records_distributed(&ctx, algo, &bcast, records.to_vec(), chunking, placement)
@@ -89,7 +87,7 @@ fn distributed(
         Timestamp::ZERO,
         7,
         &mut LocalScratch::default(),
-        combine,
+        false,
         placement,
     )
     .unwrap();
@@ -113,29 +111,17 @@ fn distributed(
     model
 }
 
-/// Runs `records` at parallelism `p` under every chunking × combine and
-/// compares each model with the sequential one.
+/// Runs `records` at parallelism `p` with chunking on and off and compares
+/// each model with the sequential one.
 fn check(name: &str, records: &[Record], p: usize) {
     let algo = NaiveClustering::new(1.0);
     let expected = sequential(&algo, records);
     for chunking in [false, true] {
-        for combine in [false, true] {
-            let got = distributed(
-                &algo,
-                records,
-                p,
-                ExecutionMode::Simulated,
-                chunking,
-                combine,
-            );
-            assert_eq!(
-                got, expected,
-                "{name}: p={p} chunking={chunking} combine={combine}"
-            );
-        }
+        let got = distributed(&algo, records, p, ExecutionMode::Simulated, chunking);
+        assert_eq!(got, expected, "{name}: p={p} chunking={chunking}");
     }
     // Once in real threads: the borrows cross the pool's scope.
-    let got = distributed(&algo, records, p, ExecutionMode::Threads, true, true);
+    let got = distributed(&algo, records, p, ExecutionMode::Threads, true);
     assert_eq!(got, expected, "{name}: threads");
 }
 
