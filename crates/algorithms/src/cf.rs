@@ -826,7 +826,7 @@ impl CentroidKernel {
 
     /// Like [`CentroidKernel::nearest`], restricted to rows where
     /// `keep(idx)` is true.
-    pub fn nearest_filtered(
+    fn nearest_filtered(
         &self,
         query: &Point,
         keep: impl FnMut(usize) -> bool,
@@ -862,7 +862,7 @@ impl CentroidKernel {
             .map(|(idx, d, _)| (idx, d))
     }
 
-    /// The in-order scan behind [`CentroidKernel::nearest_filtered`]:
+    /// The in-order scan behind `nearest_filtered`:
     /// running best from the first kept row, norm screen, bounded early
     /// exit. Returns `(row, distance, rows whose distance was evaluated)`.
     fn scan_in_order(

@@ -4,7 +4,10 @@
 //! The digest table is the replay/bit-identity gate for kernel work: any
 //! change to the distance kernel must leave every digest unchanged across
 //! every degree of the matrix and both pipelines, which this makes a
-//! one-command check (`--records` / `--rounds` / `--seed` as for `matrix`):
+//! one-command check (`--records` / `--rounds` / `--seed` as for `matrix`).
+//! Four more rows pin `matrix`'s overload scenario — the sampled CluStream
+//! model under both protocols at p ∈ {1, 4} — so the shed decisions are
+//! held byte for byte too:
 //!
 //! ```text
 //! cargo run --release -p diststream-bench --bin repro -- digest
@@ -19,6 +22,7 @@ use crate::cli::Cli;
 use crate::matrix::{
     four_algorithms, Workload, BATCH_SECS, PARALLELISMS, PIPELINE_OVERLAPPED, PIPELINE_SYNC,
 };
+use crate::overload::overload_digest;
 
 fn digest_one<A: StreamClustering>(
     algo: &A,
@@ -59,6 +63,13 @@ pub(crate) fn digest(cli: &Cli) -> Result<bool> {
                 let (algo, digest) = cell?;
                 println!("{algo}\t{label}\tp={p}\t{digest:016x}");
             }
+        }
+    }
+    // `repro matrix`'s overload scenario: the sampled CluStream model.
+    for p in [1, 4] {
+        for &(label, options) in &pipelines {
+            let digest = overload_digest(&bundle, p, options)?;
+            println!("clustream\t{label}+overload\tp={p}\t{digest:016x}");
         }
     }
     Ok(true)

@@ -88,7 +88,6 @@ fn overload_options(capacity_per_batch: u32) -> OverloadOptions {
         strata: OVERLOAD_STRATA,
         capacity_per_batch,
         min_rate_ppm: 50_000,
-        overhead_permille: 100,
         adapt_window: true,
     }
 }
@@ -115,14 +114,10 @@ fn evaluate_model(
     (coverage, mean_sse)
 }
 
-/// Measures the overload scenario on `bundle`'s stress stream (one round —
-/// the scenario stresses the control loop, not the `large-*` replays).
-///
-/// # Errors
-///
-/// Propagates engine failures; fails hard when the sampled model bytes
-/// diverge between the p = 1 rerun and p = 4 (the replay gate).
-pub(crate) fn measure_overload(bundle: &Bundle) -> Result<OverloadScenario> {
+/// The scenario's job on `bundle`: the stress records, their
+/// initialization count, the overload options with the capacity sized to
+/// [`OVERLOAD_FACTOR`], and the [`OVERLOAD_BATCH_SECS`] window.
+fn scenario(bundle: &Bundle) -> Result<(Vec<Record>, usize, OverloadOptions, ClusteringConfig)> {
     let records = bundle.stress_records();
     let init = bundle.init_records().min(records.len());
     let post_init = &records[init..];
@@ -133,15 +128,46 @@ pub(crate) fn measure_overload(bundle: &Bundle) -> Result<OverloadScenario> {
     let duration = (last.timestamp.secs() - first.timestamp.secs()).max(1e-9);
     let per_window = post_init.len() as f64 * OVERLOAD_BATCH_SECS / duration;
     let capacity = ((per_window / OVERLOAD_FACTOR) as u32).max(1);
-    let opts = overload_options(capacity);
     let config = ClusteringConfig::builder()
         .batch_secs(OVERLOAD_BATCH_SECS)
         .build()?;
+    Ok((records, init, overload_options(capacity), config))
+}
+
+/// FNV-1a digest of the scenario's sampled CluStream model on `bundle` at
+/// parallelism `p`, on `executor`'s update protocol: the replay gate's
+/// reruns and `repro digest`'s overload rows.
+///
+/// # Errors
+///
+/// Propagates engine failures.
+pub(crate) fn overload_digest(bundle: &Bundle, p: usize, executor: PipelineOptions) -> Result<u64> {
+    let (records, init, opts, config) = scenario(bundle)?;
     let algo = bundle.clustream();
-    let ctx = |p: usize| StreamingContext::new(p, ExecutionMode::Simulated);
+    let ctx = StreamingContext::new(p, ExecutionMode::Simulated)?;
+    let mut job = DistStreamJob::new(&algo, &ctx, config);
+    job.init_records(init)
+        .pipeline(executor.with_overload(opts));
+    Ok(fnv1a_hash(&encode(
+        &job.run_to_end(VecSource::new(records))?.model,
+    )))
+}
+
+/// Measures the overload scenario on `bundle`'s stress stream (one round —
+/// the scenario stresses the control loop, not the `large-*` replays).
+///
+/// # Errors
+///
+/// Propagates engine failures; fails hard when the sampled model bytes
+/// diverge between the p = 1 rerun and p = 4 (the replay gate).
+pub(crate) fn measure_overload(bundle: &Bundle) -> Result<OverloadScenario> {
+    let (records, init, opts, config) = scenario(bundle)?;
+    let post_init = &records[init..];
+    let capacity = opts.capacity_per_batch;
+    let algo = bundle.clustream();
 
     // Exact reference: everything processed, per-window arrivals collected.
-    let ctx1 = ctx(1)?;
+    let ctx1 = StreamingContext::new(1, ExecutionMode::Simulated)?;
     let mut arrivals: Vec<u64> = Vec::new();
     let mut exact_job = DistStreamJob::new(&algo, &ctx1, config);
     exact_job
@@ -152,12 +178,8 @@ pub(crate) fn measure_overload(bundle: &Bundle) -> Result<OverloadScenario> {
     })?;
     // The exact path sheds nothing, so under the same service model its
     // backlog latency compounds every window: sync ingestion falls behind.
-    let mut exact_policy = LoadShedPolicy::new(
-        u64::from(capacity),
-        OVERLOAD_BATCH_SECS,
-        opts.overhead_permille,
-        opts.min_rate_ppm,
-    );
+    let mut exact_policy =
+        LoadShedPolicy::new(u64::from(capacity), OVERLOAD_BATCH_SECS, opts.min_rate_ppm);
     let mut exact_latency = 0.0f64;
     for &arrived in &arrivals {
         exact_policy.observe_batch(arrived, arrived, 0);
@@ -198,24 +220,13 @@ pub(crate) fn measure_overload(bundle: &Bundle) -> Result<OverloadScenario> {
 
     // Replay gate, enforced in-binary before anything is printed: a p = 1
     // rerun and a p = 4 run must reproduce the model bytes exactly.
-    let approx_bytes = encode(&approx.model);
-    let rerun_model = |p: usize| -> Result<Vec<u8>> {
-        let ctx = ctx(p)?;
-        let mut job = DistStreamJob::new(&algo, &ctx, config);
-        job.init_records(init)
-            .pipeline(PipelineOptions::sync().with_overload(opts));
-        Ok(encode(
-            &job.run_to_end(VecSource::new(records.clone()))?.model,
-        ))
-    };
-    if rerun_model(1)? != approx_bytes {
+    let model_digest_p1 = fnv1a_hash(&encode(&approx.model));
+    if overload_digest(bundle, 1, PipelineOptions::sync())? != model_digest_p1 {
         return Err(DistStreamError::Engine(
             "overload scenario: p=1 rerun produced different model bytes".to_string(),
         ));
     }
-    let p4_bytes = rerun_model(4)?;
-    let model_digest_p1 = fnv1a_hash(&approx_bytes);
-    let model_digest_p4 = fnv1a_hash(&p4_bytes);
+    let model_digest_p4 = overload_digest(bundle, 4, PipelineOptions::sync())?;
     if model_digest_p1 != model_digest_p4 {
         return Err(DistStreamError::Engine(format!(
             "overload scenario: p=1 model digest {model_digest_p1:016x} != p=4 digest \

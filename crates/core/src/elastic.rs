@@ -32,9 +32,9 @@ use crate::session::JobSession;
 /// use diststream_core::ResizeSchedule;
 ///
 /// let schedule = ResizeSchedule::with_steps(2, vec![(3, 4), (6, 3)])?;
-/// assert_eq!(schedule.parallelism_for(0), 2);
-/// assert_eq!(schedule.parallelism_for(3), 4);
-/// assert_eq!(schedule.parallelism_for(9), 3);
+/// assert_eq!(schedule.initial(), 2); // batches 0–2
+/// assert_eq!(schedule.steps(), [(3, 4), (6, 3)]); // 3–5 at 4, then 3
+/// assert!(ResizeSchedule::with_steps(2, vec![(6, 4), (3, 3)]).is_err());
 /// # Ok::<(), diststream_types::DistStreamError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,15 +76,6 @@ impl ResizeSchedule {
             last_batch = first_batch;
         }
         Ok(ResizeSchedule { initial, steps })
-    }
-
-    /// The parallelism degree batch `batch_index` runs at.
-    pub fn parallelism_for(&self, batch_index: usize) -> usize {
-        self.steps
-            .iter()
-            .take_while(|(first, _)| *first <= batch_index)
-            .last()
-            .map_or(self.initial, |(_, p)| *p)
     }
 
     /// The initial parallelism degree.
@@ -206,7 +197,7 @@ mod tests {
         }
         let mut job = DistStreamJob::new(&algo, &ctx, ClusteringConfig::default());
         job.pipeline(options)
-            .checkpoint_store(Box::new(MemoryCheckpointStore::new(4)))
+            .checkpoint_store(Box::new(MemoryCheckpointStore::new(4).unwrap()))
             .resize(schedule);
         let mut session = job.start(algo.init(&[rec(0, 0.0, 0.0)]).unwrap()).unwrap();
         for batch in batches(6, 40) {
@@ -222,17 +213,9 @@ mod tests {
     #[test]
     fn schedule_steps_validate_and_resolve() {
         let s = ResizeSchedule::with_steps(2, vec![(2, 4), (4, 3)]).unwrap();
-        assert_eq!(s.parallelism_for(0), 2);
-        assert_eq!(s.parallelism_for(1), 2);
-        assert_eq!(s.parallelism_for(2), 4);
-        assert_eq!(s.parallelism_for(3), 4);
-        assert_eq!(s.parallelism_for(100), 3);
-        assert_eq!(
-            ResizeSchedule::with_steps(3, vec![])
-                .unwrap()
-                .parallelism_for(9),
-            3
-        );
+        assert_eq!((s.initial(), s.steps()), (2, &[(2, 4), (4, 3)][..]));
+        let flat = ResizeSchedule::with_steps(3, vec![]).unwrap();
+        assert_eq!((flat.initial(), flat.steps()), (3, &[][..]));
         assert!(ResizeSchedule::with_steps(0, vec![]).is_err());
         assert!(ResizeSchedule::with_steps(2, vec![(0, 4)]).is_err());
         assert!(ResizeSchedule::with_steps(2, vec![(2, 4), (2, 3)]).is_err());
@@ -319,7 +302,7 @@ mod tests {
         let algo = NaiveClustering::new(1.0);
         let ctx = StreamingContext::new(1, ExecutionMode::Simulated).unwrap();
         let mut job = DistStreamJob::new(&algo, &ctx, ClusteringConfig::default());
-        job.checkpoint_store(Box::new(MemoryCheckpointStore::new(4)))
+        job.checkpoint_store(Box::new(MemoryCheckpointStore::new(4).unwrap()))
             .resize(ResizeSchedule::with_steps(2, vec![(3, 4)]).unwrap());
         let mut session = job.start(algo.init(&[rec(0, 0.0, 0.0)]).unwrap()).unwrap();
         for batch in batches(6, 40) {

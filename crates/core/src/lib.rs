@@ -22,19 +22,20 @@
 //! - [`DistStreamJob`] — the one driver: end-to-end wiring from a record
 //!   source through initialization, mini-batching, and per-batch reporting.
 //!   `run` (optionally prefetched, or sampled in overload mode) and
-//!   `run_adaptive` differ only in the batch feed and in an after-batch
-//!   controller that may pick the next window width (`run_adaptive` takes
-//!   the caller's, e.g. an [`AdaptiveBatchSizer`]); each is `init_model →
-//!   start → for batch in feed { step; controller; report; drain } → finish`
-//!   over a [`JobSession`], which fault and elastic harnesses step directly.
+//!   `run_adaptive` differ only in the batch feed, which sees the previous
+//!   batch's outcome at each pull and so hosts any controller of the next
+//!   batch (`run_adaptive` takes the caller's, e.g. an
+//!   [`AdaptiveBatchSizer`]); each is `init_model → start → for batch in
+//!   feed(previous outcome) { step; report; drain } → finish` over a
+//!   [`JobSession`], which fault and elastic harnesses step directly.
 //!   Checkpointing ([`DistStreamJob::checkpoint_every`]) and elastic resizing
 //!   ([`DistStreamJob::resize`]) are boundary steps of [`JobSession::step`],
 //!   so they combine with every pipeline option and with each other.
 //!
 //! Every batch crosses its boundaries — resize, write-ahead log, the three
-//! steps and snapshot publication, rollback, meter, checkpoint, controller,
-//! report, journal drain — in one fixed order, stated once in DESIGN.md
-//! §11.1a.
+//! steps and snapshot publication, rollback, meter, checkpoint, report,
+//! journal drain, and at the next pull the controller — in one fixed order,
+//! stated once in DESIGN.md §11.1a.
 //!
 //! # Examples
 //!

@@ -1,15 +1,17 @@
 //! High-level job wiring: source → initialization → mini-batcher →
 //! [`JobSession`](crate::JobSession) → per-batch reports. The job is the
 //! only driver: every run path here is `init_model → start → for batch in
-//! feed { step; controller; report; drain } → finish`.
+//! feed(previous outcome) { step; report; drain } → finish`, and the feed
+//! is the one plug-in point — a window controller or the overload loop
+//! runs inside it, at the next pull.
 
 use diststream_engine::{
-    prefetch_batches, LoadShedPolicy, MiniBatch, MiniBatcher, RecordSource, SamplerControl,
-    StratifiedSampler, StreamingContext, ThroughputMeter,
+    prefetch_batches, LoadShedPolicy, MiniBatch, MiniBatcher, RecordSource, StratifiedSampler,
+    StreamingContext, ThroughputMeter,
 };
 use diststream_telemetry as telemetry;
 use diststream_types::{ClusteringConfig, DistStreamError, Record, Result, Timestamp};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::adaptive::AdaptiveBatchSizer;
 use crate::api::{StreamClustering, UpdateOrdering};
@@ -91,10 +93,6 @@ pub struct OverloadOptions {
     /// Floor on any stratum's keep-rate, ppm; the stream is never shed to
     /// nothing.
     pub min_rate_ppm: u32,
-    /// Fixed per-batch overhead as a permille of the initial window (< 1000).
-    /// Wider windows amortize it, which is what lets window width and
-    /// sample rate co-adapt.
-    pub overhead_permille: u32,
     /// Close the loop with [`AdaptiveBatchSizer`]: retune the window from
     /// the *virtual* (service-model) batch time after every batch.
     pub adapt_window: bool,
@@ -107,14 +105,13 @@ impl Default for OverloadOptions {
             strata: 8,
             capacity_per_batch: 10_000,
             min_rate_ppm: 10_000,
-            overhead_permille: 100,
             adapt_window: true,
         }
     }
 }
 
-/// Overload-mode accounting for a completed run, from the sampler control
-/// block and the backpressure policy.
+/// Overload-mode accounting for a completed run, from the sampler's counts
+/// and the backpressure policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OverloadStats {
     /// Records offered to the sampler (post-initialization).
@@ -227,7 +224,7 @@ impl<'a, A: StreamClustering> DistStreamJob<'a, A> {
             pipeline: PipelineOptions::sync(),
             serving: None,
             checkpoint_every: None,
-            store: Mutex::new(Box::new(MemoryCheckpointStore::new(1))),
+            store: Mutex::new(Box::<MemoryCheckpointStore>::default()),
             schedule: None,
         }
     }
@@ -315,32 +312,30 @@ impl<'a, A: StreamClustering> DistStreamJob<'a, A> {
         self.algo.init(&init)
     }
 
-    /// The one per-batch drive loop — step, controller, report, journal
-    /// drain (boundary order: DESIGN.md §11.1a) — between `start` and
-    /// `finish`. Callers differ only in `next_batch` (prefetch iterator or
-    /// [`batcher_feed`]) and in `controller`, which sees each outcome and
-    /// may return the next window width, handed to `next_batch` on the
-    /// following pull — together with the previous batch's spent records,
-    /// for the feed to free where they were allocated.
+    /// The one per-batch drive loop — step, report, journal drain (boundary
+    /// order: DESIGN.md §11.1a) — between `start` and `finish`. Callers
+    /// differ only in `next_batch`, the one plug-in point: each pull sees
+    /// the previous batch's outcome (`None` at the first), so a controller
+    /// inside the feed decides the next batch from it, and the previous
+    /// batch's spent records, for the feed to free where they were
+    /// allocated.
     fn drive<F>(
         &self,
         model: A::Model,
-        mut next_batch: impl FnMut(Option<f64>, SpentBatch) -> Option<MiniBatch>,
-        mut controller: impl FnMut(&BatchOutcome) -> Option<f64>,
+        mut next_batch: impl FnMut(Option<&BatchOutcome>, SpentBatch) -> Option<MiniBatch>,
         on_batch: &mut F,
     ) -> Result<RunResult<A::Model>>
     where
         F: FnMut(BatchReport<'_, A::Model>),
     {
         let mut session = self.start(model)?;
-        let mut next_window = None;
+        let mut last = None;
         let mut spent = SpentBatch::new();
-        while let Some(batch) = next_batch(next_window, std::mem::take(&mut spent)) {
+        while let Some(batch) = next_batch(last.as_ref(), std::mem::take(&mut spent)) {
             let batch_index = batch.index;
             let window_end = batch.window_end;
             let outcome = session.step(batch)?;
             spent = session.scratch.take_spent();
-            next_window = controller(&outcome);
             on_batch(BatchReport {
                 batch_index,
                 window_end,
@@ -354,6 +349,12 @@ impl<'a, A: StreamClustering> DistStreamJob<'a, A> {
             if telemetry::enabled() {
                 telemetry::barrier_drain();
             }
+            last = Some(outcome);
+        }
+        // The last pull saw the last batch's outcome; drain what the feed
+        // wrote for it.
+        if telemetry::enabled() {
+            telemetry::barrier_drain();
         }
         session.finish()
     }
@@ -366,6 +367,16 @@ impl<'a, A: StreamClustering> DistStreamJob<'a, A> {
     /// batch `B+1`'s parallel steps run); the final pending update is
     /// flushed — and its driver time metered — before this returns.
     ///
+    /// In overload mode ([`PipelineOptions::overload`]) a stratified
+    /// sampler sits between the source and the batcher, and the
+    /// backpressure policy retunes it at every pull. Prefetch is ignored
+    /// there, as in [`DistStreamJob::run_adaptive`]: the next batch's
+    /// keep-rates (and, with `adapt_window`, its window width) are only
+    /// known after the current batch finishes, which a prefetch worker
+    /// staging ahead of the loop cannot honor. Initialization records are
+    /// drained before the sampler attaches: model initialization is never
+    /// shed.
+    ///
     /// # Errors
     ///
     /// Returns [`DistStreamError::EmptyStream`] if the source yields fewer
@@ -376,139 +387,33 @@ impl<'a, A: StreamClustering> DistStreamJob<'a, A> {
         S: RecordSource + Send,
         F: FnMut(BatchReport<'_, A::Model>),
     {
-        if let Some(overload) = self.pipeline.overload {
-            return self.run_overload(source, overload, on_batch);
+        if let Some(opts) = self.pipeline.overload {
+            let model = self.init_model(&mut source)?;
+            let mut overload = OverloadLoop::new(&mut source, opts, &self.config);
+            let mut result = self.drive(
+                model,
+                |last, spent| overload.next_batch(last, spent),
+                &mut on_batch,
+            )?;
+            result.overload = Some(overload.stats());
+            return Ok(result);
+        }
+        if !self.pipeline.prefetch {
+            return self.run_adaptive(source, |_| None, on_batch);
         }
         let model = self.init_model(&mut source)?;
-        let window = self.config.batch_secs();
-        if self.pipeline.prefetch {
-            // Initialization records were already drained synchronously
-            // above, so the worker stages exactly the post-init batches.
-            prefetch_batches(source, window, |batches| {
-                let feed = |_, spent: SpentBatch| {
-                    // The worker allocated these records; it frees them.
-                    if !spent.is_empty() {
-                        batches.retire(spent);
-                    }
-                    batches.next()
-                };
-                self.drive(model, feed, |_| None, &mut on_batch)
-            })
-        } else {
-            let feed = batcher_feed(MiniBatcher::new(&mut source, window));
-            self.drive(model, feed, |_| None, &mut on_batch)
-        }
-    }
-
-    /// [`DistStreamJob::run`] in overload mode: a stratified sampler between
-    /// the source and the batcher, with the backpressure policy closing the
-    /// control loop as the after-batch controller.
-    ///
-    /// Like [`DistStreamJob::run_adaptive`], prefetch is ignored — the next
-    /// batch's keep-rates (and, with `adapt_window`, its window width) are
-    /// only known after the current batch finishes, which a prefetch worker
-    /// staging ahead of the feedback loop cannot honor. Initialization
-    /// records are drained before the sampler attaches: model initialization
-    /// is never shed.
-    fn run_overload<S, F>(
-        &self,
-        mut source: S,
-        opts: OverloadOptions,
-        mut on_batch: F,
-    ) -> Result<RunResult<A::Model>>
-    where
-        S: RecordSource,
-        F: FnMut(BatchReport<'_, A::Model>),
-    {
-        let model = self.init_model(&mut source)?;
-
-        let control = SamplerControl::new(opts.strata.max(1) as usize);
-        let mut sampler = StratifiedSampler::new(&mut source, opts.seed, control.clone());
-        let window0 = self.config.batch_secs();
-        let mut policy = LoadShedPolicy::new(
-            opts.capacity_per_batch.max(1) as u64,
-            window0,
-            opts.overhead_permille.min(999),
-            opts.min_rate_ppm,
-        );
-        let mut sizer = opts
-            .adapt_window
-            .then(|| AdaptiveBatchSizer::new(&self.config, window0));
-
-        // Cached handles, registered once (the reorder buffer's pattern).
-        let rate_gauge = telemetry::gauge(telemetry::names::METRIC_SAMPLER_RATE_PPM);
-        let bound_gauge = telemetry::gauge(telemetry::names::METRIC_SAMPLER_ERROR_BOUND);
-        let backlog_gauge = telemetry::gauge(telemetry::names::METRIC_BACKPRESSURE_BACKLOG_RECORDS);
-        let latency_gauge =
-            telemetry::gauge(telemetry::names::METRIC_BACKPRESSURE_VIRTUAL_LATENCY_SECS);
-
-        let mut prev_counts = vec![(0u64, 0u64); opts.strata.max(1) as usize];
-        let mut max_virtual_latency = 0.0_f64;
-        let mut window = window0;
-        let controller = |outcome: &BatchOutcome| {
-            // Control step, on deterministic counts only: per-stratum
-            // arrivals over this window drive the next window's rates.
-            let counts = control.stratum_counts();
-            let recent: Vec<u64> = counts
-                .iter()
-                .zip(&prev_counts)
-                .map(|(c, p)| c.0 - p.0)
-                .collect();
-            let arrived: u64 = recent.iter().sum();
-            let kept: u64 = counts
-                .iter()
-                .zip(&prev_counts)
-                .map(|(c, p)| c.1 - p.1)
-                .sum();
-            prev_counts = counts;
-            let reorder_depth = control.reorder_backlog();
-            let next_rate = policy.observe_batch(arrived, kept, reorder_depth);
-            control.rebalance(next_rate, &recent, opts.min_rate_ppm);
-            let bound = control.error_bound();
-            let virtual_latency = policy.virtual_latency_secs();
-            max_virtual_latency = max_virtual_latency.max(virtual_latency);
-
-            if telemetry::enabled() {
-                rate_gauge.set(next_rate as f64);
-                bound_gauge.set(bound);
-                backlog_gauge.set(policy.backlog_records() as f64);
-                latency_gauge.set(virtual_latency);
-                telemetry::emit_point(
-                    telemetry::names::POINT_OVERLOAD_SUMMARY,
-                    Some(outcome.metrics.batch_index as u64),
-                    &[
-                        ("seen", arrived as f64),
-                        ("kept", kept as f64),
-                        ("rate_ppm", next_rate as f64),
-                        ("error_bound", bound),
-                        ("backlog", policy.backlog_records() as f64),
-                        ("virtual_latency_secs", virtual_latency),
-                    ],
-                );
-            }
-
-            // Co-adaptation on the *virtual* batch time — the service
-            // model's cost for what was kept — never measured wall time,
-            // which would break bit-identical replay.
-            let sizer = sizer.as_mut()?;
-            let virtual_secs = policy.virtual_batch_secs(outcome.metrics.records as u64);
-            window = sizer.observe(outcome.metrics.records, virtual_secs);
-            policy.set_window(window);
-            Some(window)
-        };
-        let feed = batcher_feed(MiniBatcher::new(&mut sampler, window0));
-        let mut result = self.drive(model, feed, controller, &mut on_batch)?;
-        result.overload = Some(OverloadStats {
-            seen: control.seen_total(),
-            kept: control.kept_total(),
-            shed: control.shed_total(),
-            error_bound: control.error_bound(),
-            final_rate_ppm: policy.rate_ppm(),
-            final_backlog: policy.backlog_records(),
-            max_virtual_latency_secs: max_virtual_latency,
-            final_batch_secs: window,
-        });
-        Ok(result)
+        // Initialization records were already drained synchronously above,
+        // so the worker stages exactly the post-init batches.
+        prefetch_batches(source, self.config.batch_secs(), |batches| {
+            let feed = |_: Option<&BatchOutcome>, spent: SpentBatch| {
+                // The worker allocated these records; it frees them.
+                if !spent.is_empty() {
+                    batches.retire(spent);
+                }
+                batches.next()
+            };
+            self.drive(model, feed, &mut on_batch)
+        })
     }
 
     /// Convenience: runs the job ignoring per-batch reports.
@@ -521,8 +426,9 @@ impl<'a, A: StreamClustering> DistStreamJob<'a, A> {
     }
 
     /// Runs the job with an after-batch controller (§VII-D3 future work:
-    /// adaptive batch sizing): after every batch `controller` sees its
-    /// outcome and may return the next window width — e.g. an
+    /// adaptive batch sizing): at each pull after the first, the batcher
+    /// feed hands `controller` the previous batch's outcome, and a width it
+    /// returns is the window of the batch that pull cuts — e.g. an
     /// [`AdaptiveBatchSizer`] observing the achieved throughput, which
     /// keeps the width within the §IV-D quality bound. The first window is
     /// `config.batch_secs()`.
@@ -539,7 +445,7 @@ impl<'a, A: StreamClustering> DistStreamJob<'a, A> {
     pub fn run_adaptive<S, C, F>(
         &self,
         mut source: S,
-        controller: C,
+        mut controller: C,
         mut on_batch: F,
     ) -> Result<RunResult<A::Model>>
     where
@@ -548,23 +454,149 @@ impl<'a, A: StreamClustering> DistStreamJob<'a, A> {
         F: FnMut(BatchReport<'_, A::Model>),
     {
         let model = self.init_model(&mut source)?;
-        let feed = batcher_feed(MiniBatcher::new(&mut source, self.config.batch_secs()));
-        self.drive(model, feed, controller, &mut on_batch)
+        let mut batcher = MiniBatcher::new(&mut source, self.config.batch_secs());
+        let feed = |last: Option<&BatchOutcome>, spent: SpentBatch| {
+            // This thread allocated the spent batch, so it drops it here.
+            drop(spent);
+            if let Some(secs) = last.and_then(&mut controller) {
+                batcher.set_batch_secs(secs);
+            }
+            batcher.next()
+        };
+        self.drive(model, feed, &mut on_batch)
     }
 }
 
-/// A [`DistStreamJob::drive`] batch feed over a [`MiniBatcher`]: applies the
-/// window width the after-batch controller chose (if any) before pulling the
-/// next batch. This thread allocated the spent batch, so it drops it here.
-fn batcher_feed<S: RecordSource>(
-    mut batcher: MiniBatcher<S>,
-) -> impl FnMut(Option<f64>, SpentBatch) -> Option<MiniBatch> {
-    move |next_window, spent| {
-        drop(spent);
-        if let Some(secs) = next_window {
-            batcher.set_batch_secs(secs);
+/// Overload mode's batch feed: a [`MiniBatcher`] over the
+/// [`StratifiedSampler`], and the backpressure loop that retunes the
+/// sampler between pulls. Each pull first runs the control step for the
+/// batch just finished, then cuts the next batch, so every decision reads
+/// the sampler's counts as of exactly the pulls before it.
+struct OverloadLoop<'s, S> {
+    batcher: MiniBatcher<StratifiedSampler<&'s mut S>>,
+    policy: LoadShedPolicy,
+    /// Co-adapts the window from the policy's virtual batch time
+    /// (`adapt_window`).
+    sizer: Option<AdaptiveBatchSizer>,
+    min_rate_ppm: u32,
+    /// Cumulative `(seen, kept)` per stratum at the previous control step.
+    prev_counts: Vec<(u64, u64)>,
+    max_virtual_latency: f64,
+    /// Rate, error bound, backlog and virtual latency, registered once
+    /// (the reorder buffer's pattern).
+    gauges: [Arc<telemetry::Gauge>; 4],
+}
+
+impl<'s, S: RecordSource> OverloadLoop<'s, S> {
+    fn new(source: &'s mut S, opts: OverloadOptions, config: &ClusteringConfig) -> Self {
+        let strata = opts.strata.max(1) as usize;
+        let window = config.batch_secs();
+        let sampler = StratifiedSampler::new(source, opts.seed, strata);
+        OverloadLoop {
+            batcher: MiniBatcher::new(sampler, window),
+            policy: LoadShedPolicy::new(
+                opts.capacity_per_batch.max(1) as u64,
+                window,
+                opts.min_rate_ppm,
+            ),
+            sizer: opts
+                .adapt_window
+                .then(|| AdaptiveBatchSizer::new(config, window)),
+            min_rate_ppm: opts.min_rate_ppm,
+            prev_counts: vec![(0, 0); strata],
+            max_virtual_latency: 0.0,
+            gauges: [
+                telemetry::names::METRIC_SAMPLER_RATE_PPM,
+                telemetry::names::METRIC_SAMPLER_ERROR_BOUND,
+                telemetry::names::METRIC_BACKPRESSURE_BACKLOG_RECORDS,
+                telemetry::names::METRIC_BACKPRESSURE_VIRTUAL_LATENCY_SECS,
+            ]
+            .map(telemetry::gauge),
         }
-        batcher.next()
+    }
+
+    /// The [`DistStreamJob::drive`] feed: the control step for `last`, then
+    /// the next batch. This thread allocated the spent batch, so it drops
+    /// it here.
+    fn next_batch(&mut self, last: Option<&BatchOutcome>, spent: SpentBatch) -> Option<MiniBatch> {
+        drop(spent);
+        if let Some(outcome) = last {
+            self.control_step(outcome);
+        }
+        self.batcher.next()
+    }
+
+    /// On deterministic counts only: per-stratum arrivals over the last
+    /// window drive the next window's rates.
+    fn control_step(&mut self, outcome: &BatchOutcome) {
+        let sampler = self.batcher.source_mut();
+        let counts = sampler.stratum_counts();
+        let mut kept = 0;
+        let recent: Vec<u64> = (counts.iter().zip(&self.prev_counts))
+            .map(|(c, p)| {
+                kept += c.1 - p.1;
+                c.0 - p.0
+            })
+            .collect();
+        let arrived: u64 = recent.iter().sum();
+        self.prev_counts.copy_from_slice(counts);
+        let next_rate = self
+            .policy
+            .observe_batch(arrived, kept, sampler.reorder_backlog());
+        sampler.rebalance(next_rate, &recent, self.min_rate_ppm);
+        let bound = sampler.error_bound();
+        let virtual_latency = self.policy.virtual_latency_secs();
+        self.max_virtual_latency = self.max_virtual_latency.max(virtual_latency);
+
+        if telemetry::enabled() {
+            let backlog = self.policy.backlog_records() as f64;
+            let values = [next_rate as f64, bound, backlog, virtual_latency];
+            for (gauge, value) in self.gauges.iter().zip(values) {
+                gauge.set(value);
+            }
+            telemetry::emit_point(
+                telemetry::names::POINT_OVERLOAD_SUMMARY,
+                Some(outcome.metrics.batch_index as u64),
+                &[
+                    ("seen", arrived as f64),
+                    ("kept", kept as f64),
+                    ("rate_ppm", next_rate as f64),
+                    ("error_bound", bound),
+                    ("backlog", backlog),
+                    ("virtual_latency_secs", virtual_latency),
+                ],
+            );
+        }
+
+        // Co-adaptation on the *virtual* batch time — the service model's
+        // cost for what was kept — never measured wall time, which would
+        // break bit-identical replay.
+        if let Some(sizer) = self.sizer.as_mut() {
+            let virtual_secs = self
+                .policy
+                .virtual_batch_secs(outcome.metrics.records as u64);
+            let window = sizer.observe(outcome.metrics.records, virtual_secs);
+            self.policy.set_window(window);
+            self.batcher.set_batch_secs(window);
+        }
+    }
+
+    fn stats(&mut self) -> OverloadStats {
+        let sampler = self.batcher.source_mut();
+        let (seen, kept) = sampler
+            .stratum_counts()
+            .iter()
+            .fold((0, 0), |(s, k), &(seen, kept)| (s + seen, k + kept));
+        OverloadStats {
+            seen,
+            kept,
+            shed: seen - kept,
+            error_bound: sampler.error_bound(),
+            final_rate_ppm: self.policy.rate_ppm(),
+            final_backlog: self.policy.backlog_records(),
+            max_virtual_latency_secs: self.max_virtual_latency,
+            final_batch_secs: self.batcher.batch_secs(),
+        }
     }
 }
 
@@ -801,7 +833,6 @@ mod tests {
             strata: 4,
             capacity_per_batch: capacity,
             min_rate_ppm: 10_000,
-            overhead_permille: 100,
             adapt_window: true,
         }
     }

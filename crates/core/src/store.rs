@@ -186,16 +186,36 @@ pub struct MemoryCheckpointStore {
 impl MemoryCheckpointStore {
     /// Creates a store retaining the newest `retain` checkpoints.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `retain` is zero.
-    pub fn new(retain: usize) -> Self {
-        assert!(retain > 0, "retention must keep at least 1 checkpoint");
-        MemoryCheckpointStore {
+    /// Returns [`DistStreamError::InvalidConfig`] if `retain` is zero.
+    pub fn new(retain: usize) -> Result<Self> {
+        check_retention(retain)?;
+        Ok(MemoryCheckpointStore {
             retain,
+            frames: Vec::new(),
+        })
+    }
+}
+
+/// A store retaining the newest checkpoint only — a job's default.
+impl Default for MemoryCheckpointStore {
+    fn default() -> Self {
+        MemoryCheckpointStore {
+            retain: 1,
             frames: Vec::new(),
         }
     }
+}
+
+/// Both stores' retention contract: at least one checkpoint is kept.
+fn check_retention(retain: usize) -> Result<()> {
+    if retain == 0 {
+        return Err(DistStreamError::InvalidConfig(
+            "checkpoint retention must keep at least 1 checkpoint".into(),
+        ));
+    }
+    Ok(())
 }
 
 impl CheckpointStore for MemoryCheckpointStore {
@@ -263,11 +283,7 @@ impl FileCheckpointStore {
     /// [`DistStreamError::Storage`] if the directory cannot be created or an
     /// existing manifest cannot be parsed.
     pub fn open(dir: impl Into<PathBuf>, retain: usize) -> Result<Self> {
-        if retain == 0 {
-            return Err(DistStreamError::InvalidConfig(
-                "checkpoint retention must keep at least 1 checkpoint".into(),
-            ));
-        }
+        check_retention(retain)?;
         let dir = dir.into();
         fs::create_dir_all(&dir)
             .map_err(|e| DistStreamError::Storage(format!("create {}: {e}", dir.display())))?;
@@ -424,7 +440,7 @@ mod tests {
 
     #[test]
     fn memory_store_retains_last_k_newest_first() {
-        let mut store = MemoryCheckpointStore::new(2);
+        let mut store = MemoryCheckpointStore::new(2).unwrap();
         for cursor in 1..=4 {
             store.persist(&cp(cursor, b"payload")).unwrap();
         }
@@ -435,7 +451,7 @@ mod tests {
 
     #[test]
     fn memory_store_corruption_is_detected_on_load() {
-        let mut store = MemoryCheckpointStore::new(3);
+        let mut store = MemoryCheckpointStore::new(3).unwrap();
         store.persist(&cp(5, b"payload")).unwrap();
         store.inject_corruption(5).unwrap();
         assert!(matches!(
@@ -458,6 +474,16 @@ mod tests {
         assert_eq!(store.load(2).unwrap().bytes, b"alpha");
         assert_eq!(store.load(4).unwrap().bytes, b"beta");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn memory_store_refuses_zero_retention_with_a_typed_error() {
+        let err = MemoryCheckpointStore::new(0).unwrap_err();
+        assert!(
+            matches!(&err, DistStreamError::InvalidConfig(m) if m.contains("retention")),
+            "{err}"
+        );
+        assert_eq!(MemoryCheckpointStore::default().retain, 1);
     }
 
     #[test]

@@ -26,6 +26,11 @@ use crate::sampler::RATE_ONE_PPM;
 /// larger horizon sheds more gently but holds latency longer.
 const DRAIN_HORIZON: u64 = 4;
 
+/// Fixed per-batch overhead as a permille of the initial window. Wider
+/// windows amortize it, which is what lets window width and sample rate
+/// co-adapt.
+const OVERHEAD_PERMILLE: u32 = 100;
+
 /// Deterministic backpressure policy: converts observed arrivals, keeps,
 /// and reorder depth into the next sampling rate.
 ///
@@ -34,8 +39,8 @@ const DRAIN_HORIZON: u64 = 4;
 /// ```
 /// use diststream_engine::LoadShedPolicy;
 ///
-/// // 100 records/batch capacity, 1 s windows, 10% fixed overhead.
-/// let mut policy = LoadShedPolicy::new(100, 1.0, 100, 10_000);
+/// // 100 records/batch capacity in 1 s windows.
+/// let mut policy = LoadShedPolicy::new(100, 1.0, 10_000);
 /// // Underload: everything fits, no shedding requested.
 /// assert_eq!(policy.observe_batch(80, 80, 0), 1_000_000);
 /// // Sustained 3× overload: the rate backs off below full.
@@ -58,27 +63,21 @@ pub struct LoadShedPolicy {
 
 impl LoadShedPolicy {
     /// A policy for an executor that can serve `capacity_per_batch` records
-    /// in a `window_secs` window, of which `overhead_permille/1000` is
-    /// fixed per-batch overhead. `min_rate_ppm` floors the sampling rate so
-    /// the stream is never shed to nothing.
+    /// in a `window_secs` window, of which a tenth is fixed per-batch
+    /// overhead. `min_rate_ppm` floors the sampling rate so the stream is
+    /// never shed to nothing.
     ///
     /// # Panics
     ///
-    /// Panics if `capacity_per_batch` is zero, `window_secs` is not
-    /// strictly positive and finite, or the overhead is ≥ 1000 permille.
-    pub fn new(
-        capacity_per_batch: u64,
-        window_secs: f64,
-        overhead_permille: u32,
-        min_rate_ppm: u32,
-    ) -> Self {
+    /// Panics if `capacity_per_batch` is zero or `window_secs` is not
+    /// strictly positive and finite.
+    pub fn new(capacity_per_batch: u64, window_secs: f64, min_rate_ppm: u32) -> Self {
         assert!(capacity_per_batch > 0, "capacity must be positive");
         assert!(
             window_secs > 0.0 && window_secs.is_finite(),
             "window must be positive and finite"
         );
-        assert!(overhead_permille < 1000, "overhead must leave service time");
-        let overhead_secs = window_secs * overhead_permille as f64 / 1000.0;
+        let overhead_secs = window_secs * OVERHEAD_PERMILLE as f64 / 1000.0;
         let service_per_sec = capacity_per_batch as f64 / (window_secs - overhead_secs);
         LoadShedPolicy {
             service_per_sec,
@@ -98,11 +97,6 @@ impl LoadShedPolicy {
     /// The modeled backlog, in records.
     pub fn backlog_records(&self) -> u64 {
         self.backlog as u64
-    }
-
-    /// Records the executor absorbs per window at the current width.
-    pub fn capacity_per_batch(&self) -> u64 {
-        self.capacity as u64
     }
 
     /// Re-derives capacity for a new window width: a wider window amortizes
@@ -155,7 +149,7 @@ mod tests {
 
     #[test]
     fn underload_never_sheds() {
-        let mut p = LoadShedPolicy::new(1000, 1.0, 0, 1000);
+        let mut p = LoadShedPolicy::new(1000, 1.0, 1000);
         for _ in 0..20 {
             assert_eq!(p.observe_batch(500, 500, 0), RATE_ONE_PPM);
         }
@@ -165,7 +159,7 @@ mod tests {
 
     #[test]
     fn sustained_overload_converges_near_capacity_over_arrivals() {
-        let mut p = LoadShedPolicy::new(100, 1.0, 0, 1000);
+        let mut p = LoadShedPolicy::new(100, 1.0, 1000);
         let mut rate = RATE_ONE_PPM;
         for _ in 0..50 {
             let kept = 400 * rate as u64 / RATE_ONE_PPM as u64;
@@ -180,7 +174,7 @@ mod tests {
 
     #[test]
     fn reorder_pressure_backs_the_rate_off_early() {
-        let mut calm = LoadShedPolicy::new(100, 1.0, 0, 1000);
+        let mut calm = LoadShedPolicy::new(100, 1.0, 1000);
         let mut pressured = calm.clone();
         let calm_rate = calm.observe_batch(100, 100, 0);
         let pressured_rate = pressured.observe_batch(100, 100, 300);
@@ -192,7 +186,7 @@ mod tests {
 
     #[test]
     fn load_drop_recovers_full_rate_and_drains_backlog() {
-        let mut p = LoadShedPolicy::new(100, 1.0, 0, 1000);
+        let mut p = LoadShedPolicy::new(100, 1.0, 1000);
         for _ in 0..10 {
             p.observe_batch(500, 500, 0);
         }
@@ -207,20 +201,20 @@ mod tests {
 
     #[test]
     fn wider_windows_amortize_overhead_into_capacity() {
-        // 50% overhead at 1 s: capacity 100 records in 0.5 s of service.
-        let mut p = LoadShedPolicy::new(100, 1.0, 500, 1000);
-        assert_eq!(p.capacity_per_batch(), 100);
+        // 10% overhead at 1 s: capacity 100 records in 0.9 s of service.
+        let mut p = LoadShedPolicy::new(100, 1.0, 1000);
+        assert_eq!(p.capacity as u64, 100);
         p.set_window(2.0);
-        // 2 s window, same 0.5 s overhead → 1.5 s of service → 300 records.
-        assert_eq!(p.capacity_per_batch(), 300);
-        p.set_window(0.25);
+        // 2 s window, same 0.1 s overhead → 1.9 s of service → 211 records.
+        assert_eq!(p.capacity as u64, 211);
+        p.set_window(0.05);
         // Narrower than the overhead: capacity collapses but stays positive.
-        assert!(p.capacity_per_batch() >= 1);
+        assert!(p.capacity as u64 >= 1);
     }
 
     #[test]
     fn virtual_times_are_pure_functions_of_counts() {
-        let p = LoadShedPolicy::new(200, 1.0, 100, 1000);
+        let p = LoadShedPolicy::new(200, 1.0, 1000);
         let a = p.virtual_batch_secs(400);
         let b = p.virtual_batch_secs(400);
         assert_eq!(a, b);
@@ -230,7 +224,7 @@ mod tests {
 
     #[test]
     fn rate_respects_the_floor() {
-        let mut p = LoadShedPolicy::new(1, 1.0, 0, 50_000);
+        let mut p = LoadShedPolicy::new(1, 1.0, 50_000);
         let rate = p.observe_batch(1_000_000, 1_000_000, 0);
         assert_eq!(rate, 50_000);
     }

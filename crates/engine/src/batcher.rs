@@ -96,6 +96,13 @@ impl<S: RecordSource> MiniBatcher<S> {
         self.batch_secs
     }
 
+    /// The wrapped source, e.g. to read or retune a sampler between pulls.
+    /// The batcher may hold one record of it back as the next batch's
+    /// first.
+    pub fn source_mut(&mut self) -> &mut S {
+        &mut self.source
+    }
+
     /// Changes the window width, taking effect from the next batch.
     ///
     /// Window alignment restarts at the next record so adaptive batch-sizing

@@ -86,6 +86,6 @@ pub use pool::{
 };
 pub use prefetch::{prefetch_batches, PrefetchedBatches};
 pub use reorder::ReorderBuffer;
-pub use sampler::{error_bound, SamplerControl, StratifiedSampler};
+pub use sampler::StratifiedSampler;
 pub use serving::{SnapshotReader, SnapshotSlot};
 pub use source::{RecordSource, RepeatSource, VecSource};

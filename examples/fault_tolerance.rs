@@ -30,7 +30,7 @@ fn main() -> Result<(), DistStreamError> {
 
     let mut job = DistStreamJob::new(&algo, &ctx, ClusteringConfig::default());
     job.pipeline(PipelineOptions::all())
-        .checkpoint_store(Box::new(MemoryCheckpointStore::new(2)))
+        .checkpoint_store(Box::new(MemoryCheckpointStore::new(2)?))
         .checkpoint_every(3);
     let mut driver = job.start(algo.init(&records[..300])?)?;
 

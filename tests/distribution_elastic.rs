@@ -65,7 +65,7 @@ fn elastic_run<A: StreamClustering>(
     let records: usize = batches.iter().map(MiniBatch::len).sum();
     let mut job = DistStreamJob::new(algo, ctx, ClusteringConfig::default());
     job.pipeline(options)
-        .checkpoint_store(Box::new(MemoryCheckpointStore::new(4)))
+        .checkpoint_store(Box::new(MemoryCheckpointStore::new(4).expect("store")))
         .resize(schedule);
     let mut session = job.start(algo.init(init).expect("init")).expect("start");
     for batch in batches {
@@ -248,7 +248,7 @@ fn combination_run(
     let mut job = DistStreamJob::new(&algo, &ctx, ClusteringConfig::default());
     job.pipeline(PipelineOptions::all())
         .serving(handle.clone())
-        .checkpoint_store(Box::new(MemoryCheckpointStore::new(3)))
+        .checkpoint_store(Box::new(MemoryCheckpointStore::new(3).expect("store")))
         .checkpoint_every(2)
         .resize(schedule);
     let mut session = job.start(algo.init(init).expect("init")).expect("start");

@@ -411,7 +411,12 @@ fn scripted_checkpoint_corruption_triggers_fallback() {
     let ctx = StreamingContext::new(2, ExecutionMode::Simulated).unwrap();
     ctx.install_fault_plan(FaultPlan::new().corrupt_checkpoint_after(3));
     let model = algo.init(&[rec(0, 0.0, 0.0)]).unwrap();
-    let job = checkpointing_job(&algo, &ctx, 2, MemoryCheckpointStore::new(3));
+    let job = checkpointing_job(
+        &algo,
+        &ctx,
+        2,
+        MemoryCheckpointStore::new(3).expect("store"),
+    );
     let mut driver = job.start(model).unwrap();
     for b in batches(6, 10) {
         driver.step(b).unwrap();
@@ -434,7 +439,12 @@ fn all_checkpoints_corrupt_is_a_typed_error() {
     let algo = NaiveClustering::new(1.0);
     let ctx = StreamingContext::new(1, ExecutionMode::Simulated).unwrap();
     let model = algo.init(&[rec(0, 0.0, 0.0)]).unwrap();
-    let job = checkpointing_job(&algo, &ctx, 1, MemoryCheckpointStore::new(2));
+    let job = checkpointing_job(
+        &algo,
+        &ctx,
+        1,
+        MemoryCheckpointStore::new(2).expect("store"),
+    );
     let mut driver = job.start(model).unwrap();
     for b in batches(3, 5) {
         driver.step(b).unwrap();
@@ -471,7 +481,12 @@ fn exhausted_retries_skip_the_batch_and_the_stream_continues() {
     diststream::telemetry::set_enabled(true);
     let skipped_before = diststream::telemetry::counter("diststream_batches_skipped_total").get();
     let model = algo.init(&[rec(0, 0.0, 0.0)]).unwrap();
-    let job = checkpointing_job(&algo, &ctx, 100, MemoryCheckpointStore::new(1));
+    let job = checkpointing_job(
+        &algo,
+        &ctx,
+        100,
+        MemoryCheckpointStore::new(1).expect("store"),
+    );
     let mut driver = job.start(model).unwrap();
     let mut skipped = Vec::new();
     for b in batches(6, 20) {
@@ -510,7 +525,12 @@ fn overlapped_skip_equals_a_run_that_never_saw_the_batch() {
         if let Some(plan) = plan {
             ctx.install_fault_plan(plan);
         }
-        let mut job = checkpointing_job(&algo, &ctx, 2, MemoryCheckpointStore::new(2));
+        let mut job = checkpointing_job(
+            &algo,
+            &ctx,
+            2,
+            MemoryCheckpointStore::new(2).expect("store"),
+        );
         job.pipeline(PipelineOptions::all());
         let mut session = job.start(algo.init(&[rec(0, 0.0, 0.0)]).unwrap()).unwrap();
         let mut skipped = Vec::new();
@@ -559,7 +579,12 @@ fn prefetched_poisoned_batch_skips_and_replays_like_sync_ingest() {
     let sync_ctx = StreamingContext::new(2, ExecutionMode::Simulated).unwrap();
     sync_ctx.install_fault_plan(plan.clone());
     let model = algo.init(&[rec(0, 0.0, 0.0)]).unwrap();
-    let sync_job = checkpointing_job(&algo, &sync_ctx, 2, MemoryCheckpointStore::new(8));
+    let sync_job = checkpointing_job(
+        &algo,
+        &sync_ctx,
+        2,
+        MemoryCheckpointStore::new(8).expect("store"),
+    );
     let mut sync_driver = sync_job.start(model).unwrap();
     let mut sync_skipped = Vec::new();
     let mut source = VecSource::new(stream_records());
@@ -578,7 +603,12 @@ fn prefetched_poisoned_batch_skips_and_replays_like_sync_ingest() {
     let pre_ctx = StreamingContext::new(2, ExecutionMode::Simulated).unwrap();
     pre_ctx.install_fault_plan(plan);
     let model = algo.init(&[rec(0, 0.0, 0.0)]).unwrap();
-    let pre_job = checkpointing_job(&algo, &pre_ctx, 2, MemoryCheckpointStore::new(8));
+    let pre_job = checkpointing_job(
+        &algo,
+        &pre_ctx,
+        2,
+        MemoryCheckpointStore::new(8).expect("store"),
+    );
     let mut pre_driver = pre_job.start(model).unwrap();
     let pre_skipped = prefetch_batches(VecSource::new(stream_records()), 1.0, |staged| {
         let mut skipped = Vec::new();

@@ -15,17 +15,18 @@
 use std::sync::{Arc, Mutex};
 
 use diststream::algorithms::{CluStream, CluStreamParams};
-use diststream::core::{DistStreamJob, OverloadOptions, PipelineOptions, RunResult};
+use diststream::core::{DistStreamJob, OverloadOptions, OverloadStats, PipelineOptions, RunResult};
 use diststream::datasets::covertype_like;
 use diststream::engine::{
-    encode, ExecutionMode, RecordSource, ReorderBuffer, StreamingContext, VecSource,
+    encode, fnv1a_hash, ExecutionMode, RecordSource, ReorderBuffer, StreamingContext, VecSource,
 };
 use diststream::telemetry;
 use diststream::types::{ClusteringConfig, Record, Timestamp};
 
-/// Telemetry globals (enabled flag, metric registry) are process-wide;
-/// every test here that flips them holds this lock, same as the other
-/// telemetry-touching integration binaries.
+/// Telemetry globals (enabled flag, metric registry, journal sink) are
+/// process-wide; every test here that flips them holds this lock, same as
+/// the other telemetry-touching integration binaries — and so does every
+/// test that runs a job, whose points would land in a captured journal.
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 
 const INIT_RECORDS: usize = 100;
@@ -72,7 +73,6 @@ fn overload_options(seed: u64) -> OverloadOptions {
         strata: 6,
         capacity_per_batch: 20,
         min_rate_ppm: 20_000,
-        overhead_permille: 100,
         adapt_window: true,
     }
 }
@@ -113,6 +113,7 @@ fn run_overloaded(records: Vec<Record>, parallelism: usize, overlap: bool) -> Ru
 /// across all four cells.
 #[test]
 fn every_record_is_accounted_for_exactly_once() {
+    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let records = hostile_stream();
     let total = records.len() as u64;
     let mut accountings = Vec::new();
@@ -173,6 +174,7 @@ fn every_record_is_accounted_for_exactly_once() {
 /// extended to the approximate path.
 #[test]
 fn sampled_model_bytes_are_bit_identical_across_replays_and_parallelism() {
+    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let records = hostile_stream();
     for overlap in [false, true] {
         let bytes = |p: usize| encode(&run_overloaded(records.clone(), p, overlap).result.model);
@@ -183,9 +185,67 @@ fn sampled_model_bytes_are_bit_identical_across_replays_and_parallelism() {
     }
 }
 
+/// The p = 1 run of each protocol, pinned: the model digest and every
+/// field of `OverloadStats`. The stream passes a `ReorderBuffer`, so the
+/// reorder backlog the policy reads at each control step — the last one
+/// included — steers the rates, and through them every field. The
+/// comparisons above hold runs to each other; this one holds them to the
+/// values the shed loop produced when it was written, so a change that
+/// moves every run alike fails here.
+#[test]
+fn sampled_runs_reproduce_their_pinned_bytes_and_stats() {
+    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // Both protocols shed the same records; only the update order (and so
+    // the model) differs.
+    let stats = OverloadStats {
+        seen: 1400,
+        kept: 106,
+        shed: 1294,
+        error_bound: 0.09566116591451826,
+        final_rate_ppm: 784_363,
+        final_backlog: 0,
+        max_virtual_latency_secs: 0.34875,
+        final_batch_secs: 0.335102872,
+    };
+    let records = hostile_stream();
+    for (overlap, digest) in [
+        (false, 0xbc26_53d3_e64a_883f_u64),
+        (true, 0xa3db_7dd9_dba3_c688),
+    ] {
+        let run = run_overloaded(records.clone(), 1, overlap).result;
+        assert_eq!(
+            fnv1a_hash(&encode(&run.model)),
+            digest,
+            "overlap={overlap}: model bytes moved"
+        );
+        assert_eq!(run.overload, Some(stats), "overlap={overlap}: stats moved");
+    }
+}
+
+/// Every batch journals one `overload_summary` point, the last included.
+/// The control step for a batch runs at the next pull, after that batch's
+/// journal drain, so the run must drain once more after its last pull.
+#[test]
+fn every_batch_journals_one_overload_summary() {
+    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    telemetry::set_journal_capture();
+    telemetry::set_enabled(true);
+    let run = run_overloaded(hostile_stream(), 1, false);
+    telemetry::set_enabled(false);
+    let journaled: Vec<u64> = telemetry::close_journal()
+        .iter()
+        .filter(|e| e.name == telemetry::names::POINT_OVERLOAD_SUMMARY)
+        .filter_map(|e| e.batch)
+        .collect();
+    let batches = run.result.meter.batches() as u64;
+    assert!(batches > 1);
+    assert_eq!(journaled, (0..batches).collect::<Vec<_>>());
+}
+
 /// Different seeds shed different records — the seed is live, not vestigial.
 #[test]
 fn sampler_seed_changes_the_kept_sample() {
+    let _guard = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let records = hostile_stream();
     let kept_ids = |seed: u64| {
         let algo = CluStream::new(CluStreamParams::default());
